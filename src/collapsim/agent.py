@@ -13,7 +13,7 @@ produce identical outcomes but structurally different traces.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, Union
+from typing import Iterator, Mapping, NamedTuple, Union
 
 import numpy as np
 
@@ -23,14 +23,21 @@ from .errors import (
     LengthMismatch,
     NoAdmissibleAlternative,
 )
-from .policies import Forced, sample_from_born
+from .policies import Forced, policy_distribution, sample_from_born
 from .quantum import (
     ZERO_PROB,
     ProbabilityDistribution,
     StateVector,
     make_state,
 )
-from .rng import sample_index, trial_rng
+from .rng import (
+    TrialStreams,
+    cumulative,
+    sample_index,
+    sample_indices,
+    trial_blocks,
+    trial_rng,
+)
 
 
 @dataclass(frozen=True)
@@ -131,6 +138,12 @@ class AgentTrace:
     @property
     def stage_shape(self) -> tuple[str, ...]:
         return tuple(type(stage).__name__ for stage in self.stages)
+
+
+#: the stage_shape of every trace act returns
+COLLAPSE_STAGE_SHAPE = tuple(
+    stage.__name__ for stage in (AttentionStage, SelectionStage, CollapseStage)
+)
 
 
 def attention(alternatives: AlternativeSet) -> StateVector:
@@ -246,3 +259,68 @@ def run_trials(
     return [
         act(alternatives, norm, trial_rng(seed, t), mixing) for t in range(trials)
     ]
+
+
+class ActBlock(NamedTuple):
+    """A block of decision episodes, one array entry per trial."""
+
+    trial: np.ndarray
+    chosen: np.ndarray
+    tie_broken: np.ndarray
+
+
+def act_trials(
+    alternatives: AlternativeSet,
+    norm: NormFunction,
+    seed: int,
+    trials: int,
+    mixing: float = 1.0,
+) -> Iterator[ActBlock]:
+    """act(alternatives, norm, trial_rng(seed, t), mixing) for trials
+    0..trials-1, TRIAL_BLOCK trials at a time; each chosen outcome and tie
+    flag equals the scalar trace's, whose stage_shape is
+    COLLAPSE_STAGE_SHAPE.
+
+    Trial t draws in act's order: the mixing draw (only when mixing < 1),
+    the tie-break or Born-branch draw (only when taken), then the draw of
+    the Forced collapse. Attention, the admissible and tied sets and the
+    Forced checks are computed once before the first block.
+    """
+    if not 0.0 <= mixing <= 1.0:
+        raise BadParameter("mixing must lie in [0, 1]")
+    state = attention(alternatives)
+    admissible = _admissible(state)
+    if not admissible:
+        raise NoAdmissibleAlternative("no alternative has nonzero amplitude")
+    scores = {j: norm.value(alternatives.labels[j]) for j in admissible}
+    best = max(scores.values())
+    tied = [j for j in admissible if scores[j] == best]
+    born = ProbabilityDistribution(np.abs(state.amplitudes) ** 2)
+    for j in admissible:
+        policy_distribution(Forced(j), born)  # the collapse's admissibility check
+    tie_cum = cumulative(np.abs(state.amplitudes[tied]) ** 2)
+    born_cum = cumulative(np.abs(state.amplitudes[admissible]) ** 2)
+    return _act_blocks(
+        np.array(tied), tie_cum, np.array(admissible), born_cum, mixing, seed, trials
+    )
+
+
+def _act_blocks(tied, tie_cum, admissible, born_cum, mixing, seed, trials):
+    for t in trial_blocks(trials):
+        streams = TrialStreams(seed, (), t)
+        if mixing >= 1.0:
+            follow = np.ones(t.size, dtype=bool)
+        else:
+            follow = streams.random() < mixing
+        chosen = np.empty(t.size, dtype=np.int64)
+        tie_broken = np.zeros(t.size, dtype=bool)
+        by_norm = np.flatnonzero(follow)
+        if len(tied) == 1:
+            chosen[by_norm] = tied[0]
+        else:
+            chosen[by_norm] = tied[sample_indices(streams.random(by_norm), tie_cum)]
+            tie_broken[by_norm] = True
+        by_born = np.flatnonzero(~follow)
+        chosen[by_born] = admissible[sample_indices(streams.random(by_born), born_cum)]
+        streams.random()  # the Forced collapse: a certain outcome, one word
+        yield ActBlock(trial=t, chosen=chosen, tie_broken=tie_broken)

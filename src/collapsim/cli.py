@@ -29,7 +29,7 @@ from .quantum import (
     ProjectiveMeasurement,
     make_state,
 )
-from .rng import master_rng, trial_rng
+from .rng import trial_blocks, trial_rng
 
 EXPERIMENTS = ("ks", "fwt", "signal", "energy", "sat", "asc", "behavior")
 OUTPUT_FORMATS = ("json-lines", "csv")
@@ -142,7 +142,9 @@ def _validate_globals(raw: dict[str, Any]) -> list[str]:
     if not isinstance(seed, int) or isinstance(seed, bool) or seed < 0 or seed >= 2**64:
         violations.append("seed: must be a 64-bit unsigned integer")
     trials = raw.get("trials")
-    if trials is not None and (not isinstance(trials, int) or trials < 1):
+    if trials is not None and (
+        not isinstance(trials, int) or isinstance(trials, bool) or trials < 1
+    ):
         violations.append("trials: must be a positive integer")
     output_format = raw.get("output_format", "json-lines")
     if output_format not in OUTPUT_FORMATS:
@@ -360,7 +362,6 @@ def _run_ks(config: ExperimentConfig) -> RunnerOutput:
 
 
 def _run_fwt(config: ExperimentConfig) -> RunnerOutput:
-    table = kochen_specker.builtin_ks_table()
     context = config.params.get("context", 1)
     ray_text = config.params.get("bob_ray", "random")
     fixed_ray = None
@@ -368,30 +369,16 @@ def _run_fwt(config: ExperimentConfig) -> RunnerOutput:
         fixed_ray = kochen_specker.Ray(tuple(int(c) for c in ray_text.split(",")))
     policy = policies.parse_policy(config.params.get("policy", "born"))
     trials = config.resolved_trials()
-    all_rays = table.distinct_rays
+    ray_names = [str(ray) for ray in kochen_specker.builtin_ks_table().distinct_rays]
 
     records = []
     in_context = agreements = detections = 0
-    for t in range(trials):
-        rng = trial_rng(config.seed, t)
-        ray = fixed_ray or all_rays[int(rng.integers(len(all_rays)))]
-        trial = kochen_specker.fwt_trial(context, ray, policy, rng)
-        detections += trial.bob_value
-        if trial.in_context:
-            in_context += 1
-            agreements += int(bool(trial.agree))
-        records.append(
-            {
-                "record": "trial",
-                "trial": t,
-                "alice_outcome": trial.alice_outcome,
-                "bob_ray": str(trial.bob_ray),
-                "bob_value": trial.bob_value,
-                "in_context": trial.in_context,
-                "alice_value_for_bob_ray": trial.alice_value_for_bob_ray,
-                "agree": trial.agree,
-            }
-        )
+    for block in kochen_specker.fwt_trials(context, fixed_ray, policy, config.seed, trials):
+        detections += int(block.bob_value.sum())
+        in_context += int(block.in_context.sum())
+        agreements += int(block.agree.sum())
+        if config.per_trial:
+            records.extend(_fwt_records(block, ray_names))
     aggregate = {
         "trials": trials,
         "context": context,
@@ -403,6 +390,31 @@ def _run_fwt(config: ExperimentConfig) -> RunnerOutput:
         "detection_rate": detections / trials,
     }
     return records, aggregate, None
+
+
+def _fwt_records(block: kochen_specker.FwtBlock, ray_names: list[str]) -> list[dict]:
+    columns = zip(
+        block.trial.tolist(),
+        block.alice_outcome.tolist(),
+        block.bob_ray.tolist(),
+        block.bob_value.tolist(),
+        block.in_context.tolist(),
+        block.alice_value_for_bob_ray.tolist(),
+        block.agree.tolist(),
+    )
+    return [
+        {
+            "record": "trial",
+            "trial": t,
+            "alice_outcome": alice_outcome,
+            "bob_ray": ray_names[ray],
+            "bob_value": bob_value,
+            "in_context": in_ctx,
+            "alice_value_for_bob_ray": alice_value if in_ctx else None,
+            "agree": agree if in_ctx else None,
+        }
+        for t, alice_outcome, ray, bob_value, in_ctx, alice_value, agree in columns
+    ]
 
 
 def _basis_measurement(name: str, dim: int) -> ProjectiveMeasurement:
@@ -518,25 +530,33 @@ def _run_asc(config: ExperimentConfig) -> RunnerOutput:
 
     records = []
     counts = np.zeros(len(labels), dtype=int)
-    for t in range(trials):
-        if kind == "collapse":
-            trace = agent.act(alternatives, norm, trial_rng(config.seed, t), mixing)
-        else:
-            trace = agent.robot_act(alternatives, norm)
-        counts[trace.final_outcome] += 1
-        tie_broken = None
-        if kind == "collapse":
-            tie_broken = trace.stages[1].tie_broken
-        records.append(
-            {
-                "record": "trial",
-                "trial": t,
-                "outcome": trace.final_outcome,
-                "label": trace.final_label,
-                "stage_shape": list(trace.stage_shape),
-                "tie_broken": tie_broken,
-            }
+    if kind == "collapse":
+        blocks = agent.act_trials(alternatives, norm, config.seed, trials, mixing)
+        shape = list(agent.COLLAPSE_STAGE_SHAPE)
+    else:
+        # the robot draws nothing: every trial computes the same argmax
+        robot = agent.robot_act(alternatives, norm)
+        blocks = (
+            agent.ActBlock(t, np.full(t.size, robot.final_outcome), np.full(t.size, None))
+            for t in trial_blocks(trials)
         )
+        shape = list(robot.stage_shape)
+    for block in blocks:
+        counts += np.bincount(block.chosen, minlength=len(labels))
+        if config.per_trial:
+            records.extend(
+                {
+                    "record": "trial",
+                    "trial": t,
+                    "outcome": outcome,
+                    "label": labels[outcome],
+                    "stage_shape": shape,
+                    "tie_broken": tie_broken,
+                }
+                for t, outcome, tie_broken in zip(
+                    block.trial.tolist(), block.chosen.tolist(), block.tie_broken.tolist()
+                )
+            )
     reference = agent.born_reference(alternatives)
     stats = policies.deviation_statistic(counts, reference)
     df = max(len(reference.support()) - 1, 1)
@@ -559,7 +579,7 @@ def _run_behavior(config: ExperimentConfig) -> RunnerOutput:
         sequence = behavior.generate_sequence(
             config.params.get("kind", "exponential"),
             config.params.get("length", 10_000),
-            master_rng(config.seed),
+            trial_rng(config.seed),
             rate=config.params.get("rate", 1.0),
             alpha=config.params.get("alpha", 1.5),
             xmin=config.params.get("xmin", 1.0),
@@ -740,9 +760,6 @@ def main(argv: list[str] | None = None) -> int:
         raw = _raw_config_from_args(args)
         if raw.get("experiment") is None:
             raise ConfigError("experiment: no experiment selected")
-        violations = validate(raw)
-        if violations:
-            raise ConfigError("; ".join(violations))
         config = build_config(raw)
         report = run(config)
     except ConfigError as exc:

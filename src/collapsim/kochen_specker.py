@@ -11,17 +11,19 @@ import math
 import re
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
+from typing import Iterator, NamedTuple
 
 import numpy as np
 
 from .errors import InvalidTable
-from .policies import Born, CollapsePolicy, sample_from_born
+from .policies import Born, CollapsePolicy, compile_policy, sample_from_born
 from .quantum import (
     ProjectiveMeasurement,
     StateVector,
     born_distribution,
     collapse,
 )
+from .rng import TrialStreams, cumulative, sample_indices, trial_blocks
 
 RAY_DIM = 4
 
@@ -327,13 +329,7 @@ def fwt_trial(
     projection (never by assuming the mirrored outcome), and Bob measures
     the detect/miss observable of his ray on it with Born statistics.
     """
-    table = builtin_ks_table()
-    if not 1 <= alice_context <= len(table.contexts):
-        raise InvalidTable(f"context index {alice_context} out of range 1..9")
-    if bob_ray not in table.ray_index:
-        raise InvalidTable(f"ray {bob_ray} is not one of the table's 18 directions")
-    context = table.contexts[alice_context - 1]
-
+    context = _trial_context(alice_context, (bob_ray,))
     alice_sample = sample_from_born(alice_policy, _alice_born(alice_context), rng)
     bob_sample = sample_from_born(
         Born(), _bob_born(alice_context, alice_sample.outcome, bob_ray), rng
@@ -352,3 +348,87 @@ def fwt_trial(
         in_context=in_context,
         alice_value_for_bob_ray=alice_value,
     )
+
+
+def _trial_context(alice_context: int, bob_rays: tuple[Ray, ...]) -> Context:
+    table = builtin_ks_table()
+    if not 1 <= alice_context <= len(table.contexts):
+        raise InvalidTable(f"context index {alice_context} out of range 1..9")
+    for bob_ray in bob_rays:
+        if bob_ray not in table.ray_index:
+            raise InvalidTable(f"ray {bob_ray} is not one of the table's 18 directions")
+    return table.contexts[alice_context - 1]
+
+
+class FwtBlock(NamedTuple):
+    """A block of paired-measurement trials, one array entry per trial."""
+
+    trial: np.ndarray
+    bob_ray: np.ndarray  # index into builtin_ks_table().distinct_rays
+    alice_outcome: np.ndarray
+    bob_value: np.ndarray
+    in_context: np.ndarray
+    alice_value_for_bob_ray: np.ndarray  # meaningful where in_context
+
+    @property
+    def agree(self) -> np.ndarray:
+        """Agreement where in_context (False elsewhere)."""
+        return self.in_context & (self.alice_value_for_bob_ray == self.bob_value)
+
+
+def fwt_trials(
+    alice_context: int,
+    bob_ray: Ray | None,
+    alice_policy: CollapsePolicy,
+    seed: int,
+    trials: int,
+) -> Iterator[FwtBlock]:
+    """Trials 0..trials-1 of fwt_trial, TRIAL_BLOCK trials at a time.
+
+    Trial t draws from trial_rng(seed, t) in fwt_trial's order: Bob's ray
+    first when bob_ray is None (integers over the 18 distinct rays), then
+    Alice's outcome, then Bob's. Every record equals the scalar loop's. The
+    Born tables, policy plan and Bob's conditionals are built, and every
+    check is run, once before the first block.
+    """
+    context = _trial_context(alice_context, () if bob_ray is None else (bob_ray,))
+    all_rays = builtin_ks_table().distinct_rays
+    if bob_ray is None:
+        ray_ids = np.arange(len(all_rays))
+    else:
+        ray_ids = np.array([all_rays.index(bob_ray)])
+    alice = compile_policy(alice_policy, _alice_born(alice_context), trials)
+    # Bob's conditional table, row ray_slot * RAY_DIM + Alice's outcome
+    bob_cums = np.stack([
+        cumulative(_bob_born(alice_context, outcome, all_rays[r]).probs)
+        for r in ray_ids
+        for outcome in range(RAY_DIM)
+    ])
+    # each ray's position in Alice's context, -1 where it is absent
+    position = np.array([
+        context.rays.index(all_rays[r]) if all_rays[r] in context.rays else -1
+        for r in ray_ids
+    ])
+    return _fwt_blocks(alice, bob_cums, position, ray_ids, seed, trials)
+
+
+def _fwt_blocks(alice, bob_cums, position, ray_ids, seed, trials):
+    for t in trial_blocks(trials):
+        streams = TrialStreams(seed, (), t)
+        if len(ray_ids) > 1:
+            slot = streams.integers(len(ray_ids))
+        else:  # a fixed ray draws nothing
+            slot = np.zeros(t.size, dtype=np.intp)
+        alice_outcome = alice.sample(streams.random(), t)
+        bob_outcome = sample_indices(
+            streams.random(), bob_cums, slot * RAY_DIM + alice_outcome
+        )
+        ray_position = position[slot]
+        yield FwtBlock(
+            trial=t,
+            bob_ray=ray_ids[slot],
+            alice_outcome=alice_outcome,
+            bob_value=(bob_outcome == 0).astype(np.int64),
+            in_context=ray_position >= 0,
+            alice_value_for_bob_ray=(ray_position == alice_outcome).astype(np.int64),
+        )

@@ -25,7 +25,7 @@ from .quantum import (
     StateVector,
     born_distribution,
 )
-from .rng import sample_index
+from .rng import cumulative, sample_index, sample_indices
 
 
 class CollapsePolicy:
@@ -180,6 +180,59 @@ def sample_from_born(
         policy_prob=dist[outcome],
         forbidden_attempted=forbidden_attempted,
     )
+
+
+class PolicyPlan(NamedTuple):
+    """What sample_from_born does at each trial of a run, worked out once.
+
+    Trial t draws from the cumulative table cums[row(t)]: script_rows[t]
+    while t < len(script_rows), default_row afterwards.
+    """
+
+    cums: np.ndarray
+    script_rows: np.ndarray
+    default_row: int
+
+    def rows(self, t: np.ndarray) -> np.ndarray:
+        rows = np.full(t.size, self.default_row, dtype=np.intp)
+        scripted = t < len(self.script_rows)
+        rows[scripted] = self.script_rows[t[scripted].astype(np.intp)]
+        return rows
+
+    def sample(self, u: np.ndarray, t: np.ndarray) -> np.ndarray:
+        """Outcomes of trials t given each trial's uniform draw u."""
+        return sample_indices(u, self.cums, self.rows(t))
+
+
+def compile_policy(
+    policy: CollapsePolicy, born: ProbabilityDistribution, trials: int
+) -> PolicyPlan:
+    """Plan trials 0..trials-1 of a run that samples `born` under `policy`.
+
+    A Scripted policy plays sequence[t] at trial t, the entry a fresh
+    instance reaches there; its cursor is neither read nor advanced. Raises
+    what sample_from_born would raise at the first failing trial.
+    """
+    if not isinstance(policy, Scripted):
+        table = cumulative(policy_distribution(policy, born).probs)
+        return PolicyPlan(table[None], np.zeros(0, dtype=np.intp), 0)
+    admissible = born.support(ZERO_PROB)
+    script = policy.sequence[:trials]
+    tables: list[np.ndarray] = []
+    default_row = -1
+    if trials > len(script) or not admissible.issuperset(script):
+        tables.append(cumulative(policy_distribution(policy.fallback, born).probs))
+        default_row = 0
+    row_of: dict[int, int] = {}
+    for entry in sorted(set(script) & admissible):
+        point = np.zeros(len(born))
+        point[entry] = 1.0
+        row_of[entry] = len(tables)
+        tables.append(cumulative(point))
+    script_rows = np.array(
+        [row_of.get(entry, default_row) for entry in script], dtype=np.intp
+    )
+    return PolicyPlan(np.stack(tables), script_rows, default_row)
 
 
 def sample_outcome(

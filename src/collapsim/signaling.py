@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BadParameter, DimensionMismatch
-from .policies import Born, CollapsePolicy, effective_distribution, sample_from_born
+from .policies import CollapsePolicy, compile_policy, effective_distribution
 from .quantum import (
     ZERO_PROB,
     ProbabilityDistribution,
@@ -22,7 +22,7 @@ from .quantum import (
     born_distribution,
     collapse,
 )
-from .rng import trial_rng
+from .rng import TrialStreams, cumulative, sample_indices, trial_blocks
 
 
 @dataclass(frozen=True)
@@ -131,22 +131,9 @@ def signaling_experiment(
         bob_embedded = bob_measurement.embed(dims, "B")
         for s, label in enumerate(labels):
             alice_meas, policy = settings[label]
-            alice_embedded = alice_meas.embed(dims, "A")
-            alice_born = born_distribution(shared, alice_embedded)
-            # Bob's conditional distribution per Alice outcome is a pure
-            # function of the fixed shared state; hoist it out of the loop
-            conditional = {
-                j: born_distribution(collapse(shared, alice_embedded, j), bob_embedded)
-                for j in alice_born.support()
-            }
-            counts = np.zeros(bob_measurement.n_outcomes)
-            for t in range(trials):
-                rng = trial_rng(seed, s, t)
-                alice_sample = sample_from_born(policy, alice_born, rng)
-                bob_sample = sample_from_born(
-                    Born(), conditional[alice_sample.outcome], rng
-                )
-                counts[bob_sample.outcome] += 1
+            counts = _empirical_counts(
+                shared, alice_meas.embed(dims, "A"), policy, bob_embedded, seed, s, trials
+            )
             marginals[label] = counts / trials
         mode, per_setting = "empirical", trials
 
@@ -165,3 +152,34 @@ def signaling_experiment(
         mode=mode,
         seed=seed if trials is not None else None,
     )
+
+
+def _empirical_counts(
+    shared: StateVector,
+    alice_embedded: ProjectiveMeasurement,
+    policy: CollapsePolicy,
+    bob_embedded: ProjectiveMeasurement,
+    seed: int,
+    setting: int,
+    trials: int,
+) -> np.ndarray:
+    """Bob's outcome counts over one setting's trials, TRIAL_BLOCK at a time.
+
+    Trial t draws from trial_rng(seed, setting, t): Alice's outcome under her
+    policy, then Bob's Born outcome on the state her outcome leaves.
+    """
+    alice_born = born_distribution(shared, alice_embedded)
+    # Bob's conditional per Alice outcome; no policy puts mass outside the
+    # Born support, so the rows of those outcomes are never read
+    bob_cums = np.full((len(alice_born), bob_embedded.n_outcomes), np.nan)
+    for j in alice_born.support():
+        after = collapse(shared, alice_embedded, j)
+        bob_cums[j] = cumulative(born_distribution(after, bob_embedded).probs)
+    alice = compile_policy(policy, alice_born, trials)
+    counts = np.zeros(bob_embedded.n_outcomes)
+    for t in trial_blocks(trials):
+        streams = TrialStreams(seed, (setting,), t)
+        alice_outcome = alice.sample(streams.random(), t)
+        bob_outcome = sample_indices(streams.random(), bob_cums, alice_outcome)
+        counts += np.bincount(bob_outcome, minlength=len(counts))
+    return counts

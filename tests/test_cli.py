@@ -359,6 +359,24 @@ class TestMainEntry:
         assert main(["--seed", "0"]) == 2
         assert "config error" in capsys.readouterr().err
 
+    def test_boolean_trials_exit_2(self, tmp_path, capsys):
+        config_file = tmp_path / "config.json"
+        config_file.write_text(json.dumps({"experiment": "fwt", "trials": True}))
+        assert main(["--config", str(config_file)]) == 2
+        err = capsys.readouterr().err
+        assert err == "config error: trials: must be a positive integer\n"
+
+    def test_cnf_parsed_once_to_validate_and_once_to_run(self, tmp_path, monkeypatch):
+        from collapsim import sat
+
+        cnf = tmp_path / "f.cnf"
+        cnf.write_text("p cnf 2 2\n1 0\n2 0\n")
+        calls = []
+        parse = sat.parse_dimacs
+        monkeypatch.setattr(sat, "parse_dimacs", lambda text: calls.append(1) or parse(text))
+        assert main(["sat", "--cnf", str(cnf), "--out", str(tmp_path / "r.jsonl")]) == 0
+        assert len(calls) == 2
+
     def test_bad_config_key_exit_2(self, tmp_path, capsys):
         config_file = tmp_path / "config.json"
         config_file.write_text(json.dumps({"experiment": "ks", "bogus": 1}))

@@ -1,0 +1,354 @@
+"""The batched trial engine against numpy and against the scalar path.
+
+The engine computes each trial's Philox words in bulk and consumes them the
+way numpy's Generator does. These tests pin the kernel to numpy, replay
+numpy's 32-bit buffering on crafted words, and check every record and
+aggregate of fwt, empirical signal and asc against scalar oracle loops
+kept here: one trial_rng Generator per trial, through fwt_trial, act and
+sample_from_born.
+"""
+
+import json
+
+import numpy as np
+import pytest
+
+from collapsim import agent, kochen_specker, policies
+from collapsim.cli import build_config, render_report, run
+from collapsim.errors import CollapsimError
+from collapsim.quantum import ProjectiveMeasurement, born_distribution, collapse, make_state
+from collapsim.rng import TRIAL_BLOCK, TrialStreams, trial_rng, trial_words
+from collapsim.signaling import channel_capacity, total_variation
+
+MAX64 = 2**64 - 1
+B = TRIAL_BLOCK
+
+
+# --- (a) the Philox kernel ---------------------------------------------------
+
+
+@pytest.mark.parametrize("seed", [0, 13, MAX64])
+@pytest.mark.parametrize("prefix", [(), (5,), (MAX64,)])
+def test_trial_words_match_numpy_philox(seed, prefix):
+    t = np.array([0, 1, 2**32 - 1, 2**32, 2**32 + 1, MAX64], dtype=np.uint64)
+    words = trial_words(seed, prefix, t)
+    second = trial_words(seed, prefix, t, block=1)
+    for row, trial in enumerate(t.tolist()):
+        counter = np.array([0, *prefix, trial, 0, 0][:4], dtype=np.uint64)
+        raw = np.random.Philox(key=seed, counter=counter).random_raw(8)
+        assert words[row].tolist() == raw[:4].tolist()
+        assert second[row].tolist() == raw[4:].tolist()
+        assert trial_rng(seed, *prefix, trial).bit_generator.random_raw(4).tolist() == raw[:4].tolist()
+
+
+def test_trial_rng_keeps_keys_above_2_63_apart():
+    first = trial_rng(0, 2**63).bit_generator.random_raw(4)
+    second = trial_rng(0, 2**63 + 1).bit_generator.random_raw(4)
+    assert first.tolist() != second.tolist()
+
+
+def test_draws_match_a_generator_per_trial():
+    t = np.arange(500, dtype=np.uint64)
+    streams = TrialStreams(21, (3,), t)
+    draws = [streams.integers(18), streams.random(), streams.integers(5),
+             streams.integers(1), streams.random(), streams.integers(1000),
+             streams.random()]
+    odd = np.arange(1, t.size, 2)
+    past_first_block = streams.random(odd)  # word 5: the rows' second Philox block
+    for trial in t.tolist():
+        rng = trial_rng(21, 3, trial)
+        expected = [rng.integers(18), rng.random(), rng.integers(5),
+                    rng.integers(1), rng.random(), rng.integers(1000), rng.random()]
+        assert [d[trial] for d in draws] == expected
+        if trial % 2:
+            assert past_first_block[trial // 2] == rng.random()
+
+
+def test_rows_crossing_a_block_in_different_calls():
+    streams = TrialStreams(0, (), [0, 1, 2])
+    first = [streams.random([0]) for _ in range(6)]  # row 0 computes block 1
+    second = [streams.random([1]) for _ in range(9)]  # row 1 computes block 2
+    third = [streams.random([2]) for _ in range(9)]  # row 2 reuses both
+    for row, draws in enumerate([first, second, third]):
+        rng = trial_rng(0, row)
+        assert [d[0] for d in draws] == [rng.random() for _ in draws]
+
+
+# --- (b) Lemire's method on crafted words --------------------------------------
+
+
+def _crafted_generator(words):
+    bit_gen = np.random.Philox(key=0)
+    state = bit_gen.state
+    state["buffer"] = np.array(words, dtype=np.uint64)
+    state["buffer_pos"] = 0
+    bit_gen.state = state
+    return np.random.Generator(bit_gen)
+
+
+@pytest.mark.parametrize(
+    "words",
+    [
+        # low half 0 is rejected for n = 18; the high half of the same word is used
+        [0x80000001_00000000, 0x12345678_9ABCDEF0, 7 << 40, 9],
+        # both halves rejected: the low half of the next word is used
+        [0, 0x00000003_40000000, 1 << 63, 5],
+        # accepted low half: the high half stays buffered for the next 32-bit draw
+        [0xC0000000_40000000, 0x0F0F0F0F_F0F0F0F0, 3 << 61, 11],
+        # the retry itself hits a buffered half after a 64-bit draw
+        [0x00000000_00000001, 0x00000000_00000002, 0xFFFFFFFF_00000000, 1 << 62],
+    ],
+)
+def test_lemire_retry_follows_numpy_buffering(words):
+    streams = TrialStreams(0, (), [0])
+    streams.words = np.array([words], dtype=np.uint64)
+    got = [int(streams.integers(18)[0]), float(streams.random()[0]), int(streams.integers(18)[0])]
+    rng = _crafted_generator(words)
+    assert got == [int(rng.integers(18)), rng.random(), int(rng.integers(18))]
+
+
+def test_low_half_zero_retries_on_high_half():
+    streams = TrialStreams(0, (), [0])
+    streams.words = np.array([[0x80000001_00000000, 0, 0, 0]], dtype=np.uint64)
+    assert streams.integers(18).tolist() == [9]
+    assert streams.pos.tolist() == [1] and not streams.has_half[0]
+
+
+# --- (c) differential: every record and aggregate against scalar loops ---------------
+
+
+def _fwt_oracle(seed, trials, context=1, ray_text="random", policy_text="born"):
+    """The scalar fwt loop: records of trials 0..trials-1."""
+    rays = kochen_specker.builtin_ks_table().distinct_rays
+    fixed = None
+    if ray_text != "random":
+        fixed = kochen_specker.Ray(tuple(int(c) for c in ray_text.split(",")))
+    policy = policies.parse_policy(policy_text)
+    records = []
+    for t in range(trials):
+        rng = trial_rng(seed, t)
+        ray = fixed or rays[int(rng.integers(len(rays)))]
+        trial = kochen_specker.fwt_trial(context, ray, policy, rng)
+        records.append({
+            "record": "trial", "trial": t, "alice_outcome": trial.alice_outcome,
+            "bob_ray": str(trial.bob_ray), "bob_value": trial.bob_value,
+            "in_context": trial.in_context,
+            "alice_value_for_bob_ray": trial.alice_value_for_bob_ray, "agree": trial.agree,
+        })
+    return records
+
+
+def _fwt_aggregate(records, context, policy_text):
+    in_context = sum(r["in_context"] for r in records)
+    agreements = sum(r["agree"] is True for r in records)
+    detections = sum(r["bob_value"] for r in records)
+    return {
+        "trials": len(records), "context": context,
+        "policy": policies.describe_policy(policies.parse_policy(policy_text)),
+        "in_context_trials": in_context, "agreements": agreements,
+        "agreement_exact": agreements == in_context, "detections": detections,
+        "detection_rate": detections / len(records),
+    }
+
+
+def _asc_oracle(seed, trials, labels, priorities, norm_values, mixing, kind="collapse"):
+    alternatives = agent.AlternativeSet(labels, priorities)
+    norm = agent.NormFunction(dict(zip(labels, norm_values)))
+    records = []
+    for t in range(trials):
+        if kind == "collapse":
+            trace = agent.act(alternatives, norm, trial_rng(seed, t), mixing)
+        else:
+            trace = agent.robot_act(alternatives, norm)
+        records.append({
+            "record": "trial", "trial": t, "outcome": trace.final_outcome,
+            "label": trace.final_label, "stage_shape": list(trace.stage_shape),
+            "tie_broken": trace.stages[1].tie_broken if kind == "collapse" else None,
+        })
+    return records
+
+
+def _signal_oracle(seed, trials, policy_texts, bases, bob_basis):
+    """Bob's outcome per trial and setting, one Generator per (setting, trial)."""
+    shared = make_state([1, 0, 0, 1])
+    bob = _basis(bob_basis).embed((2, 2), "B")
+    outcomes = []
+    for s, (policy_text, basis) in enumerate(zip(policy_texts, bases)):
+        policy = policies.parse_policy(policy_text)
+        alice = _basis(basis).embed((2, 2), "A")
+        alice_born = born_distribution(shared, alice)
+        per_trial = []
+        for t in range(trials):
+            rng = trial_rng(seed, s, t)
+            a = policies.sample_from_born(policy, alice_born, rng).outcome
+            conditional = born_distribution(collapse(shared, alice, a), bob)
+            per_trial.append(policies.sample_from_born(policies.Born(), conditional, rng).outcome)
+        outcomes.append(per_trial)
+    return outcomes
+
+
+def _basis(name):
+    if name == "z":
+        return ProjectiveMeasurement.computational(2)
+    return ProjectiveMeasurement.from_basis(np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2.0))
+
+
+def _report(raw):
+    report = run(build_config(raw))
+    return report.trials, report.aggregate
+
+
+def _same(a, b):
+    assert json.dumps(a, sort_keys=True) == json.dumps(b, sort_keys=True)
+
+
+FWT_CASES = [
+    # (context, bob_ray, policy); the first is criterion 13's configuration
+    (1, "random", "born"),
+    (4, "random", "forced:2"),
+    (7, "random", "biased:0.1,0.2,0.3,0.4"),
+    (2, "random", "scripted:3,9,0,1"),
+    (9, "1,1,1,-1", "scripted:1,-2,7;fallback=forced:3"),
+    (3, "1,1,0,0", "born"),
+    (5, "0,0,0,1", "forced:1"),
+]
+
+
+@pytest.mark.parametrize("context,ray,policy", FWT_CASES)
+def test_fwt_records_equal_scalar_loop(context, ray, policy):
+    trials = 500 if policy == "born" and ray == "random" else 300
+    records, aggregate = _report({"experiment": "fwt", "seed": 13, "trials": trials,
+                                  "per_trial": True, "context": context,
+                                  "bob_ray": ray, "policy": policy})
+    expected = _fwt_oracle(13, trials, context, ray, policy)
+    _same(records, expected)
+    _same(aggregate, _fwt_aggregate(expected, context, policy))
+
+
+SIGNAL_CASES = [
+    # (policy0, policy1, alice bases, bob basis); the first is criterion 13's
+    ("born", "biased:0.8,0.2", "zz", "z"),
+    ("forced:0", "forced:1", "xx", "x"),
+    ("born", "scripted:1,4,0", "zx", "z"),
+    ("scripted:0,0,1;fallback=forced:1", "biased:0.3,0.7", "xz", "x"),
+]
+
+
+@pytest.mark.parametrize("policy0,policy1,bases,bob_basis", SIGNAL_CASES)
+def test_signal_marginals_equal_scalar_loop(policy0, policy1, bases, bob_basis):
+    trials = 400
+    _, aggregate = _report({"experiment": "signal", "seed": 13, "mode": "empirical",
+                            "trials": trials, "policy0": policy0, "policy1": policy1,
+                            "alice_basis0": bases[0], "alice_basis1": bases[1],
+                            "bob_basis": bob_basis})
+    outcomes = _signal_oracle(13, trials, (policy0, policy1), bases, bob_basis)
+    marginals = [np.bincount(o, minlength=2) / trials for o in outcomes]
+    assert aggregate["bob_marginal_0"] == marginals[0].tolist()
+    assert aggregate["bob_marginal_1"] == marginals[1].tolist()
+    assert aggregate["max_tv"] == total_variation(*marginals)
+    transition = np.stack(marginals)
+    bits = channel_capacity(transition / transition.sum(axis=1, keepdims=True))
+    assert aggregate["channel_bits"] == bits
+
+
+ASC_CASES = [
+    # (labels, priorities, norm, mixing, agent); the first is criterion 13's
+    ("0,1", "1,1", "0,1", 1.0, "collapse"),
+    ("a,b,c", "0.5,0.3,0.2", "1,1,0", 1.0, "collapse"),     # tie at the optimum
+    ("a,b,c,d", "0.4,0.0,0.35,0.25", "2,2,2,0", 0.5, "collapse"),  # zero priority, tie
+    ("x,y", "0.3,0.7", "1,1", 0.0, "collapse"),
+    ("p,q,r", "0.2,0.3,0.5", "0,1,0", 0.5, "collapse"),
+    ("a,b,c", "0.2,0.0,0.8", "1,5,1", 1.0, "compute"),
+]
+
+
+@pytest.mark.parametrize("labels,priorities,norm,mixing,kind", ASC_CASES)
+def test_asc_records_equal_scalar_loop(labels, priorities, norm, mixing, kind):
+    trials = 300
+    records, aggregate = _report({"experiment": "asc", "seed": 13, "trials": trials,
+                                  "per_trial": True, "labels": labels,
+                                  "priorities": priorities, "norm": norm,
+                                  "mixing": mixing, "agent": kind})
+    label_list = labels.split(",")
+    expected = _asc_oracle(13, trials, label_list, [float(p) for p in priorities.split(",")],
+                           [float(v) for v in norm.split(",")], mixing, kind)
+    _same(records, expected)
+    counts = {label: sum(r["label"] == label for r in expected) for label in label_list}
+    assert aggregate["counts"] == counts
+
+
+@pytest.fixture(scope="module")
+def long_oracles():
+    """Scalar records of trials 0..B, shared by the block-boundary cases."""
+    return {
+        "fwt": _fwt_oracle(5, B + 1, 6, "random", "scripted:0,8,2"),
+        "asc": _asc_oracle(5, B + 1, ["a", "b", "c"], [0.5, 0.2, 0.3], [1.0, 1.0, 0.0], 0.5),
+        "signal": _signal_oracle(5, B + 1, ("forced:0", "biased:0.35,0.65"), "xx", "x"),
+    }
+
+
+@pytest.mark.parametrize("trials", [1, B - 1, B, B + 1])
+def test_block_boundaries(trials, long_oracles):
+    records, aggregate = _report({"experiment": "fwt", "seed": 5, "trials": trials,
+                                  "per_trial": True, "context": 6,
+                                  "policy": "scripted:0,8,2"})
+    expected = long_oracles["fwt"][:trials]
+    _same(records, expected)
+    _same(aggregate, _fwt_aggregate(expected, 6, "scripted:0,8,2"))
+
+    records, aggregate = _report({"experiment": "asc", "seed": 5, "trials": trials,
+                                  "per_trial": True, "labels": "a,b,c",
+                                  "priorities": "0.5,0.2,0.3", "norm": "1,1,0",
+                                  "mixing": 0.5})
+    _same(records, long_oracles["asc"][:trials])
+
+    _, aggregate = _report({"experiment": "signal", "seed": 5, "mode": "empirical",
+                            "trials": trials, "policy0": "forced:0",
+                            "policy1": "biased:0.35,0.65", "alice_basis0": "x",
+                            "alice_basis1": "x", "bob_basis": "x"})
+    for label, outcomes in zip("01", long_oracles["signal"]):
+        marginal = np.bincount(outcomes[:trials], minlength=2) / trials
+        assert aggregate[f"bob_marginal_{label}"] == marginal.tolist()
+
+
+def test_records_skipped_without_per_trial():
+    records, aggregate = _report({"experiment": "fwt", "seed": 2, "trials": 50})
+    assert records == [] and aggregate["trials"] == 50
+    records, _ = _report({"experiment": "asc", "seed": 2, "trials": 50})
+    assert records == []
+
+
+@pytest.mark.parametrize(
+    "raw",
+    [
+        {"experiment": "fwt", "policy": "biased:0.5,0.5"},
+        {"experiment": "fwt", "policy": "scripted:0,1;fallback=forced:7", "trials": 3},
+        {"experiment": "signal", "mode": "empirical", "policy1": "forced:3"},
+        {"experiment": "signal", "mode": "empirical", "policy0": "biased:0.2,0.3,0.5"},
+    ],
+)
+def test_errors_match_scalar_path(raw):
+    with pytest.raises(CollapsimError) as batched:
+        run(build_config({"seed": 0, "trials": 10, **raw}))
+    if raw["experiment"] == "fwt":
+        scalar = lambda: _fwt_oracle(0, raw.get("trials", 10), policy_text=raw["policy"])
+    else:
+        scalar = lambda: _signal_oracle(0, 10, (raw.get("policy0", "born"),
+                                                raw.get("policy1", "born")), "zz", "z")
+    with pytest.raises(CollapsimError) as expected:
+        scalar()
+    assert type(batched.value) is type(expected.value)
+    assert str(batched.value) == str(expected.value)
+
+
+def test_script_reached_only_in_range_needs_no_fallback():
+    raw = {"experiment": "fwt", "seed": 0, "trials": 2, "context": 1,
+           "policy": "scripted:0,1;fallback=forced:7"}
+    records, _ = _report({**raw, "per_trial": True})
+    assert [r["alice_outcome"] for r in records] == [0, 1]
+
+
+def test_engine_leaves_scripted_cursor_alone():
+    policy = policies.Scripted((2, 3, 0))
+    list(kochen_specker.fwt_trials(1, None, policy, 0, 10))
+    assert policy._cursor == 0
