@@ -25,7 +25,6 @@ from .errors import (
 )
 from .policies import Forced, policy_distribution, sample_from_born
 from .quantum import (
-    ZERO_PROB,
     ProbabilityDistribution,
     StateVector,
     make_state,
@@ -152,10 +151,6 @@ def attention(alternatives: AlternativeSet) -> StateVector:
     return make_state(np.sqrt(priorities / priorities.sum()))
 
 
-def _admissible(state: StateVector) -> list[int]:
-    return [int(j) for j in np.flatnonzero(np.abs(state.amplitudes) ** 2 > ZERO_PROB)]
-
-
 def selection(
     state: StateVector,
     alternatives: AlternativeSet,
@@ -167,7 +162,7 @@ def selection(
     Ties are broken by Born-renormalized sampling over the tied set (a
     random subroutine), and flagged as such.
     """
-    admissible = _admissible(state)
+    admissible = sorted(ProbabilityDistribution(np.abs(state.amplitudes) ** 2).support())
     if not admissible:
         raise NoAdmissibleAlternative("no alternative has nonzero amplitude")
     scores = {j: norm.value(alternatives.labels[j]) for j in admissible}
@@ -195,13 +190,13 @@ def act(
     if not 0.0 <= mixing <= 1.0:
         raise BadParameter("mixing must lie in [0, 1]")
     state = attention(alternatives)
+    born = ProbabilityDistribution(np.abs(state.amplitudes) ** 2)
     if mixing >= 1.0 or rng.random() < mixing:
         chosen, tie_broken = selection(state, alternatives, norm, rng)
     else:
-        admissible = _admissible(state)
+        admissible = sorted(born.support())
         weights = np.abs(state.amplitudes[admissible]) ** 2
         chosen, tie_broken = admissible[int(sample_index(rng, weights))], False
-    born = ProbabilityDistribution(np.abs(state.amplitudes) ** 2)
     outcome_sample = sample_from_born(Forced(chosen), born, rng)
     assert outcome_sample.outcome == chosen  # selection only returns admissible
     return AgentTrace(
@@ -289,13 +284,13 @@ def act_trials(
     if not 0.0 <= mixing <= 1.0:
         raise BadParameter("mixing must lie in [0, 1]")
     state = attention(alternatives)
-    admissible = _admissible(state)
+    born = ProbabilityDistribution(np.abs(state.amplitudes) ** 2)
+    admissible = sorted(born.support())
     if not admissible:
         raise NoAdmissibleAlternative("no alternative has nonzero amplitude")
     scores = {j: norm.value(alternatives.labels[j]) for j in admissible}
     best = max(scores.values())
     tied = [j for j in admissible if scores[j] == best]
-    born = ProbabilityDistribution(np.abs(state.amplitudes) ** 2)
     for j in admissible:
         policy_distribution(Forced(j), born)  # the collapse's admissibility check
     tie_cum = cumulative(np.abs(state.amplitudes[tied]) ** 2)

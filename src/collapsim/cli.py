@@ -10,74 +10,70 @@ typo cannot silently corrupt a comparison.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Callable
+from typing import Any, Callable, Collection
 
-import numpy as np
-from scipy import stats as scipy_stats
-
-from . import agent, behavior, kochen_specker, policies, sat, signaling
-from .energy import Hamiltonian, audit_measurement
+from . import behavior, harnesses, kochen_specker, policies
 from .errors import CollapsimError, ConfigError
-from .quantum import (
-    DensityOperator,
-    ProbabilityDistribution,
-    ProjectiveMeasurement,
-    make_state,
-)
-from .rng import trial_blocks, trial_rng
+from .harnesses import complex_list, fixed_ray, float_list, label_list, parse_matrix
 
-EXPERIMENTS = ("ks", "fwt", "signal", "energy", "sat", "asc", "behavior")
 OUTPUT_FORMATS = ("json-lines", "csv")
-
-#: experiment-specific parameter names and coercion types
-PARAM_SPECS: dict[str, dict[str, type]] = {
-    "ks": {"dump_table": bool},
-    "fwt": {"context": int, "bob_ray": str, "policy": str},
-    "signal": {
-        "policy0": str,
-        "policy1": str,
-        "alice_basis0": str,
-        "alice_basis1": str,
-        "bob_basis": str,
-        "mode": str,
-    },
-    "energy": {
-        "h_diag": str,
-        "h_matrix": str,
-        "state": str,
-        "basis": str,
-        "weights": str,
-        "eigenvalues": str,
-    },
-    "sat": {"cnf": str, "truth_table": str},
-    "asc": {
-        "labels": str,
-        "priorities": str,
-        "norm": str,
-        "mixing": float,
-        "agent": str,
-    },
-    "behavior": {
-        "mode": str,
-        "kind": str,
-        "rate": float,
-        "alpha": float,
-        "xmin": float,
-        "length": int,
-        "input": str,
-        "levy_threshold": float,
-        "noise_threshold": float,
-    },
-}
-
 GLOBAL_KEYS = ("experiment", "seed", "trials", "output_format", "per_trial")
+BASES = ("z", "x")
 
-DEFAULT_TRIALS = {"fwt": 1000, "signal": 10_000, "asc": 1000}
+#: caps that keep a config from asking for years of trials or a
+#: multi-gigabyte interval sequence (float64 intervals, 8 bytes each)
+MAX_TRIALS = 10**8
+MAX_LENGTH = 10**7
+
+
+@dataclass(frozen=True)
+class Param:
+    """One experiment parameter, stated once: its config key, type, default
+    and single-field check. Its flag is --key with '-' for '_', unless it is
+    positional."""
+
+    name: str
+    kind: type
+    default: Any = None
+    choices: tuple[str, ...] = ()
+    #: what is wrong with a typed value, or None
+    check: Callable[[Any], str | None] | None = None
+    positional: bool = False
+    #: checked only when the experiment's mode is this (the runner reads it only then)
+    when_mode: str | None = None
+    help: str | None = None
+
+    def coerce(self, value: Any) -> Any:
+        """The typed value. Numbers are strict: a boolean is no number and a
+        float is no int; raises ValueError, TypeError or OverflowError."""
+        if self.kind is bool:
+            if not isinstance(value, bool):
+                raise ValueError(value)
+            return value
+        if self.kind is not str and (
+            isinstance(value, bool) or (self.kind is int and isinstance(value, float))
+        ):
+            raise ValueError(value)
+        return self.kind(value)
+
+
+@dataclass(frozen=True)
+class Experiment:
+    """An experiment's runner, the check of what spans several of its
+    parameters (called with the defaulted values and the keys the config
+    sets, once every single-field check passed), its default trial count
+    and its parameters."""
+
+    runner: Callable[[ExperimentConfig], harnesses.RunnerOutput]
+    check: Callable[[dict[str, Any], Collection[str]], list[str]] | None
+    trials: int
+    params: tuple[Param, ...]
 
 
 @dataclass(frozen=True)
@@ -87,6 +83,7 @@ class ExperimentConfig:
     trials: int | None = None
     output_format: str = "json-lines"
     per_trial: bool = False
+    #: only the parameters the config sets, so defaults are never echoed
     params: dict[str, Any] = field(default_factory=dict)
 
     def flat(self) -> dict[str, Any]:
@@ -101,10 +98,17 @@ class ExperimentConfig:
         base.update(self.params)
         return base
 
+    def resolved_params(self) -> dict[str, Any]:
+        """Every parameter of the experiment, defaults filled in."""
+        return {
+            p.name: self.params.get(p.name, p.default)
+            for p in SPECS[self.experiment].params
+        }
+
     def resolved_trials(self) -> int:
         if self.trials is not None:
             return self.trials
-        return DEFAULT_TRIALS.get(self.experiment, 1)
+        return SPECS[self.experiment].trials
 
 
 @dataclass(frozen=True)
@@ -124,15 +128,16 @@ def validate(raw: dict[str, Any]) -> list[str]:
     if experiment not in EXPERIMENTS:
         violations.append(f"experiment: unknown experiment {experiment!r}")
         return violations
-    spec = PARAM_SPECS[experiment]
+    spec = SPECS[experiment]
+    names = {p.name for p in spec.params}
     for key in raw:
-        if key not in GLOBAL_KEYS and key not in spec:
+        if key not in GLOBAL_KEYS and key not in names:
             violations.append(f"{key}: unknown key for experiment {experiment!r}")
     violations.extend(_validate_globals(raw))
-    params, param_errors = _coerce_params(experiment, raw)
+    values, param_errors = _coerce_params(spec, raw)
     violations.extend(param_errors)
-    if not violations:
-        violations.extend(_validate_experiment(experiment, params))
+    if not violations and spec.check:
+        violations.extend(spec.check(values, raw.keys()))
     return violations
 
 
@@ -146,6 +151,8 @@ def _validate_globals(raw: dict[str, Any]) -> list[str]:
         not isinstance(trials, int) or isinstance(trials, bool) or trials < 1
     ):
         violations.append("trials: must be a positive integer")
+    elif trials is not None and trials > MAX_TRIALS:
+        violations.append(f"trials: must be at most {MAX_TRIALS}")
     output_format = raw.get("output_format", "json-lines")
     if output_format not in OUTPUT_FORMATS:
         violations.append(f"output_format: must be one of {OUTPUT_FORMATS}")
@@ -156,168 +163,29 @@ def _validate_globals(raw: dict[str, Any]) -> list[str]:
 
 
 def _coerce_params(
-    experiment: str, raw: dict[str, Any]
+    spec: Experiment, raw: dict[str, Any]
 ) -> tuple[dict[str, Any], list[str]]:
-    spec = PARAM_SPECS[experiment]
-    params: dict[str, Any] = {}
+    """Typed values of every parameter, defaults filled in, and the
+    violations of the single-field checks."""
+    values: dict[str, Any] = {}
     errors: list[str] = []
-    for key, kind in spec.items():
-        if key not in raw:
+    for param in spec.params:
+        value = raw.get(param.name, param.default)
+        if param.name in raw:
+            try:
+                value = param.coerce(value)
+            except (TypeError, ValueError, OverflowError):
+                expected = "a boolean" if param.kind is bool else param.kind.__name__
+                errors.append(f"{param.name}: expected {expected}, got {value!r}")
+                continue
+        values[param.name] = value
+        if param.when_mode not in (None, values.get("mode")):
             continue
-        value = raw[key]
-        if kind is bool:
-            if isinstance(value, bool):
-                params[key] = value
-            else:
-                errors.append(f"{key}: expected a boolean, got {value!r}")
-            continue
-        try:
-            params[key] = kind(value)
-        except (TypeError, ValueError):
-            errors.append(f"{key}: expected {kind.__name__}, got {value!r}")
-    return params, errors
-
-
-def _float_list(text: str) -> list[float]:
-    return [float(tok) for tok in str(text).split(",") if tok.strip()]
-
-
-def _validate_experiment(experiment: str, params: dict[str, Any]) -> list[str]:
-    violations: list[str] = []
-    if experiment == "fwt":
-        context = params.get("context", 1)
-        if not 1 <= context <= 9:
-            violations.append("context: must lie in 1..9")
-        ray_text = params.get("bob_ray", "random")
-        if ray_text != "random":
-            try:
-                ray = kochen_specker.Ray(tuple(int(c) for c in str(ray_text).split(",")))
-            except (ValueError, CollapsimError):
-                violations.append(f"bob_ray: not a ray: {ray_text!r}")
-            else:
-                if ray not in kochen_specker.builtin_ks_table().ray_index:
-                    violations.append(
-                        f"bob_ray: {ray} is not one of the table's 18 directions"
-                    )
-        _check_policy(params.get("policy", "born"), "policy", violations)
-    elif experiment == "signal":
-        for key in ("policy0", "policy1"):
-            _check_policy(params.get(key, "born"), key, violations)
-        for key in ("alice_basis0", "alice_basis1", "bob_basis"):
-            if params.get(key, "z") not in ("z", "x"):
-                violations.append(f"{key}: must be 'z' or 'x'")
-        if params.get("mode", "analytic") not in ("analytic", "empirical"):
-            violations.append("mode: must be 'analytic' or 'empirical'")
-    elif experiment == "energy":
-        if "h_diag" in params and "h_matrix" in params:
-            violations.append("h_matrix: provide h_diag or h_matrix, not both")
-            return violations
-        try:
-            if "h_matrix" in params:
-                matrix = _parse_matrix(params["h_matrix"])
-                if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
-                    violations.append("h_matrix: must be square (rows split by ';')")
-                    return violations
-                dim = matrix.shape[0]
-            else:
-                dim = len(_float_list(params.get("h_diag", "1,-1")))
-            state_text = params.get("state")
-            if state_text is not None:
-                state = [complex(tok.strip()) for tok in str(state_text).split(",")]
-                if len(state) != dim:
-                    violations.append("state: length must match the hamiltonian")
-        except ValueError:
-            violations.append("h_diag/h_matrix/state: must be comma-separated numbers")
-            return violations
-        if params.get("basis", "z") not in ("z", "x"):
-            violations.append("basis: must be 'z' or 'x'")
-        elif params.get("basis", "z") == "x" and dim != 2:
-            violations.append("basis: 'x' requires dimension 2")
-        weights = params.get("weights", "born")
-        if weights != "born":
-            try:
-                w = _float_list(weights)
-                if len(w) != dim:
-                    violations.append("weights: length must match the hamiltonian")
-                elif abs(sum(w) - 1.0) > 1e-9 or any(x < 0 for x in w):
-                    violations.append("weights: must be a probability vector")
-            except ValueError:
-                violations.append("weights: must be 'born' or comma-separated numbers")
-        if "eigenvalues" in params:
-            try:
-                if len(_float_list(params["eigenvalues"])) != dim:
-                    violations.append("eigenvalues: length must match the hamiltonian")
-            except ValueError:
-                violations.append("eigenvalues: must be comma-separated numbers")
-    elif experiment == "sat":
-        sources = [key for key in ("cnf", "truth_table") if key in params]
-        if len(sources) != 1:
-            violations.append("sat: provide exactly one of cnf or truth_table")
-        else:
-            violations.extend(_check_sat_source(sources[0], params[sources[0]]))
-    elif experiment == "asc":
-        labels = [tok for tok in str(params.get("labels", "0,1")).split(",") if tok]
-        try:
-            priorities = _float_list(params.get("priorities", "1,1"))
-            norm_values = _float_list(params.get("norm", "0,1"))
-        except ValueError:
-            violations.append("priorities/norm: must be comma-separated numbers")
-            return violations
-        if len(set(labels)) != len(labels):
-            violations.append("labels: must be distinct")
-        if len(priorities) != len(labels):
-            violations.append("priorities: length must match labels")
-        elif any(p < 0 for p in priorities) or not any(p > 0 for p in priorities):
-            violations.append("priorities: need non-negative values, at least one positive")
-        if len(norm_values) != len(labels):
-            violations.append("norm: length must match labels")
-        if not 0.0 <= params.get("mixing", 1.0) <= 1.0:
-            violations.append("mixing: must lie in [0, 1]")
-        if params.get("agent", "collapse") not in ("collapse", "compute"):
-            violations.append("agent: must be 'collapse' or 'compute'")
-    elif experiment == "behavior":
-        mode = params.get("mode")
-        if mode not in ("generate", "classify"):
-            violations.append("mode: must be 'generate' or 'classify'")
-        elif mode == "generate":
-            if params.get("kind", "exponential") not in ("exponential", "pareto"):
-                violations.append("kind: must be 'exponential' or 'pareto'")
-            if params.get("length", 10_000) < 100:
-                violations.append("length: must be at least 100")
-            for key in ("rate", "alpha", "xmin"):
-                if key in params and params[key] <= 0:
-                    violations.append(f"{key}: must be positive")
-        else:
-            if "input" not in params:
-                violations.append("input: required for classify")
-            elif not Path(params["input"]).exists():
-                violations.append(f"input: file not found: {params['input']}")
-            levy = params.get("levy_threshold", behavior.LEVY_THRESHOLD)
-            noise = params.get("noise_threshold", behavior.NOISE_THRESHOLD)
-            if not 0 < levy <= noise:
-                violations.append("levy_threshold: must satisfy 0 < levy <= noise")
-    return violations
-
-
-def _check_policy(text: str, key: str, violations: list[str]) -> None:
-    try:
-        policies.parse_policy(str(text))
-    except CollapsimError as exc:
-        violations.append(f"{key}: {exc}")
-
-
-def _check_sat_source(kind: str, path_text: str) -> list[str]:
-    path = Path(path_text)
-    if not path.exists():
-        return [f"{kind}: file not found: {path_text}"]
-    try:
-        if kind == "cnf":
-            sat.parse_dimacs(path.read_text())
-        else:
-            sat.parse_truth_table(path.read_text())
-    except CollapsimError as exc:
-        return [f"{kind}: {exc}"]
-    return []
+        if param.choices and value not in param.choices:
+            errors.append(f"{param.name}: must be " + " or ".join(map(repr, param.choices)))
+        elif param.check and (problem := param.check(value)):
+            errors.append(f"{param.name}: {problem}")
+    return values, errors
 
 
 def build_config(raw: dict[str, Any]) -> ExperimentConfig:
@@ -325,296 +193,191 @@ def build_config(raw: dict[str, Any]) -> ExperimentConfig:
     violations = validate(raw)
     if violations:
         raise ConfigError("; ".join(violations))
-    experiment = raw["experiment"]
-    params, _ = _coerce_params(experiment, raw)
-    return ExperimentConfig(
-        experiment=experiment,
-        seed=raw.get("seed", 0),
-        trials=raw.get("trials"),
-        output_format=raw.get("output_format", "json-lines"),
-        per_trial=raw.get("per_trial", False),
-        params=params,
-    )
-
-
-# --- experiment runners ---------------------------------------------------
-
-
-RunnerOutput = tuple[list[dict], dict, str | None]
-
-
-def _run_ks(config: ExperimentConfig) -> RunnerOutput:
-    table = kochen_specker.builtin_ks_table()
-    if config.params.get("dump_table"):
-        # ray-table text format for external checkers
-        return [], {}, kochen_specker.format_table(table) + "\n"
-    result = kochen_specker.ks_coloring_search(table)
-    aggregate = {
-        "colorable": result.colorable,
-        "assignments_found": result.assignments_found,
-        "search_space_size": result.search_space_size,
-        "parity_certificate": kochen_specker.parity_certificate(table),
-        "table_violations": kochen_specker.validate_table(table),
-        "contexts": len(table.contexts),
-        "distinct_rays": len(table.ray_index),
+    params = {
+        p.name: p.coerce(raw[p.name]) for p in SPECS[raw["experiment"]].params if p.name in raw
     }
-    return [], aggregate, None
+    return ExperimentConfig(params=params, **{k: raw[k] for k in GLOBAL_KEYS if k in raw})
 
 
-def _run_fwt(config: ExperimentConfig) -> RunnerOutput:
-    context = config.params.get("context", 1)
-    ray_text = config.params.get("bob_ray", "random")
-    fixed_ray = None
-    if ray_text != "random":
-        fixed_ray = kochen_specker.Ray(tuple(int(c) for c in ray_text.split(",")))
-    policy = policies.parse_policy(config.params.get("policy", "born"))
-    trials = config.resolved_trials()
-    ray_names = [str(ray) for ray in kochen_specker.builtin_ks_table().distinct_rays]
-
-    records = []
-    in_context = agreements = detections = 0
-    for block in kochen_specker.fwt_trials(context, fixed_ray, policy, config.seed, trials):
-        detections += int(block.bob_value.sum())
-        in_context += int(block.in_context.sum())
-        agreements += int(block.agree.sum())
-        if config.per_trial:
-            records.extend(_fwt_records(block, ray_names))
-    aggregate = {
-        "trials": trials,
-        "context": context,
-        "policy": policies.describe_policy(policy),
-        "in_context_trials": in_context,
-        "agreements": agreements,
-        "agreement_exact": agreements == in_context,
-        "detections": detections,
-        "detection_rate": detections / trials,
-    }
-    return records, aggregate, None
+# --- checks ----------------------------------------------------------------
 
 
-def _fwt_records(block: kochen_specker.FwtBlock, ray_names: list[str]) -> list[dict]:
-    columns = zip(
-        block.trial.tolist(),
-        block.alice_outcome.tolist(),
-        block.bob_ray.tolist(),
-        block.bob_value.tolist(),
-        block.in_context.tolist(),
-        block.alice_value_for_bob_ray.tolist(),
-        block.agree.tolist(),
-    )
-    return [
-        {
-            "record": "trial",
-            "trial": t,
-            "alice_outcome": alice_outcome,
-            "bob_ray": ray_names[ray],
-            "bob_value": bob_value,
-            "in_context": in_ctx,
-            "alice_value_for_bob_ray": alice_value if in_ctx else None,
-            "agree": agree if in_ctx else None,
-        }
-        for t, alice_outcome, ray, bob_value, in_ctx, alice_value, agree in columns
-    ]
+def _within(low: float, high: float, message: str) -> Callable[[Any], str | None]:
+    return lambda value: None if low <= value <= high else message
 
 
-def _basis_measurement(name: str, dim: int) -> ProjectiveMeasurement:
-    if name == "z":
-        return ProjectiveMeasurement.computational(dim)
-    if name == "x" and dim == 2:
-        h = np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2.0)
-        return ProjectiveMeasurement.from_basis(h)
-    raise ConfigError(f"unsupported basis {name!r} in dimension {dim}")
+def _positive(value: float) -> str | None:
+    return None if value > 0 else "must be positive"  # NaN is not positive
 
 
-def _run_signal(config: ExperimentConfig) -> RunnerOutput:
-    shared = make_state([1, 0, 0, 1])  # (|00> + |11>)/sqrt(2)
-    dims = (2, 2)
-    settings = {}
-    for label in ("0", "1"):
-        basis = config.params.get(f"alice_basis{label}", "z")
-        policy = policies.parse_policy(config.params.get(f"policy{label}", "born"))
-        settings[label] = (_basis_measurement(basis, 2), policy)
-    bob_measurement = _basis_measurement(config.params.get("bob_basis", "z"), 2)
-    mode = config.params.get("mode", "analytic")
-    trials = config.resolved_trials() if mode == "empirical" else None
-    report = signaling.signaling_experiment(
-        shared, dims, bob_measurement, settings, trials=trials, seed=config.seed
-    )
-    aggregate = {
-        "mode": report.mode,
-        "max_tv": report.max_tv,
-        "channel_bits": report.channel_bits,
-        "trials_per_setting": report.trials_per_setting,
-        "seed": report.seed,
-    }
-    for label, marginal in report.bob_marginals.items():
-        aggregate[f"bob_marginal_{label}"] = list(marginal)
-    return [], aggregate, None
+def _length_problem(length: int) -> str | None:
+    if length < 100:
+        return "must be at least 100"
+    if length > MAX_LENGTH:
+        return f"must be at most {MAX_LENGTH}"
+    return None
 
 
-def _parse_matrix(text: str) -> np.ndarray:
-    """Dense matrix literal: rows separated by ';', entries by ','."""
-    rows = [
-        [complex(tok.strip()) for tok in row.split(",") if tok.strip()]
-        for row in text.split(";")
-        if row.strip()
-    ]
-    return np.asarray(rows, dtype=complex)
+def _policy_problem(text: str) -> str | None:
+    try:
+        policies.parse_policy(text)
+    except CollapsimError as exc:
+        return str(exc)
+    return None
 
 
-def _config_hamiltonian(config: ExperimentConfig) -> Hamiltonian:
-    if "h_matrix" in config.params:
-        return Hamiltonian(_parse_matrix(config.params["h_matrix"]))
-    return Hamiltonian.diagonal(_float_list(config.params.get("h_diag", "1,-1")))
+def _check_fwt(p: dict[str, Any], given: Collection[str]) -> list[str]:
+    try:
+        ray = fixed_ray(p["bob_ray"])
+    except (ValueError, CollapsimError):
+        return [f"bob_ray: not a ray: {p['bob_ray']!r}"]
+    if ray is not None and ray not in kochen_specker.builtin_ks_table().ray_index:
+        return [f"bob_ray: {ray} is not one of the table's 18 directions"]
+    return []
 
 
-def _run_energy(config: ExperimentConfig) -> RunnerOutput:
-    hamiltonian = _config_hamiltonian(config)
-    default_state = ",".join(["1"] * hamiltonian.dim)
-    amplitudes = [
-        complex(tok.strip())
-        for tok in config.params.get("state", default_state).split(",")
-    ]
-    rho = DensityOperator.from_state(make_state(amplitudes))
-    measurement = _basis_measurement(config.params.get("basis", "z"), hamiltonian.dim)
-    eigenvalues = (
-        _float_list(config.params["eigenvalues"])
-        if "eigenvalues" in config.params
-        else list(range(measurement.n_outcomes))
-    )
-    weights_text = config.params.get("weights", "born")
-    weights = (
-        None
-        if weights_text == "born"
-        else ProbabilityDistribution(np.asarray(_float_list(weights_text)))
-    )
-    audit = audit_measurement(rho, measurement, eigenvalues, hamiltonian, weights)
-    aggregate = {
-        "e_before": audit.e_before,
-        "e_after": audit.e_after,
-        "delta": audit.delta,
-        "commutes": audit.commutes,
-        "weights_were_born": audit.weights_were_born,
-    }
-    return [], aggregate, None
+def _check_energy(p: dict[str, Any], given: Collection[str]) -> list[str]:
+    if "h_diag" in given and "h_matrix" in given:
+        return ["h_matrix: provide h_diag or h_matrix, not both"]
+    violations = []
+    try:
+        if p["h_matrix"] is not None:
+            matrix = parse_matrix(p["h_matrix"])
+            if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
+                return ["h_matrix: must be square (rows split by ';')"]
+            dim = matrix.shape[0]
+        else:
+            dim = len(float_list(p["h_diag"]))
+        if p["state"] is not None and len(complex_list(p["state"])) != dim:
+            violations.append("state: length must match the hamiltonian")
+    except ValueError:
+        return ["h_diag/h_matrix/state: must be comma-separated numbers"]
+    if p["basis"] == "x" and dim != 2:
+        violations.append("basis: 'x' requires dimension 2")
+    if p["weights"] != "born":
+        try:
+            w = float_list(p["weights"])
+            if len(w) != dim:
+                violations.append("weights: length must match the hamiltonian")
+            elif abs(sum(w) - 1.0) > 1e-9 or any(x < 0 for x in w):
+                violations.append("weights: must be a probability vector")
+        except ValueError:
+            violations.append("weights: must be 'born' or comma-separated numbers")
+    if p["eigenvalues"] is not None:
+        try:
+            if len(float_list(p["eigenvalues"])) != dim:
+                violations.append("eigenvalues: length must match the hamiltonian")
+        except ValueError:
+            violations.append("eigenvalues: must be comma-separated numbers")
+    return violations
 
 
-def _run_sat(config: ExperimentConfig) -> RunnerOutput:
-    if "cnf" in config.params:
-        oracle = sat.parse_dimacs(Path(config.params["cnf"]).read_text())
-    else:
-        oracle = sat.parse_truth_table(Path(config.params["truth_table"]).read_text())
-    result = sat.decide_sat(oracle, trial_rng(config.seed))
-    brute = sat.classical_brute_force(oracle)
-    aggregate = {
-        "n": oracle.n,
-        "satisfiable": result.satisfiable,
-        "witness": result.witness,
-        "queries_quantum": result.queries_quantum,
-        "queries_classical_oracle": result.queries_classical_oracle,
-        "brute_force_satisfiable": brute.satisfiable,
-        "brute_force_agrees": brute.satisfiable == result.satisfiable,
-    }
-    return [], aggregate, None
+def _check_sat(p: dict[str, Any], given: Collection[str]) -> list[str]:
+    sources = [key for key in ("cnf", "truth_table") if p[key] is not None]
+    if len(sources) != 1:
+        return ["sat: provide exactly one of cnf or truth_table"]
+    kind = sources[0]
+    if not Path(p[kind]).exists():
+        return [f"{kind}: file not found: {p[kind]}"]
+    try:
+        harnesses.load_oracle(p)
+    except CollapsimError as exc:
+        return [f"{kind}: {exc}"]
+    return []
 
 
-def _run_asc(config: ExperimentConfig) -> RunnerOutput:
-    labels = tuple(tok for tok in config.params.get("labels", "0,1").split(",") if tok)
-    priorities = tuple(_float_list(config.params.get("priorities", "1,1")))
-    norm_values = _float_list(config.params.get("norm", "0,1"))
-    alternatives = agent.AlternativeSet(labels, priorities)
-    norm = agent.NormFunction(dict(zip(labels, norm_values)))
-    mixing = config.params.get("mixing", 1.0)
-    kind = config.params.get("agent", "collapse")
-    trials = config.resolved_trials()
-
-    records = []
-    counts = np.zeros(len(labels), dtype=int)
-    if kind == "collapse":
-        blocks = agent.act_trials(alternatives, norm, config.seed, trials, mixing)
-        shape = list(agent.COLLAPSE_STAGE_SHAPE)
-    else:
-        # the robot draws nothing: every trial computes the same argmax
-        robot = agent.robot_act(alternatives, norm)
-        blocks = (
-            agent.ActBlock(t, np.full(t.size, robot.final_outcome), np.full(t.size, None))
-            for t in trial_blocks(trials)
-        )
-        shape = list(robot.stage_shape)
-    for block in blocks:
-        counts += np.bincount(block.chosen, minlength=len(labels))
-        if config.per_trial:
-            records.extend(
-                {
-                    "record": "trial",
-                    "trial": t,
-                    "outcome": outcome,
-                    "label": labels[outcome],
-                    "stage_shape": shape,
-                    "tie_broken": tie_broken,
-                }
-                for t, outcome, tie_broken in zip(
-                    block.trial.tolist(), block.chosen.tolist(), block.tie_broken.tolist()
-                )
-            )
-    reference = agent.born_reference(alternatives)
-    stats = policies.deviation_statistic(counts, reference)
-    df = max(len(reference.support()) - 1, 1)
-    aggregate = {
-        "trials": trials,
-        "agent": kind,
-        "counts": {label: int(c) for label, c in zip(labels, counts)},
-        "born_reference": [float(p) for p in reference.probs],
-        "tv": stats.tv,
-        "chi2": stats.chi2,
-        "chi2_df": df,
-        "chi2_pvalue": float(scipy_stats.chi2.sf(stats.chi2, df)),
-    }
-    return records, aggregate, None
+def _check_asc(p: dict[str, Any], given: Collection[str]) -> list[str]:
+    labels = label_list(p["labels"])
+    try:
+        priorities = float_list(p["priorities"])
+        norm_values = float_list(p["norm"])
+    except ValueError:
+        return ["priorities/norm: must be comma-separated numbers"]
+    violations = []
+    if len(set(labels)) != len(labels):
+        violations.append("labels: must be distinct")
+    if len(priorities) != len(labels):
+        violations.append("priorities: length must match labels")
+    elif any(x < 0 for x in priorities) or not any(x > 0 for x in priorities):
+        violations.append("priorities: need non-negative values, at least one positive")
+    if len(norm_values) != len(labels):
+        violations.append("norm: length must match labels")
+    return violations
 
 
-def _run_behavior(config: ExperimentConfig) -> RunnerOutput:
-    mode = config.params["mode"]
-    if mode == "generate":
-        sequence = behavior.generate_sequence(
-            config.params.get("kind", "exponential"),
-            config.params.get("length", 10_000),
-            trial_rng(config.seed),
-            rate=config.params.get("rate", 1.0),
-            alpha=config.params.get("alpha", 1.5),
-            xmin=config.params.get("xmin", 1.0),
-        )
-        return [], {}, behavior.format_intervals(sequence)
-    sequence = behavior.read_intervals(Path(config.params["input"]).read_text())
-    report = behavior.classify(
-        sequence,
-        levy_threshold=config.params.get("levy_threshold", behavior.LEVY_THRESHOLD),
-        noise_threshold=config.params.get("noise_threshold", behavior.NOISE_THRESHOLD),
-    )
-    aggregate = {
-        "mode": "classify",
-        "tail_exponent": report.tail_exponent,
-        "classification": report.classification,
-        "sample_size": report.sample_size,
-    }
-    return [], aggregate, None
+def _check_behavior(p: dict[str, Any], given: Collection[str]) -> list[str]:
+    if p["mode"] != "classify":
+        return []
+    violations = []
+    if p["input"] is None:
+        violations.append("input: required for classify")
+    elif not Path(p["input"]).exists():
+        violations.append(f"input: file not found: {p['input']}")
+    if not 0 < p["levy_threshold"] <= p["noise_threshold"]:
+        violations.append("levy_threshold: must satisfy 0 < levy <= noise")
+    return violations
 
 
-RUNNERS: dict[str, Callable[[ExperimentConfig], RunnerOutput]] = {
-    "ks": _run_ks,
-    "fwt": _run_fwt,
-    "signal": _run_signal,
-    "energy": _run_energy,
-    "sat": _run_sat,
-    "asc": _run_asc,
-    "behavior": _run_behavior,
+# --- the experiments ---------------------------------------------------------
+
+
+SPECS: dict[str, Experiment] = {
+    "ks": Experiment(harnesses.run_ks, None, 1, (
+        Param("dump_table", bool, False, help="print the built-in ray table and exit"),
+    )),
+    "fwt": Experiment(harnesses.run_fwt, _check_fwt, 1000, (
+        Param("context", int, 1, check=_within(1, 9, "must lie in 1..9")),
+        Param("bob_ray", str, "random"),
+        Param("policy", str, "born", check=_policy_problem),
+    )),
+    "signal": Experiment(harnesses.run_signal, None, 10_000, (
+        Param("policy0", str, "born", check=_policy_problem),
+        Param("policy1", str, "born", check=_policy_problem),
+        Param("alice_basis0", str, "z", choices=BASES),
+        Param("alice_basis1", str, "z", choices=BASES),
+        Param("bob_basis", str, "z", choices=BASES),
+        Param("mode", str, "analytic", choices=("analytic", "empirical")),
+    )),
+    "energy": Experiment(harnesses.run_energy, _check_energy, 1, (
+        Param("h_diag", str, "1,-1"),
+        Param("h_matrix", str, help="dense matrix; rows split by ';', entries by ','"),
+        Param("state", str),
+        Param("basis", str, "z", choices=BASES),
+        Param("weights", str, "born"),
+        Param("eigenvalues", str),
+    )),
+    "sat": Experiment(harnesses.run_sat, _check_sat, 1, (
+        Param("cnf", str),
+        Param("truth_table", str),
+    )),
+    "asc": Experiment(harnesses.run_asc, _check_asc, 1000, (
+        Param("labels", str, "0,1"),
+        Param("priorities", str, "1,1"),
+        Param("norm", str, "0,1"),
+        Param("mixing", float, 1.0, check=_within(0.0, 1.0, "must lie in [0, 1]")),
+        Param("agent", str, "collapse", choices=("collapse", "compute")),
+    )),
+    "behavior": Experiment(harnesses.run_behavior, _check_behavior, 1, (
+        Param("mode", str, choices=("generate", "classify"), positional=True),
+        Param("kind", str, "exponential", choices=("exponential", "pareto"),
+              when_mode="generate"),
+        Param("rate", float, 1.0, check=_positive, when_mode="generate"),
+        Param("alpha", float, 1.5, check=_positive, when_mode="generate"),
+        Param("xmin", float, 1.0, check=_positive, when_mode="generate"),
+        Param("length", int, 10_000, check=_length_problem, when_mode="generate"),
+        Param("input", str),
+        Param("levy_threshold", float, behavior.LEVY_THRESHOLD),
+        Param("noise_threshold", float, behavior.NOISE_THRESHOLD),
+    )),
 }
+
+EXPERIMENTS = tuple(SPECS)
 
 
 def run(config: ExperimentConfig) -> ExperimentReport:
     """Dispatch a validated config to its harness and assemble the report."""
     start = time.perf_counter()
-    trial_records, aggregate, plain = RUNNERS[config.experiment](config)
+    trial_records, aggregate, plain = SPECS[config.experiment].runner(config)
     duration = time.perf_counter() - start
     return ExperimentReport(
         config=config.flat(),
@@ -649,83 +412,35 @@ def _csv_cell(value: Any) -> str:
     return str(value)
 
 
-def _add_global_args(parser: argparse.ArgumentParser) -> None:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The command-line parser, derived from SPECS; built once per process."""
     # SUPPRESS keeps absent flags out of the namespace, so a subcommand
     # parser cannot clobber a flag given before the subcommand
-    parser.add_argument("--seed", type=int, default=argparse.SUPPRESS,
-                        help="master seed (default 0)")
-    parser.add_argument("--trials", type=int, default=argparse.SUPPRESS)
-    parser.add_argument("--out", type=str, default=argparse.SUPPRESS,
-                        help="output path (default stdout)")
-    parser.add_argument("--format", dest="output_format", choices=OUTPUT_FORMATS,
-                        default=argparse.SUPPRESS)
-    parser.add_argument("--config", type=str, default=argparse.SUPPRESS,
+    common = argparse.ArgumentParser(add_help=False, argument_default=argparse.SUPPRESS)
+    common.add_argument("--seed", type=int, help="master seed (default 0)")
+    common.add_argument("--trials", type=int)
+    common.add_argument("--out", type=str, help="output path (default stdout)")
+    common.add_argument("--format", dest="output_format", choices=OUTPUT_FORMATS)
+    common.add_argument("--config", type=str,
                         help="JSON config file (flags override file values)")
-    parser.add_argument("--per-trial", dest="per_trial", action="store_true",
-                        default=argparse.SUPPRESS, help="emit one record per trial")
-
-
-def _build_parser() -> argparse.ArgumentParser:
+    common.add_argument("--per-trial", dest="per_trial", action="store_true",
+                        help="emit one record per trial")
     parser = argparse.ArgumentParser(
-        prog="collapsim", description="collapse-policy experiment harnesses"
+        prog="collapsim", description="collapse-policy experiment harnesses", parents=[common]
     )
-    _add_global_args(parser)
     sub = parser.add_subparsers(dest="experiment")
-
-    def add_experiment(name: str) -> argparse.ArgumentParser:
-        experiment_parser = sub.add_parser(name)
-        _add_global_args(experiment_parser)
-        return experiment_parser
-
-    ks_parser = add_experiment("ks")
-    ks_parser.add_argument("--dump-table", dest="dump_table", action="store_true",
-                           default=argparse.SUPPRESS,
-                           help="print the built-in ray table and exit")
-    fwt = add_experiment("fwt")
-    fwt.add_argument("--context", type=int, default=None)
-    fwt.add_argument("--bob-ray", dest="bob_ray", type=str, default=None)
-    fwt.add_argument("--policy", type=str, default=None)
-
-    signal = add_experiment("signal")
-    signal.add_argument("--policy0", type=str, default=None)
-    signal.add_argument("--policy1", type=str, default=None)
-    signal.add_argument("--alice-basis0", dest="alice_basis0", type=str, default=None)
-    signal.add_argument("--alice-basis1", dest="alice_basis1", type=str, default=None)
-    signal.add_argument("--bob-basis", dest="bob_basis", type=str, default=None)
-    signal.add_argument("--mode", type=str, default=None)
-
-    energy = add_experiment("energy")
-    energy.add_argument("--h-diag", dest="h_diag", type=str, default=None)
-    energy.add_argument("--h-matrix", dest="h_matrix", type=str, default=None,
-                        help="dense matrix; rows split by ';', entries by ','")
-    energy.add_argument("--state", type=str, default=None)
-    energy.add_argument("--basis", type=str, default=None)
-    energy.add_argument("--weights", type=str, default=None)
-    energy.add_argument("--eigenvalues", type=str, default=None)
-
-    sat_parser = add_experiment("sat")
-    sat_parser.add_argument("--cnf", type=str, default=None)
-    sat_parser.add_argument("--truth-table", dest="truth_table", type=str, default=None)
-
-    asc = add_experiment("asc")
-    asc.add_argument("--labels", type=str, default=None)
-    asc.add_argument("--priorities", type=str, default=None)
-    asc.add_argument("--norm", type=str, default=None)
-    asc.add_argument("--mixing", type=float, default=None)
-    asc.add_argument("--agent", type=str, default=None)
-
-    behavior_parser = add_experiment("behavior")
-    behavior_parser.add_argument("mode", choices=("generate", "classify"))
-    behavior_parser.add_argument("--kind", type=str, default=None)
-    behavior_parser.add_argument("--rate", type=float, default=None)
-    behavior_parser.add_argument("--alpha", type=float, default=None)
-    behavior_parser.add_argument("--xmin", type=float, default=None)
-    behavior_parser.add_argument("--length", type=int, default=None)
-    behavior_parser.add_argument("--input", type=str, default=None)
-    behavior_parser.add_argument("--levy-threshold", dest="levy_threshold",
-                                 type=float, default=None)
-    behavior_parser.add_argument("--noise-threshold", dest="noise_threshold",
-                                 type=float, default=None)
+    for name, spec in SPECS.items():
+        experiment_parser = sub.add_parser(
+            name, parents=[common], argument_default=argparse.SUPPRESS
+        )
+        for param in spec.params:
+            if param.positional:
+                experiment_parser.add_argument(param.name, choices=param.choices)
+                continue
+            flag = "--" + param.name.replace("_", "-")
+            parse = {"action": "store_true"} if param.kind is bool else {"type": param.kind}
+            experiment_parser.add_argument(flag, dest=param.name, help=param.help, **parse)
     return parser
 
 
@@ -738,7 +453,7 @@ def _raw_config_from_args(args: argparse.Namespace) -> dict[str, Any]:
             raise ConfigError(f"config: file not found: {config_path}")
         try:
             loaded = json.loads(path.read_text())
-        except json.JSONDecodeError as exc:
+        except (ValueError, RecursionError) as exc:  # RecursionError: deep nesting
             raise ConfigError(f"config: not valid JSON: {exc}") from exc
         if not isinstance(loaded, dict):
             raise ConfigError("config: top level must be a JSON object")
@@ -748,14 +463,11 @@ def _raw_config_from_args(args: argparse.Namespace) -> dict[str, Any]:
         if key in skip or value is None:
             continue
         raw[key] = value
-    if "seed" not in raw:
-        raw["seed"] = 0
     return raw
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         raw = _raw_config_from_args(args)
         if raw.get("experiment") is None:

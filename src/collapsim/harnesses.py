@@ -1,0 +1,276 @@
+"""The seven experiment harnesses behind the command line.
+
+Each runner takes a validated config, reads its defaulted parameters, and
+returns the per-trial records, the aggregate record and, for plain-file
+outputs, the text to write instead of a report. Config validation reads
+parameter text with the same parsers.
+"""
+
+from __future__ import annotations
+
+from dataclasses import asdict
+from pathlib import Path
+from typing import TYPE_CHECKING
+
+import numpy as np
+from scipy import stats as scipy_stats
+
+from . import agent, behavior, kochen_specker, policies, sat, signaling
+from .energy import Hamiltonian, audit_measurement
+from .errors import ConfigError
+from .quantum import (
+    DensityOperator,
+    ProbabilityDistribution,
+    ProjectiveMeasurement,
+    make_state,
+)
+from .rng import trial_blocks, trial_rng
+
+if TYPE_CHECKING:
+    from .cli import ExperimentConfig
+
+RunnerOutput = tuple[list[dict], dict, str | None]
+
+
+# --- parameter text ----------------------------------------------------------
+
+
+def float_list(text: str) -> list[float]:
+    return [float(tok) for tok in str(text).split(",") if tok.strip()]
+
+
+def complex_list(text: str) -> list[complex]:
+    return [complex(tok.strip()) for tok in text.split(",")]
+
+
+def label_list(text: str) -> tuple[str, ...]:
+    return tuple(tok for tok in text.split(",") if tok)
+
+
+def fixed_ray(text: str) -> kochen_specker.Ray | None:
+    """The ray a bob_ray value names; None for 'random'."""
+    if text == "random":
+        return None
+    return kochen_specker.Ray(tuple(int(c) for c in text.split(",")))
+
+
+def parse_matrix(text: str) -> np.ndarray:
+    """Dense matrix literal: rows separated by ';', entries by ','."""
+    rows = [
+        [complex(tok.strip()) for tok in row.split(",") if tok.strip()]
+        for row in text.split(";")
+        if row.strip()
+    ]
+    return np.asarray(rows, dtype=complex)
+
+
+def _basis_measurement(name: str, dim: int) -> ProjectiveMeasurement:
+    if name == "z":
+        return ProjectiveMeasurement.computational(dim)
+    if name == "x" and dim == 2:
+        h = np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2.0)
+        return ProjectiveMeasurement.from_basis(h)
+    raise ConfigError(f"unsupported basis {name!r} in dimension {dim}")
+
+
+# --- runners -----------------------------------------------------------------
+
+
+def run_ks(config: ExperimentConfig) -> RunnerOutput:
+    table = kochen_specker.builtin_ks_table()
+    if config.resolved_params()["dump_table"]:
+        # ray-table text format for external checkers
+        return [], {}, kochen_specker.format_table(table) + "\n"
+    aggregate = {
+        **asdict(kochen_specker.ks_coloring_search(table)),
+        "parity_certificate": kochen_specker.parity_certificate(table),
+        "table_violations": kochen_specker.validate_table(table),
+        "contexts": len(table.contexts),
+        "distinct_rays": len(table.ray_index),
+    }
+    return [], aggregate, None
+
+
+def run_fwt(config: ExperimentConfig) -> RunnerOutput:
+    p = config.resolved_params()
+    policy = policies.parse_policy(p["policy"])
+    trials = config.resolved_trials()
+    ray_names = [str(ray) for ray in kochen_specker.builtin_ks_table().distinct_rays]
+
+    records = []
+    in_context = agreements = detections = 0
+    blocks = kochen_specker.fwt_trials(
+        p["context"], fixed_ray(p["bob_ray"]), policy, config.seed, trials
+    )
+    for block in blocks:
+        detections += int(block.bob_value.sum())
+        in_context += int(block.in_context.sum())
+        agreements += int(block.agree.sum())
+        if config.per_trial:
+            records.extend(_fwt_records(block, ray_names))
+    aggregate = {
+        "trials": trials,
+        "context": p["context"],
+        "policy": policies.describe_policy(policy),
+        "in_context_trials": in_context,
+        "agreements": agreements,
+        "agreement_exact": agreements == in_context,
+        "detections": detections,
+        "detection_rate": detections / trials,
+    }
+    return records, aggregate, None
+
+
+def _fwt_records(block: kochen_specker.FwtBlock, ray_names: list[str]) -> list[dict]:
+    columns = zip(*(column.tolist() for column in block), block.agree.tolist())
+    return [
+        {
+            "record": "trial",
+            "trial": t,
+            "alice_outcome": alice_outcome,
+            "bob_ray": ray_names[ray],
+            "bob_value": bob_value,
+            "in_context": in_ctx,
+            "alice_value_for_bob_ray": alice_value if in_ctx else None,
+            "agree": agree if in_ctx else None,
+        }
+        for t, ray, alice_outcome, bob_value, in_ctx, alice_value, agree in columns
+    ]
+
+
+def run_signal(config: ExperimentConfig) -> RunnerOutput:
+    shared = make_state([1, 0, 0, 1])  # (|00> + |11>)/sqrt(2)
+    dims = (2, 2)
+    p = config.resolved_params()
+    settings = {
+        label: (
+            _basis_measurement(p[f"alice_basis{label}"], 2),
+            policies.parse_policy(p[f"policy{label}"]),
+        )
+        for label in ("0", "1")
+    }
+    bob_measurement = _basis_measurement(p["bob_basis"], 2)
+    trials = config.resolved_trials() if p["mode"] == "empirical" else None
+    report = signaling.signaling_experiment(
+        shared, dims, bob_measurement, settings, trials=trials, seed=config.seed
+    )
+    aggregate = asdict(report)
+    for label, marginal in aggregate.pop("bob_marginals").items():
+        aggregate[f"bob_marginal_{label}"] = list(marginal)
+    return [], aggregate, None
+
+
+def run_energy(config: ExperimentConfig) -> RunnerOutput:
+    p = config.resolved_params()
+    if p["h_matrix"] is not None:
+        hamiltonian = Hamiltonian(parse_matrix(p["h_matrix"]))
+    else:
+        hamiltonian = Hamiltonian.diagonal(float_list(p["h_diag"]))
+    # the state defaults to the uniform superposition
+    amplitudes = (
+        complex_list(p["state"]) if p["state"] is not None else [1] * hamiltonian.dim
+    )
+    rho = DensityOperator.from_state(make_state(amplitudes))
+    measurement = _basis_measurement(p["basis"], hamiltonian.dim)
+    eigenvalues = (
+        float_list(p["eigenvalues"])
+        if p["eigenvalues"] is not None
+        else list(range(measurement.n_outcomes))
+    )
+    weights = (
+        None
+        if p["weights"] == "born"
+        else ProbabilityDistribution(np.asarray(float_list(p["weights"])))
+    )
+    audit = audit_measurement(rho, measurement, eigenvalues, hamiltonian, weights)
+    return [], asdict(audit), None
+
+
+def load_oracle(p: dict) -> sat.OracleFunction:
+    """The oracle of a sat config's one source file."""
+    if p["cnf"] is not None:
+        return sat.parse_dimacs(Path(p["cnf"]).read_text())
+    return sat.parse_truth_table(Path(p["truth_table"]).read_text())
+
+
+def run_sat(config: ExperimentConfig) -> RunnerOutput:
+    oracle = load_oracle(config.resolved_params())
+    result = sat.decide_sat(oracle, trial_rng(config.seed))
+    brute = sat.classical_brute_force(oracle)
+    aggregate = {
+        **asdict(result),
+        "n": oracle.n,
+        "brute_force_satisfiable": brute.satisfiable,
+        "brute_force_agrees": brute.satisfiable == result.satisfiable,
+    }
+    return [], aggregate, None
+
+
+def run_asc(config: ExperimentConfig) -> RunnerOutput:
+    p = config.resolved_params()
+    labels = label_list(p["labels"])
+    alternatives = agent.AlternativeSet(labels, tuple(float_list(p["priorities"])))
+    norm = agent.NormFunction(dict(zip(labels, float_list(p["norm"]))))
+    trials = config.resolved_trials()
+
+    records = []
+    counts = np.zeros(len(labels), dtype=int)
+    if p["agent"] == "collapse":
+        blocks = agent.act_trials(alternatives, norm, config.seed, trials, p["mixing"])
+        shape = list(agent.COLLAPSE_STAGE_SHAPE)
+    else:
+        # the robot draws nothing: every trial computes the same argmax
+        robot = agent.robot_act(alternatives, norm)
+        blocks = (
+            agent.ActBlock(t, np.full(t.size, robot.final_outcome), np.full(t.size, None))
+            for t in trial_blocks(trials)
+        )
+        shape = list(robot.stage_shape)
+    for block in blocks:
+        counts += np.bincount(block.chosen, minlength=len(labels))
+        if config.per_trial:
+            records.extend(
+                {
+                    "record": "trial",
+                    "trial": t,
+                    "outcome": outcome,
+                    "label": labels[outcome],
+                    "stage_shape": shape,
+                    "tie_broken": tie_broken,
+                }
+                for t, outcome, tie_broken in zip(*(column.tolist() for column in block))
+            )
+    reference = agent.born_reference(alternatives)
+    stats = policies.deviation_statistic(counts, reference)
+    df = max(len(reference.support()) - 1, 1)
+    aggregate = {
+        "trials": trials,
+        "agent": p["agent"],
+        "counts": {label: int(c) for label, c in zip(labels, counts)},
+        "born_reference": [float(x) for x in reference.probs],
+        "tv": stats.tv,
+        "chi2": stats.chi2,
+        "chi2_df": df,
+        "chi2_pvalue": float(scipy_stats.chi2.sf(stats.chi2, df)),
+    }
+    return records, aggregate, None
+
+
+def run_behavior(config: ExperimentConfig) -> RunnerOutput:
+    p = config.resolved_params()
+    if p["mode"] == "generate":
+        sequence = behavior.generate_sequence(
+            p["kind"],
+            p["length"],
+            trial_rng(config.seed),
+            rate=p["rate"],
+            alpha=p["alpha"],
+            xmin=p["xmin"],
+        )
+        return [], {}, behavior.format_intervals(sequence)
+    report = behavior.classify(
+        behavior.read_intervals(Path(p["input"]).read_text()),
+        levy_threshold=p["levy_threshold"],
+        noise_threshold=p["noise_threshold"],
+    )
+    return [], {"mode": "classify", **asdict(report)}, None

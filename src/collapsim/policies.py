@@ -284,11 +284,15 @@ def deviation_statistic(
     if total < 1:
         raise BadParameter("at least one observation is required")
     ref = reference.probs
-    tv = 0.5 * float(np.abs(obs / total - ref).sum())
     mask = ref > 0
     expected = total * ref[mask]
     chi2 = float(((obs[mask] - expected) ** 2 / expected).sum())
-    return DeviationStats(tv=tv, chi2=chi2)
+    return DeviationStats(tv=total_variation(obs / total, ref), chi2=chi2)
+
+
+def total_variation(p: np.ndarray, q: np.ndarray) -> float:
+    """(1/2) sum_j |p_j - q_j|."""
+    return 0.5 * float(np.abs(np.asarray(p, float) - np.asarray(q, float)).sum())
 
 
 def parse_policy(text: str) -> CollapsePolicy:

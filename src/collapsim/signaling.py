@@ -13,7 +13,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BadParameter, DimensionMismatch
-from .policies import CollapsePolicy, compile_policy, effective_distribution
+from .policies import (
+    CollapsePolicy,
+    compile_policy,
+    effective_distribution,
+    total_variation,
+)
 from .quantum import (
     ZERO_PROB,
     ProbabilityDistribution,
@@ -35,10 +40,6 @@ class SignalingReport:
     trials_per_setting: int
     mode: str
     seed: int | None = None
-
-
-def total_variation(p: np.ndarray, q: np.ndarray) -> float:
-    return 0.5 * float(np.abs(np.asarray(p, float) - np.asarray(q, float)).sum())
 
 
 def bob_marginal_analytic(

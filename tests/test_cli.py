@@ -1,3 +1,4 @@
+import argparse
 import json
 
 import pytest
@@ -69,6 +70,45 @@ class TestValidate:
     def test_build_config_raises_on_violation(self):
         with pytest.raises(ConfigError):
             build_config({"experiment": "nope"})
+
+    @pytest.mark.parametrize(
+        "raw, violation",
+        [
+            ({"experiment": "fwt", "trials": 10**15}, "trials: must be at most 100000000"),
+            ({"experiment": "behavior", "mode": "generate", "length": 10**12},
+             "length: must be at most 10000000"),
+            ({"experiment": "fwt", "context": 2.7}, "context: expected int, got 2.7"),
+            ({"experiment": "fwt", "context": True}, "context: expected int, got True"),
+            ({"experiment": "asc", "mixing": True}, "mixing: expected float, got True"),
+            ({"experiment": "behavior", "mode": "generate", "length": 2.5e3},
+             "length: expected int, got 2500.0"),
+            ({"experiment": "behavior", "mode": "generate", "rate": "nan"},
+             "rate: must be positive"),
+        ],
+    )
+    def test_rejected_before_running_exit_2(self, raw, violation, tmp_path, capsys):
+        assert validate(raw) == [violation]
+        config_file = tmp_path / "config.json"
+        config_file.write_text(json.dumps(raw))
+        assert main(["--config", str(config_file)]) == 2
+        assert capsys.readouterr().err == f"config error: {violation}\n"
+
+    @pytest.mark.parametrize(
+        "raw",
+        [
+            {"experiment": "fwt", "trials": 10**8},
+            {"experiment": "behavior", "mode": "generate", "length": 10**7},
+            {"experiment": "fwt", "context": "3"},
+            {"experiment": "asc", "mixing": 1},
+            {"experiment": "behavior", "mode": "generate", "rate": "2.5"},
+        ],
+    )
+    def test_caps_inclusive_and_numeric_text_accepted(self, raw):
+        assert validate(raw) == []
+
+    def test_float_overflow_is_a_violation(self):
+        violations = validate({"experiment": "asc", "mixing": 10**400})
+        assert len(violations) == 1 and violations[0].startswith("mixing: expected float")
 
 
 class TestRunKs:
@@ -377,6 +417,32 @@ class TestMainEntry:
         assert main(["sat", "--cnf", str(cnf), "--out", str(tmp_path / "r.jsonl")]) == 0
         assert len(calls) == 2
 
+    @pytest.mark.parametrize(
+        "text",
+        ['{"experiment": "ks", "seed": ' + "1" * 5000 + "}", "[" * 100_000],
+        ids=["5000-digit-int", "deep-nesting"],
+    )
+    def test_unparseable_config_exit_2(self, text, tmp_path, capsys):
+        config_file = tmp_path / "config.json"
+        config_file.write_text(text)
+        assert main(["--config", str(config_file)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: config: not valid JSON") and err.count("\n") == 1
+
+    def test_parser_built_once_per_process(self, tmp_path, monkeypatch):
+        out = str(tmp_path / "r.jsonl")
+        assert main(["fwt", "--trials", "1", "--out", out]) == 0
+        built = []
+        init = argparse.ArgumentParser.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(1)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+        assert main(["fwt", "--trials", "1", "--out", out]) == 0
+        assert built == []
+
     def test_bad_config_key_exit_2(self, tmp_path, capsys):
         config_file = tmp_path / "config.json"
         config_file.write_text(json.dumps({"experiment": "ks", "bogus": 1}))
@@ -399,3 +465,92 @@ class TestMainEntry:
         assert code == 0
         values = [float(x) for x in out.read_text().split()]
         assert len(values) == 150 and all(v > 0 for v in values)
+
+
+# Every flag of every subcommand, and every global flag, mapped to the config
+# echo it produces; defaults are never echoed.
+SURFACE_CASES = [
+    (["--seed", "3", "ks"], {"seed": 3}),
+    (["ks", "--seed", "3"], {"seed": 3}),
+    (["ks", "--format", "csv"], {"output_format": "csv"}),
+    (["ks", "--dump-table"], {"dump_table": True}),
+    (["--trials", "7", "fwt"], {"trials": 7}),
+    (["fwt", "--trials", "7", "--per-trial"], {"trials": 7, "per_trial": True}),
+    (["fwt", "--trials", "7", "--context", "2"], {"trials": 7, "context": 2}),
+    (["fwt", "--trials", "7", "--bob-ray", "0,0,0,1"], {"trials": 7, "bob_ray": "0,0,0,1"}),
+    (["fwt", "--trials", "7", "--policy", "forced:0"], {"trials": 7, "policy": "forced:0"}),
+    (["signal", "--policy0", "forced:0"], {"policy0": "forced:0"}),
+    (["signal", "--policy1", "biased:0.9,0.1"], {"policy1": "biased:0.9,0.1"}),
+    (["signal", "--alice-basis0", "x"], {"alice_basis0": "x"}),
+    (["signal", "--alice-basis1", "x"], {"alice_basis1": "x"}),
+    (["signal", "--bob-basis", "x"], {"bob_basis": "x"}),
+    (["signal", "--mode", "empirical", "--trials", "9"], {"mode": "empirical", "trials": 9}),
+    (["energy", "--h-diag", "2,-2"], {"h_diag": "2,-2"}),
+    (["energy", "--h-matrix", "0,1;1,0"], {"h_matrix": "0,1;1,0"}),
+    (["energy", "--state", "1,0"], {"state": "1,0"}),
+    (["energy", "--basis", "x"], {"basis": "x"}),
+    (["energy", "--weights", "1,0"], {"weights": "1,0"}),
+    (["energy", "--eigenvalues", "1,-1"], {"eigenvalues": "1,-1"}),
+    (["sat", "--cnf", "f.cnf"], {"cnf": "f.cnf"}),
+    (["sat", "--truth-table", "f.tt"], {"truth_table": "f.tt"}),
+    (["asc", "--trials", "5", "--labels", "a,b"], {"trials": 5, "labels": "a,b"}),
+    (["asc", "--trials", "5", "--priorities", "1,3"], {"trials": 5, "priorities": "1,3"}),
+    (["asc", "--trials", "5", "--norm", "1,0"], {"trials": 5, "norm": "1,0"}),
+    (["asc", "--trials", "5", "--mixing", "0.5"], {"trials": 5, "mixing": 0.5}),
+    (["asc", "--trials", "5", "--agent", "compute"], {"trials": 5, "agent": "compute"}),
+    (["behavior", "generate"], {"mode": "generate"}),
+    (["behavior", "generate", "--kind", "pareto"], {"mode": "generate", "kind": "pareto"}),
+    (["behavior", "generate", "--rate", "2"], {"mode": "generate", "rate": 2.0}),
+    (["behavior", "generate", "--kind", "pareto", "--alpha", "2.5"],
+     {"mode": "generate", "kind": "pareto", "alpha": 2.5}),
+    (["behavior", "generate", "--kind", "pareto", "--xmin", "0.5"],
+     {"mode": "generate", "kind": "pareto", "xmin": 0.5}),
+    (["behavior", "generate", "--length", "200"], {"mode": "generate", "length": 200}),
+    (["behavior", "classify", "--input", "seq.txt"], {"mode": "classify", "input": "seq.txt"}),
+    (["behavior", "classify", "--input", "seq.txt", "--levy-threshold", "1.5"],
+     {"mode": "classify", "input": "seq.txt", "levy_threshold": 1.5}),
+    (["behavior", "classify", "--input", "seq.txt", "--noise-threshold", "4.5"],
+     {"mode": "classify", "input": "seq.txt", "noise_threshold": 4.5}),
+    (["--config", "config.json"], {"trials": 4, "seed": 2, "context": 3}),
+    (["--config", "config.json", "--trials", "6"], {"trials": 6, "seed": 2, "context": 3}),
+    (["--config", "config.json", "fwt", "--context", "5"], {"trials": 4, "seed": 2, "context": 5}),
+]
+
+
+class TestCliSurface:
+    @pytest.fixture
+    def inputs(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "f.cnf").write_text("p cnf 2 2\n1 0\n2 0\n")
+        (tmp_path / "f.tt").write_text("0110")
+        (tmp_path / "seq.txt").write_text("".join(f"{1 + i / 7}\n" for i in range(1000)))
+        (tmp_path / "config.json").write_text(
+            json.dumps({"experiment": "fwt", "trials": 4, "seed": 2, "context": 3})
+        )
+
+    @pytest.mark.parametrize(
+        "argv, echoed", SURFACE_CASES, ids=[" ".join(argv) for argv, _ in SURFACE_CASES]
+    )
+    def test_argv_maps_to_config_echo(self, argv, echoed, inputs, monkeypatch):
+        from collapsim import cli
+
+        reports = []
+        real_run = cli.run
+
+        def recording_run(config):
+            reports.append(real_run(config))
+            return reports[-1]
+
+        monkeypatch.setattr(cli, "run", recording_run)
+        assert main(argv + ["--out", "report.txt"]) == 0
+        experiment = "fwt" if argv[0] == "--config" else next(a for a in argv if a in cli.EXPERIMENTS)
+        expected = {"experiment": experiment, "seed": 0, "output_format": "json-lines",
+                    "per_trial": False, **echoed}
+        assert json.dumps(reports[0].config, sort_keys=True) == json.dumps(expected, sort_keys=True)
+
+    @pytest.mark.parametrize("experiment", ["ks", "fwt", "signal", "energy", "sat", "asc", "behavior"])
+    def test_subcommand_help_exits_zero(self, experiment, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main([experiment, "--help"])
+        assert exit_info.value.code == 0
+        assert capsys.readouterr().out.startswith(f"usage: collapsim {experiment}")

@@ -16,9 +16,10 @@ import pytest
 from collapsim import agent, kochen_specker, policies
 from collapsim.cli import build_config, render_report, run
 from collapsim.errors import CollapsimError
+from collapsim.policies import total_variation
 from collapsim.quantum import ProjectiveMeasurement, born_distribution, collapse, make_state
 from collapsim.rng import TRIAL_BLOCK, TrialStreams, trial_rng, trial_words
-from collapsim.signaling import channel_capacity, total_variation
+from collapsim.signaling import channel_capacity
 
 MAX64 = 2**64 - 1
 B = TRIAL_BLOCK

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from collapsim.errors import BadParameter
-from collapsim.policies import Biased, Born, Forced
+from collapsim.policies import Biased, Born, Forced, total_variation
 from collapsim.quantum import (
     ProbabilityDistribution,
     ProjectiveMeasurement,
@@ -13,7 +13,6 @@ from collapsim.signaling import (
     bob_marginal_analytic,
     channel_capacity,
     signaling_experiment,
-    total_variation,
 )
 from helpers import random_measurement, random_state
 
