@@ -122,7 +122,10 @@ def classify(
 
 def read_intervals(text: str) -> EventSequence:
     """Parse a plain interval file: one positive number per line."""
-    values = [float(line) for line in text.split() if line.strip()]
+    try:
+        values = [float(line) for line in text.split() if line.strip()]
+    except ValueError as exc:
+        raise BadParameter(f"not an interval file: {exc}") from exc
     if not values:
         raise BadParameter("no intervals found")
     return EventSequence(np.asarray(values))

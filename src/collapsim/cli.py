@@ -122,7 +122,8 @@ class ExperimentReport:
 
 
 def validate(raw: dict[str, Any]) -> list[str]:
-    """All violations of a flat config mapping; empty means runnable."""
+    """All violations of a flat config mapping; empty means runnable. The
+    classify input file is read, and reported if unreadable, only by the run."""
     violations: list[str] = []
     experiment = raw.get("experiment")
     if experiment not in EXPERIMENTS:
@@ -276,13 +277,12 @@ def _check_sat(p: dict[str, Any], given: Collection[str]) -> list[str]:
     sources = [key for key in ("cnf", "truth_table") if p[key] is not None]
     if len(sources) != 1:
         return ["sat: provide exactly one of cnf or truth_table"]
-    kind = sources[0]
-    if not Path(p[kind]).exists():
-        return [f"{kind}: file not found: {p[kind]}"]
     try:
         harnesses.load_oracle(p)
+    except ConfigError as exc:  # the file cannot be read
+        return [str(exc)]
     except CollapsimError as exc:
-        return [f"{kind}: {exc}"]
+        return [f"{sources[0]}: {exc}"]
     return []
 
 
@@ -311,8 +311,6 @@ def _check_behavior(p: dict[str, Any], given: Collection[str]) -> list[str]:
     violations = []
     if p["input"] is None:
         violations.append("input: required for classify")
-    elif not Path(p["input"]).exists():
-        violations.append(f"input: file not found: {p['input']}")
     if not 0 < p["levy_threshold"] <= p["noise_threshold"]:
         violations.append("levy_threshold: must satisfy 0 < levy <= noise")
     return violations
@@ -448,11 +446,9 @@ def _raw_config_from_args(args: argparse.Namespace) -> dict[str, Any]:
     raw: dict[str, Any] = {}
     config_path = getattr(args, "config", None)
     if config_path:
-        path = Path(config_path)
-        if not path.exists():
-            raise ConfigError(f"config: file not found: {config_path}")
+        text = harnesses.read_text("config", config_path)
         try:
-            loaded = json.loads(path.read_text())
+            loaded = json.loads(text)
         except (ValueError, RecursionError) as exc:  # RecursionError: deep nesting
             raise ConfigError(f"config: not valid JSON: {exc}") from exc
         if not isinstance(loaded, dict):
@@ -474,22 +470,24 @@ def main(argv: list[str] | None = None) -> int:
             raise ConfigError("experiment: no experiment selected")
         config = build_config(raw)
         report = run(config)
+        if report.plain_output is not None:
+            text = report.plain_output
+        else:
+            text = render_report(report, config.output_format)
+        out_path = getattr(args, "out", None)
+        if out_path:
+            try:
+                Path(out_path).write_text(text)
+            except OSError as exc:
+                raise ConfigError(f"out: cannot write {out_path}: {exc.strerror}") from exc
+        else:
+            sys.stdout.write(text)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except CollapsimError as exc:
         print(f"{type(exc).__module__}.{type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
-
-    if report.plain_output is not None:
-        text = report.plain_output
-    else:
-        text = render_report(report, config.output_format)
-    out_path = getattr(args, "out", None)
-    if out_path:
-        Path(out_path).write_text(text)
-    else:
-        sys.stdout.write(text)
     return 0
 
 

@@ -64,6 +64,18 @@ def parse_matrix(text: str) -> np.ndarray:
     return np.asarray(rows, dtype=complex)
 
 
+def read_text(key: str, path: str) -> str:
+    """The UTF-8 text of the file config key `key` names; ConfigError if unreadable."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except FileNotFoundError as exc:
+        raise ConfigError(f"{key}: file not found: {path}") from exc
+    except OSError as exc:
+        raise ConfigError(f"{key}: cannot read {path}: {exc.strerror}") from exc
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{key}: not UTF-8 text: {path}: {exc.reason}") from exc
+
+
 def _basis_measurement(name: str, dim: int) -> ProjectiveMeasurement:
     if name == "z":
         return ProjectiveMeasurement.computational(dim)
@@ -189,8 +201,8 @@ def run_energy(config: ExperimentConfig) -> RunnerOutput:
 def load_oracle(p: dict) -> sat.OracleFunction:
     """The oracle of a sat config's one source file."""
     if p["cnf"] is not None:
-        return sat.parse_dimacs(Path(p["cnf"]).read_text())
-    return sat.parse_truth_table(Path(p["truth_table"]).read_text())
+        return sat.parse_dimacs(read_text("cnf", p["cnf"]))
+    return sat.parse_truth_table(read_text("truth_table", p["truth_table"]))
 
 
 def run_sat(config: ExperimentConfig) -> RunnerOutput:
@@ -269,7 +281,7 @@ def run_behavior(config: ExperimentConfig) -> RunnerOutput:
         )
         return [], {}, behavior.format_intervals(sequence)
     report = behavior.classify(
-        behavior.read_intervals(Path(p["input"]).read_text()),
+        behavior.read_intervals(read_text("input", p["input"])),
         levy_threshold=p["levy_threshold"],
         noise_threshold=p["noise_threshold"],
     )

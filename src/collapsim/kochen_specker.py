@@ -321,8 +321,9 @@ def fwt_trial(
     bob_ray: Ray,
     alice_policy: CollapsePolicy,
     rng: np.random.Generator,
+    trial: int = 0,
 ) -> FwtTrial:
-    """One trial of the paired protocol on the built-in table.
+    """Trial `trial` of a run of the paired protocol on the built-in table.
 
     Alice measures the shared state in context S_j (1-based index) under her
     collapse policy. The joint state after her outcome is computed by
@@ -330,7 +331,7 @@ def fwt_trial(
     the detect/miss observable of his ray on it with Born statistics.
     """
     context = _trial_context(alice_context, (bob_ray,))
-    alice_sample = sample_from_born(alice_policy, _alice_born(alice_context), rng)
+    alice_sample = sample_from_born(alice_policy, _alice_born(alice_context), rng, trial)
     bob_sample = sample_from_born(
         Born(), _bob_born(alice_context, alice_sample.outcome, bob_ray), rng
     )
@@ -387,7 +388,7 @@ def fwt_trials(
 
     Trial t draws from trial_rng(seed, t) in fwt_trial's order: Bob's ray
     first when bob_ray is None (integers over the 18 distinct rays), then
-    Alice's outcome, then Bob's. Every record equals the scalar loop's. The
+    Alice's outcome, then Bob's. Every record equals fwt_trial's at trial t. The
     Born tables, policy plan and Bob's conditionals are built, and every
     check is run, once before the first block.
     """

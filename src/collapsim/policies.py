@@ -57,25 +57,19 @@ class Biased(CollapsePolicy):
             )
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True)
 class Scripted(CollapsePolicy):
-    """Play outcomes from a fixed script, falling back when one is forbidden.
-
-    The script cursor advances once per sampled outcome, so an instance must
-    be confined to a single trial runner; all other policies are stateless.
-    """
+    """Play sequence[t] at trial t; past the script's end, or where sequence[t]
+    has zero Born probability, sample the fallback. The trial is an argument,
+    so an instance holds no state and serves any trials in any order."""
 
     sequence: tuple[int, ...]
     fallback: CollapsePolicy = field(default_factory=Born)
-    _cursor: int = field(default=0, repr=False)
 
     def __post_init__(self) -> None:
-        self.sequence = tuple(int(i) for i in self.sequence)
+        object.__setattr__(self, "sequence", tuple(int(i) for i in self.sequence))
         if isinstance(self.fallback, Scripted):
             raise BadParameter("a scripted fallback may not itself be scripted")
-
-    def remaining(self) -> int:
-        return max(len(self.sequence) - self._cursor, 0)
 
 
 class OutcomeSample(NamedTuple):
@@ -100,12 +94,12 @@ def admissible_outcomes(
 
 
 def policy_distribution(
-    policy: CollapsePolicy, born: ProbabilityDistribution
+    policy: CollapsePolicy, born: ProbabilityDistribution, trial: int = 0
 ) -> ProbabilityDistribution:
-    """Outcome distribution a policy induces on a given Born distribution.
+    """Outcome distribution a policy induces at trial `trial` of a run.
 
-    Scripted policies are peeked, not consumed; use sample_from_born to
-    advance the script.
+    Only Scripted depends on the trial: sequence[trial] as a point mass when
+    it is admissible, the fallback's distribution otherwise.
     """
     if isinstance(policy, Born):
         return born
@@ -115,9 +109,7 @@ def policy_distribution(
             raise ForbiddenOutcome(
                 f"forced outcome {policy.target} has zero Born probability"
             )
-        point = np.zeros(len(born))
-        point[policy.target] = 1.0
-        return ProbabilityDistribution(point)
+        return _point_mass(len(born), policy.target)
     if isinstance(policy, Biased):
         if len(policy.weights) != len(born):
             raise LengthMismatch(
@@ -130,13 +122,16 @@ def policy_distribution(
             )
         return policy.weights
     if isinstance(policy, Scripted):
-        entry = _peek_script(policy)
-        if entry is not None and entry in admissible:
-            point = np.zeros(len(born))
-            point[entry] = 1.0
-            return ProbabilityDistribution(point)
-        return policy_distribution(policy.fallback, born)
+        if trial < len(policy.sequence) and policy.sequence[trial] in admissible:
+            return _point_mass(len(born), policy.sequence[trial])
+        return policy_distribution(policy.fallback, born, trial)
     raise BadParameter(f"unknown policy {policy!r}")
+
+
+def _point_mass(n: int, index: int) -> ProbabilityDistribution:
+    point = np.zeros(n)
+    point[index] = 1.0
+    return ProbabilityDistribution(point)
 
 
 def effective_distribution(
@@ -152,27 +147,20 @@ def sample_from_born(
     policy: CollapsePolicy,
     born: ProbabilityDistribution,
     rng: np.random.Generator,
+    trial: int = 0,
 ) -> OutcomeSample:
-    """Draw one outcome under a policy, recording both probabilities.
+    """Draw trial `trial`'s outcome under a policy, recording both probabilities.
 
-    forbidden_attempted is set only when a scripted entry turned out to be
+    forbidden_attempted is set only when the trial's scripted entry is
     inadmissible and the fallback distribution was used instead; Forced and
     Biased policies raise ForbiddenOutcome rather than degrade silently.
     """
-    forbidden_attempted = False
-    if isinstance(policy, Scripted):
-        entry = _peek_script(policy)
-        if entry is not None:
-            policy._cursor += 1
-            forbidden_attempted = entry not in born.support(ZERO_PROB)
-        if entry is not None and not forbidden_attempted:
-            dist_probs = np.zeros(len(born))
-            dist_probs[entry] = 1.0
-            dist = ProbabilityDistribution(dist_probs)
-        else:
-            dist = policy_distribution(policy.fallback, born)
-    else:
-        dist = policy_distribution(policy, born)
+    dist = policy_distribution(policy, born, trial)
+    forbidden_attempted = (
+        isinstance(policy, Scripted)
+        and trial < len(policy.sequence)
+        and policy.sequence[trial] not in born.support(ZERO_PROB)
+    )
     outcome = sample_index(rng, dist.probs)
     return OutcomeSample(
         outcome=outcome,
@@ -209,30 +197,28 @@ def compile_policy(
 ) -> PolicyPlan:
     """Plan trials 0..trials-1 of a run that samples `born` under `policy`.
 
-    A Scripted policy plays sequence[t] at trial t, the entry a fresh
-    instance reaches there; its cursor is neither read nor advanced. Raises
-    what sample_from_born would raise at the first failing trial.
+    One table per distinct case, policy_distribution at its first trial: an
+    admissible script entry, or the fallback (every trial of an unscripted
+    policy). Raises what sample_from_born would raise at its first failing trial.
     """
-    if not isinstance(policy, Scripted):
-        table = cumulative(policy_distribution(policy, born).probs)
-        return PolicyPlan(table[None], np.zeros(0, dtype=np.intp), 0)
+    script = policy.sequence[:trials] if isinstance(policy, Scripted) else ()
     admissible = born.support(ZERO_PROB)
-    script = policy.sequence[:trials]
     tables: list[np.ndarray] = []
-    default_row = -1
-    if trials > len(script) or not admissible.issuperset(script):
-        tables.append(cumulative(policy_distribution(policy.fallback, born).probs))
-        default_row = 0
-    row_of: dict[int, int] = {}
-    for entry in sorted(set(script) & admissible):
-        point = np.zeros(len(born))
-        point[entry] = 1.0
-        row_of[entry] = len(tables)
-        tables.append(cumulative(point))
+    row_of: dict[int | None, int] = {}
+
+    def row(t: int, case: int | None) -> int:
+        if case not in row_of:
+            row_of[case] = len(tables)
+            tables.append(cumulative(policy_distribution(policy, born, t).probs))
+        return row_of[case]
+
     script_rows = np.array(
-        [row_of.get(entry, default_row) for entry in script], dtype=np.intp
+        [row(t, entry if entry in admissible else None) for t, entry in enumerate(script)],
+        dtype=np.intp,
     )
-    return PolicyPlan(np.stack(tables), script_rows, default_row)
+    default_row = row(len(script), None) if trials > len(script) else -1
+    # reshape: no tables at all when there are no trials
+    return PolicyPlan(np.array(tables).reshape(-1, len(born)), script_rows, default_row)
 
 
 def sample_outcome(
@@ -240,9 +226,10 @@ def sample_outcome(
     state: StateVector,
     measurement: ProjectiveMeasurement,
     rng: np.random.Generator,
+    trial: int = 0,
 ) -> OutcomeSample:
-    """Sample one measurement outcome of `state` under `policy`."""
-    return sample_from_born(policy, born_distribution(state, measurement), rng)
+    """Sample trial `trial`'s measurement outcome of `state` under `policy`."""
+    return sample_from_born(policy, born_distribution(state, measurement), rng, trial)
 
 
 def sample_counts(
@@ -252,19 +239,15 @@ def sample_counts(
     trials: int,
     rng: np.random.Generator,
 ) -> np.ndarray:
-    """Outcome counts over many trials of a stateless policy.
+    """Outcome counts of trials 0..trials-1 under `policy`.
 
-    The effective distribution is computed once and all draws are made by
-    inverse CDF against it, which is what per-trial sampling does one draw
-    at a time. Scripted policies are trial-dependent and are refused.
+    Trial t draws the t-th uniform of rng against the policy's distribution
+    at trial t, by the inverse CDF per-trial sampling uses.
     """
-    if isinstance(policy, Scripted):
-        raise BadParameter("sample_counts requires a stateless policy")
-    dist = effective_distribution(policy, state, measurement)
-    cum = np.cumsum(dist.probs)
-    draws = np.searchsorted(cum, rng.random(trials) * cum[-1], side="right")
-    draws = np.minimum(draws, len(cum) - 1)
-    return np.bincount(draws, minlength=len(dist))
+    born = born_distribution(state, measurement)
+    plan = compile_policy(policy, born, trials)
+    outcomes = plan.sample(rng.random(trials), np.arange(trials))
+    return np.bincount(outcomes, minlength=len(born))
 
 
 def deviation_statistic(
@@ -342,9 +325,3 @@ def describe_policy(policy: CollapsePolicy) -> str:
         base = "scripted:" + ",".join(str(i) for i in policy.sequence)
         return base + ";fallback=" + describe_policy(policy.fallback)
     raise BadParameter(f"unknown policy {policy!r}")
-
-
-def _peek_script(policy: Scripted) -> int | None:
-    if policy._cursor < len(policy.sequence):
-        return policy.sequence[policy._cursor]
-    return None

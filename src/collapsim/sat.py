@@ -171,10 +171,10 @@ def parse_dimacs(text: str) -> OracleFunction:
             parts = line.split()
             if len(parts) < 4 or parts[1] != "cnf":
                 raise BadParameter(f"malformed problem line: {raw_line!r}")
-            n_vars = int(parts[2])
+            n_vars = _integer(parts[2], raw_line)
             continue
         for token in line.split():
-            literal = int(token)
+            literal = _integer(token, raw_line)
             if literal == 0:
                 if current:
                     clauses.append(current)
@@ -207,3 +207,10 @@ def parse_dimacs(text: str) -> OracleFunction:
         return 1
 
     return OracleFunction.from_callable(n_vars, evaluate)
+
+
+def _integer(token: str, line: str) -> int:
+    try:
+        return int(token)
+    except ValueError as exc:
+        raise BadParameter(f"not an integer: {token!r} in line {line!r}") from exc

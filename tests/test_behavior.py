@@ -132,6 +132,10 @@ class TestSerialization:
         with pytest.raises(BadParameter):
             read_intervals("\n\n")
 
+    def test_rejects_non_numeric(self):
+        with pytest.raises(BadParameter, match="not an interval file"):
+            read_intervals("1.0\np cnf 2 1\n")
+
     def test_rejects_nonpositive(self):
         with pytest.raises(BadParameter):
             read_intervals("1.0\n-2.0\n")

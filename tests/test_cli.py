@@ -1,8 +1,13 @@
 import argparse
+import contextlib
+import io
 import json
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
+from collapsim import cli
 from collapsim.cli import build_config, main, render_report, run, validate
 from collapsim.errors import ConfigError
 
@@ -105,6 +110,16 @@ class TestValidate:
     )
     def test_caps_inclusive_and_numeric_text_accepted(self, raw):
         assert validate(raw) == []
+
+    def test_non_integer_cnf_token_exit_2(self, tmp_path, capsys):
+        # found by test_fuzzed_config_exits_0_1_or_2: a float in a CNF file
+        # raised an uncaught ValueError
+        cnf = tmp_path / "f.cnf"
+        cnf.write_text("p cnf 2 1\n1.5 0\n")
+        violation = "cnf: not an integer: '1.5' in line '1.5 0'"
+        assert validate({"experiment": "sat", "cnf": str(cnf)}) == [violation]
+        assert main(["sat", "--cnf", str(cnf)]) == 2
+        assert capsys.readouterr().err == f"config error: {violation}\n"
 
     def test_float_overflow_is_a_violation(self):
         violations = validate({"experiment": "asc", "mixing": 10**400})
@@ -429,6 +444,38 @@ class TestMainEntry:
         err = capsys.readouterr().err
         assert err.startswith("config error: config: not valid JSON") and err.count("\n") == 1
 
+    @pytest.mark.parametrize(
+        "argv, key",
+        [
+            (["sat", "--cnf", "{dir}"], "cnf"),
+            (["sat", "--truth-table", "{dir}"], "truth_table"),
+            (["behavior", "classify", "--input", "{dir}"], "input"),
+            (["--config", "{dir}"], "config"),
+            (["sat", "--cnf", "{latin1}"], "cnf"),
+            (["behavior", "classify", "--input", "{latin1}"], "input"),
+            (["ks", "--out", "{dir}"], "out"),
+            (["ks", "--out", "{dir}/missing/x.json"], "out"),
+        ],
+        ids=["cnf-dir", "truth-table-dir", "input-dir", "config-dir", "cnf-latin1",
+             "input-latin1", "out-dir", "out-missing-parent"],
+    )
+    def test_unusable_path_exit_2(self, argv, key, tmp_path, capsys):
+        latin1 = tmp_path / "latin1.txt"
+        latin1.write_bytes("p cnf 1 1\n1 0\nc caf\xe9\n".encode("latin-1"))
+        assert main([arg.format(dir=tmp_path, latin1=latin1) for arg in argv]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: {key}: ") and err.count("\n") == 1
+
+    def test_non_numeric_intervals_exit_1(self, tmp_path, capsys):
+        # found by test_fuzzed_config_exits_0_1_or_2: classifying a CNF file
+        # raised an uncaught ValueError
+        data = tmp_path / "f.cnf"
+        data.write_text("p cnf 2 1\n1 0\n")
+        assert main(["behavior", "classify", "--input", str(data)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("collapsim.errors.BadParameter: not an interval file")
+        assert err.count("\n") == 1
+
     def test_parser_built_once_per_process(self, tmp_path, monkeypatch):
         out = str(tmp_path / "r.jsonl")
         assert main(["fwt", "--trials", "1", "--out", out]) == 0
@@ -554,3 +601,111 @@ class TestCliSurface:
             main([experiment, "--help"])
         assert exit_info.value.code == 0
         assert capsys.readouterr().out.startswith(f"usage: collapsim {experiment}")
+
+
+# --- fuzz: main on flat config dicts drawn from SPECS -------------------------
+
+# wrong types for any key
+_JUNK = st.one_of(
+    st.none(), st.booleans(), st.integers(-3, 3), st.floats(), st.text(max_size=6),
+    st.lists(st.integers(0, 3), max_size=2),
+    st.dictionaries(st.text(max_size=2), st.none(), max_size=1),
+)
+# well-formed and malformed text per parameter, so runs get past validation too
+_TEXT = {
+    "policy": ["born", "forced:0", "forced:3", "biased:0.5,0.5", "biased:0.1,0.2,0.3,0.4",
+               "scripted:0,7,1;fallback=forced:2", "scripted:1,0",
+               "scripted:1;fallback=scripted:0"],
+    "bob_ray": ["random", "0,0,0,1", "1,1,1,1", "1,-1,1,-1", "2,0,0,0", "0,1"],
+    "h_diag": ["1,-1", "0,1,2", "x"],
+    "h_matrix": ["1,0;0,-1", "0,1;1,0", "1,2;3", "1,2,3"],
+    "state": ["1,1", "1,0,0", "1j,1", "0,0"],
+    "weights": ["born", "0.5,0.5", "1,0", "1,0,0", "-1,2"],
+    "eigenvalues": ["0,1", "1", "0,1,2"],
+    "labels": ["0,1", "a,b,c", "a,a", ""],
+    "priorities": ["1,1", "0,1,2", "0,0", "1,-1"],
+    "norm": ["0,1", "1,0,1", "1"],
+}
+_TEXT["policy0"] = _TEXT["policy1"] = _TEXT["policy"]
+# file parameters name one of the files made by fuzz_files
+_FILES = ("f.cnf", "f.tt", "seq.txt", "unsat.tt", "latin1.txt", "missing.txt", ".")
+_SMALL = {"trials": (1, 50), "length": (100, 300)}
+_CAPS = {"trials": cli.MAX_TRIALS, "length": cli.MAX_LENGTH}
+
+
+def _values(name, kind, choices=()):
+    """Well-typed values of a key, and wrong types or out-of-range ones."""
+    if name in _SMALL:  # small when valid, so a run takes milliseconds
+        low, high = _SMALL[name]
+        return st.integers(low, high), st.one_of(
+            st.integers(max_value=low - 1), st.integers(min_value=_CAPS[name] + 1), _JUNK)
+    if choices:
+        return st.sampled_from(choices), st.one_of(st.text(max_size=8), _JUNK)
+    if kind is bool:
+        return st.booleans(), _JUNK
+    if kind is int:
+        return st.integers(-2, 12), st.one_of(st.integers(), _JUNK)
+    if kind is float:
+        return (st.one_of(st.floats(0, 1), st.floats(0, 10), st.just("0.5")),
+                st.one_of(st.floats(), st.sampled_from(["nan", "-1", "1e400"]), _JUNK))
+    if name in ("cnf", "truth_table", "input"):
+        return st.sampled_from(_FILES), _JUNK
+    return st.sampled_from(_TEXT.get(name, ["x"])), st.one_of(st.text(max_size=8), _JUNK)
+
+
+_GLOBALS = {
+    "seed": (st.integers(0, 2**64 - 1), st.one_of(st.integers(), _JUNK)),
+    "trials": _values("trials", int),
+    "output_format": _values("output_format", str, cli.OUTPUT_FORMATS),
+    "per_trial": _values("per_trial", bool),
+}
+_KEYS = {
+    name: {**_GLOBALS, **{p.name: _values(p.name, p.kind, p.choices) for p in spec.params}}
+    for name, spec in cli.SPECS.items()
+}
+_OTHER_KEYS = sorted({key for keys in _KEYS.values() for key in keys} | {"bogus"})
+
+
+@st.composite
+def flat_configs(draw):
+    # mostly well-typed values; in one config of three up to two keys are
+    # spoiled, in one of ten a foreign key is added or the experiment is junk
+    rare = st.integers(0, 9).map(lambda i: i == 0)
+    experiment = draw(_JUNK) if draw(rare) else draw(st.sampled_from(cli.EXPERIMENTS))
+    own = _KEYS[experiment] if experiment in cli.EXPERIMENTS else _GLOBALS
+    keys = draw(st.lists(st.sampled_from(sorted(own)), unique=True, max_size=6))
+    spoiled = ()
+    if keys and draw(st.integers(0, 2)) == 0:
+        spoiled = draw(st.sets(st.sampled_from(keys), max_size=2))
+    raw = {key: draw(own[key][1] if key in spoiled else own[key][0]) for key in keys}
+    if draw(rare):
+        raw[draw(st.sampled_from(_OTHER_KEYS))] = draw(_JUNK)
+    if experiment is not None or draw(st.booleans()):
+        raw["experiment"] = experiment
+    return raw
+
+
+@pytest.fixture(scope="module")
+def fuzz_files(tmp_path_factory):
+    root = tmp_path_factory.mktemp("fuzz")
+    (root / "f.cnf").write_text("p cnf 2 2\n1 0\n2 0\n")
+    (root / "f.tt").write_text("0110")
+    (root / "unsat.tt").write_text("0000")
+    (root / "seq.txt").write_text("".join(f"{1 + i / 7}\n" for i in range(1000)))
+    (root / "latin1.txt").write_bytes("p cnf 1 1\n1 0\nc caf\xe9\n".encode("latin-1"))
+    return root
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(raw=flat_configs())
+def test_fuzzed_config_exits_0_1_or_2(raw, fuzz_files):
+    for key in ("cnf", "truth_table", "input"):
+        if isinstance(raw.get(key), str):
+            raw[key] = str(fuzz_files / raw[key])
+    config_file = fuzz_files / "config.json"
+    config_file.write_text(json.dumps(raw))
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = main(["--config", str(config_file)])
+    assert code in (0, 1, 2)
+    assert code == 0 or err.getvalue().count("\n") == 1

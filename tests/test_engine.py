@@ -129,7 +129,7 @@ def _fwt_oracle(seed, trials, context=1, ray_text="random", policy_text="born"):
     for t in range(trials):
         rng = trial_rng(seed, t)
         ray = fixed or rays[int(rng.integers(len(rays)))]
-        trial = kochen_specker.fwt_trial(context, ray, policy, rng)
+        trial = kochen_specker.fwt_trial(context, ray, policy, rng, trial=t)
         records.append({
             "record": "trial", "trial": t, "alice_outcome": trial.alice_outcome,
             "bob_ray": str(trial.bob_ray), "bob_value": trial.bob_value,
@@ -181,7 +181,7 @@ def _signal_oracle(seed, trials, policy_texts, bases, bob_basis):
         per_trial = []
         for t in range(trials):
             rng = trial_rng(seed, s, t)
-            a = policies.sample_from_born(policy, alice_born, rng).outcome
+            a = policies.sample_from_born(policy, alice_born, rng, trial=t).outcome
             conditional = born_distribution(collapse(shared, alice, a), bob)
             per_trial.append(policies.sample_from_born(policies.Born(), conditional, rng).outcome)
         outcomes.append(per_trial)
@@ -349,7 +349,21 @@ def test_script_reached_only_in_range_needs_no_fallback():
     assert [r["alice_outcome"] for r in records] == [0, 1]
 
 
-def test_engine_leaves_scripted_cursor_alone():
+def test_scripted_trials_independent_of_run_order():
+    # one instance serves every trial: forwards, in reverse and batched alike
     policy = policies.Scripted((2, 3, 0))
-    list(kochen_specker.fwt_trials(1, None, policy, 0, 10))
-    assert policy._cursor == 0
+    rays = kochen_specker.builtin_ks_table().distinct_rays
+
+    def record(t):
+        rng = trial_rng(0, t)
+        ray = rays[int(rng.integers(len(rays)))]
+        trial = kochen_specker.fwt_trial(1, ray, policy, rng, trial=t)
+        return trial.alice_outcome, rays.index(trial.bob_ray), trial.bob_value
+
+    forwards = [record(t) for t in range(10)]
+    backwards = [record(t) for t in reversed(range(10))][::-1]
+    (block,) = kochen_specker.fwt_trials(1, None, policy, 0, 10)
+    batched = list(zip(block.alice_outcome.tolist(), block.bob_ray.tolist(),
+                       block.bob_value.tolist()))
+    assert forwards == backwards == batched
+    assert [outcome for outcome, _, _ in forwards[:3]] == [2, 3, 0]

@@ -228,7 +228,7 @@ class TestFwtTrial:
             for t in range(2000):
                 rng = trial_rng(202 + p_idx, t)
                 ray = context.rays[int(rng.integers(4))]
-                assert fwt_trial(5, ray, policy, rng).agree is True
+                assert fwt_trial(5, ray, policy, rng, trial=t).agree is True
 
     def test_forced_fixes_alice_outcome(self):
         context = builtin_ks_table().contexts[0]

@@ -1,3 +1,5 @@
+from dataclasses import FrozenInstanceError
+
 import numpy as np
 import pytest
 from hypothesis import assume, given
@@ -98,6 +100,15 @@ class TestEffectiveDistribution:
         with pytest.raises(BadParameter):
             Scripted((0,), Scripted((1,), Born()))
 
+    def test_scripted_is_frozen(self):
+        policy = Scripted((1, 0), Born())
+        with pytest.raises(FrozenInstanceError):
+            policy.sequence = (0,)
+
+    def test_equal_scripts_compare_equal(self):
+        assert Scripted([1, 0], Forced(1)) == Scripted((1, 0), Forced(1))
+        assert Scripted((1, 0)) != Scripted((0, 1))
+
 
 class TestSampleOutcome:
     def test_forced_every_seed(self):
@@ -121,27 +132,47 @@ class TestSampleOutcome:
         policy = Scripted((1, 0, 1), Born())
         s = make_state([1, 1])
         rng = trial_rng(7)
-        outcomes = [sample_outcome(policy, s, Z2, rng).outcome for _ in range(3)]
+        outcomes = [sample_outcome(policy, s, Z2, rng, trial=t).outcome for t in range(3)]
         assert outcomes == [1, 0, 1]
 
     def test_scripted_flags_forbidden_attempt_and_falls_back(self):
         policy = Scripted((1, 0), Born())
         s = make_state([1, 0])  # outcome 1 inadmissible
         rng = trial_rng(8)
-        first = sample_outcome(policy, s, Z2, rng)
+        first = sample_outcome(policy, s, Z2, rng, trial=0)
         assert first.forbidden_attempted and first.outcome == 0
-        second = sample_outcome(policy, s, Z2, rng)
+        second = sample_outcome(policy, s, Z2, rng, trial=1)
         assert not second.forbidden_attempted and second.outcome == 0
-        assert policy.remaining() == 0
+        past_script = sample_outcome(policy, s, Z2, rng, trial=2)
+        assert not past_script.forbidden_attempted and past_script.outcome == 0
 
     def test_forced_determinism_bulk(self):
         s = make_state([1, 1, 1, 1])
         counts = sample_counts(Forced(2), s, Z4, 1000, trial_rng(3))
         assert counts[2] == 1000 and counts.sum() == 1000
 
-    def test_sample_counts_rejects_scripted(self):
-        with pytest.raises(BadParameter):
-            sample_counts(Scripted((0,)), make_state([1, 1]), Z2, 10, trial_rng(0))
+    def test_sample_counts_plays_script_then_fallback(self):
+        # trials 0..3 play the script (entry 2 is inadmissible and falls back
+        # to forced:0), trials 4..9 the fallback
+        policy = Scripted((1, 2, 1, 0), Forced(0))
+        counts = sample_counts(policy, qutrit(np.pi / 4), Z3, 10, trial_rng(0))
+        expected = np.bincount([1, 0, 1, 0] + [0] * 6, minlength=3)
+        np.testing.assert_array_equal(counts, expected)
+
+    @pytest.mark.parametrize(
+        "policy",
+        [Born(), Forced(1), Biased(ProbabilityDistribution(np.array([0.3, 0.7, 0.0]))),
+         Scripted((1, 2, 0, 1), Biased(ProbabilityDistribution(np.array([0.9, 0.1, 0.0]))))],
+        ids=["born", "forced", "biased", "scripted"],
+    )
+    def test_sample_counts_equals_per_trial_sampling(self, policy):
+        # one draw of one stream per trial, in order, as sample_outcome makes them
+        s = qutrit(np.pi / 5)
+        rng = trial_rng(4)
+        per_trial = [sample_outcome(policy, s, Z3, rng, trial=t).outcome for t in range(500)]
+        np.testing.assert_array_equal(
+            sample_counts(policy, s, Z3, 500, trial_rng(4)), np.bincount(per_trial, minlength=3)
+        )
 
 
 def test_weak_compatibility_containment_property():

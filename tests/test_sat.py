@@ -204,6 +204,11 @@ class TestParsers:
         with pytest.raises(TooLarge):
             parse_dimacs("p cnf 20 1\n1 0\n")
 
+    @pytest.mark.parametrize("text", ["p cnf 2 1\n1.5 0\n", "p cnf x 1\n1 0\n"])
+    def test_dimacs_non_integer_token(self, text):
+        with pytest.raises(BadParameter, match="not an integer"):
+            parse_dimacs(text)
+
     def test_dimacs_bad_literal(self):
         with pytest.raises(BadParameter):
             parse_dimacs("p cnf 2 1\n5 0\n")
