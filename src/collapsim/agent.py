@@ -12,6 +12,7 @@ produce identical outcomes but structurally different traces.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterator, Mapping, NamedTuple, Union
 
@@ -57,6 +58,8 @@ class AlternativeSet:
             raise BadParameter("labels must be distinct")
         if any(p < 0 for p in priorities):
             raise BadParameter("priorities must be non-negative")
+        if not all(map(math.isfinite, priorities)):
+            raise BadParameter("priorities must be finite")
         if not any(p > 0 for p in priorities):
             raise AllZeroPriorities("at least one priority must be positive")
         object.__setattr__(self, "labels", labels)
@@ -148,7 +151,12 @@ COLLAPSE_STAGE_SHAPE = tuple(
 def attention(alternatives: AlternativeSet) -> StateVector:
     """Superpose the alternatives with amplitudes sqrt(priority / total)."""
     priorities = np.asarray(alternatives.priorities, dtype=float)
-    return make_state(np.sqrt(priorities / priorities.sum()))
+    with np.errstate(over="ignore"):
+        total = priorities.sum()
+    if np.isinf(total):  # bring the largest priority to 1 first
+        priorities = priorities / priorities.max()
+        total = priorities.sum()
+    return make_state(np.sqrt(priorities / total))
 
 
 def selection(

@@ -60,15 +60,18 @@ def generate_sequence(
     if length < 100:
         raise BadParameter("length must be at least 100")
     if kind == "exponential":
-        if rate <= 0:
+        if not rate > 0:  # NaN is not positive
             raise BadParameter("rate must be positive")
         draws = rng.exponential(scale=1.0 / rate, size=length)
     elif kind == "pareto":
-        if alpha <= 0 or xmin <= 0:
+        if not (alpha > 0 and xmin > 0):
             raise BadParameter("alpha and xmin must be positive")
-        draws = xmin * (1.0 - rng.random(length)) ** (-1.0 / alpha)
+        with np.errstate(over="ignore"):  # overflow is refused below
+            draws = xmin * (1.0 - rng.random(length)) ** (-1.0 / alpha)
     else:
         raise BadParameter(f"unknown sequence kind {kind!r}")
+    if not np.all(np.isfinite(draws)):
+        raise BadParameter(f"{kind} intervals overflow a float at these parameters")
     # an exact 0.0 draw has measure zero but would break positivity
     return EventSequence(np.maximum(draws, np.finfo(float).tiny))
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import sys
 import time
 from dataclasses import dataclass, field
@@ -208,7 +209,9 @@ def _within(low: float, high: float, message: str) -> Callable[[Any], str | None
 
 
 def _positive(value: float) -> str | None:
-    return None if value > 0 else "must be positive"  # NaN is not positive
+    if not value > 0:  # NaN is not positive
+        return "must be positive"
+    return None if math.isfinite(value) else "must be finite"
 
 
 def _length_problem(length: int) -> str | None:
@@ -252,7 +255,7 @@ def _check_energy(p: dict[str, Any], given: Collection[str]) -> list[str]:
         if p["state"] is not None and len(complex_list(p["state"])) != dim:
             violations.append("state: length must match the hamiltonian")
     except ValueError:
-        return ["h_diag/h_matrix/state: must be comma-separated numbers"]
+        return ["h_diag/h_matrix/state: must be comma-separated finite numbers"]
     if p["basis"] == "x" and dim != 2:
         violations.append("basis: 'x' requires dimension 2")
     if p["weights"] != "born":
@@ -263,13 +266,13 @@ def _check_energy(p: dict[str, Any], given: Collection[str]) -> list[str]:
             elif abs(sum(w) - 1.0) > 1e-9 or any(x < 0 for x in w):
                 violations.append("weights: must be a probability vector")
         except ValueError:
-            violations.append("weights: must be 'born' or comma-separated numbers")
+            violations.append("weights: must be 'born' or comma-separated finite numbers")
     if p["eigenvalues"] is not None:
         try:
             if len(float_list(p["eigenvalues"])) != dim:
                 violations.append("eigenvalues: length must match the hamiltonian")
         except ValueError:
-            violations.append("eigenvalues: must be comma-separated numbers")
+            violations.append("eigenvalues: must be comma-separated finite numbers")
     return violations
 
 
@@ -292,7 +295,7 @@ def _check_asc(p: dict[str, Any], given: Collection[str]) -> list[str]:
         priorities = float_list(p["priorities"])
         norm_values = float_list(p["norm"])
     except ValueError:
-        return ["priorities/norm: must be comma-separated numbers"]
+        return ["priorities/norm: must be comma-separated finite numbers"]
     violations = []
     if len(set(labels)) != len(labels):
         violations.append("labels: must be distinct")

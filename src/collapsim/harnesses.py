@@ -8,6 +8,7 @@ parameter text with the same parsers.
 
 from __future__ import annotations
 
+import cmath
 from dataclasses import asdict
 from pathlib import Path
 from typing import TYPE_CHECKING
@@ -35,12 +36,19 @@ RunnerOutput = tuple[list[dict], dict, str | None]
 # --- parameter text ----------------------------------------------------------
 
 
+def _finite(values: list) -> list:
+    """The values, or ValueError if one is nan or infinite."""
+    if not all(map(cmath.isfinite, values)):
+        raise ValueError("numbers must be finite")
+    return values
+
+
 def float_list(text: str) -> list[float]:
-    return [float(tok) for tok in str(text).split(",") if tok.strip()]
+    return _finite([float(tok) for tok in str(text).split(",") if tok.strip()])
 
 
 def complex_list(text: str) -> list[complex]:
-    return [complex(tok.strip()) for tok in text.split(",")]
+    return _finite([complex(tok.strip()) for tok in text.split(",")])
 
 
 def label_list(text: str) -> tuple[str, ...]:
@@ -57,7 +65,7 @@ def fixed_ray(text: str) -> kochen_specker.Ray | None:
 def parse_matrix(text: str) -> np.ndarray:
     """Dense matrix literal: rows separated by ';', entries by ','."""
     rows = [
-        [complex(tok.strip()) for tok in row.split(",") if tok.strip()]
+        _finite([complex(tok.strip()) for tok in row.split(",") if tok.strip()])
         for row in text.split(";")
         if row.strip()
     ]

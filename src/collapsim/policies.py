@@ -293,10 +293,11 @@ def parse_policy(text: str) -> CollapsePolicy:
             raise BadParameter(f"bad forced target in {text!r}") from exc
     if spec.startswith("biased:"):
         try:
-            weights = [float(w) for w in spec.split(":", 1)[1].split(",")]
+            weights = np.asarray([float(w) for w in spec.split(":", 1)[1].split(",")])
+            with np.errstate(over="ignore"):  # an overflowing sum is refused
+                return Biased(ProbabilityDistribution(weights))
         except ValueError as exc:
-            raise BadParameter(f"bad biased weights in {text!r}") from exc
-        return Biased(ProbabilityDistribution(np.asarray(weights)))
+            raise BadParameter(f"bad biased weights in {text!r}: {exc}") from exc
     if spec.startswith("scripted:"):
         body = spec.split(":", 1)[1]
         fallback: CollapsePolicy = Born()

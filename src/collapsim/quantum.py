@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, ForbiddenOutcome, TooLarge, ZeroVector
+from .errors import BadParameter, DimensionMismatch, ForbiddenOutcome, TooLarge, ZeroVector
 
 #: tolerance for structural invariants (normalization, hermiticity, ...)
 ATOL = 1e-10
@@ -163,8 +163,8 @@ class ProbabilityDistribution:
             raise ValueError("probabilities must form a non-empty vector")
         if np.min(p) < -ZERO_PROB:
             raise ValueError("probabilities must be non-negative")
-        if abs(p.sum() - 1.0) > ATOL:
-            raise ValueError(f"probabilities sum to {p.sum()!r}, not 1")
+        if not abs(p.sum() - 1.0) <= ATOL:  # a NaN sum is refused too
+            raise ValueError(f"probabilities sum to {float(p.sum())!r}, not 1")
         object.__setattr__(self, "probs", _frozen(np.clip(p, 0.0, 1.0)))
 
     def __len__(self) -> int:
@@ -182,7 +182,14 @@ def make_state(amplitudes) -> StateVector:
     amps = np.ascontiguousarray(amplitudes, dtype=complex)
     if amps.ndim != 1:
         raise DimensionMismatch("amplitudes must be a 1-d sequence")
-    norm = np.linalg.norm(amps)
+    with np.errstate(over="ignore"):
+        norm = np.linalg.norm(amps)
+    if not np.isfinite(norm):
+        if not np.all(np.isfinite(amps)):
+            raise BadParameter("amplitudes must be finite")
+        # the sum of squares overflowed: bring the largest component to 1 first
+        amps = amps / np.abs(amps.view(float)).max()
+        norm = np.linalg.norm(amps)
     if norm < 1e-12 or not np.any(np.abs(amps) >= 1e-12):
         raise ZeroVector("all amplitudes are numerically zero")
     return StateVector(amps / norm)

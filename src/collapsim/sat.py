@@ -10,7 +10,8 @@ query counts are reported honestly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import functools
+from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
@@ -30,20 +31,26 @@ class OracleFunction:
 
     n: int
     table: tuple[int, ...]
+    #: the table as a read-only int8 array, for the whole-table paths
+    _bits: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         if self.n < 1:
             raise BadParameter("n must be a positive integer")
         if self.n > MAX_BITS:
             raise TooLarge(f"n={self.n} exceeds the cap of {MAX_BITS} bits")
-        table = tuple(int(v) for v in self.table)
-        if len(table) != 2**self.n:
+        values = np.asarray(self.table)
+        if values.shape != (2**self.n,):
             raise BadParameter(
-                f"truth table has {len(table)} entries, expected {2 ** self.n}"
+                f"truth table has {len(self.table)} entries, expected {2 ** self.n}"
             )
-        if any(v not in (0, 1) for v in table):
+        if not np.all((values == 0) | (values == 1)):
             raise BadParameter("truth table entries must be 0 or 1")
-        object.__setattr__(self, "table", table)
+        bits = values.astype(np.int8)
+        bits.setflags(write=False)
+        object.__setattr__(self, "_bits", bits)
+        # iterating the bytes of 0/1 int8 values yields those ints, faster than tolist
+        object.__setattr__(self, "table", tuple(bits.tobytes()))
 
     def evaluate(self, j: int) -> int:
         return self.table[j]
@@ -64,7 +71,7 @@ class OracleFunction:
         n = size.bit_length() - 1
         if size < 2 or 2**n != size:
             raise BadParameter(f"truth table length {size} is not a power of two >= 2")
-        return cls(n, tuple(int(b) for b in bits))
+        return cls(n, bits)
 
 
 @dataclass(frozen=True)
@@ -83,9 +90,7 @@ def build_sat_state(oracle: OracleFunction) -> StateVector:
     """Uniform superposition sum_j |j>|f(j)> over the oracle's inputs."""
     size = oracle.domain_size
     amps = np.zeros(2 * size, dtype=complex)
-    scale = 1.0 / np.sqrt(size)
-    for j in range(size):
-        amps[2 * j + oracle.evaluate(j)] = scale
+    amps[2 * np.arange(size) + oracle._bits] = 1.0 / np.sqrt(size)
     return StateVector(amps)
 
 
@@ -129,14 +134,14 @@ def decide_sat(oracle: OracleFunction, rng: np.random.Generator | None = None) -
 
 def classical_brute_force(oracle: OracleFunction) -> SatResult:
     """Linear scan over all inputs; first satisfying input is the witness."""
-    for j in range(oracle.domain_size):
-        if oracle.evaluate(j) == 1:
-            return SatResult(
-                satisfiable=True,
-                witness=j,
-                queries_quantum=0,
-                queries_classical_oracle=j + 1,
-            )
+    j = int(np.argmax(oracle._bits))  # the first 1, or 0 when there is none
+    if oracle._bits[j] == 1:
+        return SatResult(
+            satisfiable=True,
+            witness=j,
+            queries_quantum=0,
+            queries_classical_oracle=j + 1,
+        )
     return SatResult(
         satisfiable=False,
         witness=None,
@@ -145,12 +150,17 @@ def classical_brute_force(oracle: OracleFunction) -> SatResult:
     )
 
 
+_DROP_BITS = str.maketrans("", "", "01")
+
+
 def parse_truth_table(text: str) -> OracleFunction:
     """Truth-table file: the characters 0/1 in input order, whitespace ignored."""
-    bits = [c for c in text if not c.isspace()]
-    if any(c not in "01" for c in bits):
+    bits = "".join(text.split())
+    if bits.translate(_DROP_BITS):
         raise BadParameter("truth table files may contain only 0, 1 and whitespace")
-    return OracleFunction.from_truth_table([int(c) for c in bits])
+    return OracleFunction.from_truth_table(
+        np.frombuffer(bits.encode("ascii"), dtype=np.uint8) - ord("0")
+    )
 
 
 def parse_dimacs(text: str) -> OracleFunction:
@@ -158,7 +168,10 @@ def parse_dimacs(text: str) -> OracleFunction:
 
     Variable i (1-based) reads bit i-1 of the input integer. Clauses are
     whitespace-separated literal lists terminated by 0; 'c' lines are
-    comments and the 'p cnf <vars> <clauses>' header is required.
+    comments and the 'p cnf <vars> <clauses>' header is required. Every
+    input is evaluated at once: each literal is a 2^n-bit word whose bit j
+    is its value at input j, a clause ORs its literals and the formula ANDs
+    its clauses.
     """
     n_vars: int | None = None
     clauses: list[list[int]] = []
@@ -194,19 +207,32 @@ def parse_dimacs(text: str) -> OracleFunction:
             if not 1 <= abs(literal) <= n_vars:
                 raise BadParameter(f"literal {literal} outside 1..{n_vars}")
 
-    def evaluate(j: int) -> int:
-        for clause in clauses:
-            satisfied = False
-            for literal in clause:
-                bit = (j >> (abs(literal) - 1)) & 1
-                if (literal > 0) == bool(bit):
-                    satisfied = True
-                    break
-            if not satisfied:
-                return 0
-        return 1
+    size = 2**n_vars
+    variables = _variable_words(n_vars)
+    everywhere = (1 << size) - 1
+    formula = everywhere
+    for clause in clauses:
+        word = 0
+        for literal in clause:
+            value = variables[abs(literal) - 1]
+            word |= value if literal > 0 else everywhere ^ value
+        formula &= word
+    table = np.unpackbits(
+        np.frombuffer(formula.to_bytes((size + 7) // 8, "little"), dtype=np.uint8),
+        count=size,
+        bitorder="little",
+    )
+    return OracleFunction(n_vars, table)
 
-    return OracleFunction.from_callable(n_vars, evaluate)
+
+@functools.cache
+def _variable_words(n: int) -> tuple[int, ...]:
+    """Word i (0-based) has bit j set, of 2^n bits, when bit i of j is 1."""
+    inputs = np.arange(2**n)
+    return tuple(
+        int.from_bytes(np.packbits((inputs >> i) & 1, bitorder="little").tobytes(), "little")
+        for i in range(n)
+    )
 
 
 def _integer(token: str, line: str) -> int:

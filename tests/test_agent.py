@@ -42,6 +42,11 @@ class TestAlternativeSet:
         with pytest.raises(BadParameter):
             AlternativeSet(("a", "b"), (-0.5, 1.0))
 
+    @pytest.mark.parametrize("priority", [float("nan"), float("inf")])
+    def test_non_finite_priority(self, priority):
+        with pytest.raises(BadParameter, match="priorities must be finite"):
+            AlternativeSet(("a", "b"), (priority, 1.0))
+
 
 class TestAttention:
     def test_timeline_amplitudes(self):
@@ -53,6 +58,14 @@ class TestAttention:
     def test_uniform_priorities(self):
         alts = AlternativeSet(tuple("abcd"), (1.0,) * 4)
         np.testing.assert_allclose(attention(alts).amplitudes, [0.5] * 4, atol=1e-12)
+
+    def test_priorities_whose_sum_overflows(self):
+        alts = AlternativeSet(("a", "b", "c"), (1e308, 1e308, 0.0))
+        with np.errstate(over="raise", invalid="raise"):
+            state = attention(alts)
+            reference = born_reference(alts)
+        np.testing.assert_allclose(state.amplitudes, [2**-0.5, 2**-0.5, 0], atol=1e-15)
+        np.testing.assert_allclose(reference.probs, [0.5, 0.5, 0], atol=1e-15)
 
     def test_zero_priority_gives_zero_amplitude(self):
         alts = AlternativeSet(("a", "b", "c"), (0.5, 0.5, 0.0))

@@ -38,6 +38,21 @@ class TestGenerateSequence:
         with pytest.raises(BadParameter):
             generate_sequence("weibull", 10_000, rng)
 
+    @pytest.mark.parametrize(
+        "kind, params, message",
+        [
+            ("pareto", {"alpha": 1e-300}, "pareto intervals overflow"),
+            ("pareto", {"xmin": 1e308}, "pareto intervals overflow"),
+            ("exponential", {"rate": 1e-320}, "exponential intervals overflow"),
+            ("exponential", {"rate": float("nan")}, "rate must be positive"),
+            ("pareto", {"alpha": float("nan")}, "alpha and xmin must be positive"),
+        ],
+    )
+    def test_non_finite_draws_refused(self, kind, params, message):
+        with np.errstate(over="raise", invalid="raise"):
+            with pytest.raises(BadParameter, match=message):
+                generate_sequence(kind, 100, trial_rng(84), **params)
+
 
 class TestTailExponent:
     def test_pareto_recovers_alpha(self):

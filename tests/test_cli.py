@@ -476,6 +476,69 @@ class TestMainEntry:
         assert err.startswith("collapsim.errors.BadParameter: not an interval file")
         assert err.count("\n") == 1
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["energy", "--weights", "nan,1"],
+             "config error: weights: must be 'born' or comma-separated finite numbers"),
+            (["energy", "--state", "nan,1"],
+             "config error: h_diag/h_matrix/state: must be comma-separated finite numbers"),
+            (["energy", "--h-matrix", "nan,0;0,1"],
+             "config error: h_diag/h_matrix/state: must be comma-separated finite numbers"),
+            (["energy", "--h-diag", "inf,1"],
+             "config error: h_diag/h_matrix/state: must be comma-separated finite numbers"),
+            (["energy", "--eigenvalues", "0,-inf"],
+             "config error: eigenvalues: must be comma-separated finite numbers"),
+            (["asc", "--norm", "nan,1", "--trials", "5"],
+             "config error: priorities/norm: must be comma-separated finite numbers"),
+            (["asc", "--priorities", "1,inf", "--trials", "5"],
+             "config error: priorities/norm: must be comma-separated finite numbers"),
+            (["behavior", "generate", "--rate", "inf", "--length", "100"],
+             "config error: rate: must be finite"),
+            (["behavior", "generate", "--kind", "pareto", "--xmin", "inf", "--length", "100"],
+             "config error: xmin: must be finite"),
+            (["fwt", "--policy", "biased:1,1"],
+             "config error: policy: bad biased weights in 'biased:1,1': "
+             "probabilities sum to 2.0, not 1"),
+            (["fwt", "--policy", "biased:nan,1,1,1"],
+             "config error: policy: bad biased weights in 'biased:nan,1,1,1': "
+             "probabilities sum to nan, not 1"),
+            (["behavior", "generate", "--kind", "pareto", "--alpha", "1e-300", "--length", "100"],
+             "collapsim.errors.BadParameter: pareto intervals overflow a float at these parameters"),
+            (["behavior", "generate", "--kind", "pareto", "--xmin", "1e308", "--length", "100"],
+             "collapsim.errors.BadParameter: pareto intervals overflow a float at these parameters"),
+            (["behavior", "generate", "--rate", "1e-320", "--length", "100"],
+             "collapsim.errors.BadParameter: "
+             "exponential intervals overflow a float at these parameters"),
+        ],
+        ids=lambda value: " ".join(value) if isinstance(value, list) else "",
+    )
+    def test_non_finite_or_overflowing_numbers_one_line_error(
+        self, argv, message, tmp_path, capsys
+    ):
+        # these ended in tracebacks, or wrote inf or 2.2e-308 intervals
+        out = tmp_path / "out.txt"
+        assert main(argv + ["--out", str(out)]) == (2 if message.startswith("config") else 1)
+        assert capsys.readouterr().err == message + "\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "argv, key, expected",
+        [
+            (["energy", "--state", "1e308,1e308", "--h-diag", "1,2"], "e_before", 1.5),
+            (["asc", "--priorities", "1e308,1e308", "--trials", "5"], "born_reference",
+             [0.5, 0.5]),
+        ],
+        ids=["energy-state", "asc-priorities"],
+    )
+    def test_huge_finite_numbers_run(self, argv, key, expected, tmp_path, capsys):
+        # the sum of squares or of priorities overflows; both once failed
+        # (a traceback and a ZeroVector)
+        out = tmp_path / "out.txt"
+        assert main(argv + ["--out", str(out)]) == 0
+        assert capsys.readouterr().err == ""
+        assert aggregate_of(out.read_text().splitlines())[key] == pytest.approx(expected)
+
     def test_parser_built_once_per_process(self, tmp_path, monkeypatch):
         out = str(tmp_path / "r.jsonl")
         assert main(["fwt", "--trials", "1", "--out", out]) == 0
@@ -611,20 +674,25 @@ _JUNK = st.one_of(
     st.lists(st.integers(0, 3), max_size=2),
     st.dictionaries(st.text(max_size=2), st.none(), max_size=1),
 )
-# well-formed and malformed text per parameter, so runs get past validation too
+# well-formed and malformed text per parameter, so runs get past validation
+# too; number lists also carry nan, infinities and magnitudes near the float
+# range's ends
 _TEXT = {
     "policy": ["born", "forced:0", "forced:3", "biased:0.5,0.5", "biased:0.1,0.2,0.3,0.4",
                "scripted:0,7,1;fallback=forced:2", "scripted:1,0",
-               "scripted:1;fallback=scripted:0"],
+               "scripted:1;fallback=scripted:0", "biased:1,1", "biased:nan,1,1,1",
+               "biased:1e308,1e308,0,0", "scripted:1;fallback=biased:inf,0,0,0"],
     "bob_ray": ["random", "0,0,0,1", "1,1,1,1", "1,-1,1,-1", "2,0,0,0", "0,1"],
-    "h_diag": ["1,-1", "0,1,2", "x"],
-    "h_matrix": ["1,0;0,-1", "0,1;1,0", "1,2;3", "1,2,3"],
-    "state": ["1,1", "1,0,0", "1j,1", "0,0"],
-    "weights": ["born", "0.5,0.5", "1,0", "1,0,0", "-1,2"],
-    "eigenvalues": ["0,1", "1", "0,1,2"],
+    "h_diag": ["1,-1", "0,1,2", "x", "nan,1", "inf,1", "1e308,-1e308", "1e-300,1"],
+    "h_matrix": ["1,0;0,-1", "0,1;1,0", "1,2;3", "1,2,3", "nan,0;0,1", "1e308,0;0,-inf"],
+    "state": ["1,1", "1,0,0", "1j,1", "0,0", "nan,1", "1e308,1e308", "1e-300,1e-300",
+              "-inf,1"],
+    "weights": ["born", "0.5,0.5", "1,0", "1,0,0", "-1,2", "nan,1", "inf,-inf"],
+    "eigenvalues": ["0,1", "1", "0,1,2", "0,inf", "1e308,1e-300", "nan,nan"],
     "labels": ["0,1", "a,b,c", "a,a", ""],
-    "priorities": ["1,1", "0,1,2", "0,0", "1,-1"],
-    "norm": ["0,1", "1,0,1", "1"],
+    "priorities": ["1,1", "0,1,2", "0,0", "1,-1", "1e308,1e308", "1e-300,1", "nan,1",
+                   "inf,1"],
+    "norm": ["0,1", "1,0,1", "1", "nan,1", "-inf,1e308"],
 }
 _TEXT["policy0"] = _TEXT["policy1"] = _TEXT["policy"]
 # file parameters name one of the files made by fuzz_files
@@ -646,8 +714,10 @@ def _values(name, kind, choices=()):
     if kind is int:
         return st.integers(-2, 12), st.one_of(st.integers(), _JUNK)
     if kind is float:
-        return (st.one_of(st.floats(0, 1), st.floats(0, 10), st.just("0.5")),
-                st.one_of(st.floats(), st.sampled_from(["nan", "-1", "1e400"]), _JUNK))
+        return (st.one_of(st.floats(0, 1), st.floats(0, 10),
+                          st.sampled_from(["0.5", "1e308", "1e-300"])),
+                st.one_of(st.floats(), st.sampled_from(["nan", "inf", "-inf", "-1", "1e400"]),
+                          _JUNK))
     if name in ("cnf", "truth_table", "input"):
         return st.sampled_from(_FILES), _JUNK
     return st.sampled_from(_TEXT.get(name, ["x"])), st.one_of(st.text(max_size=8), _JUNK)

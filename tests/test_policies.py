@@ -275,7 +275,10 @@ class TestPolicyGrammar:
         assert isinstance(parse_policy("scripted:2,2").fallback, Born)
 
     @pytest.mark.parametrize(
-        "text", ["bogus", "forced:x", "biased:a,b", "scripted:1;oops=born"]
+        "text",
+        ["bogus", "forced:x", "biased:a,b", "scripted:1;oops=born", "biased:1,1",
+         "biased:-1,2", "biased:nan,1", "biased:inf,0", "biased:1e308,1e308",
+         "scripted:0;fallback=biased:0.5,0.6"],
     )
     def test_parse_errors(self, text):
         with pytest.raises(BadParameter):

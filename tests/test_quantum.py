@@ -3,7 +3,13 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from collapsim.errors import DimensionMismatch, ForbiddenOutcome, TooLarge, ZeroVector
+from collapsim.errors import (
+    BadParameter,
+    DimensionMismatch,
+    ForbiddenOutcome,
+    TooLarge,
+    ZeroVector,
+)
 from collapsim.quantum import (
     DensityOperator,
     ProbabilityDistribution,
@@ -57,6 +63,38 @@ class TestMakeState:
     def test_dense_cap(self):
         with pytest.raises(TooLarge):
             make_state(np.ones(2**13 + 1))
+
+    @pytest.mark.parametrize(
+        "amplitudes, expected",
+        [
+            ([1e308, 1e308], [2**-0.5] * 2),
+            ([1e308j, -1e308], [1j * 2**-0.5, -(2**-0.5)]),
+            ([1.7e308 + 1.7e308j, 0], [(1 + 1j) * 2**-0.5, 0]),
+            ([1e308, 3e307, 1e-300], [1 / np.hypot(1, 0.3), 0.3 / np.hypot(1, 0.3), 0]),
+        ],
+    )
+    def test_overflowing_norm_rescaled(self, amplitudes, expected):
+        with np.errstate(over="raise", invalid="raise"):
+            s = make_state(amplitudes)
+        np.testing.assert_allclose(s.amplitudes, expected, atol=1e-15)
+
+    @pytest.mark.parametrize("amplitudes", [[np.nan, 1], [np.inf, 1], [1, -np.inf * 1j]])
+    def test_non_finite_amplitudes_rejected(self, amplitudes):
+        with pytest.raises(BadParameter, match="amplitudes must be finite"):
+            make_state(amplitudes)
+
+    def test_finite_norm_path_unchanged(self):
+        rng = np.random.default_rng(31)
+        for scale in (1e-6, 1.0, 1e150):
+            amps = (rng.normal(size=5) + 1j * rng.normal(size=5)) * scale
+            assert np.array_equal(make_state(amps).amplitudes, amps / np.linalg.norm(amps))
+
+
+class TestProbabilityDistributionChecks:
+    @pytest.mark.parametrize("probs", [[np.nan, 1.0], [np.inf, 0.0], [0.5, 0.6]])
+    def test_sum_not_one_rejected(self, probs):
+        with pytest.raises(ValueError, match="probabilities sum to"):
+            ProbabilityDistribution(np.asarray(probs))
 
 
 class TestTensor:

@@ -212,3 +212,135 @@ class TestParsers:
     def test_dimacs_bad_literal(self):
         with pytest.raises(BadParameter):
             parse_dimacs("p cnf 2 1\n5 0\n")
+
+
+# --- differential gate: the bitset compile against per-input evaluation ------
+
+
+def _reference_evaluate(clauses):
+    """The per-input CNF evaluation parse_dimacs used before the bitset compile."""
+
+    def evaluate(j):
+        for clause in clauses:
+            satisfied = False
+            for literal in clause:
+                bit = (j >> (abs(literal) - 1)) & 1
+                if (literal > 0) == bool(bit):
+                    satisfied = True
+                    break
+            if not satisfied:
+                return 0
+        return 1
+
+    return evaluate
+
+
+def _reference_sat_state(oracle):
+    amps = np.zeros(2 * oracle.domain_size, dtype=complex)
+    scale = 1.0 / np.sqrt(oracle.domain_size)
+    for j in range(oracle.domain_size):
+        amps[2 * j + oracle.evaluate(j)] = scale
+    return amps
+
+
+def _reference_brute_force(oracle):
+    for j in range(oracle.domain_size):
+        if oracle.evaluate(j) == 1:
+            return SatResult(True, j, 0, j + 1)
+    return SatResult(False, None, 0, oracle.domain_size)
+
+
+def _random_clauses(rng, n, n_clauses, max_width=5):
+    """Clauses of width 1..max_width over variables 1..n; a literal may
+    repeat or meet its complement within a clause."""
+    clauses = []
+    for _ in range(n_clauses):
+        width = int(rng.integers(1, max_width + 1))
+        variables = rng.integers(1, n + 1, size=width)
+        signs = rng.choice([-1, 1], size=width)
+        clauses.append([int(v * s) for v, s in zip(variables, signs)])
+    return clauses
+
+
+def _dimacs(n, clauses):
+    lines = [f"p cnf {n} {len(clauses)}"] + [" ".join(map(str, c)) + " 0" for c in clauses]
+    return "\n".join(lines) + "\n"
+
+
+def _compiled_and_reference(n, clauses):
+    compiled = parse_dimacs(_dimacs(n, clauses))
+    reference = OracleFunction.from_callable(n, _reference_evaluate(clauses))
+    return compiled, reference
+
+
+class TestBitsetCompile:
+    @pytest.mark.parametrize("n", range(1, 13))
+    def test_random_cnfs_match_per_input_evaluation(self, n):
+        rng = np.random.default_rng(700 + n)
+        for n_clauses in (0, 1, 2, 5, int(rng.integers(6, 40))):
+            clauses = _random_clauses(rng, n, n_clauses)
+            compiled, reference = _compiled_and_reference(n, clauses)
+            assert compiled.n == n
+            assert compiled.table == reference.table
+
+    @pytest.mark.parametrize(
+        "n, clauses",
+        [
+            (3, [[1, -1]]),  # x or not x: a tautology clause
+            (3, [[2, 2, 2]]),  # repeated literal
+            (4, [[1, -1, 2], [-3, -3], [3, 4, -4]]),
+            (2, [[1], [-1]]),  # contradiction
+            (5, []),  # no clauses: constant 1
+            (6, [[2], [-5]]),  # variables 1, 3, 4 and 6 unused
+            (12, [[12, -1], [-12, 1], [6]]),
+        ],
+    )
+    def test_edge_cnfs_match_per_input_evaluation(self, n, clauses):
+        compiled, reference = _compiled_and_reference(n, clauses)
+        assert compiled.table == reference.table
+
+    @pytest.mark.parametrize("seed", [1, 2, 3, 4, 5])
+    def test_results_and_states_match_reference(self, seed):
+        rng = np.random.default_rng(710 + seed)
+        kinds = set()
+        for _ in range(12):
+            n = int(rng.integers(1, 11))
+            # about 4.26 clauses per variable sits near the 3-SAT threshold,
+            # so both satisfiable and unsatisfiable formulas turn up
+            clauses = _random_clauses(rng, n, int(rng.integers(0, 5 * n + 1)), max_width=3)
+            compiled, reference = _compiled_and_reference(n, clauses)
+            result = decide_sat(compiled, trial_rng(seed, n))
+            assert result == decide_sat(reference, trial_rng(seed, n))
+            assert classical_brute_force(compiled) == _reference_brute_force(reference)
+            assert classical_brute_force(reference) == _reference_brute_force(reference)
+            assert np.array_equal(
+                build_sat_state(compiled).amplitudes, _reference_sat_state(reference)
+            )
+            kinds.add(result.satisfiable)
+        assert kinds == {True, False}
+
+    def test_truth_table_parse_matches_characters(self):
+        rng = np.random.default_rng(720)
+        for n in range(1, 13):
+            bits = rng.integers(0, 2, size=2**n)
+            text = "".join(map(str, bits))
+            spaced = " \n".join(text[i:i + 7] for i in range(0, len(text), 7))
+            f = parse_truth_table(spaced + "\t\n")
+            assert f.table == tuple(int(b) for b in bits)
+            assert np.array_equal(build_sat_state(f).amplitudes, _reference_sat_state(f))
+            assert classical_brute_force(f) == _reference_brute_force(f)
+
+    def test_table_is_a_tuple_of_ints(self):
+        f = parse_dimacs("p cnf 2 1\n1 2 0\n")
+        assert type(f.table) is tuple and all(type(v) is int for v in f.table)
+        assert f.table == (0, 1, 1, 1)
+
+    @pytest.mark.parametrize("text", ["01x1", "01\u00e91", "0 1 2 1", "01\x001"])
+    def test_truth_table_bad_characters_named(self, text):
+        with pytest.raises(BadParameter, match="only 0, 1 and whitespace"):
+            parse_truth_table(text)
+
+    def test_bits_are_read_only(self):
+        f = parse_truth_table("0110")
+        with pytest.raises(ValueError):
+            f._bits[0] = 1
