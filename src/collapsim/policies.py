@@ -25,7 +25,7 @@ from .quantum import (
     StateVector,
     born_distribution,
 )
-from .rng import cumulative, sample_index, sample_indices
+from .rng import cumulative, sample_index, sample_indices, trial_blocks
 
 
 class CollapsePolicy:
@@ -242,12 +242,14 @@ def sample_counts(
     """Outcome counts of trials 0..trials-1 under `policy`.
 
     Trial t draws the t-th uniform of rng against the policy's distribution
-    at trial t, by the inverse CDF per-trial sampling uses.
+    at trial t, by the inverse CDF per-trial sampling uses, TRIAL_BLOCK at a time.
     """
     born = born_distribution(state, measurement)
     plan = compile_policy(policy, born, trials)
-    outcomes = plan.sample(rng.random(trials), np.arange(trials))
-    return np.bincount(outcomes, minlength=len(born))
+    counts = np.zeros(len(born), dtype=np.intp)
+    for t in trial_blocks(trials):
+        counts += np.bincount(plan.sample(rng.random(t.size), t), minlength=len(born))
+    return counts
 
 
 def deviation_statistic(

@@ -92,21 +92,24 @@ class ProjectiveMeasurement:
             _frozen(np.ascontiguousarray(p, dtype=complex)) for p in self.projectors
         )
         dim = mats[0].shape[0]
-        for p in mats:
-            if p.ndim != 2 or p.shape != (dim, dim):
-                raise ValueError("projectors must be square and equally sized")
-            if not np.allclose(p, p.conj().T, atol=ATOL, rtol=0.0):
-                raise ValueError("projectors must be Hermitian")
-            if not np.allclose(p @ p, p, atol=ATOL, rtol=0.0):
-                raise ValueError("projectors must be idempotent")
-        for i in range(len(mats)):
-            for j in range(i + 1, len(mats)):
-                if not np.allclose(mats[i] @ mats[j], 0.0, atol=ATOL, rtol=0.0):
-                    raise ValueError(f"projectors {i} and {j} are not orthogonal")
-        if not np.allclose(sum(mats), np.eye(dim), atol=ATOL, rtol=0.0):
+        if any(p.ndim != 2 or p.shape != (dim, dim) for p in mats):
+            raise ValueError("projectors must be square and equally sized")
+        stack = np.stack(mats)
+        if not np.allclose(stack, stack.conj().transpose(0, 2, 1), atol=ATOL, rtol=0.0):
+            raise ValueError("projectors must be Hermitian")
+        # P_a P_b - δ_ab P_a; orthogonality follows from the rest, but not within ATOL
+        residual = stack[:, None] @ stack[None, :]
+        residual[np.diag_indices(len(mats))] -= stack
+        fault = ~(np.abs(residual) <= ATOL).all(axis=(2, 3))  # NaN is a fault
+        if fault.diagonal().any():
+            raise ValueError("projectors must be idempotent")
+        pairs = np.argwhere(np.triu(fault, 1))
+        if pairs.size:
+            raise ValueError("projectors {} and {} are not orthogonal".format(*pairs[0]))
+        if not np.allclose(stack.sum(axis=0), np.eye(dim), atol=ATOL, rtol=0.0):
             raise ValueError("projectors must sum to the identity")
         object.__setattr__(self, "projectors", mats)
-        object.__setattr__(self, "_stack", _frozen(np.stack(mats)))
+        object.__setattr__(self, "_stack", _frozen(stack))
 
     @property
     def dim(self) -> int:

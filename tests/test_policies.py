@@ -13,6 +13,7 @@ from collapsim.policies import (
     Forced,
     Scripted,
     admissible_outcomes,
+    compile_policy,
     describe_policy,
     deviation_statistic,
     effective_distribution,
@@ -26,7 +27,7 @@ from collapsim.quantum import (
     born_distribution,
     make_state,
 )
-from collapsim.rng import trial_rng
+from collapsim.rng import TRIAL_BLOCK, trial_rng
 from helpers import random_measurement, random_state
 
 Z2 = ProjectiveMeasurement.computational(2)
@@ -172,6 +173,19 @@ class TestSampleOutcome:
         per_trial = [sample_outcome(policy, s, Z3, rng, trial=t).outcome for t in range(500)]
         np.testing.assert_array_equal(
             sample_counts(policy, s, Z3, 500, trial_rng(4)), np.bincount(per_trial, minlength=3)
+        )
+
+    def test_sample_counts_across_blocks_equals_one_shot_count(self):
+        # oracle: every trial's uniform drawn by one rng.random(trials) call;
+        # the script (whose 2s are inadmissible) ends inside the second block
+        trials = 3 * TRIAL_BLOCK + 17
+        script = tuple(int(j) for j in np.random.default_rng(5).integers(0, 3, TRIAL_BLOCK + 9))
+        policy = Scripted(script, Biased(ProbabilityDistribution(np.array([0.35, 0.65, 0.0]))))
+        s = qutrit(np.pi / 5)
+        plan = compile_policy(policy, born_distribution(s, Z3), trials)
+        one_shot = plan.sample(trial_rng(6).random(trials), np.arange(trials))
+        np.testing.assert_array_equal(
+            sample_counts(policy, s, Z3, trials, trial_rng(6)), np.bincount(one_shot, minlength=3)
         )
 
 

@@ -354,6 +354,30 @@ class TestInvariantValidation:
         with pytest.raises(ValueError):
             ProjectiveMeasurement((np.array([[0.5, 0.5], [0.5, 0.5]]), np.diag([0.0, 1.0])))
 
+    @pytest.mark.parametrize(
+        "projectors, message",
+        [
+            ((), "at least one projector"),
+            ((np.eye(2), np.eye(3)), "square and equally sized"),
+            # idempotent, orthogonal, summing to 1, but not Hermitian
+            ((np.array([[1.0, 1.0], [0.0, 0.0]]), np.array([[0.0, -1.0], [0.0, 1.0]])),
+             "must be Hermitian"),
+            ((np.diag([0.5, 0.0]), np.diag([0.5, 1.0])), "must be idempotent"),
+            # only the pair (1, 2) overlaps
+            ((np.diag([1.0, 0.0, 0.0]), np.diag([0.0, 1.0, 0.0]),
+              np.array([[0.0, 0.0, 0.0], [0.0, 0.5, 0.5], [0.0, 0.5, 0.5]])),
+             "projectors 1 and 2 are not orthogonal"),
+            ((np.diag([1.0, 0.0]),), "must sum to the identity"),
+            ((np.diag([1.0, 0.0]), np.diag([0.0, 1.0 + 1e-9])), "must be idempotent"),
+        ],
+    )
+    def test_measurement_fault_messages(self, projectors, message):
+        with pytest.raises(ValueError, match=message):
+            ProjectiveMeasurement(projectors)
+
+    def test_measurement_within_tolerance_accepted(self):
+        ProjectiveMeasurement((np.diag([1.0, 0.0]), np.diag([0.0, 1.0 + 1e-11])))
+
     def test_probability_distribution_checks(self):
         with pytest.raises(ValueError):
             ProbabilityDistribution(np.array([0.5, 0.4]))

@@ -1,6 +1,9 @@
+import math
+
 import numpy as np
 import pytest
 
+from collapsim.cli import main
 from collapsim.errors import BadParameter
 from collapsim.policies import Biased, Born, Forced, total_variation
 from collapsim.quantum import (
@@ -23,6 +26,50 @@ BELL = make_state([1, 0, 0, 1])
 
 def biased(*weights):
     return Biased(ProbabilityDistribution(np.asarray(weights)))
+
+
+def ternary_capacity(rows):
+    """Reference: max over the input weight a of I(a), concave, by ternary search."""
+    def h(p):
+        return -sum(x * math.log2(x) for x in p if x > 0)
+
+    def info(a):
+        out = [a * x + (1 - a) * y for x, y in zip(*rows)]
+        return h(out) - a * h(rows[0]) - (1 - a) * h(rows[1])
+
+    lo, hi = 0.0, 1.0
+    for _ in range(200):
+        m1, m2 = lo + (hi - lo) / 3, hi - (hi - lo) / 3
+        if info(m1) < info(m2):
+            lo = m1
+        else:
+            hi = m2
+    return max(info((lo + hi) / 2), 0.0)
+
+
+def near_null_channels():
+    """2x2 channels [[p, 1-p], [p+eps, 1-p-eps]] close to and far from the null,
+    and one whose output probability q_p underflows to 0 (half the least subnormal)."""
+    return [
+        [[p, 1 - p], [p + sign * eps, 1 - p - sign * eps]]
+        for p in np.linspace(0.15, 0.85, 8)
+        for eps in (1e-1, 1e-2, 1e-3, 1e-4, 1e-6, 1e-8)
+        for sign in (1, -1)
+    ] + [[[5e-324, 1.0], [0.0, 1.0]]]
+
+
+def ternary_channels():
+    """2x3 channels: random, with a zero entry, and random ones just off the null."""
+    rng = np.random.default_rng(44)
+    rows = []
+    for i in range(40):
+        a = rng.random(3)
+        if i % 4 == 0:
+            a[i % 3] = 0.0
+        a /= a.sum()
+        b = rng.random(3) if i % 2 else np.abs(a + 10.0 ** -(i % 7) * rng.normal(size=3))
+        rows.append([a.tolist(), (b / b.sum()).tolist()])
+    return rows + [[[1.0, 0.0, 0.0], [0.0, 0.5, 0.5]], [[0.2, 0.3, 0.5], [0.2, 0.3, 0.5]]]
 
 
 class TestBobMarginalAnalytic:
@@ -65,6 +112,17 @@ class TestChannelCapacity:
         with pytest.raises(BadParameter):
             channel_capacity(np.array([[0.5, 0.1], [0.5, 0.5]]))
 
+    @pytest.mark.parametrize("rows", [np.eye(3), np.full((1, 2), 0.5), np.eye(2)[None]])
+    def test_rejects_other_than_two_rows(self, rows):
+        with pytest.raises(BadParameter, match="two rows"):
+            channel_capacity(rows)
+
+    @pytest.mark.parametrize("rows", near_null_channels() + ternary_channels())
+    def test_matches_ternary_search_reference(self, rows):
+        assert channel_capacity(np.array(rows)) == pytest.approx(
+            ternary_capacity(rows), abs=1e-12
+        )
+
 
 class TestSignalingExperiment:
     def test_forced_pair_opens_one_bit_channel(self):
@@ -91,6 +149,28 @@ class TestSignalingExperiment:
     def test_single_setting_rejected(self):
         with pytest.raises(BadParameter):
             signaling_experiment(BELL, (2, 2), Z, {"0": (Z, Born())})
+
+    def test_three_settings_rejected(self):
+        settings = {label: (Z, Born()) for label in ("0", "1", "2")}
+        with pytest.raises(BadParameter, match="exactly two"):
+            signaling_experiment(BELL, (2, 2), Z, settings)
+
+
+class TestNearNullChannelsThroughCli:
+    """Channels just off the null, which an iterative capacity solver may not finish."""
+
+    def test_analytic_channel_just_off_the_null(self, capsys):
+        argv = ["signal", "--policy0", "biased:0.3,0.7", "--policy1", "biased:0.3046,0.6954"]
+        assert main(argv) == 0
+        assert '"channel_bits"' in capsys.readouterr().out
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_empirical_null(self, seed, capsys):
+        argv = ["signal", "--mode", "empirical", "--trials", "100000",
+                "--policy0", "biased:0.3,0.7", "--policy1", "biased:0.3,0.7",
+                "--seed", str(seed)]
+        assert main(argv) == 0
+        assert '"channel_bits"' in capsys.readouterr().out
 
 
 def test_born_policy_null_property():
