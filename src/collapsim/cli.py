@@ -31,6 +31,8 @@ BASES = ("z", "x")
 #: multi-gigabyte interval sequence (float64 intervals, 8 bytes each)
 MAX_TRIALS = 10**8
 MAX_LENGTH = 10**7
+#: energy's dense update holds d projectors of d×d: 4 MB at this cap
+MAX_ENERGY_DIM = 64
 
 
 @dataclass(frozen=True)
@@ -252,6 +254,8 @@ def _check_energy(p: dict[str, Any], given: Collection[str]) -> list[str]:
             dim = matrix.shape[0]
         else:
             dim = len(float_list(p["h_diag"]))
+        if dim > MAX_ENERGY_DIM:
+            return [f"h_diag/h_matrix: dimension must be at most {MAX_ENERGY_DIM}"]
         if p["state"] is not None and len(complex_list(p["state"])) != dim:
             violations.append("state: length must match the hamiltonian")
     except ValueError:

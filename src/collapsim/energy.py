@@ -80,9 +80,7 @@ def commutation_check(
         raise LengthMismatch(
             f"{values.size} eigenvalues for {measurement.n_outcomes} projectors"
         )
-    observable = sum(
-        m_j * proj for m_j, proj in zip(values, measurement.projectors)
-    )
+    observable = np.einsum("k,kij->ij", values, measurement.projectors)
     commutator = observable @ hamiltonian.matrix - hamiltonian.matrix @ observable
     return bool(np.max(np.abs(commutator)) < ATOL)
 

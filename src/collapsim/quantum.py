@@ -81,39 +81,43 @@ class DensityOperator:
 
 @dataclass(frozen=True, eq=False)
 class ProjectiveMeasurement:
-    """Ordered complete family of orthogonal projectors."""
+    """Ordered complete family of orthogonal projectors, copied from any
+    sequence of d×d matrices into one checked, read-only (k, d, d) array."""
 
-    projectors: tuple[np.ndarray, ...]
+    projectors: np.ndarray
 
     def __post_init__(self) -> None:
-        if not self.projectors:
+        if not len(self.projectors):
             raise ValueError("a measurement needs at least one projector")
-        mats = tuple(
-            _frozen(np.ascontiguousarray(p, dtype=complex)) for p in self.projectors
-        )
-        dim = mats[0].shape[0]
-        if any(p.ndim != 2 or p.shape != (dim, dim) for p in mats):
+        shape = np.shape(self.projectors[0])
+        if len(shape) != 2 or any(np.shape(p) != (shape[0],) * 2 for p in self.projectors):
             raise ValueError("projectors must be square and equally sized")
-        stack = np.stack(mats)
+        stack = np.array(self.projectors, dtype=complex)
         if not np.allclose(stack, stack.conj().transpose(0, 2, 1), atol=ATOL, rtol=0.0):
             raise ValueError("projectors must be Hermitian")
         # P_a P_b - δ_ab P_a; orthogonality follows from the rest, but not within ATOL
         residual = stack[:, None] @ stack[None, :]
-        residual[np.diag_indices(len(mats))] -= stack
+        residual[np.diag_indices(len(stack))] -= stack
         fault = ~(np.abs(residual) <= ATOL).all(axis=(2, 3))  # NaN is a fault
         if fault.diagonal().any():
             raise ValueError("projectors must be idempotent")
         pairs = np.argwhere(np.triu(fault, 1))
         if pairs.size:
             raise ValueError("projectors {} and {} are not orthogonal".format(*pairs[0]))
-        if not np.allclose(stack.sum(axis=0), np.eye(dim), atol=ATOL, rtol=0.0):
+        if not np.allclose(stack.sum(axis=0), np.eye(shape[0]), atol=ATOL, rtol=0.0):
             raise ValueError("projectors must sum to the identity")
-        object.__setattr__(self, "projectors", mats)
-        object.__setattr__(self, "_stack", _frozen(stack))
+        object.__setattr__(self, "projectors", _frozen(stack))
+
+    @classmethod
+    def _exact(cls, stack: np.ndarray) -> "ProjectiveMeasurement":
+        """A measurement built exactly from checked parts: frozen, not checked again."""
+        measurement = object.__new__(cls)
+        object.__setattr__(measurement, "projectors", _frozen(stack))
+        return measurement
 
     @property
     def dim(self) -> int:
-        return self.projectors[0].shape[0]
+        return self.projectors.shape[1]
 
     @property
     def n_outcomes(self) -> int:
@@ -122,12 +126,17 @@ class ProjectiveMeasurement:
     @classmethod
     def from_basis(cls, vectors: np.ndarray) -> "ProjectiveMeasurement":
         """Rank-1 measurement from the rows of an orthonormal basis."""
-        rows = np.ascontiguousarray(vectors, dtype=complex)
-        return cls(tuple(np.outer(v, v.conj()) for v in rows))
+        rows = np.asarray(vectors, dtype=complex)
+        return cls(rows[..., :, None] * rows.conj()[..., None, :])  # np.outer, row by row
 
     @classmethod
     def computational(cls, dim: int) -> "ProjectiveMeasurement":
-        return cls.from_basis(np.eye(dim))
+        """The standard basis |j><j|, j = 0..dim-1; exact, not checked."""
+        if dim < 1:
+            raise ValueError("a measurement needs at least one projector")
+        stack = np.zeros((dim, dim, dim), dtype=complex)
+        stack[(np.arange(dim),) * 3] = 1.0
+        return cls._exact(stack)
 
     @classmethod
     def detection(cls, ket: np.ndarray) -> "ProjectiveMeasurement":
@@ -137,21 +146,15 @@ class ProjectiveMeasurement:
         return cls((proj, np.eye(v.size) - proj))
 
     def embed(self, dims: tuple[int, int], side: str) -> "ProjectiveMeasurement":
-        """Lift onto one factor of a bipartite space (P ⊗ 1 or 1 ⊗ P)."""
-        d_a, d_b = dims
-        if side == "A":
-            if self.dim != d_a:
-                raise DimensionMismatch("measurement does not act on subsystem A")
-            return ProjectiveMeasurement(
-                tuple(np.kron(p, np.eye(d_b)) for p in self.projectors)
-            )
-        if side == "B":
-            if self.dim != d_b:
-                raise DimensionMismatch("measurement does not act on subsystem B")
-            return ProjectiveMeasurement(
-                tuple(np.kron(np.eye(d_a), p) for p in self.projectors)
-            )
-        raise DimensionMismatch("side must be 'A' or 'B'")
+        """Lift onto one factor of a bipartite space (P ⊗ 1 or 1 ⊗ P); exact, not checked."""
+        if side not in ("A", "B"):
+            raise DimensionMismatch("side must be 'A' or 'B'")
+        own, other = dims if side == "A" else dims[::-1]
+        if self.dim != own:
+            raise DimensionMismatch(f"measurement does not act on subsystem {side}")
+        eye = np.eye(other)[None]
+        pair = (self.projectors, eye) if side == "A" else (eye, self.projectors)
+        return ProjectiveMeasurement._exact(np.kron(*pair))
 
 
 @dataclass(frozen=True, eq=False)
@@ -215,7 +218,7 @@ def born_distribution(
         )
     amps = state.amplitudes
     probs = np.einsum(
-        "i,mij,j->m", amps.conj(), measurement._stack, amps, optimize=False
+        "i,mij,j->m", amps.conj(), measurement.projectors, amps, optimize=False
     ).real
     return ProbabilityDistribution(np.clip(probs, 0.0, 1.0))
 
@@ -226,7 +229,7 @@ def born_distribution_rho(
     """Outcome probabilities Tr(M_j rho) for a mixed state."""
     if rho.dim != measurement.dim:
         raise DimensionMismatch(f"rho dim {rho.dim} != measurement dim {measurement.dim}")
-    probs = np.einsum("mij,ji->m", measurement._stack, rho.matrix).real
+    probs = np.einsum("mij,ji->m", measurement.projectors, rho.matrix).real
     return ProbabilityDistribution(np.clip(probs, 0.0, 1.0))
 
 
@@ -327,17 +330,13 @@ def collapse_register(
     d_a, d_b = dims
     if state.dim != d_a * d_b:
         raise DimensionMismatch(f"state dim {state.dim} != {d_a}*{d_b}")
-    psi = state.amplitudes.reshape(d_a, d_b).copy()
-    if which == "A":
-        mask = np.zeros(d_a, dtype=bool)
-        mask[outcome] = True
-        psi[~mask, :] = 0.0
-    elif which == "B":
-        mask = np.zeros(d_b, dtype=bool)
-        mask[outcome] = True
-        psi[:, ~mask] = 0.0
-    else:
+    if which not in ("A", "B"):
         raise DimensionMismatch("which must be 'A' or 'B'")
+    if not 0 <= outcome < (d_a if which == "A" else d_b):
+        raise ForbiddenOutcome(f"register outcome {outcome} out of range")
+    kept = (outcome, slice(None)) if which == "A" else (slice(None), outcome)
+    psi = np.zeros((d_a, d_b), dtype=complex)
+    psi[kept] = state.amplitudes.reshape(d_a, d_b)[kept]
     flat = psi.reshape(-1)
     weight = np.vdot(flat, flat).real
     if weight <= ZERO_PROB:

@@ -20,6 +20,7 @@ from collapsim.kochen_specker import (
     builtin_ks_table,
     context_coefficient_matrix,
     fwt_trial,
+    fwt_trials,
     twin_state,
     validate_table,
 )
@@ -79,11 +80,22 @@ def test_criterion_02_table_structure():
 
 
 def test_criterion_03_twin_exactness():
-    trials = 100_000
     table = builtin_ks_table()
+    pairs = [(i, ray) for i, context in enumerate(table.contexts, start=1) for ray in context.rays]
+    per_pair = -(-100_000 // len(pairs))  # every (context, in-context ray) pair, 10^5 in all
+    for policy_name, policy in (("born", Born()), ("forced:0", Forced(0))):
+        trials = agreements = 0
+        for context_index, bob_ray in pairs:
+            for block in fwt_trials(context_index, bob_ray, policy, 1000, per_pair):
+                assert block.in_context.all()
+                trials += block.trial.size
+                agreements += int(block.agree.sum())
+        assert trials >= 100_000
+        assert agreements == trials, f"{policy_name}: {agreements}/{trials}"
+    # the scalar fwt_trial over trial_rng(1000, t), at a smaller count
     for policy_name, make_policy in (("born", Born), ("forced:0", lambda: Forced(0))):
         agreements = 0
-        for t in range(trials):
+        for t in range(2_000):
             rng = trial_rng(1000, t)
             context_index = int(rng.integers(9)) + 1
             context = table.contexts[context_index - 1]
@@ -91,8 +103,9 @@ def test_criterion_03_twin_exactness():
             trial = fwt_trial(context_index, bob_ray, make_policy(), rng)
             assert trial.in_context
             agreements += trial.agree is True
-        assert agreements == trials, f"{policy_name}: {agreements}/{trials}"
-    _report(3, f"in-context agreement {trials}/{trials} under born and forced:0")
+        assert agreements == 2_000, f"{policy_name} (scalar): {agreements}/2000"
+    _report(3, f"in-context agreement {trials}/{trials} over {len(pairs)} pairs "
+               "under born and forced:0")
 
 
 def test_criterion_04_basis_invariance():

@@ -89,6 +89,10 @@ class TestValidate:
              "length: expected int, got 2500.0"),
             ({"experiment": "behavior", "mode": "generate", "rate": "nan"},
              "rate: must be positive"),
+            ({"experiment": "energy", "h_diag": ",".join(["1"] * 65)},
+             "h_diag/h_matrix: dimension must be at most 64"),
+            ({"experiment": "energy", "h_matrix": ";".join([",".join(["0"] * 65)] * 65)},
+             "h_diag/h_matrix: dimension must be at most 64"),
         ],
     )
     def test_rejected_before_running_exit_2(self, raw, violation, tmp_path, capsys):
@@ -106,10 +110,17 @@ class TestValidate:
             {"experiment": "fwt", "context": "3"},
             {"experiment": "asc", "mixing": 1},
             {"experiment": "behavior", "mode": "generate", "rate": "2.5"},
+            {"experiment": "energy", "h_diag": ",".join(["1"] * cli.MAX_ENERGY_DIM)},
         ],
     )
     def test_caps_inclusive_and_numeric_text_accepted(self, raw):
         assert validate(raw) == []
+
+    def test_energy_dimension_cap_from_flags_exit_2(self, capsys):
+        assert main(["energy", "--h-diag", ",".join(["1"] * 65)]) == 2
+        assert capsys.readouterr().err == (
+            "config error: h_diag/h_matrix: dimension must be at most 64\n"
+        )
 
     def test_non_integer_cnf_token_exit_2(self, tmp_path, capsys):
         # found by test_fuzzed_config_exits_0_1_or_2: a float in a CNF file

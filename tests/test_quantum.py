@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -282,6 +284,98 @@ class TestRegisterOps:
         s = tensor(make_state([1, 1]), make_state([1, 0]))
         with pytest.raises(ForbiddenOutcome):
             collapse_register(s, (2, 2), "B", 1)
+
+    @pytest.mark.parametrize("which, size", [("A", 2), ("B", 3)])
+    def test_collapse_register_out_of_range(self, which, size):
+        s = tensor(make_state([1, 1]), make_state([1, 1, 1]))
+        for outcome in (-1, size):
+            with pytest.raises(ForbiddenOutcome, match="out of range"):
+                collapse_register(s, (2, 3), which, outcome)
+
+
+def _bits(array):
+    """The float64 parts of a complex array, with their sign bits."""
+    parts = np.ascontiguousarray(array).view(float)
+    return parts, np.signbit(parts)
+
+
+def _same_bits(a, b):
+    return a.shape == b.shape and all(map(np.array_equal, _bits(a), _bits(b)))
+
+
+class TestMeasurementArray:
+    """A measurement is one read-only (k, d, d) array; lifts and the
+    computational basis are exact and skip the checks."""
+
+    @staticmethod
+    def measurements(rng):
+        for dim in (1, 2, 3, 4):
+            yield random_measurement(rng, dim)
+            yield ProjectiveMeasurement.from_basis(np.linalg.qr(rng.normal(size=(dim, dim)))[0])
+            yield ProjectiveMeasurement.detection(random_state(rng, dim).amplitudes)
+        yield TestCoarseMeasurements.BLOCK
+        yield ProjectiveMeasurement.from_basis(np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2))
+
+    def test_embed_is_the_per_projector_kron(self):
+        rng = np.random.default_rng(21)
+        for _ in range(5):
+            for m in self.measurements(rng):
+                other = int(rng.integers(1, 5))
+                for side, dims in (("A", (m.dim, other)), ("B", (other, m.dim))):
+                    lifted = m.embed(dims, side)
+                    expected = np.stack([
+                        np.kron(p, np.eye(other)) if side == "A" else np.kron(np.eye(other), p)
+                        for p in m.projectors
+                    ])
+                    assert _same_bits(lifted.projectors, expected)
+                    rebuilt = ProjectiveMeasurement(lifted.projectors)
+                    assert _same_bits(rebuilt.projectors, lifted.projectors)
+
+    def test_computational_is_the_identity_basis(self):
+        for dim in range(1, 17):
+            basis = np.eye(dim, dtype=complex)
+            expected = np.stack([np.outer(v, v.conj()) for v in basis])
+            built = ProjectiveMeasurement.computational(dim)
+            assert _same_bits(built.projectors, expected)
+            assert _same_bits(ProjectiveMeasurement.from_basis(np.eye(dim)).projectors, expected)
+            assert _same_bits(ProjectiveMeasurement(built.projectors).projectors, expected)
+        with pytest.raises(ValueError, match="at least one projector"):
+            ProjectiveMeasurement.computational(0)
+
+    def test_from_basis_is_the_per_row_outer_product(self):
+        rng = np.random.default_rng(22)
+        for dim in (1, 2, 5):
+            z = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+            rows = np.linalg.qr(z)[0].T
+            expected = np.stack([np.outer(v, v.conj()) for v in rows])
+            assert _same_bits(ProjectiveMeasurement.from_basis(rows).projectors, expected)
+
+    def test_projectors_are_read_only(self):
+        caller = np.stack([np.diag([1.0, 0.0]), np.diag([0.0, 1.0])]).astype(complex)
+        for m in (
+            ProjectiveMeasurement(caller),
+            Z2,
+            Z2.embed((2, 3), "A"),
+            Z3.embed((2, 3), "B"),
+            ProjectiveMeasurement.detection(np.array([0.6, 0.8])),
+        ):
+            assert isinstance(m.projectors, np.ndarray) and m.projectors.ndim == 3
+            assert m.projectors.shape == (m.n_outcomes, m.dim, m.dim)
+            assert all(p.shape == (m.dim, m.dim) for p in m.projectors)
+            with pytest.raises(ValueError, match="read-only"):
+                m.projectors[0, 0, 0] = 2.0
+            with pytest.raises(ValueError, match="read-only"):
+                m.projectors[-1][0, 0] = 2.0
+        assert caller.flags.writeable  # the constructor stores its own copy
+
+    def test_computational_memory_stays_linear_in_the_array(self):
+        tracemalloc.start()
+        try:
+            ProjectiveMeasurement.computational(64)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20, f"computational(64) peaked at {peak / 2**20:.1f} MB"
 
 
 class TestCoarseMeasurements:
