@@ -19,9 +19,8 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Callable, Collection
 
-from . import behavior, harnesses, kochen_specker, policies
+from . import behavior, harnesses
 from .errors import CollapsimError, ConfigError
-from .harnesses import complex_list, fixed_ray, float_list, label_list, parse_matrix
 
 OUTPUT_FORMATS = ("json-lines", "csv")
 GLOBAL_KEYS = ("experiment", "seed", "trials", "output_format", "per_trial")
@@ -31,24 +30,22 @@ BASES = ("z", "x")
 #: multi-gigabyte interval sequence (float64 intervals, 8 bytes each)
 MAX_TRIALS = 10**8
 MAX_LENGTH = 10**7
-#: energy's dense update holds d projectors of d×d: 4 MB at this cap
-MAX_ENERGY_DIM = 64
 
 
 @dataclass(frozen=True)
 class Param:
     """One experiment parameter, stated once: its config key, type, default
-    and single-field check. Its flag is --key with '-' for '_', unless it is
-    positional."""
+    and parser. Its flag is --key with '-' for '_', unless it is positional."""
 
     name: str
     kind: type
     default: Any = None
     choices: tuple[str, ...] = ()
-    #: what is wrong with a typed value, or None
-    check: Callable[[Any], str | None] | None = None
+    #: from the typed value, when not None, to what the runner reads; a
+    #: ValueError or CollapsimError it raises is the parameter's violation
+    parse: Callable[[Any], Any] | None = None
     positional: bool = False
-    #: checked only when the experiment's mode is this (the runner reads it only then)
+    #: parsed only when the experiment's mode is this (the runner reads it only then)
     when_mode: str | None = None
     help: str | None = None
 
@@ -69,9 +66,8 @@ class Param:
 @dataclass(frozen=True)
 class Experiment:
     """An experiment's runner, the check of what spans several of its
-    parameters (called with the defaulted values and the keys the config
-    sets, once every single-field check passed), its default trial count
-    and its parameters."""
+    parameters (called with the parsed values and the keys the config sets,
+    once every parameter parsed), its default trial count and its parameters."""
 
     runner: Callable[[ExperimentConfig], harnesses.RunnerOutput]
     check: Callable[[dict[str, Any], Collection[str]], list[str]] | None
@@ -86,7 +82,10 @@ class ExperimentConfig:
     trials: int | None = None
     output_format: str = "json-lines"
     per_trial: bool = False
-    #: only the parameters the config sets, so defaults are never echoed
+    #: the typed values of only the parameters the config sets, so defaults
+    #: are never echoed
+    echo: dict[str, Any] = field(default_factory=dict)
+    #: every parameter's parsed value, defaults filled in: what the runner reads
     params: dict[str, Any] = field(default_factory=dict)
 
     def flat(self) -> dict[str, Any]:
@@ -98,15 +97,8 @@ class ExperimentConfig:
         }
         if self.trials is not None:
             base["trials"] = self.trials
-        base.update(self.params)
+        base.update(self.echo)
         return base
-
-    def resolved_params(self) -> dict[str, Any]:
-        """Every parameter of the experiment, defaults filled in."""
-        return {
-            p.name: self.params.get(p.name, p.default)
-            for p in SPECS[self.experiment].params
-        }
 
     def resolved_trials(self) -> int:
         if self.trials is not None:
@@ -127,22 +119,60 @@ class ExperimentReport:
 def validate(raw: dict[str, Any]) -> list[str]:
     """All violations of a flat config mapping; empty means runnable. The
     classify input file is read, and reported if unreadable, only by the run."""
-    violations: list[str] = []
+    return _parse(raw)[1]
+
+
+def build_config(raw: dict[str, Any]) -> ExperimentConfig:
+    """Construct a validated config; raises ConfigError listing violations."""
+    config, violations = _parse(raw)
+    if violations:
+        raise ConfigError("; ".join(violations))
+    return config
+
+
+def _parse(raw: dict[str, Any]) -> tuple[ExperimentConfig | None, list[str]]:
+    """The config of a flat mapping, each parameter parsed once, and all the
+    mapping's violations; the config is None when there are any."""
     experiment = raw.get("experiment")
     if experiment not in EXPERIMENTS:
-        violations.append(f"experiment: unknown experiment {experiment!r}")
-        return violations
+        return None, [f"experiment: unknown experiment {experiment!r}"]
     spec = SPECS[experiment]
     names = {p.name for p in spec.params}
-    for key in raw:
-        if key not in GLOBAL_KEYS and key not in names:
-            violations.append(f"{key}: unknown key for experiment {experiment!r}")
+    violations = [
+        f"{key}: unknown key for experiment {experiment!r}"
+        for key in raw
+        if key not in GLOBAL_KEYS and key not in names
+    ]
     violations.extend(_validate_globals(raw))
-    values, param_errors = _coerce_params(spec, raw)
-    violations.extend(param_errors)
+    echo: dict[str, Any] = {}
+    params: dict[str, Any] = {}
+    for param in spec.params:
+        value = raw.get(param.name, param.default)
+        if param.name in raw:
+            try:
+                value = echo[param.name] = param.coerce(value)
+            except (TypeError, ValueError, OverflowError):
+                expected = "a boolean" if param.kind is bool else param.kind.__name__
+                violations.append(f"{param.name}: expected {expected}, got {value!r}")
+                continue
+        params[param.name] = value
+        if param.when_mode not in (None, params.get("mode")):
+            continue
+        if param.choices and value not in param.choices:
+            violations.append(f"{param.name}: must be " + " or ".join(map(repr, param.choices)))
+        elif param.parse and value is not None:
+            try:
+                params[param.name] = param.parse(value)
+            except ConfigError as exc:  # names its key itself
+                violations.append(str(exc))
+            except (ValueError, CollapsimError) as exc:
+                violations.append(f"{param.name}: {exc}")
     if not violations and spec.check:
-        violations.extend(spec.check(values, raw.keys()))
-    return violations
+        violations.extend(spec.check(params, raw.keys()))
+    if violations:
+        return None, violations
+    global_values = {k: raw[k] for k in GLOBAL_KEYS if k in raw}
+    return ExperimentConfig(echo=echo, params=params, **global_values), []
 
 
 def _validate_globals(raw: dict[str, Any]) -> list[str]:
@@ -166,140 +196,56 @@ def _validate_globals(raw: dict[str, Any]) -> list[str]:
     return violations
 
 
-def _coerce_params(
-    spec: Experiment, raw: dict[str, Any]
-) -> tuple[dict[str, Any], list[str]]:
-    """Typed values of every parameter, defaults filled in, and the
-    violations of the single-field checks."""
-    values: dict[str, Any] = {}
-    errors: list[str] = []
-    for param in spec.params:
-        value = raw.get(param.name, param.default)
-        if param.name in raw:
-            try:
-                value = param.coerce(value)
-            except (TypeError, ValueError, OverflowError):
-                expected = "a boolean" if param.kind is bool else param.kind.__name__
-                errors.append(f"{param.name}: expected {expected}, got {value!r}")
-                continue
-        values[param.name] = value
-        if param.when_mode not in (None, values.get("mode")):
-            continue
-        if param.choices and value not in param.choices:
-            errors.append(f"{param.name}: must be " + " or ".join(map(repr, param.choices)))
-        elif param.check and (problem := param.check(value)):
-            errors.append(f"{param.name}: {problem}")
-    return values, errors
+# --- parsers and checks -----------------------------------------------------
 
 
-def build_config(raw: dict[str, Any]) -> ExperimentConfig:
-    """Construct a validated config; raises ConfigError listing violations."""
-    violations = validate(raw)
-    if violations:
-        raise ConfigError("; ".join(violations))
-    params = {
-        p.name: p.coerce(raw[p.name]) for p in SPECS[raw["experiment"]].params if p.name in raw
-    }
-    return ExperimentConfig(params=params, **{k: raw[k] for k in GLOBAL_KEYS if k in raw})
+def _within(low: float, high: float, message: str) -> Callable[[Any], Any]:
+    def parse(value: Any) -> Any:
+        if not low <= value <= high:
+            raise ValueError(message)
+        return value
+
+    return parse
 
 
-# --- checks ----------------------------------------------------------------
-
-
-def _within(low: float, high: float, message: str) -> Callable[[Any], str | None]:
-    return lambda value: None if low <= value <= high else message
-
-
-def _positive(value: float) -> str | None:
+def _positive(value: float) -> float:
     if not value > 0:  # NaN is not positive
-        return "must be positive"
-    return None if math.isfinite(value) else "must be finite"
+        raise ValueError("must be positive")
+    if not math.isfinite(value):
+        raise ValueError("must be finite")
+    return value
 
 
-def _length_problem(length: int) -> str | None:
+def _length(length: int) -> int:
     if length < 100:
-        return "must be at least 100"
+        raise ValueError("must be at least 100")
     if length > MAX_LENGTH:
-        return f"must be at most {MAX_LENGTH}"
-    return None
-
-
-def _policy_problem(text: str) -> str | None:
-    try:
-        policies.parse_policy(text)
-    except CollapsimError as exc:
-        return str(exc)
-    return None
-
-
-def _check_fwt(p: dict[str, Any], given: Collection[str]) -> list[str]:
-    try:
-        ray = fixed_ray(p["bob_ray"])
-    except (ValueError, CollapsimError):
-        return [f"bob_ray: not a ray: {p['bob_ray']!r}"]
-    if ray is not None and ray not in kochen_specker.builtin_ks_table().ray_index:
-        return [f"bob_ray: {ray} is not one of the table's 18 directions"]
-    return []
+        raise ValueError(f"must be at most {MAX_LENGTH}")
+    return length
 
 
 def _check_energy(p: dict[str, Any], given: Collection[str]) -> list[str]:
     if "h_diag" in given and "h_matrix" in given:
         return ["h_matrix: provide h_diag or h_matrix, not both"]
-    violations = []
-    try:
-        if p["h_matrix"] is not None:
-            matrix = parse_matrix(p["h_matrix"])
-            if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
-                return ["h_matrix: must be square (rows split by ';')"]
-            dim = matrix.shape[0]
-        else:
-            dim = len(float_list(p["h_diag"]))
-        if dim > MAX_ENERGY_DIM:
-            return [f"h_diag/h_matrix: dimension must be at most {MAX_ENERGY_DIM}"]
-        if p["state"] is not None and len(complex_list(p["state"])) != dim:
-            violations.append("state: length must match the hamiltonian")
-    except ValueError:
-        return ["h_diag/h_matrix/state: must be comma-separated finite numbers"]
+    dim = (p["h_matrix"] or p["h_diag"]).dim
+    violations = [
+        f"{key}: length must match the hamiltonian"
+        for key in ("state", "weights", "eigenvalues")
+        if p[key] is not None and len(p[key]) != dim
+    ]
     if p["basis"] == "x" and dim != 2:
         violations.append("basis: 'x' requires dimension 2")
-    if p["weights"] != "born":
-        try:
-            w = float_list(p["weights"])
-            if len(w) != dim:
-                violations.append("weights: length must match the hamiltonian")
-            elif abs(sum(w) - 1.0) > 1e-9 or any(x < 0 for x in w):
-                violations.append("weights: must be a probability vector")
-        except ValueError:
-            violations.append("weights: must be 'born' or comma-separated finite numbers")
-    if p["eigenvalues"] is not None:
-        try:
-            if len(float_list(p["eigenvalues"])) != dim:
-                violations.append("eigenvalues: length must match the hamiltonian")
-        except ValueError:
-            violations.append("eigenvalues: must be comma-separated finite numbers")
     return violations
 
 
 def _check_sat(p: dict[str, Any], given: Collection[str]) -> list[str]:
-    sources = [key for key in ("cnf", "truth_table") if p[key] is not None]
-    if len(sources) != 1:
+    if (p["cnf"] is None) == (p["truth_table"] is None):
         return ["sat: provide exactly one of cnf or truth_table"]
-    try:
-        harnesses.load_oracle(p)
-    except ConfigError as exc:  # the file cannot be read
-        return [str(exc)]
-    except CollapsimError as exc:
-        return [f"{sources[0]}: {exc}"]
     return []
 
 
 def _check_asc(p: dict[str, Any], given: Collection[str]) -> list[str]:
-    labels = label_list(p["labels"])
-    try:
-        priorities = float_list(p["priorities"])
-        norm_values = float_list(p["norm"])
-    except ValueError:
-        return ["priorities/norm: must be comma-separated finite numbers"]
+    labels, priorities = p["labels"], p["priorities"]
     violations = []
     if len(set(labels)) != len(labels):
         violations.append("labels: must be distinct")
@@ -307,7 +253,7 @@ def _check_asc(p: dict[str, Any], given: Collection[str]) -> list[str]:
         violations.append("priorities: length must match labels")
     elif any(x < 0 for x in priorities) or not any(x > 0 for x in priorities):
         violations.append("priorities: need non-negative values, at least one positive")
-    if len(norm_values) != len(labels):
+    if len(p["norm"]) != len(labels):
         violations.append("norm: length must match labels")
     return violations
 
@@ -330,46 +276,47 @@ SPECS: dict[str, Experiment] = {
     "ks": Experiment(harnesses.run_ks, None, 1, (
         Param("dump_table", bool, False, help="print the built-in ray table and exit"),
     )),
-    "fwt": Experiment(harnesses.run_fwt, _check_fwt, 1000, (
-        Param("context", int, 1, check=_within(1, 9, "must lie in 1..9")),
-        Param("bob_ray", str, "random"),
-        Param("policy", str, "born", check=_policy_problem),
+    "fwt": Experiment(harnesses.run_fwt, None, 1000, (
+        Param("context", int, 1, parse=_within(1, 9, "must lie in 1..9")),
+        Param("bob_ray", str, "random", parse=harnesses.table_ray),
+        Param("policy", str, "born", parse=harnesses.collapse_policy),
     )),
     "signal": Experiment(harnesses.run_signal, None, 10_000, (
-        Param("policy0", str, "born", check=_policy_problem),
-        Param("policy1", str, "born", check=_policy_problem),
+        Param("policy0", str, "born", parse=harnesses.collapse_policy),
+        Param("policy1", str, "born", parse=harnesses.collapse_policy),
         Param("alice_basis0", str, "z", choices=BASES),
         Param("alice_basis1", str, "z", choices=BASES),
         Param("bob_basis", str, "z", choices=BASES),
         Param("mode", str, "analytic", choices=("analytic", "empirical")),
     )),
     "energy": Experiment(harnesses.run_energy, _check_energy, 1, (
-        Param("h_diag", str, "1,-1"),
-        Param("h_matrix", str, help="dense matrix; rows split by ';', entries by ','"),
-        Param("state", str),
+        Param("h_diag", str, "1,-1", parse=harnesses.diagonal_hamiltonian),
+        Param("h_matrix", str, parse=harnesses.dense_hamiltonian,
+              help="dense matrix; rows split by ';', entries by ','"),
+        Param("state", str, parse=harnesses.complex_list),
         Param("basis", str, "z", choices=BASES),
-        Param("weights", str, "born"),
-        Param("eigenvalues", str),
+        Param("weights", str, "born", parse=harnesses.energy_weights),
+        Param("eigenvalues", str, parse=harnesses.float_list),
     )),
     "sat": Experiment(harnesses.run_sat, _check_sat, 1, (
-        Param("cnf", str),
-        Param("truth_table", str),
+        Param("cnf", str, parse=harnesses.cnf_oracle),
+        Param("truth_table", str, parse=harnesses.truth_table_oracle),
     )),
     "asc": Experiment(harnesses.run_asc, _check_asc, 1000, (
-        Param("labels", str, "0,1"),
-        Param("priorities", str, "1,1"),
-        Param("norm", str, "0,1"),
-        Param("mixing", float, 1.0, check=_within(0.0, 1.0, "must lie in [0, 1]")),
+        Param("labels", str, "0,1", parse=harnesses.label_list),
+        Param("priorities", str, "1,1", parse=harnesses.float_list),
+        Param("norm", str, "0,1", parse=harnesses.float_list),
+        Param("mixing", float, 1.0, parse=_within(0.0, 1.0, "must lie in [0, 1]")),
         Param("agent", str, "collapse", choices=("collapse", "compute")),
     )),
     "behavior": Experiment(harnesses.run_behavior, _check_behavior, 1, (
         Param("mode", str, choices=("generate", "classify"), positional=True),
         Param("kind", str, "exponential", choices=("exponential", "pareto"),
               when_mode="generate"),
-        Param("rate", float, 1.0, check=_positive, when_mode="generate"),
-        Param("alpha", float, 1.5, check=_positive, when_mode="generate"),
-        Param("xmin", float, 1.0, check=_positive, when_mode="generate"),
-        Param("length", int, 10_000, check=_length_problem, when_mode="generate"),
+        Param("rate", float, 1.0, parse=_positive, when_mode="generate"),
+        Param("alpha", float, 1.5, parse=_positive, when_mode="generate"),
+        Param("xmin", float, 1.0, parse=_positive, when_mode="generate"),
+        Param("length", int, 10_000, parse=_length, when_mode="generate"),
         Param("input", str),
         Param("levy_threshold", float, behavior.LEVY_THRESHOLD),
         Param("noise_threshold", float, behavior.NOISE_THRESHOLD),

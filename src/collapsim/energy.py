@@ -24,7 +24,8 @@ from .quantum import (
 
 @dataclass(frozen=True, eq=False)
 class Hamiltonian:
-    """Hermitian energy observable (units arbitrary but fixed per experiment)."""
+    """Hermitian energy observable (units arbitrary but fixed per experiment);
+    a matrix Hermitian only within ATOL is stored as its Hermitian part."""
 
     matrix: np.ndarray
 
@@ -34,6 +35,9 @@ class Hamiltonian:
             raise ValueError("hamiltonian must be a square matrix")
         if not np.allclose(mat, mat.conj().T, atol=ATOL, rtol=0.0):
             raise ValueError("hamiltonian must be Hermitian")
+        if not np.array_equal(mat, mat.conj().T):
+            # halves first: a sum could overflow, and exact input is kept bit for bit
+            mat = mat / 2 + mat.conj().T / 2
         mat.setflags(write=False)
         object.__setattr__(self, "matrix", mat)
 
@@ -56,11 +60,13 @@ class EnergyAudit:
 
 
 def energy_expectation(rho: DensityOperator, hamiltonian: Hamiltonian) -> float:
-    """Tr(H rho), checked to be real."""
+    """Tr(H rho), checked to be real: its imaginary part may only be the
+    rounding of the terms H_ik rho_ki the trace sums."""
     if rho.dim != hamiltonian.dim:
         raise DimensionMismatch(f"rho dim {rho.dim} != H dim {hamiltonian.dim}")
     value = np.trace(hamiltonian.matrix @ rho.matrix)
-    if abs(value.imag) > 1e-12:
+    magnitude = np.sum(np.abs(hamiltonian.matrix) * np.abs(rho.matrix.T))
+    if abs(value.imag) > 1e-12 * max(1.0, magnitude):
         raise ValueError(f"energy expectation has imaginary part {value.imag!r}")
     return float(value.real)
 

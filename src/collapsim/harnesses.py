@@ -1,9 +1,10 @@
 """The seven experiment harnesses behind the command line.
 
-Each runner takes a validated config, reads its defaulted parameters, and
-returns the per-trial records, the aggregate record and, for plain-file
-outputs, the text to write instead of a report. Config validation reads
-parameter text with the same parsers.
+Each runner takes a validated config, whose parameters validation already
+parsed with the parsers below, and returns the per-trial records, the
+aggregate record and, for plain-file outputs, the text to write instead of a
+report. No runner parses parameter text; only the classify input file is
+read by its run.
 """
 
 from __future__ import annotations
@@ -11,14 +12,14 @@ from __future__ import annotations
 import cmath
 from dataclasses import asdict
 from pathlib import Path
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Any, Callable
 
 import numpy as np
 from scipy import stats as scipy_stats
 
 from . import agent, behavior, kochen_specker, policies, sat, signaling
 from .energy import Hamiltonian, audit_measurement
-from .errors import ConfigError
+from .errors import CollapsimError, ConfigError
 from .quantum import (
     DensityOperator,
     ProbabilityDistribution,
@@ -34,42 +35,103 @@ RunnerOutput = tuple[list[dict], dict, str | None]
 
 
 # --- parameter text ----------------------------------------------------------
+# Validation parses each parameter once, with these parsers, into the object
+# its runner reads. What a parser raises, a ValueError or a CollapsimError, is
+# that parameter's violation; a ConfigError names its key itself. Library
+# parsers are called through their modules (sat.parse_dimacs), so a rebound
+# module attribute is the one that runs.
+
+#: energy's dense update holds d projectors of d×d: 4 MB at this cap
+MAX_ENERGY_DIM = 64
 
 
-def _finite(values: list) -> list:
-    """The values, or ValueError if one is nan or infinite."""
-    if not all(map(cmath.isfinite, values)):
-        raise ValueError("numbers must be finite")
-    return values
+def _numbers(convert: Callable[[str], Any], tokens: list[str]) -> list:
+    """The finite numbers the tokens spell; ValueError otherwise."""
+    try:
+        values = [convert(tok) for tok in tokens]
+        if all(map(cmath.isfinite, values)):
+            return values
+    except ValueError:
+        pass
+    raise ValueError("must be comma-separated finite numbers")
 
 
 def float_list(text: str) -> list[float]:
-    return _finite([float(tok) for tok in str(text).split(",") if tok.strip()])
+    return _numbers(float, [tok for tok in text.split(",") if tok.strip()])
 
 
 def complex_list(text: str) -> list[complex]:
-    return _finite([complex(tok.strip()) for tok in text.split(",")])
+    return _numbers(complex, [tok.strip() for tok in text.split(",")])
 
 
 def label_list(text: str) -> tuple[str, ...]:
     return tuple(tok for tok in text.split(",") if tok)
 
 
-def fixed_ray(text: str) -> kochen_specker.Ray | None:
-    """The ray a bob_ray value names; None for 'random'."""
+def collapse_policy(text: str) -> policies.CollapsePolicy:
+    return policies.parse_policy(text)
+
+
+def table_ray(text: str) -> kochen_specker.Ray | None:
+    """The built-in table's ray a bob_ray value names; None for 'random'."""
     if text == "random":
         return None
-    return kochen_specker.Ray(tuple(int(c) for c in text.split(",")))
+    try:
+        ray = kochen_specker.Ray(tuple(int(c) for c in text.split(",")))
+    except (ValueError, CollapsimError):
+        raise ValueError(f"not a ray: {text!r}") from None
+    if ray not in kochen_specker.builtin_ks_table().ray_index:
+        raise ValueError(f"{ray} is not one of the table's 18 directions")
+    return ray
 
 
-def parse_matrix(text: str) -> np.ndarray:
+def _energy_levels(dim: int) -> None:
+    if dim < 1:
+        raise ValueError("must not be empty")
+    if dim > MAX_ENERGY_DIM:
+        raise ConfigError(f"h_diag/h_matrix: dimension must be at most {MAX_ENERGY_DIM}")
+
+
+def diagonal_hamiltonian(text: str) -> Hamiltonian:
+    energies = float_list(text)
+    _energy_levels(len(energies))
+    return Hamiltonian.diagonal(energies)
+
+
+def dense_hamiltonian(text: str) -> Hamiltonian:
     """Dense matrix literal: rows separated by ';', entries by ','."""
     rows = [
-        _finite([complex(tok.strip()) for tok in row.split(",") if tok.strip()])
+        _numbers(complex, [tok.strip() for tok in row.split(",") if tok.strip()])
         for row in text.split(";")
         if row.strip()
     ]
-    return np.asarray(rows, dtype=complex)
+    if any(len(row) != len(rows) for row in rows):
+        raise ValueError("must be square (rows split by ';')")
+    _energy_levels(len(rows))
+    return Hamiltonian(np.array(rows, dtype=complex))
+
+
+def energy_weights(text: str) -> ProbabilityDistribution | None:
+    """The update's outcome weights; None for 'born'."""
+    if text == "born":
+        return None
+    try:
+        weights = np.asarray(float_list(text))
+    except ValueError:
+        raise ValueError("must be 'born' or comma-separated finite numbers") from None
+    try:
+        with np.errstate(over="ignore"):  # an overflowing sum is refused
+            return ProbabilityDistribution(weights)
+    except ValueError:
+        raise ValueError("must be a probability vector") from None
+
+
+def cnf_oracle(path: str) -> sat.OracleFunction:
+    return sat.parse_dimacs(read_text("cnf", path))
+
+
+def truth_table_oracle(path: str) -> sat.OracleFunction:
+    return sat.parse_truth_table(read_text("truth_table", path))
 
 
 def read_text(key: str, path: str) -> str:
@@ -98,7 +160,7 @@ def _basis_measurement(name: str, dim: int) -> ProjectiveMeasurement:
 
 def run_ks(config: ExperimentConfig) -> RunnerOutput:
     table = kochen_specker.builtin_ks_table()
-    if config.resolved_params()["dump_table"]:
+    if config.params["dump_table"]:
         # ray-table text format for external checkers
         return [], {}, kochen_specker.format_table(table) + "\n"
     aggregate = {
@@ -112,15 +174,14 @@ def run_ks(config: ExperimentConfig) -> RunnerOutput:
 
 
 def run_fwt(config: ExperimentConfig) -> RunnerOutput:
-    p = config.resolved_params()
-    policy = policies.parse_policy(p["policy"])
+    p = config.params
     trials = config.resolved_trials()
     ray_names = [str(ray) for ray in kochen_specker.builtin_ks_table().distinct_rays]
 
     records = []
     in_context = agreements = detections = 0
     blocks = kochen_specker.fwt_trials(
-        p["context"], fixed_ray(p["bob_ray"]), policy, config.seed, trials
+        p["context"], p["bob_ray"], p["policy"], config.seed, trials
     )
     for block in blocks:
         detections += int(block.bob_value.sum())
@@ -131,7 +192,7 @@ def run_fwt(config: ExperimentConfig) -> RunnerOutput:
     aggregate = {
         "trials": trials,
         "context": p["context"],
-        "policy": policies.describe_policy(policy),
+        "policy": policies.describe_policy(p["policy"]),
         "in_context_trials": in_context,
         "agreements": agreements,
         "agreement_exact": agreements == in_context,
@@ -161,12 +222,9 @@ def _fwt_records(block: kochen_specker.FwtBlock, ray_names: list[str]) -> list[d
 def run_signal(config: ExperimentConfig) -> RunnerOutput:
     shared = make_state([1, 0, 0, 1])  # (|00> + |11>)/sqrt(2)
     dims = (2, 2)
-    p = config.resolved_params()
+    p = config.params
     settings = {
-        label: (
-            _basis_measurement(p[f"alice_basis{label}"], 2),
-            policies.parse_policy(p[f"policy{label}"]),
-        )
+        label: (_basis_measurement(p[f"alice_basis{label}"], 2), p[f"policy{label}"])
         for label in ("0", "1")
     }
     bob_measurement = _basis_measurement(p["bob_basis"], 2)
@@ -181,40 +239,19 @@ def run_signal(config: ExperimentConfig) -> RunnerOutput:
 
 
 def run_energy(config: ExperimentConfig) -> RunnerOutput:
-    p = config.resolved_params()
-    if p["h_matrix"] is not None:
-        hamiltonian = Hamiltonian(parse_matrix(p["h_matrix"]))
-    else:
-        hamiltonian = Hamiltonian.diagonal(float_list(p["h_diag"]))
+    p = config.params
+    # validation left at most one of them set, and no list empty
+    hamiltonian = p["h_matrix"] or p["h_diag"]
     # the state defaults to the uniform superposition
-    amplitudes = (
-        complex_list(p["state"]) if p["state"] is not None else [1] * hamiltonian.dim
-    )
-    rho = DensityOperator.from_state(make_state(amplitudes))
+    rho = DensityOperator.from_state(make_state(p["state"] or [1] * hamiltonian.dim))
     measurement = _basis_measurement(p["basis"], hamiltonian.dim)
-    eigenvalues = (
-        float_list(p["eigenvalues"])
-        if p["eigenvalues"] is not None
-        else list(range(measurement.n_outcomes))
-    )
-    weights = (
-        None
-        if p["weights"] == "born"
-        else ProbabilityDistribution(np.asarray(float_list(p["weights"])))
-    )
-    audit = audit_measurement(rho, measurement, eigenvalues, hamiltonian, weights)
+    eigenvalues = p["eigenvalues"] or list(range(measurement.n_outcomes))
+    audit = audit_measurement(rho, measurement, eigenvalues, hamiltonian, p["weights"])
     return [], asdict(audit), None
 
 
-def load_oracle(p: dict) -> sat.OracleFunction:
-    """The oracle of a sat config's one source file."""
-    if p["cnf"] is not None:
-        return sat.parse_dimacs(read_text("cnf", p["cnf"]))
-    return sat.parse_truth_table(read_text("truth_table", p["truth_table"]))
-
-
 def run_sat(config: ExperimentConfig) -> RunnerOutput:
-    oracle = load_oracle(config.resolved_params())
+    oracle = config.params["cnf"] or config.params["truth_table"]
     result = sat.decide_sat(oracle, trial_rng(config.seed))
     brute = sat.classical_brute_force(oracle)
     aggregate = {
@@ -227,10 +264,10 @@ def run_sat(config: ExperimentConfig) -> RunnerOutput:
 
 
 def run_asc(config: ExperimentConfig) -> RunnerOutput:
-    p = config.resolved_params()
-    labels = label_list(p["labels"])
-    alternatives = agent.AlternativeSet(labels, tuple(float_list(p["priorities"])))
-    norm = agent.NormFunction(dict(zip(labels, float_list(p["norm"]))))
+    p = config.params
+    labels = p["labels"]
+    alternatives = agent.AlternativeSet(labels, tuple(p["priorities"]))
+    norm = agent.NormFunction(dict(zip(labels, p["norm"])))
     trials = config.resolved_trials()
 
     records = []
@@ -277,7 +314,7 @@ def run_asc(config: ExperimentConfig) -> RunnerOutput:
 
 
 def run_behavior(config: ExperimentConfig) -> RunnerOutput:
-    p = config.resolved_params()
+    p = config.params
     if p["mode"] == "generate":
         sequence = behavior.generate_sequence(
             p["kind"],

@@ -126,7 +126,10 @@ class ProjectiveMeasurement:
     @classmethod
     def from_basis(cls, vectors: np.ndarray) -> "ProjectiveMeasurement":
         """Rank-1 measurement from the rows of an orthonormal basis."""
-        rows = np.asarray(vectors, dtype=complex)
+        try:
+            rows = np.asarray(vectors, dtype=complex)
+        except (TypeError, ValueError):
+            raise ValueError("basis rows must be equally long vectors of numbers") from None
         return cls(rows[..., :, None] * rows.conj()[..., None, :])  # np.outer, row by row
 
     @classmethod

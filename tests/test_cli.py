@@ -7,7 +7,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from collapsim import cli
+from collapsim import cli, harnesses
 from collapsim.cli import build_config, main, render_report, run, validate
 from collapsim.errors import ConfigError
 
@@ -93,6 +93,13 @@ class TestValidate:
              "h_diag/h_matrix: dimension must be at most 64"),
             ({"experiment": "energy", "h_matrix": ";".join([",".join(["0"] * 65)] * 65)},
              "h_diag/h_matrix: dimension must be at most 64"),
+            # each once ended in a traceback or an exit-1 ZeroVector
+            ({"experiment": "energy", "h_matrix": "1,2;3,4"},
+             "h_matrix: hamiltonian must be Hermitian"),
+            ({"experiment": "energy", "weights": "0.5,0.5000000005"},
+             "weights: must be a probability vector"),
+            ({"experiment": "energy", "h_diag": ","}, "h_diag: must not be empty"),
+            ({"experiment": "energy", "h_matrix": ";"}, "h_matrix: must not be empty"),
         ],
     )
     def test_rejected_before_running_exit_2(self, raw, violation, tmp_path, capsys):
@@ -110,7 +117,7 @@ class TestValidate:
             {"experiment": "fwt", "context": "3"},
             {"experiment": "asc", "mixing": 1},
             {"experiment": "behavior", "mode": "generate", "rate": "2.5"},
-            {"experiment": "energy", "h_diag": ",".join(["1"] * cli.MAX_ENERGY_DIM)},
+            {"experiment": "energy", "h_diag": ",".join(["1"] * harnesses.MAX_ENERGY_DIM)},
         ],
     )
     def test_caps_inclusive_and_numeric_text_accepted(self, raw):
@@ -432,16 +439,31 @@ class TestMainEntry:
         err = capsys.readouterr().err
         assert err == "config error: trials: must be a positive integer\n"
 
-    def test_cnf_parsed_once_to_validate_and_once_to_run(self, tmp_path, monkeypatch):
-        from collapsim import sat
+    def test_files_and_policies_parsed_once_per_job(self, tmp_path, monkeypatch):
+        # validation parses each parameter into what the runner reads, so a
+        # file is read and compiled, and a policy text parsed, once per job
+        from collapsim import policies, sat
 
-        cnf = tmp_path / "f.cnf"
-        cnf.write_text("p cnf 2 2\n1 0\n2 0\n")
+        (tmp_path / "f.cnf").write_text("p cnf 2 2\n1 0\n2 0\n")
+        (tmp_path / "f.tt").write_text("0110")
         calls = []
-        parse = sat.parse_dimacs
-        monkeypatch.setattr(sat, "parse_dimacs", lambda text: calls.append(1) or parse(text))
-        assert main(["sat", "--cnf", str(cnf), "--out", str(tmp_path / "r.jsonl")]) == 0
-        assert len(calls) == 2
+        for module, name in ((sat, "parse_dimacs"), (sat, "parse_truth_table"),
+                             (policies, "parse_policy")):
+            parse = getattr(module, name)
+            monkeypatch.setattr(module, name, lambda text, parse=parse, name=name:
+                                calls.append(name) or parse(text))
+        cases = [
+            (["sat", "--cnf", "f.cnf"], ["parse_dimacs"]),
+            (["sat", "--truth-table", "f.tt"], ["parse_truth_table"]),
+            (["fwt", "--trials", "5", "--policy", "forced:0"], ["parse_policy"]),
+            (["signal", "--policy0", "forced:0", "--policy1", "biased:0.5,0.5"],
+             ["parse_policy", "parse_policy"]),
+        ]
+        monkeypatch.chdir(tmp_path)
+        for argv, parsed in cases:
+            calls.clear()
+            assert main(argv + ["--out", "r.jsonl"]) == 0
+            assert calls == parsed, argv
 
     @pytest.mark.parametrize(
         "text",
@@ -493,17 +515,17 @@ class TestMainEntry:
             (["energy", "--weights", "nan,1"],
              "config error: weights: must be 'born' or comma-separated finite numbers"),
             (["energy", "--state", "nan,1"],
-             "config error: h_diag/h_matrix/state: must be comma-separated finite numbers"),
+             "config error: state: must be comma-separated finite numbers"),
             (["energy", "--h-matrix", "nan,0;0,1"],
-             "config error: h_diag/h_matrix/state: must be comma-separated finite numbers"),
+             "config error: h_matrix: must be comma-separated finite numbers"),
             (["energy", "--h-diag", "inf,1"],
-             "config error: h_diag/h_matrix/state: must be comma-separated finite numbers"),
+             "config error: h_diag: must be comma-separated finite numbers"),
             (["energy", "--eigenvalues", "0,-inf"],
              "config error: eigenvalues: must be comma-separated finite numbers"),
             (["asc", "--norm", "nan,1", "--trials", "5"],
-             "config error: priorities/norm: must be comma-separated finite numbers"),
+             "config error: norm: must be comma-separated finite numbers"),
             (["asc", "--priorities", "1,inf", "--trials", "5"],
-             "config error: priorities/norm: must be comma-separated finite numbers"),
+             "config error: priorities: must be comma-separated finite numbers"),
             (["behavior", "generate", "--rate", "inf", "--length", "100"],
              "config error: rate: must be finite"),
             (["behavior", "generate", "--kind", "pareto", "--xmin", "inf", "--length", "100"],
@@ -549,6 +571,13 @@ class TestMainEntry:
         assert main(argv + ["--out", str(out)]) == 0
         assert capsys.readouterr().err == ""
         assert aggregate_of(out.read_text().splitlines())[key] == pytest.approx(expected)
+
+    def test_near_hermitian_matrix_runs(self, tmp_path, capsys):
+        # Hermitian within tolerance: it once failed the energy's reality check
+        out = tmp_path / "out.txt"
+        assert main(["energy", "--h-matrix", "1,5e-11j;0,1", "--out", str(out)]) == 0
+        assert capsys.readouterr().err == ""
+        assert aggregate_of(out.read_text().splitlines())["e_before"] == pytest.approx(1.0)
 
     def test_parser_built_once_per_process(self, tmp_path, monkeypatch):
         out = str(tmp_path / "r.jsonl")
@@ -694,11 +723,13 @@ _TEXT = {
                "scripted:1;fallback=scripted:0", "biased:1,1", "biased:nan,1,1,1",
                "biased:1e308,1e308,0,0", "scripted:1;fallback=biased:inf,0,0,0"],
     "bob_ray": ["random", "0,0,0,1", "1,1,1,1", "1,-1,1,-1", "2,0,0,0", "0,1"],
-    "h_diag": ["1,-1", "0,1,2", "x", "nan,1", "inf,1", "1e308,-1e308", "1e-300,1"],
-    "h_matrix": ["1,0;0,-1", "0,1;1,0", "1,2;3", "1,2,3", "nan,0;0,1", "1e308,0;0,-inf"],
+    "h_diag": ["1,-1", "0,1,2", "x", "nan,1", "inf,1", "1e308,-1e308", "1e-300,1", ","],
+    "h_matrix": ["1,0;0,-1", "0,1;1,0", "1,2;3", "1,2,3", "nan,0;0,1", "1e308,0;0,-inf",
+                 "1,2;3,4", "1,5e-11j;0,1", ","],
     "state": ["1,1", "1,0,0", "1j,1", "0,0", "nan,1", "1e308,1e308", "1e-300,1e-300",
               "-inf,1"],
-    "weights": ["born", "0.5,0.5", "1,0", "1,0,0", "-1,2", "nan,1", "inf,-inf"],
+    "weights": ["born", "0.5,0.5", "1,0", "1,0,0", "-1,2", "nan,1", "inf,-inf",
+                "0.5,0.5000000005"],
     "eigenvalues": ["0,1", "1", "0,1,2", "0,inf", "1e308,1e-300", "nan,nan"],
     "labels": ["0,1", "a,b,c", "a,a", ""],
     "priorities": ["1,1", "0,1,2", "0,0", "1,-1", "1e308,1e308", "1e-300,1", "nan,1",

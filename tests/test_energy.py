@@ -43,6 +43,27 @@ class TestEnergyExpectation:
         with pytest.raises(DimensionMismatch):
             energy_expectation(rho, H_PM)
 
+    def test_every_accepted_hamiltonian_is_real(self):
+        # Hermitian within ATOL only, or exactly Hermitian with large entries:
+        # both are accepted, and both once failed the reality check
+        rng = np.random.default_rng(54)
+        near = Hamiltonian(np.array([[1, 5e-11j], [0, 1]]))
+        assert np.array_equal(near.matrix, near.matrix.conj().T)
+        rho = DensityOperator.from_state(make_state([1, 1]))
+        assert energy_expectation(rho, near) == pytest.approx(1.0, abs=1e-12)
+        for dim in (3, 6, 12):
+            for _ in range(20):
+                hamiltonian = Hamiltonian(_random_hamiltonian(rng, dim).matrix * 1e6)
+                rho = random_density(rng, dim)
+                audit_measurement(rho, ProjectiveMeasurement.computational(dim),
+                                  list(range(dim)), hamiltonian)
+
+    def test_exactly_hermitian_matrix_kept_bit_for_bit(self):
+        for entries in ([[1e308, 1e308j], [-1e308j, -1e308]],
+                        [[5e-324, 1e-320 - 5e-324j], [1e-320 + 5e-324j, 0]]):
+            matrix = np.array(entries, dtype=complex)
+            assert Hamiltonian(matrix.copy()).matrix.tobytes() == matrix.tobytes()
+
 
 class TestCommutationCheck:
     def test_z_measurement_commutes_with_diagonal(self):

@@ -469,6 +469,13 @@ class TestInvariantValidation:
         with pytest.raises(ValueError, match=message):
             ProjectiveMeasurement(projectors)
 
+    @pytest.mark.parametrize("basis", [[[1, 0], [0, 1, 2]], [["a", 0], [0, 1]]],
+                             ids=["ragged", "string-entry"])
+    def test_from_basis_refuses_malformed_rows_in_its_own_words(self, basis):
+        with pytest.raises(ValueError) as info:
+            ProjectiveMeasurement.from_basis(basis)
+        assert str(info.value) == "basis rows must be equally long vectors of numbers"
+
     def test_measurement_within_tolerance_accepted(self):
         ProjectiveMeasurement((np.diag([1.0, 0.0]), np.diag([0.0, 1.0 + 1e-11])))
 
