@@ -12,7 +12,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import DimensionMismatch, LengthMismatch
+from .errors import BadParameter, DimensionMismatch, LengthMismatch
 from .quantum import (
     ATOL,
     DensityOperator,
@@ -64,8 +64,9 @@ def energy_expectation(rho: DensityOperator, hamiltonian: Hamiltonian) -> float:
     rounding of the terms H_ik rho_ki the trace sums."""
     if rho.dim != hamiltonian.dim:
         raise DimensionMismatch(f"rho dim {rho.dim} != H dim {hamiltonian.dim}")
-    value = np.trace(hamiltonian.matrix @ rho.matrix)
-    magnitude = np.sum(np.abs(hamiltonian.matrix) * np.abs(rho.matrix.T))
+    with np.errstate(over="ignore"):  # audit_measurement refuses an overflow
+        value = np.trace(hamiltonian.matrix @ rho.matrix)
+        magnitude = np.sum(np.abs(hamiltonian.matrix) * np.abs(rho.matrix.T))
     if abs(value.imag) > 1e-12 * max(1.0, magnitude):
         raise ValueError(f"energy expectation has imaginary part {value.imag!r}")
     return float(value.real)
@@ -86,8 +87,11 @@ def commutation_check(
         raise LengthMismatch(
             f"{values.size} eigenvalues for {measurement.n_outcomes} projectors"
         )
-    observable = np.einsum("k,kij->ij", values, measurement.projectors)
-    commutator = observable @ hamiltonian.matrix - hamiltonian.matrix @ observable
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is refused below
+        observable = np.einsum("k,kij->ij", values, measurement.projectors)
+        commutator = observable @ hamiltonian.matrix - hamiltonian.matrix @ observable
+    if not np.isfinite(commutator).all():
+        raise BadParameter("the commutator overflows a float at these parameters")
     return bool(np.max(np.abs(commutator)) < ATOL)
 
 
@@ -103,10 +107,13 @@ def audit_measurement(
     e_after = energy_expectation(
         nonselective_update(rho, measurement, weights), hamiltonian
     )
+    delta = e_after - e_before  # finite only if both energies are
+    if not np.isfinite(delta):
+        raise BadParameter("mean energy overflows a float at these parameters")
     return EnergyAudit(
         e_before=e_before,
         e_after=e_after,
-        delta=e_after - e_before,
+        delta=delta,
         commutes=commutation_check(measurement, eigenvalues, hamiltonian),
         weights_were_born=weights is None,
     )

@@ -15,7 +15,6 @@ from pathlib import Path
 from typing import TYPE_CHECKING, Any, Callable
 
 import numpy as np
-from scipy import stats as scipy_stats
 
 from . import agent, behavior, kochen_specker, policies, sat, signaling
 from .energy import Hamiltonian, audit_measurement
@@ -299,7 +298,6 @@ def run_asc(config: ExperimentConfig) -> RunnerOutput:
             )
     reference = agent.born_reference(alternatives)
     stats = policies.deviation_statistic(counts, reference)
-    df = max(len(reference.support()) - 1, 1)
     aggregate = {
         "trials": trials,
         "agent": p["agent"],
@@ -307,8 +305,8 @@ def run_asc(config: ExperimentConfig) -> RunnerOutput:
         "born_reference": [float(x) for x in reference.probs],
         "tv": stats.tv,
         "chi2": stats.chi2,
-        "chi2_df": df,
-        "chi2_pvalue": float(scipy_stats.chi2.sf(stats.chi2, df)),
+        "chi2_df": stats.df,
+        "chi2_pvalue": stats.pvalue,
     }
     return records, aggregate, None
 

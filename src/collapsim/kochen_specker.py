@@ -15,7 +15,7 @@ from typing import Iterator, NamedTuple
 
 import numpy as np
 
-from .errors import InvalidTable
+from .errors import InvalidTable, TooLarge
 from .policies import Born, CollapsePolicy, compile_policy, sample_from_born
 from .quantum import (
     ProjectiveMeasurement,
@@ -26,6 +26,8 @@ from .quantum import (
 from .rng import TrialStreams, cumulative, sample_indices, trial_blocks
 
 RAY_DIM = 4
+#: the coloring search holds contexts × 4^contexts indices: 84 MB at this cap
+MAX_CONTEXTS = 10
 
 
 @dataclass(frozen=True, order=True)
@@ -182,12 +184,14 @@ def ks_coloring_search(table: KSTable) -> ColoringResult:
 
     Each context must assign value 1 to exactly one of its four rays and 0
     to the rest, and a ray shared between contexts must receive the same
-    value everywhere. Enumerates all 4^n per-context choices.
+    value everywhere. Enumerates all 4^n per-context choices, for n <= MAX_CONTEXTS.
     """
     _require_valid_contexts(table)
     n = len(table.contexts)
     if n == 0:
         raise InvalidTable("a table needs at least one context")
+    if n > MAX_CONTEXTS:
+        raise TooLarge(f"{n} contexts exceed the search's cap of {MAX_CONTEXTS}")
     size = RAY_DIM**n
     choices = np.indices((RAY_DIM,) * n).reshape(n, size).T
     consistent = np.ones(size, dtype=bool)

@@ -12,6 +12,7 @@ code drives full measurements and structural register measurements alike.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import NamedTuple, Sequence
 
@@ -84,6 +85,8 @@ class OutcomeSample(NamedTuple):
 class DeviationStats(NamedTuple):
     tv: float
     chi2: float
+    df: int
+    pvalue: float
 
 
 def admissible_outcomes(
@@ -255,10 +258,11 @@ def sample_counts(
 def deviation_statistic(
     counts: Sequence[int], reference: ProbabilityDistribution
 ) -> DeviationStats:
-    """Total-variation distance and chi-square statistic of observed counts.
+    """Total-variation distance and chi-square test of observed counts.
 
     tv = (1/2) sum_j |counts_j/N - ref_j|; chi2 sums (c_j - N*ref_j)^2/(N*ref_j)
-    over reference outcomes with nonzero probability.
+    over reference outcomes with nonzero probability; df is their number less
+    one (at least 1), pvalue the chance a chi-square variate with df is >= chi2.
     """
     obs = np.asarray(counts, dtype=float)
     if obs.ndim != 1 or obs.size != len(reference):
@@ -272,7 +276,20 @@ def deviation_statistic(
     mask = ref > 0
     expected = total * ref[mask]
     chi2 = float(((obs[mask] - expected) ** 2 / expected).sum())
-    return DeviationStats(tv=total_variation(obs / total, ref), chi2=chi2)
+    df = max(len(reference.support()) - 1, 1)
+    return DeviationStats(total_variation(obs / total, ref), chi2, df, _chi2_sf(chi2, df))
+
+
+def _chi2_sf(x: float, df: int) -> float:
+    """Q(df/2, x/2): with h = x/2 and a = (df mod 2)/2, erfc(sqrt(h)) if a, plus
+    e^-h h^(j+a)/Gamma(j+a+1) for j < df//2, each exponentiated from its own log."""
+    h, a = min(x / 2, 1e308), (df % 2) / 2  # the tail at infinity is 0, as at 1e308
+    if h <= 0:  # x <= 0, or too small to halve
+        return 1.0
+    log_h = math.log(h)
+    terms = [math.exp((j + a) * log_h - h - math.lgamma(j + a + 1)) for j in range(df // 2)]
+    terms += [math.erfc(math.sqrt(h))] if a else []
+    return min(1.0, math.fsum(terms))
 
 
 def total_variation(p: np.ndarray, q: np.ndarray) -> float:

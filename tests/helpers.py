@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from collapsim.agent import AlternativeSet, NormFunction, act_trials
 from collapsim.quantum import (
     DensityOperator,
     ProjectiveMeasurement,
@@ -35,3 +36,31 @@ def random_density(
         psi = random_state(rng, dim).amplitudes
         rho += w * np.outer(psi, psi.conj())
     return DensityOperator(rho)
+
+
+def act_outcomes(
+    alternatives: AlternativeSet,
+    norm: NormFunction,
+    seed: int,
+    trials: int,
+    mixing: float = 1.0,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Chosen outcomes and tie flags of act(alternatives, norm, trial_rng(seed, t),
+    mixing) for t < trials, computed by the batched engine."""
+    blocks = list(act_trials(alternatives, norm, seed, trials, mixing))
+    return (
+        np.concatenate([block.chosen for block in blocks]),
+        np.concatenate([block.tie_broken for block in blocks]),
+    )
+
+
+def act_counts(
+    alternatives: AlternativeSet,
+    norm: NormFunction,
+    seed: int,
+    trials: int,
+    mixing: float = 1.0,
+) -> np.ndarray:
+    """Outcome counts of the trials act_outcomes describes."""
+    chosen, _ = act_outcomes(alternatives, norm, seed, trials, mixing)
+    return np.bincount(chosen, minlength=len(alternatives))

@@ -42,7 +42,7 @@ from collapsim.quantum import (
 from collapsim.rng import trial_rng
 from collapsim.sat import OracleFunction, classical_brute_force, decide_sat
 from collapsim.signaling import signaling_experiment
-from helpers import random_density, random_measurement, random_state
+from helpers import act_counts, random_density, random_measurement, random_state
 
 Z2 = ProjectiveMeasurement.computational(2)
 Z3 = ProjectiveMeasurement.computational(3)
@@ -245,15 +245,19 @@ def test_criterion_10_zeroth_order_conformance():
 def test_criterion_11_asc_deviation():
     alternatives = AlternativeSet(("0", "1", "2"), (0.75, 0.25, 0.0))
     favor_one = NormFunction({"0": 0.0, "1": 1.0, "2": 0.0})
-    traces = run_trials(alternatives, favor_one, 10_000, seed=110)
-    counts = np.bincount([t.final_outcome for t in traces], minlength=3)
+    flat = NormFunction({"0": 1.0, "1": 1.0, "2": 1.0})
+    # the batched engine counts what run_trials' traces would: checked at 500
+    for norm, seed in ((favor_one, 110), (flat, 111)):
+        traces = run_trials(alternatives, norm, 500, seed=seed)
+        expected = np.bincount([t.final_outcome for t in traces], minlength=3)
+        np.testing.assert_array_equal(act_counts(alternatives, norm, seed, 500), expected)
+
+    counts = act_counts(alternatives, favor_one, 110, 10_000)
     stats = deviation_statistic(counts, born_reference(alternatives))
     assert abs(stats.tv - 0.75) <= 0.01
     assert counts[1] == 10_000
 
-    flat = NormFunction({"0": 1.0, "1": 1.0, "2": 1.0})
-    flat_traces = run_trials(alternatives, flat, 10_000, seed=111)
-    flat_counts = np.bincount([t.final_outcome for t in flat_traces], minlength=3)
+    flat_counts = act_counts(alternatives, flat, 111, 10_000)
     flat_stats = deviation_statistic(flat_counts, born_reference(alternatives))
     df = len(born_reference(alternatives).support()) - 1
     assert flat_stats.chi2 < scipy_stats.chi2.ppf(0.999, df)

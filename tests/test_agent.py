@@ -20,9 +20,33 @@ from collapsim.agent import (
 from collapsim.errors import AllZeroPriorities, BadParameter, LengthMismatch
 from collapsim.policies import deviation_statistic
 from collapsim.rng import trial_rng
+from helpers import act_counts, act_outcomes
 
 GOOD_BAD = AlternativeSet(("bad", "good"), (0.5, 0.5))
 MORAL_NORM = NormFunction({"bad": 0.0, "good": 1.0})
+TIED_FOUR = AlternativeSet(tuple("abcd"), (1.0,) * 4)
+FLAT_FOUR = NormFunction({lab: 1.0 for lab in TIED_FOUR.labels})
+# (alternatives, norm, seed, mixing) of the statistical TestAct cases
+ENGINE_CASES = {
+    "deviation": (
+        AlternativeSet(("0", "1", "2"), (0.75, 0.25, 0.0)),
+        NormFunction({"0": 0.0, "1": 1.0, "2": 0.0}),
+        7,
+        1.0,
+    ),
+    "constant-norm": (
+        AlternativeSet(("a", "b", "c"), (0.5, 0.3, 0.2)),
+        NormFunction({"a": 2.0, "b": 2.0, "c": 2.0}),
+        9,
+        1.0,
+    ),
+    "mixing-zero": (
+        AlternativeSet(("a", "b"), (0.75, 0.25)),
+        NormFunction({"a": 0.0, "b": 1.0}),
+        10,
+        0.0,
+    ),
+}
 
 
 class TestAlternativeSet:
@@ -90,17 +114,21 @@ class TestSelection:
         assert alts.labels[chosen] == "b" and not tie_broken
 
     def test_tie_break_uniform_chi_square(self):
-        alts = AlternativeSet(tuple("abcd"), (1.0,) * 4)
-        flat_norm = NormFunction({lab: 1.0 for lab in alts.labels})
-        counts = np.zeros(4)
-        for t in range(10_000):
-            chosen, tie_broken = selection(
-                attention(alts), alts, flat_norm, trial_rng(3, t)
-            )
-            assert tie_broken
-            counts[chosen] += 1
+        # act's first draw is the tie-break, so the engine's trial t makes the
+        # choice selection(..., trial_rng(3, t)) makes (checked below)
+        chosen, tie_broken = act_outcomes(TIED_FOUR, FLAT_FOUR, 3, 10_000)
+        assert tie_broken.all()
+        counts = np.bincount(chosen, minlength=4)
         chi2 = ((counts - 2500.0) ** 2 / 2500.0).sum()
         assert chi2 < scipy_stats.chi2.ppf(0.999, 3)
+
+    def test_tie_break_loop_equals_engine(self):
+        loop = [
+            selection(attention(TIED_FOUR), TIED_FOUR, FLAT_FOUR, trial_rng(3, t))
+            for t in range(500)
+        ]
+        chosen, tie_broken = act_outcomes(TIED_FOUR, FLAT_FOUR, 3, 500)
+        assert loop == list(zip(chosen.tolist(), tie_broken.tolist()))
 
     def test_undefined_norm_label(self):
         with pytest.raises(BadParameter):
@@ -128,10 +156,8 @@ class TestAct:
 
     def test_deviation_statistics_at_ten_k(self):
         # state (sqrt(3)/2, 1/2, 0); norm favors index 1; Born predicts 1/4
-        alts = AlternativeSet(("0", "1", "2"), (0.75, 0.25, 0.0))
-        norm = NormFunction({"0": 0.0, "1": 1.0, "2": 0.0})
-        traces = run_trials(alts, norm, 10_000, seed=7)
-        counts = np.bincount([t.final_outcome for t in traces], minlength=3)
+        alts, norm, seed, mixing = ENGINE_CASES["deviation"]
+        counts = act_counts(alts, norm, seed, 10_000, mixing)
         assert counts[1] == 10_000
         stats = deviation_statistic(counts, born_reference(alts))
         assert stats.tv == pytest.approx(0.75, abs=1e-12)
@@ -145,25 +171,26 @@ class TestAct:
         assert ticks[0] < ticks[1] < ticks[2]
 
     def test_constant_norm_degrades_to_born(self):
-        alts = AlternativeSet(("a", "b", "c"), (0.5, 0.3, 0.2))
-        flat = NormFunction({lab: 2.0 for lab in alts.labels})
-        counts = np.zeros(3)
-        trials = 10_000
-        for t in range(trials):
-            counts[act(alts, flat, trial_rng(9, t)).final_outcome] += 1
+        alts, flat, seed, mixing = ENGINE_CASES["constant-norm"]
+        counts = act_counts(alts, flat, seed, 10_000, mixing)
         reference = born_reference(alts)
         stats = deviation_statistic(counts, reference)
         assert stats.chi2 < scipy_stats.chi2.ppf(0.999, 2)
 
     def test_mixing_zero_is_born_sampling(self):
-        alts = AlternativeSet(("a", "b"), (0.75, 0.25))
-        norm = NormFunction({"a": 0.0, "b": 1.0})  # argmax would always give b
-        counts = np.zeros(2)
-        trials = 10_000
-        for t in range(trials):
-            counts[act(alts, norm, trial_rng(10, t), mixing=0.0).final_outcome] += 1
+        alts, norm, seed, mixing = ENGINE_CASES["mixing-zero"]  # argmax would give b
+        counts = act_counts(alts, norm, seed, 10_000, mixing)
         stats = deviation_statistic(counts, born_reference(alts))
         assert stats.chi2 < scipy_stats.chi2.ppf(0.999, 1)
+
+    @pytest.mark.parametrize("case", sorted(ENGINE_CASES))
+    def test_act_loop_equals_engine(self, case):
+        # the ten-thousand-trial tests above count the engine's outcomes
+        alts, norm, seed, mixing = ENGINE_CASES[case]
+        traces = run_trials(alts, norm, 500, seed, mixing)
+        chosen, tie_broken = act_outcomes(alts, norm, seed, 500, mixing)
+        assert [t.final_outcome for t in traces] == chosen.tolist()
+        assert [t.stages[1].tie_broken for t in traces] == tie_broken.tolist()
 
     def test_mixing_range_checked(self):
         with pytest.raises(BadParameter):

@@ -2,6 +2,10 @@ import argparse
 import contextlib
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -543,13 +547,23 @@ class TestMainEntry:
             (["behavior", "generate", "--rate", "1e-320", "--length", "100"],
              "collapsim.errors.BadParameter: "
              "exponential intervals overflow a float at these parameters"),
+            (["energy", "--h-matrix", "1e308,1e308;1e308,1e308"],  # Tr(H rho) = 2e308
+             "collapsim.errors.BadParameter: mean energy overflows a float at these parameters"),
+            # -1.53e308 before the update, 1.7e308 after it
+            (["energy", "--h-diag", "1.7e308,-1.7e308", "--state", "1,4.358898943540674",
+              "--weights", "1,0"],
+             "collapsim.errors.BadParameter: mean energy overflows a float at these parameters"),
+            (["energy", "--h-diag", "1.7e308,1.7e308", "--eigenvalues", "0,2"],  # 2 * 1.7e308
+             "collapsim.errors.BadParameter: the commutator overflows a float at these parameters"),
         ],
         ids=lambda value: " ".join(value) if isinstance(value, list) else "",
     )
+    @pytest.mark.filterwarnings("error")  # a numpy warning would be a second line
     def test_non_finite_or_overflowing_numbers_one_line_error(
         self, argv, message, tmp_path, capsys
     ):
-        # these ended in tracebacks, or wrote inf or 2.2e-308 intervals
+        # these ended in tracebacks, or wrote inf or 2.2e-308 intervals, or
+        # (energy) warned and wrote Infinity, which is not JSON
         out = tmp_path / "out.txt"
         assert main(argv + ["--out", str(out)]) == (2 if message.startswith("config") else 1)
         assert capsys.readouterr().err == message + "\n"
@@ -615,6 +629,41 @@ class TestMainEntry:
         assert code == 0
         values = [float(x) for x in out.read_text().split()]
         assert len(values) == 150 and all(v > 0 for v in values)
+
+
+# numpy is the package's only runtime dependency; scipy is the tests' reference
+SCIPY_FREE_RUN = """
+import json
+import sys
+if sys.argv[1] == "blocked":
+    sys.modules["scipy"] = None  # from here on, importing scipy fails
+from collapsim.cli import main
+runs = [["asc", "--trials", "10"]] if sys.argv[1] == "blocked" else [
+    ["ks"], ["fwt", "--trials", "10"], ["signal"],
+    ["signal", "--mode", "empirical", "--trials", "10"], ["energy"],
+    ["sat", "--truth-table", "f.tt"], ["asc", "--trials", "10"],
+    ["behavior", "generate", "--length", "1000", "--out", "seq.txt"],
+    ["behavior", "classify", "--input", "seq.txt"],
+]
+codes = [main(argv) for argv in runs]
+loaded = [name for name, module in sys.modules.items()
+          if name.split(".")[0] == "scipy" and module is not None]
+print(json.dumps({"codes": codes, "scipy_modules": loaded}))
+"""
+
+
+@pytest.mark.parametrize("mode", ["blocked", "every-experiment"])
+def test_experiments_load_no_scipy(mode, tmp_path):
+    (tmp_path / "f.tt").write_text("0010")
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+    result = subprocess.run(
+        [sys.executable, "-c", SCIPY_FREE_RUN, mode],
+        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert result.returncode == 0 and result.stderr == "", result.stderr
+    outcome = json.loads(result.stdout.splitlines()[-1])
+    assert set(outcome["codes"]) == {0}
+    assert outcome["scipy_modules"] == []
 
 
 # Every flag of every subcommand, and every global flag, mapped to the config

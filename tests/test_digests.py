@@ -31,7 +31,7 @@ DIGESTS = {
     "signal": "6c1494b922dd07a63af6c9635f759d40cdf8112db60e3a67399dacb9e0b33c9c",
     "energy": "808343c1d068c35aeefe42c112cd09d6d5066b16b22a29601dce5a8452179c27",
     "sat": "c1df5e2f400d78defc6193ffeaf0f9daec34d7e17da08c57aa72b63f46370233",
-    "asc": "bb938c7f9ce64891776c169119117787c4dd33dfaa680d201affcd84185a6cbc",
+    "asc": "b552d6877c6c6cf719d2a52c0e0d114159eb4e967c582b73383c48c81d4e1e87",
     "behavior": "2111def1fd9b0c983f92df78ef423b790d7f7c1625d9021483794f11e7048a97",
 }
 

@@ -1,10 +1,12 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from collapsim.errors import InvalidTable
+from collapsim.errors import InvalidTable, TooLarge
 from collapsim.kochen_specker import (
+    MAX_CONTEXTS,
     Context,
     KSTable,
     Ray,
@@ -153,6 +155,26 @@ class TestColoringSearch:
         )
         with pytest.raises(InvalidTable):
             ks_coloring_search(bad)
+
+    def test_context_cap_refused_before_allocating(self):
+        # a parsed table may have any number of lines; 13 contexts would take
+        # 13 x 4^13 indices (about 7 GB)
+        text = format_table(builtin_ks_table())
+        table = parse_table(text + "\n" + "\n".join(text.splitlines()[:4]))
+        assert len(table.contexts) == 13 > MAX_CONTEXTS
+        tracemalloc.start()
+        try:
+            with pytest.raises(TooLarge, match=f"cap of {MAX_CONTEXTS}"):
+                ks_coloring_search(table)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20, f"the refused search peaked at {peak / 2**20:.1f} MB"
+
+    def test_context_cap_inclusive(self):
+        table = KSTable(builtin_ks_table().contexts + builtin_ks_table().contexts[:1])
+        assert len(table.contexts) == MAX_CONTEXTS
+        assert ks_coloring_search(table).search_space_size == 4**MAX_CONTEXTS
 
 
 class TestParityCertificate:

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from scipy import stats as scipy_stats
 
 from collapsim.errors import BadParameter, ForbiddenOutcome, LengthMismatch
+from collapsim import policies
 from collapsim.policies import (
     Biased,
     Born,
@@ -122,11 +123,11 @@ class TestSampleOutcome:
             assert not out.forbidden_attempted
 
     def test_born_long_run_frequency(self):
+        # the hits of 10^5 sample_outcome(Born(), s, Z2, rng) calls on one
+        # rng = trial_rng(123): sample_counts draws as that loop does
+        # (test_sample_counts_equals_per_trial_sampling checks it at 500 trials)
         s = make_state([1, 1])
-        rng = trial_rng(123)
-        hits = sum(
-            sample_outcome(Born(), s, Z2, rng).outcome == 0 for _ in range(100_000)
-        )
+        hits = sample_counts(Born(), s, Z2, 100_000, trial_rng(123))[0]
         assert 0.494 <= hits / 100_000 <= 0.506  # 3 sigma at p=1/2, n=1e5
 
     def test_scripted_plays_admissible_entries_in_order(self):
@@ -249,6 +250,47 @@ class TestDeviationStatistic:
         ref = ProbabilityDistribution(np.array([0.5, 0.5]))
         with pytest.raises(BadParameter):
             deviation_statistic([0, 0], ref)
+
+    def test_df_and_pvalue(self):
+        # df counts the outcomes of nonzero reference probability, less one
+        ref = ProbabilityDistribution(np.array([0.5, 0.3, 0.2, 0.0]))
+        stats = deviation_statistic([480, 330, 190, 0], ref)
+        assert stats.df == 2
+        assert stats.pvalue == pytest.approx(scipy_stats.chi2.sf(stats.chi2, 2), rel=1e-12)
+        assert deviation_statistic([1000, 0], ProbabilityDistribution(np.array([1.0, 0.0]))).df == 1
+
+
+def _tail_points(df: int) -> np.ndarray:
+    """0, 1e-300, a grid to 3*df + 10 and exponential draws of mean df."""
+    draws = np.random.default_rng(df).exponential(df, 60)
+    return np.concatenate([[0.0, 1e-300], np.linspace(0.0, 3 * df + 10, 61), draws])
+
+
+@pytest.mark.parametrize(
+    "dfs, rel",
+    [(list(range(1, 61)) + [100, 1000], 1e-12), ([10_000], 1e-10)],
+    ids=["df-1-60-100-1000", "df-10000"],
+)
+def test_chi2_tail_matches_scipy(dfs, rel):
+    for df in dfs:
+        xs = _tail_points(df)
+        got = np.array([policies._chi2_sf(float(x), df) for x in xs])
+        assert np.all((got >= 0.0) & (got <= 1.0)), df
+        expected = scipy_stats.chi2.sf(xs, df)
+        kept = expected >= 1e-300
+        error = np.abs(got[kept] - expected[kept]) / expected[kept]
+        assert error.max() <= rel, (df, xs[kept][error.argmax()])
+
+
+@pytest.mark.parametrize("df", [1, 2, 3, 4, 59, 60, 1000, 10_000])
+def test_chi2_tail_ends(df):
+    assert policies._chi2_sf(0.0, df) == 1.0
+    assert policies._chi2_sf(1e8, df) == 0.0
+    assert policies._chi2_sf(1e308, df) == 0.0
+    assert policies._chi2_sf(float("inf"), df) == 0.0
+    for x in (5e-324, 1e-12, 0.5 * df, df, 2.0 * df, 1e5, 1e300):
+        value = policies._chi2_sf(x, df)
+        assert 0.0 <= value <= 1.0, x  # and so not NaN
 
 
 @given(counts=st.lists(st.integers(0, 10_000), min_size=2, max_size=6))
