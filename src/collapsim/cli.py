@@ -50,15 +50,14 @@ class Param:
     help: str | None = None
 
     def coerce(self, value: Any) -> Any:
-        """The typed value. Numbers are strict: a boolean is no number and a
-        float is no int; raises ValueError, TypeError or OverflowError."""
-        if self.kind is bool:
-            if not isinstance(value, bool):
+        """The typed value. Text and booleans are strict, and so are numbers: a
+        boolean is no number and a float is no int, though numeric text is a
+        number; raises ValueError, TypeError or OverflowError."""
+        if self.kind in (bool, str):
+            if not isinstance(value, self.kind):
                 raise ValueError(value)
             return value
-        if self.kind is not str and (
-            isinstance(value, bool) or (self.kind is int and isinstance(value, float))
-        ):
+        if isinstance(value, bool) or (self.kind is int and isinstance(value, float)):
             raise ValueError(value)
         return self.kind(value)
 
@@ -318,8 +317,8 @@ SPECS: dict[str, Experiment] = {
         Param("xmin", float, 1.0, parse=_positive, when_mode="generate"),
         Param("length", int, 10_000, parse=_length, when_mode="generate"),
         Param("input", str),
-        Param("levy_threshold", float, behavior.LEVY_THRESHOLD),
-        Param("noise_threshold", float, behavior.NOISE_THRESHOLD),
+        Param("levy_threshold", float, behavior.LEVY_THRESHOLD, parse=_positive),
+        Param("noise_threshold", float, behavior.NOISE_THRESHOLD, parse=_positive),
     )),
 }
 

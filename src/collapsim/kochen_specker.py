@@ -3,6 +3,13 @@
 Rays are unnormalized integer 4-vectors kept in exact arithmetic, so
 orthogonality and identity checks carry no floating-point ambiguity;
 normalization to unit vectors happens only when quantum states are built.
+
+The Free Will Theorem pair is the paired protocol on the twin state: Alice
+measures a context under her policy, and Bob detects one ray on the state
+her outcome leaves. Per context, Alice's Born distribution and Bob's
+conditional table for all 18 rays come from one quantum.conditional_born
+call, cached; fwt_trial and the batched fwt_trials (policies.paired_blocks)
+both read it.
 """
 
 from __future__ import annotations
@@ -16,14 +23,14 @@ from typing import Iterator, NamedTuple
 import numpy as np
 
 from .errors import InvalidTable, TooLarge
-from .policies import Born, CollapsePolicy, compile_policy, sample_from_born
+from .policies import CollapsePolicy, compile_policy, paired_blocks, sample_from_born
 from .quantum import (
+    ProbabilityDistribution,
     ProjectiveMeasurement,
     StateVector,
-    born_distribution,
-    collapse,
+    conditional_born,
 )
-from .rng import TrialStreams, cumulative, sample_indices, trial_blocks
+from .rng import cumulative, sample_index
 
 RAY_DIM = 4
 #: the coloring search holds contexts × 4^contexts indices: 84 MB at this cap
@@ -105,7 +112,7 @@ class KSTable:
                 occurrences.setdefault(ray, []).append((c, p))
         return {ray: tuple(occ) for ray, occ in occurrences.items()}
 
-    @property
+    @cached_property
     def distinct_rays(self) -> tuple[Ray, ...]:
         return tuple(sorted(self.ray_index))
 
@@ -286,38 +293,19 @@ class FwtTrial:
         return self.alice_value_for_bob_ray == self.bob_value
 
 
-@lru_cache(maxsize=32)
-def _alice_measurement(context_index: int) -> ProjectiveMeasurement:
-    context = builtin_ks_table().contexts[context_index - 1]
-    return context.measurement().embed((RAY_DIM, RAY_DIM), "A")
-
-
-@lru_cache(maxsize=64)
-def _bob_measurement(ray: Ray) -> ProjectiveMeasurement:
-    return ProjectiveMeasurement.detection(ray.unit_vector()).embed(
-        (RAY_DIM, RAY_DIM), "B"
-    )
-
-
-# The shared state is fixed, so everything up to the random draws is a pure
-# function of (context, outcome, ray) and is memoized across trials.
-
-
-@lru_cache(maxsize=32)
-def _alice_born(context_index: int):
-    return born_distribution(twin_state(), _alice_measurement(context_index))
-
-
-@lru_cache(maxsize=64)
-def _post_alice_state(context_index: int, outcome: int) -> StateVector:
-    return collapse(twin_state(), _alice_measurement(context_index), outcome)
-
-
-@lru_cache(maxsize=1024)
-def _bob_born(context_index: int, alice_outcome: int, ray: Ray):
-    return born_distribution(
-        _post_alice_state(context_index, alice_outcome), _bob_measurement(ray)
-    )
+@lru_cache(maxsize=None)
+def _paired_tables(context_index: int) -> tuple[ProbabilityDistribution, np.ndarray]:
+    """Alice's Born distribution in context S_j (1-based) on the twin state, and
+    Bob's conditional table: row r * RAY_DIM + a is the detect/miss distribution
+    of distinct ray r on the state Alice's outcome a leaves."""
+    table = builtin_ks_table()
+    lift = (RAY_DIM, RAY_DIM)
+    alice = table.contexts[context_index - 1].measurement().embed(lift, "A")
+    bobs = [
+        ProjectiveMeasurement.detection(ray.unit_vector()).embed(lift, "B")
+        for ray in table.distinct_rays
+    ]
+    return conditional_born(twin_state(), alice, bobs)
 
 
 def fwt_trial(
@@ -335,11 +323,11 @@ def fwt_trial(
     the detect/miss observable of his ray on it with Born statistics.
     """
     context = _trial_context(alice_context, (bob_ray,))
-    alice_sample = sample_from_born(alice_policy, _alice_born(alice_context), rng, trial)
-    bob_sample = sample_from_born(
-        Born(), _bob_born(alice_context, alice_sample.outcome, bob_ray), rng
-    )
-    bob_value = 1 if bob_sample.outcome == 0 else 0
+    alice_born, bob_born = _paired_tables(alice_context)
+    alice_sample = sample_from_born(alice_policy, alice_born, rng, trial)
+    ray_index = builtin_ks_table().distinct_rays.index(bob_ray)
+    bob_outcome = sample_index(rng, bob_born[ray_index * RAY_DIM + alice_sample.outcome])
+    bob_value = 1 if bob_outcome == 0 else 0
 
     in_context = bob_ray in context.rays
     alice_value: int | None = None
@@ -392,48 +380,32 @@ def fwt_trials(
 
     Trial t draws from trial_rng(seed, t) in fwt_trial's order: Bob's ray
     first when bob_ray is None (integers over the 18 distinct rays), then
-    Alice's outcome, then Bob's. Every record equals fwt_trial's at trial t. The
-    Born tables, policy plan and Bob's conditionals are built, and every
-    check is run, once before the first block.
+    Alice's outcome, then Bob's (policies.paired_blocks). Every record equals
+    fwt_trial's at trial t. Both read the context's _paired_tables; the policy
+    plan is compiled, and every check run, before the first block.
     """
     context = _trial_context(alice_context, () if bob_ray is None else (bob_ray,))
     all_rays = builtin_ks_table().distinct_rays
-    if bob_ray is None:
-        ray_ids = np.arange(len(all_rays))
-    else:
-        ray_ids = np.array([all_rays.index(bob_ray)])
-    alice = compile_policy(alice_policy, _alice_born(alice_context), trials)
-    # Bob's conditional table, row ray_slot * RAY_DIM + Alice's outcome
-    bob_cums = np.stack([
-        cumulative(_bob_born(alice_context, outcome, all_rays[r]).probs)
-        for r in ray_ids
-        for outcome in range(RAY_DIM)
-    ])
+    ray_ids = np.arange(len(all_rays)) if bob_ray is None else np.array([all_rays.index(bob_ray)])
+    alice_born, bob_born = _paired_tables(alice_context)
+    alice = compile_policy(alice_policy, alice_born, trials)
+    # Bob's rows for the drawn ray slots, slot * RAY_DIM + Alice's outcome
+    bob_cums = cumulative(bob_born[(RAY_DIM * ray_ids[:, None] + np.arange(RAY_DIM)).ravel()])
     # each ray's position in Alice's context, -1 where it is absent
     position = np.array([
         context.rays.index(all_rays[r]) if all_rays[r] in context.rays else -1
         for r in ray_ids
     ])
-    return _fwt_blocks(alice, bob_cums, position, ray_ids, seed, trials)
-
-
-def _fwt_blocks(alice, bob_cums, position, ray_ids, seed, trials):
-    for t in trial_blocks(trials):
-        streams = TrialStreams(seed, (), t)
-        if len(ray_ids) > 1:
-            slot = streams.integers(len(ray_ids))
-        else:  # a fixed ray draws nothing
-            slot = np.zeros(t.size, dtype=np.intp)
-        alice_outcome = alice.sample(streams.random(), t)
-        bob_outcome = sample_indices(
-            streams.random(), bob_cums, slot * RAY_DIM + alice_outcome
-        )
-        ray_position = position[slot]
-        yield FwtBlock(
+    return (
+        FwtBlock(
             trial=t,
             bob_ray=ray_ids[slot],
             alice_outcome=alice_outcome,
             bob_value=(bob_outcome == 0).astype(np.int64),
-            in_context=ray_position >= 0,
-            alice_value_for_bob_ray=(ray_position == alice_outcome).astype(np.int64),
+            in_context=position[slot] >= 0,
+            alice_value_for_bob_ray=(position[slot] == alice_outcome).astype(np.int64),
         )
+        for t, slot, alice_outcome, bob_outcome in paired_blocks(
+            alice, bob_cums, seed, (), trials, len(ray_ids)
+        )
+    )

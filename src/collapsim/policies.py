@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import NamedTuple, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -26,7 +26,7 @@ from .quantum import (
     StateVector,
     born_distribution,
 )
-from .rng import cumulative, sample_index, sample_indices, trial_blocks
+from .rng import TrialStreams, cumulative, sample_index, sample_indices, trial_blocks
 
 
 class CollapsePolicy:
@@ -222,6 +222,30 @@ def compile_policy(
     default_row = row(len(script), None) if trials > len(script) else -1
     # reshape: no tables at all when there are no trials
     return PolicyPlan(np.array(tables).reshape(-1, len(born)), script_rows, default_row)
+
+
+def paired_blocks(
+    alice_plan: PolicyPlan,
+    bob_cums: np.ndarray,
+    seed: int,
+    prefix: tuple[int, ...],
+    trials: int,
+    settings: int = 1,
+) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]]:
+    """Trials 0..trials-1 of the paired protocol, TRIAL_BLOCK at a time.
+
+    Trial t reads trial_rng(seed, *prefix, t): Bob's setting (integers(settings),
+    which draws nothing for one setting), Alice's outcome under her plan, then
+    Bob's outcome from row setting * k + Alice's outcome of bob_cums, k being
+    Alice's outcome count. Yields (t, setting, alice_outcome, bob_outcome) arrays.
+    """
+    k = alice_plan.cums.shape[1]
+    for t in trial_blocks(trials):
+        streams = TrialStreams(seed, prefix, t)
+        setting = streams.integers(settings)
+        alice_outcome = alice_plan.sample(streams.random(), t)
+        bob_outcome = sample_indices(streams.random(), bob_cums, setting * k + alice_outcome)
+        yield t, setting, alice_outcome, bob_outcome
 
 
 def sample_outcome(

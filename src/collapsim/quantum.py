@@ -8,6 +8,7 @@ values can be shared freely across threads.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -257,6 +258,29 @@ def collapse(
             f"outcome {outcome} has zero Born probability and cannot be realized"
         )
     return StateVector(projected / np.sqrt(weight))
+
+
+def conditional_born(
+    state: StateVector,
+    first: ProjectiveMeasurement,
+    seconds: Sequence[ProjectiveMeasurement],
+) -> tuple[ProbabilityDistribution, np.ndarray]:
+    """The Born distribution of `first`, and a read-only table of what follows it.
+
+    Row s * k + j of the table (k = first.n_outcomes) is the Born distribution
+    of seconds[s] on the state outcome j of `first` leaves; rows of zero-Born
+    outcomes are NaN. Each collapse is computed once, for all of `seconds`.
+    """
+    if len({second.n_outcomes for second in seconds}) != 1:
+        raise DimensionMismatch("the second measurements need one common outcome count")
+    born = born_distribution(state, first)
+    k = first.n_outcomes
+    table = np.full((len(seconds) * k, seconds[0].n_outcomes), np.nan)
+    for j in sorted(born.support()):
+        after = collapse(state, first, j)
+        for s, second in enumerate(seconds):
+            table[s * k + j] = born_distribution(after, second).probs
+    return born, _frozen(table)
 
 
 def nonselective_update(

@@ -185,8 +185,8 @@ class TrialStreams:
 
 
 def cumulative(probs) -> np.ndarray:
-    """The cumulative table sample_index searches."""
-    return np.cumsum(np.asarray(probs, dtype=float))
+    """The cumulative table sample_index searches, row by row for a stack."""
+    return np.cumsum(np.asarray(probs, dtype=float), axis=-1)
 
 
 def sample_indices(u: np.ndarray, cums: np.ndarray, group=None) -> np.ndarray:

@@ -4,6 +4,11 @@ Under Born collapse, nothing Alice does moves Bob's outcome statistics
 (max_tv = 0, zero channel capacity). A deviating policy on an entangled
 state turns Alice's choice between two settings into a classical channel
 to Bob; its capacity in bits is the natural size of the opened side channel.
+
+Per setting, quantum.conditional_born gives Alice's Born distribution and
+Bob's distribution after each of her outcomes. The analytic marginal weights
+those rows by her policy; the empirical one samples them through
+policies.paired_blocks.
 """
 
 from __future__ import annotations
@@ -17,7 +22,8 @@ from .errors import BadParameter, DimensionMismatch
 from .policies import (
     CollapsePolicy,
     compile_policy,
-    effective_distribution,
+    paired_blocks,
+    policy_distribution,
     total_variation,
 )
 from .quantum import (
@@ -25,10 +31,9 @@ from .quantum import (
     ProbabilityDistribution,
     ProjectiveMeasurement,
     StateVector,
-    born_distribution,
-    collapse,
+    conditional_born,
 )
-from .rng import TrialStreams, cumulative, sample_indices, trial_blocks
+from .rng import cumulative
 
 
 @dataclass(frozen=True)
@@ -59,15 +64,14 @@ def bob_marginal_analytic(
     d_a, d_b = dims
     if shared.dim != d_a * d_b:
         raise DimensionMismatch(f"shared dim {shared.dim} != {d_a}*{d_b}")
-    alice_embedded = alice_measurement.embed(dims, "A")
-    bob_embedded = bob_measurement.embed(dims, "B")
-    policy_dist = effective_distribution(alice_policy, shared, alice_embedded)
+    alice_born, bob_born = conditional_born(
+        shared, alice_measurement.embed(dims, "A"), [bob_measurement.embed(dims, "B")]
+    )
+    policy_dist = policy_distribution(alice_policy, alice_born)
     marginal = np.zeros(bob_measurement.n_outcomes)
-    for j in range(alice_embedded.n_outcomes):
-        if policy_dist[j] <= ZERO_PROB:
-            continue
-        after = collapse(shared, alice_embedded, j)
-        marginal += policy_dist[j] * born_distribution(after, bob_embedded).probs
+    for j in range(len(alice_born)):
+        if policy_dist[j] > ZERO_PROB:
+            marginal += policy_dist[j] * bob_born[j]
     return ProbabilityDistribution(np.clip(marginal, 0.0, 1.0))
 
 
@@ -130,11 +134,14 @@ def signaling_experiment(
     else:
         if trials < 1:
             raise BadParameter("trials must be positive")
-        bob_embedded = bob_measurement.embed(dims, "B")
+        bob = [bob_measurement.embed(dims, "B")]
         for s, (label, (alice_meas, policy)) in enumerate(settings.items()):
-            counts = _empirical_counts(
-                shared, alice_meas.embed(dims, "A"), policy, bob_embedded, seed, s, trials
-            )
+            # trial t of setting s reads trial_rng(seed, s, t)
+            alice_born, bob_born = conditional_born(shared, alice_meas.embed(dims, "A"), bob)
+            plan = compile_policy(policy, alice_born, trials)
+            counts = np.zeros(bob_measurement.n_outcomes)
+            for *_, bob_outcome in paired_blocks(plan, cumulative(bob_born), seed, (s,), trials):
+                counts += np.bincount(bob_outcome, minlength=len(counts))
             marginals[label] = counts / trials
         mode, per_setting = "empirical", trials
 
@@ -148,33 +155,3 @@ def signaling_experiment(
         seed=seed if trials is not None else None,
     )
 
-
-def _empirical_counts(
-    shared: StateVector,
-    alice_embedded: ProjectiveMeasurement,
-    policy: CollapsePolicy,
-    bob_embedded: ProjectiveMeasurement,
-    seed: int,
-    setting: int,
-    trials: int,
-) -> np.ndarray:
-    """Bob's outcome counts over one setting's trials, TRIAL_BLOCK at a time.
-
-    Trial t draws from trial_rng(seed, setting, t): Alice's outcome under her
-    policy, then Bob's Born outcome on the state her outcome leaves.
-    """
-    alice_born = born_distribution(shared, alice_embedded)
-    # Bob's conditional per Alice outcome; no policy puts mass outside the
-    # Born support, so the rows of those outcomes are never read
-    bob_cums = np.full((len(alice_born), bob_embedded.n_outcomes), np.nan)
-    for j in alice_born.support():
-        after = collapse(shared, alice_embedded, j)
-        bob_cums[j] = cumulative(born_distribution(after, bob_embedded).probs)
-    alice = compile_policy(policy, alice_born, trials)
-    counts = np.zeros(bob_embedded.n_outcomes)
-    for t in trial_blocks(trials):
-        streams = TrialStreams(seed, (setting,), t)
-        alice_outcome = alice.sample(streams.random(), t)
-        bob_outcome = sample_indices(streams.random(), bob_cums, alice_outcome)
-        counts += np.bincount(bob_outcome, minlength=len(counts))
-    return counts

@@ -2,6 +2,7 @@ import argparse
 import contextlib
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -104,6 +105,14 @@ class TestValidate:
              "weights: must be a probability vector"),
             ({"experiment": "energy", "h_diag": ","}, "h_diag: must not be empty"),
             ({"experiment": "energy", "h_matrix": ";"}, "h_matrix: must not be empty"),
+            # text parameters once took any JSON value through str()
+            ({"experiment": "asc", "labels": ["a", "b"]}, "labels: expected str, got ['a', 'b']"),
+            ({"experiment": "energy", "h_diag": 5}, "h_diag: expected str, got 5"),
+            # an infinite threshold was once echoed as Infinity, which is not JSON
+            ({"experiment": "behavior", "mode": "classify", "input": "seq.txt",
+              "noise_threshold": math.inf}, "noise_threshold: must be finite"),
+            ({"experiment": "behavior", "mode": "classify", "input": "seq.txt",
+              "levy_threshold": math.inf}, "levy_threshold: must be finite"),
         ],
     )
     def test_rejected_before_running_exit_2(self, raw, violation, tmp_path, capsys):
@@ -634,6 +643,7 @@ class TestMainEntry:
 # numpy is the package's only runtime dependency; scipy is the tests' reference
 SCIPY_FREE_RUN = """
 import json
+import math
 import sys
 if sys.argv[1] == "blocked":
     sys.modules["scipy"] = None  # from here on, importing scipy fails
@@ -865,8 +875,16 @@ def test_fuzzed_config_exits_0_1_or_2(raw, fuzz_files):
             raw[key] = str(fuzz_files / raw[key])
     config_file = fuzz_files / "config.json"
     config_file.write_text(json.dumps(raw))
-    err = io.StringIO()
-    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(["--config", str(config_file)])
     assert code in (0, 1, 2)
     assert code == 0 or err.getvalue().count("\n") == 1
+    plain = raw.get("dump_table") is True or raw.get("mode") == "generate"
+    if code == 0 and raw.get("output_format", "json-lines") == "json-lines" and not plain:
+        for line in out.getvalue().splitlines():  # strict JSON: no NaN or Infinity
+            json.loads(line, parse_constant=_refuse_constant)
+
+
+def _refuse_constant(name):
+    raise ValueError(f"{name} is not JSON")

@@ -7,6 +7,7 @@ import pytest
 from collapsim.errors import InvalidTable, TooLarge
 from collapsim.kochen_specker import (
     MAX_CONTEXTS,
+    RAY_DIM,
     Context,
     KSTable,
     Ray,
@@ -19,9 +20,16 @@ from collapsim.kochen_specker import (
     parse_table,
     twin_state,
     validate_table,
+    _paired_tables,
 )
 from collapsim.policies import Biased, Born, Forced, Scripted
-from collapsim.quantum import ProbabilityDistribution, reduced_state
+from collapsim.quantum import (
+    ProbabilityDistribution,
+    ProjectiveMeasurement,
+    born_distribution,
+    collapse,
+    reduced_state,
+)
 from collapsim.rng import trial_rng
 
 DISJOINT_CONTEXT = Context(
@@ -227,6 +235,23 @@ class TestTwinState:
         psi = twin_state().amplitudes.reshape(4, 4)
         singular_values = np.linalg.svd(psi, compute_uv=False)
         np.testing.assert_allclose(singular_values, [0.5] * 4, atol=1e-12)
+
+
+@pytest.mark.parametrize("context_index", range(1, 10))
+def test_paired_tables_match_direct_born_after_collapse(context_index):
+    # fwt_trial and fwt_trials both read this table, so it is pinned against
+    # Bob's Born distribution on each collapsed state, computed directly
+    lift = (RAY_DIM, RAY_DIM)
+    table = builtin_ks_table()
+    alice = table.contexts[context_index - 1].measurement().embed(lift, "A")
+    alice_born, bob_born = _paired_tables(context_index)
+    assert np.array_equal(alice_born.probs, born_distribution(twin_state(), alice).probs)
+    assert bob_born.shape == (18 * RAY_DIM, 2)
+    for r, ray in enumerate(table.distinct_rays):
+        bob = ProjectiveMeasurement.detection(ray.unit_vector()).embed(lift, "B")
+        for a in range(RAY_DIM):
+            direct = born_distribution(collapse(twin_state(), alice, a), bob).probs
+            assert np.array_equal(bob_born[r * RAY_DIM + a], direct)
 
 
 class TestFwtTrial:

@@ -20,6 +20,7 @@ from collapsim.quantum import (
     born_distribution,
     collapse,
     collapse_register,
+    conditional_born,
     make_state,
     nonselective_update,
     reduced_state,
@@ -175,6 +176,41 @@ class TestCollapse:
             assert same_state(once, twice)
             # re-measuring yields the same outcome with probability 1
             assert born_distribution(once, m)[outcome] > 1.0 - 1e-10
+
+
+class TestConditionalBorn:
+    @pytest.mark.parametrize("seed", range(6))
+    def test_rows_are_born_after_collapse_nan_where_forbidden(self, seed):
+        # Alice's outcomes outside `kept` have zero Born probability by construction
+        rng = np.random.default_rng(seed)
+        d_a, d_b = int(rng.integers(3, 5)), int(rng.integers(2, 4))
+        q, _ = np.linalg.qr(rng.normal(size=(d_a, d_a)) + 1j * rng.normal(size=(d_a, d_a)))
+        kept = sorted(rng.choice(d_a, size=int(rng.integers(1, d_a)), replace=False))
+        state = make_state(
+            sum(np.kron(q.T[j], random_state(rng, d_b).amplitudes) for j in kept)
+        )
+        first = ProjectiveMeasurement.from_basis(q.T).embed((d_a, d_b), "A")
+        seconds = [random_measurement(rng, d_b).embed((d_a, d_b), "B") for _ in range(3)]
+        born, table = conditional_born(state, first, seconds)
+        assert np.array_equal(born.probs, born_distribution(state, first).probs)
+        assert sorted(born.support()) == kept
+        assert table.shape == (3 * d_a, d_b) and not table.flags.writeable
+        for s, second in enumerate(seconds):
+            for j in range(d_a):
+                row = table[s * d_a + j]
+                if j in kept:
+                    direct = born_distribution(collapse(state, first, j), second).probs
+                    assert np.array_equal(row, direct)
+                else:
+                    assert np.isnan(row).all()
+
+    def test_seconds_need_one_outcome_count(self):
+        z_on_b = Z2.embed((2, 2), "B")
+        coarse = ProjectiveMeasurement((np.eye(4),))
+        with pytest.raises(DimensionMismatch):
+            conditional_born(bell_state(), Z2.embed((2, 2), "A"), [z_on_b, coarse])
+        with pytest.raises(DimensionMismatch):
+            conditional_born(bell_state(), Z2.embed((2, 2), "A"), [])
 
 
 class TestNonselectiveUpdate:
