@@ -14,10 +14,11 @@ both read it.
 
 from __future__ import annotations
 
+import itertools
 import math
 import re
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cache, cached_property, lru_cache
 from typing import Iterator, NamedTuple
 
 import numpy as np
@@ -33,7 +34,7 @@ from .quantum import (
 from .rng import cumulative, sample_index
 
 RAY_DIM = 4
-#: the coloring search holds contexts × 4^contexts indices: 84 MB at this cap
+#: the coloring search memoizes at most 2^contexts uncovered-context sets
 MAX_CONTEXTS = 10
 
 
@@ -79,14 +80,6 @@ class Context:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "rays", tuple(self.rays))
-
-    def is_orthogonal(self) -> bool:
-        rays = self.rays
-        return all(
-            rays[i].dot(rays[j]) == 0
-            for i in range(len(rays))
-            for j in range(i + 1, len(rays))
-        )
 
     def measurement(self) -> ProjectiveMeasurement:
         return ProjectiveMeasurement.from_basis(
@@ -148,26 +141,26 @@ def builtin_ks_table() -> KSTable:
     )
 
 
+def _context_violations(table: KSTable) -> Iterator[str]:
+    """Each context's faults, in order: it needs four distinct, orthogonal rays."""
+    for c, context in enumerate(table.contexts, start=1):
+        if len(context.rays) != RAY_DIM:
+            yield f"S_{c}: expected {RAY_DIM} rays, found {len(context.rays)}"
+            continue
+        if len(set(context.rays)) != RAY_DIM:
+            yield f"S_{c}: contains a repeated ray"
+        for a, b in itertools.combinations(context.rays, 2):
+            if a.dot(b) != 0:
+                yield f"S_{c}: rays {a} and {b} are not orthogonal"
+
+
 def validate_table(table: KSTable) -> list[str]:
     """All structural violations of a table; empty means fully valid.
 
     Context-level checks: four distinct, pairwise-orthogonal rays each.
     Table-level checks: exactly 18 distinct rays, each in exactly 2 contexts.
     """
-    violations: list[str] = []
-    for c, context in enumerate(table.contexts, start=1):
-        if len(context.rays) != RAY_DIM:
-            violations.append(f"S_{c}: expected {RAY_DIM} rays, found {len(context.rays)}")
-            continue
-        if len(set(context.rays)) != RAY_DIM:
-            violations.append(f"S_{c}: contains a repeated ray")
-        for i in range(RAY_DIM):
-            for j in range(i + 1, RAY_DIM):
-                if context.rays[i].dot(context.rays[j]) != 0:
-                    violations.append(
-                        f"S_{c}: rays {context.rays[i]} and {context.rays[j]}"
-                        " are not orthogonal"
-                    )
+    violations = list(_context_violations(table))
     if len(table.ray_index) != 18:
         violations.append(f"table has {len(table.ray_index)} distinct rays, expected 18")
     for ray, occurrences in sorted(table.ray_index.items()):
@@ -179,19 +172,19 @@ def validate_table(table: KSTable) -> list[str]:
 
 
 def _require_valid_contexts(table: KSTable) -> None:
-    for c, context in enumerate(table.contexts, start=1):
-        if len(context.rays) != RAY_DIM or len(set(context.rays)) != RAY_DIM:
-            raise InvalidTable(f"S_{c} is not a set of {RAY_DIM} distinct rays")
-        if not context.is_orthogonal():
-            raise InvalidTable(f"S_{c} is not an orthogonal basis")
+    for violation in _context_violations(table):
+        raise InvalidTable(violation)
 
 
 def ks_coloring_search(table: KSTable) -> ColoringResult:
-    """Exhaustively search for a consistent 1-per-context value assignment.
+    """Count the consistent 1-per-context value assignments, for n <= MAX_CONTEXTS.
 
     Each context must assign value 1 to exactly one of its four rays and 0
     to the rest, and a ray shared between contexts must receive the same
-    value everywhere. Enumerates all 4^n per-context choices, for n <= MAX_CONTEXTS.
+    value everywhere. The rays set to 1 then cover each context exactly once:
+    this counts exact covers of the contexts by the rays' context sets (Knuth's
+    Algorithm X, arXiv cs/0011047), memoized on the uncovered set within the
+    call. search_space_size is still the 4^n per-context choices.
     """
     _require_valid_contexts(table)
     n = len(table.contexts)
@@ -199,19 +192,19 @@ def ks_coloring_search(table: KSTable) -> ColoringResult:
         raise InvalidTable("a table needs at least one context")
     if n > MAX_CONTEXTS:
         raise TooLarge(f"{n} contexts exceed the search's cap of {MAX_CONTEXTS}")
-    size = RAY_DIM**n
-    choices = np.indices((RAY_DIM,) * n).reshape(n, size).T
-    consistent = np.ones(size, dtype=bool)
-    for occurrences in table.ray_index.values():
-        if len(occurrences) < 2:
-            continue
-        c0, p0 = occurrences[0]
-        first = choices[:, c0] == p0
-        for c, p in occurrences[1:]:
-            consistent &= (choices[:, c] == p) == first
-    found = int(consistent.sum())
+    mask = {ray: sum(1 << c for c, _ in occ) for ray, occ in table.ray_index.items()}
+    options = [[mask[ray] for ray in context.rays] for context in table.contexts]
+
+    @cache
+    def covers(uncovered: int) -> int:
+        if not uncovered:
+            return 1
+        lowest = options[(uncovered & -uncovered).bit_length() - 1]
+        return sum(covers(uncovered ^ m) for m in lowest if m & uncovered == m)
+
+    found = covers((1 << n) - 1)
     return ColoringResult(
-        colorable=found > 0, assignments_found=found, search_space_size=size
+        colorable=found > 0, assignments_found=found, search_space_size=RAY_DIM**n
     )
 
 
@@ -240,17 +233,18 @@ def format_table(table: KSTable) -> str:
 def parse_table(text: str) -> KSTable:
     """Inverse of format_table (used by external checkers)."""
     contexts = []
-    for line in text.splitlines():
+    for number, line in enumerate(text.splitlines(), start=1):
         line = line.strip()
         if not line:
             continue
         groups = re.findall(r"\(([^)]*)\)", line)
         if len(groups) != RAY_DIM:
             raise InvalidTable(f"expected {RAY_DIM} rays per line, got {len(groups)}")
-        rays = tuple(
-            Ray(tuple(int(c) for c in group.split(","))) for group in groups
-        )
-        contexts.append(Context(rays))
+        try:
+            components = [tuple(int(c) for c in group.split(",")) for group in groups]
+        except ValueError:
+            raise InvalidTable(f"line {number}: ray components must be integers") from None
+        contexts.append(Context(tuple(Ray(c) for c in components)))
     return KSTable(tuple(contexts))
 
 
@@ -298,14 +292,18 @@ def _paired_tables(context_index: int) -> tuple[ProbabilityDistribution, np.ndar
     """Alice's Born distribution in context S_j (1-based) on the twin state, and
     Bob's conditional table: row r * RAY_DIM + a is the detect/miss distribution
     of distinct ray r on the state Alice's outcome a leaves."""
-    table = builtin_ks_table()
-    lift = (RAY_DIM, RAY_DIM)
-    alice = table.contexts[context_index - 1].measurement().embed(lift, "A")
-    bobs = [
-        ProjectiveMeasurement.detection(ray.unit_vector()).embed(lift, "B")
-        for ray in table.distinct_rays
-    ]
-    return conditional_born(twin_state(), alice, bobs)
+    context = builtin_ks_table().contexts[context_index - 1]
+    alice = context.measurement().embed((RAY_DIM, RAY_DIM), "A")
+    return conditional_born(twin_state(), alice, _bob_lifts())
+
+
+@lru_cache(maxsize=1)
+def _bob_lifts() -> tuple[ProjectiveMeasurement, ...]:
+    """Bob's detect/miss lift of each distinct ray, checked once for all contexts."""
+    return tuple(
+        ProjectiveMeasurement.detection(ray.unit_vector()).embed((RAY_DIM, RAY_DIM), "B")
+        for ray in builtin_ks_table().distinct_rays
+    )
 
 
 def fwt_trial(

@@ -1,13 +1,17 @@
 import itertools
+import re
+import sys
 import tracemalloc
 
 import numpy as np
 import pytest
 
+from collapsim import kochen_specker
 from collapsim.errors import InvalidTable, TooLarge
 from collapsim.kochen_specker import (
     MAX_CONTEXTS,
     RAY_DIM,
+    ColoringResult,
     Context,
     KSTable,
     Ray,
@@ -20,6 +24,7 @@ from collapsim.kochen_specker import (
     parse_table,
     twin_state,
     validate_table,
+    _bob_lifts,
     _paired_tables,
 )
 from collapsim.policies import Biased, Born, Forced, Scripted
@@ -50,6 +55,22 @@ def brute_force_color_count(table: KSTable) -> int:
                 break
         count += consistent
     return count
+
+
+def enumeration_coloring(table: KSTable) -> ColoringResult:
+    """Second, fast oracle: all 4^n per-context choices as rows of a numpy
+    array, filtered on each shared ray; int8 choices keep 4^10 rows at 10 MB."""
+    n = len(table.contexts)
+    size = RAY_DIM**n
+    choices = np.indices((RAY_DIM,) * n, dtype=np.int8).reshape(n, size).T
+    consistent = np.ones(size, dtype=bool)
+    for occurrences in table.ray_index.values():
+        c0, p0 = occurrences[0]
+        first = choices[:, c0] == p0
+        for c, p in occurrences[1:]:
+            consistent &= (choices[:, c] == p) == first
+    found = int(consistent.sum())
+    return ColoringResult(colorable=found > 0, assignments_found=found, search_space_size=size)
 
 
 class TestRay:
@@ -161,8 +182,56 @@ class TestColoringSearch:
         bad = KSTable(
             (Context((Ray((1, 0, 0, 0)), Ray((1, 1, 0, 0)), Ray((0, 0, 1, 0)), Ray((0, 0, 0, 1)))),)
         )
-        with pytest.raises(InvalidTable):
-            ks_coloring_search(bad)
+        # the search and the certificate refuse on validate_table's first fault
+        first = re.escape(validate_table(bad)[0])
+        for check in (ks_coloring_search, parity_certificate):
+            with pytest.raises(InvalidTable, match=f"^{first}$"):
+                check(bad)
+
+    def test_matches_enumeration_on_every_subset(self):
+        contexts = builtin_ks_table().contexts
+        for take in range(1, len(contexts) + 1):
+            for subset in itertools.combinations(contexts, take):
+                table = KSTable(subset)
+                assert ks_coloring_search(table) == enumeration_coloring(table), subset
+
+    def test_matches_enumeration_on_random_multisets(self):
+        # contexts drawn with repetition, rays shuffled within each, so a ray
+        # occurs 1 to MAX_CONTEXTS times and at different positions
+        rng = np.random.default_rng(2024)
+        pool = builtin_ks_table().contexts + (DISJOINT_CONTEXT,)
+        multiplicities = set()
+        for _ in range(150):
+            picks = rng.integers(len(pool), size=rng.integers(1, MAX_CONTEXTS + 1))
+            table = KSTable(tuple(
+                Context(tuple(pool[i].rays[j] for j in rng.permutation(RAY_DIM)))
+                for i in picks
+            ))
+            multiplicities.update(len(occ) for occ in table.ray_index.values())
+            assert ks_coloring_search(table) == enumeration_coloring(table), picks
+        assert {1, 2, 3, 4, 5} <= multiplicities
+
+    def test_memo_is_local_to_each_call(self):
+        # a second call on the same table counts again: the package's Python
+        # calls during the search are the same in number both times
+        table = builtin_ks_table()
+        table.ray_index  # computed once per table, outside the counted calls
+        counts = []
+        for _ in range(2):
+            calls = 0
+
+            def profile(frame, event, arg):
+                nonlocal calls
+                calls += event == "call" and frame.f_code.co_filename == kochen_specker.__file__
+
+            sys.setprofile(profile)
+            try:
+                result = ks_coloring_search(table)
+            finally:
+                sys.setprofile(None)
+            assert result == ColoringResult(False, 0, 4**9)
+            counts.append(calls)
+        assert counts[0] == counts[1] > 2**4
 
     def test_context_cap_refused_before_allocating(self):
         # a parsed table may have any number of lines; 13 contexts would take
@@ -214,6 +283,13 @@ class TestTableFormat:
         parsed = parse_table(format_table(table))
         assert parsed.contexts == table.contexts
 
+    @pytest.mark.parametrize("ray", ["(1,x,0,0)", "(1,,0,0)", "(1.5,0,0,0)"])
+    def test_non_integer_component_names_line(self, ray):
+        text = format_table(builtin_ks_table()).splitlines()[0]
+        text += f"\n\n{ray} (0,1,0,0) (0,0,1,0) (0,0,0,1)"
+        with pytest.raises(InvalidTable, match="^line 3: ray components must be integers$"):
+            parse_table(text)
+
     def test_format_shape(self):
         lines = format_table(builtin_ks_table()).splitlines()
         assert len(lines) == 9
@@ -252,6 +328,25 @@ def test_paired_tables_match_direct_born_after_collapse(context_index):
         for a in range(RAY_DIM):
             direct = born_distribution(collapse(twin_state(), alice, a), bob).probs
             assert np.array_equal(bob_born[r * RAY_DIM + a], direct)
+
+
+def test_paired_tables_check_each_measurement_once(monkeypatch):
+    # 9 Alice contexts plus 18 Bob lifts shared by all of them; building the
+    # lifts per context would check 9 x (1 + 18) = 171 measurements
+    checked = 0
+    check = ProjectiveMeasurement.__post_init__
+
+    def counting_check(self):
+        nonlocal checked
+        checked += 1
+        check(self)
+
+    monkeypatch.setattr(ProjectiveMeasurement, "__post_init__", counting_check)
+    _paired_tables.cache_clear()
+    _bob_lifts.cache_clear()
+    for context_index in range(1, 10):
+        _paired_tables(context_index)
+    assert checked == 27
 
 
 class TestFwtTrial:
