@@ -31,6 +31,7 @@ from .quantum import (
     make_state,
 )
 from .rng import (
+    TrialRng,
     TrialStreams,
     cumulative,
     sample_index,
@@ -163,7 +164,7 @@ def selection(
     state: StateVector,
     alternatives: AlternativeSet,
     norm: NormFunction,
-    rng: np.random.Generator,
+    rng: TrialRng,
 ) -> tuple[int, bool]:
     """Pick the norm-optimal admissible alternative.
 
@@ -185,7 +186,7 @@ def selection(
 def act(
     alternatives: AlternativeSet,
     norm: NormFunction,
-    rng: np.random.Generator,
+    rng: TrialRng,
     mixing: float = 1.0,
 ) -> AgentTrace:
     """Run the full attention -> selection -> collapse pipeline.
@@ -284,10 +285,11 @@ def act_trials(
     flag equals the scalar trace's, whose stage_shape is
     COLLAPSE_STAGE_SHAPE.
 
-    Trial t draws in act's order: the mixing draw (only when mixing < 1),
-    the tie-break or Born-branch draw (only when taken), then the draw of
-    the Forced collapse. Attention, the admissible and tied sets and the
-    Forced checks are computed once before the first block.
+    Trial t reads Philox counter [t, 0, 0, block], one TrialStreams per
+    block, in act's order: the mixing draw (only when mixing < 1), the
+    tie-break or Born-branch draw (only when taken), then the draw of the
+    Forced collapse. Attention, the admissible and tied sets and the Forced
+    checks are computed once before the first block.
     """
     if not 0.0 <= mixing <= 1.0:
         raise BadParameter("mixing must lie in [0, 1]")

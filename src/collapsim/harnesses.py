@@ -232,6 +232,8 @@ def run_signal(config: ExperimentConfig) -> RunnerOutput:
         shared, dims, bob_measurement, settings, trials=trials, seed=config.seed
     )
     aggregate = asdict(report)
+    if report.independence_pvalue is None:  # analytic marginals carry no noise
+        del aggregate["independence_pvalue"]
     for label, marginal in aggregate.pop("bob_marginals").items():
         aggregate[f"bob_marginal_{label}"] = list(marginal)
     return [], aggregate, None
@@ -317,7 +319,7 @@ def run_behavior(config: ExperimentConfig) -> RunnerOutput:
         sequence = behavior.generate_sequence(
             p["kind"],
             p["length"],
-            trial_rng(config.seed),
+            np.random.Generator(np.random.Philox(key=config.seed)),
             rate=p["rate"],
             alpha=p["alpha"],
             xmin=p["xmin"],

@@ -31,7 +31,7 @@ from .quantum import (
     StateVector,
     conditional_born,
 )
-from .rng import cumulative, sample_index
+from .rng import TrialRng, cumulative, sample_index
 
 RAY_DIM = 4
 #: the coloring search memoizes at most 2^contexts uncovered-context sets
@@ -310,7 +310,7 @@ def fwt_trial(
     alice_context: int,
     bob_ray: Ray,
     alice_policy: CollapsePolicy,
-    rng: np.random.Generator,
+    rng: TrialRng,
     trial: int = 0,
 ) -> FwtTrial:
     """Trial `trial` of a run of the paired protocol on the built-in table.
@@ -376,11 +376,12 @@ def fwt_trials(
 ) -> Iterator[FwtBlock]:
     """Trials 0..trials-1 of fwt_trial, TRIAL_BLOCK trials at a time.
 
-    Trial t draws from trial_rng(seed, t) in fwt_trial's order: Bob's ray
-    first when bob_ray is None (integers over the 18 distinct rays), then
-    Alice's outcome, then Bob's (policies.paired_blocks). Every record equals
-    fwt_trial's at trial t. Both read the context's _paired_tables; the policy
-    plan is compiled, and every check run, before the first block.
+    Trial t reads trial_rng(seed, t), Philox counter [t, 0, 0, block], in
+    fwt_trial's order: Bob's ray first when bob_ray is None (integers over
+    the 18 distinct rays), then Alice's outcome, then Bob's
+    (policies.paired_blocks). Every record equals fwt_trial's at trial t.
+    Both read the context's _paired_tables; the policy plan is compiled, and
+    every check run, before the first block.
     """
     context = _trial_context(alice_context, () if bob_ray is None else (bob_ray,))
     all_rays = builtin_ks_table().distinct_rays

@@ -26,7 +26,7 @@ from .quantum import (
     StateVector,
     born_distribution,
 )
-from .rng import TrialStreams, cumulative, sample_index, sample_indices, trial_blocks
+from .rng import TrialRng, TrialStreams, cumulative, sample_index, sample_indices, trial_blocks
 
 
 class CollapsePolicy:
@@ -149,7 +149,7 @@ def effective_distribution(
 def sample_from_born(
     policy: CollapsePolicy,
     born: ProbabilityDistribution,
-    rng: np.random.Generator,
+    rng: TrialRng,
     trial: int = 0,
 ) -> OutcomeSample:
     """Draw trial `trial`'s outcome under a policy, recording both probabilities.
@@ -234,9 +234,10 @@ def paired_blocks(
 ) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]]:
     """Trials 0..trials-1 of the paired protocol, TRIAL_BLOCK at a time.
 
-    Trial t reads trial_rng(seed, *prefix, t): Bob's setting (integers(settings),
-    which draws nothing for one setting), Alice's outcome under her plan, then
-    Bob's outcome from row setting * k + Alice's outcome of bob_cums, k being
+    Trial t reads trial_rng(seed, *prefix, t), Philox counter [t, *prefix, block],
+    in one TrialStreams per block: Bob's setting (integers(settings), which
+    draws nothing for one setting), Alice's outcome under her plan, then Bob's
+    outcome from row setting * k + Alice's outcome of bob_cums, k being
     Alice's outcome count. Yields (t, setting, alice_outcome, bob_outcome) arrays.
     """
     k = alice_plan.cums.shape[1]
@@ -252,7 +253,7 @@ def sample_outcome(
     policy: CollapsePolicy,
     state: StateVector,
     measurement: ProjectiveMeasurement,
-    rng: np.random.Generator,
+    rng: TrialRng,
     trial: int = 0,
 ) -> OutcomeSample:
     """Sample trial `trial`'s measurement outcome of `state` under `policy`."""

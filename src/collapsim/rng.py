@@ -1,15 +1,15 @@
 """Seeded random streams with cheap, collision-free per-trial derivation.
 
-One master seed drives an experiment. Each trial gets its own generator,
-derived as a keyed counter-mode function of (master seed, trial index), so
-serial and parallel runs of the same experiment produce identical records.
-
-Trial t's stream is Philox4x64-10 keyed by the seed, with the stream key in
-counter words 1..3; numpy increments word 0 before its first block, so the
-trial's first four 64-bit words are philox(key=seed, counter=[1, *key]).
-`trial_words` computes those blocks for many trials at once and
-`TrialStreams` consumes them exactly as numpy's Generator would, so batched
-harnesses reproduce the scalar path bit for bit.
+Each trial reads its own stream, so its draws depend only on (master seed,
+stream prefix, trial index), and serial and parallel runs agree. Block b of
+trial t's stream under the prefix (p0, p1) (padded with 0) is the
+Philox4x64-10 block at key = seed, counter = [t, p0, p1, b]. numpy's Philox
+steps word 0 first, so block b of consecutive trials is one `random_raw`
+call (`trial_words`); any counter layout is a valid split of a
+counter-based generator into streams (Salmon et al., SC'11). The seed, the
+prefix and every trial index lie in [0, 2^64), so word 0 never carries into
+the prefix. `TrialStreams` reads the words the way numpy's Generator reads
+its own; `trial_rng` is one trial's stream.
 """
 
 from __future__ import annotations
@@ -18,91 +18,38 @@ import numpy as np
 
 from .errors import BadParameter
 
-_MASK64 = (1 << 64) - 1
-
 #: trials sampled together by the batched harnesses
 TRIAL_BLOCK = 4096
 
 _U32 = np.uint64(0xFFFFFFFF)
 _SHIFT32 = np.uint64(32)
-# Philox4x64 round multipliers and Weyl key increments (Salmon et al., SC'11)
-_PHILOX_M = (0xD2E7470EE14C6C93, 0xCA5A826395121157)
-_PHILOX_W = (0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B)
-_PHILOX_ROUNDS = 10
 
 
-def trial_rng(seed: int, *key: int) -> np.random.Generator:
-    """Generator for one trial (or any sub-stream) of a seeded experiment.
-
-    `key` may carry up to three non-negative indices (e.g. setting, trial).
-    Streams with distinct keys never overlap: the key occupies the upper
-    words of a Philox counter, leaving 2^64 draws per stream.
-    """
-    if len(key) > 3:
-        raise BadParameter("at most 3 stream key components are supported")
-    counter = [0, 0, 0, 0]
-    for slot, component in enumerate(key, start=1):
-        if component < 0:
-            raise BadParameter("stream key components must be non-negative")
-        counter[slot] = int(component) & _MASK64
-    # an explicit uint64 array: numpy would read a list holding a value
-    # >= 2**63 as float64, merging neighbouring keys into one stream
-    bit_gen = np.random.Philox(
-        key=int(seed) & _MASK64, counter=np.array(counter, dtype=np.uint64)
-    )
-    return np.random.Generator(bit_gen)
-
-
-def sample_index(rng: np.random.Generator, probs: np.ndarray) -> int:
-    """Draw an index from a (possibly sub-normalized) probability vector."""
-    cum = cumulative(probs)
-    idx = int(np.searchsorted(cum, rng.random() * cum[-1], side="right"))
-    return min(idx, len(cum) - 1)
-
-
-# --- batched streams ---------------------------------------------------------
-
-
-def _mulhilo(multiplier: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """High and low 64-bit words of multiplier * x, from 32-bit partial products."""
-    m_hi, m_lo = np.uint64(multiplier >> 32), np.uint64(multiplier & 0xFFFFFFFF)
-    x_hi, x_lo = x >> _SHIFT32, x & _U32
-    lo_lo = m_lo * x_lo
-    hi_lo = m_hi * x_lo
-    lo_hi = m_lo * x_hi
-    mid = (lo_lo >> _SHIFT32) + (hi_lo & _U32) + (lo_hi & _U32)
-    hi = m_hi * x_hi + (hi_lo >> _SHIFT32) + (lo_hi >> _SHIFT32) + (mid >> _SHIFT32)
-    return hi, (mid << _SHIFT32) | (lo_lo & _U32)
+def _word(value, what: str) -> int:
+    """value as one 64-bit counter or key word, refused rather than wrapped."""
+    if not isinstance(value, (int, np.integer)) or not 0 <= int(value) < 1 << 64:
+        raise BadParameter(f"{what} must be an integer in [0, 2**64), got {value!r}")
+    return int(value)
 
 
 def trial_words(seed: int, prefix: tuple[int, ...], t, block: int = 0) -> np.ndarray:
-    """Philox block `block` of every trial stream trial_rng(seed, *prefix, t).
+    """Philox block `block` of the streams of the consecutive trials t.
 
-    Returns an array of shape (len(t), 4): row i equals
-    trial_rng(seed, *prefix, t[i]).bit_generator.random_raw(4 * (block + 1))[-4:].
+    Row i of the (len(t), 4) result is the block at key = seed,
+    counter = [t[i], *prefix (padded with 0 to two words), block].
     """
-    prefix = tuple(int(k) for k in prefix)
+    t = np.asarray(t)
+    if t.ndim != 1 or not t.size or not (np.diff(t) == 1).all():
+        raise BadParameter("trials must be one or more consecutive ascending indices")
     if len(prefix) > 2:
         raise BadParameter("at most 3 stream key components are supported")
-    if any(k < 0 for k in prefix):
-        raise BadParameter("stream key components must be non-negative")
-    t = np.asarray(t, dtype=np.uint64)
-    n = t.size
-    columns = [np.uint64(1 + block), *(np.uint64(k & _MASK64) for k in prefix), t]
-    columns += [np.uint64(0)] * (4 - len(columns))
-    c0, c1, c2, c3 = (np.broadcast_to(c, (n,)).astype(np.uint64) for c in columns)
-    key0, key1 = int(seed) & _MASK64, 0
-    with np.errstate(over="ignore"):
-        for round_index in range(_PHILOX_ROUNDS):
-            if round_index:
-                key0 = (key0 + _PHILOX_W[0]) & _MASK64
-                key1 = (key1 + _PHILOX_W[1]) & _MASK64
-            hi0, lo0 = _mulhilo(_PHILOX_M[0], c0)
-            hi1, lo1 = _mulhilo(_PHILOX_M[1], c2)
-            c0, c1, c2, c3 = (
-                hi1 ^ c1 ^ np.uint64(key0), lo1, hi0 ^ c3 ^ np.uint64(key1), lo0
-            )
-    return np.stack([c0, c1, c2, c3], axis=1)
+    _word(seed, "the seed")
+    first, _ = (_word(index, "a trial index") for index in t[[0, -1]])  # both ends
+    p0, p1 = (_word(k, "a stream key component") for k in (*prefix, 0, 0)[:2])
+    counter = first + (p0 << 64) + (p1 << 128) + (_word(block, "a block index") << 192)
+    # numpy steps the counter before making each block
+    bit_gen = np.random.Philox(key=seed, counter=(counter - 1) % (1 << 256))
+    return bit_gen.random_raw(4 * t.size).reshape(t.size, 4)
 
 
 def trial_blocks(trials: int):
@@ -112,23 +59,20 @@ def trial_blocks(trials: int):
 
 
 class TrialStreams:
-    """The streams of many trials, read the way numpy's Generator reads one.
+    """The streams of consecutive trials, read the way numpy's Generator reads one.
 
-    Row i is the stream trial_rng(seed, *prefix, t[i]). Each draw method
-    takes the rows that draw (all rows by default) and advances only their
-    cursors, so a row reads exactly the words the scalar path reads. A
-    64-bit draw takes the row's next word; a 32-bit draw takes the buffered
-    upper half of an earlier word if there is one, else the lower half of
-    the next word, buffering its upper half. When a row runs past the
-    words computed so far, the next Philox block is computed for every row.
+    Row i is trial t[i]'s stream. Each draw method takes the rows that draw
+    (all rows by default) and advances only their cursors. A 64-bit draw
+    takes the row's next word; a 32-bit draw takes the buffered upper half
+    of an earlier word if there is one, else the lower half of the next
+    word, buffering its upper half. When a row runs past the words computed
+    so far, the next Philox block is computed for every row.
     """
 
     def __init__(self, seed: int, prefix: tuple[int, ...], t) -> None:
-        self.seed = seed
-        self.prefix = tuple(prefix)
-        self.t = np.asarray(t, dtype=np.uint64)
-        self.words = trial_words(seed, self.prefix, self.t)
-        n = self.t.size
+        self.seed, self.prefix, self.t = seed, tuple(prefix), t
+        self.words = trial_words(seed, self.prefix, t)
+        n = len(self.words)
         self.pos = np.zeros(n, dtype=np.intp)
         self.has_half = np.zeros(n, dtype=bool)
         self.half = np.zeros(n, dtype=np.uint64)
@@ -184,6 +128,38 @@ class TrialStreams:
         return out.astype(np.int64)
 
 
+class TrialRng:
+    """One trial's stream, one draw at a time: a single-row TrialStreams."""
+
+    def __init__(self, streams: TrialStreams) -> None:
+        self._streams = streams
+
+    def random(self) -> float:
+        """The next uniform in [0, 1), as Generator.random() converts a word."""
+        return float(self._streams.random()[0])
+
+    def integers(self, n: int) -> int:
+        """The next integer in [0, n), as Generator.integers(n) draws it."""
+        return int(self._streams.integers(n)[0])
+
+
+def trial_rng(seed: int, *key: int) -> TrialRng:
+    """Trial t's stream under a prefix of at most two components: key = (*prefix, t).
+
+    trial_rng(seed) is trial 0's. Keys of equal length never share a stream; a
+    shorter prefix is padded with 0 (trial_rng(seed, 0, t) is trial_rng(seed, t)).
+    """
+    *prefix, t = key or (0,)
+    return TrialRng(TrialStreams(seed, tuple(prefix), [t]))
+
+
+def sample_index(rng: TrialRng, probs: np.ndarray) -> int:
+    """Draw an index from a (possibly sub-normalized) probability vector."""
+    cum = cumulative(probs)
+    idx = int(np.searchsorted(cum, rng.random() * cum[-1], side="right"))
+    return min(idx, len(cum) - 1)
+
+
 def cumulative(probs) -> np.ndarray:
     """The cumulative table sample_index searches, row by row for a stack."""
     return np.cumsum(np.asarray(probs, dtype=float), axis=-1)
@@ -194,9 +170,13 @@ def sample_indices(u: np.ndarray, cums: np.ndarray, group=None) -> np.ndarray:
 
     `cums` is one cumulative table, or a 2-d stack of equally long ones.
     Counting the entries <= x is searchsorted(side="right") on a
-    non-decreasing table, so every index equals the scalar draw's.
+    non-decreasing table, so every index equals the scalar draw's. The
+    count runs column by column, so no (rows, k) table is gathered.
     """
     cums = np.atleast_2d(cums)
-    table = cums[np.zeros(u.size, dtype=np.intp) if group is None else group]
-    idx = (table <= (u * table[:, -1])[:, None]).sum(axis=1)
+    group = 0 if group is None else group
+    x = u * cums[:, -1][group]
+    idx = np.zeros(u.size, dtype=np.intp)
+    for column in cums.T:
+        idx += column[group] <= x
     return np.minimum(idx, cums.shape[1] - 1)

@@ -19,7 +19,7 @@ import numpy as np
 from .errors import BadParameter, ForbiddenOutcome, TooLarge
 from .policies import Born, Forced, sample_from_born
 from .quantum import StateVector, collapse_register, register_born
-from .rng import trial_rng
+from .rng import TrialRng, trial_rng
 
 #: dense state dimension is 2**(n+1); n above this is refused
 MAX_BITS = 12
@@ -94,7 +94,7 @@ def build_sat_state(oracle: OracleFunction) -> StateVector:
     return StateVector(amps)
 
 
-def decide_sat(oracle: OracleFunction, rng: np.random.Generator | None = None) -> SatResult:
+def decide_sat(oracle: OracleFunction, rng: TrialRng | None = None) -> SatResult:
     """Decide satisfiability by forcing the flag register to |1>.
 
     Unsatisfiable functions leave the flag with zero Born weight on |1>, so

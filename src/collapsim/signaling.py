@@ -8,7 +8,7 @@ to Bob; its capacity in bits is the natural size of the opened side channel.
 Per setting, quantum.conditional_born gives Alice's Born distribution and
 Bob's distribution after each of her outcomes. The analytic marginal weights
 those rows by her policy; the empirical one samples them through
-policies.paired_blocks.
+policies.paired_blocks, with a G-test of Alice's setting against Bob's outcome.
 """
 
 from __future__ import annotations
@@ -21,6 +21,7 @@ import numpy as np
 from .errors import BadParameter, DimensionMismatch
 from .policies import (
     CollapsePolicy,
+    _chi2_sf,
     compile_policy,
     paired_blocks,
     policy_distribution,
@@ -43,6 +44,7 @@ class SignalingReport:
     bob_marginals: dict[str, tuple[float, ...]]
     max_tv: float
     channel_bits: float
+    independence_pvalue: float | None  # empirical mode only
     trials_per_setting: int
     mode: str
     seed: int | None = None
@@ -104,6 +106,15 @@ def channel_capacity(transition: np.ndarray) -> float:
     return max((_entropy(q) - p * _entropy(a) - (1.0 - p) * _entropy(b)) / math.log(2), 0.0)
 
 
+def independence_pvalue(counts: np.ndarray) -> float:
+    """G-test of independence of a (settings, outcomes) count table: G = 2 sum
+    O ln(O/E) over the outcomes seen at all, df = their number less one."""
+    seen = counts[:, counts.sum(axis=0) > 0]
+    expected = np.outer(seen.sum(axis=1), seen.sum(axis=0)) / seen.sum()
+    g = 2.0 * float(np.sum(seen * np.log(np.where(seen > 0, seen / expected, 1.0))))
+    return _chi2_sf(g, seen.shape[1] - 1)
+
+
 def _entropy(r: list[float]) -> float:
     """Shannon entropy in nats."""
     return -sum(x * math.log(x) for x in r if x > 0.0)
@@ -120,7 +131,8 @@ def signaling_experiment(
     """Compare Bob's marginals across Alice's two settings.
 
     trials=None runs in analytic mode (exact marginals); an integer runs
-    sampled trials per setting with per-trial derived random streams.
+    sampled trials per setting (trial t of setting s reads trial_rng(seed, s, t),
+    Philox counter [t, s, 0, block]) and adds the independence G-test.
     """
     if len(settings) != 2:
         raise BadParameter("exactly two Alice settings are required")
@@ -130,26 +142,26 @@ def signaling_experiment(
             marginals[label] = bob_marginal_analytic(
                 shared, dims, alice_meas, policy, bob_measurement
             ).probs
-        mode, per_setting = "analytic", 0
+        mode, per_setting, pvalue = "analytic", 0, None
     else:
         if trials < 1:
             raise BadParameter("trials must be positive")
         bob = [bob_measurement.embed(dims, "B")]
+        counts = np.zeros((len(settings), bob_measurement.n_outcomes))
         for s, (label, (alice_meas, policy)) in enumerate(settings.items()):
-            # trial t of setting s reads trial_rng(seed, s, t)
             alice_born, bob_born = conditional_born(shared, alice_meas.embed(dims, "A"), bob)
             plan = compile_policy(policy, alice_born, trials)
-            counts = np.zeros(bob_measurement.n_outcomes)
             for *_, bob_outcome in paired_blocks(plan, cumulative(bob_born), seed, (s,), trials):
-                counts += np.bincount(bob_outcome, minlength=len(counts))
-            marginals[label] = counts / trials
-        mode, per_setting = "empirical", trials
+                counts[s] += np.bincount(bob_outcome, minlength=counts.shape[1])
+            marginals[label] = counts[s] / trials
+        mode, per_setting, pvalue = "empirical", trials, independence_pvalue(counts)
 
     rows = np.stack(list(marginals.values()))
     return SignalingReport(
         bob_marginals={label: tuple(map(float, m)) for label, m in marginals.items()},
         max_tv=total_variation(*rows),
         channel_bits=channel_capacity(rows / rows.sum(axis=1, keepdims=True)),
+        independence_pvalue=pvalue,
         trials_per_setting=per_setting,
         mode=mode,
         seed=seed if trials is not None else None,

@@ -13,6 +13,14 @@ from collapsim.quantum import (
 )
 
 
+def keyed_generator(seed: int, *key: int) -> np.random.Generator:
+    """A numpy Generator on Philox keyed by seed, its counter at [0, *key]
+    (padded with 0): a general stream for tests that draw arrays from one
+    Generator, fixed so their draws stay as they are."""
+    counter = np.array([0, *key, 0, 0, 0][:4], dtype=np.uint64)
+    return np.random.Generator(np.random.Philox(key=seed, counter=counter))
+
+
 def random_state(rng: np.random.Generator, dim: int) -> StateVector:
     amps = rng.normal(size=dim) + 1j * rng.normal(size=dim)
     return make_state(amps)

@@ -42,7 +42,13 @@ from collapsim.quantum import (
 from collapsim.rng import trial_rng
 from collapsim.sat import OracleFunction, classical_brute_force, decide_sat
 from collapsim.signaling import signaling_experiment
-from helpers import act_counts, random_density, random_measurement, random_state
+from helpers import (
+    act_counts,
+    keyed_generator,
+    random_density,
+    random_measurement,
+    random_state,
+)
 
 Z2 = ProjectiveMeasurement.computational(2)
 Z3 = ProjectiveMeasurement.computational(3)
@@ -235,7 +241,7 @@ def test_criterion_10_zeroth_order_conformance():
         state = random_state(rng, dim)
         measurement = random_measurement(rng, dim)
         born = born_distribution(state, measurement)
-        counts = sample_counts(Born(), state, measurement, trials, trial_rng(101, case))
+        counts = sample_counts(Born(), state, measurement, trials, keyed_generator(101, case))
         stats = deviation_statistic(counts, born)
         df = max(len(born.support()) - 1, 1)
         assert stats.chi2 < scipy_stats.chi2.ppf(0.999, df), f"case {case}"
@@ -268,9 +274,9 @@ def test_criterion_12_behavior_classifier():
     levy_hits = noise_hits = 0
     seeds = 200
     for s in range(seeds):
-        pareto = generate_sequence("pareto", 10_000, trial_rng(120, s), alpha=1.5, xmin=1.0)
+        pareto = generate_sequence("pareto", 10_000, keyed_generator(120, s), alpha=1.5, xmin=1.0)
         levy_hits += classify(pareto).classification == "levy_like"
-        exponential = generate_sequence("exponential", 10_000, trial_rng(121, s), rate=1.0)
+        exponential = generate_sequence("exponential", 10_000, keyed_generator(121, s), rate=1.0)
         noise_hits += classify(exponential).classification == "noise_like"
     assert levy_hits >= 0.95 * seeds, f"levy {levy_hits}/{seeds}"
     assert noise_hits >= 0.95 * seeds, f"noise {noise_hits}/{seeds}"

@@ -27,8 +27,8 @@ CONFIGS = {
 
 DIGESTS = {
     "ks": "4fc72f0d736b9809120b34364c9bc2d01dabd0f1ef47291643b004f4e487c22c",
-    "fwt": "aa6e2cddeec2214bf338d6a88789e613a51b215f4f7f6de809f699fefdd12a16",
-    "signal": "6c1494b922dd07a63af6c9635f759d40cdf8112db60e3a67399dacb9e0b33c9c",
+    "fwt": "a395fcced80a1aabe91d5767db6d6c80bc25165586114147ae4900234f490e18",
+    "signal": "cd9f9a9c3e7d701609506ec3bad3c2a3ff155b0b883ccb1fbf6aec241125ece5",
     "energy": "808343c1d068c35aeefe42c112cd09d6d5066b16b22a29601dce5a8452179c27",
     "sat": "c1df5e2f400d78defc6193ffeaf0f9daec34d7e17da08c57aa72b63f46370233",
     "asc": "b552d6877c6c6cf719d2a52c0e0d114159eb4e967c582b73383c48c81d4e1e87",

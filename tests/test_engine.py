@@ -1,11 +1,11 @@
 """The batched trial engine against numpy and against the scalar path.
 
-The engine computes each trial's Philox words in bulk and consumes them the
-way numpy's Generator does. These tests pin the kernel to numpy, replay
-numpy's 32-bit buffering on crafted words, and check every record and
-aggregate of fwt, empirical signal and asc against scalar oracle loops
-kept here: one trial_rng Generator per trial, through fwt_trial, act and
-sample_from_born.
+The engine reads each block of trials' Philox words from one numpy
+random_raw call and consumes them the way numpy's Generator does. These
+tests pin the words and the draws to numpy itself, replay numpy's 32-bit
+buffering on crafted words, and check every record and aggregate of fwt,
+empirical signal and asc against scalar oracle loops kept here: one
+trial_rng stream per trial, through fwt_trial, act and sample_from_born.
 """
 
 import json
@@ -14,8 +14,8 @@ import numpy as np
 import pytest
 
 from collapsim import agent, kochen_specker, policies
-from collapsim.cli import build_config, render_report, run
-from collapsim.errors import CollapsimError
+from collapsim.cli import MAX_TRIALS, build_config, run
+from collapsim.errors import BadParameter, CollapsimError
 from collapsim.policies import total_variation
 from collapsim.quantum import ProjectiveMeasurement, born_distribution, collapse, make_state
 from collapsim.rng import TRIAL_BLOCK, TrialStreams, trial_rng, trial_words
@@ -25,44 +25,75 @@ MAX64 = 2**64 - 1
 B = TRIAL_BLOCK
 
 
-# --- (a) the Philox kernel ---------------------------------------------------
+# --- (a) the streams against numpy's Philox ------------------------------------
+
+
+def _counter(t, prefix, block):
+    """Trial t's block `block` counter under prefix, as numpy's 256-bit integer
+    (word 0 least significant)."""
+    words = [t, *prefix, 0, 0][:3] + [block]
+    return sum(w << 64 * i for i, w in enumerate(words))
+
+
+def _numpy_at(seed, t, prefix=(), block=0):
+    """numpy's Generator whose first block is the one at trial t's counter:
+    numpy steps its counter before making each block."""
+    counter = (_counter(t, prefix, block) - 1) % 2**256
+    return np.random.Generator(np.random.Philox(key=seed, counter=counter))
 
 
 @pytest.mark.parametrize("seed", [0, 13, MAX64])
-@pytest.mark.parametrize("prefix", [(), (5,), (MAX64,)])
+@pytest.mark.parametrize("prefix", [(), (5,), (MAX64,), (3, MAX64)])
 def test_trial_words_match_numpy_philox(seed, prefix):
-    t = np.array([0, 1, 2**32 - 1, 2**32, 2**32 + 1, MAX64], dtype=np.uint64)
-    words = trial_words(seed, prefix, t)
-    second = trial_words(seed, prefix, t, block=1)
-    for row, trial in enumerate(t.tolist()):
-        counter = np.array([0, *prefix, trial, 0, 0][:4], dtype=np.uint64)
-        raw = np.random.Philox(key=seed, counter=counter).random_raw(8)
-        assert words[row].tolist() == raw[:4].tolist()
-        assert second[row].tolist() == raw[4:].tolist()
-        assert trial_rng(seed, *prefix, trial).bit_generator.random_raw(4).tolist() == raw[:4].tolist()
+    for first in (0, 2**32 - 2, MAX64 - 3):  # runs from 0, across 2**32, up to the last
+        t = np.arange(first, first + 4, dtype=np.uint64)
+        for block in (0, 1):
+            words = trial_words(seed, prefix, t, block)
+            for row, trial in enumerate(t.tolist()):
+                raw = _numpy_at(seed, trial, prefix, block).bit_generator.random_raw(4)
+                assert words[row].tolist() == raw.tolist()
 
 
-def test_trial_rng_keeps_keys_above_2_63_apart():
-    first = trial_rng(0, 2**63).bit_generator.random_raw(4)
-    second = trial_rng(0, 2**63 + 1).bit_generator.random_raw(4)
-    assert first.tolist() != second.tolist()
+def test_numpy_counter_words_are_the_stream_layout():
+    # the 256-bit counter is [t, p0, p1, b] word by word, so the words of
+    # trial t > 0 are also numpy's block after the array counter [t - 1, p0, p1, b]
+    for seed, t, prefix, block in [(7, 9, (4, 2), 0), (7, 9, (4,), 3), (0, 1, (), 1)]:
+        counter = np.array([t - 1, *prefix, 0, 0][:3] + [block], dtype=np.uint64)
+        raw = np.random.Philox(key=seed, counter=counter).random_raw(4)
+        assert trial_words(seed, prefix, [t], block).tolist() == [raw.tolist()]
 
 
 def test_draws_match_a_generator_per_trial():
+    # each trial's draws inside its block 0, against numpy's Generator there
     t = np.arange(500, dtype=np.uint64)
     streams = TrialStreams(21, (3,), t)
+    # 64-bit words 0 (both halves), 1, 2 and the low half of 3: block 0 only
     draws = [streams.integers(18), streams.random(), streams.integers(5),
-             streams.integers(1), streams.random(), streams.integers(1000),
-             streams.random()]
-    odd = np.arange(1, t.size, 2)
-    past_first_block = streams.random(odd)  # word 5: the rows' second Philox block
+             streams.integers(1), streams.random(), streams.integers(1000)]
     for trial in t.tolist():
-        rng = trial_rng(21, 3, trial)
+        rng = _numpy_at(21, trial, (3,))
         expected = [rng.integers(18), rng.random(), rng.integers(5),
-                    rng.integers(1), rng.random(), rng.integers(1000), rng.random()]
+                    rng.integers(1), rng.random(), rng.integers(1000)]
         assert [d[trial] for d in draws] == expected
-        if trial % 2:
-            assert past_first_block[trial // 2] == rng.random()
+        scalar = trial_rng(21, 3, trial)
+        assert [scalar.integers(18), scalar.random(), scalar.integers(5),
+                scalar.integers(1), scalar.random(), scalar.integers(1000)] == expected
+
+
+def test_trial_crossing_into_block_1():
+    # words 0-2 as floats and the low half of word 3; then block 1's word 0,
+    # the buffered high half of block 0's word 3, and block 1's word 1
+    block0, block1 = _numpy_at(4, 70, (2,)), _numpy_at(4, 70, (2,), block=1)
+    expected = [block0.random(), block0.random(), block0.random(), block0.integers(7),
+                block1.random(), block0.integers(7), block1.random()]
+    streams = TrialStreams(4, (2,), [69, 70, 71])
+    got = []
+    for draw in ["random"] * 3 + ["integers", "random", "integers", "random"]:
+        got.append(streams.random([1]) if draw == "random" else streams.integers(7, [1]))
+    assert [x[0] for x in got] == expected
+    scalar = trial_rng(4, 2, 70)
+    assert [scalar.random(), scalar.random(), scalar.random(), scalar.integers(7),
+            scalar.random(), scalar.integers(7), scalar.random()] == expected
 
 
 def test_rows_crossing_a_block_in_different_calls():
@@ -71,8 +102,57 @@ def test_rows_crossing_a_block_in_different_calls():
     second = [streams.random([1]) for _ in range(9)]  # row 1 computes block 2
     third = [streams.random([2]) for _ in range(9)]  # row 2 reuses both
     for row, draws in enumerate([first, second, third]):
-        rng = trial_rng(0, row)
-        assert [d[0] for d in draws] == [rng.random() for _ in draws]
+        blocks = [_numpy_at(0, row, block=b) for b in range(3)]
+        expected = [rng.random() for rng in blocks for _ in range(4)]
+        assert [d[0] for d in draws] == expected[:len(draws)]
+
+
+def test_trial_rng_reads_one_trial():
+    rng = trial_rng(5, 9)
+    value, index = rng.random(), rng.integers(1000)
+    assert type(value) is float and type(index) is int
+    numpy_rng = _numpy_at(5, 9)
+    assert [value, index] == [numpy_rng.random(), numpy_rng.integers(1000)]
+    # no key is trial 0; a prefix shorter than two words is padded with 0
+    assert trial_rng(5).random() == trial_rng(5, 0).random() == _numpy_at(5, 0).random()
+    assert trial_rng(5, 0, 9).random() == trial_rng(5, 9).random()
+
+
+def test_trial_rng_keeps_keys_above_2_63_apart():
+    assert trial_rng(0, 2**63).random() != trial_rng(0, 2**63 + 1).random()
+    assert trial_rng(0, 2**63, 1).random() != trial_rng(0, 2**63 + 1, 1).random()
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: trial_rng(2**64),  # would alias seed 0
+        lambda: trial_rng(2**64 + 7),
+        lambda: trial_rng(-1),  # would alias 2**64 - 1
+        lambda: trial_rng(0.5),
+        lambda: trial_rng(0, 2**64),  # would alias trial 0
+        lambda: trial_rng(0, -1),
+        lambda: trial_rng(0, 2**64, 3),  # a prefix word
+        lambda: trial_rng(0, 1, -2, 3),
+        lambda: trial_rng(0, 1, 2, 3, 4),  # three prefix words
+        lambda: TrialStreams(2**64, (), [0]),
+        lambda: TrialStreams(0, (), [MAX64, 2**64]),  # the range's end
+        lambda: TrialStreams(0, (), [0, 2, 3]),  # not consecutive
+        lambda: TrialStreams(0, (), [3, 2]),
+        lambda: TrialStreams(0, (), [[0, 1]]),
+        lambda: TrialStreams(0, (), np.array([0, 2**40], dtype=np.uint64)),  # a huge span
+        lambda: trial_words(0, (2**64,), [0]),
+        lambda: trial_words(0, (), [0], block=-1),
+    ],
+)
+def test_bad_stream_keys_are_refused_not_wrapped(make):
+    with pytest.raises(BadParameter):
+        make()
+
+
+def test_trial_indices_never_carry_into_the_prefix():
+    # the last block of the largest run still fits counter word 0
+    assert MAX_TRIALS + TRIAL_BLOCK < 2**64
 
 
 # --- (b) Lemire's method on crafted words --------------------------------------

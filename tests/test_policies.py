@@ -29,7 +29,7 @@ from collapsim.quantum import (
     make_state,
 )
 from collapsim.rng import TRIAL_BLOCK, trial_rng
-from helpers import random_measurement, random_state
+from helpers import keyed_generator, random_measurement, random_state
 
 Z2 = ProjectiveMeasurement.computational(2)
 Z3 = ProjectiveMeasurement.computational(3)
@@ -124,10 +124,10 @@ class TestSampleOutcome:
 
     def test_born_long_run_frequency(self):
         # the hits of 10^5 sample_outcome(Born(), s, Z2, rng) calls on one
-        # rng = trial_rng(123): sample_counts draws as that loop does
+        # rng = keyed_generator(123): sample_counts draws as that loop does
         # (test_sample_counts_equals_per_trial_sampling checks it at 500 trials)
         s = make_state([1, 1])
-        hits = sample_counts(Born(), s, Z2, 100_000, trial_rng(123))[0]
+        hits = sample_counts(Born(), s, Z2, 100_000, keyed_generator(123))[0]
         assert 0.494 <= hits / 100_000 <= 0.506  # 3 sigma at p=1/2, n=1e5
 
     def test_scripted_plays_admissible_entries_in_order(self):
@@ -150,14 +150,14 @@ class TestSampleOutcome:
 
     def test_forced_determinism_bulk(self):
         s = make_state([1, 1, 1, 1])
-        counts = sample_counts(Forced(2), s, Z4, 1000, trial_rng(3))
+        counts = sample_counts(Forced(2), s, Z4, 1000, keyed_generator(3))
         assert counts[2] == 1000 and counts.sum() == 1000
 
     def test_sample_counts_plays_script_then_fallback(self):
         # trials 0..3 play the script (entry 2 is inadmissible and falls back
         # to forced:0), trials 4..9 the fallback
         policy = Scripted((1, 2, 1, 0), Forced(0))
-        counts = sample_counts(policy, qutrit(np.pi / 4), Z3, 10, trial_rng(0))
+        counts = sample_counts(policy, qutrit(np.pi / 4), Z3, 10, keyed_generator(0))
         expected = np.bincount([1, 0, 1, 0] + [0] * 6, minlength=3)
         np.testing.assert_array_equal(counts, expected)
 
@@ -170,10 +170,10 @@ class TestSampleOutcome:
     def test_sample_counts_equals_per_trial_sampling(self, policy):
         # one draw of one stream per trial, in order, as sample_outcome makes them
         s = qutrit(np.pi / 5)
-        rng = trial_rng(4)
+        rng = keyed_generator(4)
         per_trial = [sample_outcome(policy, s, Z3, rng, trial=t).outcome for t in range(500)]
         np.testing.assert_array_equal(
-            sample_counts(policy, s, Z3, 500, trial_rng(4)), np.bincount(per_trial, minlength=3)
+            sample_counts(policy, s, Z3, 500, keyed_generator(4)), np.bincount(per_trial, minlength=3)
         )
 
     def test_sample_counts_across_blocks_equals_one_shot_count(self):
@@ -184,9 +184,9 @@ class TestSampleOutcome:
         policy = Scripted(script, Biased(ProbabilityDistribution(np.array([0.35, 0.65, 0.0]))))
         s = qutrit(np.pi / 5)
         plan = compile_policy(policy, born_distribution(s, Z3), trials)
-        one_shot = plan.sample(trial_rng(6).random(trials), np.arange(trials))
+        one_shot = plan.sample(keyed_generator(6).random(trials), np.arange(trials))
         np.testing.assert_array_equal(
-            sample_counts(policy, s, Z3, trials, trial_rng(6)), np.bincount(one_shot, minlength=3)
+            sample_counts(policy, s, Z3, trials, keyed_generator(6)), np.bincount(one_shot, minlength=3)
         )
 
 
@@ -217,7 +217,7 @@ def test_born_long_run_chi_square_conformance():
         dim = int(rng.integers(2, 6))
         s, m = random_state(rng, dim), random_measurement(rng, dim)
         born = born_distribution(s, m)
-        counts = sample_counts(Born(), s, m, 100_000, trial_rng(900 + case))
+        counts = sample_counts(Born(), s, m, 100_000, keyed_generator(900 + case))
         stats = deviation_statistic(counts, born)
         df = len(born.support()) - 1
         assert stats.chi2 < scipy_stats.chi2.ppf(0.999, df)

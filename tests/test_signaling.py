@@ -1,7 +1,10 @@
 import math
 
+import json
+
 import numpy as np
 import pytest
+from scipy.stats import chi2_contingency
 
 from collapsim.cli import main
 from collapsim.errors import BadParameter
@@ -15,6 +18,7 @@ from collapsim.quantum import (
 from collapsim.signaling import (
     bob_marginal_analytic,
     channel_capacity,
+    independence_pvalue,
     signaling_experiment,
 )
 from helpers import random_measurement, random_state
@@ -241,3 +245,53 @@ def test_empirical_reproducible():
     first = signaling_experiment(BELL, (2, 2), Z, settings, trials=500, seed=9)
     second = signaling_experiment(BELL, (2, 2), Z, settings, trials=500, seed=9)
     assert first.bob_marginals == second.bob_marginals
+
+
+def scipy_g_test(table):
+    """scipy's G-test of independence over the columns seen; 1 with one column."""
+    seen = table[:, table.sum(axis=0) > 0]
+    if seen.shape[1] < 2:
+        return 1.0
+    return chi2_contingency(seen, correction=False, lambda_="log-likelihood").pvalue
+
+
+@pytest.mark.parametrize(
+    "table",
+    [[[30, 10], [20, 20]], [[5000, 5000], [5000, 5000]], [[7, 0, 3], [2, 0, 9]],
+     [[400, 0], [0, 400]], [[12, 0], [15, 0]], [[1, 2, 3, 4], [4, 3, 2, 1]]],
+)
+def test_independence_pvalue_is_the_g_test(table):
+    table = np.array(table, dtype=float)
+    assert independence_pvalue(table) == pytest.approx(scipy_g_test(table), rel=1e-9, abs=1e-300)
+
+
+QUTRIT_PAIR = make_state([1, 0, 0, 0, 1, 0, 0, 0, 1])  # (|00> + |11> + |22>)/sqrt(3)
+QUBIT_PAIR_IN_QUTRITS = make_state([1, 0, 0, 0, 1, 0, 0, 0, 0])  # Bob never sees 2
+Z3 = ProjectiveMeasurement.computational(3)
+
+
+@pytest.mark.parametrize(
+    "shared,policy0,policy1",
+    [(QUTRIT_PAIR, Born(), Born()),
+     (QUTRIT_PAIR, Born(), biased(0.4, 0.3, 0.3)),
+     (QUBIT_PAIR_IN_QUTRITS, Born(), biased(0.45, 0.55, 0.0)),
+     (QUBIT_PAIR_IN_QUTRITS, Forced(0), Forced(0))],
+)
+@pytest.mark.parametrize("seed", [0, 1])
+def test_empirical_report_carries_the_g_test_of_its_counts(shared, policy0, policy1, seed):
+    trials = 3000
+    settings = {"0": (Z3, policy0), "1": (Z3, policy1)}
+    report = signaling_experiment(shared, (3, 3), Z3, settings, trials=trials, seed=seed)
+    table = np.round([np.asarray(report.bob_marginals[label]) * trials for label in "01"])
+    assert table.sum() == 2 * trials
+    assert report.independence_pvalue == pytest.approx(scipy_g_test(table), rel=1e-9)
+
+
+def test_independence_pvalue_only_in_empirical_reports(capsys):
+    assert main(["signal"]) == 0
+    analytic = json.loads(capsys.readouterr().out.splitlines()[1])
+    assert analytic["mode"] == "analytic" and "independence_pvalue" not in analytic
+    assert main(["signal", "--mode", "empirical", "--trials", "2000",
+                 "--policy0", "forced:0", "--policy1", "forced:1"]) == 0
+    empirical = json.loads(capsys.readouterr().out.splitlines()[1])
+    assert empirical["independence_pvalue"] == 0.0  # a perfect 1-bit channel
