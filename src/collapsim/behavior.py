@@ -21,7 +21,7 @@ NOISE_THRESHOLD = 3.5
 
 @dataclass(frozen=True, eq=False)
 class EventSequence:
-    """Positive inter-event intervals in abstract time units."""
+    """Positive, finite inter-event intervals in abstract time units."""
 
     intervals: np.ndarray
 
@@ -29,8 +29,8 @@ class EventSequence:
         values = np.ascontiguousarray(self.intervals, dtype=float)
         if values.ndim != 1 or values.size < 1:
             raise BadParameter("intervals must form a non-empty 1-d sequence")
-        if np.any(values <= 0):
-            raise BadParameter("all intervals must be positive")
+        if not np.all(np.isfinite(values) & (values > 0)):
+            raise BadParameter("all intervals must be positive and finite")
         values.setflags(write=False)
         object.__setattr__(self, "intervals", values)
 
@@ -124,9 +124,9 @@ def classify(
 
 
 def read_intervals(text: str) -> EventSequence:
-    """Parse a plain interval file: one positive number per line."""
+    """Parse a plain interval file: one positive, finite number per line."""
     try:
-        values = [float(line) for line in text.split() if line.strip()]
+        values = list(map(float, text.split()))
     except ValueError as exc:
         raise BadParameter(f"not an interval file: {exc}") from exc
     if not values:
@@ -136,4 +136,4 @@ def read_intervals(text: str) -> EventSequence:
 
 def format_intervals(sequence: EventSequence) -> str:
     """Serialize one interval per line (inverse of read_intervals)."""
-    return "\n".join(repr(float(x)) for x in sequence.intervals) + "\n"
+    return "\n".join(map(repr, sequence.intervals.tolist())) + "\n"

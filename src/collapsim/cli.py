@@ -19,6 +19,8 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Callable, Collection
 
+import numpy as np
+
 from . import behavior, harnesses
 from .errors import CollapsimError, ConfigError
 
@@ -108,7 +110,8 @@ class ExperimentConfig:
 @dataclass(frozen=True)
 class ExperimentReport:
     config: dict[str, Any]
-    trials: list[dict[str, Any]]
+    #: the per-trial records, present only when the config asks for them
+    trials: harnesses.TrialTable | None
     aggregate: dict[str, Any]
     duration_seconds: float
     #: set for plain-file outputs (interval sequences, ray-table dumps)
@@ -328,11 +331,11 @@ EXPERIMENTS = tuple(SPECS)
 def run(config: ExperimentConfig) -> ExperimentReport:
     """Dispatch a validated config to its harness and assemble the report."""
     start = time.perf_counter()
-    trial_records, aggregate, plain = SPECS[config.experiment].runner(config)
+    trials, aggregate, plain = SPECS[config.experiment].runner(config)
     duration = time.perf_counter() - start
     return ExperimentReport(
         config=config.flat(),
-        trials=trial_records if config.per_trial else [],
+        trials=trials,
         aggregate=aggregate,
         duration_seconds=duration,
         plain_output=plain,
@@ -346,7 +349,8 @@ def render_report(report: ExperimentReport, output_format: str) -> str:
         row = [_csv_cell(report.aggregate[k]) for k in keys]
         return ",".join(keys) + "\n" + ",".join(row) + "\n"
     lines = [json.dumps({"record": "config", **report.config}, sort_keys=True)]
-    lines.extend(json.dumps(rec, sort_keys=True) for rec in report.trials)
+    if report.trials is not None:
+        lines.extend(_trial_lines(report.trials))
     lines.append(json.dumps({"record": "aggregate", **report.aggregate}, sort_keys=True))
     lines.append(
         json.dumps(
@@ -355,6 +359,28 @@ def render_report(report: ExperimentReport, output_format: str) -> str:
         )
     )
     return "\n".join(lines) + "\n"
+
+
+def _trial_lines(table: harnesses.TrialTable) -> list[str]:
+    """Each trial's json.dumps(record, sort_keys=True), from one template per
+    distinct row of codes: the record's dump split at its trial value."""
+    row = np.zeros(table.trial.size, dtype=np.int64)
+    for codes, values in table.coded.values():
+        row = row * len(values) + codes
+    _, first, which = np.unique(row, return_index=True, return_inverse=True)
+    # each field's value in each distinct row's first trial
+    columns = {
+        key: [values[c] for c in codes[first].tolist()]
+        for key, (codes, values) in table.coded.items()
+    }
+    heads, tails = [], []
+    for i, t in enumerate(table.trial[first].tolist()):
+        record = {"record": "trial", "trial": t, **{k: col[i] for k, col in columns.items()}}
+        # a string value escapes its quotes, so only the key matches
+        head, _, tail = json.dumps(record, sort_keys=True).partition(f'"trial": {t}')
+        heads.append(head + '"trial": ')
+        tails.append(tail)
+    return [f"{heads[i]}{t}{tails[i]}" for i, t in zip(which.tolist(), table.trial.tolist())]
 
 
 def _csv_cell(value: Any) -> str:

@@ -1,16 +1,21 @@
 """The seven experiment harnesses behind the command line.
 
 Each runner takes a validated config, whose parameters validation already
-parsed with the parsers below, and returns the per-trial records, the
+parsed with the parsers below, and returns the per-trial table, the
 aggregate record and, for plain-file outputs, the text to write instead of a
 report. No runner parses parameter text; only the classify input file is
 read by its run.
+
+The per-trial table (TrialTable), kept only when the config asks for
+per-trial records, holds the engine's blocks as columns: the trial index
+plain, every other field as small-int codes into its JSON values, so the
+report renders one JSON template per distinct row (cli.render_report).
 """
 
 from __future__ import annotations
 
 import cmath
-from dataclasses import asdict
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import TYPE_CHECKING, Any, Callable
 
@@ -30,7 +35,20 @@ from .rng import trial_blocks, trial_rng
 if TYPE_CHECKING:
     from .cli import ExperimentConfig
 
-RunnerOutput = tuple[list[dict], dict, str | None]
+
+@dataclass(frozen=True)
+class TrialTable:
+    """Per-trial records as columns. Row i is the record with "trial":
+    trial[i] and, for each key, values[codes[i]] of its coded[key] =
+    (codes, values); every value is a JSON value."""
+
+    trial: np.ndarray
+    coded: dict[str, tuple[np.ndarray, tuple[Any, ...]]]
+
+
+#: (the per-trial table, kept only with per_trial; the aggregate record;
+#: the plain-file text that replaces the report, if any)
+RunnerOutput = tuple[TrialTable | None, dict, str | None]
 
 
 # --- parameter text ----------------------------------------------------------
@@ -161,7 +179,7 @@ def run_ks(config: ExperimentConfig) -> RunnerOutput:
     table = kochen_specker.builtin_ks_table()
     if config.params["dump_table"]:
         # ray-table text format for external checkers
-        return [], {}, kochen_specker.format_table(table) + "\n"
+        return None, {}, kochen_specker.format_table(table) + "\n"
     aggregate = {
         **asdict(kochen_specker.ks_coloring_search(table)),
         "parity_certificate": kochen_specker.parity_certificate(table),
@@ -169,15 +187,14 @@ def run_ks(config: ExperimentConfig) -> RunnerOutput:
         "contexts": len(table.contexts),
         "distinct_rays": len(table.ray_index),
     }
-    return [], aggregate, None
+    return None, aggregate, None
 
 
 def run_fwt(config: ExperimentConfig) -> RunnerOutput:
     p = config.params
     trials = config.resolved_trials()
-    ray_names = [str(ray) for ray in kochen_specker.builtin_ks_table().distinct_rays]
 
-    records = []
+    kept = []  # the blocks, for the per-trial table
     in_context = agreements = detections = 0
     blocks = kochen_specker.fwt_trials(
         p["context"], p["bob_ray"], p["policy"], config.seed, trials
@@ -187,7 +204,7 @@ def run_fwt(config: ExperimentConfig) -> RunnerOutput:
         in_context += int(block.in_context.sum())
         agreements += int(block.agree.sum())
         if config.per_trial:
-            records.extend(_fwt_records(block, ray_names))
+            kept.append(block)
     aggregate = {
         "trials": trials,
         "context": p["context"],
@@ -198,24 +215,25 @@ def run_fwt(config: ExperimentConfig) -> RunnerOutput:
         "detections": detections,
         "detection_rate": detections / trials,
     }
-    return records, aggregate, None
+    return _fwt_table(kept) if config.per_trial else None, aggregate, None
 
 
-def _fwt_records(block: kochen_specker.FwtBlock, ray_names: list[str]) -> list[dict]:
-    columns = zip(*(column.tolist() for column in block), block.agree.tolist())
-    return [
-        {
-            "record": "trial",
-            "trial": t,
-            "alice_outcome": alice_outcome,
-            "bob_ray": ray_names[ray],
-            "bob_value": bob_value,
-            "in_context": in_ctx,
-            "alice_value_for_bob_ray": alice_value if in_ctx else None,
-            "agree": agree if in_ctx else None,
-        }
-        for t, ray, alice_outcome, bob_value, in_ctx, alice_value, agree in columns
-    ]
+def _fwt_table(blocks: list[kochen_specker.FwtBlock]) -> TrialTable:
+    block = kochen_specker.FwtBlock(*map(np.concatenate, zip(*blocks)))
+    in_context = block.in_context
+    rays = tuple(map(str, kochen_specker.builtin_ks_table().distinct_rays))
+    outcomes = tuple(range(kochen_specker.RAY_DIM))
+    return TrialTable(block.trial, {
+        "alice_outcome": (block.alice_outcome, outcomes),
+        "bob_ray": (block.bob_ray, rays),
+        "bob_value": (block.bob_value, (0, 1)),
+        "in_context": (in_context, (False, True)),
+        # code 0 out of context, where both are null
+        "alice_value_for_bob_ray": (
+            np.where(in_context, 1 + block.alice_value_for_bob_ray, 0), (None, 0, 1)
+        ),
+        "agree": (np.where(in_context, 1 + block.agree, 0), (None, False, True)),
+    })
 
 
 def run_signal(config: ExperimentConfig) -> RunnerOutput:
@@ -236,7 +254,7 @@ def run_signal(config: ExperimentConfig) -> RunnerOutput:
         del aggregate["independence_pvalue"]
     for label, marginal in aggregate.pop("bob_marginals").items():
         aggregate[f"bob_marginal_{label}"] = list(marginal)
-    return [], aggregate, None
+    return None, aggregate, None
 
 
 def run_energy(config: ExperimentConfig) -> RunnerOutput:
@@ -248,7 +266,7 @@ def run_energy(config: ExperimentConfig) -> RunnerOutput:
     measurement = _basis_measurement(p["basis"], hamiltonian.dim)
     eigenvalues = p["eigenvalues"] or list(range(measurement.n_outcomes))
     audit = audit_measurement(rho, measurement, eigenvalues, hamiltonian, p["weights"])
-    return [], asdict(audit), None
+    return None, asdict(audit), None
 
 
 def run_sat(config: ExperimentConfig) -> RunnerOutput:
@@ -261,7 +279,7 @@ def run_sat(config: ExperimentConfig) -> RunnerOutput:
         "brute_force_satisfiable": brute.satisfiable,
         "brute_force_agrees": brute.satisfiable == result.satisfiable,
     }
-    return [], aggregate, None
+    return None, aggregate, None
 
 
 def run_asc(config: ExperimentConfig) -> RunnerOutput:
@@ -271,7 +289,7 @@ def run_asc(config: ExperimentConfig) -> RunnerOutput:
     norm = agent.NormFunction(dict(zip(labels, p["norm"])))
     trials = config.resolved_trials()
 
-    records = []
+    kept = []  # the blocks, for the per-trial table
     counts = np.zeros(len(labels), dtype=int)
     if p["agent"] == "collapse":
         blocks = agent.act_trials(alternatives, norm, config.seed, trials, p["mixing"])
@@ -280,24 +298,14 @@ def run_asc(config: ExperimentConfig) -> RunnerOutput:
         # the robot draws nothing: every trial computes the same argmax
         robot = agent.robot_act(alternatives, norm)
         blocks = (
-            agent.ActBlock(t, np.full(t.size, robot.final_outcome), np.full(t.size, None))
+            agent.ActBlock(t, np.full(t.size, robot.final_outcome), np.zeros(t.size, bool))
             for t in trial_blocks(trials)
         )
         shape = list(robot.stage_shape)
     for block in blocks:
         counts += np.bincount(block.chosen, minlength=len(labels))
         if config.per_trial:
-            records.extend(
-                {
-                    "record": "trial",
-                    "trial": t,
-                    "outcome": outcome,
-                    "label": labels[outcome],
-                    "stage_shape": shape,
-                    "tie_broken": tie_broken,
-                }
-                for t, outcome, tie_broken in zip(*(column.tolist() for column in block))
-            )
+            kept.append(block)
     reference = agent.born_reference(alternatives)
     stats = policies.deviation_statistic(counts, reference)
     aggregate = {
@@ -310,7 +318,18 @@ def run_asc(config: ExperimentConfig) -> RunnerOutput:
         "chi2_df": stats.df,
         "chi2_pvalue": stats.pvalue,
     }
-    return records, aggregate, None
+    table = None
+    if config.per_trial:
+        block = agent.ActBlock(*map(np.concatenate, zip(*kept)))
+        # the robot has no tie-break stage: its tie_broken is null
+        tie_values = (False, True) if p["agent"] == "collapse" else (None,)
+        table = TrialTable(block.trial, {
+            "outcome": (block.chosen, tuple(range(len(labels)))),
+            "label": (block.chosen, labels),
+            "stage_shape": (np.zeros(block.trial.size, int), (shape,)),
+            "tie_broken": (block.tie_broken, tie_values),
+        })
+    return table, aggregate, None
 
 
 def run_behavior(config: ExperimentConfig) -> RunnerOutput:
@@ -324,10 +343,10 @@ def run_behavior(config: ExperimentConfig) -> RunnerOutput:
             alpha=p["alpha"],
             xmin=p["xmin"],
         )
-        return [], {}, behavior.format_intervals(sequence)
+        return None, {}, behavior.format_intervals(sequence)
     report = behavior.classify(
         behavior.read_intervals(read_text("input", p["input"])),
         levy_threshold=p["levy_threshold"],
         noise_threshold=p["noise_threshold"],
     )
-    return [], {"mode": "classify", **asdict(report)}, None
+    return None, {"mode": "classify", **asdict(report)}, None

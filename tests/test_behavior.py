@@ -154,3 +154,24 @@ class TestSerialization:
     def test_rejects_nonpositive(self):
         with pytest.raises(BadParameter):
             read_intervals("1.0\n-2.0\n")
+
+    @pytest.mark.parametrize("bad", ["nan", "inf"])
+    def test_rejects_non_finite(self, bad):
+        # NaN passed the old `values <= 0` check and classified to a NaN
+        # exponent; inf classified as levy_like
+        lines = format_intervals(generate_sequence("exponential", 2000, keyed_generator(98)))
+        lines = lines.splitlines()
+        lines[700] = bad
+        with pytest.raises(BadParameter, match="^all intervals must be positive and finite$"):
+            read_intervals("\n".join(lines))
+
+    @pytest.mark.parametrize("kind", ["exponential", "pareto"])
+    def test_format_equals_per_element_repr(self, kind):
+        draws = generate_sequence(kind, 2000, keyed_generator(99)).intervals
+        extremes = [np.finfo(float).tiny, 1e16, 1e16 + 2, 9.999999999999998e15, 1e-5,
+                    1.0000000000000002e-05, 0.30000000000000004, 0.1]
+        sequence = EventSequence(np.concatenate([draws, extremes]))
+        old = "\n".join(repr(float(x)) for x in sequence.intervals) + "\n"
+        assert format_intervals(sequence) == old
+        assert "0.30000000000000004\n" in old  # 17 significant digits
+        np.testing.assert_array_equal(read_intervals(old).intervals, sequence.intervals)

@@ -9,12 +9,13 @@ import sys
 from pathlib import Path
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from collapsim import cli, harnesses
+from collapsim import agent, cli, harnesses, kochen_specker
 from collapsim.cli import build_config, main, render_report, run, validate
 from collapsim.errors import ConfigError
+from collapsim.rng import TRIAL_BLOCK
 
 
 def run_lines(raw):
@@ -410,6 +411,121 @@ class TestDeterminism:
         assert first is not None and first == second
 
 
+def reference_records(raw):
+    """Each trial's record as a dict, built trial by trial from the engine's
+    blocks: the records the report's trial lines must dump to."""
+    config = build_config(raw)
+    p, trials = config.params, config.resolved_trials()
+    if config.experiment == "fwt":
+        rays = [str(ray) for ray in kochen_specker.builtin_ks_table().distinct_rays]
+        blocks = kochen_specker.fwt_trials(
+            p["context"], p["bob_ray"], p["policy"], config.seed, trials
+        )
+        for block in blocks:
+            rows = zip(*(column.tolist() for column in block), block.agree.tolist())
+            for t, ray, alice_outcome, bob_value, in_ctx, alice_value, agree in rows:
+                yield {
+                    "record": "trial", "trial": t, "alice_outcome": alice_outcome,
+                    "bob_ray": rays[ray], "bob_value": bob_value, "in_context": in_ctx,
+                    "alice_value_for_bob_ray": alice_value if in_ctx else None,
+                    "agree": agree if in_ctx else None,
+                }
+        return
+    labels = p["labels"]
+    alternatives = agent.AlternativeSet(labels, tuple(p["priorities"]))
+    norm = agent.NormFunction(dict(zip(labels, p["norm"])))
+    if p["agent"] == "collapse":
+        for block in agent.act_trials(alternatives, norm, config.seed, trials, p["mixing"]):
+            for t, outcome, tie in zip(*(column.tolist() for column in block)):
+                yield {"record": "trial", "trial": t, "outcome": outcome,
+                       "label": labels[outcome],
+                       "stage_shape": list(agent.COLLAPSE_STAGE_SHAPE), "tie_broken": tie}
+        return
+    robot = agent.robot_act(alternatives, norm)
+    for t in range(trials):
+        yield {"record": "trial", "trial": t, "outcome": robot.final_outcome,
+               "label": robot.final_label, "stage_shape": list(robot.stage_shape),
+               "tie_broken": None}
+
+
+SEEDS = st.integers(0, 2**64 - 1)
+TRIAL_COUNTS = st.one_of(st.integers(1, 300), st.just(TRIAL_BLOCK + 3))
+FWT_CONFIGS = st.fixed_dictionaries({
+    "experiment": st.just("fwt"), "seed": SEEDS, "trials": TRIAL_COUNTS,
+    "per_trial": st.just(True), "context": st.integers(1, 9),
+    "bob_ray": st.sampled_from(["random", "1,1,0,0", "0,0,0,1", "1,1,1,-1"]),
+    "policy": st.sampled_from(["born", "forced:2", "biased:0.1,0.2,0.3,0.4",
+                               "scripted:3,0,1;fallback=born"]),
+})
+# any text but the list separator: quotes, backslashes, non-ASCII, controls
+LABELS = st.lists(st.text(st.characters(blacklist_characters=","), min_size=1, max_size=6),
+                  min_size=1, max_size=4, unique=True)
+
+
+@st.composite
+def asc_configs(draw):
+    labels = draw(LABELS)
+    n = len(labels)
+    priorities = draw(st.lists(st.sampled_from([0, 0.5, 1, 2]), min_size=n, max_size=n)
+                      .filter(any))
+    norm = draw(st.lists(st.sampled_from([0, 1]), min_size=n, max_size=n))
+    return {
+        "experiment": "asc", "seed": draw(SEEDS), "trials": draw(TRIAL_COUNTS),
+        "per_trial": True, "labels": ",".join(labels),
+        "priorities": ",".join(map(str, priorities)), "norm": ",".join(map(str, norm)),
+        "mixing": draw(st.sampled_from([0.0, 0.5, 1.0])),
+        "agent": draw(st.sampled_from(["collapse", "compute"])),
+    }
+
+
+class TestTrialLines:
+    """The report's trial lines, rendered from one template per distinct row,
+    against json.dumps of each record."""
+
+    @settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(raw=st.one_of(FWT_CONFIGS, asc_configs()))
+    # a fixed ray outside context 1: every trial out of context, both nullable fields null
+    @example(raw={"experiment": "fwt", "seed": 3, "trials": 50, "per_trial": True,
+                  "context": 1, "bob_ray": "1,1,1,-1", "policy": "born"})
+    # across a TRIAL_BLOCK boundary, the ray drawn
+    @example(raw={"experiment": "fwt", "seed": 4, "trials": TRIAL_BLOCK + 1,
+                  "per_trial": True, "context": 2, "bob_ray": "random", "policy": "born"})
+    @example(raw={"experiment": "asc", "seed": 5, "trials": TRIAL_BLOCK + 1,
+                  "per_trial": True, "labels": 'q"t\\,caf\u00e9 \u20ac,\x00\x1f\n,"trial": 7',
+                  "priorities": "1,1,1,1", "norm": "0,1,1,1", "mixing": 0.5,
+                  "agent": "collapse"})
+    # the robot: tie_broken null
+    @example(raw={"experiment": "asc", "seed": 6, "trials": 20, "per_trial": True,
+                  "labels": '\\",\ud83d\ude00', "priorities": "1,2", "norm": "1,1",
+                  "mixing": 1.0, "agent": "compute"})
+    def test_lines_equal_json_dumps_of_each_record(self, raw):
+        expected = [json.dumps(record, sort_keys=True) for record in reference_records(raw)]
+        assert run_lines(raw)[1:-2] == expected
+
+    @pytest.mark.parametrize("experiment", ["fwt", "asc"])
+    def test_templates_only_with_per_trial(self, experiment, monkeypatch):
+        dumped = []
+        real_dumps = json.dumps
+
+        def dumps(obj, **kwargs):
+            dumped.append(obj)
+            return real_dumps(obj, **kwargs)
+
+        monkeypatch.setattr(json, "dumps", dumps)
+        for per_trial, trials in [(False, 5000), (True, 1), (True, 5000)]:
+            report = run(build_config({"experiment": experiment, "seed": 1,
+                                       "trials": trials, "per_trial": per_trial}))
+            assert (report.trials is not None) == per_trial
+            dumped.clear()
+            lines = render_report(report, "json-lines").splitlines()
+            assert len(lines) == 3 + (trials if per_trial else 0)
+            # config, aggregate and timing, then one template per distinct row
+            templates = dumped[1:-2]
+            assert all(record["record"] == "trial" for record in templates)
+            rows = {json.dumps({**json.loads(line), "trial": 0}) for line in lines[1:-2]}
+            assert len(templates) == len(rows)
+
+
 class TestConfigEcho:
     def test_echo_revalidates(self, tmp_path):
         table = tmp_path / "f.tt"
@@ -521,6 +637,22 @@ class TestMainEntry:
         err = capsys.readouterr().err
         assert err.startswith("collapsim.errors.BadParameter: not an interval file")
         assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("bad", ["nan", "inf"])
+    def test_non_finite_interval_exit_1(self, bad, tmp_path, capsys):
+        # a NaN interval gave "tail_exponent": NaN, which is not JSON, and an
+        # infinite one levy_like; both exited 0
+        data = tmp_path / "seq.txt"
+        assert main(["behavior", "generate", "--length", "2000", "--out", str(data)]) == 0
+        lines = data.read_text().splitlines()
+        lines[1234] = bad
+        data.write_text("\n".join(lines) + "\n")
+        assert main(["behavior", "classify", "--input", str(data)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "collapsim.errors.BadParameter: all intervals must be positive and finite\n"
+        )
 
     @pytest.mark.parametrize(
         "argv, message",

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from collapsim import agent, kochen_specker, policies
-from collapsim.cli import MAX_TRIALS, build_config, run
+from collapsim.cli import MAX_TRIALS, build_config, render_report, run
 from collapsim.errors import BadParameter, CollapsimError
 from collapsim.policies import total_variation
 from collapsim.quantum import ProjectiveMeasurement, born_distribution, collapse, make_state
@@ -275,8 +275,10 @@ def _basis(name):
 
 
 def _report(raw):
+    """The trial records, read back from the rendered report, and the aggregate."""
     report = run(build_config(raw))
-    return report.trials, report.aggregate
+    lines = render_report(report, "json-lines").splitlines()
+    return [json.loads(line) for line in lines[1:-2]], report.aggregate
 
 
 def _same(a, b):
