@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterator, Mapping, NamedTuple, Union
+from typing import Callable, Iterator, Mapping, NamedTuple, Union
 
 import numpy as np
 
@@ -24,21 +24,13 @@ from .errors import (
     LengthMismatch,
     NoAdmissibleAlternative,
 )
-from .policies import Forced, policy_distribution, sample_from_born
+from .policies import Forced, policy_distribution
 from .quantum import (
     ProbabilityDistribution,
     StateVector,
     make_state,
 )
-from .rng import (
-    TrialRng,
-    TrialStreams,
-    cumulative,
-    sample_index,
-    sample_indices,
-    trial_blocks,
-    trial_rng,
-)
+from .rng import TrialRng, TrialStreams, cumulative, sample_index, sample_indices, trial_blocks
 
 
 @dataclass(frozen=True)
@@ -160,6 +152,19 @@ def attention(alternatives: AlternativeSet) -> StateVector:
     return make_state(np.sqrt(priorities / total))
 
 
+def _choices(
+    born: ProbabilityDistribution, alternatives: AlternativeSet, norm: NormFunction
+) -> tuple[list[int], list[int]]:
+    """The admissible alternatives (nonzero Born weight), in order, and the
+    norm-optimal ones among them (the tied set)."""
+    admissible = sorted(born.support())
+    if not admissible:
+        raise NoAdmissibleAlternative("no alternative has nonzero amplitude")
+    scores = {j: norm.value(alternatives.labels[j]) for j in admissible}
+    best = max(scores.values())
+    return admissible, [j for j in admissible if scores[j] == best]
+
+
 def selection(
     state: StateVector,
     alternatives: AlternativeSet,
@@ -171,16 +176,12 @@ def selection(
     Ties are broken by Born-renormalized sampling over the tied set (a
     random subroutine), and flagged as such.
     """
-    admissible = sorted(ProbabilityDistribution(np.abs(state.amplitudes) ** 2).support())
-    if not admissible:
-        raise NoAdmissibleAlternative("no alternative has nonzero amplitude")
-    scores = {j: norm.value(alternatives.labels[j]) for j in admissible}
-    best = max(scores.values())
-    tied = [j for j in admissible if scores[j] == best]
+    born = ProbabilityDistribution(np.abs(state.amplitudes) ** 2)
+    _, tied = _choices(born, alternatives, norm)
     if len(tied) == 1:
         return tied[0], False
     weights = np.abs(state.amplitudes[tied]) ** 2
-    return tied[int(sample_index(rng, weights))], True
+    return tied[sample_index(rng, weights)], True
 
 
 def act(
@@ -194,27 +195,19 @@ def act(
     `mixing` blends selection modes: 1.0 (default) always follows the norm
     argmax; 0.0 ignores the norm and samples the admissible set with Born
     weights; intermediate values choose between the two at random. This
-    knob is an extension beyond the basic model.
+    knob is an extension beyond the basic model. This is act_trials' block
+    code at one row, on rng's stream as it stands.
     """
-    if not 0.0 <= mixing <= 1.0:
-        raise BadParameter("mixing must lie in [0, 1]")
-    state = attention(alternatives)
-    born = ProbabilityDistribution(np.abs(state.amplitudes) ** 2)
-    if mixing >= 1.0 or rng.random() < mixing:
-        chosen, tie_broken = selection(state, alternatives, norm, rng)
-    else:
-        admissible = sorted(born.support())
-        weights = np.abs(state.amplitudes[admissible]) ** 2
-        chosen, tie_broken = admissible[int(sample_index(rng, weights))], False
-    outcome_sample = sample_from_born(Forced(chosen), born, rng)
-    assert outcome_sample.outcome == chosen  # selection only returns admissible
+    state, block = _act_block(alternatives, norm, mixing)
+    row = block(rng.streams, np.zeros(1, dtype=np.uint64))
+    chosen, tie_broken = int(row.chosen[0]), bool(row.tie_broken[0])
     return AgentTrace(
         kind="collapse",
         labels=alternatives.labels,
         stages=(
             AttentionStage(tick=1, state=state),
             SelectionStage(tick=2, chosen=chosen, tie_broken=tie_broken),
-            CollapseStage(tick=3, outcome=outcome_sample.outcome),
+            CollapseStage(tick=3, outcome=chosen),
         ),
     )
 
@@ -250,21 +243,6 @@ def born_reference(alternatives: AlternativeSet) -> ProbabilityDistribution:
     return ProbabilityDistribution(np.abs(state.amplitudes) ** 2)
 
 
-def run_trials(
-    alternatives: AlternativeSet,
-    norm: NormFunction,
-    trials: int,
-    seed: int,
-    mixing: float = 1.0,
-) -> list[AgentTrace]:
-    """Independent decision episodes with per-trial derived streams."""
-    if trials < 1:
-        raise BadParameter("trials must be positive")
-    return [
-        act(alternatives, norm, trial_rng(seed, t), mixing) for t in range(trials)
-    ]
-
-
 class ActBlock(NamedTuple):
     """A block of decision episodes, one array entry per trial."""
 
@@ -281,38 +259,35 @@ def act_trials(
     mixing: float = 1.0,
 ) -> Iterator[ActBlock]:
     """act(alternatives, norm, trial_rng(seed, t), mixing) for trials
-    0..trials-1, TRIAL_BLOCK trials at a time; each chosen outcome and tie
-    flag equals the scalar trace's, whose stage_shape is
-    COLLAPSE_STAGE_SHAPE.
+    0..trials-1, TRIAL_BLOCK trials at a time: trial t reads Philox counter
+    [t, 0, 0, block], one TrialStreams per block. Each chosen outcome and
+    tie flag is act's, whose stage_shape is COLLAPSE_STAGE_SHAPE."""
+    _, block = _act_block(alternatives, norm, mixing)
+    return (block(TrialStreams(seed, (), t), t) for t in trial_blocks(trials))
 
-    Trial t reads Philox counter [t, 0, 0, block], one TrialStreams per
-    block, in act's order: the mixing draw (only when mixing < 1), the
-    tie-break or Born-branch draw (only when taken), then the draw of the
-    Forced collapse. Attention, the admissible and tied sets and the Forced
-    checks are computed once before the first block.
+
+def _act_block(
+    alternatives: AlternativeSet, norm: NormFunction, mixing: float
+) -> tuple[StateVector, Callable[[TrialStreams, np.ndarray], ActBlock]]:
+    """The block code of act and act_trials, and the attention state.
+
+    Attention, the admissible and tied sets and the Forced collapse's checks
+    are computed once. block(streams, t) draws trials t in act's order: the
+    mixing draw (only when mixing < 1), the tie-break or Born-branch draw
+    (only when taken), then the draw of the Forced collapse.
     """
     if not 0.0 <= mixing <= 1.0:
         raise BadParameter("mixing must lie in [0, 1]")
     state = attention(alternatives)
     born = ProbabilityDistribution(np.abs(state.amplitudes) ** 2)
-    admissible = sorted(born.support())
-    if not admissible:
-        raise NoAdmissibleAlternative("no alternative has nonzero amplitude")
-    scores = {j: norm.value(alternatives.labels[j]) for j in admissible}
-    best = max(scores.values())
-    tied = [j for j in admissible if scores[j] == best]
+    admissible, tied = _choices(born, alternatives, norm)
     for j in admissible:
         policy_distribution(Forced(j), born)  # the collapse's admissibility check
     tie_cum = cumulative(np.abs(state.amplitudes[tied]) ** 2)
     born_cum = cumulative(np.abs(state.amplitudes[admissible]) ** 2)
-    return _act_blocks(
-        np.array(tied), tie_cum, np.array(admissible), born_cum, mixing, seed, trials
-    )
+    tied, admissible = np.array(tied), np.array(admissible)
 
-
-def _act_blocks(tied, tie_cum, admissible, born_cum, mixing, seed, trials):
-    for t in trial_blocks(trials):
-        streams = TrialStreams(seed, (), t)
+    def block(streams: TrialStreams, t: np.ndarray) -> ActBlock:
         if mixing >= 1.0:
             follow = np.ones(t.size, dtype=bool)
         else:
@@ -328,4 +303,6 @@ def _act_blocks(tied, tie_cum, admissible, born_cum, mixing, seed, trials):
         by_born = np.flatnonzero(~follow)
         chosen[by_born] = admissible[sample_indices(streams.random(by_born), born_cum)]
         streams.random()  # the Forced collapse: a certain outcome, one word
-        yield ActBlock(trial=t, chosen=chosen, tie_broken=tie_broken)
+        return ActBlock(trial=t, chosen=chosen, tie_broken=tie_broken)
+
+    return state, block

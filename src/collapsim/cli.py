@@ -32,6 +32,8 @@ BASES = ("z", "x")
 #: multi-gigabyte interval sequence (float64 intervals, 8 bytes each)
 MAX_TRIALS = 10**8
 MAX_LENGTH = 10**7
+#: a per-trial report is held whole in memory: 10^6 fwt records peak near 670 MB
+MAX_PER_TRIAL = 10**6
 
 
 @dataclass(frozen=True)
@@ -195,6 +197,10 @@ def _validate_globals(raw: dict[str, Any]) -> list[str]:
     per_trial = raw.get("per_trial", False)
     if not isinstance(per_trial, bool):
         violations.append("per_trial: must be a boolean")
+    elif per_trial and output_format == "csv":
+        violations.append("per_trial: a csv report has no per-trial records; use json-lines")
+    elif per_trial and isinstance(trials, int) and trials > MAX_PER_TRIAL:
+        violations.append(f"per_trial: at most {MAX_PER_TRIAL} trials keep per-trial records")
     return violations
 
 

@@ -8,8 +8,8 @@ The Free Will Theorem pair is the paired protocol on the twin state: Alice
 measures a context under her policy, and Bob detects one ray on the state
 her outcome leaves. Per context, Alice's Born distribution and Bob's
 conditional table for all 18 rays come from one quantum.conditional_born
-call, cached; fwt_trial and the batched fwt_trials (policies.paired_blocks)
-both read it.
+call, cached. One block code (policies.paired_block on those tables) makes
+the records of the batched fwt_trials and of fwt_trial, its one-trial face.
 """
 
 from __future__ import annotations
@@ -19,19 +19,19 @@ import math
 import re
 from dataclasses import dataclass
 from functools import cache, cached_property, lru_cache
-from typing import Iterator, NamedTuple
+from typing import Callable, Iterator, NamedTuple
 
 import numpy as np
 
 from .errors import InvalidTable, TooLarge
-from .policies import CollapsePolicy, compile_policy, paired_blocks, sample_from_born
+from .policies import CollapsePolicy, PolicyPlan, compile_policy, paired_block, trial_plan
 from .quantum import (
     ProbabilityDistribution,
     ProjectiveMeasurement,
     StateVector,
     conditional_born,
 )
-from .rng import TrialRng, cumulative, sample_index
+from .rng import TrialRng, TrialStreams, cumulative, trial_blocks
 
 RAY_DIM = 4
 #: the coloring search memoizes at most 2^contexts uncovered-context sets
@@ -318,26 +318,21 @@ def fwt_trial(
     Alice measures the shared state in context S_j (1-based index) under her
     collapse policy. The joint state after her outcome is computed by
     projection (never by assuming the mirrored outcome), and Bob measures
-    the detect/miss observable of his ray on it with Born statistics.
+    the detect/miss observable of his ray on it with Born statistics. This
+    is fwt_trials' block code on rng's stream as it stands, so draws a
+    caller made from rng first (a random ray, say) come before Alice's.
     """
-    context = _trial_context(alice_context, (bob_ray,))
-    alice_born, bob_born = _paired_tables(alice_context)
-    alice_sample = sample_from_born(alice_policy, alice_born, rng, trial)
-    ray_index = builtin_ks_table().distinct_rays.index(bob_ray)
-    bob_outcome = sample_index(rng, bob_born[ray_index * RAY_DIM + alice_sample.outcome])
-    bob_value = 1 if bob_outcome == 0 else 0
-
-    in_context = bob_ray in context.rays
-    alice_value: int | None = None
-    if in_context:
-        alice_value = 1 if context.rays[alice_sample.outcome] == bob_ray else 0
+    row = _fwt_block(
+        alice_context, bob_ray, lambda born: trial_plan(alice_policy, born, trial)
+    )(rng.streams, np.array([trial]))
+    in_context = bool(row.in_context[0])
     return FwtTrial(
         alice_context=alice_context,
-        alice_outcome=alice_sample.outcome,
+        alice_outcome=int(row.alice_outcome[0]),
         bob_ray=bob_ray,
-        bob_value=bob_value,
+        bob_value=int(row.bob_value[0]),
         in_context=in_context,
-        alice_value_for_bob_ray=alice_value,
+        alice_value_for_bob_ray=int(row.alice_value_for_bob_ray[0]) if in_context else None,
     )
 
 
@@ -374,29 +369,50 @@ def fwt_trials(
     seed: int,
     trials: int,
 ) -> Iterator[FwtBlock]:
-    """Trials 0..trials-1 of fwt_trial, TRIAL_BLOCK trials at a time.
+    """Trials 0..trials-1 of the paired protocol, TRIAL_BLOCK trials at a time.
 
-    Trial t reads trial_rng(seed, t), Philox counter [t, 0, 0, block], in
-    fwt_trial's order: Bob's ray first when bob_ray is None (integers over
-    the 18 distinct rays), then Alice's outcome, then Bob's
-    (policies.paired_blocks). Every record equals fwt_trial's at trial t.
-    Both read the context's _paired_tables; the policy plan is compiled, and
-    every check run, before the first block.
+    Trial t reads trial_rng(seed, t), Philox counter [t, 0, 0, block]: Bob's
+    ray first when bob_ray is None (integers over the 18 distinct rays), then
+    Alice's outcome, then Bob's. Every record equals fwt_trial's at trial t
+    on that stream after the ray draw. The policy plan is compiled, and every
+    check run, before the first block.
+    """
+    block = _fwt_block(
+        alice_context, bob_ray, lambda born: compile_policy(alice_policy, born, trials)
+    )
+    return (block(TrialStreams(seed, (), t), t) for t in trial_blocks(trials))
+
+
+def _fwt_block(
+    alice_context: int,
+    bob_ray: Ray | None,
+    plan: Callable[[ProbabilityDistribution], PolicyPlan],
+) -> Callable[[TrialStreams, np.ndarray], FwtBlock]:
+    """The block code of fwt_trial and fwt_trials.
+
+    Checks the context and the ray, then compiles Alice's plan (plan applied
+    to her Born distribution), Bob's rows for the drawn ray slots (slot *
+    RAY_DIM + Alice's outcome, from the context's _paired_tables) and each
+    slot's position in Alice's context. Returns block(streams, t): the
+    FwtBlock of trials t, drawn from streams by policies.paired_block.
     """
     context = _trial_context(alice_context, () if bob_ray is None else (bob_ray,))
     all_rays = builtin_ks_table().distinct_rays
     ray_ids = np.arange(len(all_rays)) if bob_ray is None else np.array([all_rays.index(bob_ray)])
     alice_born, bob_born = _paired_tables(alice_context)
-    alice = compile_policy(alice_policy, alice_born, trials)
-    # Bob's rows for the drawn ray slots, slot * RAY_DIM + Alice's outcome
+    alice = plan(alice_born)
     bob_cums = cumulative(bob_born[(RAY_DIM * ray_ids[:, None] + np.arange(RAY_DIM)).ravel()])
     # each ray's position in Alice's context, -1 where it is absent
     position = np.array([
         context.rays.index(all_rays[r]) if all_rays[r] in context.rays else -1
         for r in ray_ids
     ])
-    return (
-        FwtBlock(
+
+    def block(streams: TrialStreams, t: np.ndarray) -> FwtBlock:
+        slot, alice_outcome, bob_outcome = paired_block(
+            alice, bob_cums, streams, t, len(ray_ids)
+        )
+        return FwtBlock(
             trial=t,
             bob_ray=ray_ids[slot],
             alice_outcome=alice_outcome,
@@ -404,7 +420,5 @@ def fwt_trials(
             in_context=position[slot] >= 0,
             alice_value_for_bob_ray=(position[slot] == alice_outcome).astype(np.int64),
         )
-        for t, slot, alice_outcome, bob_outcome in paired_blocks(
-            alice, bob_cums, seed, (), trials, len(ray_ids)
-        )
-    )
+
+    return block

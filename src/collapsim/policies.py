@@ -224,6 +224,34 @@ def compile_policy(
     return PolicyPlan(np.array(tables).reshape(-1, len(born)), script_rows, default_row)
 
 
+def trial_plan(
+    policy: CollapsePolicy, born: ProbabilityDistribution, trial: int
+) -> PolicyPlan:
+    """The plan of trial `trial` alone: policy_distribution there, its one table."""
+    table = cumulative(policy_distribution(policy, born, trial).probs)
+    return PolicyPlan(table[None], np.zeros(0, dtype=np.intp), 0)
+
+
+def paired_block(
+    alice_plan: PolicyPlan,
+    bob_cums: np.ndarray,
+    streams: TrialStreams,
+    t: np.ndarray,
+    settings: int = 1,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Trials t of the paired protocol, drawn from their streams in order:
+    Bob's setting (integers(settings), which draws nothing for one setting),
+    Alice's outcome under her plan, then Bob's outcome from row
+    setting * k + Alice's outcome of bob_cums, k being Alice's outcome count.
+    Returns (setting, alice_outcome, bob_outcome) arrays.
+    """
+    setting = streams.integers(settings)
+    alice_outcome = alice_plan.sample(streams.random(), t)
+    k = alice_plan.cums.shape[1]
+    bob_outcome = sample_indices(streams.random(), bob_cums, setting * k + alice_outcome)
+    return setting, alice_outcome, bob_outcome
+
+
 def paired_blocks(
     alice_plan: PolicyPlan,
     bob_cums: np.ndarray,
@@ -232,21 +260,12 @@ def paired_blocks(
     trials: int,
     settings: int = 1,
 ) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]]:
-    """Trials 0..trials-1 of the paired protocol, TRIAL_BLOCK at a time.
-
-    Trial t reads trial_rng(seed, *prefix, t), Philox counter [t, *prefix, block],
-    in one TrialStreams per block: Bob's setting (integers(settings), which
-    draws nothing for one setting), Alice's outcome under her plan, then Bob's
-    outcome from row setting * k + Alice's outcome of bob_cums, k being
-    Alice's outcome count. Yields (t, setting, alice_outcome, bob_outcome) arrays.
+    """paired_block over trials 0..trials-1, TRIAL_BLOCK at a time: trial t
+    reads trial_rng(seed, *prefix, t), Philox counter [t, *prefix, block], in
+    one TrialStreams per block. Yields (t, setting, alice_outcome, bob_outcome).
     """
-    k = alice_plan.cums.shape[1]
     for t in trial_blocks(trials):
-        streams = TrialStreams(seed, prefix, t)
-        setting = streams.integers(settings)
-        alice_outcome = alice_plan.sample(streams.random(), t)
-        bob_outcome = sample_indices(streams.random(), bob_cums, setting * k + alice_outcome)
-        yield t, setting, alice_outcome, bob_outcome
+        yield t, *paired_block(alice_plan, bob_cums, TrialStreams(seed, prefix, t), t, settings)
 
 
 def sample_outcome(
@@ -258,26 +277,6 @@ def sample_outcome(
 ) -> OutcomeSample:
     """Sample trial `trial`'s measurement outcome of `state` under `policy`."""
     return sample_from_born(policy, born_distribution(state, measurement), rng, trial)
-
-
-def sample_counts(
-    policy: CollapsePolicy,
-    state: StateVector,
-    measurement: ProjectiveMeasurement,
-    trials: int,
-    rng: np.random.Generator,
-) -> np.ndarray:
-    """Outcome counts of trials 0..trials-1 under `policy`.
-
-    Trial t draws the t-th uniform of rng against the policy's distribution
-    at trial t, by the inverse CDF per-trial sampling uses, TRIAL_BLOCK at a time.
-    """
-    born = born_distribution(state, measurement)
-    plan = compile_policy(policy, born, trials)
-    counts = np.zeros(len(born), dtype=np.intp)
-    for t in trial_blocks(trials):
-        counts += np.bincount(plan.sample(rng.random(t.size), t), minlength=len(born))
-    return counts
 
 
 def deviation_statistic(

@@ -129,18 +129,19 @@ class TrialStreams:
 
 
 class TrialRng:
-    """One trial's stream, one draw at a time: a single-row TrialStreams."""
+    """One trial's stream, one draw at a time: a single-row TrialStreams,
+    `streams`, which the one-trial faces of the batched engine read directly."""
 
     def __init__(self, streams: TrialStreams) -> None:
-        self._streams = streams
+        self.streams = streams
 
     def random(self) -> float:
         """The next uniform in [0, 1), as Generator.random() converts a word."""
-        return float(self._streams.random()[0])
+        return float(self.streams.random()[0])
 
     def integers(self, n: int) -> int:
         """The next integer in [0, n), as Generator.integers(n) draws it."""
-        return int(self._streams.integers(n)[0])
+        return int(self.streams.integers(n)[0])
 
 
 def trial_rng(seed: int, *key: int) -> TrialRng:
@@ -154,29 +155,33 @@ def trial_rng(seed: int, *key: int) -> TrialRng:
 
 
 def sample_index(rng: TrialRng, probs: np.ndarray) -> int:
-    """Draw an index from a (possibly sub-normalized) probability vector."""
-    cum = cumulative(probs)
-    idx = int(np.searchsorted(cum, rng.random() * cum[-1], side="right"))
-    return min(idx, len(cum) - 1)
+    """Draw an index from a (possibly sub-normalized) probability vector:
+    sample_indices on its one cumulative table, with rng's next uniform."""
+    return int(sample_indices(np.array([rng.random()]), cumulative(probs))[0])
 
 
 def cumulative(probs) -> np.ndarray:
-    """The cumulative table sample_index searches, row by row for a stack."""
+    """The cumulative table sample_indices searches, row by row for a stack."""
     return np.cumsum(np.asarray(probs, dtype=float), axis=-1)
 
 
 def sample_indices(u: np.ndarray, cums: np.ndarray, group=None) -> np.ndarray:
-    """sample_index for many rows: row i searches cums[group[i]] with uniform u[i].
+    """The package's one inverse-CDF rule: row i draws the first index whose
+    cumulative entry exceeds u[i] times the table's total, clipped to the last.
 
-    `cums` is one cumulative table, or a 2-d stack of equally long ones.
-    Counting the entries <= x is searchsorted(side="right") on a
-    non-decreasing table, so every index equals the scalar draw's. The
-    count runs column by column, so no (rows, k) table is gathered.
+    `cums` is one cumulative table searched by every row (group None), or a
+    2-d stack of equally long ones, row i searching cums[group[i]]. One table
+    is binary-searched (searchsorted side="right" counts the entries <= x of a
+    non-decreasing table); a stack counts them column by column, so no
+    (rows, k) table is gathered. The two give the same index.
     """
-    cums = np.atleast_2d(cums)
-    group = 0 if group is None else group
-    x = u * cums[:, -1][group]
-    idx = np.zeros(u.size, dtype=np.intp)
-    for column in cums.T:
-        idx += column[group] <= x
-    return np.minimum(idx, cums.shape[1] - 1)
+    if group is None:
+        cums = np.asarray(cums)
+        idx = np.searchsorted(cums, u * cums[-1], side="right")
+    else:
+        cums = np.atleast_2d(cums)
+        x = u * cums[:, -1][group]
+        idx = np.zeros(u.size, dtype=np.intp)
+        for column in cums.T:
+            idx += column[group] <= x
+    return np.minimum(idx, cums.shape[-1] - 1)

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -58,12 +58,6 @@ class OracleFunction:
     @property
     def domain_size(self) -> int:
         return 2**self.n
-
-    @classmethod
-    def from_callable(cls, n: int, fn: Callable[[int], int]) -> "OracleFunction":
-        if n > MAX_BITS:
-            raise TooLarge(f"n={n} exceeds the cap of {MAX_BITS} bits")
-        return cls(n, tuple(int(fn(j)) for j in range(2**n)))
 
     @classmethod
     def from_truth_table(cls, bits: Sequence[int]) -> "OracleFunction":

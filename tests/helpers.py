@@ -5,12 +5,15 @@ from __future__ import annotations
 import numpy as np
 
 from collapsim.agent import AlternativeSet, NormFunction, act_trials
+from collapsim.policies import CollapsePolicy, compile_policy
 from collapsim.quantum import (
     DensityOperator,
     ProjectiveMeasurement,
     StateVector,
+    born_distribution,
     make_state,
 )
+from collapsim.rng import trial_blocks
 
 
 def keyed_generator(seed: int, *key: int) -> np.random.Generator:
@@ -72,3 +75,21 @@ def act_counts(
     """Outcome counts of the trials act_outcomes describes."""
     chosen, _ = act_outcomes(alternatives, norm, seed, trials, mixing)
     return np.bincount(chosen, minlength=len(alternatives))
+
+
+def sample_counts(
+    policy: CollapsePolicy,
+    state: StateVector,
+    measurement: ProjectiveMeasurement,
+    trials: int,
+    rng: np.random.Generator,
+) -> np.ndarray:
+    """Outcome counts of trials 0..trials-1 under `policy`: trial t draws the
+    t-th uniform of rng against the policy's distribution at trial t, through
+    the engine's compiled plan, TRIAL_BLOCK at a time."""
+    born = born_distribution(state, measurement)
+    plan = compile_policy(policy, born, trials)
+    counts = np.zeros(len(born), dtype=np.intp)
+    for t in trial_blocks(trials):
+        counts += np.bincount(plan.sample(rng.random(t.size), t), minlength=len(born))
+    return counts

@@ -1,0 +1,175 @@
+"""Scalar reference implementations of the sampled experiments.
+
+One trial at a time, one numpy Generator per trial, and the inverse-CDF
+rule written out here: these loops are the independent reference the
+batched engine is checked against. Trial t under the stream prefix p reads
+numpy's Generator(Philox(key=seed, counter=<its block-0 counter> - 1)),
+since numpy steps its counter before making each block; every trial draws
+at most three words, so each oracle asserts that it stayed inside block 0's
+four. Nothing here reads collapsim.rng.
+"""
+
+from __future__ import annotations
+
+from functools import lru_cache
+
+import numpy as np
+
+from collapsim import agent, kochen_specker, policies
+from collapsim.quantum import (
+    ProbabilityDistribution,
+    ProjectiveMeasurement,
+    born_distribution,
+    collapse,
+    make_state,
+)
+
+ALL_COUNTERS = 2**256
+
+
+def trial_counter(t: int, prefix=(), block: int = 0) -> int:
+    """Trial t's block `block` counter under prefix, as numpy's 256-bit integer
+    (word 0 least significant): the words [t, *prefix padded to two, block]."""
+    words = [t, *prefix, 0, 0][:3] + [block]
+    return sum(w << 64 * i for i, w in enumerate(words))
+
+
+def trial_generator(seed: int, t: int, prefix=(), block: int = 0) -> np.random.Generator:
+    """numpy's Generator whose first block is the one at trial t's counter."""
+    counter = (trial_counter(t, prefix, block) - 1) % ALL_COUNTERS
+    return np.random.Generator(np.random.Philox(key=seed, counter=counter))
+
+
+def assert_block_0_only(rng: np.random.Generator, t: int, prefix=()) -> None:
+    """rng, trial_generator(seed, t, prefix), made at most block 0: its counter
+    has not stepped past trial t's block-0 counter."""
+    words = rng.bit_generator.state["state"]["counter"]
+    counter = sum(int(w) << 64 * i for i, w in enumerate(words))
+    first = trial_counter(t, prefix)
+    assert counter in ((first - 1) % ALL_COUNTERS, first), f"trial {t} left block 0"
+
+
+def inverse_cdf(rng: np.random.Generator, probs) -> int:
+    """An index of a (possibly sub-normalized) probability vector: the first
+    whose cumulative sum exceeds a uniform times the total, clipped to the last."""
+    cum = np.cumsum(np.asarray(probs, dtype=float))
+    return min(int(np.searchsorted(cum, rng.random() * cum[-1], side="right")), len(cum) - 1)
+
+
+def policy_outcome(policy, born, rng: np.random.Generator, trial: int) -> int:
+    """Trial `trial`'s outcome under a policy: one draw from its distribution."""
+    return inverse_cdf(rng, policies.policy_distribution(policy, born, trial).probs)
+
+
+# --- fwt ---------------------------------------------------------------------
+
+
+@lru_cache(maxsize=None)
+def _alice(context: int) -> ProjectiveMeasurement:
+    table = kochen_specker.builtin_ks_table()
+    return table.contexts[context - 1].measurement().embed((4, 4), "A")
+
+
+@lru_cache(maxsize=None)
+def _bob_born(context: int, ray: kochen_specker.Ray, alice_outcome: int):
+    """Bob's detect/miss distribution on the state Alice's outcome leaves."""
+    bob = ProjectiveMeasurement.detection(ray.unit_vector()).embed((4, 4), "B")
+    after = collapse(kochen_specker.twin_state(), _alice(context), alice_outcome)
+    return born_distribution(after, bob)
+
+
+def fwt_records(seed, trials, context=1, ray_text="random", policy_text="born") -> list[dict]:
+    """The per-trial records of an fwt run, trial by trial."""
+    table = kochen_specker.builtin_ks_table()
+    rays = table.distinct_rays
+    fixed = None
+    if ray_text != "random":
+        fixed = kochen_specker.Ray(tuple(int(c) for c in ray_text.split(",")))
+    policy = policies.parse_policy(policy_text)
+    alice_born = born_distribution(kochen_specker.twin_state(), _alice(context))
+    context_rays = table.contexts[context - 1].rays
+    records = []
+    for t in range(trials):
+        rng = trial_generator(seed, t)
+        ray = fixed or rays[int(rng.integers(len(rays)))]
+        alice = policy_outcome(policy, alice_born, rng, t)
+        bob_value = int(inverse_cdf(rng, _bob_born(context, ray, alice).probs) == 0)
+        assert_block_0_only(rng, t)
+        in_context = ray in context_rays
+        alice_value = int(context_rays[alice] == ray) if in_context else None
+        records.append({
+            "record": "trial", "trial": t, "alice_outcome": alice, "bob_ray": str(ray),
+            "bob_value": bob_value, "in_context": in_context,
+            "alice_value_for_bob_ray": alice_value,
+            "agree": alice_value == bob_value if in_context else None,
+        })
+    return records
+
+
+# --- asc ---------------------------------------------------------------------
+
+
+def _act(alternatives, norm, rng: np.random.Generator, mixing: float) -> tuple[int, bool]:
+    """One collapse-agent episode: (chosen, tie_broken)."""
+    born = ProbabilityDistribution(np.abs(agent.attention(alternatives).amplitudes) ** 2)
+    probs, admissible = born.probs, sorted(born.support())
+    if mixing >= 1.0 or rng.random() < mixing:
+        scores = [norm.value(alternatives.labels[j]) for j in admissible]
+        tied = [j for j, s in zip(admissible, scores) if s == max(scores)]
+        if len(tied) == 1:
+            chosen, tie_broken = tied[0], False
+        else:
+            chosen, tie_broken = tied[inverse_cdf(rng, probs[tied])], True
+    else:
+        chosen, tie_broken = admissible[inverse_cdf(rng, probs[admissible])], False
+    assert policy_outcome(policies.Forced(chosen), born, rng, 0) == chosen  # the collapse
+    return chosen, tie_broken
+
+
+def asc_records(seed, trials, labels, priorities, norm_values, mixing, kind="collapse") -> list[dict]:
+    """The per-trial records of an asc run, episode by episode."""
+    alternatives = agent.AlternativeSet(labels, priorities)
+    norm = agent.NormFunction(dict(zip(labels, norm_values)))
+    records = []
+    for t in range(trials):
+        if kind == "collapse":
+            rng = trial_generator(seed, t)
+            chosen, tie_broken = _act(alternatives, norm, rng, mixing)
+            assert_block_0_only(rng, t)
+            shape = agent.COLLAPSE_STAGE_SHAPE
+        else:  # the robot draws nothing
+            robot = agent.robot_act(alternatives, norm)
+            chosen, tie_broken, shape = robot.final_outcome, None, robot.stage_shape
+        records.append({
+            "record": "trial", "trial": t, "outcome": chosen, "label": labels[chosen],
+            "stage_shape": list(shape), "tie_broken": tie_broken,
+        })
+    return records
+
+
+# --- empirical signal ----------------------------------------------------------
+
+
+def basis(name: str) -> ProjectiveMeasurement:
+    if name == "z":
+        return ProjectiveMeasurement.computational(2)
+    return ProjectiveMeasurement.from_basis(np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2.0))
+
+
+def signal_outcomes(seed, trials, policy_texts, bases, bob_basis) -> list[list[int]]:
+    """Bob's outcome per trial and setting: trial t of setting s under prefix (s,)."""
+    shared = make_state([1, 0, 0, 1])
+    bob = basis(bob_basis).embed((2, 2), "B")
+    outcomes = []
+    for s, (policy_text, alice_basis) in enumerate(zip(policy_texts, bases)):
+        policy = policies.parse_policy(policy_text)
+        alice = basis(alice_basis).embed((2, 2), "A")
+        alice_born = born_distribution(shared, alice)
+        per_trial = []
+        for t in range(trials):
+            rng = trial_generator(seed, t, (s,))
+            a = policy_outcome(policy, alice_born, rng, t)
+            per_trial.append(inverse_cdf(rng, born_distribution(collapse(shared, alice, a), bob).probs))
+            assert_block_0_only(rng, t, (s,))
+        outcomes.append(per_trial)
+    return outcomes

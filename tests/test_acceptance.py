@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 from scipy import stats as scipy_stats
 
-from collapsim.agent import AlternativeSet, NormFunction, born_reference, run_trials
+from collapsim.agent import AlternativeSet, NormFunction, act, born_reference
 from collapsim.behavior import classify, generate_sequence
 from collapsim.cli import build_config, render_report, run
 from collapsim.energy import Hamiltonian, audit_measurement
@@ -30,7 +30,6 @@ from collapsim.policies import (
     Forced,
     deviation_statistic,
     effective_distribution,
-    sample_counts,
 )
 from collapsim.quantum import (
     DensityOperator,
@@ -48,6 +47,7 @@ from helpers import (
     random_density,
     random_measurement,
     random_state,
+    sample_counts,
 )
 
 Z2 = ProjectiveMeasurement.computational(2)
@@ -252,9 +252,9 @@ def test_criterion_11_asc_deviation():
     alternatives = AlternativeSet(("0", "1", "2"), (0.75, 0.25, 0.0))
     favor_one = NormFunction({"0": 0.0, "1": 1.0, "2": 0.0})
     flat = NormFunction({"0": 1.0, "1": 1.0, "2": 1.0})
-    # the batched engine counts what run_trials' traces would: checked at 500
+    # the batched engine counts what act's traces would: checked at 500
     for norm, seed in ((favor_one, 110), (flat, 111)):
-        traces = run_trials(alternatives, norm, 500, seed=seed)
+        traces = [act(alternatives, norm, trial_rng(seed, t)) for t in range(500)]
         expected = np.bincount([t.final_outcome for t in traces], minlength=3)
         np.testing.assert_array_equal(act_counts(alternatives, norm, seed, 500), expected)
 

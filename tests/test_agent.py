@@ -14,7 +14,6 @@ from collapsim.agent import (
     born_reference,
     distinguish_traces,
     robot_act,
-    run_trials,
     selection,
 )
 from collapsim.errors import AllZeroPriorities, BadParameter, LengthMismatch
@@ -185,9 +184,10 @@ class TestAct:
 
     @pytest.mark.parametrize("case", sorted(ENGINE_CASES))
     def test_act_loop_equals_engine(self, case):
-        # the ten-thousand-trial tests above count the engine's outcomes
+        # the ten-thousand-trial tests above count the engine's outcomes; act
+        # is its block code at one row, on trial t's stream
         alts, norm, seed, mixing = ENGINE_CASES[case]
-        traces = run_trials(alts, norm, 500, seed, mixing)
+        traces = [act(alts, norm, trial_rng(seed, t), mixing) for t in range(500)]
         chosen, tie_broken = act_outcomes(alts, norm, seed, 500, mixing)
         assert [t.final_outcome for t in traces] == chosen.tolist()
         assert [t.stages[1].tie_broken for t in traces] == tie_broken.tolist()
@@ -254,7 +254,7 @@ class TestDistinguishTraces:
         assert comparison.structurally_distinct is True
 
 
-def test_run_trials_reproducible():
-    first = run_trials(GOOD_BAD, MORAL_NORM, 20, seed=15)
-    second = run_trials(GOOD_BAD, MORAL_NORM, 20, seed=15)
-    assert [t.final_outcome for t in first] == [t.final_outcome for t in second]
+def test_act_trials_reproducible():
+    first, _ = act_outcomes(GOOD_BAD, MORAL_NORM, 15, 20)
+    second, _ = act_outcomes(GOOD_BAD, MORAL_NORM, 15, 20)
+    assert first.tolist() == second.tolist()

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from collapsim import agent, cli, harnesses, kochen_specker
+from collapsim import agent, cli, harnesses, kochen_specker, rng
 from collapsim.cli import build_config, main, render_report, run, validate
 from collapsim.errors import ConfigError
 from collapsim.rng import TRIAL_BLOCK
@@ -567,6 +567,34 @@ class TestMainEntry:
         assert main(["--config", str(config_file)]) == 2
         err = capsys.readouterr().err
         assert err == "config error: trials: must be a positive integer\n"
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["fwt", "--trials", str(cli.MAX_PER_TRIAL + 1), "--per-trial"],
+             "per_trial: at most 1000000 trials keep per-trial records"),
+            (["asc", "--trials", str(cli.MAX_TRIALS), "--per-trial"],
+             "per_trial: at most 1000000 trials keep per-trial records"),
+            (["fwt", "--trials", "10", "--per-trial", "--format", "csv"],
+             "per_trial: a csv report has no per-trial records; use json-lines"),
+            (["ks", "--per-trial", "--format", "csv"],
+             "per_trial: a csv report has no per-trial records; use json-lines"),
+        ],
+        ids=["fwt-over-cap", "asc-at-max-trials", "fwt-csv", "ks-csv"],
+    )
+    def test_per_trial_refusals_exit_2_before_any_trial(self, argv, message, monkeypatch, capsys):
+        def no_trials(*args):
+            raise AssertionError("a trial was sampled")
+
+        monkeypatch.setattr(rng.TrialStreams, "__init__", no_trials)
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"config error: {message}\n" and captured.out == ""
+
+    def test_per_trial_cap_is_inclusive(self):
+        assert validate({"experiment": "fwt", "trials": cli.MAX_PER_TRIAL, "per_trial": True}) == []
+        assert validate({"experiment": "fwt", "trials": cli.MAX_TRIALS}) == []
+        assert validate({"experiment": "fwt", "output_format": "csv"}) == []
 
     def test_files_and_policies_parsed_once_per_job(self, tmp_path, monkeypatch):
         # validation parses each parameter into what the runner reads, so a

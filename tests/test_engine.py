@@ -1,45 +1,40 @@
-"""The batched trial engine against numpy and against the scalar path.
+"""The batched trial engine against numpy and against scalar oracles.
 
 The engine reads each block of trials' Philox words from one numpy
 random_raw call and consumes them the way numpy's Generator does. These
 tests pin the words and the draws to numpy itself, replay numpy's 32-bit
 buffering on crafted words, and check every record and aggregate of fwt,
-empirical signal and asc against scalar oracle loops kept here: one
-trial_rng stream per trial, through fwt_trial, act and sample_from_born.
+empirical signal and asc against the scalar loops of tests/oracles.py: one
+numpy Generator per trial and the inverse-CDF rule written out there.
 """
 
 import json
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from collapsim import agent, kochen_specker, policies
+from collapsim import kochen_specker, policies
 from collapsim.cli import MAX_TRIALS, build_config, render_report, run
 from collapsim.errors import BadParameter, CollapsimError
 from collapsim.policies import total_variation
-from collapsim.quantum import ProjectiveMeasurement, born_distribution, collapse, make_state
-from collapsim.rng import TRIAL_BLOCK, TrialStreams, trial_rng, trial_words
+from collapsim.rng import (
+    TRIAL_BLOCK,
+    TrialStreams,
+    cumulative,
+    sample_indices,
+    trial_rng,
+    trial_words,
+)
 from collapsim.signaling import channel_capacity
+from oracles import asc_records, fwt_records, signal_outcomes, trial_generator
 
 MAX64 = 2**64 - 1
 B = TRIAL_BLOCK
 
 
 # --- (a) the streams against numpy's Philox ------------------------------------
-
-
-def _counter(t, prefix, block):
-    """Trial t's block `block` counter under prefix, as numpy's 256-bit integer
-    (word 0 least significant)."""
-    words = [t, *prefix, 0, 0][:3] + [block]
-    return sum(w << 64 * i for i, w in enumerate(words))
-
-
-def _numpy_at(seed, t, prefix=(), block=0):
-    """numpy's Generator whose first block is the one at trial t's counter:
-    numpy steps its counter before making each block."""
-    counter = (_counter(t, prefix, block) - 1) % 2**256
-    return np.random.Generator(np.random.Philox(key=seed, counter=counter))
 
 
 @pytest.mark.parametrize("seed", [0, 13, MAX64])
@@ -50,7 +45,7 @@ def test_trial_words_match_numpy_philox(seed, prefix):
         for block in (0, 1):
             words = trial_words(seed, prefix, t, block)
             for row, trial in enumerate(t.tolist()):
-                raw = _numpy_at(seed, trial, prefix, block).bit_generator.random_raw(4)
+                raw = trial_generator(seed, trial, prefix, block).bit_generator.random_raw(4)
                 assert words[row].tolist() == raw.tolist()
 
 
@@ -71,7 +66,7 @@ def test_draws_match_a_generator_per_trial():
     draws = [streams.integers(18), streams.random(), streams.integers(5),
              streams.integers(1), streams.random(), streams.integers(1000)]
     for trial in t.tolist():
-        rng = _numpy_at(21, trial, (3,))
+        rng = trial_generator(21, trial, (3,))
         expected = [rng.integers(18), rng.random(), rng.integers(5),
                     rng.integers(1), rng.random(), rng.integers(1000)]
         assert [d[trial] for d in draws] == expected
@@ -83,7 +78,7 @@ def test_draws_match_a_generator_per_trial():
 def test_trial_crossing_into_block_1():
     # words 0-2 as floats and the low half of word 3; then block 1's word 0,
     # the buffered high half of block 0's word 3, and block 1's word 1
-    block0, block1 = _numpy_at(4, 70, (2,)), _numpy_at(4, 70, (2,), block=1)
+    block0, block1 = trial_generator(4, 70, (2,)), trial_generator(4, 70, (2,), block=1)
     expected = [block0.random(), block0.random(), block0.random(), block0.integers(7),
                 block1.random(), block0.integers(7), block1.random()]
     streams = TrialStreams(4, (2,), [69, 70, 71])
@@ -102,7 +97,7 @@ def test_rows_crossing_a_block_in_different_calls():
     second = [streams.random([1]) for _ in range(9)]  # row 1 computes block 2
     third = [streams.random([2]) for _ in range(9)]  # row 2 reuses both
     for row, draws in enumerate([first, second, third]):
-        blocks = [_numpy_at(0, row, block=b) for b in range(3)]
+        blocks = [trial_generator(0, row, block=b) for b in range(3)]
         expected = [rng.random() for rng in blocks for _ in range(4)]
         assert [d[0] for d in draws] == expected[:len(draws)]
 
@@ -111,10 +106,10 @@ def test_trial_rng_reads_one_trial():
     rng = trial_rng(5, 9)
     value, index = rng.random(), rng.integers(1000)
     assert type(value) is float and type(index) is int
-    numpy_rng = _numpy_at(5, 9)
+    numpy_rng = trial_generator(5, 9)
     assert [value, index] == [numpy_rng.random(), numpy_rng.integers(1000)]
     # no key is trial 0; a prefix shorter than two words is padded with 0
-    assert trial_rng(5).random() == trial_rng(5, 0).random() == _numpy_at(5, 0).random()
+    assert trial_rng(5).random() == trial_rng(5, 0).random() == trial_generator(5, 0).random()
     assert trial_rng(5, 0, 9).random() == trial_rng(5, 9).random()
 
 
@@ -195,28 +190,37 @@ def test_low_half_zero_retries_on_high_half():
     assert streams.pos.tolist() == [1] and not streams.has_half[0]
 
 
-# --- (c) differential: every record and aggregate against scalar loops ---------------
+# --- (c) the inverse-CDF rule: one table's binary search against the column count -----
 
 
-def _fwt_oracle(seed, trials, context=1, ray_text="random", policy_text="born"):
-    """The scalar fwt loop: records of trials 0..trials-1."""
-    rays = kochen_specker.builtin_ks_table().distinct_rays
-    fixed = None
-    if ray_text != "random":
-        fixed = kochen_specker.Ray(tuple(int(c) for c in ray_text.split(",")))
-    policy = policies.parse_policy(policy_text)
-    records = []
-    for t in range(trials):
-        rng = trial_rng(seed, t)
-        ray = fixed or rays[int(rng.integers(len(rays)))]
-        trial = kochen_specker.fwt_trial(context, ray, policy, rng, trial=t)
-        records.append({
-            "record": "trial", "trial": t, "alice_outcome": trial.alice_outcome,
-            "bob_ray": str(trial.bob_ray), "bob_value": trial.bob_value,
-            "in_context": trial.in_context,
-            "alice_value_for_bob_ray": trial.alice_value_for_bob_ray, "agree": trial.agree,
-        })
-    return records
+# zeros, ties, exact binary fractions and their sums, and arbitrary weights
+_WEIGHTS = st.one_of(
+    st.sampled_from([0.0, 0.0, 0.1, 0.25, 0.5, 1 / 3, 1.0, 2.0]),
+    st.floats(0.0, 10.0, allow_nan=False, allow_infinity=False),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    weights=st.lists(_WEIGHTS, min_size=1, max_size=12),
+    us=st.lists(st.floats(0.0, 1.0, exclude_max=True), min_size=1, max_size=8),
+)
+@example(weights=[0.0, 0.5, 0.0, 0.5, 0.0], us=[0.0, 0.5])  # zero entries, u at an entry
+@example(weights=[0.0, 0.0], us=[0.3])  # an all-zero table
+def test_one_table_binary_search_equals_column_count(weights, us):
+    cums = cumulative(weights)
+    total = cums[-1]
+    # and uniforms whose product with the total lands exactly on an entry
+    u = np.array(us + [c / total for c in cums if 0 < c < total and c / total * total == c])
+    searched = sample_indices(u, cums)
+    counted = sample_indices(u, cums[None], np.zeros(u.size, dtype=np.intp))
+    assert searched.tolist() == counted.tolist()
+    # the entries <= u * total, clipped to the last index
+    expected = [min(int((cums <= x * total).sum()), len(cums) - 1) for x in u.tolist()]
+    assert searched.tolist() == expected
+
+
+# --- (d) differential: every record and aggregate against the scalar oracles ------------
 
 
 def _fwt_aggregate(records, context, policy_text):
@@ -230,48 +234,6 @@ def _fwt_aggregate(records, context, policy_text):
         "agreement_exact": agreements == in_context, "detections": detections,
         "detection_rate": detections / len(records),
     }
-
-
-def _asc_oracle(seed, trials, labels, priorities, norm_values, mixing, kind="collapse"):
-    alternatives = agent.AlternativeSet(labels, priorities)
-    norm = agent.NormFunction(dict(zip(labels, norm_values)))
-    records = []
-    for t in range(trials):
-        if kind == "collapse":
-            trace = agent.act(alternatives, norm, trial_rng(seed, t), mixing)
-        else:
-            trace = agent.robot_act(alternatives, norm)
-        records.append({
-            "record": "trial", "trial": t, "outcome": trace.final_outcome,
-            "label": trace.final_label, "stage_shape": list(trace.stage_shape),
-            "tie_broken": trace.stages[1].tie_broken if kind == "collapse" else None,
-        })
-    return records
-
-
-def _signal_oracle(seed, trials, policy_texts, bases, bob_basis):
-    """Bob's outcome per trial and setting, one Generator per (setting, trial)."""
-    shared = make_state([1, 0, 0, 1])
-    bob = _basis(bob_basis).embed((2, 2), "B")
-    outcomes = []
-    for s, (policy_text, basis) in enumerate(zip(policy_texts, bases)):
-        policy = policies.parse_policy(policy_text)
-        alice = _basis(basis).embed((2, 2), "A")
-        alice_born = born_distribution(shared, alice)
-        per_trial = []
-        for t in range(trials):
-            rng = trial_rng(seed, s, t)
-            a = policies.sample_from_born(policy, alice_born, rng, trial=t).outcome
-            conditional = born_distribution(collapse(shared, alice, a), bob)
-            per_trial.append(policies.sample_from_born(policies.Born(), conditional, rng).outcome)
-        outcomes.append(per_trial)
-    return outcomes
-
-
-def _basis(name):
-    if name == "z":
-        return ProjectiveMeasurement.computational(2)
-    return ProjectiveMeasurement.from_basis(np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2.0))
 
 
 def _report(raw):
@@ -303,7 +265,7 @@ def test_fwt_records_equal_scalar_loop(context, ray, policy):
     records, aggregate = _report({"experiment": "fwt", "seed": 13, "trials": trials,
                                   "per_trial": True, "context": context,
                                   "bob_ray": ray, "policy": policy})
-    expected = _fwt_oracle(13, trials, context, ray, policy)
+    expected = fwt_records(13, trials, context, ray, policy)
     _same(records, expected)
     _same(aggregate, _fwt_aggregate(expected, context, policy))
 
@@ -324,7 +286,7 @@ def test_signal_marginals_equal_scalar_loop(policy0, policy1, bases, bob_basis):
                             "trials": trials, "policy0": policy0, "policy1": policy1,
                             "alice_basis0": bases[0], "alice_basis1": bases[1],
                             "bob_basis": bob_basis})
-    outcomes = _signal_oracle(13, trials, (policy0, policy1), bases, bob_basis)
+    outcomes = signal_outcomes(13, trials, (policy0, policy1), bases, bob_basis)
     marginals = [np.bincount(o, minlength=2) / trials for o in outcomes]
     assert aggregate["bob_marginal_0"] == marginals[0].tolist()
     assert aggregate["bob_marginal_1"] == marginals[1].tolist()
@@ -353,7 +315,7 @@ def test_asc_records_equal_scalar_loop(labels, priorities, norm, mixing, kind):
                                   "priorities": priorities, "norm": norm,
                                   "mixing": mixing, "agent": kind})
     label_list = labels.split(",")
-    expected = _asc_oracle(13, trials, label_list, [float(p) for p in priorities.split(",")],
+    expected = asc_records(13, trials, label_list, [float(p) for p in priorities.split(",")],
                            [float(v) for v in norm.split(",")], mixing, kind)
     _same(records, expected)
     counts = {label: sum(r["label"] == label for r in expected) for label in label_list}
@@ -364,9 +326,9 @@ def test_asc_records_equal_scalar_loop(labels, priorities, norm, mixing, kind):
 def long_oracles():
     """Scalar records of trials 0..B, shared by the block-boundary cases."""
     return {
-        "fwt": _fwt_oracle(5, B + 1, 6, "random", "scripted:0,8,2"),
-        "asc": _asc_oracle(5, B + 1, ["a", "b", "c"], [0.5, 0.2, 0.3], [1.0, 1.0, 0.0], 0.5),
-        "signal": _signal_oracle(5, B + 1, ("forced:0", "biased:0.35,0.65"), "xx", "x"),
+        "fwt": fwt_records(5, B + 1, 6, "random", "scripted:0,8,2"),
+        "asc": asc_records(5, B + 1, ["a", "b", "c"], [0.5, 0.2, 0.3], [1.0, 1.0, 0.0], 0.5),
+        "signal": signal_outcomes(5, B + 1, ("forced:0", "biased:0.35,0.65"), "xx", "x"),
     }
 
 
@@ -414,9 +376,9 @@ def test_errors_match_scalar_path(raw):
     with pytest.raises(CollapsimError) as batched:
         run(build_config({"seed": 0, "trials": 10, **raw}))
     if raw["experiment"] == "fwt":
-        scalar = lambda: _fwt_oracle(0, raw.get("trials", 10), policy_text=raw["policy"])
+        scalar = lambda: fwt_records(0, raw.get("trials", 10), policy_text=raw["policy"])
     else:
-        scalar = lambda: _signal_oracle(0, 10, (raw.get("policy0", "born"),
+        scalar = lambda: signal_outcomes(0, 10, (raw.get("policy0", "born"),
                                                 raw.get("policy1", "born")), "zz", "z")
     with pytest.raises(CollapsimError) as expected:
         scalar()

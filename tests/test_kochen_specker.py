@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from collapsim import kochen_specker
-from collapsim.errors import InvalidTable, TooLarge
+from collapsim.errors import ForbiddenOutcome, InvalidTable, TooLarge
 from collapsim.kochen_specker import (
     MAX_CONTEXTS,
     RAY_DIM,
@@ -19,6 +19,7 @@ from collapsim.kochen_specker import (
     context_coefficient_matrix,
     format_table,
     fwt_trial,
+    fwt_trials,
     ks_coloring_search,
     parity_certificate,
     parse_table,
@@ -350,14 +351,14 @@ def test_paired_tables_check_each_measurement_once(monkeypatch):
 
 
 class TestFwtTrial:
+    # the loops of thousands of trials read fwt_trials, the block code
+    # fwt_trial runs at one trial
+
     def test_in_context_agreement_exact(self):
-        context = builtin_ks_table().contexts[0]
-        for t in range(10_000):
-            rng = trial_rng(101, t)
-            ray = context.rays[int(rng.integers(4))]
-            trial = fwt_trial(1, ray, Born(), rng)
-            assert trial.in_context
-            assert trial.agree is True
+        for ray in builtin_ks_table().contexts[0].rays:
+            for block in fwt_trials(1, ray, Born(), 101, 10_000):
+                assert block.in_context.all()
+                assert block.agree.all()
 
     def test_agreement_policy_independent(self):
         context = builtin_ks_table().contexts[4]
@@ -367,10 +368,9 @@ class TestFwtTrial:
             Scripted((3, 2, 1, 0), Born()),
         ]
         for p_idx, policy in enumerate(policies):
-            for t in range(2000):
-                rng = trial_rng(202 + p_idx, t)
-                ray = context.rays[int(rng.integers(4))]
-                assert fwt_trial(5, ray, policy, rng, trial=t).agree is True
+            for ray in context.rays:
+                for block in fwt_trials(5, ray, policy, 202 + p_idx, 2000):
+                    assert block.agree.all()
 
     def test_forced_fixes_alice_outcome(self):
         context = builtin_ks_table().contexts[0]
@@ -392,8 +392,7 @@ class TestFwtTrial:
         expected = float(np.mean(overlaps))
         trials = 8000
         detections = sum(
-            fwt_trial(1, bob_ray, Born(), trial_rng(404, t)).bob_value
-            for t in range(trials)
+            int(block.bob_value.sum()) for block in fwt_trials(1, bob_ray, Born(), 404, trials)
         )
         rate = detections / trials
         sigma = np.sqrt(expected * (1 - expected) / trials)
@@ -402,17 +401,27 @@ class TestFwtTrial:
     def test_per_outcome_detection_matches_overlap(self):
         bob_ray = Ray((1, 1, 1, 1))
         context = builtin_ks_table().contexts[0]
-        by_outcome = {j: [0, 0] for j in range(4)}
-        for t in range(8000):
-            trial = fwt_trial(1, bob_ray, Born(), trial_rng(505, t))
-            by_outcome[trial.alice_outcome][0] += trial.bob_value
-            by_outcome[trial.alice_outcome][1] += 1
-        for j, (hits, total) in by_outcome.items():
+        blocks = list(fwt_trials(1, bob_ray, Born(), 505, 8000))
+        outcome = np.concatenate([block.alice_outcome for block in blocks])
+        detected = np.concatenate([block.bob_value for block in blocks])
+        hits = np.bincount(outcome, weights=detected, minlength=4)
+        totals = np.bincount(outcome, minlength=4)
+        for j in range(4):
             expected = (
                 abs(np.dot(bob_ray.unit_vector(), context.rays[j].unit_vector())) ** 2
             )
-            sigma = max(np.sqrt(expected * (1 - expected) / total), 1e-9)
-            assert abs(hits / total - expected) <= 4 * sigma
+            sigma = max(np.sqrt(expected * (1 - expected) / totals[j]), 1e-9)
+            assert abs(hits[j] / totals[j] - expected) <= 4 * sigma
+
+    def test_trial_plays_only_its_own_script_entry(self):
+        # trial 0 would fall back to an inadmissible forced:7; trial 1 plays
+        # its admissible entry and never reaches the fallback
+        policy = Scripted((7, 1), Forced(7))
+        ray = builtin_ks_table().contexts[0].rays[1]
+        with pytest.raises(ForbiddenOutcome):
+            fwt_trial(1, ray, policy, trial_rng(0), trial=0)
+        trial = fwt_trial(1, ray, policy, trial_rng(0, 1), trial=1)
+        assert trial.alice_outcome == 1 and trial.agree is True
 
     def test_context_index_validated(self):
         with pytest.raises(InvalidTable):

@@ -19,7 +19,6 @@ from collapsim.policies import (
     deviation_statistic,
     effective_distribution,
     parse_policy,
-    sample_counts,
     sample_outcome,
 )
 from collapsim.quantum import (
@@ -29,7 +28,8 @@ from collapsim.quantum import (
     make_state,
 )
 from collapsim.rng import TRIAL_BLOCK, trial_rng
-from helpers import keyed_generator, random_measurement, random_state
+from helpers import keyed_generator, random_measurement, random_state, sample_counts
+from oracles import policy_outcome
 
 Z2 = ProjectiveMeasurement.computational(2)
 Z3 = ProjectiveMeasurement.computational(3)
@@ -123,7 +123,7 @@ class TestSampleOutcome:
             assert not out.forbidden_attempted
 
     def test_born_long_run_frequency(self):
-        # the hits of 10^5 sample_outcome(Born(), s, Z2, rng) calls on one
+        # the hits of 10^5 per-trial draws (oracles.policy_outcome) on one
         # rng = keyed_generator(123): sample_counts draws as that loop does
         # (test_sample_counts_equals_per_trial_sampling checks it at 500 trials)
         s = make_state([1, 1])
@@ -168,10 +168,11 @@ class TestSampleOutcome:
         ids=["born", "forced", "biased", "scripted"],
     )
     def test_sample_counts_equals_per_trial_sampling(self, policy):
-        # one draw of one stream per trial, in order, as sample_outcome makes them
+        # one draw of one stream per trial, in order, by the scalar oracle
         s = qutrit(np.pi / 5)
+        born = born_distribution(s, Z3)
         rng = keyed_generator(4)
-        per_trial = [sample_outcome(policy, s, Z3, rng, trial=t).outcome for t in range(500)]
+        per_trial = [policy_outcome(policy, born, rng, t) for t in range(500)]
         np.testing.assert_array_equal(
             sample_counts(policy, s, Z3, 500, keyed_generator(4)), np.bincount(per_trial, minlength=3)
         )
