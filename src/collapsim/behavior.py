@@ -8,6 +8,7 @@ statistics: small exponents mean heavy tails.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -17,6 +18,14 @@ from .errors import BadParameter, DegenerateSequence
 #: classification thresholds on the Hill estimate (overridable per call)
 LEVY_THRESHOLD = 2.5
 NOISE_THRESHOLD = 3.5
+
+#: interval files are formatted FORMAT_CHUNK values and parsed about
+#: READ_CHUNK characters at a time, so no step holds one Python object per
+#: interval of the whole file
+FORMAT_CHUNK = 1 << 16
+READ_CHUNK = 1 << 20
+#: the characters str.split() splits on
+_WHITESPACE = re.compile(r"\s")
 
 
 @dataclass(frozen=True, eq=False)
@@ -85,7 +94,8 @@ def tail_exponent(sequence: EventSequence, k: int) -> float:
     n = len(sequence)
     if not 10 <= k <= n // 2:
         raise BadParameter(f"k={k} outside [10, {n // 2}] for length {n}")
-    top = np.sort(sequence.intervals)[-(k + 1):]
+    n_low = n - k - 1
+    top = np.sort(np.partition(sequence.intervals, n_low)[n_low:])
     threshold, tail = top[0], top[1:]
     if np.all(tail == tail[0]):
         raise DegenerateSequence("top-k intervals are all equal")
@@ -124,16 +134,29 @@ def classify(
 
 
 def read_intervals(text: str) -> EventSequence:
-    """Parse a plain interval file: one positive, finite number per line."""
-    try:
-        values = list(map(float, text.split()))
-    except ValueError as exc:
-        raise BadParameter(f"not an interval file: {exc}") from exc
-    if not values:
+    """Parse a plain interval file: Python float literals separated by any
+    whitespace (one per line as written)."""
+    parts = [np.empty(0)]
+    start = 0
+    while start < len(text):
+        # cut at a whitespace character, so no token spans two slices
+        cut = _WHITESPACE.search(text, start + READ_CHUNK)
+        end = cut.start() if cut else len(text)
+        try:
+            parts.append(np.array(text[start:end].split(), dtype=float))
+        except ValueError as exc:
+            raise BadParameter(f"not an interval file: {exc}") from exc
+        start = end
+    values = np.concatenate(parts)
+    if not values.size:
         raise BadParameter("no intervals found")
-    return EventSequence(np.asarray(values))
+    return EventSequence(values)
 
 
 def format_intervals(sequence: EventSequence) -> str:
     """Serialize one interval per line (inverse of read_intervals)."""
-    return "\n".join(map(repr, sequence.intervals.tolist())) + "\n"
+    values = sequence.intervals
+    return "".join([
+        "\n".join(map(repr, values[i:i + FORMAT_CHUNK].tolist())) + "\n"
+        for i in range(0, values.size, FORMAT_CHUNK)
+    ])

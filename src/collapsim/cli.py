@@ -16,8 +16,7 @@ import math
 import sys
 import time
 from dataclasses import dataclass, field
-from pathlib import Path
-from typing import Any, Callable, Collection
+from typing import Any, Callable, Collection, TextIO
 
 import numpy as np
 
@@ -32,8 +31,13 @@ BASES = ("z", "x")
 #: multi-gigabyte interval sequence (float64 intervals, 8 bytes each)
 MAX_TRIALS = 10**8
 MAX_LENGTH = 10**7
-#: a per-trial report is held whole in memory: 10^6 fwt records peak near 670 MB
+#: a per-trial report is held whole in memory: 10^6 fwt records peak near 450 MB
 MAX_PER_TRIAL = 10**6
+#: per-trial records are rendered this many trials to a string, and output
+#: is written this many characters at a time, so neither step holds one
+#: object per trial or a second encoded copy of the whole report
+TRIAL_CHUNK = 1 << 16
+WRITE_CHUNK = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -354,22 +358,19 @@ def render_report(report: ExperimentReport, output_format: str) -> str:
         keys = sorted(report.aggregate)
         row = [_csv_cell(report.aggregate[k]) for k in keys]
         return ",".join(keys) + "\n" + ",".join(row) + "\n"
-    lines = [json.dumps({"record": "config", **report.config}, sort_keys=True)]
-    if report.trials is not None:
-        lines.extend(_trial_lines(report.trials))
-    lines.append(json.dumps({"record": "aggregate", **report.aggregate}, sort_keys=True))
-    lines.append(
-        json.dumps(
-            {"record": "timing", "duration_seconds": report.duration_seconds},
-            sort_keys=True,
-        )
+    config = json.dumps({"record": "config", **report.config}, sort_keys=True)
+    chunks = [] if report.trials is None else _trial_chunks(report.trials)
+    aggregate = json.dumps({"record": "aggregate", **report.aggregate}, sort_keys=True)
+    timing = json.dumps(
+        {"record": "timing", "duration_seconds": report.duration_seconds}, sort_keys=True
     )
-    return "\n".join(lines) + "\n"
+    return "".join([config + "\n", *chunks, f"{aggregate}\n{timing}\n"])
 
 
-def _trial_lines(table: harnesses.TrialTable) -> list[str]:
-    """Each trial's json.dumps(record, sort_keys=True), from one template per
-    distinct row of codes: the record's dump split at its trial value."""
+def _trial_chunks(table: harnesses.TrialTable) -> list[str]:
+    """Each trial's json.dumps(record, sort_keys=True) and a newline, joined
+    TRIAL_CHUNK trials to a string, from one template per distinct row of
+    codes: the record's dump split at its trial value."""
     row = np.zeros(table.trial.size, dtype=np.int64)
     for codes, values in table.coded.values():
         row = row * len(values) + codes
@@ -385,8 +386,13 @@ def _trial_lines(table: harnesses.TrialTable) -> list[str]:
         # a string value escapes its quotes, so only the key matches
         head, _, tail = json.dumps(record, sort_keys=True).partition(f'"trial": {t}')
         heads.append(head + '"trial": ')
-        tails.append(tail)
-    return [f"{heads[i]}{t}{tails[i]}" for i, t in zip(which.tolist(), table.trial.tolist())]
+        tails.append(tail + "\n")
+    chunks = []
+    for start in range(0, table.trial.size, TRIAL_CHUNK):
+        stop = start + TRIAL_CHUNK
+        rows, trials = which[start:stop].tolist(), table.trial[start:stop].tolist()
+        chunks.append("".join([f"{heads[i]}{t}{tails[i]}" for i, t in zip(rows, trials)]))
+    return chunks
 
 
 def _csv_cell(value: Any) -> str:
@@ -447,6 +453,12 @@ def _raw_config_from_args(args: argparse.Namespace) -> dict[str, Any]:
     return raw
 
 
+def _write(out: TextIO, text: str) -> None:
+    """Write text in WRITE_CHUNK slices: the stream encodes one slice at a time."""
+    for start in range(0, len(text), WRITE_CHUNK):
+        out.write(text[start:start + WRITE_CHUNK])
+
+
 def main(argv: list[str] | None = None) -> int:
     args = _parser().parse_args(argv)
     try:
@@ -462,11 +474,12 @@ def main(argv: list[str] | None = None) -> int:
         out_path = getattr(args, "out", None)
         if out_path:
             try:
-                Path(out_path).write_text(text)
+                with open(out_path, "w") as out:
+                    _write(out, text)
             except OSError as exc:
                 raise ConfigError(f"out: cannot write {out_path}: {exc.strerror}") from exc
         else:
-            sys.stdout.write(text)
+            _write(sys.stdout, text)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

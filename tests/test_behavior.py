@@ -1,7 +1,13 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from collapsim import behavior
 from collapsim.behavior import (
+    FORMAT_CHUNK,
     EventSequence,
     classify,
     format_intervals,
@@ -98,6 +104,17 @@ class TestTailExponent:
             )
         assert np.mean(heavy) < np.mean(light)
 
+    @pytest.mark.parametrize("decimals", [None, 1, 0])
+    def test_top_k_partition_equals_full_sort(self, decimals):
+        # rounding makes ties, at the threshold too; the estimate keeps its bits
+        for s in range(20):
+            draws = generate_sequence("pareto", 5000, keyed_generator(100, s), alpha=1.3)
+            values = draws.intervals if decimals is None else np.round(draws.intervals, decimals)
+            for k in (10, 50, 2500):
+                top = np.sort(values)[-(k + 1):]
+                expected = k / float((np.log(top[1:]) - np.log(top[0])).sum())
+                assert tail_exponent(EventSequence(values), k) == expected
+
 
 class TestClassify:
     def test_pareto_sequences_levy_like(self):
@@ -175,3 +192,103 @@ class TestSerialization:
         assert format_intervals(sequence) == old
         assert "0.30000000000000004\n" in old  # 17 significant digits
         np.testing.assert_array_equal(read_intervals(old).intervals, sequence.intervals)
+
+
+#: every separator kind str.split() knows, ASCII and not
+SEPARATORS = " \t\n\r\x0b\x0c\x1c\x1f\x85\xa0\u2028\u3000"
+POSITIVE = st.floats(min_value=5e-324, max_value=1.7976931348623157e308)
+#: spellings Python's float accepts beyond repr
+SPELLINGS = ["1_000", ".5", "5.", "+1e3", "1E-3", "0001", "\uff11\uff12", "\u0663.\u0665"]
+TOKENS = st.one_of(POSITIVE.map(repr), st.sampled_from(SPELLINGS))
+GAPS = st.text(st.sampled_from(SEPARATORS), min_size=1, max_size=3)
+
+
+def _joined(draw, tokens):
+    gaps = draw(st.lists(GAPS, min_size=len(tokens) + 1, max_size=len(tokens) + 1))
+    return gaps[0] + "".join(token + gap for token, gap in zip(tokens, gaps[1:]))
+
+
+def _float_error(token):
+    try:
+        float(token)
+    except ValueError as exc:
+        return str(exc)
+    raise AssertionError(f"{token!r} is a float literal")
+
+
+class TestChunkBoundaries:
+    """Interval files are parsed in slices cut at whitespace and formatted
+    in blocks; a tiny slice puts a cut next to every token and separator."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data(), chunk=st.integers(1, 40),
+           tokens=st.lists(TOKENS, min_size=1, max_size=30))
+    def test_read_equals_float_of_each_token(self, data, chunk, tokens):
+        text = _joined(data.draw, tokens)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(behavior, "READ_CHUNK", chunk)
+            parsed = read_intervals(text).intervals
+        np.testing.assert_array_equal(parsed, np.array(list(map(float, text.split()))))
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data(), chunk=st.integers(1, 40),
+           tokens=st.lists(TOKENS, min_size=1, max_size=30),
+           bad=st.sampled_from(["abc", "1.2.3", "0x10", "1__0", "_1", "1e", "'\"", "\x00", "-"]))
+    @example(data=None, chunk=1, tokens=["1.5"], bad="abc")
+    def test_first_bad_token_named(self, data, chunk, tokens, bad):
+        if data is None:
+            at, text = 0, f"{bad}\n1.5\nxyz\n"
+        else:
+            at = data.draw(st.integers(0, len(tokens)))
+            # a later bad token must not be the one named
+            text = _joined(data.draw, tokens[:at] + [bad] + tokens[at:] + ["zzz"])
+        message = f"not an interval file: {_float_error(bad)}"
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(behavior, "READ_CHUNK", chunk)
+            with pytest.raises(BadParameter) as info:
+                read_intervals(text)
+        assert str(info.value) == message
+
+    def test_slices_cut_where_split_splits(self):
+        # a cut at any other character could split a token in two
+        code_points = "".join(map(chr, range(0x110000)))
+        splitting = {c for c in code_points if len(f"a{c}b".split()) == 2}
+        assert set(behavior._WHITESPACE.findall(code_points)) == splitting
+
+    @pytest.mark.parametrize("text", ["", " ", "\n\u3000\x1c"])
+    def test_no_token_is_no_intervals(self, text, monkeypatch):
+        monkeypatch.setattr(behavior, "READ_CHUNK", 1)
+        with pytest.raises(BadParameter, match="^no intervals found$"):
+            read_intervals(text)
+
+    @pytest.mark.parametrize("length", [FORMAT_CHUNK - 1, FORMAT_CHUNK, FORMAT_CHUNK + 1])
+    def test_format_across_block_boundary(self, length):
+        sequence = generate_sequence("pareto", length, keyed_generator(101))
+        old = "\n".join(repr(float(x)) for x in sequence.intervals) + "\n"
+        assert format_intervals(sequence) == old
+
+
+def _peak_bytes(function, *args):
+    """The peak traced allocation while function(*args) runs, above what
+    was traced before it."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        function(*args)
+        return tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+
+
+class TestTextMemory:
+    """Interval-file text is never held as one Python object per interval:
+    each step's peak stays within a small multiple of the text's length."""
+
+    def test_format_peak(self):
+        sequence = generate_sequence("pareto", 200_000, keyed_generator(102))
+        size = len(format_intervals(sequence))
+        assert _peak_bytes(format_intervals, sequence) <= 3 * size
+
+    def test_read_peak_above_its_input(self):
+        text = format_intervals(generate_sequence("pareto", 200_000, keyed_generator(103)))
+        assert _peak_bytes(read_intervals, text) <= 2.5 * len(text)

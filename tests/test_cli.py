@@ -6,6 +6,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -525,6 +526,28 @@ class TestTrialLines:
             rows = {json.dumps({**json.loads(line), "trial": 0}) for line in lines[1:-2]}
             assert len(templates) == len(rows)
 
+    @pytest.mark.parametrize("experiment", ["fwt", "asc"])
+    def test_chunks_join_to_the_whole_report(self, experiment, monkeypatch):
+        report = run(build_config({"experiment": experiment, "seed": 2, "trials": 100,
+                                   "per_trial": True}))
+        whole = render_report(report, "json-lines")
+        for chunk in (1, 7, 99, 100):
+            monkeypatch.setattr(cli, "TRIAL_CHUNK", chunk)
+            assert render_report(report, "json-lines") == whole
+
+    def test_render_peak_within_twice_and_a_half_the_report(self):
+        # the per-trial lines are joined once per TRIAL_CHUNK trials and once
+        # for the report, never kept as one string per trial
+        report = run(build_config({"experiment": "fwt", "seed": 1, "trials": 100_000,
+                                   "per_trial": True}))
+        tracemalloc.start()
+        try:
+            size = len(render_report(report, "json-lines"))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.5 * size, f"peak {peak / size:.2f}x the report's length"
+
 
 class TestConfigEcho:
     def test_echo_revalidates(self, tmp_path):
@@ -547,6 +570,17 @@ class TestMainEntry:
         code = main(["--seed", "0", "ks", "--out", str(out)])
         assert code == 0
         assert '"record": "aggregate"' in out.read_text()
+
+    def test_output_written_in_slices(self, tmp_path, capsys, monkeypatch):
+        argv = ["behavior", "generate", "--length", "1000", "--seed", "4"]
+        expected = run(build_config({"experiment": "behavior", "mode": "generate",
+                                     "length": 1000, "seed": 4})).plain_output
+        monkeypatch.setattr(cli, "WRITE_CHUNK", 7)
+        out = tmp_path / "seq.txt"
+        assert main(argv + ["--out", str(out)]) == 0
+        assert out.read_text() == expected
+        assert main(argv) == 0
+        assert capsys.readouterr().out == expected
 
     def test_config_file_with_flag_override(self, tmp_path):
         config_file = tmp_path / "config.json"
