@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import cmath
 from dataclasses import asdict, dataclass
+from functools import lru_cache
 from pathlib import Path
 from typing import TYPE_CHECKING, Any, Callable
 
@@ -163,7 +164,9 @@ def read_text(key: str, path: str) -> str:
         raise ConfigError(f"{key}: not UTF-8 text: {path}: {exc.reason}") from exc
 
 
+@lru_cache(maxsize=4)
 def _basis_measurement(name: str, dim: int) -> ProjectiveMeasurement:
+    """The named basis, checked once per process: measurements are immutable."""
     if name == "z":
         return ProjectiveMeasurement.computational(dim)
     if name == "x" and dim == 2:

@@ -7,8 +7,8 @@ normalization to unit vectors happens only when quantum states are built.
 The Free Will Theorem pair is the paired protocol on the twin state: Alice
 measures a context under her policy, and Bob detects one ray on the state
 her outcome leaves. Per context, Alice's Born distribution and Bob's
-conditional table for all 18 rays come from one quantum.conditional_born
-call, cached. One block code (policies.paired_block on those tables) makes
+conditional table for all 18 rays come from one quantum.paired_born call,
+cached. One block code (policies.paired_block on those tables) makes
 the records of the batched fwt_trials and of fwt_trial, its one-trial face.
 """
 
@@ -29,7 +29,7 @@ from .quantum import (
     ProbabilityDistribution,
     ProjectiveMeasurement,
     StateVector,
-    conditional_born,
+    paired_born,
 )
 from .rng import TrialRng, TrialStreams, cumulative, trial_blocks
 
@@ -293,15 +293,16 @@ def _paired_tables(context_index: int) -> tuple[ProbabilityDistribution, np.ndar
     Bob's conditional table: row r * RAY_DIM + a is the detect/miss distribution
     of distinct ray r on the state Alice's outcome a leaves."""
     context = builtin_ks_table().contexts[context_index - 1]
-    alice = context.measurement().embed((RAY_DIM, RAY_DIM), "A")
-    return conditional_born(twin_state(), alice, _bob_lifts())
+    return paired_born(
+        twin_state(), (RAY_DIM, RAY_DIM), context.measurement(), _bob_detections()
+    )
 
 
 @lru_cache(maxsize=1)
-def _bob_lifts() -> tuple[ProjectiveMeasurement, ...]:
-    """Bob's detect/miss lift of each distinct ray, checked once for all contexts."""
+def _bob_detections() -> tuple[ProjectiveMeasurement, ...]:
+    """Bob's detect/miss measurement of each distinct ray, checked once for all contexts."""
     return tuple(
-        ProjectiveMeasurement.detection(ray.unit_vector()).embed((RAY_DIM, RAY_DIM), "B")
+        ProjectiveMeasurement.detection(ray.unit_vector())
         for ray in builtin_ks_table().distinct_rays
     )
 

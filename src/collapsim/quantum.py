@@ -109,13 +109,6 @@ class ProjectiveMeasurement:
             raise ValueError("projectors must sum to the identity")
         object.__setattr__(self, "projectors", _frozen(stack))
 
-    @classmethod
-    def _exact(cls, stack: np.ndarray) -> "ProjectiveMeasurement":
-        """A measurement built exactly from checked parts: frozen, not checked again."""
-        measurement = object.__new__(cls)
-        object.__setattr__(measurement, "projectors", _frozen(stack))
-        return measurement
-
     @property
     def dim(self) -> int:
         return self.projectors.shape[1]
@@ -140,7 +133,9 @@ class ProjectiveMeasurement:
             raise ValueError("a measurement needs at least one projector")
         stack = np.zeros((dim, dim, dim), dtype=complex)
         stack[(np.arange(dim),) * 3] = 1.0
-        return cls._exact(stack)
+        measurement = object.__new__(cls)  # exact by construction: skip __post_init__
+        object.__setattr__(measurement, "projectors", _frozen(stack))
+        return measurement
 
     @classmethod
     def detection(cls, ket: np.ndarray) -> "ProjectiveMeasurement":
@@ -148,17 +143,6 @@ class ProjectiveMeasurement:
         v = np.ascontiguousarray(ket, dtype=complex)
         proj = np.outer(v, v.conj())
         return cls((proj, np.eye(v.size) - proj))
-
-    def embed(self, dims: tuple[int, int], side: str) -> "ProjectiveMeasurement":
-        """Lift onto one factor of a bipartite space (P ⊗ 1 or 1 ⊗ P); exact, not checked."""
-        if side not in ("A", "B"):
-            raise DimensionMismatch("side must be 'A' or 'B'")
-        own, other = dims if side == "A" else dims[::-1]
-        if self.dim != own:
-            raise DimensionMismatch(f"measurement does not act on subsystem {side}")
-        eye = np.eye(other)[None]
-        pair = (self.projectors, eye) if side == "A" else (eye, self.projectors)
-        return ProjectiveMeasurement._exact(np.kron(*pair))
 
 
 @dataclass(frozen=True, eq=False)
@@ -260,27 +244,43 @@ def collapse(
     return StateVector(projected / np.sqrt(weight))
 
 
-def conditional_born(
+def paired_born(
     state: StateVector,
+    dims: tuple[int, int],
     first: ProjectiveMeasurement,
     seconds: Sequence[ProjectiveMeasurement],
 ) -> tuple[ProbabilityDistribution, np.ndarray]:
-    """The Born distribution of `first`, and a read-only table of what follows it.
+    """The Born distribution of `first` on subsystem A of a bipartite pure state,
+    and a read-only table of what each of `seconds` on subsystem B then gives.
 
     Row s * k + j of the table (k = first.n_outcomes) is the Born distribution
     of seconds[s] on the state outcome j of `first` leaves; rows of zero-Born
-    outcomes are NaN. Each collapse is computed once, for all of `seconds`.
+    outcomes are NaN. With Ψ the d_A × d_B coefficient matrix of the state and
+    X_j = P_j Ψ, outcome j has probability ‖X_j‖², the pair (j, m) under
+    seconds[s] has ‖X_j Q_mᵀ‖², and each row is its joint row over that row's
+    own sum: no measurement is lifted onto the d_A·d_B space, no state collapsed.
     """
+    d_a, d_b = dims
+    if state.dim != d_a * d_b:
+        raise DimensionMismatch(f"state dim {state.dim} != {d_a}*{d_b}")
+    if first.dim != d_a:
+        raise DimensionMismatch("measurement does not act on subsystem A")
+    if any(second.dim != d_b for second in seconds):
+        raise DimensionMismatch("measurement does not act on subsystem B")
     if len({second.n_outcomes for second in seconds}) != 1:
         raise DimensionMismatch("the second measurements need one common outcome count")
-    born = born_distribution(state, first)
-    k = first.n_outcomes
-    table = np.full((len(seconds) * k, seconds[0].n_outcomes), np.nan)
-    for j in sorted(born.support()):
-        after = collapse(state, first, j)
-        for s, second in enumerate(seconds):
-            table[s * k + j] = born_distribution(after, second).probs
-    return born, _frozen(table)
+    x = first.projectors @ state.amplitudes.reshape(d_a, d_b)
+    born = ProbabilityDistribution(np.clip((np.abs(x) ** 2).sum(axis=(1, 2)), 0.0, 1.0))
+    y = np.einsum("jab,smcb->sjmac", x, np.stack([second.projectors for second in seconds]))
+    joint = (np.abs(y) ** 2).sum(axis=(-2, -1))
+    allowed = born.probs > ZERO_PROB
+    rows = joint[:, allowed]
+    rows = rows / rows.sum(axis=-1, keepdims=True)
+    if not ((rows >= -ZERO_PROB).all() and (np.abs(rows.sum(axis=-1) - 1.0) <= ATOL).all()):
+        raise ValueError("conditional rows must be non-negative and sum to 1")
+    table = np.full(joint.shape, np.nan)
+    table[:, allowed] = rows
+    return born, _frozen(table.reshape(-1, joint.shape[-1]))
 
 
 def nonselective_update(

@@ -5,10 +5,11 @@ Under Born collapse, nothing Alice does moves Bob's outcome statistics
 state turns Alice's choice between two settings into a classical channel
 to Bob; its capacity in bits is the natural size of the opened side channel.
 
-Per setting, quantum.conditional_born gives Alice's Born distribution and
-Bob's distribution after each of her outcomes. The analytic marginal weights
-those rows by her policy; the empirical one samples them through
-policies.paired_blocks, with a G-test of Alice's setting against Bob's outcome.
+Per setting, quantum.paired_born gives Alice's Born distribution and Bob's
+distribution after each of her outcomes, from the state's coefficient matrix.
+The analytic marginal weights those rows by her policy; the empirical one
+samples them through policies.paired_blocks, with a G-test of Alice's setting
+against Bob's outcome.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BadParameter, DimensionMismatch
+from .errors import BadParameter
 from .policies import (
     CollapsePolicy,
     _chi2_sf,
@@ -32,7 +33,7 @@ from .quantum import (
     ProbabilityDistribution,
     ProjectiveMeasurement,
     StateVector,
-    conditional_born,
+    paired_born,
 )
 from .rng import cumulative
 
@@ -63,17 +64,10 @@ def bob_marginal_analytic(
     distribution of Bob's observable on the post-collapse joint state,
     weighted by the policy probability of j. No sampling is involved.
     """
-    d_a, d_b = dims
-    if shared.dim != d_a * d_b:
-        raise DimensionMismatch(f"shared dim {shared.dim} != {d_a}*{d_b}")
-    alice_born, bob_born = conditional_born(
-        shared, alice_measurement.embed(dims, "A"), [bob_measurement.embed(dims, "B")]
-    )
-    policy_dist = policy_distribution(alice_policy, alice_born)
-    marginal = np.zeros(bob_measurement.n_outcomes)
-    for j in range(len(alice_born)):
-        if policy_dist[j] > ZERO_PROB:
-            marginal += policy_dist[j] * bob_born[j]
+    alice_born, bob_born = paired_born(shared, dims, alice_measurement, [bob_measurement])
+    weights = policy_distribution(alice_policy, alice_born).probs
+    used = weights > ZERO_PROB
+    marginal = (weights[used, None] * bob_born[used]).sum(axis=0)
     return ProbabilityDistribution(np.clip(marginal, 0.0, 1.0))
 
 
@@ -146,10 +140,9 @@ def signaling_experiment(
     else:
         if trials < 1:
             raise BadParameter("trials must be positive")
-        bob = [bob_measurement.embed(dims, "B")]
         counts = np.zeros((len(settings), bob_measurement.n_outcomes))
         for s, (label, (alice_meas, policy)) in enumerate(settings.items()):
-            alice_born, bob_born = conditional_born(shared, alice_meas.embed(dims, "A"), bob)
+            alice_born, bob_born = paired_born(shared, dims, alice_meas, [bob_measurement])
             plan = compile_policy(policy, alice_born, trials)
             for *_, bob_outcome in paired_blocks(plan, cumulative(bob_born), seed, (s,), trials):
                 counts[s] += np.bincount(bob_outcome, minlength=counts.shape[1])

@@ -7,18 +7,25 @@ numpy's Generator(Philox(key=seed, counter=<its block-0 counter> - 1)),
 since numpy steps its counter before making each block; every trial draws
 at most three words, so each oracle asserts that it stayed inside block 0's
 four. Nothing here reads collapsim.rng.
+
+The paired experiments' conditional Born tables are referenced the same way:
+conditional_born lifts the measurements onto the whole space and collapses
+the state once per outcome, where the package reads the coefficient matrix.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
+from typing import Sequence
 
 import numpy as np
 
 from collapsim import agent, kochen_specker, policies
+from collapsim.errors import DimensionMismatch
 from collapsim.quantum import (
     ProbabilityDistribution,
     ProjectiveMeasurement,
+    StateVector,
     born_distribution,
     collapse,
     make_state,
@@ -61,19 +68,56 @@ def policy_outcome(policy, born, rng: np.random.Generator, trial: int) -> int:
     return inverse_cdf(rng, policies.policy_distribution(policy, born, trial).probs)
 
 
+# --- bipartite tables ----------------------------------------------------------
+
+
+def lift(
+    measurement: ProjectiveMeasurement, dims: tuple[int, int], side: str
+) -> ProjectiveMeasurement:
+    """The measurement lifted onto one factor of a bipartite space: P ⊗ 1 on
+    side "A", 1 ⊗ P on side "B", one Kronecker product of the whole array."""
+    other = dims[1] if side == "A" else dims[0]
+    eye = np.eye(other)[None]
+    pair = (measurement.projectors, eye) if side == "A" else (eye, measurement.projectors)
+    return ProjectiveMeasurement(np.kron(*pair))
+
+
+def conditional_born(
+    state: StateVector,
+    first: ProjectiveMeasurement,
+    seconds: Sequence[ProjectiveMeasurement],
+) -> tuple[ProbabilityDistribution, np.ndarray]:
+    """The Born distribution of `first`, and a table of what follows it, by collapse.
+
+    Measurements act on the whole space (lift them first). Row s * k + j of the
+    table (k = first.n_outcomes) is the Born distribution of seconds[s] on the
+    state outcome j of `first` leaves; rows of zero-Born outcomes are NaN.
+    """
+    if len({second.n_outcomes for second in seconds}) != 1:
+        raise DimensionMismatch("the second measurements need one common outcome count")
+    born = born_distribution(state, first)
+    k = first.n_outcomes
+    table = np.full((len(seconds) * k, seconds[0].n_outcomes), np.nan)
+    for j in sorted(born.support()):
+        after = collapse(state, first, j)
+        for s, second in enumerate(seconds):
+            table[s * k + j] = born_distribution(after, second).probs
+    return born, table
+
+
 # --- fwt ---------------------------------------------------------------------
 
 
 @lru_cache(maxsize=None)
 def _alice(context: int) -> ProjectiveMeasurement:
     table = kochen_specker.builtin_ks_table()
-    return table.contexts[context - 1].measurement().embed((4, 4), "A")
+    return lift(table.contexts[context - 1].measurement(), (4, 4), "A")
 
 
 @lru_cache(maxsize=None)
 def _bob_born(context: int, ray: kochen_specker.Ray, alice_outcome: int):
     """Bob's detect/miss distribution on the state Alice's outcome leaves."""
-    bob = ProjectiveMeasurement.detection(ray.unit_vector()).embed((4, 4), "B")
+    bob = lift(ProjectiveMeasurement.detection(ray.unit_vector()), (4, 4), "B")
     after = collapse(kochen_specker.twin_state(), _alice(context), alice_outcome)
     return born_distribution(after, bob)
 
@@ -159,11 +203,11 @@ def basis(name: str) -> ProjectiveMeasurement:
 def signal_outcomes(seed, trials, policy_texts, bases, bob_basis) -> list[list[int]]:
     """Bob's outcome per trial and setting: trial t of setting s under prefix (s,)."""
     shared = make_state([1, 0, 0, 1])
-    bob = basis(bob_basis).embed((2, 2), "B")
+    bob = lift(basis(bob_basis), (2, 2), "B")
     outcomes = []
     for s, (policy_text, alice_basis) in enumerate(zip(policy_texts, bases)):
         policy = policies.parse_policy(policy_text)
-        alice = basis(alice_basis).embed((2, 2), "A")
+        alice = lift(basis(alice_basis), (2, 2), "A")
         alice_born = born_distribution(shared, alice)
         per_trial = []
         for t in range(trials):

@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 from collapsim import agent, cli, harnesses, kochen_specker, rng
 from collapsim.cli import build_config, main, render_report, run, validate
 from collapsim.errors import ConfigError
+from collapsim.quantum import ProjectiveMeasurement
 from collapsim.rng import TRIAL_BLOCK
 
 
@@ -198,6 +199,24 @@ class TestRunSignal:
         )
         assert aggregate["mode"] == "empirical"
         assert aggregate["trials_per_setting"] == 500
+
+    def test_basis_checked_once_and_refusals_not_cached(self, monkeypatch):
+        checked = 0
+        check = ProjectiveMeasurement.__post_init__
+
+        def counting_check(self):
+            nonlocal checked
+            checked += 1
+            check(self)
+
+        monkeypatch.setattr(ProjectiveMeasurement, "__post_init__", counting_check)
+        harnesses._basis_measurement.cache_clear()
+        hadamard = harnesses._basis_measurement("x", 2)
+        for _ in range(3):
+            assert harnesses._basis_measurement("x", 2) is hadamard
+            with pytest.raises(ConfigError, match="unsupported basis 'x' in dimension 3"):
+                harnesses._basis_measurement("x", 3)
+        assert checked == 1
 
 
 class TestRunSat:

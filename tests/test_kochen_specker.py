@@ -25,7 +25,7 @@ from collapsim.kochen_specker import (
     parse_table,
     twin_state,
     validate_table,
-    _bob_lifts,
+    _bob_detections,
     _paired_tables,
 )
 from collapsim.policies import Biased, Born, Forced, Scripted
@@ -37,6 +37,7 @@ from collapsim.quantum import (
     reduced_state,
 )
 from collapsim.rng import trial_rng
+from oracles import conditional_born, lift
 
 DISJOINT_CONTEXT = Context(
     (Ray((1, 1, 1, 1)), Ray((1, 1, -1, -1)), Ray((1, -1, 1, -1)), Ray((1, -1, -1, 1)))
@@ -317,23 +318,31 @@ class TestTwinState:
 @pytest.mark.parametrize("context_index", range(1, 10))
 def test_paired_tables_match_direct_born_after_collapse(context_index):
     # fwt_trial and fwt_trials both read this table, so it is pinned against
-    # Bob's Born distribution on each collapsed state, computed directly
-    lift = (RAY_DIM, RAY_DIM)
+    # Bob's Born distribution on each collapsed state (the collapse oracle),
+    # to 1e-15 with the NaN pattern exact: the coefficient-matrix arithmetic
+    # agrees with the collapse path to 2.2e-16 here, not bit for bit
+    dims = (RAY_DIM, RAY_DIM)
     table = builtin_ks_table()
-    alice = table.contexts[context_index - 1].measurement().embed(lift, "A")
+    alice = lift(table.contexts[context_index - 1].measurement(), dims, "A")
+    bobs = [
+        lift(ProjectiveMeasurement.detection(ray.unit_vector()), dims, "B")
+        for ray in table.distinct_rays
+    ]
     alice_born, bob_born = _paired_tables(context_index)
-    assert np.array_equal(alice_born.probs, born_distribution(twin_state(), alice).probs)
-    assert bob_born.shape == (18 * RAY_DIM, 2)
-    for r, ray in enumerate(table.distinct_rays):
-        bob = ProjectiveMeasurement.detection(ray.unit_vector()).embed(lift, "B")
+    oracle_born, oracle_table = conditional_born(twin_state(), alice, bobs)
+    np.testing.assert_allclose(alice_born.probs, oracle_born.probs, rtol=0, atol=1e-15)
+    assert bob_born.shape == oracle_table.shape == (18 * RAY_DIM, 2)
+    assert np.array_equal(np.isnan(bob_born), np.isnan(oracle_table))
+    np.testing.assert_allclose(bob_born, oracle_table, rtol=0, atol=1e-15)
+    for r, bob in enumerate(bobs):
         for a in range(RAY_DIM):
             direct = born_distribution(collapse(twin_state(), alice, a), bob).probs
-            assert np.array_equal(bob_born[r * RAY_DIM + a], direct)
+            assert np.array_equal(oracle_table[r * RAY_DIM + a], direct)
 
 
 def test_paired_tables_check_each_measurement_once(monkeypatch):
-    # 9 Alice contexts plus 18 Bob lifts shared by all of them; building the
-    # lifts per context would check 9 x (1 + 18) = 171 measurements
+    # 9 Alice contexts plus 18 Bob detections shared by all of them; building
+    # the detections per context would check 9 x (1 + 18) = 171 measurements
     checked = 0
     check = ProjectiveMeasurement.__post_init__
 
@@ -344,7 +353,7 @@ def test_paired_tables_check_each_measurement_once(monkeypatch):
 
     monkeypatch.setattr(ProjectiveMeasurement, "__post_init__", counting_check)
     _paired_tables.cache_clear()
-    _bob_lifts.cache_clear()
+    _bob_detections.cache_clear()
     for context_index in range(1, 10):
         _paired_tables(context_index)
     assert checked == 27

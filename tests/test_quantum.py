@@ -19,16 +19,20 @@ from collapsim.quantum import (
     StateVector,
     born_distribution,
     collapse,
+    ATOL,
     collapse_register,
-    conditional_born,
     make_state,
     nonselective_update,
+    paired_born,
     reduced_state,
     register_born,
     same_state,
     tensor,
 )
+from collapsim.policies import Born, Forced
+from collapsim.signaling import signaling_experiment
 from helpers import random_measurement, random_state
+from oracles import conditional_born, lift
 
 Z2 = ProjectiveMeasurement.computational(2)
 Z3 = ProjectiveMeasurement.computational(3)
@@ -147,7 +151,7 @@ class TestBornDistribution:
 
 class TestCollapse:
     def test_bell_alice_side(self):
-        z_on_a = Z2.embed((2, 2), "A")
+        z_on_a = lift(Z2, (2, 2), "A")
         after = collapse(bell_state(), z_on_a, 0)
         assert same_state(after, make_state([1, 0, 0, 0]))
 
@@ -178,6 +182,57 @@ class TestCollapse:
             assert born_distribution(once, m)[outcome] > 1.0 - 1e-10
 
 
+#: how far paired_born may sit from the collapse oracle. The oracle sums over the
+#: lifted d_A·d_B space and renormalizes after collapse; against a long-double
+#: evaluation it errs by up to 1.3e-15 on the draws below, paired_born by 2.7e-16.
+ORACLE_ATOL = 2e-15
+
+
+def oracle_tables(state, dims, first, seconds):
+    """oracles.conditional_born on the lifted measurements."""
+    return conditional_born(state, lift(first, dims, "A"), [lift(s, dims, "B") for s in seconds])
+
+
+def long_double_table(state, dims, first, seconds):
+    """paired_born's formula in numpy's long double, NaN rows left to the caller."""
+    x = first.projectors.astype(np.clongdouble) @ state.amplitudes.reshape(dims)
+    y = np.einsum("jab,smcb->sjmac", x, np.stack([s.projectors for s in seconds]))
+    joint = (np.abs(y) ** 2).sum(axis=(-2, -1))
+    return (joint / joint.sum(axis=-1, keepdims=True)).reshape(-1, joint.shape[-1])
+
+
+@st.composite
+def bipartite_cases(draw):
+    """A state on d_A × d_B, Alice's measurement and one to three of Bob's, all
+    with projectors of any rank. The state lies in the span of some of Alice's
+    outcomes (weight at least 0.09 on each basis row of those), so her others
+    are zero-Born. Returns (state, dims, first, seconds, zero-Born outcomes)."""
+    dims = draw(st.sampled_from([(2, 3), (3, 2), (4, 4)]))
+    imaginary = draw(st.sampled_from([0.0, 1.0]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+
+    def vectors(rows, d):
+        return rng.normal(size=(rows, d)) + imaginary * 1j * rng.normal(size=(rows, d))
+
+    def grouped(d, cuts):
+        rows = np.linalg.qr(vectors(d, d))[0].T
+        groups = np.split(rows, cuts)
+        return rows, ProjectiveMeasurement([g.T @ g.conj() for g in groups])
+
+    d_a, d_b = dims
+    alice_cuts = sorted(draw(st.sets(st.integers(1, d_a - 1), min_size=1)))
+    bob_cuts = sorted(draw(st.sets(st.integers(1, d_b - 1), min_size=1)))
+    rows, first = grouped(d_a, alice_cuts)
+    kept = draw(st.sets(st.integers(0, first.n_outcomes - 1), min_size=1))
+    outcome_of = np.searchsorted(alice_cuts, np.arange(d_a), side="right")
+    phis = vectors(d_a, d_b)
+    phis *= rng.uniform(0.3, 1.0, size=(d_a, 1)) / np.linalg.norm(phis, axis=1, keepdims=True)
+    state = make_state(sum(np.kron(rows[i], phis[i]) for i in range(d_a) if outcome_of[i] in kept))
+    seconds = [grouped(d_b, bob_cuts)[1] for _ in range(draw(st.integers(1, 3)))]
+    zero = sorted(set(range(first.n_outcomes)) - kept)
+    return state, dims, first, seconds, zero
+
+
 class TestConditionalBorn:
     @pytest.mark.parametrize("seed", range(6))
     def test_rows_are_born_after_collapse_nan_where_forbidden(self, seed):
@@ -189,28 +244,68 @@ class TestConditionalBorn:
         state = make_state(
             sum(np.kron(q.T[j], random_state(rng, d_b).amplitudes) for j in kept)
         )
-        first = ProjectiveMeasurement.from_basis(q.T).embed((d_a, d_b), "A")
-        seconds = [random_measurement(rng, d_b).embed((d_a, d_b), "B") for _ in range(3)]
-        born, table = conditional_born(state, first, seconds)
-        assert np.array_equal(born.probs, born_distribution(state, first).probs)
-        assert sorted(born.support()) == kept
+        first = ProjectiveMeasurement.from_basis(q.T)
+        seconds = [random_measurement(rng, d_b) for _ in range(3)]
+        born, table = paired_born(state, (d_a, d_b), first, seconds)
+        oracle_born, oracle_table = oracle_tables(state, (d_a, d_b), first, seconds)
+        np.testing.assert_allclose(born.probs, oracle_born.probs, rtol=0, atol=ORACLE_ATOL)
+        assert sorted(born.support()) == sorted(oracle_born.support()) == kept
         assert table.shape == (3 * d_a, d_b) and not table.flags.writeable
+        lifted = lift(first, (d_a, d_b), "A")
         for s, second in enumerate(seconds):
             for j in range(d_a):
                 row = table[s * d_a + j]
                 if j in kept:
-                    direct = born_distribution(collapse(state, first, j), second).probs
-                    assert np.array_equal(row, direct)
+                    direct = born_distribution(
+                        collapse(state, lifted, j), lift(second, (d_a, d_b), "B")
+                    ).probs
+                    assert np.array_equal(oracle_table[s * d_a + j], direct)
+                    np.testing.assert_allclose(row, direct, rtol=0, atol=ORACLE_ATOL)
                 else:
-                    assert np.isnan(row).all()
+                    assert np.isnan(row).all() and np.isnan(oracle_table[s * d_a + j]).all()
 
     def test_seconds_need_one_outcome_count(self):
-        z_on_b = Z2.embed((2, 2), "B")
-        coarse = ProjectiveMeasurement((np.eye(4),))
-        with pytest.raises(DimensionMismatch):
-            conditional_born(bell_state(), Z2.embed((2, 2), "A"), [z_on_b, coarse])
-        with pytest.raises(DimensionMismatch):
-            conditional_born(bell_state(), Z2.embed((2, 2), "A"), [])
+        coarse = ProjectiveMeasurement((np.eye(2),))
+        with pytest.raises(DimensionMismatch, match="one common outcome count"):
+            paired_born(bell_state(), (2, 2), Z2, [Z2, coarse])
+        with pytest.raises(DimensionMismatch, match="one common outcome count"):
+            paired_born(bell_state(), (2, 2), Z2, [])
+
+    def test_measurements_must_act_on_their_subsystems(self):
+        state = tensor(make_state([1, 1]), make_state([1, 1, 1]))
+        with pytest.raises(DimensionMismatch, match="state dim 6 != 2\\*2"):
+            paired_born(state, (2, 2), Z2, [Z2])
+        with pytest.raises(DimensionMismatch, match="does not act on subsystem A"):
+            paired_born(state, (2, 3), Z3, [Z3])
+        with pytest.raises(DimensionMismatch, match="does not act on subsystem B"):
+            paired_born(state, (2, 3), Z2, [Z3, Z2])
+
+    @settings(max_examples=150, deadline=None)
+    @given(case=bipartite_cases())
+    def test_tables_equal_the_collapse_oracle(self, case):
+        state, dims, first, seconds, zero = case
+        born, table = paired_born(state, dims, first, seconds)
+        oracle_born, oracle_table = oracle_tables(state, dims, first, seconds)
+        np.testing.assert_allclose(born.probs, oracle_born.probs, rtol=0, atol=ORACLE_ATOL)
+        assert np.array_equal(np.isnan(table), np.isnan(oracle_table))
+        np.testing.assert_allclose(table, oracle_table, rtol=0, atol=ORACLE_ATOL)
+        finite = table[~np.isnan(table).any(axis=1)]
+        assert (np.abs(finite.sum(axis=1) - 1.0) <= ATOL).all()
+        k = first.n_outcomes
+        assert [j for j in range(k) if np.isnan(table[j]).all()] == zero
+        # within two ulps of 1 of the same formula evaluated in long double
+        exact = long_double_table(state, dims, first, seconds)
+        assert (np.abs(table - exact) <= 5e-16)[~np.isnan(table)].all()
+
+    @settings(max_examples=50, deadline=None)
+    @given(case=bipartite_cases())
+    def test_forced_zero_born_outcome_raises_in_both_signal_modes(self, case):
+        state, dims, first, seconds, zero = case
+        for j in zero:
+            settings_ = {"0": (first, Born()), "1": (first, Forced(j))}
+            for trials in (None, 10):
+                with pytest.raises(ForbiddenOutcome):
+                    signaling_experiment(state, dims, seconds[0], settings_, trials=trials)
 
 
 class TestNonselectiveUpdate:
@@ -297,8 +392,8 @@ class TestRegisterOps:
             da, db = int(rng.integers(2, 5)), int(rng.integers(2, 5))
             s = random_state(rng, da * db)
             for which, meas in (
-                ("A", ProjectiveMeasurement.computational(da).embed((da, db), "A")),
-                ("B", ProjectiveMeasurement.computational(db).embed((da, db), "B")),
+                ("A", lift(ProjectiveMeasurement.computational(da), (da, db), "A")),
+                ("B", lift(ProjectiveMeasurement.computational(db), (da, db), "B")),
             ):
                 direct = register_born(s, (da, db), which)
                 via_embed = born_distribution(s, meas)
@@ -309,7 +404,7 @@ class TestRegisterOps:
         for _ in range(50):
             da, db = int(rng.integers(2, 4)), int(rng.integers(2, 4))
             s = random_state(rng, da * db)
-            meas = ProjectiveMeasurement.computational(db).embed((da, db), "B")
+            meas = lift(ProjectiveMeasurement.computational(db), (da, db), "B")
             outcome = int(np.argmax(register_born(s, (da, db), "B").probs))
             assert same_state(
                 collapse_register(s, (da, db), "B", outcome),
@@ -340,8 +435,8 @@ def _same_bits(a, b):
 
 
 class TestMeasurementArray:
-    """A measurement is one read-only (k, d, d) array; lifts and the
-    computational basis are exact and skip the checks."""
+    """A measurement is one read-only (k, d, d) array; the computational
+    basis is exact and skips the checks."""
 
     @staticmethod
     def measurements(rng):
@@ -358,7 +453,7 @@ class TestMeasurementArray:
             for m in self.measurements(rng):
                 other = int(rng.integers(1, 5))
                 for side, dims in (("A", (m.dim, other)), ("B", (other, m.dim))):
-                    lifted = m.embed(dims, side)
+                    lifted = lift(m, dims, side)
                     expected = np.stack([
                         np.kron(p, np.eye(other)) if side == "A" else np.kron(np.eye(other), p)
                         for p in m.projectors
@@ -391,8 +486,8 @@ class TestMeasurementArray:
         for m in (
             ProjectiveMeasurement(caller),
             Z2,
-            Z2.embed((2, 3), "A"),
-            Z3.embed((2, 3), "B"),
+            lift(Z2, (2, 3), "A"),
+            lift(Z3, (2, 3), "B"),
             ProjectiveMeasurement.detection(np.array([0.6, 0.8])),
         ):
             assert isinstance(m.projectors, np.ndarray) and m.projectors.ndim == 3

@@ -22,6 +22,7 @@ from collapsim.signaling import (
     signaling_experiment,
 )
 from helpers import random_measurement, random_state
+from oracles import lift
 
 Z = ProjectiveMeasurement.computational(2)
 X = ProjectiveMeasurement.from_basis(np.array([[1, 1], [1, -1]]) / np.sqrt(2))
@@ -95,6 +96,28 @@ class TestBobMarginalAnalytic:
         marginal = bob_marginal_analytic(BELL, (2, 2), Z, biased(*w), Z)
         np.testing.assert_allclose(marginal.probs, expected, atol=1e-12)
         np.testing.assert_allclose(marginal.probs, [0.75, 0.25], atol=1e-12)
+
+
+class TestExactMarginals:
+    """Each conditional row is its joint row over that row's own sum, so a
+    deterministic steer reads exactly 1 and a biased mixture exactly w, in
+    the Hadamard basis too (where the collapse path read 0.9999999999999999)."""
+
+    @pytest.mark.parametrize("basis", ["z", "x"])
+    def test_forced_pair_reads_an_exact_one(self, basis, capsys):
+        argv = ["signal", "--policy0", "forced:0", "--policy1", "forced:1",
+                "--alice-basis0", basis, "--alice-basis1", basis, "--bob-basis", basis]
+        assert main(argv) == 0
+        aggregate = json.loads(capsys.readouterr().out.splitlines()[1])
+        assert aggregate["max_tv"] == 1.0
+        assert aggregate["bob_marginal_0"] == [1.0, 0.0]
+        assert aggregate["bob_marginal_1"] == [0.0, 1.0]
+
+    @pytest.mark.parametrize("basis", [Z, X])
+    @pytest.mark.parametrize("w", [0.75, 0.3, 0.1, 1 / 3, 0.123456789])
+    def test_biased_marginal_is_its_weight(self, basis, w):
+        marginal = bob_marginal_analytic(BELL, (2, 2), basis, biased(w, 1 - w), basis)
+        assert marginal[0] == w
 
 
 class TestChannelCapacity:
@@ -216,7 +239,7 @@ def test_product_states_cannot_signal_even_with_deviation():
         from collapsim.policies import admissible_outcomes
 
         target = sorted(
-            admissible_outcomes(shared, alice_meas.embed((2, 2), "A"))
+            admissible_outcomes(shared, lift(alice_meas, (2, 2), "A"))
         )[0]
         policies["1"] = (alice_meas, Forced(target))
         report = signaling_experiment(shared, (2, 2), random_measurement(rng, 2), policies)
