@@ -9,7 +9,6 @@ typo cannot silently corrupt a comparison.
 
 from __future__ import annotations
 
-import argparse
 import functools
 import json
 import math
@@ -401,56 +400,121 @@ def _csv_cell(value: Any) -> str:
     return str(value)
 
 
+#: the flags of every experiment: flag -> (raw config key, value type, its
+#: name in the usage, help); a bool flag takes no value, an int one is read
+#: as an int, the rest as text
+GLOBAL_FLAGS: dict[str, tuple[str, type, str, str]] = {
+    "--seed": ("seed", int, "INT", "master seed (default 0)"),
+    "--trials": ("trials", int, "INT", "trial count"),
+    "--out": ("out", str, "PATH", "output path (default stdout)"),
+    "--format": ("output_format", str, "FORMAT", "json-lines or csv (default json-lines)"),
+    "--config": ("config", str, "PATH", "JSON config file (flags override file values)"),
+    "--per-trial": ("per_trial", bool, "", "emit one record per trial"),
+}
+
+
 @functools.cache
-def _parser() -> argparse.ArgumentParser:
-    """The command-line parser, derived from SPECS; built once per process."""
-    # SUPPRESS keeps absent flags out of the namespace, so a subcommand
-    # parser cannot clobber a flag given before the subcommand
-    common = argparse.ArgumentParser(add_help=False, argument_default=argparse.SUPPRESS)
-    common.add_argument("--seed", type=int, help="master seed (default 0)")
-    common.add_argument("--trials", type=int)
-    common.add_argument("--out", type=str, help="output path (default stdout)")
-    common.add_argument("--format", dest="output_format", choices=OUTPUT_FORMATS)
-    common.add_argument("--config", type=str,
-                        help="JSON config file (flags override file values)")
-    common.add_argument("--per-trial", dest="per_trial", action="store_true",
-                        help="emit one record per trial")
-    parser = argparse.ArgumentParser(
-        prog="collapsim", description="collapse-policy experiment harnesses", parents=[common]
-    )
-    sub = parser.add_subparsers(dest="experiment")
-    for name, spec in SPECS.items():
-        experiment_parser = sub.add_parser(
-            name, parents=[common], argument_default=argparse.SUPPRESS
-        )
-        for param in spec.params:
-            if param.positional:
-                experiment_parser.add_argument(param.name, choices=param.choices)
-                continue
-            flag = "--" + param.name.replace("_", "-")
-            parse = {"action": "store_true"} if param.kind is bool else {"type": param.kind}
-            experiment_parser.add_argument(flag, dest=param.name, help=param.help, **parse)
-    return parser
-
-
-def _raw_config_from_args(args: argparse.Namespace) -> dict[str, Any]:
-    raw: dict[str, Any] = {}
-    config_path = getattr(args, "config", None)
-    if config_path:
-        text = harnesses.read_text("config", config_path)
-        try:
-            loaded = json.loads(text)
-        except (ValueError, RecursionError) as exc:  # RecursionError: deep nesting
-            raise ConfigError(f"config: not valid JSON: {exc}") from exc
-        if not isinstance(loaded, dict):
-            raise ConfigError("config: top level must be a JSON object")
-        raw.update(loaded)
-    skip = {"config", "out"}
-    for key, value in vars(args).items():
-        if key in skip or value is None:
+def _flags(experiment: str | None) -> dict[str, tuple[str, type, str, str]]:
+    """The flags valid after the experiment name (before it when None)."""
+    flags = dict(GLOBAL_FLAGS)
+    if experiment is None:
+        return flags
+    spec = SPECS[experiment]
+    flags["--trials"] = ("trials", int, "INT", f"trial count (default {spec.trials})")
+    for param in spec.params:
+        if param.positional:
             continue
+        text = param.help or ("" if param.default is None else f"default {param.default}")
+        if param.choices:
+            text = " or ".join(param.choices) + (f" ({text})" if text else "")
+        flag = "--" + param.name.replace("_", "-")
+        if param.kind is bool:
+            flags[flag] = (param.name, bool, "", text)
+        else:
+            flags[flag] = (param.name, str, param.kind.__name__.upper(), text)
+    return flags
+
+
+def _read_argv(argv: list[str]) -> dict[str, Any]:
+    """The raw config argv spells, read in one left-to-right pass, with the
+    "out" and "config" paths among its keys; a later flag overrides an
+    earlier one.
+
+    Global flags go before or after the experiment name, its own flags after
+    it. A flag is spelled in full, with its value as the next argument or
+    after "="; a next argument that starts with "--" is no value. --seed and
+    --trials are read as ints; every other value stays text for _parse.
+    Raises ConfigError at the first argument it cannot read; -h or --help
+    prints the usage and exits 0.
+    """
+    raw: dict[str, Any] = {}
+    experiment = None
+    positional: list[Param] = []
+    args = iter(argv)
+    for arg in args:
+        if arg in ("-h", "--help"):
+            sys.stdout.write(_usage(experiment))
+            raise SystemExit(0)
+        if not arg.startswith("--"):
+            if experiment is None:
+                if arg not in SPECS:
+                    raise ConfigError(f"experiment: unknown experiment {arg!r}")
+                experiment = raw["experiment"] = arg
+                positional = [p for p in SPECS[arg].params if p.positional]
+            elif positional:
+                raw[positional.pop(0).name] = arg
+            else:
+                raise ConfigError(f"unexpected argument {arg!r} after {experiment!r}")
+            continue
+        flag, equals, value = arg.partition("=")
+        known = _flags(experiment).get(flag)
+        if known is None:
+            where = f"for experiment {experiment!r}" if experiment else "before the experiment"
+            raise ConfigError(f"{flag}: unknown flag {where}")
+        key, kind, _, _ = known
+        if kind is bool:
+            if equals:
+                raise ConfigError(f"{flag}: takes no value")
+            raw[key] = True
+            continue
+        if not equals:
+            value = next(args, None)
+            if value is None or value.startswith("--"):
+                raise ConfigError(f"{flag}: needs a value")
+        if kind is int:
+            try:
+                value = int(value)
+            except ValueError:
+                raise ConfigError(f"{key}: expected int, got {value!r}") from None
         raw[key] = value
     return raw
+
+
+def _usage(experiment: str | None) -> str:
+    """The --help text, from SPECS."""
+    if experiment is None:
+        lines = ["usage: collapsim [flags] EXPERIMENT [flags]", "",
+                 "experiments: " + ", ".join(SPECS) + "; EXPERIMENT --help lists its flags"]
+    else:
+        words = ["{" + ",".join(p.choices) + "}" for p in SPECS[experiment].params if p.positional]
+        lines = [" ".join(["usage: collapsim", experiment, *words, "[flags]"])]
+    lines += ["", "flags:"]
+    for flag, (_, _, metavar, text) in _flags(experiment).items():
+        spelled = f"{flag} {metavar}" if metavar else flag
+        lines.append(f"  {spelled:<26}{text}".rstrip())
+    return "\n".join(lines) + "\n"
+
+
+def _read_config(path: str) -> dict[str, Any]:
+    """The flat mapping of a JSON config file."""
+    text = harnesses.read_text("config", path)
+    try:
+        loaded = json.loads(text)
+    except (ValueError, RecursionError) as exc:  # RecursionError: deep nesting
+        raise ConfigError(f"config: not valid JSON: {exc}") from exc
+    if not isinstance(loaded, dict):
+        raise ConfigError("config: top level must be a JSON object")
+    return loaded
 
 
 def _write(out: TextIO, text: str) -> None:
@@ -460,9 +524,11 @@ def _write(out: TextIO, text: str) -> None:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = _parser().parse_args(argv)
     try:
-        raw = _raw_config_from_args(args)
+        raw = _read_argv(sys.argv[1:] if argv is None else argv)
+        out_path, config_path = raw.pop("out", None), raw.pop("config", None)
+        if config_path:
+            raw = {**_read_config(config_path), **raw}
         if raw.get("experiment") is None:
             raise ConfigError("experiment: no experiment selected")
         config = build_config(raw)
@@ -471,7 +537,6 @@ def main(argv: list[str] | None = None) -> int:
             text = report.plain_output
         else:
             text = render_report(report, config.output_format)
-        out_path = getattr(args, "out", None)
         if out_path:
             try:
                 with open(out_path, "w") as out:

@@ -15,6 +15,7 @@ report renders one JSON template per distinct row (cli.render_report).
 from __future__ import annotations
 
 import cmath
+import copy
 from dataclasses import asdict, dataclass
 from functools import lru_cache
 from pathlib import Path
@@ -29,7 +30,9 @@ from .quantum import (
     DensityOperator,
     ProbabilityDistribution,
     ProjectiveMeasurement,
+    StateVector,
     make_state,
+    paired_born,
 )
 from .rng import trial_blocks, trial_rng
 
@@ -170,27 +173,53 @@ def _basis_measurement(name: str, dim: int) -> ProjectiveMeasurement:
     if name == "z":
         return ProjectiveMeasurement.computational(dim)
     if name == "x" and dim == 2:
-        h = np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2.0)
-        return ProjectiveMeasurement.from_basis(h)
+        # |+><+| and |-><-| exactly: rows of 1/sqrt(2) would give entries 0.4999999999999999
+        return ProjectiveMeasurement([[[0.5, 0.5], [0.5, 0.5]], [[0.5, -0.5], [-0.5, 0.5]]])
     raise ConfigError(f"unsupported basis {name!r} in dimension {dim}")
 
 
-# --- runners -----------------------------------------------------------------
+# No argument of a call changes the results below, so each is computed once
+# per process; what they return is read-only, or copied per job.
+
+BELL_DIMS = (2, 2)
 
 
-def run_ks(config: ExperimentConfig) -> RunnerOutput:
+@lru_cache(maxsize=1)
+def _bell_state() -> StateVector:
+    """The signal experiment's shared state, (|00> + |11>)/sqrt(2)."""
+    return make_state([1, 0, 0, 1])
+
+
+@lru_cache(maxsize=4)
+def _bell_tables(alice_basis: str, bob_basis: str) -> tuple[ProbabilityDistribution, np.ndarray]:
+    """paired_born of the Bell state for one basis pair: read-only arrays."""
+    return paired_born(
+        _bell_state(), BELL_DIMS, _basis_measurement(alice_basis, 2),
+        [_basis_measurement(bob_basis, 2)],
+    )
+
+
+@lru_cache(maxsize=1)
+def _ks_aggregate() -> dict[str, Any]:
+    """The ks aggregate of the built-in table; run_ks hands out copies."""
     table = kochen_specker.builtin_ks_table()
-    if config.params["dump_table"]:
-        # ray-table text format for external checkers
-        return None, {}, kochen_specker.format_table(table) + "\n"
-    aggregate = {
+    return {
         **asdict(kochen_specker.ks_coloring_search(table)),
         "parity_certificate": kochen_specker.parity_certificate(table),
         "table_violations": kochen_specker.validate_table(table),
         "contexts": len(table.contexts),
         "distinct_rays": len(table.ray_index),
     }
-    return None, aggregate, None
+
+
+# --- runners -----------------------------------------------------------------
+
+
+def run_ks(config: ExperimentConfig) -> RunnerOutput:
+    if config.params["dump_table"]:
+        # ray-table text format for external checkers
+        return None, {}, kochen_specker.format_table(kochen_specker.builtin_ks_table()) + "\n"
+    return None, copy.deepcopy(_ks_aggregate()), None
 
 
 def run_fwt(config: ExperimentConfig) -> RunnerOutput:
@@ -240,17 +269,18 @@ def _fwt_table(blocks: list[kochen_specker.FwtBlock]) -> TrialTable:
 
 
 def run_signal(config: ExperimentConfig) -> RunnerOutput:
-    shared = make_state([1, 0, 0, 1])  # (|00> + |11>)/sqrt(2)
-    dims = (2, 2)
     p = config.params
+    labels = ("0", "1")
     settings = {
         label: (_basis_measurement(p[f"alice_basis{label}"], 2), p[f"policy{label}"])
-        for label in ("0", "1")
+        for label in labels
     }
+    tables = {label: _bell_tables(p[f"alice_basis{label}"], p["bob_basis"]) for label in labels}
     bob_measurement = _basis_measurement(p["bob_basis"], 2)
     trials = config.resolved_trials() if p["mode"] == "empirical" else None
     report = signaling.signaling_experiment(
-        shared, dims, bob_measurement, settings, trials=trials, seed=config.seed
+        _bell_state(), BELL_DIMS, bob_measurement, settings, trials=trials, seed=config.seed,
+        tables=tables,
     )
     aggregate = asdict(report)
     if report.independence_pvalue is None:  # analytic marginals carry no noise

@@ -38,6 +38,10 @@ from .quantum import (
 from .rng import cumulative
 
 
+#: paired_born's (Alice's Born distribution, Bob's conditional table)
+PairedTables = tuple[ProbabilityDistribution, np.ndarray]
+
+
 @dataclass(frozen=True)
 class SignalingReport:
     """Bob-side marginals per Alice setting, and how far apart they are."""
@@ -57,14 +61,19 @@ def bob_marginal_analytic(
     alice_measurement: ProjectiveMeasurement,
     alice_policy: CollapsePolicy,
     bob_measurement: ProjectiveMeasurement,
+    tables: PairedTables | None = None,
 ) -> ProbabilityDistribution:
     """Bob's exact outcome distribution given Alice's measurement and policy.
 
     Sums, over Alice's outcomes j with nonzero policy probability, the Born
     distribution of Bob's observable on the post-collapse joint state,
     weighted by the policy probability of j. No sampling is involved.
+    `tables`, when given, is paired_born(shared, dims, alice_measurement,
+    [bob_measurement]), computed once by the caller.
     """
-    alice_born, bob_born = paired_born(shared, dims, alice_measurement, [bob_measurement])
+    alice_born, bob_born = tables or paired_born(
+        shared, dims, alice_measurement, [bob_measurement]
+    )
     weights = policy_distribution(alice_policy, alice_born).probs
     used = weights > ZERO_PROB
     marginal = (weights[used, None] * bob_born[used]).sum(axis=0)
@@ -121,20 +130,25 @@ def signaling_experiment(
     settings: dict[str, tuple[ProjectiveMeasurement, CollapsePolicy]],
     trials: int | None = None,
     seed: int = 0,
+    tables: dict[str, PairedTables] | None = None,
 ) -> SignalingReport:
     """Compare Bob's marginals across Alice's two settings.
 
     trials=None runs in analytic mode (exact marginals); an integer runs
     sampled trials per setting (trial t of setting s reads trial_rng(seed, s, t),
     Philox counter [t, s, 0, block]) and adds the independence G-test.
+    `tables`, when given, maps each setting's label to paired_born of its
+    measurement and bob_measurement on the shared state, computed once by
+    the caller.
     """
     if len(settings) != 2:
         raise BadParameter("exactly two Alice settings are required")
+    tables = tables or {}
     marginals: dict[str, np.ndarray] = {}
     if trials is None:
         for label, (alice_meas, policy) in settings.items():
             marginals[label] = bob_marginal_analytic(
-                shared, dims, alice_meas, policy, bob_measurement
+                shared, dims, alice_meas, policy, bob_measurement, tables.get(label)
             ).probs
         mode, per_setting, pvalue = "analytic", 0, None
     else:
@@ -142,7 +156,9 @@ def signaling_experiment(
             raise BadParameter("trials must be positive")
         counts = np.zeros((len(settings), bob_measurement.n_outcomes))
         for s, (label, (alice_meas, policy)) in enumerate(settings.items()):
-            alice_born, bob_born = paired_born(shared, dims, alice_meas, [bob_measurement])
+            alice_born, bob_born = tables.get(label) or paired_born(
+                shared, dims, alice_meas, [bob_measurement]
+            )
             plan = compile_policy(policy, alice_born, trials)
             for *_, bob_outcome in paired_blocks(plan, cumulative(bob_born), seed, (s,), trials):
                 counts[s] += np.bincount(bob_outcome, minlength=counts.shape[1])

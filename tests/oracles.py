@@ -11,16 +11,21 @@ four. Nothing here reads collapsim.rng.
 The paired experiments' conditional Born tables are referenced the same way:
 conditional_born lifts the measurements onto the whole space and collapses
 the state once per outcome, where the package reads the coefficient matrix.
+
+The command line is referenced by the argparse parser the package once used,
+derived from cli.SPECS: reference_raw_config is the flat config it read
+from argv.
 """
 
 from __future__ import annotations
 
+import argparse
 from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
 
-from collapsim import agent, kochen_specker, policies
+from collapsim import agent, cli, kochen_specker, policies
 from collapsim.errors import DimensionMismatch
 from collapsim.quantum import (
     ProbabilityDistribution,
@@ -217,3 +222,41 @@ def signal_outcomes(seed, trials, policy_texts, bases, bob_basis) -> list[list[i
             assert_block_0_only(rng, t, (s,))
         outcomes.append(per_trial)
     return outcomes
+
+
+# --- command line ------------------------------------------------------------
+
+
+@lru_cache(maxsize=1)
+def reference_parser() -> argparse.ArgumentParser:
+    """The argparse parser of the command line, derived from cli.SPECS."""
+    # SUPPRESS keeps absent flags out of the namespace, so a subcommand
+    # parser cannot clobber a flag given before the subcommand
+    common = argparse.ArgumentParser(add_help=False, argument_default=argparse.SUPPRESS)
+    common.add_argument("--seed", type=int)
+    common.add_argument("--trials", type=int)
+    common.add_argument("--out", type=str)
+    common.add_argument("--format", dest="output_format", choices=cli.OUTPUT_FORMATS)
+    common.add_argument("--config", type=str)
+    common.add_argument("--per-trial", dest="per_trial", action="store_true")
+    parser = argparse.ArgumentParser(prog="collapsim", parents=[common])
+    sub = parser.add_subparsers(dest="experiment")
+    for name, spec in cli.SPECS.items():
+        experiment_parser = sub.add_parser(
+            name, parents=[common], argument_default=argparse.SUPPRESS
+        )
+        for param in spec.params:
+            if param.positional:
+                experiment_parser.add_argument(param.name, choices=param.choices)
+                continue
+            flag = "--" + param.name.replace("_", "-")
+            parse = {"action": "store_true"} if param.kind is bool else {"type": param.kind}
+            experiment_parser.add_argument(flag, dest=param.name, **parse)
+    return parser
+
+
+def reference_raw_config(argv: list[str]) -> dict:
+    """The flat config argv spells to the argparse parser, values typed by
+    it, with the --out and --config paths under "out" and "config"."""
+    args = reference_parser().parse_args(argv)
+    return {key: value for key, value in vars(args).items() if value is not None}

@@ -18,6 +18,7 @@ from collapsim.cli import build_config, main, render_report, run, validate
 from collapsim.errors import ConfigError
 from collapsim.quantum import ProjectiveMeasurement
 from collapsim.rng import TRIAL_BLOCK
+from oracles import reference_raw_config
 
 
 def run_lines(raw):
@@ -217,6 +218,74 @@ class TestRunSignal:
             with pytest.raises(ConfigError, match="unsupported basis 'x' in dimension 3"):
                 harnesses._basis_measurement("x", 3)
         assert checked == 1
+
+
+    def test_hadamard_projectors_exact(self):
+        projectors = harnesses._basis_measurement("x", 2).projectors
+        assert (projectors == [[[0.5, 0.5], [0.5, 0.5]], [[0.5, -0.5], [-0.5, 0.5]]]).all()
+
+    @pytest.mark.parametrize("bases", ["zxz", "xzz", "zxx", "xzx"])
+    def test_born_null_across_z_and_x_reads_zero(self, bases):
+        # with rows of 1/sqrt(2) the Hadamard rows summed to 1 - 4e-16 and
+        # these read max_tv 1.1e-16
+        raw = {"experiment": "signal", "alice_basis0": bases[0], "alice_basis1": bases[1],
+               "bob_basis": bases[2]}
+        aggregate = aggregate_of(run_lines(raw))
+        assert aggregate["max_tv"] == 0.0 and aggregate["channel_bits"] == 0.0
+
+
+# every (Alice basis, Bob basis) pair, analytic and empirical
+SIGNAL_JOBS = [
+    {"experiment": "signal", "seed": 3, "policy0": "forced:0", "policy1": "biased:0.7,0.3",
+     "alice_basis0": alice, "alice_basis1": "x" if alice == "z" else "z", "bob_basis": bob,
+     **mode}
+    for alice in "zx" for bob in "zx" for mode in ({}, {"mode": "empirical", "trials": 300})
+]
+
+FRESH_RUN = """
+import json, sys
+from collapsim.cli import build_config, render_report, run
+lines = render_report(run(build_config(json.loads(sys.argv[1]))), "json-lines").splitlines()
+print("\\n".join(line for line in lines if '"record": "timing"' not in line))
+"""
+
+
+class TestProcessCaches:
+    """The Bell state, its paired tables and the ks aggregate are built once
+    per process; no job may see what another did with them."""
+
+    def test_signal_bytes_independent_of_job_order(self):
+        env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+        fresh = [
+            subprocess.run([sys.executable, "-c", FRESH_RUN, json.dumps(raw)], env=env,
+                           capture_output=True, text=True, check=True, timeout=120
+                           ).stdout.splitlines()
+            for raw in SIGNAL_JOBS
+        ]
+        harnesses._bell_state.cache_clear()
+        harnesses._bell_tables.cache_clear()
+        forward = [stripped(run_lines(raw)) for raw in SIGNAL_JOBS]
+        backward = [stripped(run_lines(raw)) for raw in reversed(SIGNAL_JOBS)]
+        assert forward == fresh and backward[::-1] == fresh
+
+    def test_cached_arrays_refuse_writes(self):
+        born, table = harnesses._bell_tables("x", "z")
+        for array in (born.probs, table, harnesses._bell_state().amplitudes):
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 0.0
+
+    def test_ks_aggregate_computed_once_and_copied(self, monkeypatch):
+        calls = []
+        search = kochen_specker.ks_coloring_search
+        monkeypatch.setattr(kochen_specker, "ks_coloring_search",
+                            lambda table: calls.append(1) or search(table))
+        harnesses._ks_aggregate.cache_clear()
+        config = build_config({"experiment": "ks"})
+        first, second = run(config).aggregate, run(config).aggregate
+        assert calls == [1]
+        assert first == second and first is not second
+        first["table_violations"].append("edited")
+        assert second["table_violations"] == [] == run(config).aggregate["table_violations"]
 
 
 class TestRunSat:
@@ -976,6 +1045,122 @@ class TestCliSurface:
             main([experiment, "--help"])
         assert exit_info.value.code == 0
         assert capsys.readouterr().out.startswith(f"usage: collapsim {experiment}")
+
+    def test_help_lists_every_flag(self, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["--seed", "1", "-h"])
+        assert exit_info.value.code == 0
+        usage = capsys.readouterr().out
+        assert usage.startswith("usage: collapsim [flags] EXPERIMENT")
+        assert all(name in usage for name in cli.EXPERIMENTS)
+        for name, spec in cli.SPECS.items():
+            with pytest.raises(SystemExit):
+                main([name, "-h"])
+            usage = capsys.readouterr().out
+            flags = [f"--{p.name.replace('_', '-')} " for p in spec.params if not p.positional]
+            assert all(f"\n  {flag}" in usage for flag in [*flags, "--seed ", "--per-trial "])
+
+
+# --- the argv reader against the argparse parser it replaced -------------------
+
+# values argparse also reads as values: none starts with "-"
+_ARG_TEXT = st.text(alphabet="abz019,.;:=_ ", max_size=8)
+_ARG_VALUES = {int: st.integers(0, 10**6).map(str), float: st.floats(0, 1e6).map(repr),
+               str: _ARG_TEXT}
+_GLOBAL_ARGS = {"--seed": _ARG_VALUES[int], "--trials": _ARG_VALUES[int], "--out": _ARG_TEXT,
+                "--format": st.sampled_from(cli.OUTPUT_FORMATS), "--config": _ARG_TEXT,
+                "--per-trial": None}
+
+
+@st.composite
+def argv_lists(draw):
+    """An argv of one experiment's flags and global flags, in any order, each
+    flag's value as the next argument or after "=", one flag maybe repeated."""
+    experiment = draw(st.sampled_from(cli.EXPERIMENTS))
+    spec = cli.SPECS[experiment]
+    own = {f"--{p.name.replace('_', '-')}": None if p.kind is bool else _ARG_VALUES[p.kind]
+           for p in spec.params if not p.positional}
+    flags = draw(st.lists(st.sampled_from(sorted({**_GLOBAL_ARGS, **own})), unique=True,
+                          max_size=7))
+    if flags and draw(st.booleans()):
+        flags.append(draw(st.sampled_from(flags)))  # given again, later: it wins
+    before, after = [], []
+    for i, flag in enumerate(flags):
+        values = _GLOBAL_ARGS.get(flag, own.get(flag))
+        if values is None:
+            group = [flag]
+        elif draw(st.booleans()):
+            group = [f"{flag}={draw(values)}"]
+        else:
+            group = [flag, draw(values)]
+        # a global flag may precede the experiment name; the last flag, which
+        # may be the repeat, stays last
+        ahead = flag in _GLOBAL_ARGS and i < len(flags) - 1 and draw(st.booleans())
+        (before if ahead else after).append(group)
+    for param in spec.params:
+        if param.positional:
+            after.insert(draw(st.integers(0, len(after))), [draw(st.sampled_from(param.choices))])
+    head = [arg for group in draw(st.permutations(before)) for arg in group]
+    return head + [experiment] + [arg for group in after for arg in group]
+
+
+def _typed(raw):
+    params = {p.name: p for p in cli.SPECS[raw["experiment"]].params}
+    return {key: params[key].coerce(value) if key in params else value
+            for key, value in raw.items()}
+
+
+@settings(max_examples=300, deadline=None)
+@given(argv=argv_lists())
+def test_argv_reads_as_the_argparse_parser_read_it(argv):
+    # the reader leaves parameter values as text for Param.coerce, which
+    # types them as the argparse parser's type= did
+    assert _typed(cli._read_argv(argv)) == _typed(reference_raw_config(argv))
+
+
+class TestArgvDifferences:
+    """What the argparse parser read, or refused with a usage block, and the
+    reader refuses in one line or runs."""
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["fwt", "--tri", "5"], "--tri: unknown flag for experiment 'fwt'"),
+            (["fwt", "--bogus", "1"], "--bogus: unknown flag for experiment 'fwt'"),
+            (["fwt", "--mixing", "0.5"], "--mixing: unknown flag for experiment 'fwt'"),
+            (["--context", "2", "fwt"], "--context: unknown flag before the experiment"),
+            (["fwt", "--trials"], "--trials: needs a value"),
+            (["fwt", "--policy", "--trials", "5"], "--policy: needs a value"),
+            (["ks", "--dump-table=1"], "--dump-table: takes no value"),
+            (["ks", "1"], "unexpected argument '1' after 'ks'"),
+            (["fwtt"], "experiment: unknown experiment 'fwtt'"),
+            (["fwt", "--seed", "x"], "seed: expected int, got 'x'"),
+        ],
+        ids=["prefix", "unknown", "other-experiment", "before-experiment", "missing-value",
+             "flag-for-value", "presence-value", "stray-argument", "experiment", "int"],
+    )
+    def test_one_config_error_line_exit_2(self, argv, message, capsys):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"config error: {message}\n" and captured.out == ""
+
+    def test_prefix_no_longer_abbreviates(self, capsys):
+        # a typo must not silently pick another flag
+        assert reference_raw_config(["fwt", "--tri", "5"])["trials"] == 5
+        assert main(["fwt", "--tri", "5"]) == 2
+
+    def test_negative_number_value_runs(self, tmp_path, capsys):
+        with pytest.raises(SystemExit):  # argparse took -1,1 for a flag
+            reference_raw_config(["energy", "--h-diag", "-1,1"])
+        out = tmp_path / "r.jsonl"
+        assert main(["energy", "--h-diag", "-1,1", "--out", str(out)]) == 0
+        assert json.loads(out.read_text().splitlines()[0])["h_diag"] == "-1,1"
+
+
+def test_cli_imports_no_argparse():
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+    check = 'import sys, collapsim.cli; assert "argparse" not in sys.modules'
+    subprocess.run([sys.executable, "-c", check], env=env, check=True, timeout=120)
 
 
 # --- fuzz: main on flat config dicts drawn from SPECS -------------------------

@@ -13,6 +13,7 @@ from collapsim.quantum import (
     ProbabilityDistribution,
     ProjectiveMeasurement,
     make_state,
+    paired_born,
     tensor,
 )
 from collapsim.signaling import (
@@ -268,6 +269,16 @@ def test_empirical_reproducible():
     first = signaling_experiment(BELL, (2, 2), Z, settings, trials=500, seed=9)
     second = signaling_experiment(BELL, (2, 2), Z, settings, trials=500, seed=9)
     assert first.bob_marginals == second.bob_marginals
+
+
+@pytest.mark.parametrize("trials", [None, 400])
+def test_given_tables_give_the_same_report(trials):
+    # a caller may compute paired_born once and hand the tables in
+    settings = {"0": (X, Forced(1)), "1": (Z, biased(0.7, 0.3))}
+    tables = {label: paired_born(BELL, (2, 2), alice, [X])
+              for label, (alice, _) in settings.items()}
+    given = signaling_experiment(BELL, (2, 2), X, settings, trials=trials, seed=2, tables=tables)
+    assert given == signaling_experiment(BELL, (2, 2), X, settings, trials=trials, seed=2)
 
 
 def scipy_g_test(table):
