@@ -15,8 +15,7 @@ report renders one JSON template per distinct row (cli.render_report).
 from __future__ import annotations
 
 import cmath
-import copy
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from functools import lru_cache
 from pathlib import Path
 from typing import TYPE_CHECKING, Any, Callable
@@ -30,7 +29,6 @@ from .quantum import (
     DensityOperator,
     ProbabilityDistribution,
     ProjectiveMeasurement,
-    StateVector,
     make_state,
     paired_born,
 )
@@ -181,20 +179,12 @@ def _basis_measurement(name: str, dim: int) -> ProjectiveMeasurement:
 # No argument of a call changes the results below, so each is computed once
 # per process; what they return is read-only, or copied per job.
 
-BELL_DIMS = (2, 2)
-
-
-@lru_cache(maxsize=1)
-def _bell_state() -> StateVector:
-    """The signal experiment's shared state, (|00> + |11>)/sqrt(2)."""
-    return make_state([1, 0, 0, 1])
-
-
 @lru_cache(maxsize=4)
-def _bell_tables(alice_basis: str, bob_basis: str) -> tuple[ProbabilityDistribution, np.ndarray]:
-    """paired_born of the Bell state for one basis pair: read-only arrays."""
+def _bell_tables(alice_basis: str, bob_basis: str) -> signaling.PairedTables:
+    """paired_born of the signal experiment's shared state (|00> + |11>)/sqrt(2)
+    for one basis pair: read-only arrays."""
     return paired_born(
-        _bell_state(), BELL_DIMS, _basis_measurement(alice_basis, 2),
+        make_state([1, 0, 0, 1]), (2, 2), _basis_measurement(alice_basis, 2),
         [_basis_measurement(bob_basis, 2)],
     )
 
@@ -204,9 +194,9 @@ def _ks_aggregate() -> dict[str, Any]:
     """The ks aggregate of the built-in table; run_ks hands out copies."""
     table = kochen_specker.builtin_ks_table()
     return {
-        **asdict(kochen_specker.ks_coloring_search(table)),
+        **vars(kochen_specker.ks_coloring_search(table)),
         "parity_certificate": kochen_specker.parity_certificate(table),
-        "table_violations": kochen_specker.validate_table(table),
+        "table_violations": tuple(kochen_specker.validate_table(table)),
         "contexts": len(table.contexts),
         "distinct_rays": len(table.ray_index),
     }
@@ -219,7 +209,9 @@ def run_ks(config: ExperimentConfig) -> RunnerOutput:
     if config.params["dump_table"]:
         # ray-table text format for external checkers
         return None, {}, kochen_specker.format_table(kochen_specker.builtin_ks_table()) + "\n"
-    return None, copy.deepcopy(_ks_aggregate()), None
+    aggregate = _ks_aggregate()
+    # the cached values are immutable; each job gets its own list of violations
+    return None, {**aggregate, "table_violations": list(aggregate["table_violations"])}, None
 
 
 def run_fwt(config: ExperimentConfig) -> RunnerOutput:
@@ -270,19 +262,13 @@ def _fwt_table(blocks: list[kochen_specker.FwtBlock]) -> TrialTable:
 
 def run_signal(config: ExperimentConfig) -> RunnerOutput:
     p = config.params
-    labels = ("0", "1")
     settings = {
-        label: (_basis_measurement(p[f"alice_basis{label}"], 2), p[f"policy{label}"])
-        for label in labels
+        label: (_bell_tables(p[f"alice_basis{label}"], p["bob_basis"]), p[f"policy{label}"])
+        for label in ("0", "1")
     }
-    tables = {label: _bell_tables(p[f"alice_basis{label}"], p["bob_basis"]) for label in labels}
-    bob_measurement = _basis_measurement(p["bob_basis"], 2)
     trials = config.resolved_trials() if p["mode"] == "empirical" else None
-    report = signaling.signaling_experiment(
-        _bell_state(), BELL_DIMS, bob_measurement, settings, trials=trials, seed=config.seed,
-        tables=tables,
-    )
-    aggregate = asdict(report)
+    report = signaling.signaling_experiment(settings, trials=trials, seed=config.seed)
+    aggregate = dict(vars(report))
     if report.independence_pvalue is None:  # analytic marginals carry no noise
         del aggregate["independence_pvalue"]
     for label, marginal in aggregate.pop("bob_marginals").items():
@@ -299,7 +285,7 @@ def run_energy(config: ExperimentConfig) -> RunnerOutput:
     measurement = _basis_measurement(p["basis"], hamiltonian.dim)
     eigenvalues = p["eigenvalues"] or list(range(measurement.n_outcomes))
     audit = audit_measurement(rho, measurement, eigenvalues, hamiltonian, p["weights"])
-    return None, asdict(audit), None
+    return None, dict(vars(audit)), None
 
 
 def run_sat(config: ExperimentConfig) -> RunnerOutput:
@@ -307,7 +293,7 @@ def run_sat(config: ExperimentConfig) -> RunnerOutput:
     result = sat.decide_sat(oracle, trial_rng(config.seed))
     brute = sat.classical_brute_force(oracle)
     aggregate = {
-        **asdict(result),
+        **vars(result),
         "n": oracle.n,
         "brute_force_satisfiable": brute.satisfiable,
         "brute_force_agrees": brute.satisfiable == result.satisfiable,
@@ -382,4 +368,4 @@ def run_behavior(config: ExperimentConfig) -> RunnerOutput:
         levy_threshold=p["levy_threshold"],
         noise_threshold=p["noise_threshold"],
     )
-    return None, {"mode": "classify", **asdict(report)}, None
+    return None, {"mode": "classify", **vars(report)}, None

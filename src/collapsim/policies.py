@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Iterator, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -26,7 +26,7 @@ from .quantum import (
     StateVector,
     born_distribution,
 )
-from .rng import TrialRng, TrialStreams, cumulative, sample_index, sample_indices, trial_blocks
+from .rng import TrialRng, TrialStreams, cumulative, sample_index, sample_indices
 
 
 class CollapsePolicy:
@@ -250,22 +250,6 @@ def paired_block(
     k = alice_plan.cums.shape[1]
     bob_outcome = sample_indices(streams.random(), bob_cums, setting * k + alice_outcome)
     return setting, alice_outcome, bob_outcome
-
-
-def paired_blocks(
-    alice_plan: PolicyPlan,
-    bob_cums: np.ndarray,
-    seed: int,
-    prefix: tuple[int, ...],
-    trials: int,
-    settings: int = 1,
-) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]]:
-    """paired_block over trials 0..trials-1, TRIAL_BLOCK at a time: trial t
-    reads trial_rng(seed, *prefix, t), Philox counter [t, *prefix, block], in
-    one TrialStreams per block. Yields (t, setting, alice_outcome, bob_outcome).
-    """
-    for t in trial_blocks(trials):
-        yield t, *paired_block(alice_plan, bob_cums, TrialStreams(seed, prefix, t), t, settings)
 
 
 def sample_outcome(

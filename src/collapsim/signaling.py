@@ -5,11 +5,12 @@ Under Born collapse, nothing Alice does moves Bob's outcome statistics
 state turns Alice's choice between two settings into a classical channel
 to Bob; its capacity in bits is the natural size of the opened side channel.
 
-Per setting, quantum.paired_born gives Alice's Born distribution and Bob's
-distribution after each of her outcomes, from the state's coefficient matrix.
-The analytic marginal weights those rows by her policy; the empirical one
-samples them through policies.paired_blocks, with a G-test of Alice's setting
-against Bob's outcome.
+Each setting is a pair (tables, policy). The tables are quantum.paired_born's
+for Alice's measurement in that setting and Bob's one measurement: her Born
+distribution, and Bob's distribution after each of her outcomes. The analytic
+marginal weights those rows by her policy; the empirical one samples them
+through policies.paired_block, with a G-test of Alice's setting against Bob's
+outcome.
 """
 
 from __future__ import annotations
@@ -19,23 +20,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BadParameter
+from .errors import BadParameter, DimensionMismatch
 from .policies import (
     CollapsePolicy,
     _chi2_sf,
     compile_policy,
-    paired_blocks,
+    paired_block,
     policy_distribution,
     total_variation,
 )
-from .quantum import (
-    ZERO_PROB,
-    ProbabilityDistribution,
-    ProjectiveMeasurement,
-    StateVector,
-    paired_born,
-)
-from .rng import cumulative
+from .quantum import ZERO_PROB, ProbabilityDistribution
+from .rng import TrialStreams, cumulative, trial_blocks
 
 
 #: paired_born's (Alice's Born distribution, Bob's conditional table)
@@ -56,24 +51,15 @@ class SignalingReport:
 
 
 def bob_marginal_analytic(
-    shared: StateVector,
-    dims: tuple[int, int],
-    alice_measurement: ProjectiveMeasurement,
-    alice_policy: CollapsePolicy,
-    bob_measurement: ProjectiveMeasurement,
-    tables: PairedTables | None = None,
+    tables: PairedTables, alice_policy: CollapsePolicy
 ) -> ProbabilityDistribution:
-    """Bob's exact outcome distribution given Alice's measurement and policy.
+    """Bob's exact outcome distribution given Alice's tables and policy.
 
-    Sums, over Alice's outcomes j with nonzero policy probability, the Born
-    distribution of Bob's observable on the post-collapse joint state,
-    weighted by the policy probability of j. No sampling is involved.
-    `tables`, when given, is paired_born(shared, dims, alice_measurement,
-    [bob_measurement]), computed once by the caller.
+    Sums, over Alice's outcomes j with nonzero policy probability, Bob's
+    distribution after outcome j (row j of his table), weighted by the policy
+    probability of j. No sampling is involved.
     """
-    alice_born, bob_born = tables or paired_born(
-        shared, dims, alice_measurement, [bob_measurement]
-    )
+    alice_born, bob_born = tables
     weights = policy_distribution(alice_policy, alice_born).probs
     used = weights > ZERO_PROB
     marginal = (weights[used, None] * bob_born[used]).sum(axis=0)
@@ -124,44 +110,45 @@ def _entropy(r: list[float]) -> float:
 
 
 def signaling_experiment(
-    shared: StateVector,
-    dims: tuple[int, int],
-    bob_measurement: ProjectiveMeasurement,
-    settings: dict[str, tuple[ProjectiveMeasurement, CollapsePolicy]],
+    settings: dict[str, tuple[PairedTables, CollapsePolicy]],
     trials: int | None = None,
     seed: int = 0,
-    tables: dict[str, PairedTables] | None = None,
 ) -> SignalingReport:
     """Compare Bob's marginals across Alice's two settings.
 
-    trials=None runs in analytic mode (exact marginals); an integer runs
-    sampled trials per setting (trial t of setting s reads trial_rng(seed, s, t),
-    Philox counter [t, s, 0, block]) and adds the independence G-test.
-    `tables`, when given, maps each setting's label to paired_born of its
-    measurement and bob_measurement on the shared state, computed once by
-    the caller.
+    Each setting maps its label to (paired_born tables, Alice's policy); Bob's
+    outcomes are the columns of his tables. trials=None runs in analytic mode
+    (exact marginals); an integer runs sampled trials per setting (trial t of
+    setting s reads trial_rng(seed, s, t), Philox counter [t, s, 0, block]) and
+    adds the independence G-test.
     """
     if len(settings) != 2:
         raise BadParameter("exactly two Alice settings are required")
-    tables = tables or {}
+    for label, ((alice_born, bob_born), _) in settings.items():
+        if bob_born.shape[0] != len(alice_born):
+            raise DimensionMismatch(
+                f"setting {label}: Bob's table has {bob_born.shape[0]} rows "
+                f"for {len(alice_born)} Alice outcomes"
+            )
+    widths = {bob_born.shape[1] for (_, bob_born), _ in settings.values()}
+    if len(widths) != 1:
+        raise DimensionMismatch(f"Bob's tables differ in outcome count: {sorted(widths)}")
+    (width,) = widths
     marginals: dict[str, np.ndarray] = {}
     if trials is None:
-        for label, (alice_meas, policy) in settings.items():
-            marginals[label] = bob_marginal_analytic(
-                shared, dims, alice_meas, policy, bob_measurement, tables.get(label)
-            ).probs
+        for label, (tables, policy) in settings.items():
+            marginals[label] = bob_marginal_analytic(tables, policy).probs
         mode, per_setting, pvalue = "analytic", 0, None
     else:
         if trials < 1:
             raise BadParameter("trials must be positive")
-        counts = np.zeros((len(settings), bob_measurement.n_outcomes))
-        for s, (label, (alice_meas, policy)) in enumerate(settings.items()):
-            alice_born, bob_born = tables.get(label) or paired_born(
-                shared, dims, alice_meas, [bob_measurement]
-            )
+        counts = np.zeros((len(settings), width))
+        for s, (label, ((alice_born, bob_born), policy)) in enumerate(settings.items()):
             plan = compile_policy(policy, alice_born, trials)
-            for *_, bob_outcome in paired_blocks(plan, cumulative(bob_born), seed, (s,), trials):
-                counts[s] += np.bincount(bob_outcome, minlength=counts.shape[1])
+            bob_cums = cumulative(bob_born)
+            for t in trial_blocks(trials):
+                *_, bob_outcome = paired_block(plan, bob_cums, TrialStreams(seed, (s,), t), t)
+                counts[s] += np.bincount(bob_outcome, minlength=width)
             marginals[label] = counts[s] / trials
         mode, per_setting, pvalue = "empirical", trials, independence_pvalue(counts)
 

@@ -12,6 +12,7 @@ from collapsim.quantum import (
     StateVector,
     born_distribution,
     make_state,
+    paired_born,
 )
 from collapsim.rng import trial_blocks
 
@@ -47,6 +48,20 @@ def random_density(
         psi = random_state(rng, dim).amplitudes
         rho += w * np.outer(psi, psi.conj())
     return DensityOperator(rho)
+
+
+def paired_settings(
+    state: StateVector,
+    dims: tuple[int, int],
+    bob: ProjectiveMeasurement,
+    settings: dict[str, tuple[ProjectiveMeasurement, CollapsePolicy]],
+) -> dict:
+    """signaling_experiment's settings for Alice's (measurement, policy) per
+    label: each measurement's paired_born tables against Bob's `bob`."""
+    return {
+        label: (paired_born(state, dims, alice, [bob]), policy)
+        for label, (alice, policy) in settings.items()
+    }
 
 
 def act_outcomes(

@@ -44,6 +44,7 @@ from collapsim.signaling import signaling_experiment
 from helpers import (
     act_counts,
     keyed_generator,
+    paired_settings,
     random_density,
     random_measurement,
     random_state,
@@ -135,7 +136,7 @@ def test_criterion_05_no_signaling_null():
             "1": (random_measurement(rng, 2), Born()),
         }
         bob = random_measurement(rng, 2)
-        report = signaling_experiment(shared, (2, 2), bob, settings)
+        report = signaling_experiment(paired_settings(shared, (2, 2), bob, settings))
         worst = max(worst, report.max_tv)
     assert worst <= 1e-12
     _report(5, f"analytic max_tv over 500 random Born instances: {worst:.1e}")
@@ -143,18 +144,13 @@ def test_criterion_05_no_signaling_null():
 
 def test_criterion_06_signaling_under_deviation():
     forced = signaling_experiment(
-        BELL, (2, 2), Z2, {"0": (Z2, Forced(0)), "1": (Z2, Forced(1))}
+        paired_settings(BELL, (2, 2), Z2, {"0": (Z2, Forced(0)), "1": (Z2, Forced(1))})
     )
     assert forced.max_tv == pytest.approx(1.0, abs=1e-12)
     assert abs(forced.channel_bits - 1.0) <= 1e-6
+    deviating = Biased(ProbabilityDistribution(np.array([0.75, 0.25])))
     biased = signaling_experiment(
-        BELL,
-        (2, 2),
-        Z2,
-        {
-            "0": (Z2, Born()),
-            "1": (Z2, Biased(ProbabilityDistribution(np.array([0.75, 0.25])))),
-        },
+        paired_settings(BELL, (2, 2), Z2, {"0": (Z2, Born()), "1": (Z2, deviating)})
     )
     assert biased.max_tv == pytest.approx(0.25, abs=1e-12)
     _report(

@@ -251,8 +251,8 @@ print("\\n".join(line for line in lines if '"record": "timing"' not in line))
 
 
 class TestProcessCaches:
-    """The Bell state, its paired tables and the ks aggregate are built once
-    per process; no job may see what another did with them."""
+    """The Bell state's paired tables and the ks aggregate are built once per
+    process; no job may see what another did with them."""
 
     def test_signal_bytes_independent_of_job_order(self):
         env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
@@ -262,7 +262,6 @@ class TestProcessCaches:
                            ).stdout.splitlines()
             for raw in SIGNAL_JOBS
         ]
-        harnesses._bell_state.cache_clear()
         harnesses._bell_tables.cache_clear()
         forward = [stripped(run_lines(raw)) for raw in SIGNAL_JOBS]
         backward = [stripped(run_lines(raw)) for raw in reversed(SIGNAL_JOBS)]
@@ -270,7 +269,7 @@ class TestProcessCaches:
 
     def test_cached_arrays_refuse_writes(self):
         born, table = harnesses._bell_tables("x", "z")
-        for array in (born.probs, table, harnesses._bell_state().amplitudes):
+        for array in (born.probs, table):
             with pytest.raises(ValueError, match="read-only"):
                 array[0] = 0.0
 

@@ -31,7 +31,7 @@ from collapsim.quantum import (
 )
 from collapsim.policies import Born, Forced
 from collapsim.signaling import signaling_experiment
-from helpers import random_measurement, random_state
+from helpers import paired_settings, random_measurement, random_state
 from oracles import conditional_born, lift
 
 Z2 = ProjectiveMeasurement.computational(2)
@@ -60,6 +60,10 @@ class TestMakeState:
         np.testing.assert_allclose(
             s.amplitudes, [np.sqrt(3) / 2, 0.5, 0.0], atol=1e-12
         )
+
+    def test_amplitudes_are_read_only(self):
+        with pytest.raises(ValueError, match="read-only"):
+            bell_state().amplitudes[0] = 0.0
 
     def test_zero_vector_rejected(self):
         with pytest.raises(ZeroVector):
@@ -302,10 +306,12 @@ class TestConditionalBorn:
     def test_forced_zero_born_outcome_raises_in_both_signal_modes(self, case):
         state, dims, first, seconds, zero = case
         for j in zero:
-            settings_ = {"0": (first, Born()), "1": (first, Forced(j))}
+            settings_ = paired_settings(
+                state, dims, seconds[0], {"0": (first, Born()), "1": (first, Forced(j))}
+            )
             for trials in (None, 10):
                 with pytest.raises(ForbiddenOutcome):
-                    signaling_experiment(state, dims, seconds[0], settings_, trials=trials)
+                    signaling_experiment(settings_, trials=trials)
 
 
 class TestNonselectiveUpdate:

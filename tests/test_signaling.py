@@ -7,7 +7,7 @@ import pytest
 from scipy.stats import chi2_contingency
 
 from collapsim.cli import main
-from collapsim.errors import BadParameter
+from collapsim.errors import BadParameter, DimensionMismatch
 from collapsim.policies import Biased, Born, Forced, total_variation
 from collapsim.quantum import (
     ProbabilityDistribution,
@@ -22,12 +22,13 @@ from collapsim.signaling import (
     independence_pvalue,
     signaling_experiment,
 )
-from helpers import random_measurement, random_state
+from helpers import paired_settings, random_measurement, random_state
 from oracles import lift
 
 Z = ProjectiveMeasurement.computational(2)
 X = ProjectiveMeasurement.from_basis(np.array([[1, 1], [1, -1]]) / np.sqrt(2))
 BELL = make_state([1, 0, 0, 1])
+BELL_ZZ = paired_born(BELL, (2, 2), Z, [Z])
 
 
 def biased(*weights):
@@ -80,21 +81,21 @@ def ternary_channels():
 
 class TestBobMarginalAnalytic:
     def test_born_gives_maximally_mixed(self):
-        marginal = bob_marginal_analytic(BELL, (2, 2), Z, Born(), Z)
+        marginal = bob_marginal_analytic(BELL_ZZ, Born())
         np.testing.assert_allclose(marginal.probs, [0.5, 0.5], atol=1e-12)
 
     def test_forced_steers_bob(self):
-        marginal = bob_marginal_analytic(BELL, (2, 2), Z, Forced(0), Z)
+        marginal = bob_marginal_analytic(BELL_ZZ, Forced(0))
         np.testing.assert_allclose(marginal.probs, [1.0, 0.0], atol=1e-12)
 
     def test_biased_is_convex_mixture_oracle(self):
         # oracle: w0 * marginal(forced 0) + w1 * marginal(forced 1)
         w = (0.75, 0.25)
         forced_marginals = [
-            bob_marginal_analytic(BELL, (2, 2), Z, Forced(j), Z).probs for j in (0, 1)
+            bob_marginal_analytic(BELL_ZZ, Forced(j)).probs for j in (0, 1)
         ]
         expected = w[0] * forced_marginals[0] + w[1] * forced_marginals[1]
-        marginal = bob_marginal_analytic(BELL, (2, 2), Z, biased(*w), Z)
+        marginal = bob_marginal_analytic(BELL_ZZ, biased(*w))
         np.testing.assert_allclose(marginal.probs, expected, atol=1e-12)
         np.testing.assert_allclose(marginal.probs, [0.75, 0.25], atol=1e-12)
 
@@ -117,7 +118,8 @@ class TestExactMarginals:
     @pytest.mark.parametrize("basis", [Z, X])
     @pytest.mark.parametrize("w", [0.75, 0.3, 0.1, 1 / 3, 0.123456789])
     def test_biased_marginal_is_its_weight(self, basis, w):
-        marginal = bob_marginal_analytic(BELL, (2, 2), basis, biased(w, 1 - w), basis)
+        tables = paired_born(BELL, (2, 2), basis, [basis])
+        marginal = bob_marginal_analytic(tables, biased(w, 1 - w))
         assert marginal[0] == w
 
 
@@ -155,7 +157,7 @@ class TestChannelCapacity:
 class TestSignalingExperiment:
     def test_forced_pair_opens_one_bit_channel(self):
         report = signaling_experiment(
-            BELL, (2, 2), Z, {"0": (Z, Forced(0)), "1": (Z, Forced(1))}
+            paired_settings(BELL, (2, 2), Z, {"0": (Z, Forced(0)), "1": (Z, Forced(1))})
         )
         assert report.max_tv == pytest.approx(1.0, abs=1e-12)
         assert report.channel_bits == pytest.approx(1.0, abs=1e-6)
@@ -163,25 +165,38 @@ class TestSignalingExperiment:
 
     def test_born_settings_cannot_signal(self):
         report = signaling_experiment(
-            BELL, (2, 2), Z, {"0": (Z, Born()), "1": (X, Born())}
+            paired_settings(BELL, (2, 2), Z, {"0": (Z, Born()), "1": (X, Born())})
         )
         assert report.max_tv <= 1e-12
         assert report.channel_bits <= 1e-9
 
     def test_biased_vs_born_quarter(self):
         report = signaling_experiment(
-            BELL, (2, 2), Z, {"0": (Z, Born()), "1": (Z, biased(0.75, 0.25))}
+            paired_settings(BELL, (2, 2), Z, {"0": (Z, Born()), "1": (Z, biased(0.75, 0.25))})
         )
         assert report.max_tv == pytest.approx(0.25, abs=1e-12)
 
     def test_single_setting_rejected(self):
         with pytest.raises(BadParameter):
-            signaling_experiment(BELL, (2, 2), Z, {"0": (Z, Born())})
+            signaling_experiment({"0": (BELL_ZZ, Born())})
 
     def test_three_settings_rejected(self):
-        settings = {label: (Z, Born()) for label in ("0", "1", "2")}
+        settings = {label: (BELL_ZZ, Born()) for label in ("0", "1", "2")}
         with pytest.raises(BadParameter, match="exactly two"):
-            signaling_experiment(BELL, (2, 2), Z, settings)
+            signaling_experiment(settings)
+
+    @pytest.mark.parametrize("trials", [None, 10])
+    def test_bob_tables_must_share_a_width(self, trials):
+        qutrit_bob = paired_born(make_state([1, 0, 0, 0, 1, 0]), (2, 3), Z, [Z3])
+        with pytest.raises(DimensionMismatch, match="differ in outcome count: \\[2, 3\\]"):
+            signaling_experiment({"0": (BELL_ZZ, Born()), "1": (qutrit_bob, Born())}, trials)
+
+    @pytest.mark.parametrize("trials", [None, 10])
+    def test_bob_table_needs_a_row_per_alice_outcome(self, trials):
+        alice_qutrit = ProbabilityDistribution(np.full(3, 1 / 3))
+        settings = {"0": (BELL_ZZ, Born()), "1": ((alice_qutrit, BELL_ZZ[1]), Born())}
+        with pytest.raises(DimensionMismatch, match="setting 1: .* 2 rows for 3 Alice outcomes"):
+            signaling_experiment(settings, trials)
 
 
 class TestNearNullChannelsThroughCli:
@@ -211,7 +226,7 @@ def test_born_policy_null_property():
         meas_b = random_measurement(rng, da)
         bob = random_measurement(rng, db)
         report = signaling_experiment(
-            shared, (da, db), bob, {"0": (meas_a, Born()), "1": (meas_b, Born())}
+            paired_settings(shared, (da, db), bob, {"0": (meas_a, Born()), "1": (meas_b, Born())})
         )
         assert report.max_tv <= 1e-12
 
@@ -224,7 +239,7 @@ def test_deviation_tv_equals_weight_tv_on_bell():
         w = rng.random(2) + 0.05
         w /= w.sum()
         report = signaling_experiment(
-            BELL, (2, 2), Z, {"0": (Z, Born()), "1": (Z, biased(*w))}
+            paired_settings(BELL, (2, 2), Z, {"0": (Z, Born()), "1": (Z, biased(*w))})
         )
         assert report.max_tv == pytest.approx(total_variation(w, born_dist), abs=1e-12)
 
@@ -243,15 +258,17 @@ def test_product_states_cannot_signal_even_with_deviation():
             admissible_outcomes(shared, lift(alice_meas, (2, 2), "A"))
         )[0]
         policies["1"] = (alice_meas, Forced(target))
-        report = signaling_experiment(shared, (2, 2), random_measurement(rng, 2), policies)
+        report = signaling_experiment(
+            paired_settings(shared, (2, 2), random_measurement(rng, 2), policies)
+        )
         assert report.max_tv <= 1e-12
 
 
 def test_empirical_mode_converges_to_analytic():
     trials = 100_000
-    settings = {"0": (Z, Born()), "1": (Z, biased(0.8, 0.2))}
-    analytic = signaling_experiment(BELL, (2, 2), Z, settings)
-    empirical = signaling_experiment(BELL, (2, 2), Z, settings, trials=trials, seed=5)
+    settings = paired_settings(BELL, (2, 2), Z, {"0": (Z, Born()), "1": (Z, biased(0.8, 0.2))})
+    analytic = signaling_experiment(settings)
+    empirical = signaling_experiment(settings, trials=trials, seed=5)
     assert empirical.mode == "empirical"
     tv_slack = 0.0
     for label in ("0", "1"):
@@ -265,20 +282,10 @@ def test_empirical_mode_converges_to_analytic():
 
 
 def test_empirical_reproducible():
-    settings = {"0": (Z, Forced(0)), "1": (Z, Forced(1))}
-    first = signaling_experiment(BELL, (2, 2), Z, settings, trials=500, seed=9)
-    second = signaling_experiment(BELL, (2, 2), Z, settings, trials=500, seed=9)
+    settings = paired_settings(BELL, (2, 2), Z, {"0": (Z, Forced(0)), "1": (Z, Forced(1))})
+    first = signaling_experiment(settings, trials=500, seed=9)
+    second = signaling_experiment(settings, trials=500, seed=9)
     assert first.bob_marginals == second.bob_marginals
-
-
-@pytest.mark.parametrize("trials", [None, 400])
-def test_given_tables_give_the_same_report(trials):
-    # a caller may compute paired_born once and hand the tables in
-    settings = {"0": (X, Forced(1)), "1": (Z, biased(0.7, 0.3))}
-    tables = {label: paired_born(BELL, (2, 2), alice, [X])
-              for label, (alice, _) in settings.items()}
-    given = signaling_experiment(BELL, (2, 2), X, settings, trials=trials, seed=2, tables=tables)
-    assert given == signaling_experiment(BELL, (2, 2), X, settings, trials=trials, seed=2)
 
 
 def scipy_g_test(table):
@@ -314,8 +321,8 @@ Z3 = ProjectiveMeasurement.computational(3)
 @pytest.mark.parametrize("seed", [0, 1])
 def test_empirical_report_carries_the_g_test_of_its_counts(shared, policy0, policy1, seed):
     trials = 3000
-    settings = {"0": (Z3, policy0), "1": (Z3, policy1)}
-    report = signaling_experiment(shared, (3, 3), Z3, settings, trials=trials, seed=seed)
+    settings = paired_settings(shared, (3, 3), Z3, {"0": (Z3, policy0), "1": (Z3, policy1)})
+    report = signaling_experiment(settings, trials=trials, seed=seed)
     table = np.round([np.asarray(report.bob_marginals[label]) * trials for label in "01"])
     assert table.sum() == 2 * trials
     assert report.independence_pvalue == pytest.approx(scipy_g_test(table), rel=1e-9)
