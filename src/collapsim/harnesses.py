@@ -32,7 +32,7 @@ from .quantum import (
     make_state,
     paired_born,
 )
-from .rng import trial_blocks, trial_rng
+from .rng import trial_blocks
 
 if TYPE_CHECKING:
     from .cli import ExperimentConfig
@@ -290,7 +290,7 @@ def run_energy(config: ExperimentConfig) -> RunnerOutput:
 
 def run_sat(config: ExperimentConfig) -> RunnerOutput:
     oracle = config.params["cnf"] or config.params["truth_table"]
-    result = sat.decide_sat(oracle, trial_rng(config.seed))
+    result = sat.decide_sat(oracle, config.seed)
     brute = sat.classical_brute_force(oracle)
     aggregate = {
         **vars(result),

@@ -52,6 +52,11 @@ def trial_words(seed: int, prefix: tuple[int, ...], t, block: int = 0) -> np.nda
     return bit_gen.random_raw(4 * t.size).reshape(t.size, 4)
 
 
+def uniforms(words: np.ndarray) -> np.ndarray:
+    """Generator.random()'s conversion: the top 53 bits of each word, scaled to [0, 1)."""
+    return (words >> np.uint64(11)) * (1.0 / 9007199254740992.0)
+
+
 def trial_blocks(trials: int):
     """Trial indices 0..trials-1 as consecutive uint64 arrays of TRIAL_BLOCK."""
     for start in range(0, trials, TRIAL_BLOCK):
@@ -92,9 +97,8 @@ class TrialStreams:
         return self.words[rows, pos]
 
     def random(self, rows=None) -> np.ndarray:
-        """Generator.random(): the top 53 bits of a word, scaled to [0, 1)."""
-        rows = self._rows(rows)
-        return (self._next64(rows) >> np.uint64(11)) * (1.0 / 9007199254740992.0)
+        """Generator.random(): the next word of each row as a uniform."""
+        return uniforms(self._next64(self._rows(rows)))
 
     def _next32(self, rows: np.ndarray) -> np.ndarray:
         out = np.empty(rows.size, dtype=np.uint64)

@@ -3,9 +3,12 @@
 The oracle state sums |j>|f(j)> over all n-bit inputs; forcing the flag
 qubit to |1> succeeds exactly when f has a satisfying input (the flag's
 Born probability is the satisfying fraction), and the input register then
-collapses to a uniformly random witness. Building the state evaluates f on
-all 2^n inputs, so this demonstrates the decision logic, not a speed-up;
-query counts are reported honestly.
+collapses to a uniformly random witness. Only the satisfying inputs carry
+Born weight after that collapse, so `decide_sat` samples the witness over
+them alone, with the weights the collapsed state gives them; `build_sat_state`
+builds the whole 2^(n+1) state. Evaluating f on all 2^n inputs is the cost
+either way, so this demonstrates the decision logic, not a speed-up; query
+counts are reported honestly.
 """
 
 from __future__ import annotations
@@ -16,10 +19,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import BadParameter, ForbiddenOutcome, TooLarge
-from .policies import Born, Forced, sample_from_born
-from .quantum import StateVector, collapse_register, register_born
-from .rng import TrialRng, trial_rng
+from .errors import BadParameter, TooLarge
+from .quantum import ZERO_PROB, StateVector
+from .rng import cumulative, sample_indices, trial_words, uniforms
 
 #: dense state dimension is 2**(n+1); n above this is refused
 MAX_BITS = 12
@@ -88,34 +90,36 @@ def build_sat_state(oracle: OracleFunction) -> StateVector:
     return StateVector(amps)
 
 
-def decide_sat(oracle: OracleFunction, rng: TrialRng | None = None) -> SatResult:
+def decide_sat(oracle: OracleFunction, seed: int = 0, trial: int = 0) -> SatResult:
     """Decide satisfiability by forcing the flag register to |1>.
 
     Unsatisfiable functions leave the flag with zero Born weight on |1>, so
-    the forcing attempt is forbidden and the answer is negative; otherwise
-    the input register is measured (Born) for a witness, which is verified
-    against the oracle before being returned.
+    the forcing attempt is forbidden and the answer is negative, drawn from
+    no stream. Otherwise trial `trial`'s stream gives two uniforms: the
+    forced flag draw, spent on a point mass, and the Born draw of the input
+    register after the flag collapsed, the witness. It is verified against
+    the oracle before being returned.
     """
-    if rng is None:
-        rng = trial_rng(0)
     size = oracle.domain_size
-    state = build_sat_state(oracle)  # size oracle evaluations
-    dims = (size, 2)
-    flag_born = register_born(state, dims, "B")
-    try:
-        flag_sample = sample_from_born(Forced(1), flag_born, rng)
-    except ForbiddenOutcome:
+    satisfying = np.flatnonzero(oracle._bits)
+    if satisfying.size / size <= ZERO_PROB:  # the flag's Born weight on |1>
         return SatResult(
             satisfiable=False,
             witness=None,
             queries_quantum=size,
             queries_classical_oracle=0,
         )
-    after_flag = collapse_register(state, dims, "B", flag_sample.outcome)
-    witness_sample = sample_from_born(
-        Born(), register_born(after_flag, dims, "A"), rng
-    )
-    witness = witness_sample.outcome
+    _flag_u, witness_u = uniforms(trial_words(seed, (), [trial])[0, :2])
+    # The collapsed amplitudes as collapse_register divides them: its weight
+    # is one vdot over the interleaved |j>|1> vector, and that sum's rounding
+    # depends on where the satisfying inputs sit in it.
+    flagged = np.zeros(2 * size, dtype=complex)
+    flagged[2 * satisfying + 1] = 1.0 / np.sqrt(size)
+    collapsed = flagged[2 * satisfying + 1] / np.sqrt(np.vdot(flagged, flagged).real)
+    # Every other input has Born weight 0, which adds nothing to a cumulative
+    # table, so the search over these entries picks what the 2^n-entry one would.
+    pick = sample_indices(np.array([witness_u]), cumulative(np.abs(collapsed) ** 2))[0]
+    witness = int(satisfying[pick])
     if oracle.evaluate(witness) != 1:  # one verification query
         raise AssertionError(f"collapsed witness {witness} fails the oracle")
     return SatResult(
@@ -168,49 +172,44 @@ def parse_dimacs(text: str) -> OracleFunction:
     its clauses.
     """
     n_vars: int | None = None
-    clauses: list[list[int]] = []
-    current: list[int] = []
+    literals: list[int] = []
+    clause_lines: list[str] = []
     for raw_line in text.splitlines():
         line = raw_line.strip()
         if not line or line.startswith(("c", "%")):
             continue
         if line.startswith("p"):
+            literals += _literals(clause_lines)  # a bad token above fails first
+            clause_lines = []
             parts = line.split()
             if len(parts) < 4 or parts[1] != "cnf":
                 raise BadParameter(f"malformed problem line: {raw_line!r}")
             n_vars = _integer(parts[2], raw_line)
             continue
-        for token in line.split():
-            literal = _integer(token, raw_line)
-            if literal == 0:
-                if current:
-                    clauses.append(current)
-                    current = []
-            else:
-                current.append(literal)
-    if current:
-        clauses.append(current)
+        clause_lines.append(raw_line)
+    literals += _literals(clause_lines)
     if n_vars is None:
         raise BadParameter("missing 'p cnf' header")
     if n_vars < 1:
         raise BadParameter("a CNF needs at least one variable")
     if n_vars > MAX_BITS:
         raise TooLarge(f"n={n_vars} exceeds the cap of {MAX_BITS} bits")
-    for clause in clauses:
-        for literal in clause:
-            if not 1 <= abs(literal) <= n_vars:
-                raise BadParameter(f"literal {literal} outside 1..{n_vars}")
+    if literals and max(map(abs, literals)) > n_vars:
+        literal = next(literal for literal in literals if abs(literal) > n_vars)
+        raise BadParameter(f"literal {literal} outside 1..{n_vars}")
 
     size = 2**n_vars
-    variables = _variable_words(n_vars)
-    everywhere = (1 << size) - 1
-    formula = everywhere
-    for clause in clauses:
-        word = 0
-        for literal in clause:
-            value = variables[abs(literal) - 1]
-            word |= value if literal > 0 else everywhere ^ value
-        formula &= word
+    words = _literal_words(n_vars)
+    formula = (1 << size) - 1
+    clause = 0
+    for literal in literals:
+        if literal:
+            clause |= words[literal]
+        elif clause:  # every literal's word is nonzero, so 0 is no open clause
+            formula &= clause
+            clause = 0
+    if clause:
+        formula &= clause
     table = np.unpackbits(
         np.frombuffer(formula.to_bytes((size + 7) // 8, "little"), dtype=np.uint8),
         count=size,
@@ -219,14 +218,27 @@ def parse_dimacs(text: str) -> OracleFunction:
     return OracleFunction(n_vars, table)
 
 
+def _literals(lines: list[str]) -> list[int]:
+    """The tokens of the clause lines as ints, in order; the first that int()
+    refuses is reported with its line."""
+    try:
+        return list(map(int, " ".join(lines).split()))
+    except ValueError:
+        return [_integer(token, line) for line in lines for token in line.split()]
+
+
 @functools.cache
-def _variable_words(n: int) -> tuple[int, ...]:
-    """Word i (0-based) has bit j set, of 2^n bits, when bit i of j is 1."""
+def _literal_words(n: int) -> dict[int, int]:
+    """The word of each literal +-i over 2^n bits: bit j of +i's is bit i-1
+    of j, and -i's is its complement."""
     inputs = np.arange(2**n)
-    return tuple(
-        int.from_bytes(np.packbits((inputs >> i) & 1, bitorder="little").tobytes(), "little")
-        for i in range(n)
-    )
+    everywhere = (1 << 2**n) - 1
+    words = {}
+    for i in range(1, n + 1):
+        bits = np.packbits((inputs >> (i - 1)) & 1, bitorder="little")
+        words[i] = int.from_bytes(bits.tobytes(), "little")
+        words[-i] = everywhere ^ words[i]
+    return words
 
 
 def _integer(token: str, line: str) -> int:

@@ -12,6 +12,11 @@ The paired experiments' conditional Born tables are referenced the same way:
 conditional_born lifts the measurements onto the whole space and collapses
 the state once per outcome, where the package reads the coefficient matrix.
 
+The sat harness is referenced by the state-vector decide_sat the package
+once ran: the whole 2^(n+1) oracle state, collapsed through its registers,
+with both draws made by sample_from_born from one trial_generator. The
+DIMACS reader is referenced by the parser that converted one token at a time.
+
 The command line is referenced by the argparse parser the package once used,
 derived from cli.SPECS: reference_raw_config is the flat config it read
 from argv.
@@ -20,21 +25,25 @@ from argv.
 from __future__ import annotations
 
 import argparse
-from functools import lru_cache
+from functools import cache, lru_cache
 from typing import Sequence
 
 import numpy as np
 
 from collapsim import agent, cli, kochen_specker, policies
-from collapsim.errors import DimensionMismatch
+from collapsim.errors import BadParameter, DimensionMismatch, ForbiddenOutcome, TooLarge
+from collapsim.policies import Born, Forced, sample_from_born
 from collapsim.quantum import (
     ProbabilityDistribution,
     ProjectiveMeasurement,
     StateVector,
     born_distribution,
     collapse,
+    collapse_register,
     make_state,
+    register_born,
 )
+from collapsim.sat import MAX_BITS, OracleFunction, SatResult, build_sat_state
 
 ALL_COUNTERS = 2**256
 
@@ -222,6 +231,126 @@ def signal_outcomes(seed, trials, policy_texts, bases, bob_basis) -> list[list[i
             assert_block_0_only(rng, t, (s,))
         outcomes.append(per_trial)
     return outcomes
+
+
+# --- satisfiability ----------------------------------------------------------
+
+
+def reference_decide_sat(oracle: OracleFunction, rng) -> SatResult:
+    """Decide satisfiability by forcing the flag register to |1>.
+
+    Unsatisfiable functions leave the flag with zero Born weight on |1>, so
+    the forcing attempt is forbidden and the answer is negative; otherwise
+    the input register is measured (Born) for a witness, which is verified
+    against the oracle before being returned. rng is one trial's stream, such
+    as trial_generator(seed, t): the flag draw and the witness draw are its
+    first two uniforms.
+    """
+    size = oracle.domain_size
+    state = build_sat_state(oracle)  # size oracle evaluations
+    dims = (size, 2)
+    flag_born = register_born(state, dims, "B")
+    try:
+        flag_sample = sample_from_born(Forced(1), flag_born, rng)
+    except ForbiddenOutcome:
+        return SatResult(
+            satisfiable=False,
+            witness=None,
+            queries_quantum=size,
+            queries_classical_oracle=0,
+        )
+    after_flag = collapse_register(state, dims, "B", flag_sample.outcome)
+    witness_sample = sample_from_born(
+        Born(), register_born(after_flag, dims, "A"), rng
+    )
+    witness = witness_sample.outcome
+    if oracle.evaluate(witness) != 1:  # one verification query
+        raise AssertionError(f"collapsed witness {witness} fails the oracle")
+    return SatResult(
+        satisfiable=True,
+        witness=witness,
+        queries_quantum=size,
+        queries_classical_oracle=1,
+    )
+
+
+def reference_parse_dimacs(text: str) -> OracleFunction:
+    """Compile a DIMACS CNF into a truth table, one token at a time.
+
+    Variable i (1-based) reads bit i-1 of the input integer. Clauses are
+    whitespace-separated literal lists terminated by 0; 'c' lines are
+    comments and the 'p cnf <vars> <clauses>' header is required. Every
+    input is evaluated at once: each literal is a 2^n-bit word whose bit j
+    is its value at input j, a clause ORs its literals and the formula ANDs
+    its clauses.
+    """
+    n_vars: int | None = None
+    clauses: list[list[int]] = []
+    current: list[int] = []
+    for raw_line in text.splitlines():
+        line = raw_line.strip()
+        if not line or line.startswith(("c", "%")):
+            continue
+        if line.startswith("p"):
+            parts = line.split()
+            if len(parts) < 4 or parts[1] != "cnf":
+                raise BadParameter(f"malformed problem line: {raw_line!r}")
+            n_vars = _integer(parts[2], raw_line)
+            continue
+        for token in line.split():
+            literal = _integer(token, raw_line)
+            if literal == 0:
+                if current:
+                    clauses.append(current)
+                    current = []
+            else:
+                current.append(literal)
+    if current:
+        clauses.append(current)
+    if n_vars is None:
+        raise BadParameter("missing 'p cnf' header")
+    if n_vars < 1:
+        raise BadParameter("a CNF needs at least one variable")
+    if n_vars > MAX_BITS:
+        raise TooLarge(f"n={n_vars} exceeds the cap of {MAX_BITS} bits")
+    for clause in clauses:
+        for literal in clause:
+            if not 1 <= abs(literal) <= n_vars:
+                raise BadParameter(f"literal {literal} outside 1..{n_vars}")
+
+    size = 2**n_vars
+    variables = _variable_words(n_vars)
+    everywhere = (1 << size) - 1
+    formula = everywhere
+    for clause in clauses:
+        word = 0
+        for literal in clause:
+            value = variables[abs(literal) - 1]
+            word |= value if literal > 0 else everywhere ^ value
+        formula &= word
+    table = np.unpackbits(
+        np.frombuffer(formula.to_bytes((size + 7) // 8, "little"), dtype=np.uint8),
+        count=size,
+        bitorder="little",
+    )
+    return OracleFunction(n_vars, table)
+
+
+@cache
+def _variable_words(n: int) -> tuple[int, ...]:
+    """Word i (0-based) has bit j set, of 2^n bits, when bit i of j is 1."""
+    inputs = np.arange(2**n)
+    return tuple(
+        int.from_bytes(np.packbits((inputs >> i) & 1, bitorder="little").tobytes(), "little")
+        for i in range(n)
+    )
+
+
+def _integer(token: str, line: str) -> int:
+    try:
+        return int(token)
+    except ValueError as exc:
+        raise BadParameter(f"not an integer: {token!r} in line {line!r}") from exc
 
 
 # --- command line ------------------------------------------------------------

@@ -189,27 +189,28 @@ def test_criterion_08_sat_equivalence():
     start = time.perf_counter()
     checked = 0
 
-    def check(oracle, rng):
+    def check(oracle, seed, trial):
         nonlocal checked
-        quantum = decide_sat(oracle, rng)
+        quantum = decide_sat(oracle, seed, trial)
         classical = classical_brute_force(oracle)
         assert quantum.satisfiable == classical.satisfiable
         if quantum.satisfiable:
             assert oracle.evaluate(quantum.witness) == 1
         checked += 1
 
+    # every function of 1 and 2 bits; trial `code` of seed 80 serves both sizes
     for n in (1, 2):
         for code in range(2 ** (2**n)):
             bits = [(code >> j) & 1 for j in range(2**n)]
-            check(OracleFunction.from_truth_table(bits), trial_rng(80, n, code))
+            check(OracleFunction.from_truth_table(bits), 80, code)
 
     rng_master = np.random.default_rng(81)
     for trial in range(5000):
         table = rng_master.integers(0, 2, size=16)
-        check(OracleFunction.from_truth_table(table.tolist()), trial_rng(82, trial))
+        check(OracleFunction.from_truth_table(table.tolist()), 82, trial)
     for trial in range(1000):
         table = rng_master.integers(0, 2, size=256)
-        check(OracleFunction.from_truth_table(table.tolist()), trial_rng(83, trial))
+        check(OracleFunction.from_truth_table(table.tolist()), 83, trial)
 
     elapsed = time.perf_counter() - start
     assert elapsed < 60.0, f"sat suite took {elapsed:.1f}s"

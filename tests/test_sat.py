@@ -2,11 +2,14 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy import stats as scipy_stats
 
+from collapsim import cli, quantum, sat
 from collapsim.errors import BadParameter, TooLarge
-from collapsim.quantum import register_born
-from collapsim.rng import trial_rng
+from collapsim.quantum import collapse_register, register_born
+from collapsim.rng import cumulative
 from collapsim.sat import (
     OracleFunction,
     SatResult,
@@ -16,6 +19,7 @@ from collapsim.sat import (
     parse_dimacs,
     parse_truth_table,
 )
+from oracles import reference_decide_sat, reference_parse_dimacs, trial_generator
 
 
 def oracle_from_bits(*bits):
@@ -80,19 +84,19 @@ class TestBuildSatState:
 class TestDecideSat:
     def test_constant_zero_unsatisfiable(self):
         f = oracle_from_callable(3, lambda j: 0)
-        result = decide_sat(f, trial_rng(1))
+        result = decide_sat(f, 1)
         assert result.satisfiable is False and result.witness is None
         assert result.queries_quantum == 8
 
     def test_unique_witness(self):
         f = oracle_from_callable(3, lambda j: int(j == 5))
         assert classical_brute_force(f).witness == 5  # brute force confirms unique
-        result = decide_sat(f, trial_rng(2))
+        result = decide_sat(f, 2)
         assert result.satisfiable is True and result.witness == 5
 
     def test_and_witness(self):
         f = oracle_from_callable(2, lambda j: int(j == 3))
-        assert decide_sat(f, trial_rng(3)).witness == 3
+        assert decide_sat(f, 3).witness == 3
 
     def test_witness_always_satisfies(self):
         rng_master = np.random.default_rng(62)
@@ -100,7 +104,7 @@ class TestDecideSat:
             n = int(rng_master.integers(1, 6))
             table = rng_master.integers(0, 2, size=2**n)
             f = OracleFunction.from_truth_table(table.tolist())
-            result = decide_sat(f, trial_rng(63, trial))
+            result = decide_sat(f, 63, trial)
             if result.satisfiable:
                 assert f.evaluate(result.witness) == 1
 
@@ -111,7 +115,7 @@ class TestDecideSat:
         runs = 10_000
         counts = {j: 0 for j in satisfying}
         for t in range(runs):
-            counts[decide_sat(f, trial_rng(64, t)).witness] += 1
+            counts[decide_sat(f, 64, t).witness] += 1
         expected = runs / len(satisfying)
         chi2 = sum((c - expected) ** 2 / expected for c in counts.values())
         assert chi2 < scipy_stats.chi2.ppf(0.999, len(satisfying) - 1)
@@ -124,7 +128,7 @@ class TestDecideSat:
             if trial % 4 == 0:
                 table[:] = 0
             f = OracleFunction.from_truth_table(table.tolist())
-            result = decide_sat(f, trial_rng(66, trial))
+            result = decide_sat(f, 66, trial)
             assert result.satisfiable == bool(table.any())
 
 
@@ -145,7 +149,7 @@ class TestClassicalBruteForce:
             table = rng_master.integers(0, 2, size=256)
             f = OracleFunction.from_truth_table(table.tolist())
             assert (
-                decide_sat(f, trial_rng(68, trial)).satisfiable
+                decide_sat(f, 68, trial).satisfiable
                 == classical_brute_force(f).satisfiable
             )
 
@@ -156,7 +160,7 @@ class TestExhaustiveSmallN:
         size = 2**n
         for bits in itertools.product((0, 1), repeat=size):
             f = OracleFunction.from_truth_table(bits)
-            quantum = decide_sat(f, trial_rng(69))
+            quantum = decide_sat(f, 69)
             classical = classical_brute_force(f)
             assert quantum.satisfiable == classical.satisfiable == any(bits)
 
@@ -310,8 +314,8 @@ class TestBitsetCompile:
             # so both satisfiable and unsatisfiable formulas turn up
             clauses = _random_clauses(rng, n, int(rng.integers(0, 5 * n + 1)), max_width=3)
             compiled, reference = _compiled_and_reference(n, clauses)
-            result = decide_sat(compiled, trial_rng(seed, n))
-            assert result == decide_sat(reference, trial_rng(seed, n))
+            result = decide_sat(compiled, seed, n)
+            assert result == decide_sat(reference, seed, n)
             assert classical_brute_force(compiled) == _reference_brute_force(reference)
             assert classical_brute_force(reference) == _reference_brute_force(reference)
             assert np.array_equal(
@@ -345,3 +349,158 @@ class TestBitsetCompile:
         f = parse_truth_table("0110")
         with pytest.raises(ValueError):
             f._bits[0] = 1
+
+
+# --- differential gate: the satisfying-set draw against the state vector ------
+
+
+@st.composite
+def oracle_tables(draw):
+    """n-bit tables: empty, full, one to three ones, or a random density."""
+    n = draw(st.integers(1, 12))
+    size = 2**n
+    kind = draw(st.sampled_from(["empty", "full", "few", "density"]))
+    table = np.zeros(size, dtype=int)
+    if kind == "full":
+        table[:] = 1
+    elif kind == "few":
+        table[draw(st.lists(st.integers(0, size - 1), min_size=1, max_size=3))] = 1
+    elif kind == "density":
+        density = draw(st.floats(0.0, 1.0))
+        generator = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+        table = (generator.random(size) < density).astype(int)
+    return OracleFunction(n, table)
+
+
+SEEDS = st.integers(0, 2**64 - 1)
+
+
+class TestSatisfyingSetDraw:
+    @settings(max_examples=300, deadline=None)
+    @given(oracle=oracle_tables(), seed=SEEDS,
+           trial=st.one_of(st.integers(1, 1000), SEEDS))
+    @example(oracle=OracleFunction(1, (0, 0)), seed=0, trial=1)
+    @example(oracle=OracleFunction(12, (1,) * 4096), seed=2**64 - 1, trial=2**64 - 1)
+    def test_matches_the_state_vector_reference(self, oracle, seed, trial):
+        expected = reference_decide_sat(oracle, trial_generator(seed, trial))
+        assert decide_sat(oracle, seed, trial) == expected
+
+    @pytest.mark.parametrize("n", range(1, 13))
+    def test_witness_table_is_the_collapsed_born_table_on_satisfying_inputs(
+        self, n, monkeypatch
+    ):
+        # the weights must round as collapse_register's vdot over the whole
+        # interleaved vector rounds them, which no shorter sum reproduces
+        searched = []
+        sample_indices = sat.sample_indices
+
+        def recording(u, cums):
+            searched.append(cums)
+            return sample_indices(u, cums)
+
+        monkeypatch.setattr(sat, "sample_indices", recording)
+        generator = np.random.default_rng(730 + n)
+        size = 2**n
+        for _ in range(40):
+            table = (generator.random(size) < generator.random()).astype(int)
+            satisfying = np.flatnonzero(table)
+            if satisfying.size < 2:  # a lone satisfying input is drawn whatever its weight
+                continue
+            f = OracleFunction(n, table)
+            decide_sat(f, 7)
+            collapsed = collapse_register(build_sat_state(f), (size, 2), "B", 1)
+            born = register_born(collapsed, (size, 2), "A").probs
+            assert np.array_equal(searched.pop(), cumulative(born)[satisfying])
+
+
+class TestWeakCompatibilityGate:
+    def test_unsatisfiable_reads_no_stream(self, monkeypatch):
+        def no_stream(*args):
+            raise AssertionError("an unsatisfiable oracle read a stream")
+
+        monkeypatch.setattr(sat, "trial_words", no_stream)
+        for n in (1, 6, 12):
+            result = decide_sat(OracleFunction(n, (0,) * 2**n), 5, 3)
+            assert result == SatResult(False, None, 2**n, 0)
+
+    @pytest.mark.parametrize(
+        "flag, text",
+        [
+            ("--cnf", "p cnf 12 2\n1 -12 0\n-1 12 0\n"),
+            ("--cnf", "p cnf 3 2\n1 0\n-1 0\n"),
+            ("--truth-table", "0" * 4095 + "1"),
+        ],
+        ids=["cnf-n12", "cnf-unsatisfiable", "truth-table-n12"],
+    )
+    def test_cli_builds_no_state_vector(self, flag, text, tmp_path, monkeypatch, capsys):
+        def no_state(self):
+            raise AssertionError("the sat path built a StateVector")
+
+        monkeypatch.setattr(quantum.StateVector, "__post_init__", no_state)
+        path = tmp_path / "f.txt"
+        path.write_text(text)
+        assert cli.main(["sat", flag, str(path), "--seed", "3"]) == 0
+        assert '"satisfiable"' in capsys.readouterr().out
+
+
+# --- differential gate: the one-pass DIMACS reader against the token loop -----
+
+
+LITERAL_FAULTS = ["1.5", "x", "-", "2a", "0x1", "", "+3", "1_0", "\u0663", "-+1"]
+BAD_HEADERS = ["p", "p cnf", "p cnf 3", "p dnf 3 2", "p cnf x 2", "p cnf 2.0 1", "pcnf 3 2"]
+
+
+@st.composite
+def dimacs_texts(draw):
+    """A CNF text, then a few of: a bad or integer-like token, a malformed or
+    moved or missing header, an out-of-range literal, too many variables."""
+    n = draw(st.integers(1, 6))
+    literal = st.integers(1, n).flatmap(lambda v: st.sampled_from([v, -v]))
+    clauses = draw(st.lists(st.lists(literal, min_size=1, max_size=4), max_size=6))
+    lines = [" ".join(map(str, clause)) + " 0" for clause in clauses]
+    header = f"p cnf {n} {len(clauses)}"
+    faults = draw(st.lists(st.sampled_from(
+        ["token", "bad_header", "late_header", "range", "too_many", "no_header",
+         "comment", "split"]), max_size=3))
+    for fault in faults:
+        at = draw(st.integers(0, len(lines)))
+        if fault == "token":
+            lines.insert(at, f"{draw(literal)} {draw(st.sampled_from(LITERAL_FAULTS))} 0")
+        elif fault == "bad_header":
+            lines.insert(at, draw(st.sampled_from(BAD_HEADERS)))
+        elif fault == "late_header" and header is not None:
+            lines.append(header)
+            header = None
+        elif fault == "range":
+            lines.insert(at, f"{draw(st.sampled_from([n + 1, -(n + 1), 99]))} 0")
+        elif fault == "too_many":
+            header = f"p cnf {draw(st.integers(13, 20))} {len(clauses)}"
+        elif fault == "no_header":
+            header = None
+        elif fault == "comment":
+            lines.insert(at, draw(st.sampled_from(["c x 1.5", "% 0", "", "  \t"])))
+        else:  # a clause over two lines, and a bare terminator
+            lines.insert(at, f"{draw(literal)}\n{draw(literal)} 0\n0")
+    if header is not None:
+        lines.insert(0, header)
+    return "\n".join(lines) + "\n"
+
+
+def parsed(parse, text):
+    try:
+        f = parse(text)
+    except (BadParameter, TooLarge) as exc:
+        return type(exc), str(exc)
+    return f.n, f.table
+
+
+class TestDimacsParity:
+    @settings(max_examples=400, deadline=None)
+    @given(text=dimacs_texts())
+    @example(text="p cnf 2 1\n1 x 0\np dnf 2 1\n")  # the bad token comes first
+    @example(text="p cnf 2 1\np dnf 2 1\n1 x 0\n")  # the bad header comes first
+    @example(text="1 -2 0\n2 0\np cnf 2 2\n")  # a header after its clauses
+    @example(text="p cnf 20 1\n1 x 0\n")  # a bad token before the cap
+    @example(text="p cnf +3 1\n+3 1_0 0\n")
+    def test_same_table_or_same_error_as_the_token_loop(self, text):
+        assert parsed(parse_dimacs, text) == parsed(reference_parse_dimacs, text)
