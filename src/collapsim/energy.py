@@ -14,11 +14,11 @@ import numpy as np
 
 from .errors import BadParameter, DimensionMismatch, LengthMismatch
 from .quantum import (
-    ATOL,
     DensityOperator,
     ProbabilityDistribution,
     ProjectiveMeasurement,
     nonselective_update,
+    within,
 )
 
 
@@ -33,9 +33,11 @@ class Hamiltonian:
         mat = np.ascontiguousarray(self.matrix, dtype=complex)
         if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
             raise ValueError("hamiltonian must be a square matrix")
-        if not np.allclose(mat, mat.conj().T, atol=ATOL, rtol=0.0):
+        with np.errstate(over="ignore", invalid="ignore"):  # an overflow is refused below
+            skew = mat - mat.conj().T
+        if not within(skew, 0.0):
             raise ValueError("hamiltonian must be Hermitian")
-        if not np.array_equal(mat, mat.conj().T):
+        if skew.any():
             # halves first: a sum could overflow, and exact input is kept bit for bit
             mat = mat / 2 + mat.conj().T / 2
         mat.setflags(write=False)
@@ -92,7 +94,7 @@ def commutation_check(
         commutator = observable @ hamiltonian.matrix - hamiltonian.matrix @ observable
     if not np.isfinite(commutator).all():
         raise BadParameter("the commutator overflows a float at these parameters")
-    return bool(np.max(np.abs(commutator)) < ATOL)
+    return within(commutator, 0.0)
 
 
 def audit_measurement(

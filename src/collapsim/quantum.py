@@ -23,6 +23,13 @@ ZERO_PROB = 1e-12
 MAX_DIM = 8192
 
 
+def within(a, b) -> bool:
+    """Whether max |a - b| <= ATOL, the closeness rule of every structural check
+    (a, b numbers or arrays). The max starts at 0, so an empty difference is
+    within, and carries NaN through, so a NaN anywhere (inf - inf too) is a fault."""
+    return bool(np.maximum.reduce(abs(a - b), axis=None, initial=0.0) <= ATOL)
+
+
 def _frozen(array: np.ndarray) -> np.ndarray:
     array.setflags(write=False)
     return array
@@ -41,7 +48,7 @@ class StateVector:
         if amps.size > MAX_DIM:
             raise TooLarge(f"dimension {amps.size} exceeds the dense cap {MAX_DIM}")
         norm = np.linalg.norm(amps)
-        if abs(norm - 1.0) > ATOL:
+        if not within(norm, 1.0):
             raise ValueError(f"state vector is not normalized (norm={norm!r})")
         object.__setattr__(self, "amplitudes", _frozen(amps))
 
@@ -60,9 +67,9 @@ class DensityOperator:
         mat = np.ascontiguousarray(self.matrix, dtype=complex)
         if mat.ndim != 2 or mat.shape[0] != mat.shape[1] or mat.shape[0] < 1:
             raise ValueError("density operator must be a square matrix")
-        if not np.allclose(mat, mat.conj().T, atol=ATOL, rtol=0.0):
+        if not within(mat, mat.conj().T):
             raise ValueError("density operator must be Hermitian")
-        if abs(np.trace(mat).real - 1.0) > ATOL or abs(np.trace(mat).imag) > ATOL:
+        if not within(np.trace(mat), 1.0):
             raise ValueError("density operator must have unit trace")
         if np.min(np.linalg.eigvalsh(mat)) < -ATOL:
             raise ValueError("density operator must be positive semidefinite")
@@ -94,7 +101,7 @@ class ProjectiveMeasurement:
         if len(shape) != 2 or any(np.shape(p) != (shape[0],) * 2 for p in self.projectors):
             raise ValueError("projectors must be square and equally sized")
         stack = np.array(self.projectors, dtype=complex)
-        if not np.allclose(stack, stack.conj().transpose(0, 2, 1), atol=ATOL, rtol=0.0):
+        if not within(stack, stack.conj().transpose(0, 2, 1)):
             raise ValueError("projectors must be Hermitian")
         # P_a P_b - δ_ab P_a; orthogonality follows from the rest, but not within ATOL
         residual = stack[:, None] @ stack[None, :]
@@ -105,7 +112,7 @@ class ProjectiveMeasurement:
         pairs = np.argwhere(np.triu(fault, 1))
         if pairs.size:
             raise ValueError("projectors {} and {} are not orthogonal".format(*pairs[0]))
-        if not np.allclose(stack.sum(axis=0), np.eye(shape[0]), atol=ATOL, rtol=0.0):
+        if not within(stack.sum(axis=0), np.eye(shape[0])):
             raise ValueError("projectors must sum to the identity")
         object.__setattr__(self, "projectors", _frozen(stack))
 
@@ -157,7 +164,7 @@ class ProbabilityDistribution:
             raise ValueError("probabilities must form a non-empty vector")
         if np.min(p) < -ZERO_PROB:
             raise ValueError("probabilities must be non-negative")
-        if not abs(p.sum() - 1.0) <= ATOL:  # a NaN sum is refused too
+        if not within(p.sum(), 1.0):
             raise ValueError(f"probabilities sum to {float(p.sum())!r}, not 1")
         object.__setattr__(self, "probs", _frozen(np.clip(p, 0.0, 1.0)))
 
@@ -276,7 +283,7 @@ def paired_born(
     allowed = born.probs > ZERO_PROB
     rows = joint[:, allowed]
     rows = rows / rows.sum(axis=-1, keepdims=True)
-    if not ((rows >= -ZERO_PROB).all() and (np.abs(rows.sum(axis=-1) - 1.0) <= ATOL).all()):
+    if not ((rows >= -ZERO_PROB).all() and within(rows.sum(axis=-1), 1.0)):
         raise ValueError("conditional rows must be non-negative and sum to 1")
     table = np.full(joint.shape, np.nan)
     table[:, allowed] = rows
@@ -373,8 +380,8 @@ def collapse_register(
     return StateVector(flat / np.sqrt(weight))
 
 
-def same_state(a: StateVector, b: StateVector, atol: float = ATOL) -> bool:
-    """State equality up to global phase: |<a|b>| = 1 within tolerance."""
+def same_state(a: StateVector, b: StateVector) -> bool:
+    """State equality up to global phase: |<a|b>| >= 1 - ATOL."""
     if a.dim != b.dim:
         return False
-    return bool(abs(np.vdot(a.amplitudes, b.amplitudes)) >= 1.0 - atol)
+    return bool(abs(np.vdot(a.amplitudes, b.amplitudes)) >= 1.0 - ATOL)

@@ -27,35 +27,37 @@ from .rng import cumulative, sample_indices, trial_words, uniforms
 MAX_BITS = 12
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, init=False)
 class OracleFunction:
     """Total binary function over n-bit inputs, stored as a truth table."""
 
     n: int
-    table: tuple[int, ...]
-    #: the table as a read-only int8 array, for the whole-table paths
-    _bits: np.ndarray = field(init=False, repr=False)
+    #: the truth table as a read-only int8 array
+    _bits: np.ndarray = field(repr=False)
 
-    def __post_init__(self) -> None:
-        if self.n < 1:
+    def __init__(self, n: int, table: Sequence[int]) -> None:
+        if n < 1:
             raise BadParameter("n must be a positive integer")
-        if self.n > MAX_BITS:
-            raise TooLarge(f"n={self.n} exceeds the cap of {MAX_BITS} bits")
-        values = np.asarray(self.table)
-        if values.shape != (2**self.n,):
-            raise BadParameter(
-                f"truth table has {len(self.table)} entries, expected {2 ** self.n}"
-            )
+        if n > MAX_BITS:
+            raise TooLarge(f"n={n} exceeds the cap of {MAX_BITS} bits")
+        values = np.asarray(table)
+        if values.shape != (2**n,):
+            raise BadParameter(f"truth table has {len(table)} entries, expected {2 ** n}")
         if not np.all((values == 0) | (values == 1)):
             raise BadParameter("truth table entries must be 0 or 1")
         bits = values.astype(np.int8)
         bits.setflags(write=False)
+        object.__setattr__(self, "n", n)
         object.__setattr__(self, "_bits", bits)
+
+    @functools.cached_property
+    def table(self) -> tuple[int, ...]:
+        """The truth table as a tuple of ints, built on first read."""
         # iterating the bytes of 0/1 int8 values yields those ints, faster than tolist
-        object.__setattr__(self, "table", tuple(bits.tobytes()))
+        return tuple(self._bits.tobytes())
 
     def evaluate(self, j: int) -> int:
-        return self.table[j]
+        return int(self._bits[j])
 
     @property
     def domain_size(self) -> int:

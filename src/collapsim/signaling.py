@@ -29,7 +29,7 @@ from .policies import (
     policy_distribution,
     total_variation,
 )
-from .quantum import ZERO_PROB, ProbabilityDistribution
+from .quantum import ZERO_PROB, ProbabilityDistribution, within
 from .rng import TrialStreams, cumulative, trial_blocks
 
 
@@ -76,7 +76,7 @@ def channel_capacity(transition: np.ndarray) -> float:
     w = np.asarray(transition, dtype=float)
     if w.ndim != 2 or w.shape[0] != 2:
         raise BadParameter("transition must be a row-stochastic matrix with two rows")
-    if np.any(w < -ZERO_PROB) or not np.allclose(w.sum(axis=1), 1.0, atol=1e-9):
+    if np.any(w < -ZERO_PROB) or not within(w.sum(axis=1), 1.0):
         raise BadParameter("transition rows must be probability distributions")
     a, b = np.clip(w, 0.0, 1.0).tolist()
     if a == b:

@@ -10,6 +10,7 @@ from collapsim.energy import (
 )
 from collapsim.errors import DimensionMismatch, ForbiddenOutcome, LengthMismatch
 from collapsim.quantum import (
+    ATOL,
     DensityOperator,
     ProbabilityDistribution,
     ProjectiveMeasurement,
@@ -58,6 +59,14 @@ class TestEnergyExpectation:
                 audit_measurement(rho, ProjectiveMeasurement.computational(dim),
                                   list(range(dim)), hamiltonian)
 
+    @pytest.mark.parametrize("entries", [[[np.inf, 0], [0, 1]],
+                                         [[1e308, -1e308], [1e308, 0]]],
+                             ids=["infinite", "skew-overflows"])
+    @pytest.mark.filterwarnings("error")
+    def test_infinite_or_overflowing_skew_refused_quietly(self, entries):
+        with pytest.raises(ValueError, match="Hermitian"):
+            Hamiltonian(np.array(entries, dtype=complex))
+
     def test_exactly_hermitian_matrix_kept_bit_for_bit(self):
         for entries in ([[1e308, 1e308j], [-1e308j, -1e308]],
                         [[5e-324, 1e-320 - 5e-324j], [1e-320 + 5e-324j, 0]]):
@@ -79,6 +88,12 @@ class TestCommutationCheck:
     def test_identity_hamiltonian_always_commutes(self):
         identity = Hamiltonian(np.eye(2))
         assert commutation_check(X2, [0.3, 0.7], identity) is True
+
+    def test_commutator_of_exactly_atol_commutes(self):
+        # [diag(1, 0), [[0, c], [c, 0]]] = [[0, c], [-c, 0]], exact in floats
+        for c, commutes in ((ATOL, True), (np.nextafter(ATOL, 1.0), False)):
+            hamiltonian = Hamiltonian(np.array([[0.0, c], [c, 0.0]]))
+            assert commutation_check(Z2, [1.0, 0.0], hamiltonian) is commutes
 
     def test_eigenvalue_count_enforced(self):
         with pytest.raises(LengthMismatch):

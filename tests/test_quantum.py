@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from collapsim.errors import (
     BadParameter,
@@ -28,6 +29,7 @@ from collapsim.quantum import (
     register_born,
     same_state,
     tensor,
+    within,
 )
 from collapsim.policies import Born, Forced
 from collapsim.signaling import signaling_experiment
@@ -566,14 +568,68 @@ def test_collapse_preserves_normalization(pairs, seed):
         assert abs(np.linalg.norm(after.amplitudes) - 1.0) < 1e-10
 
 
+@st.composite
+def array_pairs(draw):
+    """Two finite arrays of one shape and dtype, the second often the first
+    moved by up to 2 ATOL per entry, so both sides of the boundary are drawn."""
+    shape = draw(hnp.array_shapes(min_dims=0, max_dims=3, min_side=0, max_side=4))
+    dtype = draw(st.sampled_from([np.float64, np.complex128]))
+    size = draw(st.sampled_from([1.0, 1e300]))
+    if dtype is np.float64:
+        element = st.floats(-size, size)
+    else:
+        element = st.complex_numbers(max_magnitude=size)
+    a = draw(hnp.arrays(dtype, shape, elements=element))
+    step = draw(hnp.arrays(dtype, shape, elements=st.floats(-2 * ATOL, 2 * ATOL)))
+    b = draw(st.one_of(st.just(a + step), hnp.arrays(dtype, shape, elements=element)))
+    return a, b
+
+
+class TestWithin:
+    @settings(max_examples=300, deadline=None)
+    @given(pair=array_pairs())
+    def test_agrees_with_allclose_at_atol_on_finite_arrays(self, pair):
+        a, b = pair
+        assert within(a, b) == np.allclose(a, b, rtol=0.0, atol=ATOL)
+
+    @pytest.mark.parametrize(
+        "a, b, expected",
+        [
+            (np.array([1.0, np.nan]), np.array([1.0, np.nan]), False),
+            (np.array([1.0, np.nan]), 1.0, False),
+            (complex(np.nan, 0.0), 1.0, False),
+            (np.inf, np.inf, False),
+            (-np.inf, -np.inf, False),
+            (np.array([np.inf, 1.0]), 1.0, False),
+            (np.array([]), np.array([]), True),
+            (np.zeros((0, 3)), 1.0, True),
+            (ATOL, 0.0, True),
+            (np.nextafter(ATOL, 1.0), 0.0, False),
+        ],
+    )
+    def test_nan_and_inf_are_faults_and_empty_is_within(self, a, b, expected):
+        assert within(a, b) is expected
+
+
 class TestInvariantValidation:
     def test_state_vector_requires_normalization(self):
         with pytest.raises(ValueError):
             StateVector(np.array([1.0, 1.0]))
 
+    def test_nan_state_refused_and_never_returned_by_collapse(self):
+        with pytest.raises(ValueError, match="not normalized"):
+            StateVector(np.array([np.nan, 0.0]))
+        # a state forged past the check: collapse's result is checked again
+        forged = object.__new__(StateVector)
+        object.__setattr__(forged, "amplitudes", np.array([np.nan, 0.0], dtype=complex))
+        with np.errstate(invalid="ignore"), pytest.raises(ValueError, match="not normalized"):
+            collapse(forged, Z2, 1)
+
     def test_density_operator_checks(self):
         with pytest.raises(ValueError):
             DensityOperator(np.array([[1.0, 0.5], [0.2, 0.0]]))
+        with pytest.raises(ValueError, match="Hermitian"):
+            DensityOperator(np.array([[1.0, 0.0], [0.0, np.nan]]))
         with pytest.raises(ValueError):
             DensityOperator(np.diag([0.7, 0.7]))
         with pytest.raises(ValueError):

@@ -142,6 +142,15 @@ class TestChannelCapacity:
         with pytest.raises(BadParameter):
             channel_capacity(np.array([[0.5, 0.1], [0.5, 0.5]]))
 
+    @pytest.mark.parametrize("off, refused", [(5e-6, True), (5e-11, False)])
+    def test_row_sums_held_to_atol(self, off, refused):
+        rows = np.array([[0.5, 0.5 + off], [0.5, 0.5]])
+        if refused:
+            with pytest.raises(BadParameter, match="probability distributions"):
+                channel_capacity(rows)
+        else:
+            assert channel_capacity(rows) >= 0.0
+
     @pytest.mark.parametrize("rows", [np.eye(3), np.full((1, 2), 0.5), np.eye(2)[None]])
     def test_rejects_other_than_two_rows(self, rows):
         with pytest.raises(BadParameter, match="two rows"):
