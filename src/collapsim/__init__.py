@@ -8,7 +8,6 @@ from .agent import (
     act,
     attention,
     born_reference,
-    distinguish_traces,
     robot_act,
     selection,
 )
@@ -40,7 +39,6 @@ from .kochen_specker import (
     KSTable,
     Ray,
     builtin_ks_table,
-    context_coefficient_matrix,
     fwt_trial,
     ks_coloring_search,
     parity_certificate,
@@ -54,11 +52,9 @@ from .policies import (
     Forced,
     OutcomeSample,
     Scripted,
-    admissible_outcomes,
     deviation_statistic,
-    effective_distribution,
     parse_policy,
-    sample_outcome,
+    policy_distribution,
 )
 from .quantum import (
     DensityOperator,
@@ -69,9 +65,6 @@ from .quantum import (
     collapse,
     make_state,
     nonselective_update,
-    reduced_state,
-    same_state,
-    tensor,
 )
 from .sat import (
     OracleFunction,

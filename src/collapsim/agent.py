@@ -127,10 +127,6 @@ class AgentTrace:
         raise BadParameter("trace is incomplete")
 
     @property
-    def final_label(self) -> str:
-        return self.labels[self.final_outcome]
-
-    @property
     def stage_shape(self) -> tuple[str, ...]:
         return tuple(type(stage).__name__ for stage in self.stages)
 
@@ -220,20 +216,6 @@ def robot_act(alternatives: AlternativeSet, norm: NormFunction) -> AgentTrace:
         kind="compute",
         labels=alternatives.labels,
         stages=(ComputeStage(tick=1, chosen=chosen),),
-    )
-
-
-@dataclass(frozen=True)
-class TraceComparison:
-    objectively_identical: bool
-    structurally_distinct: bool
-
-
-def distinguish_traces(a: AgentTrace, b: AgentTrace) -> TraceComparison:
-    """Compare final outcomes (objective) and stage shapes (structural)."""
-    return TraceComparison(
-        objectively_identical=a.final_label == b.final_label,
-        structurally_distinct=a.stage_shape != b.stage_shape,
     )
 
 

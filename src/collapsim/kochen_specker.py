@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import re
 from dataclasses import dataclass
 from functools import cache, cached_property, lru_cache
 from typing import Callable, Iterator, NamedTuple
@@ -230,24 +229,6 @@ def format_table(table: KSTable) -> str:
     )
 
 
-def parse_table(text: str) -> KSTable:
-    """Inverse of format_table (used by external checkers)."""
-    contexts = []
-    for number, line in enumerate(text.splitlines(), start=1):
-        line = line.strip()
-        if not line:
-            continue
-        groups = re.findall(r"\(([^)]*)\)", line)
-        if len(groups) != RAY_DIM:
-            raise InvalidTable(f"expected {RAY_DIM} rays per line, got {len(groups)}")
-        try:
-            components = [tuple(int(c) for c in group.split(",")) for group in groups]
-        except ValueError:
-            raise InvalidTable(f"line {number}: ray components must be integers") from None
-        contexts.append(Context(tuple(Ray(c) for c in components)))
-    return KSTable(tuple(contexts))
-
-
 @lru_cache(maxsize=1)
 def twin_state() -> StateVector:
     """Maximally entangled two-ququart state (1/2) sum_k |k>|k>.
@@ -260,13 +241,6 @@ def twin_state() -> StateVector:
     for k in range(RAY_DIM):
         amps[k * RAY_DIM + k] = 0.5
     return StateVector(amps)
-
-
-def context_coefficient_matrix(state: StateVector, context: Context) -> np.ndarray:
-    """Amplitudes of a 4x4 bipartite state in the context's product basis."""
-    basis = np.stack([ray.unit_vector() for ray in context.rays])
-    psi = state.amplitudes.reshape(RAY_DIM, RAY_DIM)
-    return basis.conj() @ psi @ basis.T.conj()
 
 
 @dataclass(frozen=True)

@@ -19,13 +19,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .errors import BadParameter, ForbiddenOutcome, LengthMismatch
-from .quantum import (
-    ZERO_PROB,
-    ProbabilityDistribution,
-    ProjectiveMeasurement,
-    StateVector,
-    born_distribution,
-)
+from .quantum import ProbabilityDistribution
 from .rng import TrialRng, TrialStreams, cumulative, sample_index, sample_indices
 
 
@@ -89,13 +83,6 @@ class DeviationStats(NamedTuple):
     pvalue: float
 
 
-def admissible_outcomes(
-    state: StateVector, measurement: ProjectiveMeasurement
-) -> frozenset[int]:
-    """Outcomes with nonzero Born probability: the only realizable branches."""
-    return born_distribution(state, measurement).support(ZERO_PROB)
-
-
 def policy_distribution(
     policy: CollapsePolicy, born: ProbabilityDistribution, trial: int = 0
 ) -> ProbabilityDistribution:
@@ -106,7 +93,7 @@ def policy_distribution(
     """
     if isinstance(policy, Born):
         return born
-    admissible = born.support(ZERO_PROB)
+    admissible = born.support()
     if isinstance(policy, Forced):
         if policy.target not in admissible:
             raise ForbiddenOutcome(
@@ -118,7 +105,7 @@ def policy_distribution(
             raise LengthMismatch(
                 f"{len(policy.weights)} weights for {len(born)} outcomes"
             )
-        bad = policy.weights.support(ZERO_PROB) - admissible
+        bad = policy.weights.support() - admissible
         if bad:
             raise ForbiddenOutcome(
                 f"biased weights place mass on zero-Born outcomes {sorted(bad)}"
@@ -137,15 +124,6 @@ def _point_mass(n: int, index: int) -> ProbabilityDistribution:
     return ProbabilityDistribution(point)
 
 
-def effective_distribution(
-    policy: CollapsePolicy,
-    state: StateVector,
-    measurement: ProjectiveMeasurement,
-) -> ProbabilityDistribution:
-    """policy_distribution evaluated on the state's Born distribution."""
-    return policy_distribution(policy, born_distribution(state, measurement))
-
-
 def sample_from_born(
     policy: CollapsePolicy,
     born: ProbabilityDistribution,
@@ -162,7 +140,7 @@ def sample_from_born(
     forbidden_attempted = (
         isinstance(policy, Scripted)
         and trial < len(policy.sequence)
-        and policy.sequence[trial] not in born.support(ZERO_PROB)
+        and policy.sequence[trial] not in born.support()
     )
     outcome = sample_index(rng, dist.probs)
     return OutcomeSample(
@@ -205,7 +183,7 @@ def compile_policy(
     policy). Raises what sample_from_born would raise at its first failing trial.
     """
     script = policy.sequence[:trials] if isinstance(policy, Scripted) else ()
-    admissible = born.support(ZERO_PROB)
+    admissible = born.support()
     tables: list[np.ndarray] = []
     row_of: dict[int | None, int] = {}
 
@@ -250,17 +228,6 @@ def paired_block(
     k = alice_plan.cums.shape[1]
     bob_outcome = sample_indices(streams.random(), bob_cums, setting * k + alice_outcome)
     return setting, alice_outcome, bob_outcome
-
-
-def sample_outcome(
-    policy: CollapsePolicy,
-    state: StateVector,
-    measurement: ProjectiveMeasurement,
-    rng: TrialRng,
-    trial: int = 0,
-) -> OutcomeSample:
-    """Sample trial `trial`'s measurement outcome of `state` under `policy`."""
-    return sample_from_born(policy, born_distribution(state, measurement), rng, trial)
 
 
 def deviation_statistic(

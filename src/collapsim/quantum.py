@@ -83,9 +83,6 @@ class DensityOperator:
     def from_state(cls, state: StateVector) -> "DensityOperator":
         return cls(np.outer(state.amplitudes, state.amplitudes.conj()))
 
-    def purity(self) -> float:
-        return float(np.trace(self.matrix @ self.matrix).real)
-
 
 @dataclass(frozen=True, eq=False)
 class ProjectiveMeasurement:
@@ -174,8 +171,9 @@ class ProbabilityDistribution:
     def __getitem__(self, idx: int) -> float:
         return float(self.probs[idx])
 
-    def support(self, threshold: float = ZERO_PROB) -> frozenset[int]:
-        return frozenset(int(j) for j in np.flatnonzero(self.probs > threshold))
+    def support(self) -> frozenset[int]:
+        """Outcomes above ZERO_PROB: the only realizable branches."""
+        return frozenset(int(j) for j in np.flatnonzero(self.probs > ZERO_PROB))
 
 
 def make_state(amplitudes) -> StateVector:
@@ -194,13 +192,6 @@ def make_state(amplitudes) -> StateVector:
     if norm < 1e-12 or not np.any(np.abs(amps) >= 1e-12):
         raise ZeroVector("all amplitudes are numerically zero")
     return StateVector(amps / norm)
-
-
-def tensor(a: StateVector, b: StateVector) -> StateVector:
-    """Product state; amplitude at index j*b.dim + k is a[j] * b[k]."""
-    if a.dim * b.dim > MAX_DIM:
-        raise TooLarge(f"tensor dimension {a.dim * b.dim} exceeds {MAX_DIM}")
-    return StateVector(np.kron(a.amplitudes, b.amplitudes))
 
 
 def born_distribution(
@@ -244,7 +235,7 @@ def collapse(
         raise ForbiddenOutcome(f"outcome index {outcome} out of range")
     projected = measurement.projectors[outcome] @ state.amplitudes
     weight = np.vdot(projected, projected).real
-    if weight <= ZERO_PROB:
+    if not weight > ZERO_PROB:  # NaN too
         raise ForbiddenOutcome(
             f"outcome {outcome} has zero Born probability and cannot be realized"
         )
@@ -277,7 +268,7 @@ def paired_born(
     if len({second.n_outcomes for second in seconds}) != 1:
         raise DimensionMismatch("the second measurements need one common outcome count")
     x = first.projectors @ state.amplitudes.reshape(d_a, d_b)
-    born = ProbabilityDistribution(np.clip((np.abs(x) ** 2).sum(axis=(1, 2)), 0.0, 1.0))
+    born = ProbabilityDistribution((np.abs(x) ** 2).sum(axis=(1, 2)))
     y = np.einsum("jab,smcb->sjmac", x, np.stack([second.projectors for second in seconds]))
     joint = (np.abs(y) ** 2).sum(axis=(-2, -1))
     allowed = born.probs > ZERO_PROB
@@ -319,21 +310,6 @@ def nonselective_update(
     return DensityOperator(out)
 
 
-def reduced_state(
-    state: StateVector, dims: tuple[int, int], keep: str
-) -> DensityOperator:
-    """Partial trace of a bipartite pure state; keep subsystem 'A' or 'B'."""
-    d_a, d_b = dims
-    if state.dim != d_a * d_b:
-        raise DimensionMismatch(f"state dim {state.dim} != {d_a}*{d_b}")
-    psi = state.amplitudes.reshape(d_a, d_b)
-    if keep == "A":
-        return DensityOperator(psi @ psi.conj().T)
-    if keep == "B":
-        return DensityOperator(np.einsum("ai,aj->ij", psi, psi.conj()))
-    raise DimensionMismatch("keep must be 'A' or 'B'")
-
-
 def register_born(
     state: StateVector, dims: tuple[int, int], which: str
 ) -> ProbabilityDistribution:
@@ -373,15 +349,8 @@ def collapse_register(
     psi[kept] = state.amplitudes.reshape(d_a, d_b)[kept]
     flat = psi.reshape(-1)
     weight = np.vdot(flat, flat).real
-    if weight <= ZERO_PROB:
+    if not weight > ZERO_PROB:  # NaN too
         raise ForbiddenOutcome(
             f"register outcome {outcome} has zero Born probability"
         )
     return StateVector(flat / np.sqrt(weight))
-
-
-def same_state(a: StateVector, b: StateVector) -> bool:
-    """State equality up to global phase: |<a|b>| >= 1 - ATOL."""
-    if a.dim != b.dim:
-        return False
-    return bool(abs(np.vdot(a.amplitudes, b.amplitudes)) >= 1.0 - ATOL)

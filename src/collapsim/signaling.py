@@ -63,7 +63,7 @@ def bob_marginal_analytic(
     weights = policy_distribution(alice_policy, alice_born).probs
     used = weights > ZERO_PROB
     marginal = (weights[used, None] * bob_born[used]).sum(axis=0)
-    return ProbabilityDistribution(np.clip(marginal, 0.0, 1.0))
+    return ProbabilityDistribution(marginal)
 
 
 def channel_capacity(transition: np.ndarray) -> float:

@@ -20,11 +20,17 @@ DIMACS reader is referenced by the parser that converted one token at a time.
 The command line is referenced by the argparse parser the package once used,
 derived from cli.SPECS: reference_raw_config is the flat config it read
 from argv.
+
+Helpers that only the tests use live here too: product states (tensor),
+state equality up to a global phase (same_state), a bipartite state's
+coefficient matrix in a context's product basis (context_coefficient_matrix)
+and the reader of the `ks --dump-table` text (parse_table).
 """
 
 from __future__ import annotations
 
 import argparse
+import re
 from functools import cache, lru_cache
 from typing import Sequence
 
@@ -34,6 +40,7 @@ from collapsim import agent, cli, kochen_specker, policies
 from collapsim.errors import BadParameter, DimensionMismatch, ForbiddenOutcome, TooLarge
 from collapsim.policies import Born, Forced, sample_from_born
 from collapsim.quantum import (
+    ATOL,
     ProbabilityDistribution,
     ProjectiveMeasurement,
     StateVector,
@@ -82,6 +89,21 @@ def policy_outcome(policy, born, rng: np.random.Generator, trial: int) -> int:
     return inverse_cdf(rng, policies.policy_distribution(policy, born, trial).probs)
 
 
+# --- states ------------------------------------------------------------------
+
+
+def tensor(a: StateVector, b: StateVector) -> StateVector:
+    """Product state; amplitude at index j*b.dim + k is a[j] * b[k]."""
+    return StateVector(np.kron(a.amplitudes, b.amplitudes))
+
+
+def same_state(a: StateVector, b: StateVector) -> bool:
+    """State equality up to global phase: |<a|b>| >= 1 - ATOL."""
+    if a.dim != b.dim:
+        return False
+    return bool(abs(np.vdot(a.amplitudes, b.amplitudes)) >= 1.0 - ATOL)
+
+
 # --- bipartite tables ----------------------------------------------------------
 
 
@@ -120,6 +142,24 @@ def conditional_born(
 
 
 # --- fwt ---------------------------------------------------------------------
+
+
+def context_coefficient_matrix(state: StateVector, context: kochen_specker.Context) -> np.ndarray:
+    """Amplitudes of a 4x4 bipartite state in the context's product basis."""
+    basis = np.stack([ray.unit_vector() for ray in context.rays])
+    return basis.conj() @ state.amplitudes.reshape(4, 4) @ basis.T.conj()
+
+
+def parse_table(text: str) -> kochen_specker.KSTable:
+    """The ray table `ks --dump-table` prints: one context per line, four rays
+    as comma-separated integers in parentheses."""
+    contexts = []
+    for line in filter(str.strip, text.splitlines()):
+        groups = re.findall(r"\(([^)]*)\)", line)
+        assert len(groups) == 4, f"not four rays: {line!r}"
+        rays = (kochen_specker.Ray(tuple(map(int, group.split(",")))) for group in groups)
+        contexts.append(kochen_specker.Context(tuple(rays)))
+    return kochen_specker.KSTable(tuple(contexts))
 
 
 @lru_cache(maxsize=None)

@@ -18,7 +18,6 @@ from collapsim.energy import Hamiltonian, audit_measurement
 from collapsim.errors import ForbiddenOutcome
 from collapsim.kochen_specker import (
     builtin_ks_table,
-    context_coefficient_matrix,
     fwt_trial,
     fwt_trials,
     twin_state,
@@ -29,7 +28,7 @@ from collapsim.policies import (
     Born,
     Forced,
     deviation_statistic,
-    effective_distribution,
+    policy_distribution,
 )
 from collapsim.quantum import (
     DensityOperator,
@@ -50,6 +49,7 @@ from helpers import (
     random_state,
     sample_counts,
 )
+from oracles import context_coefficient_matrix
 
 Z2 = ProjectiveMeasurement.computational(2)
 Z3 = ProjectiveMeasurement.computational(3)
@@ -221,11 +221,11 @@ def test_criterion_09_weak_compatibility():
     rng = np.random.default_rng(90)
     for _ in range(100):
         theta = rng.uniform(1e-3, np.pi / 2 - 1e-3)
-        state = make_state([np.cos(theta), np.sin(theta), 0.0])
+        born = born_distribution(make_state([np.cos(theta), np.sin(theta), 0.0]), Z3)
         with pytest.raises(ForbiddenOutcome):
-            effective_distribution(Forced(2), state, Z3)
+            policy_distribution(Forced(2), born)
         for target in (0, 1):
-            dist = effective_distribution(Forced(target), state, Z3)
+            dist = policy_distribution(Forced(target), born)
             assert dist[target] == 1.0
     _report(9, "forced:2 forbidden and forced:0/1 certain for 100 random qutrits")
 

@@ -12,7 +12,6 @@ from collapsim.agent import (
     act,
     attention,
     born_reference,
-    distinguish_traces,
     robot_act,
     selection,
 )
@@ -142,7 +141,7 @@ class TestAct:
             norm = NormFunction({"tap": 0.0, "rest": 1.0})
             for t in range(50):
                 trace = act(alts, norm, trial_rng(5, t))
-                assert trace.final_label == "rest"
+                assert trace.labels[trace.final_outcome] == "rest"
 
     def test_inadmissible_argmax_filtered(self):
         # norm favors an alternative with zero priority; the admissible
@@ -151,7 +150,7 @@ class TestAct:
         norm = NormFunction({"0": 0.1, "1": 0.5, "2": 9.0})
         for t in range(50):
             trace = act(alts, norm, trial_rng(6, t))
-            assert trace.final_label == "1"
+            assert trace.labels[trace.final_outcome] == "1"
 
     def test_deviation_statistics_at_ten_k(self):
         # state (sqrt(3)/2, 1/2, 0); norm favors index 1; Born predicts 1/4
@@ -214,7 +213,7 @@ class TestAct:
 class TestRobotAct:
     def test_argmax(self):
         trace = robot_act(GOOD_BAD, MORAL_NORM)
-        assert trace.final_label == "good"
+        assert trace.labels[trace.final_outcome] == "good"
         assert trace.kind == "compute"
         assert [type(s) for s in trace.stages] == [ComputeStage]
 
@@ -225,33 +224,32 @@ class TestRobotAct:
     def test_no_admissibility_filter(self):
         alts = AlternativeSet(("a", "b"), (1.0, 0.0))
         norm = NormFunction({"a": 0.0, "b": 1.0})
-        assert robot_act(alts, norm).final_label == "b"
+        robot = robot_act(alts, norm)
+        assert robot.labels[robot.final_outcome] == "b"
 
 
 class TestDistinguishTraces:
+    # objectively identical: the same final outcome; structurally distinct:
+    # different stage shapes
     def test_same_outcome_different_structure(self):
         staged = act(GOOD_BAD, MORAL_NORM, trial_rng(12))
         computed = robot_act(GOOD_BAD, MORAL_NORM)
-        comparison = distinguish_traces(staged, computed)
-        assert comparison.objectively_identical is True
-        assert comparison.structurally_distinct is True
+        assert staged.final_outcome == computed.final_outcome
+        assert staged.stage_shape != computed.stage_shape
 
     def test_identical_runs(self):
         a = act(GOOD_BAD, MORAL_NORM, trial_rng(13))
         b = act(GOOD_BAD, MORAL_NORM, trial_rng(13))
-        comparison = distinguish_traces(a, b)
-        assert comparison.objectively_identical is True
-        assert comparison.structurally_distinct is False
+        assert a.final_outcome == b.final_outcome
+        assert a.stage_shape == b.stage_shape
 
     def test_admissibility_divergence(self):
         # norm's global argmax has zero amplitude: staged and computed split
         alts = AlternativeSet(("x", "y"), (1.0, 0.0))
         norm = NormFunction({"x": 0.0, "y": 1.0})
-        comparison = distinguish_traces(
-            act(alts, norm, trial_rng(14)), robot_act(alts, norm)
-        )
-        assert comparison.objectively_identical is False
-        assert comparison.structurally_distinct is True
+        staged, computed = act(alts, norm, trial_rng(14)), robot_act(alts, norm)
+        assert staged.final_outcome != computed.final_outcome
+        assert staged.stage_shape != computed.stage_shape
 
 
 def test_act_trials_reproducible():

@@ -532,7 +532,7 @@ def reference_records(raw):
     robot = agent.robot_act(alternatives, norm)
     for t in range(trials):
         yield {"record": "trial", "trial": t, "outcome": robot.final_outcome,
-               "label": robot.final_label, "stage_shape": list(robot.stage_shape),
+               "label": labels[robot.final_outcome], "stage_shape": list(robot.stage_shape),
                "tie_broken": None}
 
 

@@ -13,13 +13,12 @@ from collapsim.policies import (
     Born,
     Forced,
     Scripted,
-    admissible_outcomes,
     compile_policy,
     describe_policy,
     deviation_statistic,
-    effective_distribution,
     parse_policy,
-    sample_outcome,
+    policy_distribution,
+    sample_from_born,
 )
 from collapsim.quantum import (
     ProbabilityDistribution,
@@ -42,23 +41,23 @@ def qutrit(theta):
 
 class TestAdmissibleOutcomes:
     def test_qutrit_excludes_zero_amplitude(self):
-        assert admissible_outcomes(qutrit(np.pi / 6), Z3) == {0, 1}
+        assert born_distribution(qutrit(np.pi / 6), Z3).support() == {0, 1}
 
     def test_eigenstate(self):
-        assert admissible_outcomes(make_state([1, 0]), Z2) == {0}
+        assert born_distribution(make_state([1, 0]), Z2).support() == {0}
 
     def test_uniform_dim4(self):
-        assert admissible_outcomes(make_state([1, 1, 1, 1]), Z4) == {0, 1, 2, 3}
+        assert born_distribution(make_state([1, 1, 1, 1]), Z4).support() == {0, 1, 2, 3}
 
 
 class TestEffectiveDistribution:
     def test_forced_is_point_mass(self):
-        d = effective_distribution(Forced(0), qutrit(np.pi / 4), Z3)
+        d = policy_distribution(Forced(0), born_distribution(qutrit(np.pi / 4), Z3))
         np.testing.assert_array_equal(d.probs, [1.0, 0.0, 0.0])
 
     def test_forced_inadmissible_raises(self):
         with pytest.raises(ForbiddenOutcome):
-            effective_distribution(Forced(2), qutrit(np.pi / 6), Z3)
+            policy_distribution(Forced(2), born_distribution(qutrit(np.pi / 6), Z3))
 
     def test_born_matches_born_distribution_exactly(self):
         rng = np.random.default_rng(21)
@@ -66,36 +65,36 @@ class TestEffectiveDistribution:
             dim = int(rng.integers(2, 6))
             s, m = random_state(rng, dim), random_measurement(rng, dim)
             np.testing.assert_array_equal(
-                effective_distribution(Born(), s, m).probs,
+                policy_distribution(Born(), born_distribution(s, m)).probs,
                 born_distribution(s, m).probs,
             )
 
     def test_biased_returns_given_weights(self):
         w = ProbabilityDistribution(np.array([0.75, 0.25]))
-        d = effective_distribution(Biased(w), make_state([1, 1]), Z2)
+        d = policy_distribution(Biased(w), born_distribution(make_state([1, 1]), Z2))
         np.testing.assert_array_equal(d.probs, [0.75, 0.25])
 
     def test_biased_support_violation(self):
         w = ProbabilityDistribution(np.array([0.0, 0.5, 0.5]))
         with pytest.raises(ForbiddenOutcome):
-            effective_distribution(Biased(w), qutrit(np.pi / 6), Z3)
+            policy_distribution(Biased(w), born_distribution(qutrit(np.pi / 6), Z3))
 
     def test_biased_length_mismatch(self):
         w = ProbabilityDistribution(np.array([0.5, 0.5]))
         with pytest.raises(LengthMismatch):
-            effective_distribution(Biased(w), qutrit(np.pi / 6), Z3)
+            policy_distribution(Biased(w), born_distribution(qutrit(np.pi / 6), Z3))
 
     def test_scripted_peeks_without_consuming(self):
         policy = Scripted((1, 0), Born())
-        s = make_state([1, 1])
-        first = effective_distribution(policy, s, Z2)
-        second = effective_distribution(policy, s, Z2)
+        born = born_distribution(make_state([1, 1]), Z2)
+        first = policy_distribution(policy, born)
+        second = policy_distribution(policy, born)
         np.testing.assert_array_equal(first.probs, [0.0, 1.0])
         np.testing.assert_array_equal(second.probs, [0.0, 1.0])
 
     def test_scripted_inadmissible_entry_uses_fallback(self):
         policy = Scripted((1,), Born())
-        d = effective_distribution(policy, make_state([1, 0]), Z2)
+        d = policy_distribution(policy, born_distribution(make_state([1, 0]), Z2))
         np.testing.assert_array_equal(d.probs, [1.0, 0.0])
 
     def test_scripted_fallback_nesting_rejected(self):
@@ -114,9 +113,9 @@ class TestEffectiveDistribution:
 
 class TestSampleOutcome:
     def test_forced_every_seed(self):
-        s = qutrit(np.pi / 4)
+        born = born_distribution(qutrit(np.pi / 4), Z3)
         for seed in range(50):
-            out = sample_outcome(Forced(0), s, Z3, trial_rng(seed))
+            out = sample_from_born(Forced(0), born, trial_rng(seed))
             assert out.outcome == 0
             assert out.policy_prob == 1.0
             assert out.born_prob == pytest.approx(0.5)
@@ -132,20 +131,20 @@ class TestSampleOutcome:
 
     def test_scripted_plays_admissible_entries_in_order(self):
         policy = Scripted((1, 0, 1), Born())
-        s = make_state([1, 1])
+        born = born_distribution(make_state([1, 1]), Z2)
         rng = trial_rng(7)
-        outcomes = [sample_outcome(policy, s, Z2, rng, trial=t).outcome for t in range(3)]
+        outcomes = [sample_from_born(policy, born, rng, trial=t).outcome for t in range(3)]
         assert outcomes == [1, 0, 1]
 
     def test_scripted_flags_forbidden_attempt_and_falls_back(self):
         policy = Scripted((1, 0), Born())
-        s = make_state([1, 0])  # outcome 1 inadmissible
+        born = born_distribution(make_state([1, 0]), Z2)  # outcome 1 inadmissible
         rng = trial_rng(8)
-        first = sample_outcome(policy, s, Z2, rng, trial=0)
+        first = sample_from_born(policy, born, rng, trial=0)
         assert first.forbidden_attempted and first.outcome == 0
-        second = sample_outcome(policy, s, Z2, rng, trial=1)
+        second = sample_from_born(policy, born, rng, trial=1)
         assert not second.forbidden_attempted and second.outcome == 0
-        past_script = sample_outcome(policy, s, Z2, rng, trial=2)
+        past_script = sample_from_born(policy, born, rng, trial=2)
         assert not past_script.forbidden_attempted and past_script.outcome == 0
 
     def test_forced_determinism_bulk(self):
@@ -192,13 +191,13 @@ class TestSampleOutcome:
 
 
 def test_weak_compatibility_containment_property():
-    # support(effective) is always inside the admissible set
+    # a policy's support is always inside the admissible set
     rng = np.random.default_rng(22)
     for _ in range(1000):
         dim = int(rng.integers(2, 6))
         s, m = random_state(rng, dim), random_measurement(rng, dim)
-        admissible = admissible_outcomes(s, m)
         born = born_distribution(s, m)
+        admissible = born.support()
         policies = [Born()]
         target = int(rng.choice(sorted(admissible)))
         policies.append(Forced(target))
@@ -207,7 +206,7 @@ def test_weak_compatibility_containment_property():
         policies.append(Biased(ProbabilityDistribution(weights / weights.sum())))
         policies.append(Scripted((int(rng.integers(dim)),), Born()))
         for policy in policies:
-            dist = effective_distribution(policy, s, m)
+            dist = policy_distribution(policy, born)
             assert dist.support() <= admissible, (policy, born.probs)
 
 

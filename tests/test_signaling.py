@@ -12,9 +12,9 @@ from collapsim.policies import Biased, Born, Forced, total_variation
 from collapsim.quantum import (
     ProbabilityDistribution,
     ProjectiveMeasurement,
+    born_distribution,
     make_state,
     paired_born,
-    tensor,
 )
 from collapsim.signaling import (
     bob_marginal_analytic,
@@ -23,7 +23,7 @@ from collapsim.signaling import (
     signaling_experiment,
 )
 from helpers import paired_settings, random_measurement, random_state
-from oracles import lift
+from oracles import lift, tensor
 
 Z = ProjectiveMeasurement.computational(2)
 X = ProjectiveMeasurement.from_basis(np.array([[1, 1], [1, -1]]) / np.sqrt(2))
@@ -261,11 +261,7 @@ def test_product_states_cannot_signal_even_with_deviation():
         alice_meas = random_measurement(rng, 2)
         policies = {"0": (alice_meas, Born()), "1": (alice_meas, Forced(0))}
         # pick a forced target that is admissible for this state/measurement
-        from collapsim.policies import admissible_outcomes
-
-        target = sorted(
-            admissible_outcomes(shared, lift(alice_meas, (2, 2), "A"))
-        )[0]
+        target = sorted(born_distribution(shared, lift(alice_meas, (2, 2), "A")).support())[0]
         policies["1"] = (alice_meas, Forced(target))
         report = signaling_experiment(
             paired_settings(shared, (2, 2), random_measurement(rng, 2), policies)
