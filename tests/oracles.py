@@ -22,9 +22,11 @@ derived from cli.SPECS: reference_raw_config is the flat config it read
 from argv.
 
 Helpers that only the tests use live here too: product states (tensor),
-state equality up to a global phase (same_state), a bipartite state's
-coefficient matrix in a context's product basis (context_coefficient_matrix)
-and the reader of the `ks --dump-table` text (parse_table).
+state equality up to a global phase (same_state), the partial trace of a
+bipartite pure state (reduced_state) and tr(rho^2) (purity), a bipartite
+state's coefficient matrix in a context's product basis
+(context_coefficient_matrix) and the reader of the `ks --dump-table` text
+(parse_table).
 """
 
 from __future__ import annotations
@@ -37,10 +39,17 @@ from typing import Sequence
 import numpy as np
 
 from collapsim import agent, cli, kochen_specker, policies
-from collapsim.errors import BadParameter, DimensionMismatch, ForbiddenOutcome, TooLarge
+from collapsim.errors import (
+    BadParameter,
+    DimensionMismatch,
+    ForbiddenOutcome,
+    InvalidTable,
+    TooLarge,
+)
 from collapsim.policies import Born, Forced, sample_from_born
 from collapsim.quantum import (
     ATOL,
+    DensityOperator,
     ProbabilityDistribution,
     ProjectiveMeasurement,
     StateVector,
@@ -104,6 +113,24 @@ def same_state(a: StateVector, b: StateVector) -> bool:
     return bool(abs(np.vdot(a.amplitudes, b.amplitudes)) >= 1.0 - ATOL)
 
 
+def reduced_state(state: StateVector, dims: tuple[int, int], keep: str) -> DensityOperator:
+    """Partial trace of a bipartite pure state; keep subsystem 'A' or 'B'."""
+    d_a, d_b = dims
+    if state.dim != d_a * d_b:
+        raise DimensionMismatch(f"state dim {state.dim} != {d_a}*{d_b}")
+    psi = state.amplitudes.reshape(d_a, d_b)
+    if keep == "A":
+        return DensityOperator(psi @ psi.conj().T)
+    if keep == "B":
+        return DensityOperator(np.einsum("ai,aj->ij", psi, psi.conj()))
+    raise DimensionMismatch("keep must be 'A' or 'B'")
+
+
+def purity(rho: DensityOperator) -> float:
+    """tr(rho^2): 1 for a pure state, 1/d for the maximally mixed one."""
+    return float(np.trace(rho.matrix @ rho.matrix).real)
+
+
 # --- bipartite tables ----------------------------------------------------------
 
 
@@ -154,10 +181,17 @@ def parse_table(text: str) -> kochen_specker.KSTable:
     """The ray table `ks --dump-table` prints: one context per line, four rays
     as comma-separated integers in parentheses."""
     contexts = []
-    for line in filter(str.strip, text.splitlines()):
+    for number, line in enumerate(text.splitlines(), start=1):
+        if not line.strip():
+            continue
         groups = re.findall(r"\(([^)]*)\)", line)
-        assert len(groups) == 4, f"not four rays: {line!r}"
-        rays = (kochen_specker.Ray(tuple(map(int, group.split(",")))) for group in groups)
+        if len(groups) != 4:
+            raise InvalidTable(f"expected 4 rays per line, got {len(groups)}")
+        try:
+            components = [tuple(int(c) for c in group.split(",")) for group in groups]
+        except ValueError:
+            raise InvalidTable(f"line {number}: ray components must be integers") from None
+        rays = (kochen_specker.Ray(c) for c in components)
         contexts.append(kochen_specker.Context(tuple(rays)))
     return kochen_specker.KSTable(tuple(contexts))
 

@@ -283,6 +283,13 @@ class TestTableFormat:
         dump = run(build_config({"experiment": "ks", "dump_table": True})).plain_output
         assert parse_table(dump).contexts == builtin_ks_table().contexts
 
+    @pytest.mark.parametrize("ray", ["(1,x,0,0)", "(1,,0,0)", "(1.5,0,0,0)"])
+    def test_non_integer_component_names_line(self, ray):
+        text = format_table(builtin_ks_table()).splitlines()[0]
+        text += f"\n\n{ray} (0,1,0,0) (0,0,1,0) (0,0,0,1)"
+        with pytest.raises(InvalidTable, match="^line 3: ray components must be integers$"):
+            parse_table(text)
+
     def test_format_shape(self):
         lines = format_table(builtin_ks_table()).splitlines()
         assert len(lines) == 9

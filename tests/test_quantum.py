@@ -31,7 +31,7 @@ from collapsim.quantum import (
 from collapsim.policies import Born, Forced
 from collapsim.signaling import signaling_experiment
 from helpers import paired_settings, random_measurement, random_state
-from oracles import conditional_born, lift, same_state, tensor
+from oracles import conditional_born, lift, purity, reduced_state, same_state, tensor
 
 Z2 = ProjectiveMeasurement.computational(2)
 Z3 = ProjectiveMeasurement.computational(3)
@@ -105,6 +105,26 @@ class TestProbabilityDistributionChecks:
     def test_sum_not_one_rejected(self, probs):
         with pytest.raises(ValueError, match="probabilities sum to"):
             ProbabilityDistribution(np.asarray(probs))
+
+
+class TestTensor:
+    def test_basis_product(self):
+        s = tensor(make_state([1, 0]), make_state([0, 1]))
+        np.testing.assert_allclose(s.amplitudes, [0, 1, 0, 0], atol=1e-12)
+
+    def test_superposition_times_ket(self):
+        s = tensor(make_state([1, 1]), make_state([1, 0]))
+        expected = np.array([1, 0, 1, 0]) / np.sqrt(2)
+        np.testing.assert_allclose(s.amplitudes, expected, atol=1e-12)
+
+    @given(
+        a=st.lists(st.floats(-1, 1), min_size=1, max_size=6),
+        b=st.lists(st.floats(-1, 1), min_size=1, max_size=6),
+    )
+    def test_norm_multiplicative(self, a, b):
+        assume(np.linalg.norm(a) > 1e-6 and np.linalg.norm(b) > 1e-6)
+        s = tensor(make_state(a), make_state(b))
+        assert abs(np.linalg.norm(s.amplitudes) - 1.0) < 1e-10
 
 
 class TestBornDistribution:
@@ -331,6 +351,44 @@ class TestNonselectiveUpdate:
             assert abs(np.trace(out.matrix).real - 1.0) < 1e-12
             purity_after, purity_before = (np.trace(r.matrix @ r.matrix).real for r in (out, rho))
             assert purity_after <= purity_before + 1e-10
+
+
+class TestReducedState:
+    def test_bell_keep_a(self):
+        rho = reduced_state(bell_state(), (2, 2), "A")
+        np.testing.assert_allclose(rho.matrix, np.eye(2) / 2, atol=1e-12)
+
+    def test_product_keep_b(self):
+        s = tensor(make_state([1, 0]), make_state([0, 1]))
+        rho = reduced_state(s, (2, 2), "B")
+        np.testing.assert_allclose(rho.matrix, np.diag([0.0, 1.0]), atol=1e-12)
+
+    def test_maximally_entangled_dim16_hand_trace_oracle(self):
+        amps = np.zeros(16, dtype=complex)
+        for k in range(4):
+            amps[k * 4 + k] = 0.5
+        s = StateVector(amps)
+        # independent oracle: explicit loop partial trace
+        psi = amps.reshape(4, 4)
+        expected = np.zeros((4, 4), dtype=complex)
+        for i in range(4):
+            for j in range(4):
+                expected[i, j] = sum(psi[i, b] * psi[j, b].conjugate() for b in range(4))
+        rho = reduced_state(s, (4, 4), "A")
+        np.testing.assert_allclose(rho.matrix, expected, atol=1e-12)
+        np.testing.assert_allclose(rho.matrix, np.eye(4) / 4, atol=1e-12)
+
+    def test_pure_product_states_stay_pure(self):
+        rng = np.random.default_rng(14)
+        for _ in range(200):
+            da, db = int(rng.integers(2, 5)), int(rng.integers(2, 5))
+            s = tensor(random_state(rng, da), random_state(rng, db))
+            for keep in ("A", "B"):
+                assert abs(purity(reduced_state(s, (da, db), keep)) - 1.0) < 1e-10
+
+    def test_dimension_mismatch(self):
+        with pytest.raises(DimensionMismatch):
+            reduced_state(bell_state(), (3, 2), "A")
 
 
 class TestRegisterOps:
