@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Iterator, Mapping, NamedTuple, Union
 
 import numpy as np
@@ -24,13 +25,12 @@ from .errors import (
     LengthMismatch,
     NoAdmissibleAlternative,
 )
-from .policies import Forced, policy_distribution
 from .quantum import (
     ProbabilityDistribution,
     StateVector,
     make_state,
 )
-from .rng import TrialRng, TrialStreams, cumulative, sample_index, sample_indices, trial_blocks
+from .rng import TrialRng, TrialStreams, cumulative, run_streams, sample_index, sample_indices
 
 
 @dataclass(frozen=True)
@@ -60,6 +60,12 @@ class AlternativeSet:
 
     def __len__(self) -> int:
         return len(self.labels)
+
+    @cached_property
+    def attended(self) -> tuple[StateVector, ProbabilityDistribution]:
+        """attention(self) and its Born distribution, built once per instance."""
+        state = attention(self)
+        return state, ProbabilityDistribution(np.abs(state.amplitudes) ** 2)
 
 
 @dataclass(frozen=True)
@@ -194,14 +200,13 @@ def act(
     knob is an extension beyond the basic model. This is act_trials' block
     code at one row, on rng's stream as it stands.
     """
-    state, block = _act_block(alternatives, norm, mixing)
-    row = block(rng.streams, np.zeros(1, dtype=np.uint64))
+    row = _act_block(alternatives, norm, mixing)(rng.streams, np.zeros(1, dtype=np.uint64))
     chosen, tie_broken = int(row.chosen[0]), bool(row.tie_broken[0])
     return AgentTrace(
         kind="collapse",
         labels=alternatives.labels,
         stages=(
-            AttentionStage(tick=1, state=state),
+            AttentionStage(tick=1, state=alternatives.attended[0]),
             SelectionStage(tick=2, chosen=chosen, tie_broken=tie_broken),
             CollapseStage(tick=3, outcome=chosen),
         ),
@@ -221,8 +226,7 @@ def robot_act(alternatives: AlternativeSet, norm: NormFunction) -> AgentTrace:
 
 def born_reference(alternatives: AlternativeSet) -> ProbabilityDistribution:
     """The zero-control baseline: normalized priorities as probabilities."""
-    state = attention(alternatives)
-    return ProbabilityDistribution(np.abs(state.amplitudes) ** 2)
+    return alternatives.attended[1]
 
 
 class ActBlock(NamedTuple):
@@ -244,47 +248,44 @@ def act_trials(
     0..trials-1, TRIAL_BLOCK trials at a time: trial t reads Philox counter
     [t, 0, 0, block], one TrialStreams per block. Each chosen outcome and
     tie flag is act's, whose stage_shape is COLLAPSE_STAGE_SHAPE."""
-    _, block = _act_block(alternatives, norm, mixing)
-    return (block(TrialStreams(seed, (), t), t) for t in trial_blocks(trials))
+    block = _act_block(alternatives, norm, mixing)
+    return (block(streams, t) for t, streams in run_streams(seed, (), trials))
 
 
 def _act_block(
     alternatives: AlternativeSet, norm: NormFunction, mixing: float
-) -> tuple[StateVector, Callable[[TrialStreams, np.ndarray], ActBlock]]:
-    """The block code of act and act_trials, and the attention state.
+) -> Callable[[TrialStreams, np.ndarray], ActBlock]:
+    """The block code of act and act_trials.
 
-    Attention, the admissible and tied sets and the Forced collapse's checks
-    are computed once. block(streams, t) draws trials t in act's order: the
+    Attention (alternatives.attended) and the admissible and tied sets are
+    computed once; a choice is admissible, so its Forced collapse needs no
+    check. block(streams, t) draws trials t in act's order: the
     mixing draw (only when mixing < 1), the tie-break or Born-branch draw
     (only when taken), then the draw of the Forced collapse.
     """
     if not 0.0 <= mixing <= 1.0:
         raise BadParameter("mixing must lie in [0, 1]")
-    state = attention(alternatives)
-    born = ProbabilityDistribution(np.abs(state.amplitudes) ** 2)
+    state, born = alternatives.attended
     admissible, tied = _choices(born, alternatives, norm)
-    for j in admissible:
-        policy_distribution(Forced(j), born)  # the collapse's admissibility check
     tie_cum = cumulative(np.abs(state.amplitudes[tied]) ** 2)
     born_cum = cumulative(np.abs(state.amplitudes[admissible]) ** 2)
     tied, admissible = np.array(tied), np.array(admissible)
 
     def block(streams: TrialStreams, t: np.ndarray) -> ActBlock:
-        if mixing >= 1.0:
-            follow = np.ones(t.size, dtype=bool)
-        else:
-            follow = streams.random() < mixing
+        # at mixing 1 every row follows the norm, and draws as one column (rows None)
+        follow = np.ones(t.size, dtype=bool) if mixing >= 1.0 else streams.random() < mixing
+        by_norm = None if mixing >= 1.0 else np.flatnonzero(follow)
         chosen = np.empty(t.size, dtype=np.int64)
         tie_broken = np.zeros(t.size, dtype=bool)
-        by_norm = np.flatnonzero(follow)
         if len(tied) == 1:
-            chosen[by_norm] = tied[0]
+            chosen[follow] = tied[0]
         else:
-            chosen[by_norm] = tied[sample_indices(streams.random(by_norm), tie_cum)]
-            tie_broken[by_norm] = True
-        by_born = np.flatnonzero(~follow)
-        chosen[by_born] = admissible[sample_indices(streams.random(by_born), born_cum)]
+            chosen[follow] = tied[sample_indices(streams.random(by_norm), tie_cum)]
+            tie_broken[follow] = True
+        if by_norm is not None:
+            by_born = np.flatnonzero(~follow)
+            chosen[by_born] = admissible[sample_indices(streams.random(by_born), born_cum)]
         streams.random()  # the Forced collapse: a certain outcome, one word
         return ActBlock(trial=t, chosen=chosen, tie_broken=tie_broken)
 
-    return state, block
+    return block

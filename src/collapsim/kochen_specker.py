@@ -30,7 +30,7 @@ from .quantum import (
     StateVector,
     paired_born,
 )
-from .rng import TrialRng, TrialStreams, cumulative, trial_blocks
+from .rng import TrialRng, TrialStreams, cumulative, run_streams
 
 RAY_DIM = 4
 #: the coloring search memoizes at most 2^contexts uncovered-context sets
@@ -272,6 +272,18 @@ def _paired_tables(context_index: int) -> tuple[ProbabilityDistribution, np.ndar
     )
 
 
+@lru_cache(maxsize=9)
+def _block_tables(context_index: int) -> tuple[np.ndarray, np.ndarray]:
+    """Context S_j's cumulative rows of Bob's _paired_tables table, and each
+    distinct ray's position in the context (-1 where absent): read-only."""
+    table = builtin_ks_table()
+    rays = table.contexts[context_index - 1].rays
+    bob_cums = cumulative(_paired_tables(context_index)[1])
+    position = np.array([rays.index(r) if r in rays else -1 for r in table.distinct_rays])
+    bob_cums.flags.writeable = position.flags.writeable = False
+    return bob_cums, position
+
+
 @lru_cache(maxsize=1)
 def _bob_detections() -> tuple[ProjectiveMeasurement, ...]:
     """Bob's detect/miss measurement of each distinct ray, checked once for all contexts."""
@@ -311,16 +323,6 @@ def fwt_trial(
     )
 
 
-def _trial_context(alice_context: int, bob_rays: tuple[Ray, ...]) -> Context:
-    table = builtin_ks_table()
-    if not 1 <= alice_context <= len(table.contexts):
-        raise InvalidTable(f"context index {alice_context} out of range 1..9")
-    for bob_ray in bob_rays:
-        if bob_ray not in table.ray_index:
-            raise InvalidTable(f"ray {bob_ray} is not one of the table's 18 directions")
-    return table.contexts[alice_context - 1]
-
-
 class FwtBlock(NamedTuple):
     """A block of paired-measurement trials, one array entry per trial."""
 
@@ -355,7 +357,7 @@ def fwt_trials(
     block = _fwt_block(
         alice_context, bob_ray, lambda born: compile_policy(alice_policy, born, trials)
     )
-    return (block(TrialStreams(seed, (), t), t) for t in trial_blocks(trials))
+    return (block(streams, t) for t, streams in run_streams(seed, (), trials))
 
 
 def _fwt_block(
@@ -367,21 +369,22 @@ def _fwt_block(
 
     Checks the context and the ray, then compiles Alice's plan (plan applied
     to her Born distribution), Bob's rows for the drawn ray slots (slot *
-    RAY_DIM + Alice's outcome, from the context's _paired_tables) and each
-    slot's position in Alice's context. Returns block(streams, t): the
+    RAY_DIM + Alice's outcome) and each slot's position in Alice's context,
+    both sliced from the context's _block_tables. Returns block(streams, t): the
     FwtBlock of trials t, drawn from streams by policies.paired_block.
     """
-    context = _trial_context(alice_context, () if bob_ray is None else (bob_ray,))
-    all_rays = builtin_ks_table().distinct_rays
-    ray_ids = np.arange(len(all_rays)) if bob_ray is None else np.array([all_rays.index(bob_ray)])
-    alice_born, bob_born = _paired_tables(alice_context)
-    alice = plan(alice_born)
-    bob_cums = cumulative(bob_born[(RAY_DIM * ray_ids[:, None] + np.arange(RAY_DIM)).ravel()])
-    # each ray's position in Alice's context, -1 where it is absent
-    position = np.array([
-        context.rays.index(all_rays[r]) if all_rays[r] in context.rays else -1
-        for r in ray_ids
-    ])
+    table = builtin_ks_table()
+    if not 1 <= alice_context <= len(table.contexts):
+        raise InvalidTable(f"context index {alice_context} out of range 1..9")
+    if bob_ray is not None and bob_ray not in table.ray_index:
+        raise InvalidTable(f"ray {bob_ray} is not one of the table's 18 directions")
+    alice = plan(_paired_tables(alice_context)[0])
+    bob_cums, position = _block_tables(alice_context)
+    ray_ids = np.arange(len(position))
+    if bob_ray is not None:  # one ray: its slice of each table
+        r = table.distinct_rays.index(bob_ray)
+        ray_ids, position = ray_ids[r:r + 1], position[r:r + 1]
+        bob_cums = bob_cums[RAY_DIM * r:RAY_DIM * (r + 1)]
 
     def block(streams: TrialStreams, t: np.ndarray) -> FwtBlock:
         slot, alice_outcome, bob_outcome = paired_block(

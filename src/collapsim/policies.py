@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -118,7 +119,9 @@ def policy_distribution(
     raise BadParameter(f"unknown policy {policy!r}")
 
 
+@lru_cache(maxsize=64)
 def _point_mass(n: int, index: int) -> ProbabilityDistribution:
+    """The point mass on `index` of n outcomes; distributions are read-only."""
     point = np.zeros(n)
     point[index] = 1.0
     return ProbabilityDistribution(point)
@@ -162,15 +165,15 @@ class PolicyPlan(NamedTuple):
     script_rows: np.ndarray
     default_row: int
 
-    def rows(self, t: np.ndarray) -> np.ndarray:
+    def sample(self, u: np.ndarray, t: np.ndarray) -> np.ndarray:
+        """Outcomes of trials t given each trial's uniform draw u. A plan of one
+        table draws every trial from it, by sample_indices' one-table search."""
+        if len(self.cums) == 1:
+            return sample_indices(u, self.cums[0])
         rows = np.full(t.size, self.default_row, dtype=np.intp)
         scripted = t < len(self.script_rows)
         rows[scripted] = self.script_rows[t[scripted].astype(np.intp)]
-        return rows
-
-    def sample(self, u: np.ndarray, t: np.ndarray) -> np.ndarray:
-        """Outcomes of trials t given each trial's uniform draw u."""
-        return sample_indices(u, self.cums, self.rows(t))
+        return sample_indices(u, self.cums, rows)
 
 
 def compile_policy(

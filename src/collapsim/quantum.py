@@ -8,6 +8,7 @@ values can be shared freely across threads.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -173,6 +174,10 @@ class ProbabilityDistribution:
 
     def support(self) -> frozenset[int]:
         """Outcomes above ZERO_PROB: the only realizable branches."""
+        return self._support
+
+    @cached_property
+    def _support(self) -> frozenset[int]:  # once per instance: probs is read-only
         return frozenset(int(j) for j in np.flatnonzero(self.probs > ZERO_PROB))
 
 

@@ -8,11 +8,14 @@ steps word 0 first, so block b of consecutive trials is one `random_raw`
 call (`trial_words`); any counter layout is a valid split of a
 counter-based generator into streams (Salmon et al., SC'11). The seed, the
 prefix and every trial index lie in [0, 2^64), so word 0 never carries into
-the prefix. `TrialStreams` reads the words the way numpy's Generator reads
-its own; `trial_rng` is one trial's stream.
+the prefix. Each thread reuses one numpy Philox, its key and counter set
+through `.state`. `TrialStreams` reads the words the way numpy's Generator
+reads its own; `trial_rng` is one trial's stream.
 """
 
 from __future__ import annotations
+
+import threading
 
 import numpy as np
 
@@ -32,6 +35,32 @@ def _word(value, what: str) -> int:
     return int(value)
 
 
+def _counter(seed: int, prefix: tuple[int, ...], first, last) -> int:
+    """Trial `first`'s block-0 counter; the key and the trials first..last are checked."""
+    if len(prefix) > 2:
+        raise BadParameter("at most 3 stream key components are supported")
+    _word(seed, "the seed")
+    first, _ = _word(first, "a trial index"), _word(last, "a trial index")
+    p0, p1 = (_word(k, "a stream key component") for k in (*prefix, 0, 0)[:2])
+    return first + (p0 << 64) + (p1 << 128)
+
+
+_local = threading.local()  # each thread's one Philox
+
+
+def _blocks(seed: int, counter: int, n: int) -> np.ndarray:
+    """The n Philox blocks at key = seed from `counter` on, as (n, 4) words; unchecked."""
+    if not hasattr(_local, "philox"):  # its state's buffer_pos 4: no buffered words
+        _local.philox = np.random.Philox(key=0)
+        _local.state = _local.philox.state
+    # numpy steps the counter before making each block
+    count = ((counter - 1) % (1 << 256)).to_bytes(32, "little")
+    key = np.array([seed, 0], dtype=np.uint64)
+    _local.state["state"] = {"counter": np.frombuffer(count, "<u8"), "key": key}
+    _local.philox.state = _local.state
+    return _local.philox.random_raw(4 * n).reshape(n, 4)
+
+
 def trial_words(seed: int, prefix: tuple[int, ...], t, block: int = 0) -> np.ndarray:
     """Philox block `block` of the streams of the consecutive trials t.
 
@@ -41,15 +70,8 @@ def trial_words(seed: int, prefix: tuple[int, ...], t, block: int = 0) -> np.nda
     t = np.asarray(t)
     if t.ndim != 1 or not t.size or not (np.diff(t) == 1).all():
         raise BadParameter("trials must be one or more consecutive ascending indices")
-    if len(prefix) > 2:
-        raise BadParameter("at most 3 stream key components are supported")
-    _word(seed, "the seed")
-    first, _ = (_word(index, "a trial index") for index in t[[0, -1]])  # both ends
-    p0, p1 = (_word(k, "a stream key component") for k in (*prefix, 0, 0)[:2])
-    counter = first + (p0 << 64) + (p1 << 128) + (_word(block, "a block index") << 192)
-    # numpy steps the counter before making each block
-    bit_gen = np.random.Philox(key=seed, counter=(counter - 1) % (1 << 256))
-    return bit_gen.random_raw(4 * t.size).reshape(t.size, 4)
+    counter = _counter(seed, prefix, *t[[0, -1]]) + (_word(block, "a block index") << 192)
+    return _blocks(seed, counter, t.size)
 
 
 def uniforms(words: np.ndarray) -> np.ndarray:
@@ -63,6 +85,14 @@ def trial_blocks(trials: int):
         yield np.arange(start, min(start + TRIAL_BLOCK, trials), dtype=np.uint64)
 
 
+def run_streams(seed: int, prefix: tuple[int, ...], trials: int):
+    """(t, its TrialStreams) for each block t of trial_blocks(trials), the keys
+    and the run's trial range checked once."""
+    counter = _counter(seed, prefix, 0, max(trials, 1) - 1)
+    for t in trial_blocks(trials):
+        yield t, TrialStreams(seed, prefix, t, _blocks(seed, counter + int(t[0]), t.size))
+
+
 class TrialStreams:
     """The streams of consecutive trials, read the way numpy's Generator reads one.
 
@@ -71,62 +101,81 @@ class TrialStreams:
     takes the row's next word; a 32-bit draw takes the buffered upper half
     of an earlier word if there is one, else the lower half of the next
     word, buffering its upper half. When a row runs past the words computed
-    so far, the next Philox block is computed for every row.
+    so far, the next Philox block is computed for every row. While the rows
+    draw alike, one cursor serves them all and a draw reads one column of
+    words; the first draw by a subset gives each row cursors of its own.
     """
 
-    def __init__(self, seed: int, prefix: tuple[int, ...], t) -> None:
+    def __init__(self, seed: int, prefix: tuple[int, ...], t, words=None) -> None:
+        """`words`, block 0 of trials t from _blocks, skips trial_words' checks."""
         self.seed, self.prefix, self.t = seed, tuple(prefix), t
-        self.words = trial_words(seed, self.prefix, t)
-        n = len(self.words)
-        self.pos = np.zeros(n, dtype=np.intp)
-        self.has_half = np.zeros(n, dtype=bool)
-        self.half = np.zeros(n, dtype=np.uint64)
+        self.words = trial_words(seed, self.prefix, t) if words is None else words
+        # the next word, and the word whose upper half is buffered (-1: none):
+        # ints while the rows draw alike, one entry per row after
+        self._at, self._half_at = 0, -1
 
-    def _rows(self, rows) -> np.ndarray:
-        if rows is None:
-            return np.arange(self.pos.size)
-        return np.asarray(rows, dtype=np.intp)
+    # each row's next word, and whether it buffers an upper half
+    pos = property(lambda self: np.broadcast_to(self._at, len(self.words)))
+    has_half = property(lambda self: np.broadcast_to(np.asarray(self._half_at) >= 0, self.pos.shape))
 
-    def _next64(self, rows: np.ndarray) -> np.ndarray:
-        pos = self.pos[rows]
+    def _rows(self, rows) -> np.ndarray | None:
+        """None for a column draw; else rows as indices, each row with its own cursors."""
+        if type(self._at) is int:
+            if rows is None:
+                return None
+            self._at, self._half_at = self.pos.copy(), np.full(len(self.words), self._half_at)
+        return np.arange(len(self.words)) if rows is None else np.asarray(rows, dtype=np.intp)
+
+    def _next64(self, rows) -> np.ndarray:
+        rows = self._rows(rows)
+        at = self._at if rows is None else self._at[rows]
         width = self.words.shape[1]
-        if rows.size and pos.max() >= width:
+        if (at if rows is None else at.max(initial=0)) >= width:
             extra = trial_words(self.seed, self.prefix, self.t, width // 4)
             self.words = np.concatenate([self.words, extra], axis=1)
-        self.pos[rows] = pos + 1
-        return self.words[rows, pos]
+        if rows is None:
+            self._at = at + 1
+            return self.words[:, at]
+        self._at[rows] = at + 1
+        return self.words[rows, at]
 
     def random(self, rows=None) -> np.ndarray:
         """Generator.random(): the next word of each row as a uniform."""
-        return uniforms(self._next64(self._rows(rows)))
+        return uniforms(self._next64(rows))
 
-    def _next32(self, rows: np.ndarray) -> np.ndarray:
+    def _next32(self, rows) -> np.ndarray:
+        rows = self._rows(rows)
+        if rows is None:
+            if self._half_at < 0:
+                self._half_at = self._at
+                return self._next64(None) & _U32
+            half, self._half_at = self.words[:, self._half_at] >> _SHIFT32, -1
+            return half
         out = np.empty(rows.size, dtype=np.uint64)
         buffered = self.has_half[rows]
-        out[buffered] = self.half[rows[buffered]]
-        self.has_half[rows[buffered]] = False
+        held = rows[buffered]
+        out[buffered] = self.words[held, self._half_at[held]] >> _SHIFT32
+        self._half_at[held] = -1
         fresh = rows[~buffered]
         if fresh.size:
-            word = self._next64(fresh)
-            out[~buffered] = word & _U32
-            self.half[fresh] = word >> _SHIFT32
-            self.has_half[fresh] = True
+            out[~buffered] = self._next64(fresh) & _U32
+            self._half_at[fresh] = self._at[fresh] - 1
         return out
 
     def integers(self, n: int, rows=None) -> np.ndarray:
         """Generator.integers(n) for 1 <= n < 2**32: Lemire's bounded method
         (Lemire, ACM TOMACS 2019) on 32-bit draws, retrying rejected rows."""
-        rows = self._rows(rows)
         if not 1 <= n < 2**32:
             raise BadParameter("batched integers() supports 1 <= n < 2**32")
-        if n == 1:
-            return np.zeros(rows.size, dtype=np.int64)  # numpy draws nothing
+        if n == 1:  # numpy draws nothing
+            return np.zeros(len(self.words) if rows is None else len(rows), dtype=np.int64)
         bound = np.uint64(n)
         threshold = np.uint64((2**32 - n) % n)
-        out = np.empty(rows.size, dtype=np.uint64)
-        pending = np.arange(rows.size)
+        m = self._next32(rows) * bound
+        out = m >> _SHIFT32
+        pending = np.flatnonzero((m & _U32) < threshold)
         while pending.size:
-            m = self._next32(rows[pending]) * bound
+            m = self._next32(pending if rows is None else np.asarray(rows)[pending]) * bound
             out[pending] = m >> _SHIFT32
             pending = pending[(m & _U32) < threshold]
         return out.astype(np.int64)
@@ -155,7 +204,8 @@ def trial_rng(seed: int, *key: int) -> TrialRng:
     shorter prefix is padded with 0 (trial_rng(seed, 0, t) is trial_rng(seed, t)).
     """
     *prefix, t = key or (0,)
-    return TrialRng(TrialStreams(seed, tuple(prefix), [t]))
+    words = _blocks(seed, _counter(seed, prefix, t, t), 1)
+    return TrialRng(TrialStreams(seed, prefix, [t], words))
 
 
 def sample_index(rng: TrialRng, probs: np.ndarray) -> int:

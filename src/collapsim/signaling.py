@@ -30,7 +30,7 @@ from .policies import (
     total_variation,
 )
 from .quantum import ZERO_PROB, ProbabilityDistribution, within
-from .rng import TrialStreams, cumulative, trial_blocks
+from .rng import cumulative, run_streams
 
 
 #: paired_born's (Alice's Born distribution, Bob's conditional table)
@@ -87,7 +87,11 @@ def channel_capacity(transition: np.ndarray) -> float:
     lo, hi = 0.0, 1.0
     for _ in range(53):  # to width 2^-53 even where rounding hides the slope's sign
         p = 0.5 * (lo + hi)
-        if sum(d * math.log(q) for y, d in moving if (q := y + p * d) > 0.0) < gap:
+        slope = 0.0  # summed in moving's order, as sum() over a generator did
+        for y, d in moving:
+            if (q := y + p * d) > 0.0:
+                slope += d * math.log(q)
+        if slope < gap:
             lo = p
         else:
             hi = p
@@ -146,8 +150,8 @@ def signaling_experiment(
         for s, (label, ((alice_born, bob_born), policy)) in enumerate(settings.items()):
             plan = compile_policy(policy, alice_born, trials)
             bob_cums = cumulative(bob_born)
-            for t in trial_blocks(trials):
-                *_, bob_outcome = paired_block(plan, bob_cums, TrialStreams(seed, (s,), t), t)
+            for t, streams in run_streams(seed, (s,), trials):
+                *_, bob_outcome = paired_block(plan, bob_cums, streams, t)
                 counts[s] += np.bincount(bob_outcome, minlength=width)
             marginals[label] = counts[s] / trials
         mode, per_setting, pvalue = "empirical", trials, independence_pvalue(counts)

@@ -9,10 +9,12 @@ numpy Generator per trial and the inverse-CDF rule written out there.
 """
 
 import json
+import sys
+import threading
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from collapsim import kochen_specker, policies
@@ -28,7 +30,7 @@ from collapsim.rng import (
     trial_words,
 )
 from collapsim.signaling import channel_capacity
-from oracles import asc_records, fwt_records, signal_outcomes, trial_generator
+from oracles import asc_records, fwt_records, signal_outcomes, trial_counter, trial_generator
 
 MAX64 = 2**64 - 1
 B = TRIAL_BLOCK
@@ -188,6 +190,88 @@ def test_low_half_zero_retries_on_high_half():
     streams.words = np.array([[0x80000001_00000000, 0, 0, 0]], dtype=np.uint64)
     assert streams.integers(18).tolist() == [9]
     assert streams.pos.tolist() == [1] and not streams.has_half[0]
+
+
+# --- (b') interleaved draws: column draws, subset draws and Lemire retries ------
+
+ROWS = 5
+# Lemire rejects about half the 32-bit draws at n = 2**31 + 1
+_BOUNDS = st.sampled_from([1, 2, 7, 18, 2**31 + 1, 2**32 - 1])
+_DRAWS = st.lists(
+    st.tuples(
+        st.sampled_from(["random", "integers"]),
+        _BOUNDS,
+        # None draws every row; a list, a subset in any order (perhaps none)
+        st.one_of(st.none(), st.lists(st.integers(0, ROWS - 1), unique=True)),
+    ),
+    min_size=1,
+    max_size=14,
+)
+
+
+def _stream_generator(seed, t, prefix):
+    """numpy's Generator on trial t's stream through block 1: block 0 is its
+    buffer, block 1 the block its Philox makes next."""
+    rng = trial_generator(seed, t, prefix, block=1)
+    state = rng.bit_generator.state
+    state["buffer"] = trial_generator(seed, t, prefix).bit_generator.random_raw(4)
+    state["buffer_pos"] = 0
+    rng.bit_generator.state = state
+    return rng
+
+
+@settings(max_examples=150, deadline=None)
+@given(draws=_DRAWS, seed=st.sampled_from([0, 9, MAX64]), first=st.sampled_from([0, 4091, 2**40]))
+@example(draws=[("random", 1, None)] * 6, seed=0, first=0)  # every row into block 1
+@example(draws=[("integers", 2**31 + 1, None)] * 4 + [("random", 1, [3, 1])], seed=9, first=0)
+@example(draws=[("integers", 7, []), ("random", 1, None), ("integers", 18, [2])], seed=0, first=0)
+def test_interleaved_draws_match_a_generator_per_trial(draws, seed, first):
+    t = np.arange(first, first + ROWS, dtype=np.uint64)
+    streams = TrialStreams(seed, (2,), t)
+    rngs = [_stream_generator(seed, trial, (2,)) for trial in t.tolist()]
+    got, expected = [], []
+    for kind, n, rows in draws:
+        drawn = streams.random(rows) if kind == "random" else streams.integers(n, rows)
+        got.append(drawn.tolist())
+        expected.append([
+            rngs[row].random() if kind == "random" else int(rngs[row].integers(n))
+            for row in (range(ROWS) if rows is None else rows)
+        ])
+    for trial, rng in zip(t.tolist(), rngs):  # the oracle holds through block 1 only
+        words = rng.bit_generator.state["state"]["counter"]
+        block_1 = trial_counter(trial, (2,), 1)
+        assume(sum(int(w) << 64 * i for i, w in enumerate(words)) in (block_1 - 1, block_1))
+    assert got == expected
+
+
+def test_trial_words_from_threads_at_once_equal_serial_words():
+    # each thread sets the key and counter of its own Philox: threads that
+    # shared one would read each other's counters
+    calls = [(seed, prefix, np.arange(first, first + size, dtype=np.uint64), block)
+             for seed in (0, 7, MAX64) for prefix in ((), (3,), (1, MAX64))
+             for first, size in ((0, 1), (2**33, 64), (MAX64 - 4, 5)) for block in (0, 1)]
+    serial = [trial_words(*call) for call in calls]
+    workers = 4  # more than the cores of a small machine
+    start = threading.Barrier(workers)
+    results = [None] * workers
+
+    def work(i):
+        start.wait()
+        results[i] = [trial_words(*call) for call in calls * 10]
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(i,)) for i in range(workers)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    for words in results:
+        assert all(np.array_equal(w, s) for w, s in zip(words, serial * 10))
 
 
 # --- (c) the inverse-CDF rule: one table's binary search against the column count -----

@@ -24,6 +24,7 @@ from collapsim.kochen_specker import (
     parity_certificate,
     twin_state,
     validate_table,
+    _block_tables,
     _bob_detections,
     _paired_tables,
 )
@@ -355,6 +356,20 @@ def test_paired_tables_check_each_measurement_once(monkeypatch):
     for context_index in range(1, 10):
         _paired_tables(context_index)
     assert checked == 27
+
+
+def test_block_tables_read_only_one_per_context():
+    for context_index in list(range(1, 10)) * 2:
+        fwt_trials(context_index, None, Born(), 0, 1)
+        for table in _block_tables(context_index):
+            assert not table.flags.writeable
+            with pytest.raises(ValueError):
+                table[0] = 0
+    for bad in (0, 10):
+        with pytest.raises(InvalidTable):
+            fwt_trial(bad, builtin_ks_table().distinct_rays[0], Born(), trial_rng(0))
+    info = _block_tables.cache_info()
+    assert info.maxsize == 9 and info.currsize <= 9
 
 
 class TestFwtTrial:
