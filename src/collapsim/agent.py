@@ -30,7 +30,7 @@ from .quantum import (
     StateVector,
     make_state,
 )
-from .rng import TrialRng, TrialStreams, cumulative, run_streams, sample_index, sample_indices
+from .rng import TrialStreams, cumulative, run_streams, sample_index, sample_indices
 
 
 @dataclass(frozen=True)
@@ -171,7 +171,7 @@ def selection(
     state: StateVector,
     alternatives: AlternativeSet,
     norm: NormFunction,
-    rng: TrialRng,
+    rng: TrialStreams,
 ) -> tuple[int, bool]:
     """Pick the norm-optimal admissible alternative.
 
@@ -189,7 +189,7 @@ def selection(
 def act(
     alternatives: AlternativeSet,
     norm: NormFunction,
-    rng: TrialRng,
+    rng: TrialStreams,
     mixing: float = 1.0,
 ) -> AgentTrace:
     """Run the full attention -> selection -> collapse pipeline.
@@ -200,7 +200,7 @@ def act(
     knob is an extension beyond the basic model. This is act_trials' block
     code at one row, on rng's stream as it stands.
     """
-    row = _act_block(alternatives, norm, mixing)(rng.streams, np.zeros(1, dtype=np.uint64))
+    row = _act_block(alternatives, norm, mixing)(rng, np.zeros(1, dtype=np.uint64))
     chosen, tie_broken = int(row.chosen[0]), bool(row.tie_broken[0])
     return AgentTrace(
         kind="collapse",

@@ -9,13 +9,15 @@ typo cannot silently corrupt a comparison.
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import json
 import math
+import os
 import sys
 import time
 from dataclasses import dataclass, field
-from typing import Any, Callable, Collection, TextIO
+from typing import Any, Callable, Collection
 
 import numpy as np
 
@@ -453,7 +455,7 @@ def _read_argv(argv: list[str]) -> dict[str, Any]:
     args = iter(argv)
     for arg in args:
         if arg in ("-h", "--help"):
-            sys.stdout.write(_usage(experiment))
+            _emit(_usage(experiment), None)
             raise SystemExit(0)
         if not arg.startswith("--"):
             if experiment is None:
@@ -517,10 +519,26 @@ def _read_config(path: str) -> dict[str, Any]:
     return loaded
 
 
-def _write(out: TextIO, text: str) -> None:
-    """Write text in WRITE_CHUNK slices: the stream encodes one slice at a time."""
-    for start in range(0, len(text), WRITE_CHUNK):
-        out.write(text[start:start + WRITE_CHUNK])
+def _emit(text: str, out_path: str | None) -> None:
+    """Write text to out_path, or to stdout when it is None, in WRITE_CHUNK
+    slices (the stream encodes one slice at a time), and flush it. A failed
+    write is a ConfigError; after one, stdout's fd points at os.devnull, so
+    the interpreter's flush at exit has nowhere left to fail."""
+    try:
+        with open(out_path, "w") if out_path else contextlib.nullcontext(sys.stdout) as out:
+            for start in range(0, len(text), WRITE_CHUNK):
+                out.write(text[start:start + WRITE_CHUNK])
+            out.flush()
+    except OSError as exc:
+        if not out_path:
+            null = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(null, sys.stdout.fileno())
+            os.close(null)
+        raise ConfigError(f"out: cannot write {out_path or 'stdout'}: {exc.strerror}") from exc
+
+
+#: a message's line breaks, escaped so that it prints as one line
+_ONE_LINE = str.maketrans({"\n": "\\n", "\r": "\\r"})
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -537,20 +555,12 @@ def main(argv: list[str] | None = None) -> int:
             text = report.plain_output
         else:
             text = render_report(report, config.output_format)
-        if out_path:
-            try:
-                with open(out_path, "w") as out:
-                    _write(out, text)
-            except OSError as exc:
-                raise ConfigError(f"out: cannot write {out_path}: {exc.strerror}") from exc
-        else:
-            _write(sys.stdout, text)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
+        _emit(text, out_path)
     except CollapsimError as exc:
-        print(f"{type(exc).__module__}.{type(exc).__name__}: {exc}", file=sys.stderr)
-        return 1
+        bad_config = isinstance(exc, ConfigError)
+        kind = "config error" if bad_config else f"{type(exc).__module__}.{type(exc).__name__}"
+        print(f"{kind}: {exc}".translate(_ONE_LINE), file=sys.stderr)
+        return 2 if bad_config else 1
     return 0
 
 

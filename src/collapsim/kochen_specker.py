@@ -30,7 +30,7 @@ from .quantum import (
     StateVector,
     paired_born,
 )
-from .rng import TrialRng, TrialStreams, cumulative, run_streams
+from .rng import TrialStreams, cumulative, run_streams
 
 RAY_DIM = 4
 #: the coloring search memoizes at most 2^contexts uncovered-context sets
@@ -297,7 +297,7 @@ def fwt_trial(
     alice_context: int,
     bob_ray: Ray,
     alice_policy: CollapsePolicy,
-    rng: TrialRng,
+    rng: TrialStreams,
     trial: int = 0,
 ) -> FwtTrial:
     """Trial `trial` of a run of the paired protocol on the built-in table.
@@ -311,7 +311,7 @@ def fwt_trial(
     """
     row = _fwt_block(
         alice_context, bob_ray, lambda born: trial_plan(alice_policy, born, trial)
-    )(rng.streams, np.array([trial]))
+    )(rng, np.array([trial]))
     in_context = bool(row.in_context[0])
     return FwtTrial(
         alice_context=alice_context,

@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import BadParameter, ForbiddenOutcome, LengthMismatch
 from .quantum import ProbabilityDistribution
-from .rng import TrialRng, TrialStreams, cumulative, sample_index, sample_indices
+from .rng import TrialStreams, cumulative, sample_index, sample_indices
 
 
 class CollapsePolicy:
@@ -130,7 +130,7 @@ def _point_mass(n: int, index: int) -> ProbabilityDistribution:
 def sample_from_born(
     policy: CollapsePolicy,
     born: ProbabilityDistribution,
-    rng: TrialRng,
+    rng: TrialStreams,
     trial: int = 0,
 ) -> OutcomeSample:
     """Draw trial `trial`'s outcome under a policy, recording both probabilities.

@@ -5,12 +5,13 @@ stream prefix, trial index), and serial and parallel runs agree. Block b of
 trial t's stream under the prefix (p0, p1) (padded with 0) is the
 Philox4x64-10 block at key = seed, counter = [t, p0, p1, b]. numpy's Philox
 steps word 0 first, so block b of consecutive trials is one `random_raw`
-call (`trial_words`); any counter layout is a valid split of a
-counter-based generator into streams (Salmon et al., SC'11). The seed, the
-prefix and every trial index lie in [0, 2^64), so word 0 never carries into
-the prefix. Each thread reuses one numpy Philox, its key and counter set
+call (`_blocks`); any counter layout is a valid split of a counter-based
+generator into streams (Salmon et al., SC'11). The seed, the prefix and
+every trial index lie in [0, 2^64), so word 0 never carries into the
+prefix. Each thread reuses one numpy Philox, its key and counter set
 through `.state`. `TrialStreams` reads the words the way numpy's Generator
-reads its own; `trial_rng` is one trial's stream.
+reads its own. Only `run_streams` (each block of a run's trials) and
+`trial_rng` (one trial) open one, and `_counter` checks its key there once.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ import threading
 import numpy as np
 
 from .errors import BadParameter
+from .quantum import ZERO_PROB
 
 #: trials sampled together by the batched harnesses
 TRIAL_BLOCK = 4096
@@ -61,24 +63,6 @@ def _blocks(seed: int, counter: int, n: int) -> np.ndarray:
     return _local.philox.random_raw(4 * n).reshape(n, 4)
 
 
-def trial_words(seed: int, prefix: tuple[int, ...], t, block: int = 0) -> np.ndarray:
-    """Philox block `block` of the streams of the consecutive trials t.
-
-    Row i of the (len(t), 4) result is the block at key = seed,
-    counter = [t[i], *prefix (padded with 0 to two words), block].
-    """
-    t = np.asarray(t)
-    if t.ndim != 1 or not t.size or not (np.diff(t) == 1).all():
-        raise BadParameter("trials must be one or more consecutive ascending indices")
-    counter = _counter(seed, prefix, *t[[0, -1]]) + (_word(block, "a block index") << 192)
-    return _blocks(seed, counter, t.size)
-
-
-def uniforms(words: np.ndarray) -> np.ndarray:
-    """Generator.random()'s conversion: the top 53 bits of each word, scaled to [0, 1)."""
-    return (words >> np.uint64(11)) * (1.0 / 9007199254740992.0)
-
-
 def trial_blocks(trials: int):
     """Trial indices 0..trials-1 as consecutive uint64 arrays of TRIAL_BLOCK."""
     for start in range(0, trials, TRIAL_BLOCK):
@@ -90,26 +74,28 @@ def run_streams(seed: int, prefix: tuple[int, ...], trials: int):
     and the run's trial range checked once."""
     counter = _counter(seed, prefix, 0, max(trials, 1) - 1)
     for t in trial_blocks(trials):
-        yield t, TrialStreams(seed, prefix, t, _blocks(seed, counter + int(t[0]), t.size))
+        yield t, TrialStreams(seed, counter + int(t[0]), t.size)
 
 
 class TrialStreams:
     """The streams of consecutive trials, read the way numpy's Generator reads one.
 
-    Row i is trial t[i]'s stream. Each draw method takes the rows that draw
-    (all rows by default) and advances only their cursors. A 64-bit draw
-    takes the row's next word; a 32-bit draw takes the buffered upper half
-    of an earlier word if there is one, else the lower half of the next
-    word, buffering its upper half. When a row runs past the words computed
-    so far, the next Philox block is computed for every row. While the rows
-    draw alike, one cursor serves them all and a draw reads one column of
-    words; the first draw by a subset gives each row cursors of its own.
+    Row i is the stream at block-0 counter `counter` + i. Each draw method
+    takes the rows that draw (all rows by default) and advances only their
+    cursors. A 64-bit draw takes the row's next word; a 32-bit draw takes
+    the buffered upper half of an earlier word if there is one, else the
+    lower half of the next word, buffering its upper half. When a row runs
+    past the words computed so far, the next Philox block is computed for
+    every row. While the rows draw alike, one cursor serves them all and a
+    draw reads one column of words; the first draw by a subset gives each
+    row cursors of its own.
     """
 
-    def __init__(self, seed: int, prefix: tuple[int, ...], t, words=None) -> None:
-        """`words`, block 0 of trials t from _blocks, skips trial_words' checks."""
-        self.seed, self.prefix, self.t = seed, tuple(prefix), t
-        self.words = trial_words(seed, self.prefix, t) if words is None else words
+    def __init__(self, seed: int, counter: int, rows: int) -> None:
+        """Block 0 of `rows` streams from a counter _counter has checked; a
+        later block b is read at counter + (b << 192), unchecked."""
+        self.seed, self.counter = seed, counter
+        self.words = _blocks(seed, counter, rows)
         # the next word, and the word whose upper half is buffered (-1: none):
         # ints while the rows draw alike, one entry per row after
         self._at, self._half_at = 0, -1
@@ -131,7 +117,7 @@ class TrialStreams:
         at = self._at if rows is None else self._at[rows]
         width = self.words.shape[1]
         if (at if rows is None else at.max(initial=0)) >= width:
-            extra = trial_words(self.seed, self.prefix, self.t, width // 4)
+            extra = _blocks(self.seed, self.counter + (width // 4 << 192), len(self.words))
             self.words = np.concatenate([self.words, extra], axis=1)
         if rows is None:
             self._at = at + 1
@@ -140,8 +126,8 @@ class TrialStreams:
         return self.words[rows, at]
 
     def random(self, rows=None) -> np.ndarray:
-        """Generator.random(): the next word of each row as a uniform."""
-        return uniforms(self._next64(rows))
+        """Generator.random(): the top 53 bits of each row's next word, scaled to [0, 1)."""
+        return (self._next64(rows) >> np.uint64(11)) * (1.0 / 9007199254740992.0)
 
     def _next32(self, rows) -> np.ndarray:
         rows = self._rows(rows)
@@ -181,42 +167,32 @@ class TrialStreams:
         return out.astype(np.int64)
 
 
-class TrialRng:
-    """One trial's stream, one draw at a time: a single-row TrialStreams,
-    `streams`, which the one-trial faces of the batched engine read directly."""
-
-    def __init__(self, streams: TrialStreams) -> None:
-        self.streams = streams
-
-    def random(self) -> float:
-        """The next uniform in [0, 1), as Generator.random() converts a word."""
-        return float(self.streams.random()[0])
-
-    def integers(self, n: int) -> int:
-        """The next integer in [0, n), as Generator.integers(n) draws it."""
-        return int(self.streams.integers(n)[0])
-
-
-def trial_rng(seed: int, *key: int) -> TrialRng:
+def trial_rng(seed: int, *key: int) -> TrialStreams:
     """Trial t's stream under a prefix of at most two components: key = (*prefix, t).
 
     trial_rng(seed) is trial 0's. Keys of equal length never share a stream; a
     shorter prefix is padded with 0 (trial_rng(seed, 0, t) is trial_rng(seed, t)).
     """
     *prefix, t = key or (0,)
-    words = _blocks(seed, _counter(seed, prefix, t, t), 1)
-    return TrialRng(TrialStreams(seed, prefix, [t], words))
+    return TrialStreams(seed, _counter(seed, prefix, t, t), 1)
 
 
-def sample_index(rng: TrialRng, probs: np.ndarray) -> int:
+def sample_index(rng: TrialStreams | np.random.Generator, probs: np.ndarray) -> int:
     """Draw an index from a (possibly sub-normalized) probability vector:
-    sample_indices on its one cumulative table, with rng's next uniform."""
-    return int(sample_indices(np.array([rng.random()]), cumulative(probs))[0])
+    sample_indices on its one cumulative table, with rng's next uniform (a
+    one-row TrialStreams draws a one-element array, a numpy Generator a float)."""
+    return int(sample_indices(np.ravel(rng.random()), cumulative(probs))[0])
 
 
 def cumulative(probs) -> np.ndarray:
-    """The cumulative table sample_indices searches, row by row for a stack."""
-    return np.cumsum(np.asarray(probs, dtype=float), axis=-1)
+    """The cumulative table sample_indices searches, row by row for a stack.
+
+    A mass at or below ZERO_PROB, or NaN, counts as 0, so the outcomes a
+    search can draw are exactly those of ProbabilityDistribution.support().
+    """
+    probs = np.array(probs, dtype=float)  # a copy, zeroed below where such a mass sits
+    probs[~(probs > ZERO_PROB)] = 0.0
+    return probs.cumsum(axis=-1)
 
 
 def sample_indices(u: np.ndarray, cums: np.ndarray, group=None) -> np.ndarray:

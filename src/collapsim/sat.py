@@ -6,9 +6,11 @@ Born probability is the satisfying fraction), and the input register then
 collapses to a uniformly random witness. Only the satisfying inputs carry
 Born weight after that collapse, so `decide_sat` samples the witness over
 them alone, with the weights the collapsed state gives them; `build_sat_state`
-builds the whole 2^(n+1) state. Evaluating f on all 2^n inputs is the cost
-either way, so this demonstrates the decision logic, not a speed-up; query
-counts are reported honestly.
+builds the whole 2^(n+1) state. A satisfiable run opens one stream,
+`rng.trial_rng(seed, trial)`, whose first two draws are the flag's and the
+witness's; an unsatisfiable one opens none. Evaluating f on all 2^n inputs
+is the cost either way, so this demonstrates the decision logic, not a
+speed-up; query counts are reported honestly.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ import numpy as np
 
 from .errors import BadParameter, TooLarge
 from .quantum import ZERO_PROB, StateVector
-from .rng import cumulative, sample_indices, trial_words, uniforms
+from .rng import cumulative, sample_indices, trial_rng
 
 #: dense state dimension is 2**(n+1); n above this is refused
 MAX_BITS = 12
@@ -97,10 +99,10 @@ def decide_sat(oracle: OracleFunction, seed: int = 0, trial: int = 0) -> SatResu
 
     Unsatisfiable functions leave the flag with zero Born weight on |1>, so
     the forcing attempt is forbidden and the answer is negative, drawn from
-    no stream. Otherwise trial `trial`'s stream gives two uniforms: the
-    forced flag draw, spent on a point mass, and the Born draw of the input
-    register after the flag collapsed, the witness. It is verified against
-    the oracle before being returned.
+    no stream. Otherwise two random() draws on trial_rng(seed, trial) give
+    the forced flag draw, spent on a point mass, and the Born draw of the
+    input register after the flag collapsed, the witness. It is verified
+    against the oracle before being returned.
     """
     size = oracle.domain_size
     satisfying = np.flatnonzero(oracle._bits)
@@ -111,7 +113,9 @@ def decide_sat(oracle: OracleFunction, seed: int = 0, trial: int = 0) -> SatResu
             queries_quantum=size,
             queries_classical_oracle=0,
         )
-    _flag_u, witness_u = uniforms(trial_words(seed, (), [trial])[0, :2])
+    rng = trial_rng(seed, trial)
+    rng.random()  # the forced flag draw, spent on a point mass
+    witness_u = rng.random()
     # The collapsed amplitudes as collapse_register divides them: its weight
     # is one vdot over the interleaved |j>|1> vector, and that sum's rounding
     # depends on where the satisfying inputs sit in it.
@@ -120,7 +124,7 @@ def decide_sat(oracle: OracleFunction, seed: int = 0, trial: int = 0) -> SatResu
     collapsed = flagged[2 * satisfying + 1] / np.sqrt(np.vdot(flagged, flagged).real)
     # Every other input has Born weight 0, which adds nothing to a cumulative
     # table, so the search over these entries picks what the 2^n-entry one would.
-    pick = sample_indices(np.array([witness_u]), cumulative(np.abs(collapsed) ** 2))[0]
+    pick = sample_indices(witness_u, cumulative(np.abs(collapsed) ** 2))[0]
     witness = int(satisfying[pick])
     if oracle.evaluate(witness) != 1:  # one verification query
         raise AssertionError(f"collapsed witness {witness} fails the oracle")

@@ -104,9 +104,9 @@ def test_criterion_03_twin_exactness():
         agreements = 0
         for t in range(2_000):
             rng = trial_rng(1000, t)
-            context_index = int(rng.integers(9)) + 1
+            context_index = int(rng.integers(9)[0]) + 1
             context = table.contexts[context_index - 1]
-            bob_ray = context.rays[int(rng.integers(4))]
+            bob_ray = context.rays[rng.integers(4)[0]]
             trial = fwt_trial(context_index, bob_ray, make_policy(), rng)
             assert trial.in_context
             agreements += trial.agree is True

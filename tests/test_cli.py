@@ -1156,6 +1156,56 @@ class TestArgvDifferences:
         assert json.loads(out.read_text().splitlines()[0])["h_diag"] == "-1,1"
 
 
+class TestErrorsStayOnOneLine:
+    """A line break in an argument, a path or a config key is escaped where
+    main prints, and a failed write to stdout is a config error: every
+    failure is one stderr line."""
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["fwt", "--bogus\nx"], "--bogus\\nx: unknown flag for experiment 'fwt'"),
+            (["fwt", "--bogus\rx"], "--bogus\\rx: unknown flag for experiment 'fwt'"),
+            (["sat", "--cnf", "missing\n"], "cnf: file not found: missing\\n"),
+        ],
+        ids=["flag-newline", "flag-return", "path-newline"],
+    )
+    def test_argv_line_break_is_escaped(self, argv, message, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        assert main(argv) == 2
+        assert capsys.readouterr().err == f"config error: {message}\n"
+
+    def test_config_key_line_break_is_escaped(self, tmp_path, capsys):
+        config_file = tmp_path / "config.json"
+        config_file.write_text(json.dumps({"experiment": "ks", "a\nb": 1}))
+        assert main(["--config", str(config_file)]) == 2
+        assert capsys.readouterr().err == "config error: a\\nb: unknown key for experiment 'ks'\n"
+
+    @staticmethod
+    def _entry_point(*args):
+        env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+        return [sys.executable, "-m", "collapsim.cli", *args], env
+
+    def test_closed_stdout_pipe_is_one_config_error_line(self):
+        # a reader that stops after one line: far more than a pipe buffer is left
+        argv, env = self._entry_point("fwt", "--trials", "20000", "--per-trial")
+        proc = subprocess.Popen(argv, env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+        assert proc.stdout.readline().startswith(b'{"experiment": "fwt"')
+        proc.stdout.close()
+        err = proc.stderr.read().decode()
+        assert proc.wait(timeout=120) == 2
+        assert err == "config error: out: cannot write stdout: Broken pipe\n"
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+    def test_full_stdout_is_one_config_error_line(self):
+        argv, env = self._entry_point("fwt", "--trials", "10")
+        with open("/dev/full", "w") as full:
+            result = subprocess.run(argv, env=env, stdout=full, stderr=subprocess.PIPE,
+                                    text=True, timeout=120)
+        assert result.returncode == 2
+        assert result.stderr == "config error: out: cannot write stdout: No space left on device\n"
+
+
 def test_cli_imports_no_argparse():
     env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
     check = 'import sys, collapsim.cli; assert "argparse" not in sys.modules'
@@ -1266,6 +1316,7 @@ def fuzz_files(tmp_path_factory):
 
 @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(raw=flat_configs())
+@example(raw={"experiment": "sat", "cnf": "x\n"})  # a file name with a line break
 def test_fuzzed_config_exits_0_1_or_2(raw, fuzz_files):
     for key in ("cnf", "truth_table", "input"):
         if isinstance(raw.get(key), str):

@@ -25,9 +25,9 @@ from collapsim.rng import (
     TRIAL_BLOCK,
     TrialStreams,
     cumulative,
+    run_streams,
     sample_indices,
     trial_rng,
-    trial_words,
 )
 from collapsim.signaling import channel_capacity
 from oracles import asc_records, fwt_records, signal_outcomes, trial_counter, trial_generator
@@ -39,16 +39,24 @@ B = TRIAL_BLOCK
 # --- (a) the streams against numpy's Philox ------------------------------------
 
 
+def _two_blocks(seed, prefix, first, rows):
+    """Blocks 0 and 1 of the streams of trials first..first+rows-1, as one
+    (rows, 8) array: the fifth column draw computes block 1."""
+    streams = TrialStreams(seed, trial_counter(first, prefix), rows)
+    for _ in range(5):
+        streams.random()
+    return streams.words
+
+
 @pytest.mark.parametrize("seed", [0, 13, MAX64])
 @pytest.mark.parametrize("prefix", [(), (5,), (MAX64,), (3, MAX64)])
-def test_trial_words_match_numpy_philox(seed, prefix):
+def test_stream_words_match_numpy_philox(seed, prefix):
     for first in (0, 2**32 - 2, MAX64 - 3):  # runs from 0, across 2**32, up to the last
-        t = np.arange(first, first + 4, dtype=np.uint64)
-        for block in (0, 1):
-            words = trial_words(seed, prefix, t, block)
-            for row, trial in enumerate(t.tolist()):
+        words = _two_blocks(seed, prefix, first, 4)
+        for row, trial in enumerate(range(first, first + 4)):
+            for block in (0, 1):
                 raw = trial_generator(seed, trial, prefix, block).bit_generator.random_raw(4)
-                assert words[row].tolist() == raw.tolist()
+                assert words[row, 4 * block:4 * block + 4].tolist() == raw.tolist()
 
 
 def test_numpy_counter_words_are_the_stream_layout():
@@ -57,13 +65,14 @@ def test_numpy_counter_words_are_the_stream_layout():
     for seed, t, prefix, block in [(7, 9, (4, 2), 0), (7, 9, (4,), 3), (0, 1, (), 1)]:
         counter = np.array([t - 1, *prefix, 0, 0][:3] + [block], dtype=np.uint64)
         raw = np.random.Philox(key=seed, counter=counter).random_raw(4)
-        assert trial_words(seed, prefix, [t], block).tolist() == [raw.tolist()]
+        streams = TrialStreams(seed, trial_counter(t, prefix, block), 1)
+        assert streams.words.tolist() == [raw.tolist()]
 
 
 def test_draws_match_a_generator_per_trial():
     # each trial's draws inside its block 0, against numpy's Generator there
     t = np.arange(500, dtype=np.uint64)
-    streams = TrialStreams(21, (3,), t)
+    streams = TrialStreams(21, trial_counter(0, (3,)), t.size)
     # 64-bit words 0 (both halves), 1, 2 and the low half of 3: block 0 only
     draws = [streams.integers(18), streams.random(), streams.integers(5),
              streams.integers(1), streams.random(), streams.integers(1000)]
@@ -73,8 +82,8 @@ def test_draws_match_a_generator_per_trial():
                     rng.integers(1), rng.random(), rng.integers(1000)]
         assert [d[trial] for d in draws] == expected
         scalar = trial_rng(21, 3, trial)
-        assert [scalar.integers(18), scalar.random(), scalar.integers(5),
-                scalar.integers(1), scalar.random(), scalar.integers(1000)] == expected
+        assert [d[0] for d in (scalar.integers(18), scalar.random(), scalar.integers(5),
+                               scalar.integers(1), scalar.random(), scalar.integers(1000))] == expected
 
 
 def test_trial_crossing_into_block_1():
@@ -83,18 +92,18 @@ def test_trial_crossing_into_block_1():
     block0, block1 = trial_generator(4, 70, (2,)), trial_generator(4, 70, (2,), block=1)
     expected = [block0.random(), block0.random(), block0.random(), block0.integers(7),
                 block1.random(), block0.integers(7), block1.random()]
-    streams = TrialStreams(4, (2,), [69, 70, 71])
+    streams = TrialStreams(4, trial_counter(69, (2,)), 3)
     got = []
     for draw in ["random"] * 3 + ["integers", "random", "integers", "random"]:
         got.append(streams.random([1]) if draw == "random" else streams.integers(7, [1]))
     assert [x[0] for x in got] == expected
     scalar = trial_rng(4, 2, 70)
-    assert [scalar.random(), scalar.random(), scalar.random(), scalar.integers(7),
-            scalar.random(), scalar.integers(7), scalar.random()] == expected
+    assert [d[0] for d in (scalar.random(), scalar.random(), scalar.random(), scalar.integers(7),
+                           scalar.random(), scalar.integers(7), scalar.random())] == expected
 
 
 def test_rows_crossing_a_block_in_different_calls():
-    streams = TrialStreams(0, (), [0, 1, 2])
+    streams = TrialStreams(0, trial_counter(0), 3)
     first = [streams.random([0]) for _ in range(6)]  # row 0 computes block 1
     second = [streams.random([1]) for _ in range(9)]  # row 1 computes block 2
     third = [streams.random([2]) for _ in range(9)]  # row 2 reuses both
@@ -106,10 +115,10 @@ def test_rows_crossing_a_block_in_different_calls():
 
 def test_trial_rng_reads_one_trial():
     rng = trial_rng(5, 9)
+    assert type(rng) is TrialStreams and rng.words.shape == (1, 4)
     value, index = rng.random(), rng.integers(1000)
-    assert type(value) is float and type(index) is int
     numpy_rng = trial_generator(5, 9)
-    assert [value, index] == [numpy_rng.random(), numpy_rng.integers(1000)]
+    assert [value.tolist(), index.tolist()] == [[numpy_rng.random()], [numpy_rng.integers(1000)]]
     # no key is trial 0; a prefix shorter than two words is padded with 0
     assert trial_rng(5).random() == trial_rng(5, 0).random() == trial_generator(5, 0).random()
     assert trial_rng(5, 0, 9).random() == trial_rng(5, 9).random()
@@ -132,14 +141,13 @@ def test_trial_rng_keeps_keys_above_2_63_apart():
         lambda: trial_rng(0, 2**64, 3),  # a prefix word
         lambda: trial_rng(0, 1, -2, 3),
         lambda: trial_rng(0, 1, 2, 3, 4),  # three prefix words
-        lambda: TrialStreams(2**64, (), [0]),
-        lambda: TrialStreams(0, (), [MAX64, 2**64]),  # the range's end
-        lambda: TrialStreams(0, (), [0, 2, 3]),  # not consecutive
-        lambda: TrialStreams(0, (), [3, 2]),
-        lambda: TrialStreams(0, (), [[0, 1]]),
-        lambda: TrialStreams(0, (), np.array([0, 2**40], dtype=np.uint64)),  # a huge span
-        lambda: trial_words(0, (2**64,), [0]),
-        lambda: trial_words(0, (), [0], block=-1),
+        # a run's keys are checked before its first block is opened
+        lambda: next(run_streams(2**64, (), 1)),
+        lambda: next(run_streams(-1, (), 1)),
+        lambda: next(run_streams(0, (), 2**64 + 1)),  # the range's end
+        lambda: next(run_streams(0, (2**64,), 1)),
+        lambda: next(run_streams(0, (1, -2), 1)),
+        lambda: next(run_streams(0, (1, 2, 3), 1)),  # three prefix words
     ],
 )
 def test_bad_stream_keys_are_refused_not_wrapped(make):
@@ -178,7 +186,7 @@ def _crafted_generator(words):
     ],
 )
 def test_lemire_retry_follows_numpy_buffering(words):
-    streams = TrialStreams(0, (), [0])
+    streams = trial_rng(0)
     streams.words = np.array([words], dtype=np.uint64)
     got = [int(streams.integers(18)[0]), float(streams.random()[0]), int(streams.integers(18)[0])]
     rng = _crafted_generator(words)
@@ -186,7 +194,7 @@ def test_lemire_retry_follows_numpy_buffering(words):
 
 
 def test_low_half_zero_retries_on_high_half():
-    streams = TrialStreams(0, (), [0])
+    streams = trial_rng(0)
     streams.words = np.array([[0x80000001_00000000, 0, 0, 0]], dtype=np.uint64)
     assert streams.integers(18).tolist() == [9]
     assert streams.pos.tolist() == [1] and not streams.has_half[0]
@@ -227,7 +235,7 @@ def _stream_generator(seed, t, prefix):
 @example(draws=[("integers", 7, []), ("random", 1, None), ("integers", 18, [2])], seed=0, first=0)
 def test_interleaved_draws_match_a_generator_per_trial(draws, seed, first):
     t = np.arange(first, first + ROWS, dtype=np.uint64)
-    streams = TrialStreams(seed, (2,), t)
+    streams = TrialStreams(seed, trial_counter(first, (2,)), ROWS)
     rngs = [_stream_generator(seed, trial, (2,)) for trial in t.tolist()]
     got, expected = [], []
     for kind, n, rows in draws:
@@ -244,20 +252,20 @@ def test_interleaved_draws_match_a_generator_per_trial(draws, seed, first):
     assert got == expected
 
 
-def test_trial_words_from_threads_at_once_equal_serial_words():
+def test_stream_words_from_threads_at_once_equal_serial_words():
     # each thread sets the key and counter of its own Philox: threads that
     # shared one would read each other's counters
-    calls = [(seed, prefix, np.arange(first, first + size, dtype=np.uint64), block)
+    calls = [(seed, prefix, first, size)
              for seed in (0, 7, MAX64) for prefix in ((), (3,), (1, MAX64))
-             for first, size in ((0, 1), (2**33, 64), (MAX64 - 4, 5)) for block in (0, 1)]
-    serial = [trial_words(*call) for call in calls]
+             for first, size in ((0, 1), (2**33, 64), (MAX64 - 4, 5))]
+    serial = [_two_blocks(*call) for call in calls]
     workers = 4  # more than the cores of a small machine
     start = threading.Barrier(workers)
     results = [None] * workers
 
     def work(i):
         start.wait()
-        results[i] = [trial_words(*call) for call in calls * 10]
+        results[i] = [_two_blocks(*call) for call in calls * 10]
 
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
@@ -484,7 +492,7 @@ def test_scripted_trials_independent_of_run_order():
 
     def record(t):
         rng = trial_rng(0, t)
-        ray = rays[int(rng.integers(len(rays)))]
+        ray = rays[rng.integers(len(rays))[0]]
         trial = kochen_specker.fwt_trial(1, ray, policy, rng, trial=t)
         return trial.alice_outcome, rays.index(trial.bob_ray), trial.bob_value
 

@@ -26,7 +26,7 @@ from collapsim.quantum import (
     born_distribution,
     make_state,
 )
-from collapsim.rng import TRIAL_BLOCK, trial_rng
+from collapsim.rng import TRIAL_BLOCK, cumulative, trial_rng
 from helpers import keyed_generator, random_measurement, random_state, sample_counts
 from oracles import policy_outcome
 
@@ -208,6 +208,24 @@ def test_weak_compatibility_containment_property():
         for policy in policies:
             dist = policy_distribution(policy, born)
             assert dist.support() <= admissible, (policy, born.probs)
+
+
+@pytest.mark.parametrize(
+    "policy, born",
+    [
+        # a weight at or below ZERO_PROB on a zero-Born outcome passes the
+        # Biased gate, which looks only at the weights' support
+        (Biased(ProbabilityDistribution(np.array([1e-13, 1 - 1e-13]))), [0.0, 1.0]),
+        # a Born mass in (0, ZERO_PROB] that Forced would refuse
+        (Born(), [1e-13, 1 - 1e-13]),
+    ],
+    ids=["biased-weight", "born-mass"],
+)
+def test_mass_at_or_below_zero_prob_is_never_drawn(policy, born):
+    # u = 0.0 lands on the first entry whose cumulative mass exceeds 0
+    plan = compile_policy(policy, ProbabilityDistribution(np.array(born)), 1)
+    assert plan.sample(np.array([0.0]), np.array([0])).tolist() == [1]
+    assert cumulative([1e-13, np.nan, 0.5, 1e-12]).tolist() == [0.0, 0.0, 0.5, 0.5]
 
 
 def test_born_long_run_chi_square_conformance():

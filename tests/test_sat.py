@@ -418,7 +418,7 @@ class TestWeakCompatibilityGate:
         def no_stream(*args):
             raise AssertionError("an unsatisfiable oracle read a stream")
 
-        monkeypatch.setattr(sat, "trial_words", no_stream)
+        monkeypatch.setattr(sat, "trial_rng", no_stream)
         for n in (1, 6, 12):
             result = decide_sat(OracleFunction(n, (0,) * 2**n), 5, 3)
             assert result == SatResult(False, None, 2**n, 0)
