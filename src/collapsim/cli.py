@@ -11,13 +11,14 @@ from __future__ import annotations
 
 import contextlib
 import functools
+import itertools
 import json
 import math
 import os
 import sys
 import time
 from dataclasses import dataclass, field
-from typing import Any, Callable, Collection
+from typing import Any, Callable, Collection, Iterable, Iterator
 
 import numpy as np
 
@@ -32,11 +33,12 @@ BASES = ("z", "x")
 #: multi-gigabyte interval sequence (float64 intervals, 8 bytes each)
 MAX_TRIALS = 10**8
 MAX_LENGTH = 10**7
-#: a per-trial report is held whole in memory: 10^6 fwt records peak near 450 MB
+#: a per-trial run holds its records' columns in memory, and its report is
+#: written as it is rendered: 10^6 fwt records peak near 170 MB
 MAX_PER_TRIAL = 10**6
-#: per-trial records are rendered this many trials to a string, and output
-#: is written this many characters at a time, so neither step holds one
-#: object per trial or a second encoded copy of the whole report
+#: per-trial records are rendered this many trials to a string, each written
+#: before the next is rendered, and output is written this many characters at
+#: a time, so no step holds one object per trial or a copy of the whole report
 TRIAL_CHUNK = 1 << 16
 WRITE_CHUNK = 1 << 20
 
@@ -355,23 +357,31 @@ def run(config: ExperimentConfig) -> ExperimentReport:
 
 def render_report(report: ExperimentReport, output_format: str) -> str:
     """Serialize a report; only the timing line varies between reruns."""
+    return "".join(_report_chunks(report, output_format))
+
+
+def _report_chunks(report: ExperimentReport, output_format: str) -> Iterable[str]:
+    """The serialized report in consecutive pieces: the config, aggregate and
+    timing lines rendered now, the per-trial records TRIAL_CHUNK trials to a
+    piece, each rendered as it is asked for."""
     if output_format == "csv":
         keys = sorted(report.aggregate)
         row = [_csv_cell(report.aggregate[k]) for k in keys]
-        return ",".join(keys) + "\n" + ",".join(row) + "\n"
+        return [",".join(keys) + "\n" + ",".join(row) + "\n"]
     config = json.dumps({"record": "config", **report.config}, sort_keys=True)
     chunks = [] if report.trials is None else _trial_chunks(report.trials)
     aggregate = json.dumps({"record": "aggregate", **report.aggregate}, sort_keys=True)
     timing = json.dumps(
         {"record": "timing", "duration_seconds": report.duration_seconds}, sort_keys=True
     )
-    return "".join([config + "\n", *chunks, f"{aggregate}\n{timing}\n"])
+    return itertools.chain([config + "\n"], chunks, [f"{aggregate}\n{timing}\n"])
 
 
-def _trial_chunks(table: harnesses.TrialTable) -> list[str]:
+def _trial_chunks(table: harnesses.TrialTable) -> Iterator[str]:
     """Each trial's json.dumps(record, sort_keys=True) and a newline, joined
-    TRIAL_CHUNK trials to a string, from one template per distinct row of
-    codes: the record's dump split at its trial value."""
+    TRIAL_CHUNK trials to a string as it is asked for, from one template per
+    distinct row of codes (the record's dump split at its trial value), made
+    now."""
     row = np.zeros(table.trial.size, dtype=np.int64)
     for codes, values in table.coded.values():
         row = row * len(values) + codes
@@ -388,12 +398,13 @@ def _trial_chunks(table: harnesses.TrialTable) -> list[str]:
         head, _, tail = json.dumps(record, sort_keys=True).partition(f'"trial": {t}')
         heads.append(head + '"trial": ')
         tails.append(tail + "\n")
-    chunks = []
-    for start in range(0, table.trial.size, TRIAL_CHUNK):
+
+    def chunk(start: int) -> str:
         stop = start + TRIAL_CHUNK
         rows, trials = which[start:stop].tolist(), table.trial[start:stop].tolist()
-        chunks.append("".join([f"{heads[i]}{t}{tails[i]}" for i, t in zip(rows, trials)]))
-    return chunks
+        return "".join([f"{heads[i]}{t}{tails[i]}" for i, t in zip(rows, trials)])
+
+    return map(chunk, range(0, table.trial.size, TRIAL_CHUNK))
 
 
 def _csv_cell(value: Any) -> str:
@@ -455,7 +466,7 @@ def _read_argv(argv: list[str]) -> dict[str, Any]:
     args = iter(argv)
     for arg in args:
         if arg in ("-h", "--help"):
-            _emit(_usage(experiment), None)
+            _emit([_usage(experiment)], None)
             raise SystemExit(0)
         if not arg.startswith("--"):
             if experiment is None:
@@ -519,15 +530,16 @@ def _read_config(path: str) -> dict[str, Any]:
     return loaded
 
 
-def _emit(text: str, out_path: str | None) -> None:
-    """Write text to out_path, or to stdout when it is None, in WRITE_CHUNK
-    slices (the stream encodes one slice at a time), and flush it. A failed
-    write is a ConfigError; after one, stdout's fd points at os.devnull, so
-    the interpreter's flush at exit has nowhere left to fail."""
+def _emit(chunks: Iterable[str], out_path: str | None) -> None:
+    """Write each chunk to out_path, or to stdout when it is None, in
+    WRITE_CHUNK slices (the stream encodes one slice at a time), and flush it.
+    A failed write is a ConfigError; after one, stdout's fd points at
+    os.devnull, so the interpreter's flush at exit has nowhere left to fail."""
     try:
         with open(out_path, "w") if out_path else contextlib.nullcontext(sys.stdout) as out:
-            for start in range(0, len(text), WRITE_CHUNK):
-                out.write(text[start:start + WRITE_CHUNK])
+            for text in chunks:
+                for start in range(0, len(text), WRITE_CHUNK):
+                    out.write(text[start:start + WRITE_CHUNK])
             out.flush()
     except OSError as exc:
         if not out_path:
@@ -552,10 +564,10 @@ def main(argv: list[str] | None = None) -> int:
         config = build_config(raw)
         report = run(config)
         if report.plain_output is not None:
-            text = report.plain_output
+            chunks: Iterable[str] = [report.plain_output]
         else:
-            text = render_report(report, config.output_format)
-        _emit(text, out_path)
+            chunks = _report_chunks(report, config.output_format)
+        _emit(chunks, out_path)
     except CollapsimError as exc:
         bad_config = isinstance(exc, ConfigError)
         kind = "config error" if bad_config else f"{type(exc).__module__}.{type(exc).__name__}"

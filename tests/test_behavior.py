@@ -187,11 +187,58 @@ class TestSerialization:
         draws = generate_sequence(kind, 2000, keyed_generator(99)).intervals
         extremes = [np.finfo(float).tiny, 1e16, 1e16 + 2, 9.999999999999998e15, 1e-5,
                     1.0000000000000002e-05, 0.30000000000000004, 0.1]
-        sequence = EventSequence(np.concatenate([draws, extremes]))
-        old = "\n".join(repr(float(x)) for x in sequence.intervals) + "\n"
+        sequence = EventSequence(np.concatenate([draws, extremes, EDGES]))
+        old = repr_lines(sequence.intervals)
         assert format_intervals(sequence) == old
         assert "0.30000000000000004\n" in old  # 17 significant digits
         np.testing.assert_array_equal(read_intervals(old).intervals, sequence.intervals)
+
+    @pytest.mark.parametrize("kind", ["exponential", "pareto"])
+    def test_format_equals_repr_on_a_million_draws(self, kind):
+        sequence = generate_sequence(kind, 10**6, keyed_generator(104), rate=2.0)
+        assert format_intervals(sequence) == repr_lines(sequence.intervals)
+
+    def test_repr_lines_at_block_edges(self):
+        # values the numpy digits do not cover, first, last and on each side
+        # of a block boundary
+        values = generate_sequence("pareto", 2 * FORMAT_CHUNK + 5, keyed_generator(105))
+        values = values.intervals.copy()
+        for at, value in zip([0, FORMAT_CHUNK - 1, FORMAT_CHUNK, -1],
+                             [1e-5, 2.0, 1e16 + 2, 5e-324]):
+            values[at] = value
+        assert format_intervals(EventSequence(values)) == repr_lines(values)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.floats(min_value=5e-324, allow_infinity=False), min_size=1, max_size=50))
+    def test_format_equals_repr_of_any_positive_floats(self, values):
+        assert format_intervals(EventSequence(np.array(values))) == repr_lines(values)
+
+
+def repr_lines(values):
+    """The reference spelling of an interval file: repr and a newline per value."""
+    return "".join([repr(v) + "\n" for v in np.asarray(values, dtype=float).tolist()])
+
+
+def _edge_values():
+    """The classes where shortest digits are hardest to get right."""
+    rng = keyed_generator(106)
+    steps = np.arange(-3, 4)
+    # 3 ulps either side of each power of ten (1e-3 and 1e15 bound the
+    # numpy digits)
+    tens = np.array([float(f"1e{n}") for n in range(-4, 18)])
+    around_tens = (tens.view(np.int64)[:, None] + steps).ravel().view(np.float64)
+    powers_of_two = 2.0 ** np.arange(-1074, 1024)
+    integers = np.unique(np.round(np.geomspace(1, 2**53, 400)))
+    integers = np.concatenate([integers, [2**53 - 1, rng.integers(1, 2**53)]])
+    decimals = [rng.integers(1, 10**9, 100) / 10**d for d in range(1, 8)]
+    # n / 2**16 often lies exactly between two shortest spellings
+    dyadic = rng.integers(1, 2**20, 200) * 2.0**-16
+    subnormals = rng.integers(1, 2**52, 50).view(np.float64)
+    return np.concatenate([around_tens, powers_of_two, integers, integers / 2,
+                           *decimals, dyadic, subnormals, [5e-324]])
+
+
+EDGES = _edge_values()
 
 
 #: every separator kind str.split() knows, ASCII and not
@@ -264,8 +311,7 @@ class TestChunkBoundaries:
     @pytest.mark.parametrize("length", [FORMAT_CHUNK - 1, FORMAT_CHUNK, FORMAT_CHUNK + 1])
     def test_format_across_block_boundary(self, length):
         sequence = generate_sequence("pareto", length, keyed_generator(101))
-        old = "\n".join(repr(float(x)) for x in sequence.intervals) + "\n"
-        assert format_intervals(sequence) == old
+        assert format_intervals(sequence) == repr_lines(sequence.intervals)
 
 
 def _peak_bytes(function, *args):

@@ -669,6 +669,19 @@ class TestMainEntry:
         assert main(argv) == 0
         assert capsys.readouterr().out == expected
 
+    def test_per_trial_report_written_chunk_by_chunk(self, tmp_path):
+        # each TRIAL_CHUNK of records is written as it is rendered; a report
+        # joined before writing holds the chunks and their copy, over twice it
+        out = tmp_path / "report.jsonl"
+        tracemalloc.start()
+        try:
+            assert main(["fwt", "--trials", "300000", "--per-trial", "--out", str(out)]) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        size = out.stat().st_size
+        assert peak <= 1.5 * size, f"peak {peak / size:.2f}x the report's size"
+
     def test_config_file_with_flag_override(self, tmp_path):
         config_file = tmp_path / "config.json"
         config_file.write_text(json.dumps({"experiment": "fwt", "trials": 10, "seed": 1}))
