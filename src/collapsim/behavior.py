@@ -14,9 +14,10 @@ either way.
 
 from __future__ import annotations
 
+import itertools
 import math
-import re
 from dataclasses import dataclass
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -26,14 +27,11 @@ from .errors import BadParameter, DegenerateSequence
 LEVY_THRESHOLD = 2.5
 NOISE_THRESHOLD = 3.5
 
-#: interval files are formatted FORMAT_CHUNK values and parsed about
-#: READ_CHUNK characters at a time, so no step holds one Python object per
-#: interval of the whole file; a block's digits take about twenty numpy
-#: temporaries of FORMAT_CHUNK values and three Python ints per value
-FORMAT_CHUNK = 1 << 14
-READ_CHUNK = 1 << 20
-#: the characters str.split() splits on
-_WHITESPACE = re.compile(r"\s")
+#: interval files are formatted FORMAT_CHUNK values at a time, so no step
+#: holds one Python object per interval of the file; a block's digits take
+#: about twenty numpy temporaries of FORMAT_CHUNK float64, each under glibc's
+#: 128 KiB mmap threshold, and three Python ints per value
+FORMAT_CHUNK = 15000
 
 
 @dataclass(frozen=True, eq=False)
@@ -83,14 +81,16 @@ def generate_sequence(
     elif kind == "pareto":
         if not (alpha > 0 and xmin > 0):
             raise BadParameter("alpha and xmin must be positive")
+        draws = rng.random(length)  # xmin * (1 - u) ** (-1 / alpha), in place
         with np.errstate(over="ignore"):  # overflow is refused below
-            draws = xmin * (1.0 - rng.random(length)) ** (-1.0 / alpha)
+            np.power(np.subtract(1.0, draws, out=draws), -1.0 / alpha, out=draws)
+            draws *= xmin
     else:
         raise BadParameter(f"unknown sequence kind {kind!r}")
     if not np.all(np.isfinite(draws)):
         raise BadParameter(f"{kind} intervals overflow a float at these parameters")
     # an exact 0.0 draw has measure zero but would break positivity
-    return EventSequence(np.maximum(draws, np.finfo(float).tiny))
+    return EventSequence(np.maximum(draws, np.finfo(float).tiny, out=draws))
 
 
 def tail_exponent(sequence: EventSequence, k: int) -> float:
@@ -141,34 +141,34 @@ def classify(
     )
 
 
-def read_intervals(text: str) -> EventSequence:
-    """Parse a plain interval file: Python float literals separated by any
-    whitespace (one per line as written)."""
+def read_intervals(pieces: Iterable[str]) -> EventSequence:
+    """Parse a plain interval file from pieces of its text: Python float literals
+    split by any whitespace. All pieces are read, so a reading error beats a bad token."""
     parts = [np.empty(0)]
-    start = 0
-    while start < len(text):
-        # cut at a whitespace character, so no token spans two slices
-        cut = _WHITESPACE.search(text, start + READ_CHUNK)
-        end = cut.start() if cut else len(text)
+    tail = ""  # the last token so far, unless its piece ended in whitespace
+    pieces = itertools.chain(pieces, [" "])  # a final space ends the last token
+    for piece in pieces:
+        tokens = (tail + piece).split()
+        tail = tokens.pop() if tokens and not piece[-1:].isspace() else ""
         try:
-            parts.append(np.array(text[start:end].split(), dtype=float))
+            parts.append(np.array(tokens, dtype=float))
         except ValueError as exc:
+            for _ in pieces:
+                pass
             raise BadParameter(f"not an interval file: {exc}") from exc
-        start = end
+        del tokens  # before the next piece's are made
     values = np.concatenate(parts)
     if not values.size:
         raise BadParameter("no intervals found")
     return EventSequence(values)
 
 
-def format_intervals(sequence: EventSequence) -> str:
+def format_intervals(sequence: EventSequence) -> Iterator[str]:
     """Serialize one interval per line, each line repr(x) (inverse of
-    read_intervals)."""
+    read_intervals), in pieces of FORMAT_CHUNK lines made as they are asked for."""
     values = sequence.intervals
-    return "".join([
-        _format_block(values[i:i + FORMAT_CHUNK])
-        for i in range(0, values.size, FORMAT_CHUNK)
-    ])
+    return (_format_block(values[i:i + FORMAT_CHUNK])
+            for i in range(0, values.size, FORMAT_CHUNK))
 
 
 # --- repr's shortest round-trip digits, found in numpy ------------------------

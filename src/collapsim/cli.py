@@ -123,8 +123,8 @@ class ExperimentReport:
     trials: harnesses.TrialTable | None
     aggregate: dict[str, Any]
     duration_seconds: float
-    #: set for plain-file outputs (interval sequences, ray-table dumps)
-    plain_output: str | None = None
+    #: set for plain-file outputs (interval sequences, ray-table dumps): their pieces
+    plain_output: Iterable[str] | None = None
 
 
 def validate(raw: dict[str, Any]) -> list[str]:
@@ -520,9 +520,8 @@ def _usage(experiment: str | None) -> str:
 
 def _read_config(path: str) -> dict[str, Any]:
     """The flat mapping of a JSON config file."""
-    text = harnesses.read_text("config", path)
     try:
-        loaded = json.loads(text)
+        loaded = json.loads("".join(harnesses.read_text("config", path)))
     except (ValueError, RecursionError) as exc:  # RecursionError: deep nesting
         raise ConfigError(f"config: not valid JSON: {exc}") from exc
     if not isinstance(loaded, dict):
@@ -563,11 +562,8 @@ def main(argv: list[str] | None = None) -> int:
             raise ConfigError("experiment: no experiment selected")
         config = build_config(raw)
         report = run(config)
-        if report.plain_output is not None:
-            chunks: Iterable[str] = [report.plain_output]
-        else:
-            chunks = _report_chunks(report, config.output_format)
-        _emit(chunks, out_path)
+        plain = report.plain_output
+        _emit(_report_chunks(report, config.output_format) if plain is None else plain, out_path)
     except CollapsimError as exc:
         bad_config = isinstance(exc, ConfigError)
         kind = "config error" if bad_config else f"{type(exc).__module__}.{type(exc).__name__}"

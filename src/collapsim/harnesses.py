@@ -2,9 +2,9 @@
 
 Each runner takes a validated config, whose parameters validation already
 parsed with the parsers below, and returns the per-trial table, the
-aggregate record and, for plain-file outputs, the text to write instead of a
-report. No runner parses parameter text; only the classify input file is
-read by its run.
+aggregate record and, for plain-file outputs, the pieces of text to write
+instead of a report. No runner parses parameter text; only the classify input
+file is read by its run.
 
 The per-trial table (TrialTable), kept only when the config asks for
 per-trial records, holds the engine's blocks as columns: the trial index
@@ -17,8 +17,7 @@ from __future__ import annotations
 import cmath
 from dataclasses import dataclass
 from functools import lru_cache
-from pathlib import Path
-from typing import TYPE_CHECKING, Any, Callable
+from typing import TYPE_CHECKING, Any, Callable, Iterable, Iterator
 
 import numpy as np
 
@@ -49,8 +48,8 @@ class TrialTable:
 
 
 #: (the per-trial table, kept only with per_trial; the aggregate record;
-#: the plain-file text that replaces the report, if any)
-RunnerOutput = tuple[TrialTable | None, dict, str | None]
+#: the pieces of the plain-file text that replaces the report, if any)
+RunnerOutput = tuple[TrialTable | None, dict, Iterable[str] | None]
 
 
 # --- parameter text ----------------------------------------------------------
@@ -62,6 +61,8 @@ RunnerOutput = tuple[TrialTable | None, dict, str | None]
 
 #: energy's dense update holds d projectors of d×d: 4 MB at this cap
 MAX_ENERGY_DIM = 64
+#: input files are decoded this many characters at a time
+READ_CHUNK = 1 << 20
 
 
 def _numbers(convert: Callable[[str], Any], tokens: list[str]) -> list:
@@ -146,23 +147,26 @@ def energy_weights(text: str) -> ProbabilityDistribution | None:
 
 
 def cnf_oracle(path: str) -> sat.OracleFunction:
-    return sat.parse_dimacs(read_text("cnf", path))
+    return sat.parse_dimacs("".join(read_text("cnf", path)))
 
 
 def truth_table_oracle(path: str) -> sat.OracleFunction:
-    return sat.parse_truth_table(read_text("truth_table", path))
+    return sat.parse_truth_table("".join(read_text("truth_table", path)))
 
 
-def read_text(key: str, path: str) -> str:
-    """The UTF-8 text of the file config key `key` names; ConfigError if unreadable."""
+def read_text(key: str, path: str) -> Iterator[str]:
+    """The UTF-8 text of the file config key `key` names, READ_CHUNK characters at a time."""
     try:
-        return Path(path).read_text(encoding="utf-8")
+        with open(path, encoding="utf-8") as file:
+            yield from iter(lambda: file.read(READ_CHUNK), "")
     except FileNotFoundError as exc:
         raise ConfigError(f"{key}: file not found: {path}") from exc
     except OSError as exc:
         raise ConfigError(f"{key}: cannot read {path}: {exc.strerror}") from exc
     except UnicodeDecodeError as exc:
         raise ConfigError(f"{key}: not UTF-8 text: {path}: {exc.reason}") from exc
+    except ValueError as exc:  # a path open refuses, such as one with a NUL
+        raise ConfigError(f"{key}: {exc}") from exc
 
 
 @lru_cache(maxsize=4)
@@ -208,7 +212,7 @@ def _ks_aggregate() -> dict[str, Any]:
 def run_ks(config: ExperimentConfig) -> RunnerOutput:
     if config.params["dump_table"]:
         # ray-table text format for external checkers
-        return None, {}, kochen_specker.format_table(kochen_specker.builtin_ks_table()) + "\n"
+        return None, {}, [kochen_specker.format_table(kochen_specker.builtin_ks_table()) + "\n"]
     aggregate = _ks_aggregate()
     # the cached values are immutable; each job gets its own list of violations
     return None, {**aggregate, "table_violations": list(aggregate["table_violations"])}, None

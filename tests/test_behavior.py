@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 
 import numpy as np
@@ -5,7 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from collapsim import behavior
+from collapsim import harnesses
 from collapsim.behavior import (
     FORMAT_CHUNK,
     EventSequence,
@@ -15,7 +16,7 @@ from collapsim.behavior import (
     read_intervals,
     tail_exponent,
 )
-from collapsim.errors import BadParameter, DegenerateSequence
+from collapsim.errors import BadParameter, ConfigError, DegenerateSequence
 from helpers import keyed_generator
 
 
@@ -162,25 +163,26 @@ class TestSerialization:
 
     def test_rejects_empty(self):
         with pytest.raises(BadParameter):
-            read_intervals("\n\n")
+            read_intervals(["\n\n"])
 
     def test_rejects_non_numeric(self):
         with pytest.raises(BadParameter, match="not an interval file"):
-            read_intervals("1.0\np cnf 2 1\n")
+            read_intervals(["1.0\np cnf 2 1\n"])
 
     def test_rejects_nonpositive(self):
         with pytest.raises(BadParameter):
-            read_intervals("1.0\n-2.0\n")
+            read_intervals(["1.0\n-2.0\n"])
 
     @pytest.mark.parametrize("bad", ["nan", "inf"])
     def test_rejects_non_finite(self, bad):
         # NaN passed the old `values <= 0` check and classified to a NaN
         # exponent; inf classified as levy_like
-        lines = format_intervals(generate_sequence("exponential", 2000, keyed_generator(98)))
+        lines = "".join(format_intervals(generate_sequence("exponential", 2000,
+                                                            keyed_generator(98))))
         lines = lines.splitlines()
         lines[700] = bad
         with pytest.raises(BadParameter, match="^all intervals must be positive and finite$"):
-            read_intervals("\n".join(lines))
+            read_intervals(["\n".join(lines)])
 
     @pytest.mark.parametrize("kind", ["exponential", "pareto"])
     def test_format_equals_per_element_repr(self, kind):
@@ -189,14 +191,14 @@ class TestSerialization:
                     1.0000000000000002e-05, 0.30000000000000004, 0.1]
         sequence = EventSequence(np.concatenate([draws, extremes, EDGES]))
         old = repr_lines(sequence.intervals)
-        assert format_intervals(sequence) == old
+        assert "".join(format_intervals(sequence)) == old
         assert "0.30000000000000004\n" in old  # 17 significant digits
-        np.testing.assert_array_equal(read_intervals(old).intervals, sequence.intervals)
+        np.testing.assert_array_equal(read_intervals([old]).intervals, sequence.intervals)
 
     @pytest.mark.parametrize("kind", ["exponential", "pareto"])
     def test_format_equals_repr_on_a_million_draws(self, kind):
         sequence = generate_sequence(kind, 10**6, keyed_generator(104), rate=2.0)
-        assert format_intervals(sequence) == repr_lines(sequence.intervals)
+        assert "".join(format_intervals(sequence)) == repr_lines(sequence.intervals)
 
     def test_repr_lines_at_block_edges(self):
         # values the numpy digits do not cover, first, last and on each side
@@ -206,12 +208,12 @@ class TestSerialization:
         for at, value in zip([0, FORMAT_CHUNK - 1, FORMAT_CHUNK, -1],
                              [1e-5, 2.0, 1e16 + 2, 5e-324]):
             values[at] = value
-        assert format_intervals(EventSequence(values)) == repr_lines(values)
+        assert "".join(format_intervals(EventSequence(values))) == repr_lines(values)
 
     @settings(max_examples=200, deadline=None)
     @given(st.lists(st.floats(min_value=5e-324, allow_infinity=False), min_size=1, max_size=50))
     def test_format_equals_repr_of_any_positive_floats(self, values):
-        assert format_intervals(EventSequence(np.array(values))) == repr_lines(values)
+        assert "".join(format_intervals(EventSequence(np.array(values)))) == repr_lines(values)
 
 
 def repr_lines(values):
@@ -255,6 +257,12 @@ def _joined(draw, tokens):
     return gaps[0] + "".join(token + gap for token, gap in zip(tokens, gaps[1:]))
 
 
+def _cut(draw, text):
+    """text cut at drawn places into consecutive pieces, empty ones included."""
+    cuts = sorted(draw(st.lists(st.integers(0, len(text)), max_size=len(text) + 1)))
+    return [text[start:end] for start, end in zip([0, *cuts], [*cuts, len(text)])]
+
+
 def _float_error(token):
     try:
         float(token)
@@ -264,77 +272,110 @@ def _float_error(token):
 
 
 class TestChunkBoundaries:
-    """Interval files are parsed in slices cut at whitespace and formatted
-    in blocks; a tiny slice puts a cut next to every token and separator."""
+    """Interval files are parsed in pieces, a token possibly spanning several,
+    and formatted in blocks; cuts anywhere put one next to every token and
+    separator."""
 
     @settings(max_examples=200, deadline=None)
-    @given(data=st.data(), chunk=st.integers(1, 40),
-           tokens=st.lists(TOKENS, min_size=1, max_size=30))
-    def test_read_equals_float_of_each_token(self, data, chunk, tokens):
+    @given(data=st.data(), tokens=st.lists(TOKENS, min_size=1, max_size=30))
+    def test_read_equals_float_of_each_token(self, data, tokens):
         text = _joined(data.draw, tokens)
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(behavior, "READ_CHUNK", chunk)
-            parsed = read_intervals(text).intervals
+        parsed = read_intervals(_cut(data.draw, text)).intervals
         np.testing.assert_array_equal(parsed, np.array(list(map(float, text.split()))))
 
     @settings(max_examples=200, deadline=None)
-    @given(data=st.data(), chunk=st.integers(1, 40),
-           tokens=st.lists(TOKENS, min_size=1, max_size=30),
+    @given(data=st.data(), tokens=st.lists(TOKENS, min_size=1, max_size=30),
            bad=st.sampled_from(["abc", "1.2.3", "0x10", "1__0", "_1", "1e", "'\"", "\x00", "-"]))
-    @example(data=None, chunk=1, tokens=["1.5"], bad="abc")
-    def test_first_bad_token_named(self, data, chunk, tokens, bad):
-        if data is None:
+    @example(data=None, tokens=["1.5"], bad="abc")
+    def test_first_bad_token_named(self, data, tokens, bad):
+        if data is None:  # one character to a piece
             at, text = 0, f"{bad}\n1.5\nxyz\n"
+            pieces = list(text)
         else:
             at = data.draw(st.integers(0, len(tokens)))
             # a later bad token must not be the one named
             text = _joined(data.draw, tokens[:at] + [bad] + tokens[at:] + ["zzz"])
+            pieces = _cut(data.draw, text)
         message = f"not an interval file: {_float_error(bad)}"
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(behavior, "READ_CHUNK", chunk)
-            with pytest.raises(BadParameter) as info:
-                read_intervals(text)
+        with pytest.raises(BadParameter) as info:
+            read_intervals(pieces)
         assert str(info.value) == message
 
-    def test_slices_cut_where_split_splits(self):
-        # a cut at any other character could split a token in two
+    def test_piece_end_tested_as_split_splits(self):
+        # where they differ, a token ended by a piece's last character would be
+        # joined to the next piece's first
         code_points = "".join(map(chr, range(0x110000)))
         splitting = {c for c in code_points if len(f"a{c}b".split()) == 2}
-        assert set(behavior._WHITESPACE.findall(code_points)) == splitting
+        assert {c for c in code_points if c.isspace()} == splitting
 
     @pytest.mark.parametrize("text", ["", " ", "\n\u3000\x1c"])
-    def test_no_token_is_no_intervals(self, text, monkeypatch):
-        monkeypatch.setattr(behavior, "READ_CHUNK", 1)
+    def test_no_token_is_no_intervals(self, text):
         with pytest.raises(BadParameter, match="^no intervals found$"):
-            read_intervals(text)
+            read_intervals(list(text))
 
     @pytest.mark.parametrize("length", [FORMAT_CHUNK - 1, FORMAT_CHUNK, FORMAT_CHUNK + 1])
     def test_format_across_block_boundary(self, length):
         sequence = generate_sequence("pareto", length, keyed_generator(101))
-        assert format_intervals(sequence) == repr_lines(sequence.intervals)
+        assert "".join(format_intervals(sequence)) == repr_lines(sequence.intervals)
 
 
-def _peak_bytes(function, *args):
-    """The peak traced allocation while function(*args) runs, above what
-    was traced before it."""
+class TestFileReader:
+    """An interval file is decoded and parsed one piece at a time, with the
+    errors of reading it whole."""
+
+    def test_undecodable_byte_after_bad_token_wins(self, tmp_path, monkeypatch):
+        # the whole file used to be decoded before any token was parsed
+        monkeypatch.setattr(harnesses, "READ_CHUNK", 8192)
+        path = tmp_path / "seq.txt"
+        path.write_bytes(b"1.5\nabc\n" + b"2.5\n" * 5000 + b"\xff\n")
+        pieces = harnesses.read_text("input", str(path))
+        with pytest.raises(ConfigError, match=f"^input: not UTF-8 text: {re.escape(str(path))}: "):
+            read_intervals(pieces)
+        # the bad token is in the first piece, the byte in the third
+        assert path.read_bytes().index(b"\xff") // 8192 == 2
+
+    @pytest.mark.parametrize("space", ["\u3000", "\u0085"])
+    @pytest.mark.parametrize("chunk", [1, 2, 3, 8191, 8192])
+    def test_multibyte_whitespace_across_pieces(self, space, chunk, tmp_path, monkeypatch):
+        # 8191 one-byte characters, then a separator of two or three bytes
+        # across byte 8192, and piece ends on every side of one
+        text = "2.5\n" * 2047 + "2.5" + space + space.join(["0.125", "7e-3", "1_000"] * 5)
+        path = tmp_path / "seq.txt"
+        path.write_text(text, encoding="utf-8")
+        monkeypatch.setattr(harnesses, "READ_CHUNK", chunk)
+        parsed = read_intervals(harnesses.read_text("input", str(path))).intervals
+        np.testing.assert_array_equal(parsed, np.array(list(map(float, text.split()))))
+
+
+def _peak_bytes(function):
+    """The peak traced allocation while function() runs, above what was
+    traced before it."""
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
-        function(*args)
+        function()
         return tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
 
 
 class TestTextMemory:
-    """Interval-file text is never held as one Python object per interval:
-    each step's peak stays within a small multiple of the text's length."""
+    """Interval-file text is never held as one Python object per interval,
+    nor as one string: formatting it piece by piece peaks at one block's
+    working set, whatever its length, and reading its file within a small
+    multiple of the text's length."""
 
     def test_format_peak(self):
+        # 200000 values, 3.7 MB of text, are 14 blocks of a 4.7 MB working set each
         sequence = generate_sequence("pareto", 200_000, keyed_generator(102))
-        size = len(format_intervals(sequence))
-        assert _peak_bytes(format_intervals, sequence) <= 3 * size
+        one_block = EventSequence(sequence.intervals[:FORMAT_CHUNK])
+        assert _peak_bytes(lambda: [len(piece) for piece in format_intervals(sequence)]) \
+            <= 1.1 * _peak_bytes(lambda: [len(piece) for piece in format_intervals(one_block)])
 
-    def test_read_peak_above_its_input(self):
-        text = format_intervals(generate_sequence("pareto", 200_000, keyed_generator(103)))
-        assert _peak_bytes(read_intervals, text) <= 2.5 * len(text)
+    def test_read_peak_above_its_input(self, tmp_path):
+        text = "".join(format_intervals(generate_sequence("pareto", 200_000,
+                                                          keyed_generator(103))))
+        path = tmp_path / "seq.txt"
+        path.write_text(text)
+        assert _peak_bytes(lambda: read_intervals(harnesses.read_text("input", str(path)))) \
+            <= 2.5 * len(text)

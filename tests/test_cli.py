@@ -385,7 +385,7 @@ class TestRunAsc:
 class TestNewSurfaces:
     def test_ks_dump_table_plain_output(self):
         report = run(build_config({"experiment": "ks", "dump_table": True}))
-        lines = report.plain_output.strip().splitlines()
+        lines = "".join(report.plain_output).strip().splitlines()
         assert len(lines) == 9
         assert all(line.count("(") == 4 for line in lines)
 
@@ -420,7 +420,7 @@ class TestNewSurfaces:
              "kind": "pareto", "length": 2000}
         )
         data = tmp_path / "seq.txt"
-        data.write_text(run(generate).plain_output)
+        data.write_text("".join(run(generate).plain_output))
         aggregate = aggregate_of(
             run_lines(
                 {"experiment": "behavior", "mode": "classify", "input": str(data),
@@ -450,7 +450,7 @@ class TestRunBehavior:
                 "length": 10_000,
             }
         )
-        sequence_text = run(generate).plain_output
+        sequence_text = "".join(run(generate).plain_output)
         data = tmp_path / "seq.txt"
         data.write_text(sequence_text)
         aggregate = aggregate_of(
@@ -496,7 +496,7 @@ class TestDeterminism:
         }
         first = run(build_config(raw)).plain_output
         second = run(build_config(raw)).plain_output
-        assert first is not None and first == second
+        assert first is not None and "".join(first) == "".join(second)
 
 
 def reference_records(raw):
@@ -662,6 +662,7 @@ class TestMainEntry:
         argv = ["behavior", "generate", "--length", "1000", "--seed", "4"]
         expected = run(build_config({"experiment": "behavior", "mode": "generate",
                                      "length": 1000, "seed": 4})).plain_output
+        expected = "".join(expected)
         monkeypatch.setattr(cli, "WRITE_CHUNK", 7)
         out = tmp_path / "seq.txt"
         assert main(argv + ["--out", str(out)]) == 0
@@ -789,6 +790,23 @@ class TestMainEntry:
         assert main([arg.format(dir=tmp_path, latin1=latin1) for arg in argv]) == 2
         err = capsys.readouterr().err
         assert err.startswith(f"config error: {key}: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "raw, key",
+        [
+            ({"experiment": "behavior", "mode": "classify", "input": "a\x00b"}, "input"),
+            ({"experiment": "sat", "cnf": "a\x00b"}, "cnf"),
+            ({"experiment": "sat", "truth_table": "a\x00b"}, "truth_table"),
+            (None, "config"),
+        ],
+    )
+    def test_null_byte_in_path_exit_2(self, raw, key, tmp_path, capsys):
+        # open refuses such a path with a ValueError, which a classify input
+        # let through as a traceback; a config file can carry one
+        config_file = tmp_path / "config.json"
+        config_file.write_text(json.dumps(raw))
+        assert main(["--config", "a\x00b" if raw is None else str(config_file)]) == 2
+        assert capsys.readouterr().err == f"config error: {key}: embedded null byte\n"
 
     def test_non_numeric_intervals_exit_1(self, tmp_path, capsys):
         # found by test_fuzzed_config_exits_0_1_or_2: classifying a CNF file

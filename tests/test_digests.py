@@ -41,7 +41,7 @@ def deterministic_bytes(raw: dict) -> bytes:
     report = run(build_config(raw))
     lines = render_report(report, "json-lines").splitlines()
     kept = [line for line in lines if '"record": "timing"' not in line]
-    text = "\n".join(kept) + "\n" + (report.plain_output or "")
+    text = "\n".join(kept) + "\n" + "".join(report.plain_output or [])
     return text.encode()
 
 

@@ -281,7 +281,7 @@ class TestParityCertificate:
 class TestTableFormat:
     def test_round_trip(self):
         # the text `ks --dump-table` prints reads back as the built-in table
-        dump = run(build_config({"experiment": "ks", "dump_table": True})).plain_output
+        dump = "".join(run(build_config({"experiment": "ks", "dump_table": True})).plain_output)
         assert parse_table(dump).contexts == builtin_ks_table().contexts
 
     @pytest.mark.parametrize("ray", ["(1,x,0,0)", "(1,,0,0)", "(1.5,0,0,0)"])
