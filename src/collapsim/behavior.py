@@ -8,8 +8,11 @@ statistics: small exponents mean heavy tails.
 An interval file holds one repr(x) per line. format_intervals finds repr's
 shortest round-trip digits for a whole block of values in numpy, exactly
 (after Steele & White, PLDI 1990, with Dekker's error-free product), for
-values in [1e-3, 1e15], and calls repr for the rest: the bytes are the same
-either way.
+values in [1e-3, 1e15], spells them as ASCII in numpy, and calls repr for the
+rest: the bytes are the same either way. read_intervals reads each line of
+the form digits[.digits] in numpy, correctly rounded (Clinger, PLDI 1990,
+with the same product to settle what his fast path does not cover), and
+every other token with float(): the values and errors are the same either way.
 """
 
 from __future__ import annotations
@@ -20,6 +23,7 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import BadParameter, DegenerateSequence
 
@@ -28,9 +32,8 @@ LEVY_THRESHOLD = 2.5
 NOISE_THRESHOLD = 3.5
 
 #: interval files are formatted FORMAT_CHUNK values at a time, so no step
-#: holds one Python object per interval of the file; a block's digits take
-#: about twenty numpy temporaries of FORMAT_CHUNK float64, each under glibc's
-#: 128 KiB mmap threshold, and three Python ints per value
+#: holds one Python object per interval of the file; every block is spelled
+#: in one set of arrays of FORMAT_CHUNK rows (_Work)
 FORMAT_CHUNK = 15000
 
 
@@ -145,29 +148,53 @@ def read_intervals(pieces: Iterable[str]) -> EventSequence:
     """Parse a plain interval file from pieces of its text: Python float literals
     split by any whitespace. All pieces are read, so a reading error beats a bad token."""
     parts = [np.empty(0)]
-    tail = ""  # the last token so far, unless its piece ended in whitespace
-    pieces = itertools.chain(pieces, [" "])  # a final space ends the last token
-    for piece in pieces:
-        tokens = (tail + piece).split()
-        tail = tokens.pop() if tokens and not piece[-1:].isspace() else ""
-        try:
-            parts.append(np.array(tokens, dtype=float))
-        except ValueError as exc:
-            for _ in pieces:
-                pass
-            raise BadParameter(f"not an interval file: {exc}") from exc
-        del tokens  # before the next piece's are made
+    carry: list[str] = []  # the pieces of a token that no whitespace has ended yet
+    pieces = iter(pieces)
+    try:
+        for piece in itertools.chain(pieces, [" "]):  # a final space ends the last token
+            if carry:
+                end = _token_end(piece)
+                carry.append(piece[:end])
+                if end == len(piece):
+                    continue
+                parts.append(np.array([float("".join(carry))]))
+                carry, piece = [], piece[end:]
+            start = _tail_start(piece)
+            if start < len(piece):
+                carry.append(piece[start:])
+            parts.append(_parse_tokens(piece[:start]))
+    except ValueError as exc:
+        for _ in pieces:
+            pass
+        raise BadParameter(f"not an interval file: {exc}") from exc
     values = np.concatenate(parts)
     if not values.size:
         raise BadParameter("no intervals found")
     return EventSequence(values)
 
 
+def _token_end(piece: str) -> int:
+    """Where a token continued from the last piece ends: at piece's first
+    whitespace character, or its end."""
+    if not piece or piece[0].isspace():
+        return 0
+    return len(piece.split(None, 1)[0])
+
+
+def _tail_start(piece: str) -> int:
+    """Where the token that piece ends inside begins, or len(piece) when piece
+    ends in whitespace."""
+    if not piece or piece[-1].isspace():
+        return len(piece)
+    return len(piece) - len(piece.rsplit(None, 1)[-1])
+
+
 def format_intervals(sequence: EventSequence) -> Iterator[str]:
     """Serialize one interval per line, each line repr(x) (inverse of
     read_intervals), in pieces of FORMAT_CHUNK lines made as they are asked for."""
     values = sequence.intervals
-    return (_format_block(values[i:i + FORMAT_CHUNK])
+    work = _Work(min(values.size, FORMAT_CHUNK))
+    return (_format_block(values[i:i + FORMAT_CHUNK], work)
             for i in range(0, values.size, FORMAT_CHUNK))
 
 
@@ -184,8 +211,6 @@ def format_intervals(sequence: EventSequence) -> Iterator[str]:
 # exact ties between two nearest multiples are spelled by repr itself.
 
 _LOWEST, _HIGHEST = 1e-3, 1e15
-#: the format of one line: integer part, fraction width, fraction digits
-_LINE = "%d.%0*d\n"
 #: Veltkamp's splitter, 2**27 + 1: a == high + low exactly, each of 26 bits
 _SPLITTER = 134217729.0
 #: V, W and vl are multiples of at least this power of two (2**-43 at 1e-3):
@@ -215,75 +240,320 @@ def _scales() -> tuple[np.ndarray, ...]:
     return tuple(map(np.array, zip(*columns)))
 
 
-_SCALES = _scales()
+_K, _FIVE, _FIVE_HIGH, _FIVE_LOW, _TWO, _HALF_ULP = _scales()
+
+# A line is spelled as one row of _ROW_WORDS uint32 words: the digits D, 20
+# of them right-aligned, a word whose first byte is the point, D's digits
+# again and a word whose first byte is the newline. The line is the row's
+# bytes under its mask, which depends only on D's digit count and the
+# fraction width w: the integer digits from the first copy (at least one, so
+# a leading "0"), the point, D's last w digits from the second copy and the
+# newline.
+_ROW_WORDS = 12
+_POINT, _NEWLINE = 20, 44  # their bytes in a row
+#: _QUADS[n] is the four ASCII digits of n < 10**4 as one uint32
+_QUADS = (np.arange(10**4)[:, None] // _POW10[3::-1] % 10 + 48).astype(np.uint8).view(np.uint32).ravel()
+#: one more than the most digits after the point in [_LOWEST, _HIGHEST] (19)
+_WIDTHS = 20
 
 
-def _shortest_fields(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Which values of x this covers, and for each of them, in order, the
-    (integer part, fraction width, fraction digits) that _LINE spells as
-    repr(x)."""
-    mantissa, exponent = np.frexp(x)
-    covered = (x >= _LOWEST) & (x <= _HIGHEST) & (mantissa != 0.5)
-    x = x[covered]
-    index = (exponent[covered] - _E_LOW).astype(np.intp)
-    k, five, five_high, five_low, two, half_ulp = (column[index] for column in _SCALES)
+def _masks() -> np.ndarray:
+    """The byte mask of a row with D of `count` digits and w digits after the
+    point, at row count * _WIDTHS + w."""
+    count, width = np.arange(18)[:, None, None], np.arange(_WIDTHS)[:, None]
+    column = np.arange(4 * _ROW_WORDS)
+    first = _POINT - width - np.maximum(count - width, 1)
+    return ((column >= first) & (column < _POINT - width)
+            | (column >= _NEWLINE - width) & (column < _NEWLINE)
+            | (column == _POINT) | (column == _NEWLINE)).reshape(-1, column.size)
+
+
+_MASKS = _masks()
+#: the longest line in bytes: repr's "2.2250738585072014e-308" and a newline
+#: (a computed line takes at most 22)
+_LONGEST_LINE = 24
+
+
+class _Work:
+    """The arrays a block is spelled in, shared by every block of a file: freed
+    after each block, they would go back to the system and fault in again."""
+
+    def __init__(self, size: int) -> None:
+        self.floats = np.empty((7, size))
+        self.ints = np.empty((5, size), dtype=np.int64)
+        self.exponents = np.empty(size, dtype=np.intc)
+        self.index = np.empty(size, dtype=np.intc)
+        self.rows = np.empty((size, _ROW_WORDS), dtype=np.uint32)
+        self.rows.view(np.uint8)[:, [_POINT, _NEWLINE]] = [ord("."), ord("\n")]
+        self.masks = np.empty((size, 4 * _ROW_WORDS), dtype=bool)
+        self.text = np.empty(size * _LONGEST_LINE, dtype=np.uint8)
+
+
+def _shortest_fields(values: np.ndarray, work: _Work) -> tuple[np.ndarray, ...]:
+    """Which of values this covers, and for each of them, in order, repr's
+    significant digits D and the count w (at least one) of them after the
+    point: repr(x) spells D with a point before its last w digits. Every
+    step writes into one of work's arrays, and so do the results."""
+    mantissa, exponent = np.frexp(values, out=(work.floats[0, :values.size],
+                                               work.exponents[:values.size]))
+    covered = (values >= _LOWEST) & (values <= _HIGHEST) & (mantissa != 0.5)
+    size = np.count_nonzero(covered)
+    x, product, error, x_high, x_low, part, low_part = work.floats[:, :size]
+    base, high, low, j, step = work.ints[:, :size]
+    np.compress(covered, values, out=x)
+    index = np.compress(covered, exponent, out=work.index[:size])
+    index -= _E_LOW
     # V = vh + vl: Dekker's exact product x * 5**k, scaled by 2**k. vh is an
     # integer (V > 2**53); vl and radius are multiples of _GRAIN below 2**7,
     # so vl +- radius is exact
-    product = x * five
-    x_high, x_low = _split(x)
-    error = (((x_high * five_high - product) + x_high * five_low + x_low * five_high)
-             + x_low * five_low)
-    vh, vl = product * two, error * two
-    radius = half_ulp - (x.view(np.int64) & 1) * _GRAIN
+    np.multiply(x, np.take(_FIVE, index, out=part), out=product)
+    np.multiply(x, _SPLITTER, out=x_high)  # x's Veltkamp halves, as _split
+    np.subtract(x_high, x, out=x_low)
+    x_high -= x_low
+    np.subtract(x, x_high, out=x_low)
+    five_high = np.take(_FIVE_HIGH, index, out=part)
+    five_low = np.take(_FIVE_LOW, index, out=low_part)
+    np.multiply(x_high, five_high, out=error)  # ((xh * fh - p) + xh * fl + xl * fh) + xl * fl
+    error -= product
+    error += np.multiply(x_high, five_low, out=x_high)
+    error += np.multiply(x_low, five_high, out=five_high)
+    error += np.multiply(x_low, five_low, out=x_low)
+    two = np.take(_TWO, index, out=part)
+    vh, vl = np.multiply(product, two, out=product), np.multiply(error, two, out=error)
+    radius = np.take(_HALF_ULP, index, out=x_high)
+    np.bitwise_and(x.view(np.int64), 1, out=high)
+    radius -= np.multiply(high, _GRAIN, out=x_low)
     # [low, high]: the integers x reads back from, in units of 10**-k
-    base = vh.astype(np.int64)
-    high = base + np.floor(vl + radius).astype(np.int64)
-    low = base + np.ceil(vl - radius).astype(np.int64)
-    # the largest j with a multiple of 10**j in [low, high]: 2W > 10 puts
-    # one of 10 there, a multiple of 10**(j + 1) is one of 10**j, so the rows
-    # still scanning only shrink, and high < 10**18 ends the scan
-    j = np.ones(x.size, dtype=np.int64)
-    rows = np.arange(x.size)
+    base[...] = vh
+    high[...] = np.floor(np.add(vl, radius, out=part), out=part)
+    high += base
+    low[...] = np.ceil(np.subtract(vl, radius, out=part), out=part)
+    low += base
+    # the largest j with a multiple of 10**j in [low, high], that is with
+    # floor(high / 10**j) > floor((low - 1) / 10**j): 2W > 10 puts one of 10
+    # there, a multiple of 10**(j + 1) is one of 10**j, so the rows still
+    # scanning only shrink, and high < 10**18 ends the scan
+    j.fill(1)
+    low -= 1
+    top, bottom = np.floor_divide(high, 100, out=high), np.floor_divide(low, 100, out=low)
+    rows = np.flatnonzero(top > bottom)
+    top, bottom = top[rows], bottom[rows]
     for power in range(2, 18):
-        step, top = 10**power, high[rows]
-        rows = rows[top - top % step >= low[rows]]
         if not rows.size:
             break
         j[rows] = power
+        top //= 10
+        bottom //= 10
+        scanning = top > bottom
+        rows, top, bottom = rows[scanning], top[scanning], bottom[scanning]
     # the multiple of 10**j nearest V = whole + frac: quotient * 10**j lies
     # remainder + frac below V and the next multiple 10**j - remainder - frac
     # above it, so the lower is nearer when 2 * remainder + floor(2 * frac)
     # < 10**j; 2 * frac is exact
-    step = _POW10[j]
-    floor_vl = np.floor(vl)
-    quotient, remainder = np.divmod(base + floor_vl.astype(np.int64), step)
-    twice_frac = 2 * (vl - floor_vl)
-    twice_floor = np.floor(twice_frac)
-    gap = 2 * remainder + twice_floor.astype(np.int64) - step
-    digits = quotient + (gap >= 0)
+    np.take(_POW10, j, out=step)
+    floor_vl = np.floor(vl, out=part)
+    high[...] = floor_vl
+    base += high
+    digits, remainder = np.divmod(base, step, out=(high, base))
+    twice_frac = np.multiply(np.subtract(vl, floor_vl, out=vl), 2, out=vl)
+    twice_floor = np.floor(twice_frac, out=part)
+    low[...] = twice_floor
+    gap = remainder
+    gap *= 2
+    gap += low
+    gap -= step
+    digits += gap >= 0
     tie = (gap == 0) & (twice_frac == twice_floor)
-    # floor(x) is the integer part: when j >= k the digits spell an integer
-    # within half an ulp of x, which below 2**50 is x itself; when j < k no
-    # integer lies between x and its digits
-    width = k - j
-    whole = np.floor(x).astype(np.int64)
-    fraction = (digits - whole * _POW10[np.clip(width, 0, 18)]) * (width > 0)
-    fields = np.stack([whole, np.maximum(width, 1), fraction], axis=1)
-    covered[np.flatnonzero(covered)[tie]] = False
-    return covered, fields[~tie]
+    # D spells x with w = k - j digits after the point; when j >= k the digits
+    # spell an integer within half an ulp of x, which below 2**50 is x itself,
+    # and D is x * 10 with w = 1 ("x.0")
+    width = np.subtract(np.take(_K, index, out=low), j, out=low)
+    whole = np.flatnonzero(width <= 0)
+    digits[whole] *= _POW10[1 - width[whole]]
+    width[whole] = 1
+    if tie.any():
+        covered[np.flatnonzero(covered)[tie]] = False
+        digits, width = digits[~tie], width[~tie]
+    return covered, digits, width
 
 
-def _format_block(values: np.ndarray) -> str:
-    """repr(x) and a newline for each value: the computed lines in one
-    C-level format per run between repr's lines."""
-    covered, fields = _shortest_fields(values)
-    flat = tuple(fields.ravel().tolist())
-    pieces, done = [], 0
-    for spliced, at in enumerate(np.flatnonzero(~covered).tolist()):
+def _format_block(values: np.ndarray, work: _Work) -> str:
+    """repr(x) and a newline for each value: the computed lines spelled as
+    ASCII rows in numpy, repr's own lines put between them."""
+    covered, digits, width = _shortest_fields(values, work)
+    rows = work.rows[:digits.size]
+    quads = np.copy(digits)  # D < 10**17: five groups of four digits
+    for column in range(4, -1, -1):
+        np.take(_QUADS, quads % 10**4, out=rows[:, column], mode="clip")
+        quads //= 10**4
+    rows[:, 6:11] = rows[:, 0:5]
+    kind = np.searchsorted(_POW10, digits, side="right")
+    kind *= _WIDTHS
+    kind += width
+    masks = np.take(_MASKS, kind, axis=0, out=work.masks[:digits.size], mode="clip")
+    rows = rows.view(np.uint8)
+    text, size, done = work.text, 0, 0
+    gaps = np.flatnonzero(~covered).tolist()
+    for spliced, at in enumerate([*gaps, values.size]):
         stop = at - spliced  # the computed lines before this one
-        pieces.append(_LINE * (stop - done) % flat[3 * done:3 * stop])
-        pieces.append(repr(values[at].item()) + "\n")
+        kept = masks[done:stop].ravel()
+        count = np.count_nonzero(kept)
+        np.compress(kept, rows[done:stop].ravel(), out=text[size:size + count])
+        size += count
+        if at < values.size:
+            line = f"{values[at].item()!r}\n".encode()
+            text[size:size + len(line)] = np.frombuffer(line, np.uint8)
+            size += len(line)
         done = stop
-    pieces.append(_LINE * (len(fields) - done) % flat[3 * done:])
-    return "".join(pieces)
+    return str(text[:size], "ascii")
+
+
+# --- the interval file's floats, read in numpy --------------------------------
+#
+# A line of the form digits[.digits] is the decimal m * 10**-f, for m the
+# line's digits as one integer and f the count after the point. Where m <
+# 2**53 and f <= 22, both m and 10**f are floats, and their quotient is
+# correctly rounded (Clinger, "How to read floating point numbers
+# accurately", PLDI 1990). Where m is larger (below 10**18, 18 digits), the
+# quotient is a candidate that Dekker's exact product checks against its
+# neighbours' midpoints. Other tokens, and the few the check leaves in doubt,
+# are read by float().
+
+#: a line's digits are read from the _DIGIT_ROW bytes that end it, as three
+#: little-endian uint64 lanes of 8 bytes each
+_DIGIT_ROW = 24
+#: characters read in numpy at a time, about 7000 lines: a block's temporaries,
+#: some nine times its text, are then reused from block to block rather than
+#: given back to the system and faulted in again with every 2**20-character
+#: piece (12.4k minor faults for a 10**6-line classify, against 40.6k)
+_PARSE_BLOCK = 1 << 17
+
+
+def _digit_masks() -> np.ndarray:
+    """At row n * (_DIGIT_ROW + 1) + p, the lanes' mask that keeps the last n
+    bytes of a row but the point's: none for p = 0, else the p-th from the end."""
+    count, point = np.arange(_DIGIT_ROW + 1)[:, None, None], np.arange(_DIGIT_ROW + 1)[:, None]
+    column = np.arange(_DIGIT_ROW)
+    keep = (column >= _DIGIT_ROW - count) & (column != _DIGIT_ROW - point)
+    return (keep * np.uint8(255)).astype(np.uint8).view("<u8").reshape(-1, _DIGIT_ROW // 8)
+
+
+_DIGIT_MASKS = _digit_masks()
+#: with the point's byte read as 0, a row's digits spell M = i * 10**(f + 1)
+#: + r (below 10**19 in a uint64) for integer part i and fraction r of f
+#: digits; r = M mod _MODULI[p], and M itself when there is no point (p = 0)
+_MODULI = np.array([10**min(f, 19) for f in [19, *range(_DIGIT_ROW)]], dtype=np.uint64)
+_TENS = np.array([float(10**f) for f in range(23)])
+_TENS_HIGH, _TENS_LOW = _split(_TENS)
+
+
+def _parse_tokens(text: str) -> np.ndarray:
+    """The floats of text's whitespace-separated tokens, text ending in
+    whitespace (or empty), as np.array(text.split(), dtype=float) reads them.
+    ASCII text whose only whitespace is the newline is read in numpy, in
+    blocks of about _PARSE_BLOCK characters, a few times the text in
+    temporaries each."""
+    if text.isascii():
+        padded = np.frombuffer(bytes(_DIGIT_ROW) + text.encode("ascii"), np.uint8)
+        # the padding's bytes, newlines and nothing else are at most b" "
+        if np.count_nonzero(padded <= 32) == _DIGIT_ROW + text.count("\n"):
+            parts, start = [np.empty(0)], 0
+            while start < len(text):
+                end = text.find("\n", start + _PARSE_BLOCK) + 1 or len(text)
+                parts.append(_parse_lines(text, padded, start, end))
+                start = end
+            return np.concatenate(parts)
+    return np.array(text.split(), dtype=float)
+
+
+def _eight_digits(lanes: np.ndarray) -> np.ndarray:
+    """Each little-endian uint64 of 8 digit values (bytes 0-9, the first the
+    most significant) as the integer they spell, in place."""
+    lanes &= np.uint64(0x0F0F0F0F0F0F0F0F)
+    lanes *= np.uint64(10 * 2**8 + 1)  # pairs of digits, in 16 bits
+    lanes >>= np.uint64(8)
+    lanes &= np.uint64(0x00FF00FF00FF00FF)
+    lanes *= np.uint64(100 * 2**16 + 1)  # groups of four, in 32 bits
+    lanes >>= np.uint64(16)
+    lanes &= np.uint64(0x0000FFFF0000FFFF)
+    lanes *= np.uint64(10**4 * 2**32 + 1)
+    lanes >>= np.uint64(32)
+    return lanes
+
+
+def _parse_lines(text: str, padded: np.ndarray, start: int, end: int) -> np.ndarray:
+    """The floats of the tokens of text[start:end], complete lines of ASCII
+    text whose only whitespace is the newline, padded being its bytes after
+    _DIGIT_ROW zero bytes, so that the row ending at text[e] is padded[e:e +
+    _DIGIT_ROW]."""
+    b = padded[_DIGIT_ROW + start:_DIGIT_ROW + end]
+    ends = start + np.flatnonzero(b == 10)
+    newlines = ends.size
+    starts = np.empty_like(ends)
+    starts[:1], starts[1:] = start, ends[:-1] + 1
+    filled = ends > starts  # empty lines hold no token
+    if not filled.all():
+        starts, ends = starts[filled], ends[filled]
+    point = b == 46
+    points = start + np.flatnonzero(point)
+    place = np.zeros(ends.size, dtype=np.int64)  # p: the point's place from the line end
+    if points.size == ends.size and np.all((points >= starts) & (points < ends)):
+        line_points = 1
+        np.subtract(ends, points, out=place)
+    else:
+        line = np.searchsorted(ends, points)
+        line_points = np.bincount(line, minlength=ends.size)
+        place[line] = ends[line] - points
+    length = ends - starts
+    lanes = sliding_window_view(padded, _DIGIT_ROW)[ends].view("<u8")
+    lanes &= np.take(_DIGIT_MASKS, np.minimum(length, _DIGIT_ROW) * (_DIGIT_ROW + 1) + place,
+                     axis=0, mode="clip")
+    groups = _eight_digits(lanes)
+    spelled = groups[:, 0] * 10**16 + groups[:, 1] * 10**8 + groups[:, 2]  # M
+    rest = spelled % np.take(_MODULI, place, mode="clip")
+    mantissa = (spelled - rest) // 10 + rest
+    fraction = np.maximum(place - 1, 0)  # f, the digits after the point
+    plain = (length > line_points) & (length <= _DIGIT_ROW) & (line_points <= 1) \
+        & (groups[:, 0] < 1000) & (mantissa < 10**18) & (fraction <= 22)
+    mantissa = mantissa.view(np.int64)
+    digit = b - np.uint8(48) < 10
+    if np.count_nonzero(digit) + points.size + newlines != b.size:
+        other = start + np.flatnonzero(~digit & ~point & (b != 10))
+        plain[np.searchsorted(ends, other)] = False
+    values = mantissa / _TENS[np.minimum(fraction, 22)]  # exact below 2**53
+    near = np.flatnonzero(plain & (mantissa >= 2**53))
+    values[near], plain[near] = _settle(mantissa[near], fraction[near])
+    for line in np.flatnonzero(~plain).tolist():
+        values[line] = float(text[starts[line]:ends[line]])
+    return values
+
+
+def _settle(mantissa: np.ndarray, fraction: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """mantissa / 10**fraction rounded to the nearest float (mantissa below
+    10**18, fraction at most 22), and where that is certain.
+
+    For y = m / 10**f in floats, Dekker's exact product y * 10**f = p + e
+    gives the residual r = m - p - e in units of 10**-f: m - p is exact
+    (Sterbenz), and m - float(m) and e are below 2**6 for m < 2**60, so r
+    is within 2**-46 + 2**-53 |r|. Moving y by r / 10**f to a candidate z
+    moves r by the shift s = (z - y) * 10**f, rounded at most once, so the
+    new r is within 2**-46 + 2**-52 (|r| + |s|); the bound used is twice
+    that. z is the nearest float when r lies strictly inside half of z's
+    gaps to its neighbours (times 10**f), the lower gap being half as wide
+    at a power of two, by more than the bound: ties and anything as close
+    are left to float()."""
+    scale = _TENS[fraction]
+    m_high = mantissa.astype(float)
+    y = m_high / scale
+    product = y * scale
+    y_high, y_low = _split(y)
+    s_high, s_low = _TENS_HIGH[fraction], _TENS_LOW[fraction]
+    product_error = ((y_high * s_high - product) + y_high * s_low + y_low * s_high) + y_low * s_low
+    residual = (m_high - product) + ((mantissa - m_high.astype(np.int64)) - product_error)
+    nearest = y + residual / scale
+    shift = (nearest - y) * scale
+    residual -= shift
+    bound = 2.0**-45 + 2.0**-51 * (np.abs(residual) + np.abs(shift))
+    up = (np.nextafter(nearest, np.inf) - nearest) * scale / 2
+    down = (nearest - np.nextafter(nearest, 0)) * scale / 2
+    return nearest, (residual < up - bound) & (residual > bound - down)

@@ -1,5 +1,7 @@
+import math
 import re
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -198,7 +200,11 @@ class TestSerialization:
     @pytest.mark.parametrize("kind", ["exponential", "pareto"])
     def test_format_equals_repr_on_a_million_draws(self, kind):
         sequence = generate_sequence(kind, 10**6, keyed_generator(104), rate=2.0)
-        assert "".join(format_intervals(sequence)) == repr_lines(sequence.intervals)
+        text = "".join(format_intervals(sequence))
+        assert text == repr_lines(sequence.intervals)
+        # read back in the pieces harnesses.read_text yields
+        pieces = [text[i:i + harnesses.READ_CHUNK] for i in range(0, len(text), harnesses.READ_CHUNK)]
+        assert_floats_of_tokens(read_intervals(pieces), text)
 
     def test_repr_lines_at_block_edges(self):
         # values the numpy digits do not cover, first, last and on each side
@@ -213,12 +219,87 @@ class TestSerialization:
     @settings(max_examples=200, deadline=None)
     @given(st.lists(st.floats(min_value=5e-324, allow_infinity=False), min_size=1, max_size=50))
     def test_format_equals_repr_of_any_positive_floats(self, values):
-        assert "".join(format_intervals(EventSequence(np.array(values)))) == repr_lines(values)
+        text = "".join(format_intervals(EventSequence(np.array(values))))
+        assert text == repr_lines(values)
+        assert_floats_of_tokens(read_intervals([text]), text)
+
+    def test_read_equals_float_on_edges(self):
+        text = "".join(format_intervals(EventSequence(EDGES)))
+        assert_floats_of_tokens(read_intervals([text]), text)
+
+
+class TestNumpyReader:
+    """Lines of the form digits[.digits] are read in numpy, correctly rounded;
+    every other token is read by float(), with float()'s errors."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.floats(min_value=1e-3, max_value=1e15), min_size=1, max_size=50))
+    def test_tokens_near_midpoints(self, ys):
+        tokens = [token for y in ys for token in near_midpoint_tokens(y)]
+        assert {len(token.replace(".", "").lstrip("0")) for token in tokens} <= {16, 17, 18}
+        text = "\n".join(tokens) + "\n"
+        assert_floats_of_tokens(read_intervals([text]), text)
+
+    @pytest.mark.parametrize("token", [
+        "007.5", "0000000000000000000000001", "000.00000000000000000000001", ".5", "5.", "1",
+        "+1.5", "-1.5", "1e3", "1E-3", "2.5e+16", "1_0", "1_0.5", "1" * 18, "1" * 19,
+        "1" * 30, "1." + "1" * 22, "0." + "0" * 21 + "1", "123456789012345678.9",
+        # exact ties between two floats, which round to the even one
+        "9007199254740993", "9007199254740995", "4503599627370496.5", "4503599627370497.5",
+        "0.0", "0", "-0.0", "inf", "nan", "-inf", "Infinity",
+        ".", "..5", "1.2.3", "1__0", "1e", "-", "abc", "0x10", "1.5\x7f", "\uff11",
+    ])
+    def test_hand_written_token(self, token):
+        # among plain lines, so that the file is read in numpy
+        text = f"2.5\n{token}\n0.125\n"
+        assert read_outcome(text) == reference_outcome(text)
 
 
 def repr_lines(values):
     """The reference spelling of an interval file: repr and a newline per value."""
     return "".join([repr(v) + "\n" for v in np.asarray(values, dtype=float).tolist()])
+
+
+def assert_floats_of_tokens(sequence, text):
+    """The reference reading of an interval file: float() of each token, bit for bit."""
+    expected = np.array([float(token) for token in text.split()])
+    np.testing.assert_array_equal(sequence.intervals.view(np.int64), expected.view(np.int64))
+
+
+def read_outcome(text):
+    """What reading text as one piece gives: its floats or its error message."""
+    try:
+        return read_intervals([text]).intervals.tolist()
+    except BadParameter as exc:
+        return str(exc)
+
+
+def reference_outcome(text):
+    """The floats or the error message of reading text by float() per token."""
+    try:
+        values = [float(token) for token in text.split()]
+    except ValueError as exc:
+        return f"not an interval file: {exc}"
+    if not all(0 < value < math.inf for value in values):
+        return "all intervals must be positive and finite"
+    return values
+
+
+def near_midpoint_tokens(y):
+    """The 17- and 18-digit decimals nearest the midpoint of y and the next
+    float up, and one unit either side in the last digit, as digits.digits."""
+    middle = (Fraction(y) + Fraction(math.nextafter(y, math.inf))) / 2
+    tokens = []
+    for digits in (17, 18):
+        point = digits - 1 - math.floor(math.log10(middle))  # digits after the point
+        while round(middle * 10**point) >= 10**digits:
+            point -= 1
+        while round(middle * 10**point) < 10**(digits - 1):
+            point += 1
+        for last in (-1, 0, 1):
+            spelled = str(round(middle * 10**point) + last).rjust(point + 1, "0")
+            tokens.append(f"{spelled[:-point]}.{spelled[-point:]}")
+    return tokens
 
 
 def _edge_values():
@@ -307,6 +388,23 @@ class TestChunkBoundaries:
         code_points = "".join(map(chr, range(0x110000)))
         splitting = {c for c in code_points if len(f"a{c}b".split()) == 2}
         assert {c for c in code_points if c.isspace()} == splitting
+
+    def test_token_across_many_pieces(self):
+        # one whitespace-free token of 2**12 pieces; 2**16 digits make inf
+        with pytest.raises(BadParameter, match="^all intervals must be positive and finite$"):
+            read_intervals(["1234567890123456"] * 2**12)
+        pieces = ["1.5\n2.", *["5"] * 2**12, "\n0.125"]
+        assert read_intervals(pieces).intervals.tolist() == [1.5, float("2." + "5" * 2**12), 0.125]
+
+    @pytest.mark.parametrize("separator", [*"\x1c\x1d\x1e\x1f\x0b\x0c\r\t", "\x85", "\u3000"])
+    def test_pieces_split_where_str_split_splits(self, separator):
+        # bytes.split would not split at \x1c-\x1f, nor at the non-ASCII ones
+        text = f"1.5{separator}2.25\n0.125{separator}{separator}3\n7{separator}"
+        tokens = text.split()
+        assert tokens == ["1.5", "2.25", "0.125", "3", "7"]
+        for cut in range(len(text) + 1):
+            parsed = read_intervals([text[:cut], text[cut:]]).intervals
+            np.testing.assert_array_equal(parsed, np.array(list(map(float, tokens))))
 
     @pytest.mark.parametrize("text", ["", " ", "\n\u3000\x1c"])
     def test_no_token_is_no_intervals(self, text):
