@@ -9,9 +9,9 @@ An interval file holds one repr(x) per line. format_intervals finds repr's
 shortest round-trip digits for a whole block of values in numpy, exactly
 (after Steele & White, PLDI 1990, with Dekker's error-free product), for
 values in [1e-3, 1e15], spells them as ASCII in numpy, and calls repr for the
-rest: the bytes are the same either way. read_intervals reads each line of
-the form digits[.digits] in numpy, correctly rounded (Clinger, PLDI 1990,
-with the same product to settle what his fast path does not cover), and
+rest: the bytes are the same either way. read_intervals reads each ASCII
+token of the form digits[.digits] in numpy, correctly rounded (Clinger, PLDI
+1990, with the same product to settle what his fast path does not cover), and
 every other token with float(): the values and errors are the same either way.
 """
 
@@ -410,8 +410,8 @@ def _format_block(values: np.ndarray, work: _Work) -> str:
 
 # --- the interval file's floats, read in numpy --------------------------------
 #
-# A line of the form digits[.digits] is the decimal m * 10**-f, for m the
-# line's digits as one integer and f the count after the point. Where m <
+# A token of the form digits[.digits] is the decimal m * 10**-f, for m the
+# token's digits as one integer and f the count after the point. Where m <
 # 2**53 and f <= 22, both m and 10**f are floats, and their quotient is
 # correctly rounded (Clinger, "How to read floating point numbers
 # accurately", PLDI 1990). Where m is larger (below 10**18, 18 digits), the
@@ -419,7 +419,7 @@ def _format_block(values: np.ndarray, work: _Work) -> str:
 # neighbours' midpoints. Other tokens, and the few the check leaves in doubt,
 # are read by float().
 
-#: a line's digits are read from the _DIGIT_ROW bytes that end it, as three
+#: a token's digits are read from the _DIGIT_ROW bytes that end it, as three
 #: little-endian uint64 lanes of 8 bytes each
 _DIGIT_ROW = 24
 #: characters read in numpy at a time, about 7000 lines: a block's temporaries,
@@ -450,20 +450,11 @@ _TENS_HIGH, _TENS_LOW = _split(_TENS)
 def _parse_tokens(text: str) -> np.ndarray:
     """The floats of text's whitespace-separated tokens, text ending in
     whitespace (or empty), as np.array(text.split(), dtype=float) reads them.
-    ASCII text whose only whitespace is the newline is read in numpy, in
-    blocks of about _PARSE_BLOCK characters, a few times the text in
-    temporaries each."""
-    if text.isascii():
-        padded = np.frombuffer(bytes(_DIGIT_ROW) + text.encode("ascii"), np.uint8)
-        # the padding's bytes, newlines and nothing else are at most b" "
-        if np.count_nonzero(padded <= 32) == _DIGIT_ROW + text.count("\n"):
-            parts, start = [np.empty(0)], 0
-            while start < len(text):
-                end = text.find("\n", start + _PARSE_BLOCK) + 1 or len(text)
-                parts.append(_parse_lines(text, padded, start, end))
-                start = end
-            return np.concatenate(parts)
-    return np.array(text.split(), dtype=float)
+    ASCII text is read in numpy; only str.split knows the separators and
+    digits of the rest."""
+    if not text.isascii():
+        return np.array(text.split(), dtype=float)
+    return np.concatenate([np.empty(0), *_parse_lines(text)])
 
 
 def _eight_digits(lanes: np.ndarray) -> np.ndarray:
@@ -481,51 +472,62 @@ def _eight_digits(lanes: np.ndarray) -> np.ndarray:
     return lanes
 
 
-def _parse_lines(text: str, padded: np.ndarray, start: int, end: int) -> np.ndarray:
-    """The floats of the tokens of text[start:end], complete lines of ASCII
-    text whose only whitespace is the newline, padded being its bytes after
-    _DIGIT_ROW zero bytes, so that the row ending at text[e] is padded[e:e +
-    _DIGIT_ROW]."""
-    b = padded[_DIGIT_ROW + start:_DIGIT_ROW + end]
-    ends = start + np.flatnonzero(b == 10)
-    newlines = ends.size
-    starts = np.empty_like(ends)
-    starts[:1], starts[1:] = start, ends[:-1] + 1
-    filled = ends > starts  # empty lines hold no token
-    if not filled.all():
-        starts, ends = starts[filled], ends[filled]
-    point = b == 46
-    points = start + np.flatnonzero(point)
-    place = np.zeros(ends.size, dtype=np.int64)  # p: the point's place from the line end
-    if points.size == ends.size and np.all((points >= starts) & (points < ends)):
-        line_points = 1
-        np.subtract(ends, points, out=place)
-    else:
-        line = np.searchsorted(ends, points)
-        line_points = np.bincount(line, minlength=ends.size)
-        place[line] = ends[line] - points
-    length = ends - starts
-    lanes = sliding_window_view(padded, _DIGIT_ROW)[ends].view("<u8")
-    lanes &= np.take(_DIGIT_MASKS, np.minimum(length, _DIGIT_ROW) * (_DIGIT_ROW + 1) + place,
-                     axis=0, mode="clip")
-    groups = _eight_digits(lanes)
-    spelled = groups[:, 0] * 10**16 + groups[:, 1] * 10**8 + groups[:, 2]  # M
-    rest = spelled % np.take(_MODULI, place, mode="clip")
-    mantissa = (spelled - rest) // 10 + rest
-    fraction = np.maximum(place - 1, 0)  # f, the digits after the point
-    plain = (length > line_points) & (length <= _DIGIT_ROW) & (line_points <= 1) \
-        & (groups[:, 0] < 1000) & (mantissa < 10**18) & (fraction <= 22)
-    mantissa = mantissa.view(np.int64)
-    digit = b - np.uint8(48) < 10
-    if np.count_nonzero(digit) + points.size + newlines != b.size:
-        other = start + np.flatnonzero(~digit & ~point & (b != 10))
-        plain[np.searchsorted(ends, other)] = False
-    values = mantissa / _TENS[np.minimum(fraction, 22)]  # exact below 2**53
-    near = np.flatnonzero(plain & (mantissa >= 2**53))
-    values[near], plain[near] = _settle(mantissa[near], fraction[near])
-    for line in np.flatnonzero(~plain).tolist():
-        values[line] = float(text[starts[line]:ends[line]])
-    return values
+def _parse_lines(text: str) -> Iterator[np.ndarray]:
+    """The floats of ASCII text's tokens, one array per _PARSE_BLOCK characters
+    for the tokens a separator in them ends, a few times the block in
+    temporaries each. padded holds text's bytes after _DIGIT_ROW zero bytes,
+    so that the row ending at text[e] is padded[e:e + _DIGIT_ROW]."""
+    padded = np.frombuffer(bytes(_DIGIT_ROW) + text.encode("ascii"), np.uint8)
+    first = 0  # where the block's first token begins
+    for start in range(0, len(text), _PARSE_BLOCK):
+        block = padded[_DIGIT_ROW + start:_DIGIT_ROW + start + _PARSE_BLOCK]
+        low = start + np.flatnonzero(block <= 32)
+        code = padded[_DIGIT_ROW + low]
+        # the bytes str.split splits at: \t \n \v \f \r, \x1c-\x1f and the space
+        separators = low[(code - np.uint8(9) < 5) | (code >= 28)]
+        if not separators.size:
+            continue
+        stop = int(separators[-1]) + 1
+        b = padded[_DIGIT_ROW + first:_DIGIT_ROW + stop]
+        starts, ends = np.empty_like(separators), separators
+        starts[:1], starts[1:] = first, separators[:-1] + 1
+        filled = ends > starts  # two separators in a row hold no token
+        if not filled.all():
+            starts, ends = starts[filled], ends[filled]
+        point = b == 46
+        points = first + np.flatnonzero(point)
+        place = np.zeros(ends.size, dtype=np.int64)  # p: the point's place from the token end
+        if points.size == ends.size and np.all((points >= starts) & (points < ends)):
+            line_points = 1
+            np.subtract(ends, points, out=place)
+        else:
+            line = np.searchsorted(ends, points)
+            line_points = np.bincount(line, minlength=ends.size)
+            place[line] = ends[line] - points
+        length = ends - starts
+        lanes = sliding_window_view(padded, _DIGIT_ROW)[ends].view("<u8")
+        lanes &= np.take(_DIGIT_MASKS, np.minimum(length, _DIGIT_ROW) * (_DIGIT_ROW + 1) + place,
+                         axis=0, mode="clip")
+        groups = _eight_digits(lanes)
+        spelled = groups[:, 0] * 10**16 + groups[:, 1] * 10**8 + groups[:, 2]  # M
+        rest = spelled % np.take(_MODULI, place, mode="clip")
+        mantissa = (spelled - rest) // 10 + rest
+        fraction = np.maximum(place - 1, 0)  # f, the digits after the point
+        plain = (length > line_points) & (length <= _DIGIT_ROW) & (line_points <= 1) \
+            & (groups[:, 0] < 1000) & (mantissa < 10**18) & (fraction <= 22)
+        mantissa = mantissa.view(np.int64)
+        digit = b - np.uint8(48) < 10
+        if np.count_nonzero(digit) + points.size + separators.size != b.size:
+            digit[separators - first] = True  # a separator is no other byte
+            other = first + np.flatnonzero(~digit & ~point)
+            plain[np.searchsorted(ends, other)] = False
+        values = mantissa / _TENS[np.minimum(fraction, 22)]  # exact below 2**53
+        near = np.flatnonzero(plain & (mantissa >= 2**53))
+        values[near], plain[near] = _settle(mantissa[near], fraction[near])
+        for line in np.flatnonzero(~plain).tolist():
+            values[line] = float(text[starts[line]:ends[line]])
+        yield values
+        first = stop
 
 
 def _settle(mantissa: np.ndarray, fraction: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

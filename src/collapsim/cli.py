@@ -24,6 +24,7 @@ import numpy as np
 
 from . import behavior, harnesses
 from .errors import CollapsimError, ConfigError
+from .rng import TRIAL_BLOCK
 
 OUTPUT_FORMATS = ("json-lines", "csv")
 GLOBAL_KEYS = ("experiment", "seed", "trials", "output_format", "per_trial")
@@ -34,13 +35,9 @@ BASES = ("z", "x")
 MAX_TRIALS = 10**8
 MAX_LENGTH = 10**7
 #: a per-trial run holds its records' columns in memory, and its report is
-#: written as it is rendered: 10^6 fwt records peak near 170 MB
+#: written as it is rendered, TRIAL_BLOCK records to a string: 10^6 fwt
+#: records peak near 150 MB
 MAX_PER_TRIAL = 10**6
-#: per-trial records are rendered this many trials to a string, each written
-#: before the next is rendered, and output is written this many characters at
-#: a time, so no step holds one object per trial or a copy of the whole report
-TRIAL_CHUNK = 1 << 16
-WRITE_CHUNK = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -362,7 +359,7 @@ def render_report(report: ExperimentReport, output_format: str) -> str:
 
 def _report_chunks(report: ExperimentReport, output_format: str) -> Iterable[str]:
     """The serialized report in consecutive pieces: the config, aggregate and
-    timing lines rendered now, the per-trial records TRIAL_CHUNK trials to a
+    timing lines rendered now, the per-trial records TRIAL_BLOCK trials to a
     piece, each rendered as it is asked for."""
     if output_format == "csv":
         keys = sorted(report.aggregate)
@@ -379,7 +376,7 @@ def _report_chunks(report: ExperimentReport, output_format: str) -> Iterable[str
 
 def _trial_chunks(table: harnesses.TrialTable) -> Iterator[str]:
     """Each trial's json.dumps(record, sort_keys=True) and a newline, joined
-    TRIAL_CHUNK trials to a string as it is asked for, from one template per
+    TRIAL_BLOCK trials to a string as it is asked for, from one template per
     distinct row of codes (the record's dump split at its trial value), made
     now."""
     row = np.zeros(table.trial.size, dtype=np.int64)
@@ -400,11 +397,11 @@ def _trial_chunks(table: harnesses.TrialTable) -> Iterator[str]:
         tails.append(tail + "\n")
 
     def chunk(start: int) -> str:
-        stop = start + TRIAL_CHUNK
+        stop = start + TRIAL_BLOCK
         rows, trials = which[start:stop].tolist(), table.trial[start:stop].tolist()
         return "".join([f"{heads[i]}{t}{tails[i]}" for i, t in zip(rows, trials)])
 
-    return map(chunk, range(0, table.trial.size, TRIAL_CHUNK))
+    return map(chunk, range(0, table.trial.size, TRIAL_BLOCK))
 
 
 def _csv_cell(value: Any) -> str:
@@ -530,22 +527,22 @@ def _read_config(path: str) -> dict[str, Any]:
 
 
 def _emit(chunks: Iterable[str], out_path: str | None) -> None:
-    """Write each chunk to out_path, or to stdout when it is None, in
-    WRITE_CHUNK slices (the stream encodes one slice at a time), and flush it.
-    A failed write is a ConfigError; after one, stdout's fd points at
-    os.devnull, so the interpreter's flush at exit has nowhere left to fail."""
+    """Write each chunk whole to out_path, or to stdout when it is None, and
+    flush it. A failed write is a ConfigError, an empty path too; after one,
+    stdout's fd points at os.devnull, so the interpreter's flush at exit has
+    nowhere left to fail."""
+    to_stdout = out_path is None
     try:
-        with open(out_path, "w") if out_path else contextlib.nullcontext(sys.stdout) as out:
-            for text in chunks:
-                for start in range(0, len(text), WRITE_CHUNK):
-                    out.write(text[start:start + WRITE_CHUNK])
+        with contextlib.nullcontext(sys.stdout) if to_stdout else open(out_path, "w") as out:
+            out.writelines(chunks)
             out.flush()
     except OSError as exc:
-        if not out_path:
+        if to_stdout:
             null = os.open(os.devnull, os.O_WRONLY)
             os.dup2(null, sys.stdout.fileno())
             os.close(null)
-        raise ConfigError(f"out: cannot write {out_path or 'stdout'}: {exc.strerror}") from exc
+        where = "stdout" if to_stdout else out_path
+        raise ConfigError(f"out: cannot write {where}: {exc.strerror}") from exc
 
 
 #: a message's line breaks, escaped so that it prints as one line
@@ -556,7 +553,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         raw = _read_argv(sys.argv[1:] if argv is None else argv)
         out_path, config_path = raw.pop("out", None), raw.pop("config", None)
-        if config_path:
+        if config_path is not None:
             raw = {**_read_config(config_path), **raw}
         if raw.get("experiment") is None:
             raise ConfigError("experiment: no experiment selected")

@@ -10,8 +10,10 @@ from hypothesis import strategies as st
 
 from collapsim import harnesses
 from collapsim.behavior import (
+    _PARSE_BLOCK,
     FORMAT_CHUNK,
     EventSequence,
+    _parse_tokens,
     classify,
     format_intervals,
     generate_sequence,
@@ -248,11 +250,25 @@ class TestNumpyReader:
         "9007199254740993", "9007199254740995", "4503599627370496.5", "4503599627370497.5",
         "0.0", "0", "-0.0", "inf", "nan", "-inf", "Infinity",
         ".", "..5", "1.2.3", "1__0", "1e", "-", "abc", "0x10", "1.5\x7f", "\uff11",
+        # control bytes str.split does not split at, inside and between tokens
+        "1\x005", "\x07", "1.5\x0e", "\x1b2.5", "\x7f", "2.5 \x00 0.5", "2.5\t\x1b\t0.5",
     ])
     def test_hand_written_token(self, token):
         # among plain lines, so that the file is read in numpy
         text = f"2.5\n{token}\n0.125\n"
         assert read_outcome(text) == reference_outcome(text)
+
+    def test_ascii_text_never_split(self):
+        # str.split reads only what numpy cannot: text outside ASCII
+        class Unsplit(str):
+            def split(self, *args):
+                raise AssertionError("ASCII text reached str.split")
+
+        text = "1.5 2.25\t0.125\x0b3\x0c7\r8\x1c9\x1d10\x1e11\x1f12\n1e3  "
+        expected = np.array(text.split(), dtype=float)
+        np.testing.assert_array_equal(_parse_tokens(Unsplit(text)), expected)
+        with pytest.raises(ValueError, match=re.escape(_float_error("_\x00"))):
+            _parse_tokens(Unsplit(text + "_\x00 "))
 
 
 def repr_lines(values):
@@ -396,15 +412,28 @@ class TestChunkBoundaries:
         pieces = ["1.5\n2.", *["5"] * 2**12, "\n0.125"]
         assert read_intervals(pieces).intervals.tolist() == [1.5, float("2." + "5" * 2**12), 0.125]
 
-    @pytest.mark.parametrize("separator", [*"\x1c\x1d\x1e\x1f\x0b\x0c\r\t", "\x85", "\u3000"])
+    @pytest.mark.parametrize("separator", [*"\x1c\x1d\x1e\x1f\x0b\x0c\r\t \n", "\x85", "\u3000"])
     def test_pieces_split_where_str_split_splits(self, separator):
         # bytes.split would not split at \x1c-\x1f, nor at the non-ASCII ones
-        text = f"1.5{separator}2.25\n0.125{separator}{separator}3\n7{separator}"
+        text = f"1.5{separator}2.25\n0.125{separator}{separator}3\n7{separator}2.{separator}.5{separator}"
         tokens = text.split()
-        assert tokens == ["1.5", "2.25", "0.125", "3", "7"]
+        assert tokens == ["1.5", "2.25", "0.125", "3", "7", "2.", ".5"]
         for cut in range(len(text) + 1):
             parsed = read_intervals([text[:cut], text[cut:]]).intervals
             np.testing.assert_array_equal(parsed, np.array(list(map(float, tokens))))
+        # the separator next to a point, on each side of a numpy block's end
+        for at in range(_PARSE_BLOCK - 3, _PARSE_BLOCK + 2):
+            filler = "2.5\n" * ((at - 2) // 4) + "1" * ((at - 2) % 4)
+            text = f"{filler}2.{separator}.5{separator}"
+            assert text[at] == separator
+            parsed = read_intervals([text]).intervals
+            np.testing.assert_array_equal(parsed, np.array(text.split(), dtype=float))
+        # one piece of several numpy blocks with no other separator
+        values = generate_sequence("pareto", 25_000, keyed_generator(107)).intervals
+        text = separator.join(map(repr, values.tolist())) + separator
+        assert len(text) > 3 * _PARSE_BLOCK
+        expected = np.array(text.split(), dtype=float)
+        assert read_intervals([text]).intervals.tobytes() == expected.tobytes()
 
     @pytest.mark.parametrize("text", ["", " ", "\n\u3000\x1c"])
     def test_no_token_is_no_intervals(self, text):

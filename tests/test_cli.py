@@ -619,11 +619,11 @@ class TestTrialLines:
                                    "per_trial": True}))
         whole = render_report(report, "json-lines")
         for chunk in (1, 7, 99, 100):
-            monkeypatch.setattr(cli, "TRIAL_CHUNK", chunk)
+            monkeypatch.setattr(cli, "TRIAL_BLOCK", chunk)
             assert render_report(report, "json-lines") == whole
 
     def test_render_peak_within_twice_and_a_half_the_report(self):
-        # the per-trial lines are joined once per TRIAL_CHUNK trials and once
+        # the per-trial lines are joined once per TRIAL_BLOCK trials and once
         # for the report, never kept as one string per trial
         report = run(build_config({"experiment": "fwt", "seed": 1, "trials": 100_000,
                                    "per_trial": True}))
@@ -658,12 +658,11 @@ class TestMainEntry:
         assert code == 0
         assert '"record": "aggregate"' in out.read_text()
 
-    def test_output_written_in_slices(self, tmp_path, capsys, monkeypatch):
+    def test_output_written_in_slices(self, tmp_path, capsys):
         argv = ["behavior", "generate", "--length", "1000", "--seed", "4"]
         expected = run(build_config({"experiment": "behavior", "mode": "generate",
                                      "length": 1000, "seed": 4})).plain_output
         expected = "".join(expected)
-        monkeypatch.setattr(cli, "WRITE_CHUNK", 7)
         out = tmp_path / "seq.txt"
         assert main(argv + ["--out", str(out)]) == 0
         assert out.read_text() == expected
@@ -671,7 +670,7 @@ class TestMainEntry:
         assert capsys.readouterr().out == expected
 
     def test_per_trial_report_written_chunk_by_chunk(self, tmp_path):
-        # each TRIAL_CHUNK of records is written as it is rendered; a report
+        # each TRIAL_BLOCK of records is written as it is rendered; a report
         # joined before writing holds the chunks and their copy, over twice it
         out = tmp_path / "report.jsonl"
         tracemalloc.start()
@@ -789,6 +788,20 @@ class TestMainEntry:
         latin1.write_bytes("p cnf 1 1\n1 0\nc caf\xe9\n".encode("latin-1"))
         assert main([arg.format(dir=tmp_path, latin1=latin1) for arg in argv]) == 2
         err = capsys.readouterr().err
+        assert err.startswith(f"config error: {key}: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("argv, key", [
+        (["ks", "--out", ""], "out"),
+        (["ks", "--out="], "out"),
+        (["--config", "", "ks"], "config"),
+        (["--config=", "ks"], "config"),
+    ])
+    def test_empty_path_exit_2(self, argv, key, capsys):
+        # an empty --out wrote the report to stdout, and an empty --config
+        # was dropped, as if neither flag were given
+        assert main(argv) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
         assert err.startswith(f"config error: {key}: ") and err.count("\n") == 1
 
     @pytest.mark.parametrize(
