@@ -146,7 +146,10 @@ def classify(
 
 def read_intervals(pieces: Iterable[str]) -> EventSequence:
     """Parse a plain interval file from pieces of its text: Python float literals
-    split by any whitespace. All pieces are read, so a reading error beats a bad token."""
+    split by any whitespace. Each piece's ended tokens are parsed together; a
+    token still open at a piece's end is carried on and read by float() alone,
+    however many pieces it spans. All pieces are read, so a reading error beats
+    a bad token."""
     parts = [np.empty(0)]
     carry: list[str] = []  # the pieces of a token that no whitespace has ended yet
     pieces = iter(pieces)
@@ -422,11 +425,6 @@ def _format_block(values: np.ndarray, work: _Work) -> str:
 #: a token's digits are read from the _DIGIT_ROW bytes that end it, as three
 #: little-endian uint64 lanes of 8 bytes each
 _DIGIT_ROW = 24
-#: characters read in numpy at a time, about 7000 lines: a block's temporaries,
-#: some nine times its text, are then reused from block to block rather than
-#: given back to the system and faulted in again with every 2**20-character
-#: piece (12.4k minor faults for a 10**6-line classify, against 40.6k)
-_PARSE_BLOCK = 1 << 17
 
 
 def _digit_masks() -> np.ndarray:
@@ -450,11 +448,11 @@ _TENS_HIGH, _TENS_LOW = _split(_TENS)
 def _parse_tokens(text: str) -> np.ndarray:
     """The floats of text's whitespace-separated tokens, text ending in
     whitespace (or empty), as np.array(text.split(), dtype=float) reads them.
-    ASCII text is read in numpy; only str.split knows the separators and
-    digits of the rest."""
+    ASCII text is read in numpy, whole; only str.split knows the separators
+    and digits of the rest."""
     if not text.isascii():
         return np.array(text.split(), dtype=float)
-    return np.concatenate([np.empty(0), *_parse_lines(text)])
+    return _parse_lines(text)
 
 
 def _eight_digits(lanes: np.ndarray) -> np.ndarray:
@@ -472,62 +470,55 @@ def _eight_digits(lanes: np.ndarray) -> np.ndarray:
     return lanes
 
 
-def _parse_lines(text: str) -> Iterator[np.ndarray]:
-    """The floats of ASCII text's tokens, one array per _PARSE_BLOCK characters
-    for the tokens a separator in them ends, a few times the block in
-    temporaries each. padded holds text's bytes after _DIGIT_ROW zero bytes,
-    so that the row ending at text[e] is padded[e:e + _DIGIT_ROW]."""
+def _parse_lines(text: str) -> np.ndarray:
+    """The floats of the tokens of ASCII text, which ends in a separator (or
+    is empty), in temporaries some nine times its length. padded holds text's
+    bytes after _DIGIT_ROW zero bytes, so that the row ending at text[e] is
+    padded[e:e + _DIGIT_ROW]."""
     padded = np.frombuffer(bytes(_DIGIT_ROW) + text.encode("ascii"), np.uint8)
-    first = 0  # where the block's first token begins
-    for start in range(0, len(text), _PARSE_BLOCK):
-        block = padded[_DIGIT_ROW + start:_DIGIT_ROW + start + _PARSE_BLOCK]
-        low = start + np.flatnonzero(block <= 32)
-        code = padded[_DIGIT_ROW + low]
-        # the bytes str.split splits at: \t \n \v \f \r, \x1c-\x1f and the space
-        separators = low[(code - np.uint8(9) < 5) | (code >= 28)]
-        if not separators.size:
-            continue
-        stop = int(separators[-1]) + 1
-        b = padded[_DIGIT_ROW + first:_DIGIT_ROW + stop]
-        starts, ends = np.empty_like(separators), separators
-        starts[:1], starts[1:] = first, separators[:-1] + 1
-        filled = ends > starts  # two separators in a row hold no token
-        if not filled.all():
-            starts, ends = starts[filled], ends[filled]
-        point = b == 46
-        points = first + np.flatnonzero(point)
-        place = np.zeros(ends.size, dtype=np.int64)  # p: the point's place from the token end
-        if points.size == ends.size and np.all((points >= starts) & (points < ends)):
-            line_points = 1
-            np.subtract(ends, points, out=place)
-        else:
-            line = np.searchsorted(ends, points)
-            line_points = np.bincount(line, minlength=ends.size)
-            place[line] = ends[line] - points
-        length = ends - starts
-        lanes = sliding_window_view(padded, _DIGIT_ROW)[ends].view("<u8")
-        lanes &= np.take(_DIGIT_MASKS, np.minimum(length, _DIGIT_ROW) * (_DIGIT_ROW + 1) + place,
-                         axis=0, mode="clip")
-        groups = _eight_digits(lanes)
-        spelled = groups[:, 0] * 10**16 + groups[:, 1] * 10**8 + groups[:, 2]  # M
-        rest = spelled % np.take(_MODULI, place, mode="clip")
-        mantissa = (spelled - rest) // 10 + rest
-        fraction = np.maximum(place - 1, 0)  # f, the digits after the point
-        plain = (length > line_points) & (length <= _DIGIT_ROW) & (line_points <= 1) \
-            & (groups[:, 0] < 1000) & (mantissa < 10**18) & (fraction <= 22)
-        mantissa = mantissa.view(np.int64)
-        digit = b - np.uint8(48) < 10
-        if np.count_nonzero(digit) + points.size + separators.size != b.size:
-            digit[separators - first] = True  # a separator is no other byte
-            other = first + np.flatnonzero(~digit & ~point)
-            plain[np.searchsorted(ends, other)] = False
-        values = mantissa / _TENS[np.minimum(fraction, 22)]  # exact below 2**53
-        near = np.flatnonzero(plain & (mantissa >= 2**53))
-        values[near], plain[near] = _settle(mantissa[near], fraction[near])
-        for line in np.flatnonzero(~plain).tolist():
-            values[line] = float(text[starts[line]:ends[line]])
-        yield values
-        first = stop
+    b = padded[_DIGIT_ROW:]
+    low = np.flatnonzero(b <= 32)
+    code = b[low]
+    # the bytes str.split splits at: \t \n \v \f \r, \x1c-\x1f and the space
+    separators = low[(code - np.uint8(9) < 5) | (code >= 28)]
+    starts, ends = np.empty_like(separators), separators
+    starts[:1], starts[1:] = 0, separators[:-1] + 1
+    filled = ends > starts  # two separators in a row hold no token
+    if not filled.all():
+        starts, ends = starts[filled], ends[filled]
+    point = b == 46
+    points = np.flatnonzero(point)
+    place = np.zeros(ends.size, dtype=np.int64)  # p: the point's place from the token end
+    if points.size == ends.size and np.all((points >= starts) & (points < ends)):
+        line_points = 1
+        np.subtract(ends, points, out=place)
+    else:
+        line = np.searchsorted(ends, points)
+        line_points = np.bincount(line, minlength=ends.size)
+        place[line] = ends[line] - points
+    length = ends - starts
+    lanes = sliding_window_view(padded, _DIGIT_ROW)[ends].view("<u8")
+    lanes &= np.take(_DIGIT_MASKS, np.minimum(length, _DIGIT_ROW) * (_DIGIT_ROW + 1) + place,
+                     axis=0, mode="clip")
+    groups = _eight_digits(lanes)
+    spelled = groups[:, 0] * 10**16 + groups[:, 1] * 10**8 + groups[:, 2]  # M
+    rest = spelled % np.take(_MODULI, place, mode="clip")
+    mantissa = (spelled - rest) // 10 + rest
+    fraction = np.maximum(place - 1, 0)  # f, the digits after the point
+    plain = (length > line_points) & (length <= _DIGIT_ROW) & (line_points <= 1) \
+        & (groups[:, 0] < 1000) & (mantissa < 10**18) & (fraction <= 22)
+    mantissa = mantissa.view(np.int64)
+    digit = b - np.uint8(48) < 10
+    if np.count_nonzero(digit) + points.size + separators.size != b.size:
+        digit[separators] = True  # a separator is no other byte
+        other = np.flatnonzero(~digit & ~point)
+        plain[np.searchsorted(ends, other)] = False
+    values = mantissa / _TENS[np.minimum(fraction, 22)]  # exact below 2**53
+    near = np.flatnonzero(plain & (mantissa >= 2**53))
+    values[near], plain[near] = _settle(mantissa[near], fraction[near])
+    for line in np.flatnonzero(~plain).tolist():
+        values[line] = float(text[starts[line]:ends[line]])
+    return values
 
 
 def _settle(mantissa: np.ndarray, fraction: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

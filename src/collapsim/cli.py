@@ -558,6 +558,11 @@ def main(argv: list[str] | None = None) -> int:
         if raw.get("experiment") is None:
             raise ConfigError("experiment: no experiment selected")
         config = build_config(raw)
+        if out_path is not None:  # an empty path or a missing directory is found before the run
+            try:
+                os.stat(os.path.join(os.path.dirname(out_path), ".") if out_path else out_path)
+            except OSError as exc:
+                raise ConfigError(f"out: cannot write {out_path}: {exc.strerror}") from exc
         report = run(config)
         plain = report.plain_output
         _emit(_report_chunks(report, config.output_format) if plain is None else plain, out_path)

@@ -61,8 +61,12 @@ RunnerOutput = tuple[TrialTable | None, dict, Iterable[str] | None]
 
 #: energy's dense update holds d projectors of d×d: 4 MB at this cap
 MAX_ENERGY_DIM = 64
-#: input files are decoded this many characters at a time
-READ_CHUNK = 1 << 20
+#: input files are decoded this many characters at a time, and an interval
+#: file is parsed a piece at a time: about 7000 lines, whose parse temporaries,
+#: some nine times the piece, are reused from piece to piece rather than given
+#: back to the system and faulted in again (4.5-6.0k minor faults for a
+#: 10**6-line classify, against 33k with 2**20-character pieces)
+READ_CHUNK = 1 << 17
 
 
 def _numbers(convert: Callable[[str], Any], tokens: list[str]) -> list:

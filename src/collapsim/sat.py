@@ -52,12 +52,6 @@ class OracleFunction:
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "_bits", bits)
 
-    @functools.cached_property
-    def table(self) -> tuple[int, ...]:
-        """The truth table as a tuple of ints, built on first read."""
-        # iterating the bytes of 0/1 int8 values yields those ints, faster than tolist
-        return tuple(self._bits.tobytes())
-
     def evaluate(self, j: int) -> int:
         return int(self._bits[j])
 

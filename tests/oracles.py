@@ -25,8 +25,8 @@ Helpers that only the tests use live here too: product states (tensor),
 state equality up to a global phase (same_state), the partial trace of a
 bipartite pure state (reduced_state) and tr(rho^2) (purity), a bipartite
 state's coefficient matrix in a context's product basis
-(context_coefficient_matrix) and the reader of the `ks --dump-table` text
-(parse_table).
+(context_coefficient_matrix), the reader of the `ks --dump-table` text
+(parse_table) and an oracle's truth table as a tuple of ints (truth_table).
 """
 
 from __future__ import annotations
@@ -308,6 +308,11 @@ def signal_outcomes(seed, trials, policy_texts, bases, bob_basis) -> list[list[i
 
 
 # --- satisfiability ----------------------------------------------------------
+
+
+def truth_table(f: OracleFunction) -> tuple[int, ...]:
+    """f's truth table as a tuple of ints: the bytes of its 0/1 int8 values."""
+    return tuple(f._bits.tobytes())
 
 
 def reference_decide_sat(oracle: OracleFunction, rng) -> SatResult:

@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 
 from collapsim import harnesses
 from collapsim.behavior import (
-    _PARSE_BLOCK,
     FORMAT_CHUNK,
     EventSequence,
     _parse_tokens,
@@ -204,9 +203,7 @@ class TestSerialization:
         sequence = generate_sequence(kind, 10**6, keyed_generator(104), rate=2.0)
         text = "".join(format_intervals(sequence))
         assert text == repr_lines(sequence.intervals)
-        # read back in the pieces harnesses.read_text yields
-        pieces = [text[i:i + harnesses.READ_CHUNK] for i in range(0, len(text), harnesses.READ_CHUNK)]
-        assert_floats_of_tokens(read_intervals(pieces), text)
+        assert_floats_of_tokens(read_intervals(read_pieces(text)), text)
 
     def test_repr_lines_at_block_edges(self):
         # values the numpy digits do not cover, first, last and on each side
@@ -274,6 +271,12 @@ class TestNumpyReader:
 def repr_lines(values):
     """The reference spelling of an interval file: repr and a newline per value."""
     return "".join([repr(v) + "\n" for v in np.asarray(values, dtype=float).tolist()])
+
+
+def read_pieces(text):
+    """text in the pieces harnesses.read_text yields for a file that holds it."""
+    size = harnesses.READ_CHUNK
+    return [text[i:i + size] for i in range(0, len(text), size)]
 
 
 def assert_floats_of_tokens(sequence, text):
@@ -421,19 +424,20 @@ class TestChunkBoundaries:
         for cut in range(len(text) + 1):
             parsed = read_intervals([text[:cut], text[cut:]]).intervals
             np.testing.assert_array_equal(parsed, np.array(list(map(float, tokens))))
-        # the separator next to a point, on each side of a numpy block's end
-        for at in range(_PARSE_BLOCK - 3, _PARSE_BLOCK + 2):
+        # the separator next to a point, on each side of a file piece's end
+        edge = harnesses.READ_CHUNK
+        for at in range(edge - 3, edge + 2):
             filler = "2.5\n" * ((at - 2) // 4) + "1" * ((at - 2) % 4)
             text = f"{filler}2.{separator}.5{separator}"
             assert text[at] == separator
-            parsed = read_intervals([text]).intervals
+            parsed = read_intervals(read_pieces(text)).intervals
             np.testing.assert_array_equal(parsed, np.array(text.split(), dtype=float))
-        # one piece of several numpy blocks with no other separator
+        # several file pieces with no other separator
         values = generate_sequence("pareto", 25_000, keyed_generator(107)).intervals
         text = separator.join(map(repr, values.tolist())) + separator
-        assert len(text) > 3 * _PARSE_BLOCK
+        assert len(text) > 3 * edge
         expected = np.array(text.split(), dtype=float)
-        assert read_intervals([text]).intervals.tobytes() == expected.tobytes()
+        assert read_intervals(read_pieces(text)).intervals.tobytes() == expected.tobytes()
 
     @pytest.mark.parametrize("text", ["", " ", "\n\u3000\x1c"])
     def test_no_token_is_no_intervals(self, text):
@@ -506,3 +510,15 @@ class TestTextMemory:
         path.write_text(text)
         assert _peak_bytes(lambda: read_intervals(harnesses.read_text("input", str(path)))) \
             <= 2.5 * len(text)
+
+    def test_carried_token_read_alone(self, tmp_path):
+        # a token that spans pieces is joined and read by float() on its own:
+        # 2.01 times its length measured with 2**17-character pieces, 2.00
+        # with 2**20; joined onto the next piece's text and parsed in numpy
+        # instead, 5.0 times
+        path = tmp_path / "seq.txt"
+        path.write_text("0" * (4 * harnesses.READ_CHUNK) + "1.5")
+        read = []
+        peak = _peak_bytes(lambda: read.append(read_intervals(harnesses.read_text("input", str(path)))))
+        assert read[0].intervals.tolist() == [1.5]
+        assert peak <= 3 * path.stat().st_size

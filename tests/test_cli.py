@@ -790,15 +790,38 @@ class TestMainEntry:
         err = capsys.readouterr().err
         assert err.startswith(f"config error: {key}: ") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("parent, strerror", [
+        ("missing", "No such file or directory"),
+        ("file.txt", "Not a directory"),
+    ])
+    def test_out_directory_checked_before_the_run(self, parent, strerror, tmp_path,
+                                                  monkeypatch, capsys):
+        # the same line that writing the report would end in, but without the run
+        (tmp_path / "file.txt").write_text("kept")
+
+        def no_run(config):
+            raise AssertionError("the experiment ran")
+
+        monkeypatch.setattr(cli, "run", no_run)
+        out = tmp_path / parent / "x.jsonl"
+        assert main(["fwt", "--trials", "10", "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"config error: out: cannot write {out}: {strerror}\n"
+        assert (tmp_path / "file.txt").read_text() == "kept"
+        assert not (tmp_path / "missing").exists()
+
     @pytest.mark.parametrize("argv, key", [
         (["ks", "--out", ""], "out"),
         (["ks", "--out="], "out"),
         (["--config", "", "ks"], "config"),
         (["--config=", "ks"], "config"),
     ])
-    def test_empty_path_exit_2(self, argv, key, capsys):
+    def test_empty_path_exit_2(self, argv, key, monkeypatch, capsys):
         # an empty --out wrote the report to stdout, and an empty --config
-        # was dropped, as if neither flag were given
+        # was dropped, as if neither flag were given; both end before the run
+        def no_run(config):
+            raise AssertionError("the experiment ran")
+
+        monkeypatch.setattr(cli, "run", no_run)
         assert main(argv) == 2
         out, err = capsys.readouterr()
         assert out == ""

@@ -19,7 +19,7 @@ from collapsim.sat import (
     parse_dimacs,
     parse_truth_table,
 )
-from oracles import reference_decide_sat, reference_parse_dimacs, trial_generator
+from oracles import reference_decide_sat, reference_parse_dimacs, trial_generator, truth_table
 
 
 def oracle_from_bits(*bits):
@@ -176,7 +176,7 @@ class TestSatResultInvariants:
 class TestParsers:
     def test_truth_table_whitespace(self):
         f = parse_truth_table("01\n10\n")
-        assert f.n == 2 and f.table == (0, 1, 1, 0)
+        assert f.n == 2 and truth_table(f) == (0, 1, 1, 0)
 
     def test_truth_table_bad_chars(self):
         with pytest.raises(BadParameter):
@@ -195,11 +195,11 @@ class TestParsers:
             x = [(j >> b) & 1 for b in range(3)]
             return int((x[0] or not x[1]) and (x[1] or x[2]))
 
-        assert f.table == tuple(direct(j) for j in range(8))
+        assert truth_table(f) == tuple(direct(j) for j in range(8))
 
     def test_dimacs_multiline_clause(self):
         f = parse_dimacs("p cnf 2 1\n1\n2 0\n")
-        assert f.table == tuple(int(bool(j & 1) or bool(j & 2)) for j in range(4))
+        assert truth_table(f) == tuple(int(bool(j & 1) or bool(j & 2)) for j in range(4))
 
     def test_dimacs_missing_header(self):
         with pytest.raises(BadParameter):
@@ -286,7 +286,7 @@ class TestBitsetCompile:
             clauses = _random_clauses(rng, n, n_clauses)
             compiled, reference = _compiled_and_reference(n, clauses)
             assert compiled.n == n
-            assert compiled.table == reference.table
+            assert truth_table(compiled) == truth_table(reference)
 
     @pytest.mark.parametrize(
         "n, clauses",
@@ -302,7 +302,7 @@ class TestBitsetCompile:
     )
     def test_edge_cnfs_match_per_input_evaluation(self, n, clauses):
         compiled, reference = _compiled_and_reference(n, clauses)
-        assert compiled.table == reference.table
+        assert truth_table(compiled) == truth_table(reference)
 
     @pytest.mark.parametrize("seed", [1, 2, 3, 4, 5])
     def test_results_and_states_match_reference(self, seed):
@@ -331,14 +331,14 @@ class TestBitsetCompile:
             text = "".join(map(str, bits))
             spaced = " \n".join(text[i:i + 7] for i in range(0, len(text), 7))
             f = parse_truth_table(spaced + "\t\n")
-            assert f.table == tuple(int(b) for b in bits)
+            assert truth_table(f) == tuple(int(b) for b in bits)
             assert np.array_equal(build_sat_state(f).amplitudes, _reference_sat_state(f))
             assert classical_brute_force(f) == _reference_brute_force(f)
 
     def test_table_is_a_tuple_of_ints(self):
         f = parse_dimacs("p cnf 2 1\n1 2 0\n")
-        assert type(f.table) is tuple and all(type(v) is int for v in f.table)
-        assert f.table == (0, 1, 1, 1)
+        assert type(truth_table(f)) is tuple and all(type(v) is int for v in truth_table(f))
+        assert truth_table(f) == (0, 1, 1, 1)
 
     @pytest.mark.parametrize("text", ["01x1", "01\u00e91", "0 1 2 1", "01\x001"])
     def test_truth_table_bad_characters_named(self, text):
@@ -491,7 +491,7 @@ def parsed(parse, text):
         f = parse(text)
     except (BadParameter, TooLarge) as exc:
         return type(exc), str(exc)
-    return f.n, f.table
+    return f.n, truth_table(f)
 
 
 class TestDimacsParity:
