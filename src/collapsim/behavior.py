@@ -5,14 +5,15 @@ intervals for heavy-tailed (Levy-like) behavior. Observed sequences are
 classified by the Hill tail-exponent estimate over the top order
 statistics: small exponents mean heavy tails.
 
-An interval file holds one repr(x) per line. format_intervals finds repr's
-shortest round-trip digits for a whole block of values in numpy, exactly
-(after Steele & White, PLDI 1990, with Dekker's error-free product), for
-values in [1e-3, 1e15], spells them as ASCII in numpy, and calls repr for the
-rest: the bytes are the same either way. read_intervals reads each ASCII
-token of the form digits[.digits] in numpy, correctly rounded (Clinger, PLDI
-1990, with the same product to settle what his fast path does not cover), and
-every other token with float(): the values and errors are the same either way.
+An interval file holds one repr(x) per line. format_intervals takes the values
+FORMAT_CHUNK at a time and, in each block's own arrays, finds repr's shortest
+round-trip digits in numpy, exactly (after Steele & White, PLDI 1990, with
+Dekker's error-free product), for values in [1e-3, 1e15], spells them as ASCII
+in numpy, and calls repr for the rest: the bytes are the same either way.
+read_intervals reads each ASCII token of the form digits[.digits] in numpy,
+correctly rounded (Clinger, PLDI 1990, with the same product to settle what
+his fast path does not cover), and every other token with float(): the values
+and errors are the same either way.
 """
 
 from __future__ import annotations
@@ -32,9 +33,11 @@ LEVY_THRESHOLD = 2.5
 NOISE_THRESHOLD = 3.5
 
 #: interval files are formatted FORMAT_CHUNK values at a time, so no step
-#: holds one Python object per interval of the file; every block is spelled
-#: in one set of arrays of FORMAT_CHUNK rows (_Work)
-FORMAT_CHUNK = 15000
+#: holds one Python object per interval of the file. A block's float64
+#: temporaries stay under 128 KiB, which glibc would map afresh each time, and
+#: all it allocates (about 1.6 MB) under the 2 MB free heap top glibc keeps
+#: after a 10**6-interval generate, so each block reuses the last one's pages
+FORMAT_CHUNK = 7500
 
 
 @dataclass(frozen=True, eq=False)
@@ -196,9 +199,7 @@ def format_intervals(sequence: EventSequence) -> Iterator[str]:
     """Serialize one interval per line, each line repr(x) (inverse of
     read_intervals), in pieces of FORMAT_CHUNK lines made as they are asked for."""
     values = sequence.intervals
-    work = _Work(min(values.size, FORMAT_CHUNK))
-    return (_format_block(values[i:i + FORMAT_CHUNK], work)
-            for i in range(0, values.size, FORMAT_CHUNK))
+    return (_format_block(values[i:i + FORMAT_CHUNK]) for i in range(0, values.size, FORMAT_CHUNK))
 
 
 # --- repr's shortest round-trip digits, found in numpy ------------------------
@@ -232,18 +233,18 @@ def _split(a: np.ndarray | float) -> tuple:
 def _scales() -> tuple[np.ndarray, ...]:
     """Per frexp exponent E of [_LOWEST, _HIGHEST] (x = m * 2**E, 1/2 <= m < 1):
     k, the largest with 2**E * 10**k <= 10**18, so V = x * 10**k lies in
-    (2**53, 10**18); 5**k, its two Veltkamp halves and 2**k; and W = 5**k *
-    2**(E - 54 + k), half an ulp of x times 10**k, at least 5.68."""
+    (2**53, 10**18), as a C int (np.ldexp scales fastest by one); 5**k; and
+    W = 5**k * 2**(E - 54 + k), half an ulp of x times 10**k, at least 5.68."""
     columns = []
     for e in range(_E_LOW, _E_HIGH + 1):
         # one less than the digit count of floor(10**18 / 2**E)
         k = len(str(10**18 * 2**max(-e, 0) // 2**max(e, 0))) - 1
         five = float(5**k)
-        columns.append((k, five, *_split(five), 2.0**k, math.ldexp(five, e - 54 + k)))
+        columns.append((np.intc(k), five, math.ldexp(five, e - 54 + k)))
     return tuple(map(np.array, zip(*columns)))
 
 
-_K, _FIVE, _FIVE_HIGH, _FIVE_LOW, _TWO, _HALF_ULP = _scales()
+_K, _FIVE, _HALF_ULP = _scales()
 
 # A line is spelled as one row of _ROW_WORDS uint32 words: the digits D, 20
 # of them right-aligned, a word whose first byte is the point, D's digits
@@ -272,73 +273,35 @@ def _masks() -> np.ndarray:
 
 
 _MASKS = _masks()
-#: the longest line in bytes: repr's "2.2250738585072014e-308" and a newline
-#: (a computed line takes at most 22)
-_LONGEST_LINE = 24
 
 
-class _Work:
-    """The arrays a block is spelled in, shared by every block of a file: freed
-    after each block, they would go back to the system and fault in again."""
-
-    def __init__(self, size: int) -> None:
-        self.floats = np.empty((7, size))
-        self.ints = np.empty((5, size), dtype=np.int64)
-        self.exponents = np.empty(size, dtype=np.intc)
-        self.index = np.empty(size, dtype=np.intc)
-        self.rows = np.empty((size, _ROW_WORDS), dtype=np.uint32)
-        self.rows.view(np.uint8)[:, [_POINT, _NEWLINE]] = [ord("."), ord("\n")]
-        self.masks = np.empty((size, 4 * _ROW_WORDS), dtype=bool)
-        self.text = np.empty(size * _LONGEST_LINE, dtype=np.uint8)
-
-
-def _shortest_fields(values: np.ndarray, work: _Work) -> tuple[np.ndarray, ...]:
+def _shortest_fields(values: np.ndarray) -> tuple[np.ndarray, ...]:
     """Which of values this covers, and for each of them, in order, repr's
     significant digits D and the count w (at least one) of them after the
-    point: repr(x) spells D with a point before its last w digits. Every
-    step writes into one of work's arrays, and so do the results."""
-    mantissa, exponent = np.frexp(values, out=(work.floats[0, :values.size],
-                                               work.exponents[:values.size]))
+    point: repr(x) spells D with a point before its last w digits."""
+    mantissa, exponent = np.frexp(values)
     covered = (values >= _LOWEST) & (values <= _HIGHEST) & (mantissa != 0.5)
-    size = np.count_nonzero(covered)
-    x, product, error, x_high, x_low, part, low_part = work.floats[:, :size]
-    base, high, low, j, step = work.ints[:, :size]
-    np.compress(covered, values, out=x)
-    index = np.compress(covered, exponent, out=work.index[:size])
-    index -= _E_LOW
+    x = values[covered]
+    index = exponent[covered].astype(np.intp) - _E_LOW  # intp: the index numpy gathers by fastest
+    k, five = _K[index], _FIVE[index]
     # V = vh + vl: Dekker's exact product x * 5**k, scaled by 2**k. vh is an
     # integer (V > 2**53); vl and radius are multiples of _GRAIN below 2**7,
     # so vl +- radius is exact
-    np.multiply(x, np.take(_FIVE, index, out=part), out=product)
-    np.multiply(x, _SPLITTER, out=x_high)  # x's Veltkamp halves, as _split
-    np.subtract(x_high, x, out=x_low)
-    x_high -= x_low
-    np.subtract(x, x_high, out=x_low)
-    five_high = np.take(_FIVE_HIGH, index, out=part)
-    five_low = np.take(_FIVE_LOW, index, out=low_part)
-    np.multiply(x_high, five_high, out=error)  # ((xh * fh - p) + xh * fl + xl * fh) + xl * fl
-    error -= product
-    error += np.multiply(x_high, five_low, out=x_high)
-    error += np.multiply(x_low, five_high, out=five_high)
-    error += np.multiply(x_low, five_low, out=x_low)
-    two = np.take(_TWO, index, out=part)
-    vh, vl = np.multiply(product, two, out=product), np.multiply(error, two, out=error)
-    radius = np.take(_HALF_ULP, index, out=x_high)
-    np.bitwise_and(x.view(np.int64), 1, out=high)
-    radius -= np.multiply(high, _GRAIN, out=x_low)
+    product = x * five
+    (x_high, x_low), (five_high, five_low) = _split(x), _split(five)
+    error = ((x_high * five_high - product) + x_high * five_low + x_low * five_high) + x_low * five_low
+    vh, vl = np.ldexp(product, k), np.ldexp(error, k)
+    radius = _HALF_ULP[index] - (x.view(np.int64) & 1) * _GRAIN
     # [low, high]: the integers x reads back from, in units of 10**-k
-    base[...] = vh
-    high[...] = np.floor(np.add(vl, radius, out=part), out=part)
-    high += base
-    low[...] = np.ceil(np.subtract(vl, radius, out=part), out=part)
-    low += base
+    base = vh.astype(np.int64)
+    high = base + np.floor(vl + radius).astype(np.int64)
+    low = base + np.ceil(vl - radius).astype(np.int64)
     # the largest j with a multiple of 10**j in [low, high], that is with
     # floor(high / 10**j) > floor((low - 1) / 10**j): 2W > 10 puts one of 10
     # there, a multiple of 10**(j + 1) is one of 10**j, so the rows still
     # scanning only shrink, and high < 10**18 ends the scan
-    j.fill(1)
-    low -= 1
-    top, bottom = np.floor_divide(high, 100, out=high), np.floor_divide(low, 100, out=low)
+    j = np.ones_like(base)
+    top, bottom = high // 100, (low - 1) // 100
     rows = np.flatnonzero(top > bottom)
     top, bottom = top[rows], bottom[rows]
     for power in range(2, 18):
@@ -353,24 +316,18 @@ def _shortest_fields(values: np.ndarray, work: _Work) -> tuple[np.ndarray, ...]:
     # remainder + frac below V and the next multiple 10**j - remainder - frac
     # above it, so the lower is nearer when 2 * remainder + floor(2 * frac)
     # < 10**j; 2 * frac is exact
-    np.take(_POW10, j, out=step)
-    floor_vl = np.floor(vl, out=part)
-    high[...] = floor_vl
-    base += high
-    digits, remainder = np.divmod(base, step, out=(high, base))
-    twice_frac = np.multiply(np.subtract(vl, floor_vl, out=vl), 2, out=vl)
-    twice_floor = np.floor(twice_frac, out=part)
-    low[...] = twice_floor
-    gap = remainder
-    gap *= 2
-    gap += low
-    gap -= step
+    step = _POW10[j]
+    floor_vl = np.floor(vl)
+    digits, remainder = np.divmod(base + floor_vl.astype(np.int64), step)
+    twice_frac = 2 * (vl - floor_vl)
+    twice_floor = np.floor(twice_frac)
+    gap = 2 * remainder + twice_floor.astype(np.int64) - step
     digits += gap >= 0
     tie = (gap == 0) & (twice_frac == twice_floor)
     # D spells x with w = k - j digits after the point; when j >= k the digits
     # spell an integer within half an ulp of x, which below 2**50 is x itself,
     # and D is x * 10 with w = 1 ("x.0")
-    width = np.subtract(np.take(_K, index, out=low), j, out=low)
+    width = k - j
     whole = np.flatnonzero(width <= 0)
     digits[whole] *= _POW10[1 - width[whole]]
     width[whole] = 1
@@ -380,35 +337,25 @@ def _shortest_fields(values: np.ndarray, work: _Work) -> tuple[np.ndarray, ...]:
     return covered, digits, width
 
 
-def _format_block(values: np.ndarray, work: _Work) -> str:
+def _format_block(values: np.ndarray) -> str:
     """repr(x) and a newline for each value: the computed lines spelled as
     ASCII rows in numpy, repr's own lines put between them."""
-    covered, digits, width = _shortest_fields(values, work)
-    rows = work.rows[:digits.size]
-    quads = np.copy(digits)  # D < 10**17: five groups of four digits
-    for column in range(4, -1, -1):
-        np.take(_QUADS, quads % 10**4, out=rows[:, column], mode="clip")
-        quads //= 10**4
+    covered, digits, width = _shortest_fields(values)
+    masks = _MASKS[np.searchsorted(_POW10, digits, side="right") * _WIDTHS + width]
+    rows = np.empty((digits.size, _ROW_WORDS), dtype=np.uint32)
+    for column in range(4, -1, -1):  # D < 10**17: five groups of four digits
+        digits, quad = np.divmod(digits, 10**4)
+        rows[:, column] = _QUADS[quad]
     rows[:, 6:11] = rows[:, 0:5]
-    kind = np.searchsorted(_POW10, digits, side="right")
-    kind *= _WIDTHS
-    kind += width
-    masks = np.take(_MASKS, kind, axis=0, out=work.masks[:digits.size], mode="clip")
     rows = rows.view(np.uint8)
-    text, size, done = work.text, 0, 0
-    gaps = np.flatnonzero(~covered).tolist()
-    for spliced, at in enumerate([*gaps, values.size]):
+    rows[:, [_POINT, _NEWLINE]] = [ord("."), ord("\n")]
+    parts, done = [], 0
+    for spliced, at in enumerate(np.flatnonzero(~covered).tolist()):
         stop = at - spliced  # the computed lines before this one
-        kept = masks[done:stop].ravel()
-        count = np.count_nonzero(kept)
-        np.compress(kept, rows[done:stop].ravel(), out=text[size:size + count])
-        size += count
-        if at < values.size:
-            line = f"{values[at].item()!r}\n".encode()
-            text[size:size + len(line)] = np.frombuffer(line, np.uint8)
-            size += len(line)
+        parts += rows[done:stop][masks[done:stop]], f"{values[at].item()!r}\n".encode()
         done = stop
-    return str(text[:size], "ascii")
+    parts.append(rows[done:][masks[done:]])
+    return str(b"".join(parts), "ascii")
 
 
 # --- the interval file's floats, read in numpy --------------------------------

@@ -10,6 +10,7 @@ typo cannot silently corrupt a comparison.
 from __future__ import annotations
 
 import contextlib
+import errno
 import functools
 import itertools
 import json
@@ -558,8 +559,12 @@ def main(argv: list[str] | None = None) -> int:
         if raw.get("experiment") is None:
             raise ConfigError("experiment: no experiment selected")
         config = build_config(raw)
-        if out_path is not None:  # an empty path or a missing directory is found before the run
+        if out_path is not None:  # a path open() would refuse, found before the run
+            if "\0" in out_path:
+                raise ConfigError("out: embedded null byte")
             try:
+                if os.path.isdir(out_path):
+                    raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR))
                 os.stat(os.path.join(os.path.dirname(out_path), ".") if out_path else out_path)
             except OSError as exc:
                 raise ConfigError(f"out: cannot write {out_path}: {exc.strerror}") from exc

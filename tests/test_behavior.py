@@ -497,7 +497,7 @@ class TestTextMemory:
     multiple of the text's length."""
 
     def test_format_peak(self):
-        # 200000 values, 3.7 MB of text, are 14 blocks of a 4.7 MB working set each
+        # 200000 values, 3.7 MB of text, are 27 blocks of a 1.6 MB working set each
         sequence = generate_sequence("pareto", 200_000, keyed_generator(102))
         one_block = EventSequence(sequence.intervals[:FORMAT_CHUNK])
         assert _peak_bytes(lambda: [len(piece) for piece in format_intervals(sequence)]) \

@@ -790,11 +790,14 @@ class TestMainEntry:
         err = capsys.readouterr().err
         assert err.startswith(f"config error: {key}: ") and err.count("\n") == 1
 
-    @pytest.mark.parametrize("parent, strerror", [
-        ("missing", "No such file or directory"),
-        ("file.txt", "Not a directory"),
-    ])
-    def test_out_directory_checked_before_the_run(self, parent, strerror, tmp_path,
+    @pytest.mark.parametrize("name, message", [
+        ("missing/x.jsonl", "cannot write {out}: No such file or directory"),
+        ("file.txt/x.jsonl", "cannot write {out}: Not a directory"),
+        ("", "cannot write {out}: Is a directory"),
+        ("a\x00b", "embedded null byte"),  # as open() would refuse it
+    ], ids=["missing-No such file or directory", "file.txt-Not a directory",
+            "directory", "null-byte"])
+    def test_out_directory_checked_before_the_run(self, name, message, tmp_path,
                                                   monkeypatch, capsys):
         # the same line that writing the report would end in, but without the run
         (tmp_path / "file.txt").write_text("kept")
@@ -803,9 +806,9 @@ class TestMainEntry:
             raise AssertionError("the experiment ran")
 
         monkeypatch.setattr(cli, "run", no_run)
-        out = tmp_path / parent / "x.jsonl"
+        out = tmp_path / name
         assert main(["fwt", "--trials", "10", "--out", str(out)]) == 2
-        assert capsys.readouterr().err == f"config error: out: cannot write {out}: {strerror}\n"
+        assert capsys.readouterr().err == f"config error: out: {message.format(out=out)}\n"
         assert (tmp_path / "file.txt").read_text() == "kept"
         assert not (tmp_path / "missing").exists()
 

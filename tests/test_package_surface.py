@@ -4,7 +4,9 @@ Every top-level function and class of src/collapsim, and every public method,
 must be named (an ast.Name or an ast.Attribute) somewhere in the package
 outside its own definition, or be a target of the benchmark's tracer, which
 wraps package functions by name. A face only the tests read belongs in
-tests/oracles.py.
+tests/oracles.py. Every name a module assigns at its top level, dunders such
+as __version__ aside, must be read somewhere in the package, so a constant
+cannot outlive its last use.
 """
 
 import ast
@@ -70,3 +72,28 @@ def unreferenced() -> list[str]:
 
 def test_every_definition_is_used_by_the_package():
     assert unreferenced() == []
+
+
+def assigned(tree: ast.Module):
+    """Each name a top-level statement of the module assigns, but dunders."""
+    for node in tree.body:
+        if isinstance(node, (ast.Assign, ast.AnnAssign)):
+            for target in node.targets if isinstance(node, ast.Assign) else [node.target]:
+                for child in ast.walk(target):
+                    if isinstance(child, ast.Name) and not (child.id[:2] == child.id[-2:] == "__"):
+                        yield child.id
+
+
+def unread() -> list[str]:
+    modules = {path.stem: ast.parse(path.read_text(encoding="utf-8"))
+               for path in sorted(PACKAGE.glob("*.py"))}
+    read = {child.attr if isinstance(child, ast.Attribute) else child.id
+            for tree in modules.values() for child in ast.walk(tree)
+            if isinstance(child, ast.Attribute)
+            or isinstance(child, ast.Name) and isinstance(child.ctx, ast.Load)}
+    return [f"{module}.{name}" for module, tree in modules.items()
+            for name in assigned(tree) if name not in read]
+
+
+def test_every_module_level_name_is_read_by_the_package():
+    assert unread() == []
