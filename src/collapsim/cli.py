@@ -18,7 +18,7 @@ import math
 import os
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable, Collection, Iterable, Iterator
 
 import numpy as np
@@ -28,7 +28,10 @@ from .errors import CollapsimError, ConfigError
 from .rng import TRIAL_BLOCK
 
 OUTPUT_FORMATS = ("json-lines", "csv")
-GLOBAL_KEYS = ("experiment", "seed", "trials", "output_format", "per_trial")
+#: the keys of every experiment's run, with their defaults; an unset trials
+#: is the experiment's own count
+RUN_KEYS: dict[str, Any] = {"seed": 0, "trials": None, "output_format": "json-lines",
+                            "per_trial": False}
 BASES = ("z", "x")
 
 #: caps that keep a config from asking for years of trials or a
@@ -77,7 +80,7 @@ class Experiment:
     parameters (called with the parsed values and the keys the config sets,
     once every parameter parsed), its default trial count and its parameters."""
 
-    runner: Callable[[ExperimentConfig], harnesses.RunnerOutput]
+    runner: Callable[[dict[str, Any]], harnesses.RunnerOutput]
     check: Callable[[dict[str, Any], Collection[str]], list[str]] | None
     trials: int
     params: tuple[Param, ...]
@@ -86,32 +89,13 @@ class Experiment:
 @dataclass(frozen=True)
 class ExperimentConfig:
     experiment: str
-    seed: int = 0
-    trials: int | None = None
-    output_format: str = "json-lines"
-    per_trial: bool = False
-    #: the typed values of only the parameters the config sets, so defaults
-    #: are never echoed
-    echo: dict[str, Any] = field(default_factory=dict)
-    #: every parameter's parsed value, defaults filled in: what the runner reads
-    params: dict[str, Any] = field(default_factory=dict)
-
-    def flat(self) -> dict[str, Any]:
-        base: dict[str, Any] = {
-            "experiment": self.experiment,
-            "seed": self.seed,
-            "output_format": self.output_format,
-            "per_trial": self.per_trial,
-        }
-        if self.trials is not None:
-            base["trials"] = self.trials
-        base.update(self.echo)
-        return base
-
-    def resolved_trials(self) -> int:
-        if self.trials is not None:
-            return self.trials
-        return SPECS[self.experiment].trials
+    #: the config record: the experiment, every run key but an unset trials,
+    #: and the typed value of each parameter the config sets, so parameter
+    #: defaults are never echoed
+    echo: dict[str, Any]
+    #: what the runner reads: every parameter's parsed value, defaults filled
+    #: in, and every run key's, trials resolved to the experiment's count
+    params: dict[str, Any]
 
 
 @dataclass(frozen=True)
@@ -150,10 +134,12 @@ def _parse(raw: dict[str, Any]) -> tuple[ExperimentConfig | None, list[str]]:
     violations = [
         f"{key}: unknown key for experiment {experiment!r}"
         for key in raw
-        if key not in GLOBAL_KEYS and key not in names
+        if key != "experiment" and key not in RUN_KEYS and key not in names
     ]
-    violations.extend(_validate_globals(raw))
-    echo: dict[str, Any] = {}
+    run_values = {key: raw.get(key, default) for key, default in RUN_KEYS.items()}
+    violations.extend(_validate_run(run_values))
+    echo = {"experiment": experiment}
+    echo.update((k, v) for k, v in run_values.items() if v is not None)
     params: dict[str, Any] = {}
     for param in spec.params:
         value = raw.get(param.name, param.default)
@@ -180,26 +166,25 @@ def _parse(raw: dict[str, Any]) -> tuple[ExperimentConfig | None, list[str]]:
         violations.extend(spec.check(params, raw.keys()))
     if violations:
         return None, violations
-    global_values = {k: raw[k] for k in GLOBAL_KEYS if k in raw}
-    return ExperimentConfig(echo=echo, params=params, **global_values), []
+    params.update(run_values, trials=run_values["trials"] or spec.trials)
+    return ExperimentConfig(experiment, echo, params), []
 
 
-def _validate_globals(raw: dict[str, Any]) -> list[str]:
+def _validate_run(values: dict[str, Any]) -> list[str]:
+    """The violations of the run keys' values, defaults filled in."""
     violations = []
-    seed = raw.get("seed", 0)
+    seed, trials = values["seed"], values["trials"]
     if not isinstance(seed, int) or isinstance(seed, bool) or seed < 0 or seed >= 2**64:
         violations.append("seed: must be a 64-bit unsigned integer")
-    trials = raw.get("trials")
     if trials is not None and (
         not isinstance(trials, int) or isinstance(trials, bool) or trials < 1
     ):
         violations.append("trials: must be a positive integer")
     elif trials is not None and trials > MAX_TRIALS:
         violations.append(f"trials: must be at most {MAX_TRIALS}")
-    output_format = raw.get("output_format", "json-lines")
+    output_format, per_trial = values["output_format"], values["per_trial"]
     if output_format not in OUTPUT_FORMATS:
         violations.append(f"output_format: must be one of {OUTPUT_FORMATS}")
-    per_trial = raw.get("per_trial", False)
     if not isinstance(per_trial, bool):
         violations.append("per_trial: must be a boolean")
     elif per_trial and output_format == "csv":
@@ -342,10 +327,10 @@ EXPERIMENTS = tuple(SPECS)
 def run(config: ExperimentConfig) -> ExperimentReport:
     """Dispatch a validated config to its harness and assemble the report."""
     start = time.perf_counter()
-    trials, aggregate, plain = SPECS[config.experiment].runner(config)
+    trials, aggregate, plain = SPECS[config.experiment].runner(config.params)
     duration = time.perf_counter() - start
     return ExperimentReport(
-        config=config.flat(),
+        config=config.echo,
         trials=trials,
         aggregate=aggregate,
         duration_seconds=duration,
@@ -569,8 +554,10 @@ def main(argv: list[str] | None = None) -> int:
             except OSError as exc:
                 raise ConfigError(f"out: cannot write {out_path}: {exc.strerror}") from exc
         report = run(config)
-        plain = report.plain_output
-        _emit(_report_chunks(report, config.output_format) if plain is None else plain, out_path)
+        chunks = report.plain_output
+        if chunks is None:
+            chunks = _report_chunks(report, config.params["output_format"])
+        _emit(chunks, out_path)
     except CollapsimError as exc:
         bad_config = isinstance(exc, ConfigError)
         kind = "config error" if bad_config else f"{type(exc).__module__}.{type(exc).__name__}"

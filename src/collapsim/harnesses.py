@@ -1,10 +1,11 @@
 """The seven experiment harnesses behind the command line.
 
-Each runner takes a validated config, whose parameters validation already
-parsed with the parsers below, and returns the per-trial table, the
-aggregate record and, for plain-file outputs, the pieces of text to write
-instead of a report. No runner parses parameter text; only the classify input
-file is read by its run.
+Each runner takes the parsed parameters of a validated config (a dict), run
+keys included: seed, output_format, per_trial and trials, resolved to the
+experiment's count. Validation already parsed every value with the parsers
+below. A runner returns the per-trial table, the aggregate record and, for
+plain-file outputs, the pieces of text to write instead of a report. No
+runner parses parameter text; only the classify input file is read by its run.
 
 The per-trial table (TrialTable), kept only when the config asks for
 per-trial records, holds the engine's blocks as columns: the trial index
@@ -17,7 +18,7 @@ from __future__ import annotations
 import cmath
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import TYPE_CHECKING, Any, Callable, Iterable, Iterator
+from typing import Any, Callable, Iterable, Iterator
 
 import numpy as np
 
@@ -32,9 +33,6 @@ from .quantum import (
     paired_born,
 )
 from .rng import trial_blocks
-
-if TYPE_CHECKING:
-    from .cli import ExperimentConfig
 
 
 @dataclass(frozen=True)
@@ -213,8 +211,8 @@ def _ks_aggregate() -> dict[str, Any]:
 # --- runners -----------------------------------------------------------------
 
 
-def run_ks(config: ExperimentConfig) -> RunnerOutput:
-    if config.params["dump_table"]:
+def run_ks(p: dict[str, Any]) -> RunnerOutput:
+    if p["dump_table"]:
         # ray-table text format for external checkers
         return None, {}, [kochen_specker.format_table(kochen_specker.builtin_ks_table()) + "\n"]
     aggregate = _ks_aggregate()
@@ -222,20 +220,19 @@ def run_ks(config: ExperimentConfig) -> RunnerOutput:
     return None, {**aggregate, "table_violations": list(aggregate["table_violations"])}, None
 
 
-def run_fwt(config: ExperimentConfig) -> RunnerOutput:
-    p = config.params
-    trials = config.resolved_trials()
+def run_fwt(p: dict[str, Any]) -> RunnerOutput:
+    trials = p["trials"]
 
     kept = []  # the blocks, for the per-trial table
     in_context = agreements = detections = 0
     blocks = kochen_specker.fwt_trials(
-        p["context"], p["bob_ray"], p["policy"], config.seed, trials
+        p["context"], p["bob_ray"], p["policy"], p["seed"], trials
     )
     for block in blocks:
         detections += int(block.bob_value.sum())
         in_context += int(block.in_context.sum())
         agreements += int(block.agree.sum())
-        if config.per_trial:
+        if p["per_trial"]:
             kept.append(block)
     aggregate = {
         "trials": trials,
@@ -247,7 +244,7 @@ def run_fwt(config: ExperimentConfig) -> RunnerOutput:
         "detections": detections,
         "detection_rate": detections / trials,
     }
-    return _fwt_table(kept) if config.per_trial else None, aggregate, None
+    return _fwt_table(kept) if p["per_trial"] else None, aggregate, None
 
 
 def _fwt_table(blocks: list[kochen_specker.FwtBlock]) -> TrialTable:
@@ -268,14 +265,13 @@ def _fwt_table(blocks: list[kochen_specker.FwtBlock]) -> TrialTable:
     })
 
 
-def run_signal(config: ExperimentConfig) -> RunnerOutput:
-    p = config.params
+def run_signal(p: dict[str, Any]) -> RunnerOutput:
     settings = {
         label: (_bell_tables(p[f"alice_basis{label}"], p["bob_basis"]), p[f"policy{label}"])
         for label in ("0", "1")
     }
-    trials = config.resolved_trials() if p["mode"] == "empirical" else None
-    report = signaling.signaling_experiment(settings, trials=trials, seed=config.seed)
+    trials = p["trials"] if p["mode"] == "empirical" else None
+    report = signaling.signaling_experiment(settings, trials=trials, seed=p["seed"])
     aggregate = dict(vars(report))
     if report.independence_pvalue is None:  # analytic marginals carry no noise
         del aggregate["independence_pvalue"]
@@ -284,8 +280,7 @@ def run_signal(config: ExperimentConfig) -> RunnerOutput:
     return None, aggregate, None
 
 
-def run_energy(config: ExperimentConfig) -> RunnerOutput:
-    p = config.params
+def run_energy(p: dict[str, Any]) -> RunnerOutput:
     # validation left at most one of them set, and no list empty
     hamiltonian = p["h_matrix"] or p["h_diag"]
     # the state defaults to the uniform superposition
@@ -296,9 +291,9 @@ def run_energy(config: ExperimentConfig) -> RunnerOutput:
     return None, dict(vars(audit)), None
 
 
-def run_sat(config: ExperimentConfig) -> RunnerOutput:
-    oracle = config.params["cnf"] or config.params["truth_table"]
-    result = sat.decide_sat(oracle, config.seed)
+def run_sat(p: dict[str, Any]) -> RunnerOutput:
+    oracle = p["cnf"] or p["truth_table"]
+    result = sat.decide_sat(oracle, p["seed"])
     brute = sat.classical_brute_force(oracle)
     aggregate = {
         **vars(result),
@@ -309,17 +304,16 @@ def run_sat(config: ExperimentConfig) -> RunnerOutput:
     return None, aggregate, None
 
 
-def run_asc(config: ExperimentConfig) -> RunnerOutput:
-    p = config.params
+def run_asc(p: dict[str, Any]) -> RunnerOutput:
     labels = p["labels"]
     alternatives = agent.AlternativeSet(labels, tuple(p["priorities"]))
     norm = agent.NormFunction(dict(zip(labels, p["norm"])))
-    trials = config.resolved_trials()
+    trials = p["trials"]
 
     kept = []  # the blocks, for the per-trial table
     counts = np.zeros(len(labels), dtype=int)
     if p["agent"] == "collapse":
-        blocks = agent.act_trials(alternatives, norm, config.seed, trials, p["mixing"])
+        blocks = agent.act_trials(alternatives, norm, p["seed"], trials, p["mixing"])
         shape = list(agent.COLLAPSE_STAGE_SHAPE)
     else:
         # the robot draws nothing: every trial computes the same argmax
@@ -331,7 +325,7 @@ def run_asc(config: ExperimentConfig) -> RunnerOutput:
         shape = list(robot.stage_shape)
     for block in blocks:
         counts += np.bincount(block.chosen, minlength=len(labels))
-        if config.per_trial:
+        if p["per_trial"]:
             kept.append(block)
     reference = agent.born_reference(alternatives)
     stats = policies.deviation_statistic(counts, reference)
@@ -346,7 +340,7 @@ def run_asc(config: ExperimentConfig) -> RunnerOutput:
         "chi2_pvalue": stats.pvalue,
     }
     table = None
-    if config.per_trial:
+    if p["per_trial"]:
         block = agent.ActBlock(*map(np.concatenate, zip(*kept)))
         # the robot has no tie-break stage: its tie_broken is null
         tie_values = (False, True) if p["agent"] == "collapse" else (None,)
@@ -359,13 +353,12 @@ def run_asc(config: ExperimentConfig) -> RunnerOutput:
     return table, aggregate, None
 
 
-def run_behavior(config: ExperimentConfig) -> RunnerOutput:
-    p = config.params
+def run_behavior(p: dict[str, Any]) -> RunnerOutput:
     if p["mode"] == "generate":
         sequence = behavior.generate_sequence(
             p["kind"],
             p["length"],
-            np.random.Generator(np.random.Philox(key=config.seed)),
+            np.random.Generator(np.random.Philox(key=p["seed"])),
             rate=p["rate"],
             alpha=p["alpha"],
             xmin=p["xmin"],

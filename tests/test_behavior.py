@@ -1,7 +1,11 @@
 import math
+import os
 import re
+import subprocess
+import sys
 import tracemalloc
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -490,6 +494,30 @@ def _peak_bytes(function):
         tracemalloc.stop()
 
 
+#: spawns `python -m collapsim.cli ARGS` with stdout sent to os.devnull, reaps
+#: it with wait4 so the counts are its own, and prints its exit code, minor
+#: faults and peak RSS in KiB; a process inherits its parent's peak RSS across
+#: exec, so this small launcher, not the test process, is the parent
+CHILD_USAGE = """
+import os, sys
+argv = [sys.executable, "-m", "collapsim.cli", *sys.argv[1:]]
+pid = os.posix_spawn(sys.executable, argv, os.environ,
+                     file_actions=[(os.POSIX_SPAWN_OPEN, 1, os.devnull, os.O_WRONLY, 0)])
+_, status, usage = os.wait4(pid, 0)
+print(os.waitstatus_to_exitcode(status), usage.ru_minflt, usage.ru_maxrss)
+"""
+
+
+def _child_usage(*args):
+    """(minor faults, peak RSS in KiB) of one fresh `collapsim.cli` process."""
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+    result = subprocess.run([sys.executable, "-c", CHILD_USAGE, *args], env=env,
+                            capture_output=True, text=True, check=True, timeout=120)
+    code, faults, rss = map(int, result.stdout.split())
+    assert code == 0, result.stderr
+    return faults, rss
+
+
 class TestTextMemory:
     """Interval-file text is never held as one Python object per interval,
     nor as one string: formatting it piece by piece peaks at one block's
@@ -502,6 +530,25 @@ class TestTextMemory:
         one_block = EventSequence(sequence.intervals[:FORMAT_CHUNK])
         assert _peak_bytes(lambda: [len(piece) for piece in format_intervals(sequence)]) \
             <= 1.1 * _peak_bytes(lambda: [len(piece) for piece in format_intervals(one_block)])
+
+    @pytest.mark.skipif(sys.platform != "linux", reason="reads Linux rusage, RSS in KiB")
+    def test_fresh_process_faults_track_peak_rss(self, tmp_path):
+        # tracemalloc cannot see glibc give a freed heap top back to the system
+        # and fault it in again for the next block; a child's minor faults can.
+        # Above a bare ks run, 10**6 intervals take 0.45 (generate) and 1.1
+        # (classify) faults per page of extra peak RSS, and about 10 in a generate
+        # with 15000-value format blocks, whose temporaries outgrow the trim
+        # threshold glibc sets
+        path = str(tmp_path / "seq.txt")
+        base_faults, base_rss = _child_usage("ks")
+        for args in (
+            ["generate", "--kind", "pareto", "--length", "1000000", "--seed", "3", "--out", path],
+            ["classify", "--input", path],
+        ):
+            faults, rss = _child_usage("behavior", *args)
+            pages = (rss - base_rss) / 4
+            assert faults - base_faults <= 3 * pages, \
+                f"{args[0]}: {faults - base_faults} faults over {pages:.0f} pages"
 
     def test_read_peak_above_its_input(self, tmp_path):
         text = "".join(format_intervals(generate_sequence("pareto", 200_000,

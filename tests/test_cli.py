@@ -503,11 +503,11 @@ def reference_records(raw):
     """Each trial's record as a dict, built trial by trial from the engine's
     blocks: the records the report's trial lines must dump to."""
     config = build_config(raw)
-    p, trials = config.params, config.resolved_trials()
+    p, trials = config.params, config.params["trials"]
     if config.experiment == "fwt":
         rays = [str(ray) for ray in kochen_specker.builtin_ks_table().distinct_rays]
         blocks = kochen_specker.fwt_trials(
-            p["context"], p["bob_ray"], p["policy"], config.seed, trials
+            p["context"], p["bob_ray"], p["policy"], p["seed"], trials
         )
         for block in blocks:
             rows = zip(*(column.tolist() for column in block), block.agree.tolist())
@@ -523,7 +523,7 @@ def reference_records(raw):
     alternatives = agent.AlternativeSet(labels, tuple(p["priorities"]))
     norm = agent.NormFunction(dict(zip(labels, p["norm"])))
     if p["agent"] == "collapse":
-        for block in agent.act_trials(alternatives, norm, config.seed, trials, p["mixing"]):
+        for block in agent.act_trials(alternatives, norm, p["seed"], trials, p["mixing"]):
             for t, outcome, tie in zip(*(column.tolist() for column in block)):
                 yield {"record": "trial", "trial": t, "outcome": outcome,
                        "label": labels[outcome],
@@ -649,6 +649,24 @@ class TestConfigEcho:
             echo = json.loads(lines[0])
             assert echo.pop("record") == "config"
             assert validate(echo) == []
+
+    FWT_RECORD = {"experiment": "fwt", "seed": 0, "output_format": "json-lines",
+                  "per_trial": False}
+
+    @pytest.mark.parametrize("raw, record, trials", [
+        ({"experiment": "fwt"}, FWT_RECORD, 1000),
+        ({"experiment": "fwt", "trials": None}, FWT_RECORD, 1000),
+        ({"experiment": "asc", "seed": 5, "trials": 20, "output_format": "json-lines",
+          "per_trial": True, "labels": "a,b", "mixing": 1, "agent": "compute"},
+         {"experiment": "asc", "seed": 5, "trials": 20, "output_format": "json-lines",
+          "per_trial": True, "labels": "a,b", "mixing": 1.0, "agent": "compute"}, 20),
+    ])
+    def test_record(self, raw, record, trials):
+        # every run key but an unset trials, and only the parameters the
+        # config sets, each spelled as its typed value (mixing 1.0, not 1)
+        lines = run_lines(raw)
+        assert lines[0] == json.dumps({"record": "config", **record}, sort_keys=True)
+        assert aggregate_of(lines)["trials"] == trials
 
 
 class TestMainEntry:

@@ -6,7 +6,8 @@ outside its own definition, or be a target of the benchmark's tracer, which
 wraps package functions by name. A face only the tests read belongs in
 tests/oracles.py. Every name a module assigns at its top level, dunders such
 as __version__ aside, must be read somewhere in the package, so a constant
-cannot outlive its last use.
+cannot outlive its last use. The command line sits on top: no other module
+imports cli, not even for type checking.
 """
 
 import ast
@@ -97,3 +98,24 @@ def unread() -> list[str]:
 
 def test_every_module_level_name_is_read_by_the_package():
     assert unread() == []
+
+
+def imported_modules(tree: ast.Module) -> set[str]:
+    """Each package module the tree imports, at any depth, by its bare name."""
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            found.update(alias.name.split(".")[-1] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            # `from . import cli` names the module; `from .cli import main` is it
+            if node.module in (None, "collapsim"):
+                found.update(alias.name for alias in node.names)
+            else:
+                found.add(node.module.split(".")[-1])
+    return found
+
+
+def test_no_module_but_cli_imports_cli():
+    importers = [path.stem for path in sorted(PACKAGE.glob("*.py")) if path.stem != "cli"
+                 and "cli" in imported_modules(ast.parse(path.read_text(encoding="utf-8")))]
+    assert importers == []
