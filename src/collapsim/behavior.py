@@ -8,12 +8,12 @@ statistics: small exponents mean heavy tails.
 An interval file holds one repr(x) per line. format_intervals takes the values
 FORMAT_CHUNK at a time and, in each block's own arrays, finds repr's shortest
 round-trip digits in numpy, exactly (after Steele & White, PLDI 1990, with
-Dekker's error-free product), for values in [1e-3, 1e15], spells them as ASCII
-in numpy, and calls repr for the rest: the bytes are the same either way.
-read_intervals reads each ASCII token of the form digits[.digits] in numpy,
-correctly rounded (Clinger, PLDI 1990, with the same product to settle what
-his fast path does not cover), and every other token with float(): the values
-and errors are the same either way.
+Dekker's error-free product), for values in [1e-3, 1e15], spells each line as
+the tail of a 24-byte ASCII row, and calls repr for the rest: the bytes are the
+same either way. read_intervals reads up to MAX_LENGTH values, each ASCII token
+digits[.digits] in numpy from the same row, correctly rounded (Clinger, PLDI
+1990, with the same product to settle what his fast path does not cover), and
+every other token with float(): the values and errors are the same either way.
 """
 
 from __future__ import annotations
@@ -26,18 +26,20 @@ from typing import Iterable, Iterator
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .errors import BadParameter, DegenerateSequence
+from .errors import BadParameter, ConfigError, DegenerateSequence
 
 #: classification thresholds on the Hill estimate (overridable per call)
 LEVY_THRESHOLD = 2.5
 NOISE_THRESHOLD = 3.5
 
-#: interval files are formatted FORMAT_CHUNK values at a time, so no step
-#: holds one Python object per interval of the file. A block's float64
-#: temporaries stay under 128 KiB, which glibc would map afresh each time, and
-#: all it allocates (about 1.6 MB) under the 2 MB free heap top glibc keeps
-#: after a 10**6-interval generate, so each block reuses the last one's pages
-FORMAT_CHUNK = 7500
+#: the most intervals `behavior generate` writes (--length) and read_intervals reads
+MAX_LENGTH = 10**7
+#: interval files are formatted FORMAT_CHUNK values at a time, so no step holds
+#: one Python object per interval. A block's largest arrays, its rows and mask,
+#: take 120 kB, under the 128 KiB from which glibc maps afresh, so a fresh generate
+#: reuses one heap: 0.3-0.6 minor faults per page of extra peak RSS at 1.3*10**5 to
+#: 10**6 intervals, against 2.0-8.1 with 7500-value blocks (360 kB rows and masks)
+FORMAT_CHUNK = 5000
 
 
 @dataclass(frozen=True, eq=False)
@@ -151,9 +153,11 @@ def read_intervals(pieces: Iterable[str]) -> EventSequence:
     """Parse a plain interval file from pieces of its text: Python float literals
     split by any whitespace. Each piece's ended tokens are parsed together; a
     token still open at a piece's end is carried on and read by float() alone,
-    however many pieces it spans. All pieces are read, so a reading error beats
-    a bad token."""
+    however many pieces it spans; a file is refused at the piece that takes it
+    past MAX_LENGTH values. All pieces are read, so a reading error beats a bad
+    token or the cap."""
     parts = [np.empty(0)]
+    count = 0
     carry: list[str] = []  # the pieces of a token that no whitespace has ended yet
     pieces = iter(pieces)
     try:
@@ -164,11 +168,17 @@ def read_intervals(pieces: Iterable[str]) -> EventSequence:
                 if end == len(piece):
                     continue
                 parts.append(np.array([float("".join(carry))]))
+                count += 1
                 carry, piece = [], piece[end:]
             start = _tail_start(piece)
             if start < len(piece):
                 carry.append(piece[start:])
             parts.append(_parse_tokens(piece[:start]))
+            count += parts[-1].size
+            if count > MAX_LENGTH:
+                for _ in pieces:
+                    pass
+                raise ConfigError(f"input: must hold at most {MAX_LENGTH} intervals")
     except ValueError as exc:
         for _ in pieces:
             pass
@@ -246,33 +256,17 @@ def _scales() -> tuple[np.ndarray, ...]:
 
 _K, _FIVE, _HALF_ULP = _scales()
 
-# A line is spelled as one row of _ROW_WORDS uint32 words: the digits D, 20
-# of them right-aligned, a word whose first byte is the point, D's digits
-# again and a word whose first byte is the newline. The line is the row's
-# bytes under its mask, which depends only on D's digit count and the
-# fraction width w: the integer digits from the first copy (at least one, so
-# a leading "0"), the point, D's last w digits from the second copy and the
-# newline.
-_ROW_WORDS = 12
-_POINT, _NEWLINE = 20, 44  # their bytes in a row
+# A line is spelled as the last bytes of one _DIGIT_ROW-byte row, the row the
+# reader reads it from: the 24 digits of 10 * (i * 10**(w + 1) + f) = 100 D -
+# 90 f, below 10**19, for D's integer part i and its last w digits f, as six
+# _QUADS words. The point overwrites the zero at byte 22 - w and the newline
+# the last byte, and the line starts at i's first digit, or at the 0 before
+# the point when i is 0: one tail of the row per start byte.
+_DIGIT_ROW = 24
 #: _QUADS[n] is the four ASCII digits of n < 10**4 as one uint32
 _QUADS = (np.arange(10**4)[:, None] // _POW10[3::-1] % 10 + 48).astype(np.uint8).view(np.uint32).ravel()
-#: one more than the most digits after the point in [_LOWEST, _HIGHEST] (19)
-_WIDTHS = 20
-
-
-def _masks() -> np.ndarray:
-    """The byte mask of a row with D of `count` digits and w digits after the
-    point, at row count * _WIDTHS + w."""
-    count, width = np.arange(18)[:, None, None], np.arange(_WIDTHS)[:, None]
-    column = np.arange(4 * _ROW_WORDS)
-    first = _POINT - width - np.maximum(count - width, 1)
-    return ((column >= first) & (column < _POINT - width)
-            | (column >= _NEWLINE - width) & (column < _NEWLINE)
-            | (column == _POINT) | (column == _NEWLINE)).reshape(-1, column.size)
-
-
-_MASKS = _masks()
+#: _TAILS[s] is the mask of a row's bytes from byte s on
+_TAILS = np.arange(_DIGIT_ROW) >= np.arange(_DIGIT_ROW)[:, None]
 
 
 def _shortest_fields(values: np.ndarray) -> tuple[np.ndarray, ...]:
@@ -341,14 +335,18 @@ def _format_block(values: np.ndarray) -> str:
     """repr(x) and a newline for each value: the computed lines spelled as
     ASCII rows in numpy, repr's own lines put between them."""
     covered, digits, width = _shortest_fields(values)
-    masks = _MASKS[np.searchsorted(_POW10, digits, side="right") * _WIDTHS + width]
-    rows = np.empty((digits.size, _ROW_WORDS), dtype=np.uint32)
-    for column in range(4, -1, -1):  # D < 10**17: five groups of four digits
-        digits, quad = np.divmod(digits, 10**4)
+    # a line starts 2 + max(D's digit count, w + 1) bytes before the row's end
+    start = _DIGIT_ROW - 2 - np.maximum(np.searchsorted(_POW10, digits, side="right"), width + 1)
+    fraction = digits % np.take(_POW10, width, mode="clip")  # all of D < 10**17 when w > 18
+    number = (10 * digits - 9 * fraction).view(np.uint64) * 10
+    rows = np.full((digits.size, _DIGIT_ROW // 4), _QUADS[0])  # the top word "0000": number < 10**20
+    for column in range(5, 0, -1):
+        number, quad = np.divmod(number, 10**4)
         rows[:, column] = _QUADS[quad]
-    rows[:, 6:11] = rows[:, 0:5]
     rows = rows.view(np.uint8)
-    rows[:, [_POINT, _NEWLINE]] = [ord("."), ord("\n")]
+    rows[np.arange(digits.size), _DIGIT_ROW - 2 - width] = ord(".")
+    rows[:, -1] = ord("\n")
+    masks = _TAILS[start]
     parts, done = [], 0
     for spliced, at in enumerate(np.flatnonzero(~covered).tolist()):
         stop = at - spliced  # the computed lines before this one
@@ -367,11 +365,8 @@ def _format_block(values: np.ndarray) -> str:
 # accurately", PLDI 1990). Where m is larger (below 10**18, 18 digits), the
 # quotient is a candidate that Dekker's exact product checks against its
 # neighbours' midpoints. Other tokens, and the few the check leaves in doubt,
-# are read by float().
-
-#: a token's digits are read from the _DIGIT_ROW bytes that end it, as three
-#: little-endian uint64 lanes of 8 bytes each
-_DIGIT_ROW = 24
+# are read by float(). A token's digits are read from the _DIGIT_ROW bytes
+# that end it, as three little-endian uint64 lanes of 8 bytes each.
 
 
 def _digit_masks() -> np.ndarray:

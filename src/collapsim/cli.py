@@ -34,10 +34,9 @@ RUN_KEYS: dict[str, Any] = {"seed": 0, "trials": None, "output_format": "json-li
                             "per_trial": False}
 BASES = ("z", "x")
 
-#: caps that keep a config from asking for years of trials or a
-#: multi-gigabyte interval sequence (float64 intervals, 8 bytes each)
+#: the cap that keeps a config from asking for years of trials (an interval
+#: sequence's is behavior.MAX_LENGTH)
 MAX_TRIALS = 10**8
-MAX_LENGTH = 10**7
 #: a per-trial run holds its records' columns in memory, and its report is
 #: written as it is rendered, TRIAL_BLOCK records to a string: 10^6 fwt
 #: records peak near 150 MB
@@ -217,8 +216,8 @@ def _positive(value: float) -> float:
 def _length(length: int) -> int:
     if length < 100:
         raise ValueError("must be at least 100")
-    if length > MAX_LENGTH:
-        raise ValueError(f"must be at most {MAX_LENGTH}")
+    if length > behavior.MAX_LENGTH:
+        raise ValueError(f"must be at most {behavior.MAX_LENGTH}")
     return length
 
 

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from collapsim import harnesses
+from collapsim import behavior, harnesses
 from collapsim.behavior import (
     FORMAT_CHUNK,
     EventSequence,
@@ -222,6 +222,15 @@ class TestSerialization:
     @settings(max_examples=200, deadline=None)
     @given(st.lists(st.floats(min_value=5e-324, allow_infinity=False), min_size=1, max_size=50))
     def test_format_equals_repr_of_any_positive_floats(self, values):
+        text = "".join(format_intervals(EventSequence(np.array(values))))
+        assert text == repr_lines(values)
+        assert_floats_of_tokens(read_intervals([text]), text)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.floats(min_value=1e-3, max_value=1e15), min_size=1, max_size=50))
+    def test_format_equals_repr_of_floats_spelled_in_numpy(self, values):
+        # [1e-3, 1e15] is the range the numpy digits cover; few of the draws
+        # over all positive floats above land in it
         text = "".join(format_intervals(EventSequence(np.array(values))))
         assert text == repr_lines(values)
         assert_floats_of_tokens(read_intervals([text]), text)
@@ -454,6 +463,42 @@ class TestChunkBoundaries:
         assert "".join(format_intervals(sequence)) == repr_lines(sequence.intervals)
 
 
+class TestCountCap:
+    """read_intervals reads at most MAX_LENGTH values, the most generate writes,
+    and refuses a longer file before it holds all of its values."""
+
+    def test_cap_is_the_largest_count_read(self, monkeypatch):
+        monkeypatch.setattr(behavior, "MAX_LENGTH", 1000)
+        text = "".join(format_intervals(generate_sequence("pareto", 1001, keyed_generator(108))))
+        last = text.rindex("\n", 0, -1) + 1
+        assert read_intervals(read_pieces(text[:last])).intervals.size == 1000
+        with pytest.raises(ConfigError, match=r"^input: must hold at most 1000 intervals$"):
+            read_intervals(read_pieces(text))
+
+    def test_refused_at_the_cap_not_the_file(self, monkeypatch):
+        # 20 000 values, 160 KB of float64, in 1000-character pieces of about
+        # 50 lines: refused at a 39 KB peak (measured), one piece's parse
+        # temporaries and the cap's 1000 values of 8 KB; read whole, 487 KB
+        monkeypatch.setattr(behavior, "MAX_LENGTH", 1000)
+        text = "".join(format_intervals(generate_sequence("pareto", 20_000, keyed_generator(109))))
+
+        def read():
+            with pytest.raises(ConfigError, match="^input: must hold at most 1000 intervals$"):
+                read_intervals(text[i:i + 1000] for i in range(0, len(text), 1000))
+
+        assert _peak_bytes(read) <= 8 * (8 * 1000)
+
+    def test_reading_error_beats_the_cap(self, monkeypatch):
+        monkeypatch.setattr(behavior, "MAX_LENGTH", 1000)
+
+        def pieces():
+            yield "1.5\n" * 1001
+            raise ConfigError("input: not UTF-8 text")
+
+        with pytest.raises(ConfigError, match="^input: not UTF-8 text$"):
+            read_intervals(pieces())
+
+
 class TestFileReader:
     """An interval file is decoded and parsed one piece at a time, with the
     errors of reading it whole."""
@@ -525,7 +570,7 @@ class TestTextMemory:
     multiple of the text's length."""
 
     def test_format_peak(self):
-        # 200000 values, 3.7 MB of text, are 27 blocks of a 1.6 MB working set each
+        # 200000 values, 3.7 MB of text, are 40 blocks of a 1.1 MB working set each
         sequence = generate_sequence("pareto", 200_000, keyed_generator(102))
         one_block = EventSequence(sequence.intervals[:FORMAT_CHUNK])
         assert _peak_bytes(lambda: [len(piece) for piece in format_intervals(sequence)]) \
@@ -535,20 +580,23 @@ class TestTextMemory:
     def test_fresh_process_faults_track_peak_rss(self, tmp_path):
         # tracemalloc cannot see glibc give a freed heap top back to the system
         # and fault it in again for the next block; a child's minor faults can.
-        # Above a bare ks run, 10**6 intervals take 0.45 (generate) and 1.1
-        # (classify) faults per page of extra peak RSS, and about 10 in a generate
-        # with 15000-value format blocks, whose temporaries outgrow the trim
-        # threshold glibc sets
+        # Above a bare ks run, generate takes 0.5, 0.6 and 0.4 faults per page
+        # of extra peak RSS at 3*10**5, 5*10**5 and 10**6 intervals, and
+        # classify of the 10**6 file 0.6-0.9. With 7500-value format blocks,
+        # whose arrays outgrow the 128 KiB glibc maps afresh, generate took
+        # 3.3-5.7 and 5.5-8.1 at the two smaller sizes, and about 10 at 10**6
+        # with 15000
         path = str(tmp_path / "seq.txt")
         base_faults, base_rss = _child_usage("ks")
         for args in (
-            ["generate", "--kind", "pareto", "--length", "1000000", "--seed", "3", "--out", path],
+            *(["generate", "--kind", "pareto", "--length", length, "--seed", "3", "--out", path]
+              for length in ("300000", "500000", "1000000")),
             ["classify", "--input", path],
         ):
             faults, rss = _child_usage("behavior", *args)
             pages = (rss - base_rss) / 4
             assert faults - base_faults <= 3 * pages, \
-                f"{args[0]}: {faults - base_faults} faults over {pages:.0f} pages"
+                f"{args}: {faults - base_faults} faults over {pages:.0f} pages"
 
     def test_read_peak_above_its_input(self, tmp_path):
         text = "".join(format_intervals(generate_sequence("pareto", 200_000,

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from collapsim import agent, cli, harnesses, kochen_specker, rng
+from collapsim import agent, behavior, cli, harnesses, kochen_specker, rng
 from collapsim.cli import build_config, main, render_report, run, validate
 from collapsim.errors import ConfigError
 from collapsim.quantum import ProjectiveMeasurement
@@ -891,6 +891,17 @@ class TestMainEntry:
             "collapsim.errors.BadParameter: all intervals must be positive and finite\n"
         )
 
+    def test_interval_count_cap_exit_2(self, tmp_path, monkeypatch, capsys):
+        # classify reads at most the count generate writes, a cap like --length's
+        monkeypatch.setattr(behavior, "MAX_LENGTH", 1000)
+        data = tmp_path / "seq.txt"
+        assert main(["behavior", "generate", "--length", "1000", "--out", str(data)]) == 0
+        assert main(["behavior", "classify", "--input", str(data)]) == 0
+        data.write_text(data.read_text() + "1.5\n")
+        capsys.readouterr()
+        assert main(["behavior", "classify", "--input", str(data)]) == 2
+        assert capsys.readouterr() == ("", "config error: input: must hold at most 1000 intervals\n")
+
     @pytest.mark.parametrize(
         "argv, message",
         [
@@ -1334,7 +1345,7 @@ _TEXT["policy0"] = _TEXT["policy1"] = _TEXT["policy"]
 # file parameters name one of the files made by fuzz_files
 _FILES = ("f.cnf", "f.tt", "seq.txt", "unsat.tt", "latin1.txt", "missing.txt", ".")
 _SMALL = {"trials": (1, 50), "length": (100, 300)}
-_CAPS = {"trials": cli.MAX_TRIALS, "length": cli.MAX_LENGTH}
+_CAPS = {"trials": cli.MAX_TRIALS, "length": behavior.MAX_LENGTH}
 
 
 def _values(name, kind, choices=()):
