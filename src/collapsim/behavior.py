@@ -97,8 +97,9 @@ def generate_sequence(
         raise BadParameter(f"unknown sequence kind {kind!r}")
     if not np.all(np.isfinite(draws)):
         raise BadParameter(f"{kind} intervals overflow a float at these parameters")
-    # an exact 0.0 draw has measure zero but would break positivity
-    return EventSequence(np.maximum(draws, np.finfo(float).tiny, out=draws))
+    # an exact 0.0 draw has measure zero but would break positivity; every
+    # positive draw, subnormal ones too, is at least this and stays as it is
+    return EventSequence(np.maximum(draws, np.finfo(float).smallest_subnormal, out=draws))
 
 
 def tail_exponent(sequence: EventSequence, k: int) -> float:
@@ -231,7 +232,6 @@ _SPLITTER = 134217729.0
 #: a closed interval this much narrower holds the open one's integers
 _GRAIN = 2.0**-44
 _POW10 = 10 ** np.arange(19, dtype=np.int64)
-_E_LOW, _E_HIGH = math.frexp(_LOWEST)[1], math.frexp(_HIGHEST)[1]
 
 
 def _split(a: np.ndarray | float) -> tuple:
@@ -240,21 +240,18 @@ def _split(a: np.ndarray | float) -> tuple:
     return high, a - high
 
 
-def _scales() -> tuple[np.ndarray, ...]:
-    """Per frexp exponent E of [_LOWEST, _HIGHEST] (x = m * 2**E, 1/2 <= m < 1):
-    k, the largest with 2**E * 10**k <= 10**18, so V = x * 10**k lies in
-    (2**53, 10**18), as a C int (np.ldexp scales fastest by one); 5**k; and
-    W = 5**k * 2**(E - 54 + k), half an ulp of x times 10**k, at least 5.68."""
-    columns = []
-    for e in range(_E_LOW, _E_HIGH + 1):
-        # one less than the digit count of floor(10**18 / 2**E)
-        k = len(str(10**18 * 2**max(-e, 0) // 2**max(e, 0))) - 1
-        five = float(5**k)
-        columns.append((np.intc(k), five, math.ldexp(five, e - 54 + k)))
-    return tuple(map(np.array, zip(*columns)))
+#: the powers of ten exact in a float, 10**22 the largest, and their halves
+_TENS = np.array([float(10**f) for f in range(23)])
+_TENS_HIGH, _TENS_LOW = _split(_TENS)
 
 
-_K, _FIVE, _HALF_ULP = _scales()
+def _times_ten_to(a: np.ndarray, k: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Dekker's exact product a * 10**k = product + error, for k <= 22."""
+    product = a * _TENS[k]
+    (a_high, a_low), t_high, t_low = _split(a), _TENS_HIGH[k], _TENS_LOW[k]
+    error = ((a_high * t_high - product) + a_high * t_low + a_low * t_high) + a_low * t_low
+    return product, error
+
 
 # A line is spelled as the last bytes of one _DIGIT_ROW-byte row, the row the
 # reader reads it from: the 24 digits of 10 * (i * 10**(w + 1) + f) = 100 D -
@@ -275,17 +272,17 @@ def _shortest_fields(values: np.ndarray) -> tuple[np.ndarray, ...]:
     point: repr(x) spells D with a point before its last w digits."""
     mantissa, exponent = np.frexp(values)
     covered = (values >= _LOWEST) & (values <= _HIGHEST) & (mantissa != 0.5)
-    x = values[covered]
-    index = exponent[covered].astype(np.intp) - _E_LOW  # intp: the index numpy gathers by fastest
-    k, five = _K[index], _FIVE[index]
-    # V = vh + vl: Dekker's exact product x * 5**k, scaled by 2**k. vh is an
-    # integer (V > 2**53); vl and radius are multiples of _GRAIN below 2**7,
-    # so vl +- radius is exact
-    product = x * five
-    (x_high, x_low), (five_high, five_low) = _split(x), _split(five)
-    error = ((x_high * five_high - product) + x_high * five_low + x_low * five_high) + x_low * five_low
-    vh, vl = np.ldexp(product, k), np.ldexp(error, k)
-    radius = _HALF_ULP[index] - (x.view(np.int64) & 1) * _GRAIN
+    x, e = values[covered], exponent[covered]
+    # x = m * 2**e with 1/2 <= m < 1, and k, the largest with 2**e * 10**k <=
+    # 10**18, is floor(18 - e log10 2): for e in [-9, 50] other than 0, e log10 2
+    # is at least 0.01 from an integer, far beyond its rounding. So V = x *
+    # 10**k lies in (10**17 / 2, 10**18), and W = 2**(e - 54) * 10**k, half an
+    # ulp of x times 10**k, in (5.5, 55.6)
+    k = np.floor(18 - e * math.log10(2)).astype(np.intp)
+    # V = vh + vl: vh is an integer (V > 2**53); vl and radius are multiples of
+    # _GRAIN below 2**7, so vl +- radius is exact
+    vh, vl = _times_ten_to(x, k)
+    radius = np.ldexp(_TENS[k], e - 54) - (x.view(np.int64) & 1) * _GRAIN
     # [low, high]: the integers x reads back from, in units of 10**-k
     base = vh.astype(np.int64)
     high = base + np.floor(vl + radius).astype(np.int64)
@@ -383,8 +380,6 @@ _DIGIT_MASKS = _digit_masks()
 #: + r (below 10**19 in a uint64) for integer part i and fraction r of f
 #: digits; r = M mod _MODULI[p], and M itself when there is no point (p = 0)
 _MODULI = np.array([10**min(f, 19) for f in [19, *range(_DIGIT_ROW)]], dtype=np.uint64)
-_TENS = np.array([float(10**f) for f in range(23)])
-_TENS_HIGH, _TENS_LOW = _split(_TENS)
 
 
 def _parse_tokens(text: str) -> np.ndarray:
@@ -480,10 +475,7 @@ def _settle(mantissa: np.ndarray, fraction: np.ndarray) -> tuple[np.ndarray, np.
     scale = _TENS[fraction]
     m_high = mantissa.astype(float)
     y = m_high / scale
-    product = y * scale
-    y_high, y_low = _split(y)
-    s_high, s_low = _TENS_HIGH[fraction], _TENS_LOW[fraction]
-    product_error = ((y_high * s_high - product) + y_high * s_low + y_low * s_high) + y_low * s_low
+    product, product_error = _times_ten_to(y, fraction)
     residual = (m_high - product) + ((mantissa - m_high.astype(np.int64)) - product_error)
     nearest = y + residual / scale
     shift = (nearest - y) * scale

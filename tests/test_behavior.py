@@ -36,6 +36,23 @@ class TestGenerateSequence:
         seq = generate_sequence("pareto", 10_000, keyed_generator(82), alpha=1.5, xmin=1.0)
         assert seq.intervals.min() >= 1.0
 
+    def test_subnormal_draws_kept(self):
+        # raising every draw to the smallest normal float once left 4 distinct
+        # values of 10000 and read this heavy tail as noise_like
+        tiny = generate_sequence("pareto", 10_000, keyed_generator(3), xmin=1e-310)
+        normal = generate_sequence("pareto", 10_000, keyed_generator(3), xmin=1.0)
+        np.testing.assert_array_equal(tiny.intervals, normal.intervals * 1e-310)
+        assert np.unique(tiny.intervals).size == 10_000
+        assert classify(tiny).classification == "levy_like"
+
+    def test_zero_draw_made_positive(self):
+        class ZeroDraws:
+            def exponential(self, scale, size):
+                return np.zeros(size)
+
+        seq = generate_sequence("exponential", 100, ZeroDraws())
+        assert np.all(seq.intervals == np.finfo(float).smallest_subnormal)
+
     def test_seed_determinism(self):
         a = generate_sequence("pareto", 500, keyed_generator(83), alpha=2.0)
         b = generate_sequence("pareto", 500, keyed_generator(83), alpha=2.0)
@@ -343,13 +360,16 @@ def _edge_values():
     tens = np.array([float(f"1e{n}") for n in range(-4, 18)])
     around_tens = (tens.view(np.int64)[:, None] + steps).ravel().view(np.float64)
     powers_of_two = 2.0 ** np.arange(-1074, 1024)
+    # 3 ulps either side of each binade end 2**(e - 1) for e in [-9, 51], the
+    # frexp exponents of [1e-3, 1e15]: e sets the numpy digits' 10**k and W
+    binade_ends = ((2.0 ** np.arange(-10, 51)).view(np.int64)[:, None] + steps).ravel().view(np.float64)
     integers = np.unique(np.round(np.geomspace(1, 2**53, 400)))
     integers = np.concatenate([integers, [2**53 - 1, rng.integers(1, 2**53)]])
     decimals = [rng.integers(1, 10**9, 100) / 10**d for d in range(1, 8)]
     # n / 2**16 often lies exactly between two shortest spellings
     dyadic = rng.integers(1, 2**20, 200) * 2.0**-16
     subnormals = rng.integers(1, 2**52, 50).view(np.float64)
-    return np.concatenate([around_tens, powers_of_two, integers, integers / 2,
+    return np.concatenate([around_tens, powers_of_two, binade_ends, integers, integers / 2,
                            *decimals, dyadic, subnormals, [5e-324]])
 
 
@@ -570,11 +590,18 @@ class TestTextMemory:
     multiple of the text's length."""
 
     def test_format_peak(self):
-        # 200000 values, 3.7 MB of text, are 40 blocks of a 1.1 MB working set each
+        # 200000 values, 3.7 MB of text, are 40 blocks of a 0.81 MB working set
+        # each, and while one is made its caller still holds the last 93 kB
+        # piece: 903 kB against a bound of 911 kB. Holding one more piece
+        # reaches 997 kB. The first run in a process also fills 2-9 kB of caches
         sequence = generate_sequence("pareto", 200_000, keyed_generator(102))
         one_block = EventSequence(sequence.intervals[:FORMAT_CHUNK])
+        for _ in format_intervals(sequence):
+            pass
+        piece = next(format_intervals(one_block))
         assert _peak_bytes(lambda: [len(piece) for piece in format_intervals(sequence)]) \
-            <= 1.1 * _peak_bytes(lambda: [len(piece) for piece in format_intervals(one_block)])
+            <= _peak_bytes(lambda: [len(piece) for piece in format_intervals(one_block)]) \
+            + 1.1 * len(piece)
 
     @pytest.mark.skipif(sys.platform != "linux", reason="reads Linux rusage, RSS in KiB")
     def test_fresh_process_faults_track_peak_rss(self, tmp_path):
