@@ -9,11 +9,12 @@ An interval file holds one repr(x) per line. format_intervals takes the values
 FORMAT_CHUNK at a time and, in each block's own arrays, finds repr's shortest
 round-trip digits in numpy, exactly (after Steele & White, PLDI 1990, with
 Dekker's error-free product), for values in [1e-3, 1e15], spells each line as
-the tail of a 24-byte ASCII row, and calls repr for the rest: the bytes are the
-same either way. read_intervals reads up to MAX_LENGTH values, each ASCII token
-digits[.digits] in numpy from the same row, correctly rounded (Clinger, PLDI
-1990, with the same product to settle what his fast path does not cover), and
-every other token with float(): the values and errors are the same either way.
+the tail of a 24-byte ASCII row, four digits per floor division by 10**4, and
+calls repr for the rest: the bytes are the same either way. read_intervals
+reads up to MAX_LENGTH values, each ASCII token digits[.digits] in numpy from
+the same row, correctly rounded (Clinger, PLDI 1990, with the same product to
+settle, against the bit-adjacent floats, what his fast path does not cover),
+and every other token with float(): the values and errors are the same.
 """
 
 from __future__ import annotations
@@ -254,11 +255,13 @@ def _times_ten_to(a: np.ndarray, k: np.ndarray) -> tuple[np.ndarray, np.ndarray]
 
 
 # A line is spelled as the last bytes of one _DIGIT_ROW-byte row, the row the
-# reader reads it from: the 24 digits of 10 * (i * 10**(w + 1) + f) = 100 D -
-# 90 f, below 10**19, for D's integer part i and its last w digits f, as six
-# _QUADS words. The point overwrites the zero at byte 22 - w and the newline
-# the last byte, and the line starts at i's first digit, or at the 0 before
-# the point when i is 0: one tail of the row per start byte.
+# reader reads it from: the 24 digits of 10 * (i * 10**(w + 1) + f) = 10 (D +
+# 9 i 10**w), below 10**19, for D's integer part i and its last w digits f, as
+# six _QUADS words, each the remainder of a floor division by 10**4: numpy
+# floor-divides by a scalar with a multiply and a shift, where its divmod takes
+# 2.6 times as long. The point overwrites the zero at byte 22 - w and the
+# newline the last byte, and the line starts at i's first digit, or at the 0
+# before the point when i is 0: one tail of the row per start byte.
 _DIGIT_ROW = 24
 #: _QUADS[n] is the four ASCII digits of n < 10**4 as one uint32
 _QUADS = (np.arange(10**4)[:, None] // _POW10[3::-1] % 10 + 48).astype(np.uint8).view(np.uint32).ravel()
@@ -268,8 +271,9 @@ _TAILS = np.arange(_DIGIT_ROW) >= np.arange(_DIGIT_ROW)[:, None]
 
 def _shortest_fields(values: np.ndarray) -> tuple[np.ndarray, ...]:
     """Which of values this covers, and for each of them, in order, repr's
-    significant digits D and the count w (at least one) of them after the
-    point: repr(x) spells D with a point before its last w digits."""
+    significant digits D, the count w (at least one) of them after the point
+    and their integer part i: repr(x) spells D with a point before its last w
+    digits, and i = floor(x), as no float lies between x and that decimal."""
     mantissa, exponent = np.frexp(values)
     covered = (values >= _LOWEST) & (values <= _HIGHEST) & (mantissa != 0.5)
     x, e = values[covered], exponent[covered]
@@ -303,18 +307,14 @@ def _shortest_fields(values: np.ndarray) -> tuple[np.ndarray, ...]:
         bottom //= 10
         scanning = top > bottom
         rows, top, bottom = rows[scanning], top[scanning], bottom[scanning]
-    # the multiple of 10**j nearest V = whole + frac: quotient * 10**j lies
-    # remainder + frac below V and the next multiple 10**j - remainder - frac
-    # above it, so the lower is nearer when 2 * remainder + floor(2 * frac)
-    # < 10**j; 2 * frac is exact
+    # the multiple of 10**j nearest V = floor(V) + frac, frac in [0, 1), is
+    # 10**j times the quotient of half = floor(V) + 10**j / 2 (whole, as j >= 1)
+    # by 10**j; V lies midway when that divides exactly and frac is 0
     step = _POW10[j]
     floor_vl = np.floor(vl)
-    digits, remainder = np.divmod(base + floor_vl.astype(np.int64), step)
-    twice_frac = 2 * (vl - floor_vl)
-    twice_floor = np.floor(twice_frac)
-    gap = 2 * remainder + twice_floor.astype(np.int64) - step
-    digits += gap >= 0
-    tie = (gap == 0) & (twice_frac == twice_floor)
+    half = base + floor_vl.astype(np.int64) + step // 2
+    digits = half // step
+    tie = (digits * step == half) & (vl == floor_vl)
     # D spells x with w = k - j digits after the point; when j >= k the digits
     # spell an integer within half an ulp of x, which below 2**50 is x itself,
     # and D is x * 10 with w = 1 ("x.0")
@@ -322,28 +322,30 @@ def _shortest_fields(values: np.ndarray) -> tuple[np.ndarray, ...]:
     whole = np.flatnonzero(width <= 0)
     digits[whole] *= _POW10[1 - width[whole]]
     width[whole] = 1
+    integer = x.astype(np.int64)  # x > 0: truncation is the floor
     if tie.any():
         covered[np.flatnonzero(covered)[tie]] = False
-        digits, width = digits[~tie], width[~tie]
-    return covered, digits, width
+        digits, width, integer = digits[~tie], width[~tie], integer[~tie]
+    return covered, digits, width, integer
 
 
 def _format_block(values: np.ndarray) -> str:
     """repr(x) and a newline for each value: the computed lines spelled as
     ASCII rows in numpy, repr's own lines put between them."""
-    covered, digits, width = _shortest_fields(values)
+    covered, digits, width, integer = _shortest_fields(values)
     # a line starts 2 + max(D's digit count, w + 1) bytes before the row's end
     start = _DIGIT_ROW - 2 - np.maximum(np.searchsorted(_POW10, digits, side="right"), width + 1)
-    fraction = digits % np.take(_POW10, width, mode="clip")  # all of D < 10**17 when w > 18
-    number = (10 * digits - 9 * fraction).view(np.uint64) * 10
+    # 10 D - 9 f = D + 9 i 10**w; i is 0 where w > 18
+    number = (digits + 9 * integer * np.take(_POW10, width, mode="clip")).view(np.uint64) * 10
     rows = np.full((digits.size, _DIGIT_ROW // 4), _QUADS[0])  # the top word "0000": number < 10**20
     for column in range(5, 0, -1):
-        number, quad = np.divmod(number, 10**4)
-        rows[:, column] = _QUADS[quad]
+        high = number // 10**4
+        rows[:, column] = np.take(_QUADS, number - high * 10**4)
+        number = high
     rows = rows.view(np.uint8)
-    rows[np.arange(digits.size), _DIGIT_ROW - 2 - width] = ord(".")
+    rows.ravel()[np.arange(_DIGIT_ROW - 2, rows.size, _DIGIT_ROW) - width] = ord(".")
     rows[:, -1] = ord("\n")
-    masks = _TAILS[start]
+    masks = np.take(_TAILS, start, axis=0)
     parts, done = [], 0
     for spliced, at in enumerate(np.flatnonzero(~covered).tolist()):
         stop = at - spliced  # the computed lines before this one
@@ -481,6 +483,7 @@ def _settle(mantissa: np.ndarray, fraction: np.ndarray) -> tuple[np.ndarray, np.
     shift = (nearest - y) * scale
     residual -= shift
     bound = 2.0**-45 + 2.0**-51 * (np.abs(residual) + np.abs(shift))
-    up = (np.nextafter(nearest, np.inf) - nearest) * scale / 2
-    down = (nearest - np.nextafter(nearest, 0)) * scale / 2
+    bits = nearest.view(np.int64)  # a positive normal float: its neighbours are bits +- 1
+    up = ((bits + 1).view(float) - nearest) * scale / 2
+    down = (nearest - (bits - 1).view(float)) * scale / 2
     return nearest, (residual < up - bound) & (residual > bound - down)

@@ -252,6 +252,17 @@ class TestSerialization:
         assert text == repr_lines(values)
         assert_floats_of_tokens(read_intervals([text]), text)
 
+    def test_quad_boundaries_spelled_and_read(self):
+        # the writer spells a row's digits four at a time: repr digits D =
+        # 10**(4m) - 1, 10**(4m) and 10**(4m) + 1 put a carry and a lone digit
+        # on every word edge, for every point place
+        values = [float(f"{digits}e-{width}") for m in range(1, 5)
+                  for digits in (10**(4 * m) - 1, 10**(4 * m), 10**(4 * m) + 1) for width in range(1, 17)]
+        values = np.array([value for value in values if 1e-3 <= value <= 1e15])
+        text = "".join(format_intervals(EventSequence(values)))
+        assert text == repr_lines(values)
+        assert_floats_of_tokens(read_intervals([text]), text)
+
     def test_read_equals_float_on_edges(self):
         text = "".join(format_intervals(EventSequence(EDGES)))
         assert_floats_of_tokens(read_intervals([text]), text)
@@ -266,6 +277,36 @@ class TestNumpyReader:
     def test_tokens_near_midpoints(self, ys):
         tokens = [token for y in ys for token in near_midpoint_tokens(y)]
         assert {len(token.replace(".", "").lstrip("0")) for token in tokens} <= {16, 17, 18}
+        text = "\n".join(tokens) + "\n"
+        assert_floats_of_tokens(read_intervals([text]), text)
+
+    def test_settle_at_powers_of_two(self):
+        # below 2**e the floats lie half as far apart as above it, so _settle
+        # must take each gap from its own side. The decimals nearest 2**e, its
+        # neighbours and their midpoints, for every e whose 17- and 18-digit
+        # decimals reach _settle (mantissa in [2**53, 10**18), at most 22
+        # digits after the point): each settled value is float()'s, and each
+        # decimal farther than 10**-6 units of its last digit from a midpoint
+        # is settled
+        tokens, mantissas, fractions, margins, reached = [], [], [], [], set()
+        for e in range(-21, 62):
+            for z in (math.nextafter(2.0**e, 0), 2.0**e, math.nextafter(2.0**e, math.inf)):
+                for token in {t for target in [Fraction(z), *midpoints(z)] for t in decimals_near(target)}:
+                    mantissa, _, after = token.partition(".")
+                    mantissa = int(mantissa + after)
+                    if not (2**53 <= mantissa < 10**18 and len(after) <= 22):
+                        continue
+                    value, (low, high) = Fraction(mantissa, 10**len(after)), midpoints(float(token))
+                    tokens.append(token)
+                    mantissas.append(mantissa)
+                    fractions.append(len(after))
+                    margins.append(min(value - low, high - value) * 10**len(after))
+                    reached.add(e)
+        assert reached == set(range(-19, 60))
+        values, settled = behavior._settle(np.array(mantissas), np.array(fractions))
+        expected = np.array([float(token) for token in tokens])
+        np.testing.assert_array_equal(values[settled].view(np.int64), expected[settled].view(np.int64))
+        assert settled[np.array(margins) > Fraction(1, 10**6)].all()
         text = "\n".join(tokens) + "\n"
         assert_floats_of_tokens(read_intervals([text]), text)
 
@@ -337,17 +378,30 @@ def reference_outcome(text):
 def near_midpoint_tokens(y):
     """The 17- and 18-digit decimals nearest the midpoint of y and the next
     float up, and one unit either side in the last digit, as digits.digits."""
-    middle = (Fraction(y) + Fraction(math.nextafter(y, math.inf))) / 2
+    return decimals_near(midpoints(y)[1])
+
+
+def midpoints(z):
+    """The midpoints of the float z and its neighbours below and above."""
+    return [(Fraction(z) + Fraction(math.nextafter(z, to))) / 2 for to in (0, math.inf)]
+
+
+def decimals_near(target):
+    """The 17- and 18-digit decimals nearest the rational target, and one unit
+    either side in the last digit, as digits[.digits]; none of a count that
+    would need zeros before the point."""
     tokens = []
     for digits in (17, 18):
-        point = digits - 1 - math.floor(math.log10(middle))  # digits after the point
-        while round(middle * 10**point) >= 10**digits:
+        point = digits - 1 - math.floor(math.log10(target))  # digits after the point
+        while round(target * Fraction(10)**point) >= 10**digits:
             point -= 1
-        while round(middle * 10**point) < 10**(digits - 1):
+        while round(target * Fraction(10)**point) < 10**(digits - 1):
             point += 1
+        if point < 0:
+            continue
         for last in (-1, 0, 1):
-            spelled = str(round(middle * 10**point) + last).rjust(point + 1, "0")
-            tokens.append(f"{spelled[:-point]}.{spelled[-point:]}")
+            spelled = str(round(target * Fraction(10)**point) + last).rjust(point + 1, "0")
+            tokens.append(f"{spelled[:-point]}.{spelled[-point:]}" if point else spelled)
     return tokens
 
 
