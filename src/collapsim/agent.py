@@ -8,6 +8,13 @@ support: an alternative with zero priority can never be chosen. The
 contrast case is a robot that simply computes the argmax over all
 alternatives, with no superposition and no admissibility filter; the two
 produce identical outcomes but structurally different traces.
+
+An episode reads word 0 of its trial's stream for the mixing draw (only
+when mixing < 1) and the next word for its branch, and never the word of
+the Forced collapse, whose outcome is certain. act_trials reads each as
+one column of a block's words, so its rows never get cursors of their own
+(in the package only a Lemire retry gives them that), and act leaves the
+caller's stream just past the words it read.
 """
 
 from __future__ import annotations
@@ -198,7 +205,11 @@ def act(
     argmax; 0.0 ignores the norm and samples the admissible set with Born
     weights; intermediate values choose between the two at random. This
     knob is an extension beyond the basic model. This is act_trials' block
-    code at one row, on rng's stream as it stands.
+    code at one row, on rng's stream as it stands: on trial_rng(seed, t) it
+    reads word 0 for the mixing draw (only when mixing < 1) and the next
+    word for the branch (only when taken: a tie-break at the optimum, or
+    the Born branch), never the Forced collapse's word, whose outcome is
+    certain. It leaves rng just past the words it read.
     """
     row = _act_block(alternatives, norm, mixing)(rng, np.zeros(1, dtype=np.uint64))
     chosen, tie_broken = int(row.chosen[0]), bool(row.tie_broken[0])
@@ -259,9 +270,14 @@ def _act_block(
 
     Attention (alternatives.attended) and the admissible and tied sets are
     computed once; a choice is admissible, so its Forced collapse needs no
-    check. block(streams, t) draws trials t in act's order: the
-    mixing draw (only when mixing < 1), the tie-break or Born-branch draw
-    (only when taken), then the draw of the Forced collapse.
+    check. block(streams, t) reads whole columns, one word per row each:
+    word 0 is the mixing draw when mixing < 1, and the next word (word 1,
+    or word 0 at mixing 1) is at once the tie-break of the rows that follow
+    the norm and the Born branch of the others, read only when some row
+    takes one. The Forced collapse's word is never read: its outcome is
+    certain and act_trials' streams end with the block. So the rows share
+    one cursor; rows get cursors of their own only on a Lemire retry, which
+    no asc draw makes.
     """
     if not 0.0 <= mixing <= 1.0:
         raise BadParameter("mixing must lie in [0, 1]")
@@ -272,20 +288,14 @@ def _act_block(
     tied, admissible = np.array(tied), np.array(admissible)
 
     def block(streams: TrialStreams, t: np.ndarray) -> ActBlock:
-        # at mixing 1 every row follows the norm, and draws as one column (rows None)
         follow = np.ones(t.size, dtype=bool) if mixing >= 1.0 else streams.random() < mixing
-        by_norm = None if mixing >= 1.0 else np.flatnonzero(follow)
-        chosen = np.empty(t.size, dtype=np.int64)
-        tie_broken = np.zeros(t.size, dtype=bool)
-        if len(tied) == 1:
-            chosen[follow] = tied[0]
-        else:
-            chosen[follow] = tied[sample_indices(streams.random(by_norm), tie_cum)]
-            tie_broken[follow] = True
-        if by_norm is not None:
-            by_born = np.flatnonzero(~follow)
-            chosen[by_born] = admissible[sample_indices(streams.random(by_born), born_cum)]
-        streams.random()  # the Forced collapse: a certain outcome, one word
-        return ActBlock(trial=t, chosen=chosen, tie_broken=tie_broken)
+        everyone = follow.all()
+        if len(tied) == 1 and everyone:  # no row draws a branch
+            return ActBlock(t, np.full(t.size, tied[0]), np.zeros(t.size, dtype=bool))
+        u = streams.random()
+        chosen = tied[sample_indices(u, tie_cum)]  # one tied: always tied[0]
+        if not everyone:
+            chosen = np.where(follow, chosen, admissible[sample_indices(u, born_cum)])
+        return ActBlock(t, chosen, follow if len(tied) > 1 else np.zeros(t.size, dtype=bool))
 
     return block

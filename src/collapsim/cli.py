@@ -9,7 +9,6 @@ typo cannot silently corrupt a comparison.
 
 from __future__ import annotations
 
-import contextlib
 import errno
 import functools
 import itertools
@@ -41,6 +40,9 @@ MAX_TRIALS = 10**8
 #: written as it is rendered, TRIAL_BLOCK records to a string: 10^6 fwt
 #: records peak near 150 MB
 MAX_PER_TRIAL = 10**6
+
+#: json.dumps(obj, sort_keys=True), whose every call builds an encoder, made once
+_dumps = json.JSONEncoder(sort_keys=True).encode
 
 
 @dataclass(frozen=True)
@@ -350,20 +352,19 @@ def _report_chunks(report: ExperimentReport, output_format: str) -> Iterable[str
         keys = sorted(report.aggregate)
         row = [_csv_cell(report.aggregate[k]) for k in keys]
         return [",".join(keys) + "\n" + ",".join(row) + "\n"]
-    config = json.dumps({"record": "config", **report.config}, sort_keys=True)
+    config = _dumps({"record": "config", **report.config})
     chunks = [] if report.trials is None else _trial_chunks(report.trials)
-    aggregate = json.dumps({"record": "aggregate", **report.aggregate}, sort_keys=True)
-    timing = json.dumps(
-        {"record": "timing", "duration_seconds": report.duration_seconds}, sort_keys=True
-    )
+    aggregate = _dumps({"record": "aggregate", **report.aggregate})
+    # the bytes of _dumps({"record": "timing", "duration_seconds": ...}): a
+    # float is spelled by its repr
+    timing = f'{{"duration_seconds": {report.duration_seconds!r}, "record": "timing"}}'
     return itertools.chain([config + "\n"], chunks, [f"{aggregate}\n{timing}\n"])
 
 
 def _trial_chunks(table: harnesses.TrialTable) -> Iterator[str]:
-    """Each trial's json.dumps(record, sort_keys=True) and a newline, joined
-    TRIAL_BLOCK trials to a string as it is asked for, from one template per
-    distinct row of codes (the record's dump split at its trial value), made
-    now."""
+    """Each trial's _dumps(record) and a newline, joined TRIAL_BLOCK trials to
+    a string as it is asked for, from one template per distinct row of codes
+    (the record's dump split at its trial value), made now."""
     row = np.zeros(table.trial.size, dtype=np.int64)
     for codes, values in table.coded.values():
         row = row * len(values) + codes
@@ -377,7 +378,7 @@ def _trial_chunks(table: harnesses.TrialTable) -> Iterator[str]:
     for i, t in enumerate(table.trial[first].tolist()):
         record = {"record": "trial", "trial": t, **{k: col[i] for k, col in columns.items()}}
         # a string value escapes its quotes, so only the key matches
-        head, _, tail = json.dumps(record, sort_keys=True).partition(f'"trial": {t}')
+        head, _, tail = _dumps(record).partition(f'"trial": {t}')
         heads.append(head + '"trial": ')
         tails.append(tail + "\n")
 
@@ -391,7 +392,7 @@ def _trial_chunks(table: harnesses.TrialTable) -> Iterator[str]:
 
 def _csv_cell(value: Any) -> str:
     if isinstance(value, (dict, list)):
-        return json.dumps(value, sort_keys=True).replace(",", ";")
+        return _dumps(value).replace(",", ";")
     return str(value)
 
 
@@ -512,15 +513,19 @@ def _read_config(path: str) -> dict[str, Any]:
 
 
 def _emit(chunks: Iterable[str], out_path: str | None) -> None:
-    """Write each chunk whole to out_path, or to stdout when it is None, and
-    flush it. A failed write is a ConfigError, an empty path too; after one,
-    stdout's fd points at os.devnull, so the interpreter's flush at exit has
-    nowhere left to fail."""
+    """Write each chunk whole to stdout, a text stream, when out_path is None,
+    else to the file out_path, opened in binary and each chunk encoded once
+    as UTF-8; then flush it. A failed write is a ConfigError, an empty path
+    too; after one, stdout's fd points at os.devnull, so the interpreter's
+    flush at exit has nowhere left to fail."""
     to_stdout = out_path is None
     try:
-        with contextlib.nullcontext(sys.stdout) if to_stdout else open(out_path, "w") as out:
-            out.writelines(chunks)
-            out.flush()
+        if to_stdout:
+            sys.stdout.writelines(chunks)
+            sys.stdout.flush()
+        else:
+            with open(out_path, "wb") as out:
+                out.writelines(chunk.encode() for chunk in chunks)
     except OSError as exc:
         if to_stdout:
             null = os.open(os.devnull, os.O_WRONLY)

@@ -88,7 +88,8 @@ class TrialStreams:
     past the words computed so far, the next Philox block is computed for
     every row. While the rows draw alike, one cursor serves them all and a
     draw reads one column of words; the first draw by a subset gives each
-    row cursors of its own.
+    row cursors of its own (in the package, only a Lemire retry draws by a
+    subset).
     """
 
     def __init__(self, seed: int, counter: int, rows: int) -> None:

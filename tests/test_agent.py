@@ -10,6 +10,7 @@ from collapsim.agent import (
     NormFunction,
     SelectionStage,
     act,
+    act_trials,
     attention,
     born_reference,
     robot_act,
@@ -17,8 +18,9 @@ from collapsim.agent import (
 )
 from collapsim.errors import AllZeroPriorities, BadParameter, LengthMismatch
 from collapsim.policies import deviation_statistic
-from collapsim.rng import trial_rng
+from collapsim.rng import TRIAL_BLOCK, TrialStreams, trial_rng
 from helpers import act_counts, act_outcomes
+from oracles import asc_records
 
 GOOD_BAD = AlternativeSet(("bad", "good"), (0.5, 0.5))
 MORAL_NORM = NormFunction({"bad": 0.0, "good": 1.0})
@@ -256,3 +258,63 @@ def test_act_trials_reproducible():
     first, _ = act_outcomes(GOOD_BAD, MORAL_NORM, 15, 20)
     second, _ = act_outcomes(GOOD_BAD, MORAL_NORM, 15, 20)
     assert first.tolist() == second.tolist()
+
+
+# (labels, priorities, norm, tied count) of the column-draw cases, each with a
+# zero-priority label: a tie at the optimum beside it, and the norm favouring
+# it, which leaves one admissible optimum
+COLUMN_CASES = {
+    "tie": ("abcd", (0.4, 0.0, 0.35, 0.25), (2.0, 2.0, 2.0, 0.0), 2),
+    "no-tie": ("abc", (0.6, 0.0, 0.4), (0.0, 5.0, 1.0), 1),
+}
+COLUMN_TRIALS = TRIAL_BLOCK + 1  # across a block boundary
+
+
+def _column_case(case):
+    labels, priorities, norm, ties = COLUMN_CASES[case]
+    return (AlternativeSet(tuple(labels), priorities),
+            NormFunction(dict(zip(labels, norm))), ties)
+
+
+@pytest.mark.parametrize("mixing", [0.0, 0.3, 0.95, 1.0])
+@pytest.mark.parametrize("case", sorted(COLUMN_CASES))
+class TestColumnDraws:
+    """act_trials reads its draws as whole columns of each block's words."""
+
+    def test_blocks_equal_oracle_without_row_cursors(self, case, mixing, monkeypatch):
+        alts, norm, _ = _column_case(case)
+        opened, subsets = [], []
+        real_init, real_rows = TrialStreams.__init__, TrialStreams._rows
+
+        def init(self, *args):
+            real_init(self, *args)
+            opened.append(self)
+
+        def rows(self, which):
+            subsets.append(which is not None)
+            return real_rows(self, which)
+
+        monkeypatch.setattr(TrialStreams, "__init__", init)
+        monkeypatch.setattr(TrialStreams, "_rows", rows)
+        blocks = list(act_trials(alts, norm, 21, COLUMN_TRIALS, mixing))
+        assert len(opened) == 2 and not any(subsets)
+        assert all(type(streams._at) is int for streams in opened)
+        expected = asc_records(21, COLUMN_TRIALS, alts.labels, alts.priorities,
+                               [norm.values[label] for label in alts.labels], mixing)
+        chosen = np.concatenate([block.chosen for block in blocks])
+        tie_broken = np.concatenate([block.tie_broken for block in blocks])
+        assert chosen.tolist() == [record["outcome"] for record in expected]
+        assert tie_broken.tolist() == [record["tie_broken"] for record in expected]
+
+    def test_act_is_row_t_and_reads_only_its_words(self, case, mixing):
+        alts, norm, ties = _column_case(case)
+        chosen, tie_broken = act_outcomes(alts, norm, 22, COLUMN_TRIALS, mixing)
+        for t in range(COLUMN_TRIALS):
+            rng = trial_rng(22, t)
+            trace = act(alts, norm, rng, mixing)
+            assert (trace.final_outcome, trace.stages[1].tie_broken) \
+                == (chosen[t], tie_broken[t])
+            # word 0 decides the mixing; a branch reads the next word
+            follow = mixing >= 1.0 or trial_rng(22, t).random()[0] < mixing
+            words = (mixing < 1.0) + (not follow or ties > 1)
+            assert rng.pos.tolist() == [words] and not rng.has_half[0]

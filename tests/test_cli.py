@@ -592,24 +592,23 @@ class TestTrialLines:
 
     @pytest.mark.parametrize("experiment", ["fwt", "asc"])
     def test_templates_only_with_per_trial(self, experiment, monkeypatch):
-        dumped = []
-        real_dumps = json.dumps
+        rendered = []
+        real_dumps = cli._dumps
 
-        def dumps(obj, **kwargs):
-            dumped.append(obj)
-            return real_dumps(obj, **kwargs)
+        def dumps(obj):
+            rendered.append(obj)
+            return real_dumps(obj)
 
-        monkeypatch.setattr(json, "dumps", dumps)
+        monkeypatch.setattr(cli, "_dumps", dumps)
         for per_trial, trials in [(False, 5000), (True, 1), (True, 5000)]:
             report = run(build_config({"experiment": experiment, "seed": 1,
                                        "trials": trials, "per_trial": per_trial}))
             assert (report.trials is not None) == per_trial
-            dumped.clear()
+            rendered.clear()
             lines = render_report(report, "json-lines").splitlines()
             assert len(lines) == 3 + (trials if per_trial else 0)
-            # config, aggregate and timing, then one template per distinct row
-            templates = dumped[1:-2]
-            assert all(record["record"] == "trial" for record in templates)
+            # the trial records rendered: one template per distinct row
+            templates = [record for record in rendered if record["record"] == "trial"]
             rows = {json.dumps({**json.loads(line), "trial": 0}) for line in lines[1:-2]}
             assert len(templates) == len(rows)
 
@@ -667,6 +666,47 @@ class TestConfigEcho:
         lines = run_lines(raw)
         assert lines[0] == json.dumps({"record": "config", **record}, sort_keys=True)
         assert aggregate_of(lines)["trials"] == trials
+
+
+ENVELOPE_ARGV = {
+    "fwt-per-trial": ["fwt", "--trials", str(TRIAL_BLOCK + 1), "--per-trial", "--seed", "3"],
+    "asc-per-trial": ["asc", "--trials", "300", "--per-trial", "--labels", "a,\u00e9,\"c\"",
+                      "--priorities", "1,1,0", "--norm", "1,1,0", "--mixing", "0.5"],
+    "csv": ["signal", "--format", "csv", "--policy1", "biased:0.3,0.7"],
+    "ks-dump-table": ["ks", "--dump-table"],
+    "behavior-generate": ["behavior", "generate", "--length", "6000", "--seed", "3"],
+}
+
+
+class TestEnvelope:
+    """The report's envelope: the timing line spelled directly, and the bytes
+    --out gets, equal to what stdout gets."""
+
+    @pytest.mark.parametrize("duration", [0.0, 5e-324, 1e-7, 0.1, 1.5, 1e16, 123456.789])
+    def test_timing_line_is_json_dumps(self, duration):
+        report = cli.ExperimentReport(config={"experiment": "ks"}, trials=None,
+                                      aggregate={}, duration_seconds=duration)
+        timing = render_report(report, "json-lines").splitlines()[-1]
+        assert timing == json.dumps({"record": "timing", "duration_seconds": duration},
+                                    sort_keys=True)
+
+    @pytest.mark.parametrize("capture", ["capsys", "string-io"])
+    @pytest.mark.parametrize("job", sorted(ENVELOPE_ARGV))
+    def test_out_file_bytes_equal_stdout(self, job, capture, tmp_path, capsys):
+        argv = ENVELOPE_ARGV[job]
+        out = tmp_path / "report.txt"
+        assert main(argv + ["--out", str(out)]) == 0
+        if capture == "capsys":
+            assert main(argv) == 0
+            printed = capsys.readouterr().out
+        else:  # a text stream with no .buffer
+            with contextlib.redirect_stdout(io.StringIO()) as stream:
+                assert main(argv) == 0
+            printed = stream.getvalue()
+        untimed = [line for line in out.read_bytes().splitlines(keepends=True)
+                   if b'"record": "timing"' not in line]
+        assert b"".join(untimed) == "".join(stripped(printed.splitlines(keepends=True))).encode()
+        assert len(untimed) > 1
 
 
 class TestMainEntry:
