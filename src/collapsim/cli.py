@@ -9,6 +9,7 @@ typo cannot silently corrupt a comparison.
 
 from __future__ import annotations
 
+import contextlib
 import errno
 import functools
 import itertools
@@ -355,9 +356,7 @@ def _report_chunks(report: ExperimentReport, output_format: str) -> Iterable[str
     config = _dumps({"record": "config", **report.config})
     chunks = [] if report.trials is None else _trial_chunks(report.trials)
     aggregate = _dumps({"record": "aggregate", **report.aggregate})
-    # the bytes of _dumps({"record": "timing", "duration_seconds": ...}): a
-    # float is spelled by its repr
-    timing = f'{{"duration_seconds": {report.duration_seconds!r}, "record": "timing"}}'
+    timing = _dumps({"record": "timing", "duration_seconds": report.duration_seconds})
     return itertools.chain([config + "\n"], chunks, [f"{aggregate}\n{timing}\n"])
 
 
@@ -513,19 +512,15 @@ def _read_config(path: str) -> dict[str, Any]:
 
 
 def _emit(chunks: Iterable[str], out_path: str | None) -> None:
-    """Write each chunk whole to stdout, a text stream, when out_path is None,
-    else to the file out_path, opened in binary and each chunk encoded once
-    as UTF-8; then flush it. A failed write is a ConfigError, an empty path
-    too; after one, stdout's fd points at os.devnull, so the interpreter's
-    flush at exit has nowhere left to fail."""
+    """Write each chunk whole to out_path, or to stdout when it is None, and
+    flush it. A failed write is a ConfigError, an empty path too; after one,
+    stdout's fd points at os.devnull, so the interpreter's flush at exit has
+    nowhere left to fail."""
     to_stdout = out_path is None
     try:
-        if to_stdout:
-            sys.stdout.writelines(chunks)
-            sys.stdout.flush()
-        else:
-            with open(out_path, "wb") as out:
-                out.writelines(chunk.encode() for chunk in chunks)
+        with contextlib.nullcontext(sys.stdout) if to_stdout else open(out_path, "w") as out:
+            out.writelines(chunks)
+            out.flush()
     except OSError as exc:
         if to_stdout:
             null = os.open(os.devnull, os.O_WRONLY)

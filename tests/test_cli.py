@@ -679,16 +679,7 @@ ENVELOPE_ARGV = {
 
 
 class TestEnvelope:
-    """The report's envelope: the timing line spelled directly, and the bytes
-    --out gets, equal to what stdout gets."""
-
-    @pytest.mark.parametrize("duration", [0.0, 5e-324, 1e-7, 0.1, 1.5, 1e16, 123456.789])
-    def test_timing_line_is_json_dumps(self, duration):
-        report = cli.ExperimentReport(config={"experiment": "ks"}, trials=None,
-                                      aggregate={}, duration_seconds=duration)
-        timing = render_report(report, "json-lines").splitlines()[-1]
-        assert timing == json.dumps({"record": "timing", "duration_seconds": duration},
-                                    sort_keys=True)
+    """The bytes --out gets equal what stdout gets, timing line aside."""
 
     @pytest.mark.parametrize("capture", ["capsys", "string-io"])
     @pytest.mark.parametrize("job", sorted(ENVELOPE_ARGV))
