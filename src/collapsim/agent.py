@@ -12,9 +12,9 @@ produce identical outcomes but structurally different traces.
 An episode reads word 0 of its trial's stream for the mixing draw (only
 when mixing < 1) and the next word for its branch, and never the word of
 the Forced collapse, whose outcome is certain. act_trials reads each as
-one column of a block's words, so its rows never get cursors of their own
-(in the package only a Lemire retry gives them that), and act leaves the
-caller's stream just past the words it read.
+one column of a block's words; it makes no Lemire draw, so no block is
+ever redrawn one trial at a time, and act leaves the caller's stream just
+past the words it read.
 """
 
 from __future__ import annotations
@@ -37,7 +37,7 @@ from .quantum import (
     StateVector,
     make_state,
 )
-from .rng import TrialStreams, cumulative, run_streams, sample_index, sample_indices
+from .rng import TrialStreams, cumulative, run_blocks, sample_index, sample_indices
 
 
 @dataclass(frozen=True)
@@ -260,7 +260,7 @@ def act_trials(
     [t, 0, 0, block], one TrialStreams per block. Each chosen outcome and
     tie flag is act's, whose stage_shape is COLLAPSE_STAGE_SHAPE."""
     block = _act_block(alternatives, norm, mixing)
-    return (block(streams, t) for t, streams in run_streams(seed, (), trials))
+    return run_blocks(seed, (), trials, block)
 
 
 def _act_block(
@@ -275,9 +275,8 @@ def _act_block(
     or word 0 at mixing 1) is at once the tie-break of the rows that follow
     the norm and the Born branch of the others, read only when some row
     takes one. The Forced collapse's word is never read: its outcome is
-    certain and act_trials' streams end with the block. So the rows share
-    one cursor; rows get cursors of their own only on a Lemire retry, which
-    no asc draw makes.
+    certain and act_trials' streams end with the block. No draw is a Lemire
+    draw, so the block never raises rng.Diverged.
     """
     if not 0.0 <= mixing <= 1.0:
         raise BadParameter("mixing must lie in [0, 1]")

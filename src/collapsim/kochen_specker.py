@@ -30,7 +30,7 @@ from .quantum import (
     StateVector,
     paired_born,
 )
-from .rng import TrialStreams, cumulative, run_streams
+from .rng import TrialStreams, cumulative, run_blocks
 
 RAY_DIM = 4
 #: the coloring search memoizes at most 2^contexts uncovered-context sets
@@ -357,7 +357,7 @@ def fwt_trials(
     block = _fwt_block(
         alice_context, bob_ray, lambda born: compile_policy(alice_policy, born, trials)
     )
-    return (block(streams, t) for t, streams in run_streams(seed, (), trials))
+    return run_blocks(seed, (), trials, block)
 
 
 def _fwt_block(

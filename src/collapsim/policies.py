@@ -213,24 +213,32 @@ def trial_plan(
     return PolicyPlan(table[None], np.zeros(0, dtype=np.intp), 0)
 
 
+class PairedBlock(NamedTuple):
+    """A block of paired-protocol draws, one array entry per trial."""
+
+    setting: np.ndarray
+    alice_outcome: np.ndarray
+    bob_outcome: np.ndarray
+
+
 def paired_block(
     alice_plan: PolicyPlan,
     bob_cums: np.ndarray,
     streams: TrialStreams,
     t: np.ndarray,
     settings: int = 1,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+) -> PairedBlock:
     """Trials t of the paired protocol, drawn from their streams in order:
     Bob's setting (integers(settings), which draws nothing for one setting),
     Alice's outcome under her plan, then Bob's outcome from row
     setting * k + Alice's outcome of bob_cums, k being Alice's outcome count.
-    Returns (setting, alice_outcome, bob_outcome) arrays.
+    A rejected setting draw raises rng.Diverged on several rows.
     """
     setting = streams.integers(settings)
     alice_outcome = alice_plan.sample(streams.random(), t)
     k = alice_plan.cums.shape[1]
     bob_outcome = sample_indices(streams.random(), bob_cums, setting * k + alice_outcome)
-    return setting, alice_outcome, bob_outcome
+    return PairedBlock(setting, alice_outcome, bob_outcome)
 
 
 def deviation_statistic(

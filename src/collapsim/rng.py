@@ -10,8 +10,10 @@ generator into streams (Salmon et al., SC'11). The seed, the prefix and
 every trial index lie in [0, 2^64), so word 0 never carries into the
 prefix. Each thread reuses one numpy Philox, its key and counter set
 through `.state`. `TrialStreams` reads the words the way numpy's Generator
-reads its own. Only `run_streams` (each block of a run's trials) and
-`trial_rng` (one trial) open one, and `_counter` checks its key there once.
+reads its own, one column for all its rows at each draw. Only `run_blocks`
+(each block of a run's trials) and `trial_rng` (one trial) open one, and
+`_counter` checks its key there once. A block whose rows would part ways
+(a Lemire retry) is redrawn by `run_blocks` one trial at a time.
 """
 
 from __future__ import annotations
@@ -69,27 +71,35 @@ def trial_blocks(trials: int):
         yield np.arange(start, min(start + TRIAL_BLOCK, trials), dtype=np.uint64)
 
 
-def run_streams(seed: int, prefix: tuple[int, ...], trials: int):
-    """(t, its TrialStreams) for each block t of trial_blocks(trials), the keys
-    and the run's trial range checked once."""
+class Diverged(Exception):
+    """A Lemire draw rejected on some row of several, whose cursors would part."""
+
+
+def run_blocks(seed: int, prefix: tuple[int, ...], trials: int, block):
+    """block(streams, t), a NamedTuple of per-trial arrays, for each block t of
+    trial_blocks(trials), the keys and the run's trial range checked once. A
+    block that raises Diverged is redrawn one trial at a time, each on its own
+    one-row stream, and the rows are joined: the same records."""
     counter = _counter(seed, prefix, 0, max(trials, 1) - 1)
     for t in trial_blocks(trials):
-        yield t, TrialStreams(seed, counter + int(t[0]), t.size)
+        first = counter + int(t[0])
+        try:
+            out = block(TrialStreams(seed, first, t.size), t)
+        except Diverged:
+            rows = [block(TrialStreams(seed, first + i, 1), t[i:i + 1]) for i in range(t.size)]
+            out = type(rows[0])._make(map(np.concatenate, zip(*rows)))
+        yield out
 
 
 class TrialStreams:
     """The streams of consecutive trials, read the way numpy's Generator reads one.
 
-    Row i is the stream at block-0 counter `counter` + i. Each draw method
-    takes the rows that draw (all rows by default) and advances only their
-    cursors. A 64-bit draw takes the row's next word; a 32-bit draw takes
-    the buffered upper half of an earlier word if there is one, else the
-    lower half of the next word, buffering its upper half. When a row runs
-    past the words computed so far, the next Philox block is computed for
-    every row. While the rows draw alike, one cursor serves them all and a
-    draw reads one column of words; the first draw by a subset gives each
-    row cursors of its own (in the package, only a Lemire retry draws by a
-    subset).
+    Row i is the stream at block-0 counter `counter` + i. The rows share one
+    cursor, so each draw reads one column of words: a 64-bit draw the next
+    word, a 32-bit draw the buffered upper half of an earlier word if there
+    is one, else the lower half of the next word, buffering its upper half.
+    Past the words computed so far, the next Philox block is computed for
+    every row. A rejected Lemire draw raises Diverged on several rows.
     """
 
     def __init__(self, seed: int, counter: int, rows: int) -> None:
@@ -97,75 +107,42 @@ class TrialStreams:
         later block b is read at counter + (b << 192), unchecked."""
         self.seed, self.counter = seed, counter
         self.words = _blocks(seed, counter, rows)
-        # the next word, and the word whose upper half is buffered (-1: none):
-        # ints while the rows draw alike, one entry per row after
-        self._at, self._half_at = 0, -1
+        # the next word, and the word whose upper half is buffered (-1: none)
+        self.pos, self._half_at = 0, -1
 
-    # each row's next word, and whether it buffers an upper half
-    pos = property(lambda self: np.broadcast_to(self._at, len(self.words)))
-    has_half = property(lambda self: np.broadcast_to(np.asarray(self._half_at) >= 0, self.pos.shape))
-
-    def _rows(self, rows) -> np.ndarray | None:
-        """None for a column draw; else rows as indices, each row with its own cursors."""
-        if type(self._at) is int:
-            if rows is None:
-                return None
-            self._at, self._half_at = self.pos.copy(), np.full(len(self.words), self._half_at)
-        return np.arange(len(self.words)) if rows is None else np.asarray(rows, dtype=np.intp)
-
-    def _next64(self, rows) -> np.ndarray:
-        rows = self._rows(rows)
-        at = self._at if rows is None else self._at[rows]
-        width = self.words.shape[1]
-        if (at if rows is None else at.max(initial=0)) >= width:
-            extra = _blocks(self.seed, self.counter + (width // 4 << 192), len(self.words))
+    def _next64(self) -> np.ndarray:
+        if self.pos == self.words.shape[1]:
+            extra = _blocks(self.seed, self.counter + (self.pos // 4 << 192), len(self.words))
             self.words = np.concatenate([self.words, extra], axis=1)
-        if rows is None:
-            self._at = at + 1
-            return self.words[:, at]
-        self._at[rows] = at + 1
-        return self.words[rows, at]
+        self.pos += 1
+        return self.words[:, self.pos - 1]
 
-    def random(self, rows=None) -> np.ndarray:
+    def random(self) -> np.ndarray:
         """Generator.random(): the top 53 bits of each row's next word, scaled to [0, 1)."""
-        return (self._next64(rows) >> np.uint64(11)) * (1.0 / 9007199254740992.0)
+        return (self._next64() >> np.uint64(11)) * (1.0 / 9007199254740992.0)
 
-    def _next32(self, rows) -> np.ndarray:
-        rows = self._rows(rows)
-        if rows is None:
-            if self._half_at < 0:
-                self._half_at = self._at
-                return self._next64(None) & _U32
-            half, self._half_at = self.words[:, self._half_at] >> _SHIFT32, -1
-            return half
-        out = np.empty(rows.size, dtype=np.uint64)
-        buffered = self.has_half[rows]
-        held = rows[buffered]
-        out[buffered] = self.words[held, self._half_at[held]] >> _SHIFT32
-        self._half_at[held] = -1
-        fresh = rows[~buffered]
-        if fresh.size:
-            out[~buffered] = self._next64(fresh) & _U32
-            self._half_at[fresh] = self._at[fresh] - 1
-        return out
+    def _next32(self) -> np.ndarray:
+        if self._half_at < 0:
+            self._half_at = self.pos
+            return self._next64() & _U32
+        half, self._half_at = self.words[:, self._half_at] >> _SHIFT32, -1
+        return half
 
-    def integers(self, n: int, rows=None) -> np.ndarray:
+    def integers(self, n: int) -> np.ndarray:
         """Generator.integers(n) for 1 <= n < 2**32: Lemire's bounded method
-        (Lemire, ACM TOMACS 2019) on 32-bit draws, retrying rejected rows."""
+        (Lemire, ACM TOMACS 2019) on 32-bit draws, retrying a rejected one-row draw."""
         if not 1 <= n < 2**32:
             raise BadParameter("batched integers() supports 1 <= n < 2**32")
         if n == 1:  # numpy draws nothing
-            return np.zeros(len(self.words) if rows is None else len(rows), dtype=np.int64)
+            return np.zeros(len(self.words), dtype=np.int64)
         bound = np.uint64(n)
         threshold = np.uint64((2**32 - n) % n)
-        m = self._next32(rows) * bound
-        out = m >> _SHIFT32
-        pending = np.flatnonzero((m & _U32) < threshold)
-        while pending.size:
-            m = self._next32(pending if rows is None else np.asarray(rows)[pending]) * bound
-            out[pending] = m >> _SHIFT32
-            pending = pending[(m & _U32) < threshold]
-        return out.astype(np.int64)
+        m = self._next32() * bound
+        while ((m & _U32) < threshold).any():
+            if len(self.words) > 1:
+                raise Diverged
+            m = self._next32() * bound
+        return (m >> _SHIFT32).astype(np.int64)
 
 
 def trial_rng(seed: int, *key: int) -> TrialStreams:

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -30,7 +31,7 @@ from .policies import (
     total_variation,
 )
 from .quantum import ZERO_PROB, ProbabilityDistribution, within
-from .rng import cumulative, run_streams
+from .rng import cumulative, run_blocks
 
 
 #: paired_born's (Alice's Born distribution, Bob's conditional table)
@@ -150,9 +151,8 @@ def signaling_experiment(
         for s, (label, ((alice_born, bob_born), policy)) in enumerate(settings.items()):
             plan = compile_policy(policy, alice_born, trials)
             bob_cums = cumulative(bob_born)
-            for t, streams in run_streams(seed, (s,), trials):
-                *_, bob_outcome = paired_block(plan, bob_cums, streams, t)
-                counts[s] += np.bincount(bob_outcome, minlength=width)
+            for drawn in run_blocks(seed, (s,), trials, partial(paired_block, plan, bob_cums)):
+                counts[s] += np.bincount(drawn.bob_outcome, minlength=width)
             marginals[label] = counts[s] / trials
         mode, per_setting, pvalue = "empirical", trials, independence_pvalue(counts)
 

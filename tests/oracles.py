@@ -77,13 +77,18 @@ def trial_generator(seed: int, t: int, prefix=(), block: int = 0) -> np.random.G
     return np.random.Generator(np.random.Philox(key=seed, counter=counter))
 
 
-def assert_block_0_only(rng: np.random.Generator, t: int, prefix=()) -> None:
-    """rng, trial_generator(seed, t, prefix), made at most block 0: its counter
-    has not stepped past trial t's block-0 counter."""
+def within_block(rng: np.random.Generator, t: int, prefix=(), block: int = 0) -> bool:
+    """Whether rng, a Generator on trial t's stream, made no block past `block`:
+    its counter has not stepped past that block's counter."""
     words = rng.bit_generator.state["state"]["counter"]
     counter = sum(int(w) << 64 * i for i, w in enumerate(words))
-    first = trial_counter(t, prefix)
-    assert counter in ((first - 1) % ALL_COUNTERS, first), f"trial {t} left block 0"
+    last = trial_counter(t, prefix, block)
+    return counter in ((last - 1) % ALL_COUNTERS, last)
+
+
+def assert_block_0_only(rng: np.random.Generator, t: int, prefix=()) -> None:
+    """rng, trial_generator(seed, t, prefix), made at most block 0."""
+    assert within_block(rng, t, prefix), f"trial {t} left block 0"
 
 
 def inverse_cdf(rng: np.random.Generator, probs) -> int:

@@ -283,22 +283,16 @@ class TestColumnDraws:
 
     def test_blocks_equal_oracle_without_row_cursors(self, case, mixing, monkeypatch):
         alts, norm, _ = _column_case(case)
-        opened, subsets = [], []
-        real_init, real_rows = TrialStreams.__init__, TrialStreams._rows
+        opened = []
+        real_init = TrialStreams.__init__
 
         def init(self, *args):
             real_init(self, *args)
             opened.append(self)
 
-        def rows(self, which):
-            subsets.append(which is not None)
-            return real_rows(self, which)
-
         monkeypatch.setattr(TrialStreams, "__init__", init)
-        monkeypatch.setattr(TrialStreams, "_rows", rows)
         blocks = list(act_trials(alts, norm, 21, COLUMN_TRIALS, mixing))
-        assert len(opened) == 2 and not any(subsets)
-        assert all(type(streams._at) is int for streams in opened)
+        assert len(opened) == 2  # one stream per block: no block was redrawn
         expected = asc_records(21, COLUMN_TRIALS, alts.labels, alts.priorities,
                                [norm.values[label] for label in alts.labels], mixing)
         chosen = np.concatenate([block.chosen for block in blocks])
@@ -319,4 +313,4 @@ class TestColumnDraws:
             # word 0 decides the mixing; a branch reads the next word
             follow = mixing >= 1.0 or trial_rng(22, t).random()[0] < mixing
             words = (mixing < 1.0) + (not follow or ties > 1)
-            assert rng.pos.tolist() == [words] and not rng.has_half[0]
+            assert rng.pos == words and rng._half_at < 0

@@ -11,6 +11,8 @@ numpy Generator per trial and the inverse-CDF rule written out there.
 import json
 import sys
 import threading
+from functools import partial
+from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -21,16 +23,25 @@ from collapsim import kochen_specker, policies
 from collapsim.cli import MAX_TRIALS, build_config, render_report, run
 from collapsim.errors import BadParameter, CollapsimError
 from collapsim.policies import total_variation
+from collapsim.quantum import ProbabilityDistribution
 from collapsim.rng import (
     TRIAL_BLOCK,
+    Diverged,
     TrialStreams,
     cumulative,
-    run_streams,
+    run_blocks,
     sample_indices,
     trial_rng,
 )
 from collapsim.signaling import channel_capacity
-from oracles import asc_records, fwt_records, signal_outcomes, trial_counter, trial_generator
+from oracles import (
+    asc_records,
+    fwt_records,
+    signal_outcomes,
+    trial_counter,
+    trial_generator,
+    within_block,
+)
 
 MAX64 = 2**64 - 1
 B = TRIAL_BLOCK
@@ -92,10 +103,10 @@ def test_trial_crossing_into_block_1():
     block0, block1 = trial_generator(4, 70, (2,)), trial_generator(4, 70, (2,), block=1)
     expected = [block0.random(), block0.random(), block0.random(), block0.integers(7),
                 block1.random(), block0.integers(7), block1.random()]
-    streams = TrialStreams(4, trial_counter(69, (2,)), 3)
+    streams = TrialStreams(4, trial_counter(70, (2,)), 1)
     got = []
     for draw in ["random"] * 3 + ["integers", "random", "integers", "random"]:
-        got.append(streams.random([1]) if draw == "random" else streams.integers(7, [1]))
+        got.append(streams.random() if draw == "random" else streams.integers(7))
     assert [x[0] for x in got] == expected
     scalar = trial_rng(4, 2, 70)
     assert [d[0] for d in (scalar.random(), scalar.random(), scalar.random(), scalar.integers(7),
@@ -103,11 +114,15 @@ def test_trial_crossing_into_block_1():
 
 
 def test_rows_crossing_a_block_in_different_calls():
-    streams = TrialStreams(0, trial_counter(0), 3)
-    first = [streams.random([0]) for _ in range(6)]  # row 0 computes block 1
-    second = [streams.random([1]) for _ in range(9)]  # row 1 computes block 2
-    third = [streams.random([2]) for _ in range(9)]  # row 2 reuses both
-    for row, draws in enumerate([first, second, third]):
+    # one-row streams of trials 0-2: trial 0 computes block 1, trials 1 and 2
+    # blocks 1 and 2, each in its own call
+    counts = [6, 9, 9]
+    draws_of = []
+    for row, count in enumerate(counts):
+        streams = TrialStreams(0, trial_counter(row), 1)
+        draws_of.append([streams.random() for _ in range(count)])
+        assert streams.words.shape == (1, 4 * (1 + (count - 1) // 4))
+    for row, draws in enumerate(draws_of):
         blocks = [trial_generator(0, row, block=b) for b in range(3)]
         expected = [rng.random() for rng in blocks for _ in range(4)]
         assert [d[0] for d in draws] == expected[:len(draws)]
@@ -129,6 +144,10 @@ def test_trial_rng_keeps_keys_above_2_63_apart():
     assert trial_rng(0, 2**63, 1).random() != trial_rng(0, 2**63 + 1, 1).random()
 
 
+def _no_block(streams, t):
+    raise AssertionError(f"a block of {t.size} trials opened")
+
+
 @pytest.mark.parametrize(
     "make",
     [
@@ -142,12 +161,12 @@ def test_trial_rng_keeps_keys_above_2_63_apart():
         lambda: trial_rng(0, 1, -2, 3),
         lambda: trial_rng(0, 1, 2, 3, 4),  # three prefix words
         # a run's keys are checked before its first block is opened
-        lambda: next(run_streams(2**64, (), 1)),
-        lambda: next(run_streams(-1, (), 1)),
-        lambda: next(run_streams(0, (), 2**64 + 1)),  # the range's end
-        lambda: next(run_streams(0, (2**64,), 1)),
-        lambda: next(run_streams(0, (1, -2), 1)),
-        lambda: next(run_streams(0, (1, 2, 3), 1)),  # three prefix words
+        lambda: next(run_blocks(2**64, (), 1, _no_block)),
+        lambda: next(run_blocks(-1, (), 1, _no_block)),
+        lambda: next(run_blocks(0, (), 2**64 + 1, _no_block)),  # the range's end
+        lambda: next(run_blocks(0, (2**64,), 1, _no_block)),
+        lambda: next(run_blocks(0, (1, -2), 1, _no_block)),
+        lambda: next(run_blocks(0, (1, 2, 3), 1, _no_block)),  # three prefix words
     ],
 )
 def test_bad_stream_keys_are_refused_not_wrapped(make):
@@ -197,23 +216,16 @@ def test_low_half_zero_retries_on_high_half():
     streams = trial_rng(0)
     streams.words = np.array([[0x80000001_00000000, 0, 0, 0]], dtype=np.uint64)
     assert streams.integers(18).tolist() == [9]
-    assert streams.pos.tolist() == [1] and not streams.has_half[0]
+    assert streams.pos == 1 and streams._half_at < 0  # no half buffered
 
 
-# --- (b') interleaved draws: column draws, subset draws and Lemire retries ------
+# --- (b') interleaved draws: column draws and Lemire retries ------------------
 
 ROWS = 5
 # Lemire rejects about half the 32-bit draws at n = 2**31 + 1
 _BOUNDS = st.sampled_from([1, 2, 7, 18, 2**31 + 1, 2**32 - 1])
 _DRAWS = st.lists(
-    st.tuples(
-        st.sampled_from(["random", "integers"]),
-        _BOUNDS,
-        # None draws every row; a list, a subset in any order (perhaps none)
-        st.one_of(st.none(), st.lists(st.integers(0, ROWS - 1), unique=True)),
-    ),
-    min_size=1,
-    max_size=14,
+    st.tuples(st.sampled_from(["random", "integers"]), _BOUNDS), min_size=1, max_size=14
 )
 
 
@@ -228,28 +240,120 @@ def _stream_generator(seed, t, prefix):
     return rng
 
 
+def _rejects(rng, n):
+    """Whether Lemire's method at bound n rejects numpy Generator rng's next
+    32-bit draw, read from a copy of its bit generator."""
+    probe = np.random.Generator(np.random.Philox())
+    probe.bit_generator.state = rng.bit_generator.state
+    x = int(probe.integers(2**32, dtype=np.uint32))  # next_uint32, buffered half first
+    return (x * n) % 2**32 < (2**32 - n) % n
+
+
+def _draw(source, kind, n):
+    return source.random() if kind == "random" else source.integers(n)
+
+
 @settings(max_examples=150, deadline=None)
 @given(draws=_DRAWS, seed=st.sampled_from([0, 9, MAX64]), first=st.sampled_from([0, 4091, 2**40]))
-@example(draws=[("random", 1, None)] * 6, seed=0, first=0)  # every row into block 1
-@example(draws=[("integers", 2**31 + 1, None)] * 4 + [("random", 1, [3, 1])], seed=9, first=0)
-@example(draws=[("integers", 7, []), ("random", 1, None), ("integers", 18, [2])], seed=0, first=0)
+@example(draws=[("random", 1)] * 6, seed=0, first=0)  # every row into block 1
+@example(draws=[("integers", 2**31 + 1)] * 4 + [("random", 1)], seed=9, first=0)
+@example(draws=[("integers", 7), ("random", 1), ("integers", 18)], seed=0, first=0)
 def test_interleaved_draws_match_a_generator_per_trial(draws, seed, first):
-    t = np.arange(first, first + ROWS, dtype=np.uint64)
+    trials = range(first, first + ROWS)
+    # a one-row stream retries a rejected draw in place, at every bound
+    for trial in trials:
+        streams = TrialStreams(seed, trial_counter(trial, (2,)), 1)
+        rng = _stream_generator(seed, trial, (2,))
+        got = [_draw(streams, kind, n).tolist()[0] for kind, n in draws]
+        expected = [_draw(rng, kind, n) for kind, n in draws]
+        assume(within_block(rng, trial, (2,), 1))  # the oracle holds through block 1 only
+        assert got == expected
+    # several rows draw whole columns, until some row's draw is rejected
     streams = TrialStreams(seed, trial_counter(first, (2,)), ROWS)
-    rngs = [_stream_generator(seed, trial, (2,)) for trial in t.tolist()]
-    got, expected = [], []
-    for kind, n, rows in draws:
-        drawn = streams.random(rows) if kind == "random" else streams.integers(n, rows)
-        got.append(drawn.tolist())
-        expected.append([
-            rngs[row].random() if kind == "random" else int(rngs[row].integers(n))
-            for row in (range(ROWS) if rows is None else rows)
-        ])
-    for trial, rng in zip(t.tolist(), rngs):  # the oracle holds through block 1 only
-        words = rng.bit_generator.state["state"]["counter"]
-        block_1 = trial_counter(trial, (2,), 1)
-        assume(sum(int(w) << 64 * i for i, w in enumerate(words)) in (block_1 - 1, block_1))
-    assert got == expected
+    rngs = [_stream_generator(seed, trial, (2,)) for trial in trials]
+    for kind, n in draws:
+        if kind == "integers" and any(_rejects(rng, n) for rng in rngs):
+            with pytest.raises(Diverged):
+                streams.integers(n)
+            return
+        assert _draw(streams, kind, n).tolist() == [_draw(rng, kind, n) for rng in rngs]
+
+
+# --- (b'') a block some row's Lemire draw rejects is redrawn trial by trial ------
+
+
+class _Drawn(NamedTuple):
+    trial: np.ndarray
+    index: np.ndarray
+    u: np.ndarray
+
+
+@pytest.mark.parametrize("seed", [0, 9])
+def test_diverged_blocks_are_redrawn_trial_by_trial(seed):
+    prefix, trials, n = (3, 7), 5000, 2**31 + 1  # Lemire rejects about half at n
+    sizes = []
+
+    def block(streams, t):
+        sizes.append(t.size)
+        return _Drawn(t, streams.integers(n), streams.random())
+
+    drawn = _Drawn._make(map(np.concatenate, zip(*run_blocks(seed, prefix, trials, block))))
+    # both blocks diverged, and each trial was redrawn on its own one-row stream
+    assert sizes == [B, *[1] * B, trials - B, *[1] * (trials - B)]
+    assert drawn.trial.tolist() == list(range(trials))
+    in_block_0 = 0
+    for t in range(trials):
+        rng = trial_rng(seed, *prefix, t)
+        expected = (int(rng.integers(n)[0]), float(rng.random()[0]))
+        assert (int(drawn.index[t]), float(drawn.u[t])) == expected
+        generator = trial_generator(seed, t, prefix)
+        numpy_draws = (int(generator.integers(n)), generator.random())
+        if within_block(generator, t, prefix):
+            in_block_0 += 1
+            assert numpy_draws == expected
+    assert in_block_0 > 0.9 * trials
+
+
+def _diverging_integers(monkeypatch):
+    """Make TrialStreams.integers raise Diverged on every stream of several
+    rows; returns the list of the row counts it raised on."""
+    real, raised = TrialStreams.integers, []
+
+    def integers(self, n):
+        if len(self.words) > 1:
+            raised.append(len(self.words))
+            raise Diverged
+        return real(self, n)
+
+    monkeypatch.setattr(TrialStreams, "integers", integers)
+    return raised
+
+
+def test_redrawn_fwt_blocks_keep_their_records(monkeypatch):
+    raw = {"experiment": "fwt", "seed": 3, "trials": B + 1, "per_trial": True,
+           "context": 2, "bob_ray": "random", "policy": "scripted:3,9,0,1"}
+    expected = _report(raw)
+    raised = _diverging_integers(monkeypatch)
+    assert _report(raw) == expected
+    assert raised == [B]  # block 1 is one trial, which draws on one row
+
+
+def test_redrawn_signal_blocks_keep_their_marginals(monkeypatch):
+    raw = {"experiment": "signal", "seed": 3, "mode": "empirical", "trials": B + 1,
+           "policy0": "born", "policy1": "scripted:1,4,0", "alice_basis0": "z",
+           "alice_basis1": "x", "bob_basis": "z"}
+    # the marginals count outcomes, so the paired blocks are compared too
+    plan = policies.compile_policy(policies.parse_policy("scripted:1,4,0"),
+                                   ProbabilityDistribution([0.3, 0.7]), B + 1)
+    draw = partial(policies.paired_block, plan, cumulative([[0.6, 0.4], [0.1, 0.9]]))
+
+    def paired():
+        return [[field.tolist() for field in block] for block in run_blocks(3, (1,), B + 1, draw)]
+
+    expected = _report(raw)[1], paired()
+    raised = _diverging_integers(monkeypatch)  # integers(1) raises too
+    assert (_report(raw)[1], paired()) == expected
+    assert raised == [B, B, B]  # block 0 of each setting, and of the paired blocks
 
 
 def test_stream_words_from_threads_at_once_equal_serial_words():
