@@ -7,12 +7,16 @@ wraps package functions by name. A face only the tests read belongs in
 tests/oracles.py. Every name a module assigns at its top level, dunders such
 as __version__ aside, must be read somewhere in the package, so a constant
 cannot outlive its last use. The command line sits on top: no other module
-imports cli, not even for type checking.
+imports cli, not even for type checking. The package root binds its modules
+and its version, no member of them, so each name has one import path.
 """
 
 import ast
 import importlib.util
+import tomllib
 from pathlib import Path
+
+import collapsim
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "collapsim"
@@ -119,3 +123,20 @@ def test_no_module_but_cli_imports_cli():
     importers = [path.stem for path in sorted(PACKAGE.glob("*.py")) if path.stem != "cli"
                  and "cli" in imported_modules(ast.parse(path.read_text(encoding="utf-8")))]
     assert importers == []
+
+
+def test_the_root_binds_only_its_modules():
+    # its docstring, `from . import` of package modules and dunders; the
+    # version is stated twice, here and in pyproject.toml, so the two must agree
+    tree = ast.parse((PACKAGE / "__init__.py").read_text(encoding="utf-8"))
+    assert ast.get_docstring(tree)
+    modules = {path.stem for path in PACKAGE.glob("*.py")} - {"__init__"}
+    strays = [ast.unparse(node) for node in tree.body[1:] if not (
+        isinstance(node, ast.ImportFrom) and node.module is None and node.level == 1
+        and all(alias.name in modules and alias.asname is None for alias in node.names)
+        or isinstance(node, ast.Assign)
+        and all(isinstance(target, ast.Name) and target.id[:2] == target.id[-2:] == "__"
+                for target in node.targets))]
+    assert strays == []
+    pyproject = tomllib.loads((ROOT / "pyproject.toml").read_text(encoding="utf-8"))
+    assert collapsim.__version__ == pyproject["project"]["version"]
