@@ -41,18 +41,11 @@ MAX_LENGTH = 10**7
 #: reuses one heap: 0.3-0.6 minor faults per page of extra peak RSS at 1.3*10**5 to
 #: 10**6 intervals, against 2.0-8.1 with 7500-value blocks (360 kB rows and masks)
 FORMAT_CHUNK = 5000
-#: a format_intervals call makes room for its blocks before the first: _ROOM_PIECES
-#: pieces of _ROOM_PIECE bytes, each under that 128 KiB, then one more that it holds
-#: while it runs, and frees the others. The blocks' arrays then reuse the room below
-#: the held piece, where glibc never trims, not the heap top, which glibc gives back
-#: once it passes its trim threshold (128 KiB unless a freed mapping has raised it)
-#: and faults in again for the next block. With the threshold fixed at 128 KiB
-#: (MALLOC_TRIM_THRESHOLD_=131072), a fresh generate of 10**6 intervals takes 1.6k
-#: minor faults with 12 pieces, 5.7k with 10 or 11 and 13.9-18.6k with none. A larger
-#: room would take format's traced peak, 852 kB for one block, above what its blocks
-#: and one caller's piece use
+#: format_intervals frees all but the last of _ROOM_PIECES + 1 heap pieces before its
+#: first block, so its blocks reuse that room, not the heap top that glibc trims and
+#: faults in again; 11 pieces (721 kB) stay under one block's traced peak (726 kB)
 _ROOM_PIECE = 1 << 16
-_ROOM_PIECES = 12
+_ROOM_PIECES = 11
 
 
 @dataclass(frozen=True, eq=False)
@@ -223,12 +216,9 @@ def format_intervals(sequence: EventSequence) -> Iterator[str]:
     """Serialize one interval per line, each line repr(x) (inverse of
     read_intervals), in pieces of FORMAT_CHUNK lines made as they are asked for."""
     values = sequence.intervals
-    room = [np.empty(_ROOM_PIECE, np.uint8) for _ in range(_ROOM_PIECES + 1)]
-    held = room.pop()  # above the rest, which are freed below it
-    del room
+    held = [np.empty(_ROOM_PIECE, np.uint8) for _ in range(_ROOM_PIECES + 1)][-1]  # above the rest
     for i in range(0, values.size, FORMAT_CHUNK):
         yield _format_block(values[i:i + FORMAT_CHUNK])
-    del held
 
 
 # --- repr's shortest round-trip digits, found in numpy ------------------------

@@ -639,22 +639,6 @@ def _child_usage(*args, **environ):
     return faults, rss
 
 
-def _assert_faults_track_peak_rss(path, **environ):
-    """Fresh generates of 3*10**5, 5*10**5 and 10**6 intervals to path, and a
-    classify of the last, each take at most 3 minor faults per page of peak RSS
-    above a bare ks run's."""
-    base_faults, base_rss = _child_usage("ks", **environ)
-    for args in (
-        *(["generate", "--kind", "pareto", "--length", length, "--seed", "3", "--out", path]
-          for length in ("300000", "500000", "1000000")),
-        ["classify", "--input", path],
-    ):
-        faults, rss = _child_usage("behavior", *args, **environ)
-        pages = (rss - base_rss) / 4
-        assert faults - base_faults <= 3 * pages, \
-            f"{args}: {faults - base_faults} faults over {pages:.0f} pages"
-
-
 class TestTextMemory:
     """Interval-file text is never held as one Python object per interval,
     nor as one string: formatting it piece by piece peaks at one block's
@@ -664,10 +648,8 @@ class TestTextMemory:
     def test_format_peak(self):
         # 200000 values, 3.7 MB of text, are 40 blocks of a 0.81 MB working set
         # each, and while one is made its caller still holds the last 93 kB
-        # piece: 887 kB, with the 64 KiB piece format_intervals holds above its
-        # blocks' room, against a bound of 957 kB, where one block's peak is
-        # the 852 kB of that room. Holding one more piece reaches 980 kB. The
-        # first run in a process also fills 2-9 kB of caches
+        # piece: 903 kB against a bound of 911 kB. Holding one more piece
+        # reaches 997 kB. The first run in a process also fills 2-9 kB of caches
         sequence = generate_sequence("pareto", 200_000, keyed_generator(102))
         one_block = EventSequence(sequence.intervals[:FORMAT_CHUNK])
         for _ in format_intervals(sequence):
@@ -687,19 +669,35 @@ class TestTextMemory:
         # whose arrays outgrow the 128 KiB glibc maps afresh, generate took
         # 3.3-5.7 and 5.5-8.1 at the two smaller sizes, and about 10 at 10**6
         # with 15000
-        _assert_faults_track_peak_rss(str(tmp_path / "seq.txt"))
+        path = str(tmp_path / "seq.txt")
+        base_faults, base_rss = _child_usage("ks")
+        for args in (
+            *(["generate", "--kind", "pareto", "--length", length, "--seed", "3", "--out", path]
+              for length in ("300000", "500000", "1000000")),
+            ["classify", "--input", path],
+        ):
+            faults, rss = _child_usage("behavior", *args)
+            pages = (rss - base_rss) / 4
+            assert faults - base_faults <= 3 * pages, \
+                f"{args}: {faults - base_faults} faults over {pages:.0f} pages"
 
     @pytest.mark.skipif(sys.platform != "linux", reason="reads Linux rusage, RSS in KiB")
     def test_faults_track_peak_rss_at_a_fixed_trim_threshold(self, tmp_path):
         # glibc raises its trim threshold when it frees a mapping above its mmap
         # threshold, so whether a heap top freed after every block is given
         # back, and faulted in again, hangs on what the process did before.
-        # With the threshold fixed at its 128 KiB default, generate took 2.2-3.0,
-        # 2.9-3.9 and 3.4-4.8 faults per page at the three sizes until
-        # format_intervals kept its blocks below a piece it holds; 0.6, 0.7 and
-        # 0.4 with it
-        _assert_faults_track_peak_rss(str(tmp_path / "seq.txt"),
-                                      MALLOC_TRIM_THRESHOLD_="131072")
+        # With the threshold fixed at its 128 KiB default, generate took 2.8,
+        # 3.7 and 4.5 faults per page at the three sizes until format_intervals
+        # kept its blocks below a piece it holds; 0.6, 0.7 and 0.4 with it
+        trim = {"MALLOC_TRIM_THRESHOLD_": "131072"}
+        path = str(tmp_path / "seq.txt")
+        base_faults, base_rss = _child_usage("ks", **trim)
+        for length in ("300000", "500000", "1000000"):
+            faults, rss = _child_usage("behavior", "generate", "--kind", "pareto", "--length",
+                                       length, "--seed", "3", "--out", path, **trim)
+            pages = (rss - base_rss) / 4
+            assert faults - base_faults <= 3 * pages, \
+                f"{length}: {faults - base_faults} faults over {pages:.0f} pages"
 
     def test_read_peak_above_its_input(self, tmp_path):
         text = "".join(format_intervals(generate_sequence("pareto", 200_000,
