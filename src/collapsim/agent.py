@@ -32,12 +32,8 @@ from .errors import (
     LengthMismatch,
     NoAdmissibleAlternative,
 )
-from .quantum import (
-    ProbabilityDistribution,
-    StateVector,
-    make_state,
-)
-from .rng import TrialStreams, cumulative, run_blocks, sample_index, sample_indices
+from .quantum import ProbabilityDistribution, StateVector, _born_of_made_state, make_state
+from .rng import TrialStreams, run_blocks, sample_index, sample_indices
 
 
 @dataclass(frozen=True)
@@ -48,8 +44,8 @@ class AlternativeSet:
     priorities: tuple[float, ...]
 
     def __post_init__(self) -> None:
-        labels = tuple(str(lab) for lab in self.labels)
-        priorities = tuple(float(p) for p in self.priorities)
+        labels = tuple(map(str, self.labels))
+        priorities = tuple(map(float, self.priorities))
         if len(labels) != len(priorities):
             raise LengthMismatch(
                 f"{len(labels)} labels for {len(priorities)} priorities"
@@ -71,8 +67,8 @@ class AlternativeSet:
     @cached_property
     def attended(self) -> tuple[StateVector, ProbabilityDistribution]:
         """attention(self) and its Born distribution, built once per instance."""
-        state = attention(self)
-        return state, ProbabilityDistribution(np.abs(state.amplitudes) ** 2)
+        state = attention(self)  # made by make_state
+        return state, _born_of_made_state(state)
 
 
 @dataclass(frozen=True)
@@ -153,11 +149,14 @@ COLLAPSE_STAGE_SHAPE = tuple(
 def attention(alternatives: AlternativeSet) -> StateVector:
     """Superpose the alternatives with amplitudes sqrt(priority / total)."""
     priorities = np.asarray(alternatives.priorities, dtype=float)
-    with np.errstate(over="ignore"):
+    if len(alternatives) * max(alternatives.priorities) <= 1e308:  # no sum can overflow
         total = priorities.sum()
-    if np.isinf(total):  # bring the largest priority to 1 first
-        priorities = priorities / priorities.max()
-        total = priorities.sum()
+    else:
+        with np.errstate(over="ignore"):
+            total = priorities.sum()
+        if math.isinf(total):  # bring the largest priority to 1 first
+            priorities = priorities / priorities.max()
+            total = priorities.sum()
     return make_state(np.sqrt(priorities / total))
 
 
@@ -280,11 +279,11 @@ def _act_block(
     """
     if not 0.0 <= mixing <= 1.0:
         raise BadParameter("mixing must lie in [0, 1]")
-    state, born = alternatives.attended
+    born = alternatives.attended[1]  # the squared real amplitudes, which need no clip
     admissible, tied = _choices(born, alternatives, norm)
-    tie_cum = cumulative(np.abs(state.amplitudes[tied]) ** 2)
-    born_cum = cumulative(np.abs(state.amplitudes[admissible]) ** 2)
     tied, admissible = np.array(tied), np.array(admissible)
+    # every admissible weight is above ZERO_PROB, so cumulative would zero none
+    tie_cum, born_cum = born.probs[tied].cumsum(), born.probs[admissible].cumsum()
 
     def block(streams: TrialStreams, t: np.ndarray) -> ActBlock:
         follow = np.ones(t.size, dtype=bool) if mixing >= 1.0 else streams.random() < mixing

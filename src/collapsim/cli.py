@@ -132,11 +132,9 @@ def _parse(raw: dict[str, Any]) -> tuple[ExperimentConfig | None, list[str]]:
     if experiment not in EXPERIMENTS:
         return None, [f"experiment: unknown experiment {experiment!r}"]
     spec = SPECS[experiment]
-    names = {p.name for p in spec.params}
+    keys = _KEYS[experiment]
     violations = [
-        f"{key}: unknown key for experiment {experiment!r}"
-        for key in raw
-        if key != "experiment" and key not in RUN_KEYS and key not in names
+        f"{key}: unknown key for experiment {experiment!r}" for key in raw if key not in keys
     ]
     run_values = {key: raw.get(key, default) for key, default in RUN_KEYS.items()}
     violations.extend(_validate_run(run_values))
@@ -153,7 +151,7 @@ def _parse(raw: dict[str, Any]) -> tuple[ExperimentConfig | None, list[str]]:
                 violations.append(f"{param.name}: expected {expected}, got {value!r}")
                 continue
         params[param.name] = value
-        if param.when_mode not in (None, params.get("mode")):
+        if param.when_mode is not None and param.when_mode != params.get("mode"):
             continue
         if param.choices and value not in param.choices:
             violations.append(f"{param.name}: must be " + " or ".join(map(repr, param.choices)))
@@ -324,6 +322,8 @@ SPECS: dict[str, Experiment] = {
 }
 
 EXPERIMENTS = tuple(SPECS)
+#: the keys a config of each experiment may set
+_KEYS = {name: {"experiment", *RUN_KEYS, *(p.name for p in s.params)} for name, s in SPECS.items()}
 
 
 def run(config: ExperimentConfig) -> ExperimentReport:
@@ -444,6 +444,7 @@ def _read_argv(argv: list[str]) -> dict[str, Any]:
     """
     raw: dict[str, Any] = {}
     experiment = None
+    flags = GLOBAL_FLAGS
     positional: list[Param] = []
     args = iter(argv)
     for arg in args:
@@ -455,6 +456,7 @@ def _read_argv(argv: list[str]) -> dict[str, Any]:
                 if arg not in SPECS:
                     raise ConfigError(f"experiment: unknown experiment {arg!r}")
                 experiment = raw["experiment"] = arg
+                flags = _flags(experiment)
                 positional = [p for p in SPECS[arg].params if p.positional]
             elif positional:
                 raw[positional.pop(0).name] = arg
@@ -462,7 +464,7 @@ def _read_argv(argv: list[str]) -> dict[str, Any]:
                 raise ConfigError(f"unexpected argument {arg!r} after {experiment!r}")
             continue
         flag, equals, value = arg.partition("=")
-        known = _flags(experiment).get(flag)
+        known = flags.get(flag)
         if known is None:
             where = f"for experiment {experiment!r}" if experiment else "before the experiment"
             raise ConfigError(f"{flag}: unknown flag {where}")

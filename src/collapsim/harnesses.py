@@ -99,7 +99,7 @@ def table_ray(text: str) -> kochen_specker.Ray | None:
     if text == "random":
         return None
     try:
-        ray = kochen_specker.Ray(tuple(int(c) for c in text.split(",")))
+        ray = kochen_specker.Ray(tuple(map(int, text.split(","))))
     except (ValueError, CollapsimError):
         raise ValueError(f"not a ray: {text!r}") from None
     if ray not in kochen_specker.builtin_ks_table().ray_index:
@@ -228,10 +228,10 @@ def run_fwt(p: dict[str, Any]) -> RunnerOutput:
     blocks = kochen_specker.fwt_trials(
         p["context"], p["bob_ray"], p["policy"], p["seed"], trials
     )
-    for block in blocks:
-        detections += int(block.bob_value.sum())
-        in_context += int(block.in_context.sum())
-        agreements += int(block.agree.sum())
+    for block in blocks:  # every count is of 0/1 values
+        detections += int(np.count_nonzero(block.bob_value))
+        in_context += int(np.count_nonzero(block.in_context))
+        agreements += int(np.count_nonzero(block.agree))
         if p["per_trial"]:
             kept.append(block)
     aggregate = {
@@ -332,8 +332,8 @@ def run_asc(p: dict[str, Any]) -> RunnerOutput:
     aggregate = {
         "trials": trials,
         "agent": p["agent"],
-        "counts": {label: int(c) for label, c in zip(labels, counts)},
-        "born_reference": [float(x) for x in reference.probs],
+        "counts": dict(zip(labels, counts.tolist())),
+        "born_reference": reference.probs.tolist(),
         "tv": stats.tv,
         "chi2": stats.chi2,
         "chi2_df": stats.df,

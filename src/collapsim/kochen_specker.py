@@ -48,7 +48,7 @@ class Ray:
     components: tuple[int, int, int, int]
 
     def __post_init__(self) -> None:
-        comps = tuple(int(c) for c in self.components)
+        comps = tuple(map(int, self.components))
         if len(comps) != RAY_DIM:
             raise InvalidTable(f"a ray needs {RAY_DIM} components, got {len(comps)}")
         if not any(comps):
@@ -390,13 +390,14 @@ def _fwt_block(
         slot, alice_outcome, bob_outcome = paired_block(
             alice, bob_cums, streams, t, len(ray_ids)
         )
+        slot_position = position[slot]
         return FwtBlock(
             trial=t,
             bob_ray=ray_ids[slot],
             alice_outcome=alice_outcome,
             bob_value=(bob_outcome == 0).astype(np.int64),
-            in_context=position[slot] >= 0,
-            alice_value_for_bob_ray=(position[slot] == alice_outcome).astype(np.int64),
+            in_context=slot_position >= 0,
+            alice_value_for_bob_ray=(slot_position == alice_outcome).astype(np.int64),
         )
 
     return block

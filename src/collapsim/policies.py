@@ -236,8 +236,8 @@ def paired_block(
     """
     setting = streams.integers(settings)
     alice_outcome = alice_plan.sample(streams.random(), t)
-    k = alice_plan.cums.shape[1]
-    bob_outcome = sample_indices(streams.random(), bob_cums, setting * k + alice_outcome)
+    row = setting * alice_plan.cums.shape[1] + alice_outcome if settings > 1 else alice_outcome
+    bob_outcome = sample_indices(streams.random(), bob_cums, row)
     return PairedBlock(setting, alice_outcome, bob_outcome)
 
 
@@ -253,7 +253,7 @@ def deviation_statistic(
     obs = np.asarray(counts, dtype=float)
     if obs.ndim != 1 or obs.size != len(reference):
         raise LengthMismatch(f"{obs.size} counts for {len(reference)} outcomes")
-    if np.any(obs < 0):
+    if (obs < 0).any():  # min() would hide a negative count behind a NaN
         raise BadParameter("counts must be non-negative")
     total = obs.sum()
     if total < 1:
@@ -280,7 +280,7 @@ def _chi2_sf(x: float, df: int) -> float:
 
 def total_variation(p: np.ndarray, q: np.ndarray) -> float:
     """(1/2) sum_j |p_j - q_j|."""
-    return 0.5 * float(np.abs(np.asarray(p, float) - np.asarray(q, float)).sum())
+    return 0.5 * float(abs(np.asarray(p, float) - np.asarray(q, float)).sum())
 
 
 def parse_policy(text: str) -> CollapsePolicy:
@@ -326,7 +326,7 @@ def describe_policy(policy: CollapsePolicy) -> str:
     if isinstance(policy, Forced):
         return f"forced:{policy.target}"
     if isinstance(policy, Biased):
-        return "biased:" + ",".join(repr(float(w)) for w in policy.weights.probs)
+        return "biased:" + ",".join(map(repr, policy.weights.probs.tolist()))
     if isinstance(policy, Scripted):
         base = "scripted:" + ",".join(str(i) for i in policy.sequence)
         return base + ";fallback=" + describe_policy(policy.fallback)

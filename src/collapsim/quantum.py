@@ -7,6 +7,7 @@ values can be shared freely across threads.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Sequence
@@ -26,14 +27,24 @@ MAX_DIM = 8192
 
 def within(a, b) -> bool:
     """Whether max |a - b| <= ATOL, the closeness rule of every structural check
-    (a, b numbers or arrays). The max starts at 0, so an empty difference is
-    within, and carries NaN through, so a NaN anywhere (inf - inf too) is a fault."""
-    return bool(np.maximum.reduce(abs(a - b), axis=None, initial=0.0) <= ATOL)
+    (a, b numbers or arrays; one number, numpy's float64 too, is compared directly).
+    An empty difference is within; a NaN anywhere (inf - inf too) is a fault."""
+    gap = abs(a - b)
+    if isinstance(gap, float):
+        return bool(gap <= ATOL)
+    return bool(np.maximum.reduce(gap, axis=None, initial=0.0) <= ATOL)
 
 
 def _frozen(array: np.ndarray) -> np.ndarray:
     array.setflags(write=False)
     return array
+
+
+def _built(cls, **fields):
+    """Frozen dataclass cls with these fields, unchecked: exact, or checked, by construction."""
+    instance = object.__new__(cls)
+    instance.__dict__.update(fields)
+    return instance
 
 
 @dataclass(frozen=True, eq=False)
@@ -72,7 +83,7 @@ class DensityOperator:
             raise ValueError("density operator must be Hermitian")
         if not within(np.trace(mat), 1.0):
             raise ValueError("density operator must have unit trace")
-        if np.min(np.linalg.eigvalsh(mat)) < -ATOL:
+        if np.linalg.eigvalsh(mat).min() < -ATOL:
             raise ValueError("density operator must be positive semidefinite")
         object.__setattr__(self, "matrix", _frozen(mat))
 
@@ -138,9 +149,7 @@ class ProjectiveMeasurement:
             raise ValueError("a measurement needs at least one projector")
         stack = np.zeros((dim, dim, dim), dtype=complex)
         stack[(np.arange(dim),) * 3] = 1.0
-        measurement = object.__new__(cls)  # exact by construction: skip __post_init__
-        object.__setattr__(measurement, "projectors", _frozen(stack))
-        return measurement
+        return _built(cls, projectors=_frozen(stack))  # exact by construction
 
     @classmethod
     def detection(cls, ket: np.ndarray) -> "ProjectiveMeasurement":
@@ -160,11 +169,11 @@ class ProbabilityDistribution:
         p = np.ascontiguousarray(self.probs, dtype=float)
         if p.ndim != 1 or p.size < 1:
             raise ValueError("probabilities must form a non-empty vector")
-        if np.min(p) < -ZERO_PROB:
+        if p.min() < -ZERO_PROB:
             raise ValueError("probabilities must be non-negative")
-        if not within(p.sum(), 1.0):
-            raise ValueError(f"probabilities sum to {float(p.sum())!r}, not 1")
-        object.__setattr__(self, "probs", _frozen(np.clip(p, 0.0, 1.0)))
+        if not within(total := p.sum(), 1.0):
+            raise ValueError(f"probabilities sum to {float(total)!r}, not 1")
+        object.__setattr__(self, "probs", _frozen(p.clip(0.0, 1.0)))
 
     def __len__(self) -> int:
         return self.probs.size
@@ -178,25 +187,34 @@ class ProbabilityDistribution:
 
     @cached_property
     def _support(self) -> frozenset[int]:  # once per instance: probs is read-only
-        return frozenset(int(j) for j in np.flatnonzero(self.probs > ZERO_PROB))
+        return frozenset((self.probs > ZERO_PROB).nonzero()[0].tolist())
 
 
 def make_state(amplitudes) -> StateVector:
-    """Normalize raw amplitudes into a state; rejects the zero vector."""
+    """Normalize raw amplitudes into a state, its norm not checked again; rejects zero."""
     amps = np.ascontiguousarray(amplitudes, dtype=complex)
     if amps.ndim != 1:
         raise DimensionMismatch("amplitudes must be a 1-d sequence")
     with np.errstate(over="ignore"):
         norm = np.linalg.norm(amps)
-    if not np.isfinite(norm):
-        if not np.all(np.isfinite(amps)):
+    if not math.isfinite(norm):
+        if not np.isfinite(amps).all():
             raise BadParameter("amplitudes must be finite")
         # the sum of squares overflowed: bring the largest component to 1 first
-        amps = amps / np.abs(amps.view(float)).max()
+        amps = amps / abs(amps.view(float)).max()
         norm = np.linalg.norm(amps)
-    if norm < 1e-12 or not np.any(np.abs(amps) >= 1e-12):
+    if norm < 1e-12 or not abs(amps).max() >= 1e-12:
         raise ZeroVector("all amplitudes are numerically zero")
-    return StateVector(amps / norm)
+    if amps.size > MAX_DIM:
+        raise TooLarge(f"dimension {amps.size} exceeds the dense cap {MAX_DIM}")
+    return _built(StateVector, amplitudes=_frozen(amps / norm))
+
+
+def _born_of_made_state(state: StateVector) -> ProbabilityDistribution:
+    """The computational Born distribution, |amplitude|^2 clipped to [0, 1], of a state
+    make_state returned: its weights sum to 1 within rounding, so are not checked again."""
+    weights = (abs(state.amplitudes) ** 2).clip(0.0, 1.0)
+    return _built(ProbabilityDistribution, probs=_frozen(weights))
 
 
 def born_distribution(
@@ -211,7 +229,7 @@ def born_distribution(
     probs = np.einsum(
         "i,mij,j->m", amps.conj(), measurement.projectors, amps, optimize=False
     ).real
-    return ProbabilityDistribution(np.clip(probs, 0.0, 1.0))
+    return ProbabilityDistribution(probs.clip(0.0, 1.0))
 
 
 def born_distribution_rho(
@@ -221,7 +239,7 @@ def born_distribution_rho(
     if rho.dim != measurement.dim:
         raise DimensionMismatch(f"rho dim {rho.dim} != measurement dim {measurement.dim}")
     probs = np.einsum("mij,ji->m", measurement.projectors, rho.matrix).real
-    return ProbabilityDistribution(np.clip(probs, 0.0, 1.0))
+    return ProbabilityDistribution(probs.clip(0.0, 1.0))
 
 
 def collapse(

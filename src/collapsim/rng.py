@@ -18,6 +18,7 @@ reads its own, one column for all its rows at each draw. Only `run_blocks`
 
 from __future__ import annotations
 
+import struct
 import threading
 
 import numpy as np
@@ -30,6 +31,7 @@ TRIAL_BLOCK = 4096
 
 _U32 = np.uint64(0xFFFFFFFF)
 _SHIFT32 = np.uint64(32)
+_SHIFT11 = np.uint64(11)
 
 
 def _word(value, what: str) -> int:
@@ -44,9 +46,10 @@ def _counter(seed: int, prefix: tuple[int, ...], first, last) -> int:
     if len(prefix) > 2:
         raise BadParameter("at most 3 stream key components are supported")
     _word(seed, "the seed")
-    first, _ = _word(first, "a trial index"), _word(last, "a trial index")
-    p0, p1 = (_word(k, "a stream key component") for k in (*prefix, 0, 0)[:2])
-    return first + (p0 << 64) + (p1 << 128)
+    counter, _ = _word(first, "a trial index"), _word(last, "a trial index")
+    for shift, k in zip((64, 128), prefix):
+        counter += _word(k, "a stream key component") << shift
+    return counter
 
 
 _local = threading.local()  # each thread's one Philox
@@ -54,15 +57,15 @@ _local = threading.local()  # each thread's one Philox
 
 def _blocks(seed: int, counter: int, n: int) -> np.ndarray:
     """The n Philox blocks at key = seed from `counter` on, as (n, 4) words; unchecked."""
-    if not hasattr(_local, "philox"):  # its state's buffer_pos 4: no buffered words
+    if not hasattr(_local, "philox"):  # buffer_pos 4: no buffered words
         _local.philox = np.random.Philox(key=0)
-        _local.state = _local.philox.state
-    # numpy steps the counter before making each block
-    count = ((counter - 1) % (1 << 256)).to_bytes(32, "little")
-    key = np.array([seed, 0], dtype=np.uint64)
-    _local.state["state"] = {"counter": np.frombuffer(count, "<u8"), "key": key}
+        _local.state = {**_local.philox.state, "buffer": (0, 0, 0, 0)}
+    # numpy steps the counter before making each block; the state setter reads
+    # each word by index, and tuples of ints faster than numpy arrays
+    count = struct.unpack("<4Q", ((counter - 1) % (1 << 256)).to_bytes(32, "little"))
+    _local.state["state"] = {"counter": count, "key": (seed, 0)}
     _local.philox.state = _local.state
-    return _local.philox.random_raw(4 * n).reshape(n, 4)
+    return _local.philox.random_raw((n, 4))
 
 
 def trial_blocks(trials: int):
@@ -119,7 +122,7 @@ class TrialStreams:
 
     def random(self) -> np.ndarray:
         """Generator.random(): the top 53 bits of each row's next word, scaled to [0, 1)."""
-        return (self._next64() >> np.uint64(11)) * (1.0 / 9007199254740992.0)
+        return (self._next64() >> _SHIFT11) * (1.0 / 9007199254740992.0)
 
     def _next32(self) -> np.ndarray:
         if self._half_at < 0:
@@ -138,7 +141,7 @@ class TrialStreams:
         bound = np.uint64(n)
         threshold = np.uint64((2**32 - n) % n)
         m = self._next32() * bound
-        while ((m & _U32) < threshold).any():
+        while (m & _U32).min() < threshold:
             if len(self.words) > 1:
                 raise Diverged
             m = self._next32() * bound
@@ -177,19 +180,17 @@ def sample_indices(u: np.ndarray, cums: np.ndarray, group=None) -> np.ndarray:
     """The package's one inverse-CDF rule: row i draws the first index whose
     cumulative entry exceeds u[i] times the table's total, clipped to the last.
 
-    `cums` is one cumulative table searched by every row (group None), or a
-    2-d stack of equally long ones, row i searching cums[group[i]]. One table
-    is binary-searched (searchsorted side="right" counts the entries <= x of a
-    non-decreasing table); a stack counts them column by column, so no
-    (rows, k) table is gathered. The two give the same index.
+    That is the count of entries but the last that are <= u[i] times the total
+    (the last could only make it k). `cums` is one cumulative table searched by
+    every row (group None), or a 2-d stack of equally long ones, row i searching
+    cums[group[i]]. One table is binary-searched (searchsorted side="right"
+    counts the entries <= x of a non-decreasing table); a stack counts them
+    column by column, so no (rows, k) table is gathered. The two give the same index.
     """
     if group is None:
-        cums = np.asarray(cums)
-        idx = np.searchsorted(cums, u * cums[-1], side="right")
-    else:
-        cums = np.atleast_2d(cums)
-        x = u * cums[:, -1][group]
-        idx = np.zeros(u.size, dtype=np.intp)
-        for column in cums.T:
-            idx += column[group] <= x
-    return np.minimum(idx, cums.shape[-1] - 1)
+        return cums[:-1].searchsorted(u * cums[-1], side="right")
+    x = u * cums[:, -1][group]
+    idx = np.zeros(u.size, dtype=np.intp)
+    for column in cums.T[:-1]:
+        idx += column[group] <= x
+    return idx

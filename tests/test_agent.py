@@ -17,6 +17,7 @@ from collapsim.agent import (
     selection,
 )
 from collapsim.errors import AllZeroPriorities, BadParameter, LengthMismatch
+from collapsim.quantum import make_state
 from collapsim.policies import deviation_statistic
 from collapsim.rng import TRIAL_BLOCK, TrialStreams, trial_rng
 from helpers import act_counts, act_outcomes
@@ -90,6 +91,19 @@ class TestAttention:
             reference = born_reference(alts)
         np.testing.assert_allclose(state.amplitudes, [2**-0.5, 2**-0.5, 0], atol=1e-15)
         np.testing.assert_allclose(reference.probs, [0.5, 0.5, 0], atol=1e-15)
+
+    @pytest.mark.parametrize("priorities", [
+        (5e307, 5e307),  # n * max is 1e308: no sum can overflow
+        (1e308, 7e307),  # n * max is past 1e308, but the sum does not overflow: no rescaling
+        (1.7e308, 7e306, 1e-300),
+        (3e-308, 1e-320, 0.0),
+    ])
+    def test_amplitudes_near_the_overflow_bound_are_the_plain_formula(self, priorities):
+        # sqrt(p / sum p), normalized by make_state, on either side of the bound
+        with np.errstate(over="raise"):
+            state = attention(AlternativeSet(tuple("abc"[:len(priorities)]), priorities))
+        p = np.array(priorities)
+        assert np.array_equal(state.amplitudes, make_state(np.sqrt(p / p.sum())).amplitudes)
 
     def test_zero_priority_gives_zero_amplitude(self):
         alts = AlternativeSet(("a", "b", "c"), (0.5, 0.5, 0.0))

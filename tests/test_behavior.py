@@ -647,9 +647,11 @@ class TestTextMemory:
 
     def test_format_peak(self):
         # 200000 values, 3.7 MB of text, are 40 blocks of a 0.81 MB working set
-        # each, and while one is made its caller still holds the last 93 kB
-        # piece: 903 kB against a bound of 911 kB. Holding one more piece
-        # reaches 997 kB. The first run in a process also fills 2-9 kB of caches
+        # each; while one is made the writer holds its 64 KiB room piece (the
+        # last of format_intervals' _ROOM_PIECES + 1) and its caller the last
+        # 93 kB text piece: 887 kB against a bound of 894 kB with numpy 2.4.6.
+        # Holding one more text piece reaches 980 kB. The first run in a process
+        # also fills 2-9 kB of caches
         sequence = generate_sequence("pareto", 200_000, keyed_generator(102))
         one_block = EventSequence(sequence.intervals[:FORMAT_CHUNK])
         for _ in format_intervals(sequence):

@@ -26,7 +26,7 @@ from collapsim.quantum import (
     born_distribution,
     make_state,
 )
-from collapsim.rng import TRIAL_BLOCK, cumulative, trial_rng
+from collapsim.rng import TRIAL_BLOCK, cumulative, sample_indices, trial_rng
 from helpers import keyed_generator, random_measurement, random_state, sample_counts
 from oracles import policy_outcome
 
@@ -269,6 +269,32 @@ class TestDeviationStatistic:
         with pytest.raises(BadParameter):
             deviation_statistic([0, 0], ref)
 
+    @pytest.mark.parametrize(
+        "counts, error, message",
+        [
+            ([3, -1], BadParameter, "counts must be non-negative"),
+            ([-1.0, np.nan], BadParameter, "counts must be non-negative"),  # NaN hides no count
+            ([0, 0], BadParameter, "at least one observation is required"),
+            ([0.25, 0.5], BadParameter, "at least one observation is required"),
+            ([1, 2, 3], LengthMismatch, "3 counts for 2 outcomes"),
+            ([[1, 2]], LengthMismatch, "2 counts for 2 outcomes"),
+        ],
+    )
+    def test_messages(self, counts, error, message):
+        ref = ProbabilityDistribution(np.array([0.5, 0.5]))
+        with pytest.raises(error) as info:
+            deviation_statistic(counts, ref)
+        assert type(info.value) is error and str(info.value) == message
+
+    @pytest.mark.parametrize("counts, expected", [
+        ([np.nan, 1.0], "(nan, nan, 1, 1.0)"),
+        ([1e308, 1e308], "(0.5, nan, 1, 1.0)"),  # the total overflows
+    ])
+    def test_nan_and_overflowing_counts_are_no_error(self, counts, expected):
+        ref = ProbabilityDistribution(np.array([0.5, 0.5]))
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert str(tuple(deviation_statistic(counts, ref))) == expected
+
     def test_df_and_pvalue(self):
         # df counts the outcomes of nonzero reference probability, less one
         ref = ProbabilityDistribution(np.array([0.5, 0.3, 0.2, 0.0]))
@@ -276,6 +302,29 @@ class TestDeviationStatistic:
         assert stats.df == 2
         assert stats.pvalue == pytest.approx(scipy_stats.chi2.sf(stats.chi2, 2), rel=1e-12)
         assert deviation_statistic([1000, 0], ProbabilityDistribution(np.array([1.0, 0.0]))).df == 1
+
+
+#: the last uniform below 1, and the drawn index of each table at u = 0 and there
+U_TOP = np.nextafter(1.0, 0.0)
+EDGE_TABLES = [
+    ([0.2, 0.5, 0.3], 0, 2),
+    ([0.5, 0.5, 0.0, 0.0], 0, 1),  # trailing zero masses are never drawn
+    ([0.0, 0.0, 1.0], 2, 2),  # leading ones neither
+    ([0.0, 1e-13, 0.0, 1.0], 3, 3),  # nor a mass at or below ZERO_PROB
+    ([0.0, 0.0], 1, 1),  # an all-zero table draws its last index
+    ([1.0], 0, 0),
+]
+
+
+@pytest.mark.parametrize("probs, at_zero, at_top", EDGE_TABLES)
+def test_sample_indices_edges_on_one_table_and_on_a_stack(probs, at_zero, at_top):
+    u = np.array([0.0, U_TOP])
+    cums = cumulative(probs)
+    assert sample_indices(u, cums).tolist() == [at_zero, at_top]
+    # the same table as row 1 of a stack, between two others of its length
+    stack = np.stack([cumulative(np.eye(len(probs))[0]), cums, cums[::-1]])
+    assert sample_indices(u, stack, np.array([1, 1])).tolist() == [at_zero, at_top]
+    assert sample_indices(u, stack, np.array([0, 0])).tolist() == [0, 0]
 
 
 def _tail_points(df: int) -> np.ndarray:

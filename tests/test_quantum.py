@@ -21,6 +21,7 @@ from collapsim.quantum import (
     born_distribution,
     collapse,
     ATOL,
+    MAX_DIM,
     collapse_register,
     make_state,
     nonselective_update,
@@ -603,10 +604,27 @@ class TestWithin:
             (np.zeros((0, 3)), 1.0, True),
             (ATOL, 0.0, True),
             (np.nextafter(ATOL, 1.0), 0.0, False),
+            # one number of each kind, compared directly, and arrays of each shape
+            (1.0, 1.0 + ATOL / 2, True),
+            (1.0, 1.0 + 2 * ATOL, False),
+            (np.float64(1.0), 1.0 + ATOL / 2, True),
+            (np.float64(1.0), np.float64(1.0 + 2 * ATOL), False),
+            (complex(1.0, ATOL / 2), 1.0, True),
+            (np.complex128(1.0 + 2j * ATOL), 1.0, False),
+            (np.array(1.0), 1.0 + ATOL / 2, True),
+            (np.array(1.0), 1.0 + 2 * ATOL, False),
+            (np.array([1.0, 2.0]), np.array([1.0, 2.0 + ATOL / 2]), True),
+            (np.array([1.0, 2.0]), np.array([1.0, 2.0 + 2 * ATOL]), False),
+            (np.float64(np.nan), np.float64(np.nan), False),
+            (float("nan"), 0.0, False),
+            (np.array(np.nan), 0.0, False),
+            (np.float64(np.inf), np.float64(np.inf), False),
+            (np.array([np.inf, 1.0]), np.array([np.inf, 1.0]), False),
         ],
     )
     def test_nan_and_inf_are_faults_and_empty_is_within(self, a, b, expected):
-        assert within(a, b) is expected
+        with np.errstate(invalid="ignore"):  # numpy warns of inf - inf
+            assert within(a, b) is expected
 
 
 class TestInvariantValidation:
@@ -671,6 +689,47 @@ class TestInvariantValidation:
 
     def test_measurement_within_tolerance_accepted(self):
         ProjectiveMeasurement((np.diag([1.0, 0.0]), np.diag([0.0, 1.0 + 1e-11])))
+
+    @pytest.mark.parametrize(
+        "make, error, message",
+        [
+            (lambda: ProbabilityDistribution(np.array([1.2, -0.2])), ValueError,
+             "probabilities must be non-negative"),
+            (lambda: ProbabilityDistribution(np.array([0.5, np.nan])), ValueError,
+             "probabilities sum to nan, not 1"),
+            (lambda: ProbabilityDistribution(np.array([-1.0, np.nan])), ValueError,
+             "probabilities sum to nan, not 1"),
+            (lambda: ProbabilityDistribution(np.array([0.5, 0.6])), ValueError,
+             "probabilities sum to 1.1, not 1"),
+            (lambda: ProbabilityDistribution(np.array([1e308, 1e308])), ValueError,
+             "probabilities sum to inf, not 1"),
+            (lambda: ProbabilityDistribution(np.zeros(0)), ValueError,
+             "probabilities must form a non-empty vector"),
+            (lambda: StateVector(np.array([0.6, -0.8 + 1e-9])), ValueError,
+             "state vector is not normalized (norm=np.float64(0.9999999992))"),
+            (lambda: StateVector(np.array([np.nan, 0.0])), ValueError,
+             "state vector is not normalized (norm=np.float64(nan))"),
+            (lambda: StateVector(np.array([1.0, 1.0])), ValueError,
+             "state vector is not normalized (norm=np.float64(1.4142135623730951))"),
+            (lambda: StateVector(np.array([1e308, 1e308])), ValueError,
+             "state vector is not normalized (norm=np.float64(inf))"),
+            (lambda: StateVector(np.ones(MAX_DIM + 1) / np.sqrt(MAX_DIM + 1)), TooLarge,
+             f"dimension {MAX_DIM + 1} exceeds the dense cap {MAX_DIM}"),
+            (lambda: make_state([-1.0, np.nan]), BadParameter, "amplitudes must be finite"),
+            (lambda: make_state([np.inf, -np.inf]), BadParameter, "amplitudes must be finite"),
+            (lambda: make_state([0.0, -1e-13]), ZeroVector, "all amplitudes are numerically zero"),
+            (lambda: make_state([]), ZeroVector, "all amplitudes are numerically zero"),
+            (lambda: make_state([[1.0]]), DimensionMismatch, "amplitudes must be a 1-d sequence"),
+            (lambda: make_state(np.zeros(MAX_DIM + 1)), ZeroVector,
+             "all amplitudes are numerically zero"),
+            (lambda: make_state(np.full(MAX_DIM + 1, 1e308)), TooLarge,
+             f"dimension {MAX_DIM + 1} exceeds the dense cap {MAX_DIM}"),
+        ],
+    )
+    def test_constructor_messages(self, make, error, message):
+        with np.errstate(over="ignore"), pytest.raises(error) as info:
+            make()
+        assert type(info.value) is error and str(info.value) == message
 
     def test_probability_distribution_checks(self):
         with pytest.raises(ValueError):
