@@ -32,7 +32,7 @@ from .errors import (
     LengthMismatch,
     NoAdmissibleAlternative,
 )
-from .quantum import ProbabilityDistribution, StateVector, _born_of_made_state, make_state
+from .quantum import ProbabilityDistribution, StateVector, _built, _frozen, make_state
 from .rng import TrialStreams, run_blocks, sample_index, sample_indices
 
 
@@ -66,9 +66,11 @@ class AlternativeSet:
 
     @cached_property
     def attended(self) -> tuple[StateVector, ProbabilityDistribution]:
-        """attention(self) and its Born distribution, built once per instance."""
-        state = attention(self)  # made by make_state
-        return state, _born_of_made_state(state)
+        """attention(self) and its Born distribution, built once per instance: the
+        squared amplitudes of make_state's state sum to 1, so are not checked again."""
+        state = attention(self)
+        born = (abs(state.amplitudes) ** 2).clip(0.0, 1.0)
+        return state, _built(ProbabilityDistribution, probs=_frozen(born))
 
 
 @dataclass(frozen=True)
@@ -149,14 +151,11 @@ COLLAPSE_STAGE_SHAPE = tuple(
 def attention(alternatives: AlternativeSet) -> StateVector:
     """Superpose the alternatives with amplitudes sqrt(priority / total)."""
     priorities = np.asarray(alternatives.priorities, dtype=float)
-    if len(alternatives) * max(alternatives.priorities) <= 1e308:  # no sum can overflow
+    with np.errstate(over="ignore"):
         total = priorities.sum()
-    else:
-        with np.errstate(over="ignore"):
-            total = priorities.sum()
-        if math.isinf(total):  # bring the largest priority to 1 first
-            priorities = priorities / priorities.max()
-            total = priorities.sum()
+    if np.isinf(total):  # bring the largest priority to 1 first
+        priorities = priorities / priorities.max()
+        total = priorities.sum()
     return make_state(np.sqrt(priorities / total))
 
 

@@ -444,7 +444,6 @@ def _read_argv(argv: list[str]) -> dict[str, Any]:
     """
     raw: dict[str, Any] = {}
     experiment = None
-    flags = GLOBAL_FLAGS
     positional: list[Param] = []
     args = iter(argv)
     for arg in args:
@@ -456,7 +455,6 @@ def _read_argv(argv: list[str]) -> dict[str, Any]:
                 if arg not in SPECS:
                     raise ConfigError(f"experiment: unknown experiment {arg!r}")
                 experiment = raw["experiment"] = arg
-                flags = _flags(experiment)
                 positional = [p for p in SPECS[arg].params if p.positional]
             elif positional:
                 raw[positional.pop(0).name] = arg
@@ -464,7 +462,7 @@ def _read_argv(argv: list[str]) -> dict[str, Any]:
                 raise ConfigError(f"unexpected argument {arg!r} after {experiment!r}")
             continue
         flag, equals, value = arg.partition("=")
-        known = flags.get(flag)
+        known = _flags(experiment).get(flag)
         if known is None:
             where = f"for experiment {experiment!r}" if experiment else "before the experiment"
             raise ConfigError(f"{flag}: unknown flag {where}")

@@ -390,14 +390,13 @@ def _fwt_block(
         slot, alice_outcome, bob_outcome = paired_block(
             alice, bob_cums, streams, t, len(ray_ids)
         )
-        slot_position = position[slot]
         return FwtBlock(
             trial=t,
             bob_ray=ray_ids[slot],
             alice_outcome=alice_outcome,
             bob_value=(bob_outcome == 0).astype(np.int64),
-            in_context=slot_position >= 0,
-            alice_value_for_bob_ray=(slot_position == alice_outcome).astype(np.int64),
+            in_context=position[slot] >= 0,
+            alice_value_for_bob_ray=(position[slot] == alice_outcome).astype(np.int64),
         )
 
     return block

@@ -236,8 +236,8 @@ def paired_block(
     """
     setting = streams.integers(settings)
     alice_outcome = alice_plan.sample(streams.random(), t)
-    row = setting * alice_plan.cums.shape[1] + alice_outcome if settings > 1 else alice_outcome
-    bob_outcome = sample_indices(streams.random(), bob_cums, row)
+    k = alice_plan.cums.shape[1]
+    bob_outcome = sample_indices(streams.random(), bob_cums, setting * k + alice_outcome)
     return PairedBlock(setting, alice_outcome, bob_outcome)
 
 

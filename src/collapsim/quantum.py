@@ -40,6 +40,13 @@ def _frozen(array: np.ndarray) -> np.ndarray:
     return array
 
 
+def _capped(amps: np.ndarray) -> np.ndarray:
+    """amps, refused past the dense cap MAX_DIM (of StateVector and make_state)."""
+    if amps.size > MAX_DIM:
+        raise TooLarge(f"dimension {amps.size} exceeds the dense cap {MAX_DIM}")
+    return amps
+
+
 def _built(cls, **fields):
     """Frozen dataclass cls with these fields, unchecked: exact, or checked, by construction."""
     instance = object.__new__(cls)
@@ -57,9 +64,7 @@ class StateVector:
         amps = np.ascontiguousarray(self.amplitudes, dtype=complex)
         if amps.ndim != 1 or amps.size < 1:
             raise ValueError("amplitudes must be a non-empty 1-d vector")
-        if amps.size > MAX_DIM:
-            raise TooLarge(f"dimension {amps.size} exceeds the dense cap {MAX_DIM}")
-        norm = np.linalg.norm(amps)
+        norm = np.linalg.norm(_capped(amps))
         if not within(norm, 1.0):
             raise ValueError(f"state vector is not normalized (norm={norm!r})")
         object.__setattr__(self, "amplitudes", _frozen(amps))
@@ -205,16 +210,7 @@ def make_state(amplitudes) -> StateVector:
         norm = np.linalg.norm(amps)
     if norm < 1e-12 or not abs(amps).max() >= 1e-12:
         raise ZeroVector("all amplitudes are numerically zero")
-    if amps.size > MAX_DIM:
-        raise TooLarge(f"dimension {amps.size} exceeds the dense cap {MAX_DIM}")
-    return _built(StateVector, amplitudes=_frozen(amps / norm))
-
-
-def _born_of_made_state(state: StateVector) -> ProbabilityDistribution:
-    """The computational Born distribution, |amplitude|^2 clipped to [0, 1], of a state
-    make_state returned: its weights sum to 1 within rounding, so are not checked again."""
-    weights = (abs(state.amplitudes) ** 2).clip(0.0, 1.0)
-    return _built(ProbabilityDistribution, probs=_frozen(weights))
+    return _built(StateVector, amplitudes=_frozen(_capped(amps) / norm))
 
 
 def born_distribution(

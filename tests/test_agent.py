@@ -17,8 +17,8 @@ from collapsim.agent import (
     selection,
 )
 from collapsim.errors import AllZeroPriorities, BadParameter, LengthMismatch
-from collapsim.quantum import make_state
 from collapsim.policies import deviation_statistic
+from collapsim.quantum import make_state
 from collapsim.rng import TRIAL_BLOCK, TrialStreams, trial_rng
 from helpers import act_counts, act_outcomes
 from oracles import asc_records
@@ -93,13 +93,13 @@ class TestAttention:
         np.testing.assert_allclose(reference.probs, [0.5, 0.5, 0], atol=1e-15)
 
     @pytest.mark.parametrize("priorities", [
-        (5e307, 5e307),  # n * max is 1e308: no sum can overflow
-        (1e308, 7e307),  # n * max is past 1e308, but the sum does not overflow: no rescaling
+        (5e307, 5e307),
+        (1e308, 7e307),  # a sum just under the largest float: no rescaling
         (1.7e308, 7e306, 1e-300),
         (3e-308, 1e-320, 0.0),
     ])
     def test_amplitudes_near_the_overflow_bound_are_the_plain_formula(self, priorities):
-        # sqrt(p / sum p), normalized by make_state, on either side of the bound
+        # sqrt(p / sum p), normalized by make_state, wherever the sum is finite
         with np.errstate(over="raise"):
             state = attention(AlternativeSet(tuple("abc"[:len(priorities)]), priorities))
         p = np.array(priorities)
