@@ -11,10 +11,11 @@ produce identical outcomes but structurally different traces.
 
 An episode reads word 0 of its trial's stream for the mixing draw (only
 when mixing < 1) and the next word for its branch, and never the word of
-the Forced collapse, whose outcome is certain. act_trials reads each as
-one column of a block's words; it makes no Lemire draw, so no block is
-ever redrawn one trial at a time, and act leaves the caller's stream just
-past the words it read.
+the Forced collapse, whose outcome is certain. Both branches search one
+table stack over all labels, where a zero-priority label has zero mass.
+act_trials reads each word as one column of a block's words; it makes no
+Lemire draw, so no block is ever redrawn one trial at a time, and act
+leaves the caller's stream just past the words it read.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ from .errors import (
     NoAdmissibleAlternative,
 )
 from .quantum import ProbabilityDistribution, StateVector, _built, _frozen, make_state
-from .rng import TrialStreams, run_blocks, sample_index, sample_indices
+from .rng import TrialStreams, cumulative, run_blocks, sample_index, sample_indices
 
 
 @dataclass(frozen=True)
@@ -161,15 +162,14 @@ def attention(alternatives: AlternativeSet) -> StateVector:
 
 def _choices(
     born: ProbabilityDistribution, alternatives: AlternativeSet, norm: NormFunction
-) -> tuple[list[int], list[int]]:
-    """The admissible alternatives (nonzero Born weight), in order, and the
-    norm-optimal ones among them (the tied set)."""
+) -> list[int]:
+    """The tied set: the norm-optimal admissible alternatives, in order."""
     admissible = sorted(born.support())
     if not admissible:
         raise NoAdmissibleAlternative("no alternative has nonzero amplitude")
     scores = {j: norm.value(alternatives.labels[j]) for j in admissible}
     best = max(scores.values())
-    return admissible, [j for j in admissible if scores[j] == best]
+    return [j for j in admissible if scores[j] == best]
 
 
 def selection(
@@ -184,7 +184,7 @@ def selection(
     random subroutine), and flagged as such.
     """
     born = ProbabilityDistribution(np.abs(state.amplitudes) ** 2)
-    _, tied = _choices(born, alternatives, norm)
+    tied = _choices(born, alternatives, norm)
     if len(tied) == 1:
         return tied[0], False
     weights = np.abs(state.amplitudes[tied]) ** 2
@@ -266,33 +266,32 @@ def _act_block(
 ) -> Callable[[TrialStreams, np.ndarray], ActBlock]:
     """The block code of act and act_trials.
 
-    Attention (alternatives.attended) and the admissible and tied sets are
-    computed once; a choice is admissible, so its Forced collapse needs no
-    check. block(streams, t) reads whole columns, one word per row each:
-    word 0 is the mixing draw when mixing < 1, and the next word (word 1,
-    or word 0 at mixing 1) is at once the tie-break of the rows that follow
-    the norm and the Born branch of the others, read only when some row
-    takes one. The Forced collapse's word is never read: its outcome is
-    certain and act_trials' streams end with the block. No draw is a Lemire
-    draw, so the block never raises rng.Diverged.
+    Attention (alternatives.attended), the tied set and one stack of two
+    cumulative tables over all labels are computed once: row 0 the tie-break
+    (Born weight on the tied set), row 1 the Born branch (cumulative zeroes
+    each inadmissible label). A choice is admissible, so its Forced collapse
+    needs no check. block(streams, t) reads whole columns, one word per row
+    each: word 0 is the mixing draw when mixing < 1, and the next word, read
+    only when some row takes a branch, searches row 0 where a row follows the
+    norm and row 1 elsewhere. The Forced collapse's word is never read, and
+    no draw is a Lemire draw, so the block never raises rng.Diverged.
     """
     if not 0.0 <= mixing <= 1.0:
         raise BadParameter("mixing must lie in [0, 1]")
     born = alternatives.attended[1]  # the squared real amplitudes, which need no clip
-    admissible, tied = _choices(born, alternatives, norm)
-    tied, admissible = np.array(tied), np.array(admissible)
-    # every admissible weight is above ZERO_PROB, so cumulative would zero none
-    tie_cum, born_cum = born.probs[tied].cumsum(), born.probs[admissible].cumsum()
+    tied = _choices(born, alternatives, norm)
+    tie_break = np.zeros(len(born))
+    tie_break[tied] = born.probs[tied]
+    cums = cumulative([tie_break, born.probs])
 
     def block(streams: TrialStreams, t: np.ndarray) -> ActBlock:
         follow = np.ones(t.size, dtype=bool) if mixing >= 1.0 else streams.random() < mixing
-        everyone = follow.all()
-        if len(tied) == 1 and everyone:  # no row draws a branch
-            return ActBlock(t, np.full(t.size, tied[0]), np.zeros(t.size, dtype=bool))
-        u = streams.random()
-        chosen = tied[sample_indices(u, tie_cum)]  # one tied: always tied[0]
-        if not everyone:
-            chosen = np.where(follow, chosen, admissible[sample_indices(u, born_cum)])
+        if not follow.all():  # row 0 where a row follows the norm, row 1 elsewhere
+            chosen = sample_indices(streams.random(), cums, (~follow).astype(np.intp))
+        elif len(tied) > 1:  # row 0 alone, by the one-table search
+            chosen = sample_indices(streams.random(), cums[0])
+        else:  # no row draws a branch
+            chosen = np.full(t.size, tied[0])
         return ActBlock(t, chosen, follow if len(tied) > 1 else np.zeros(t.size, dtype=bool))
 
     return block

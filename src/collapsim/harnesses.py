@@ -10,7 +10,7 @@ runner parses parameter text; only the classify input file is read by its run.
 The per-trial table (TrialTable), kept only when the config asks for
 per-trial records, holds the engine's blocks as columns: the trial index
 plain, every other field as small-int codes into its JSON values, so the
-report renders one JSON template per distinct row (cli.render_report).
+report renders one JSON template per distinct row (cli._trial_chunks).
 """
 
 from __future__ import annotations
@@ -78,16 +78,24 @@ def _numbers(convert: Callable[[str], Any], tokens: list[str]) -> list:
     raise ValueError("must be comma-separated finite numbers")
 
 
+def _fields(text: str, sep: str = ",") -> list[str]:
+    """The fields of text between each sep; ValueError if one is empty."""
+    fields = text.split(sep)
+    if "" in fields:
+        raise ValueError(f"must not have an empty field (split by {sep!r})")
+    return fields
+
+
 def float_list(text: str) -> list[float]:
-    return _numbers(float, [tok for tok in text.split(",") if tok.strip()])
+    return _numbers(float, _fields(text))
 
 
 def complex_list(text: str) -> list[complex]:
-    return _numbers(complex, [tok.strip() for tok in text.split(",")])
+    return _numbers(complex, [tok.strip() for tok in _fields(text)])
 
 
 def label_list(text: str) -> tuple[str, ...]:
-    return tuple(tok for tok in text.split(",") if tok)
+    return tuple(_fields(text))
 
 
 def collapse_policy(text: str) -> policies.CollapsePolicy:
@@ -108,8 +116,6 @@ def table_ray(text: str) -> kochen_specker.Ray | None:
 
 
 def _energy_levels(dim: int) -> None:
-    if dim < 1:
-        raise ValueError("must not be empty")
     if dim > MAX_ENERGY_DIM:
         raise ConfigError(f"h_diag/h_matrix: dimension must be at most {MAX_ENERGY_DIM}")
 
@@ -122,11 +128,7 @@ def diagonal_hamiltonian(text: str) -> Hamiltonian:
 
 def dense_hamiltonian(text: str) -> Hamiltonian:
     """Dense matrix literal: rows separated by ';', entries by ','."""
-    rows = [
-        _numbers(complex, [tok.strip() for tok in row.split(",") if tok.strip()])
-        for row in text.split(";")
-        if row.strip()
-    ]
+    rows = [complex_list(row) for row in _fields(text, ";")]
     if any(len(row) != len(rows) for row in rows):
         raise ValueError("must be square (rows split by ';')")
     _energy_levels(len(rows))

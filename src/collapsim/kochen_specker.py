@@ -368,10 +368,11 @@ def _fwt_block(
     """The block code of fwt_trial and fwt_trials.
 
     Checks the context and the ray, then compiles Alice's plan (plan applied
-    to her Born distribution), Bob's rows for the drawn ray slots (slot *
-    RAY_DIM + Alice's outcome) and each slot's position in Alice's context,
-    both sliced from the context's _block_tables. Returns block(streams, t): the
-    FwtBlock of trials t, drawn from streams by policies.paired_block.
+    to her Born distribution) and takes the context's _block_tables: Bob's
+    rows for every distinct ray (ray * RAY_DIM + Alice's outcome) and each
+    ray's position in Alice's context. Bob's settings are every ray's index,
+    or a fixed ray's one index. Returns block(streams, t): the FwtBlock of
+    trials t, drawn from streams by policies.paired_block.
     """
     table = builtin_ks_table()
     if not 1 <= alice_context <= len(table.contexts):
@@ -380,23 +381,19 @@ def _fwt_block(
         raise InvalidTable(f"ray {bob_ray} is not one of the table's 18 directions")
     alice = plan(_paired_tables(alice_context)[0])
     bob_cums, position = _block_tables(alice_context)
-    ray_ids = np.arange(len(position))
-    if bob_ray is not None:  # one ray: its slice of each table
-        r = table.distinct_rays.index(bob_ray)
-        ray_ids, position = ray_ids[r:r + 1], position[r:r + 1]
-        bob_cums = bob_cums[RAY_DIM * r:RAY_DIM * (r + 1)]
+    settings = np.arange(len(position))  # Bob's ray indices
+    if bob_ray is not None:  # one setting: no ray is drawn
+        settings = settings[[table.distinct_rays.index(bob_ray)]]
 
     def block(streams: TrialStreams, t: np.ndarray) -> FwtBlock:
-        slot, alice_outcome, bob_outcome = paired_block(
-            alice, bob_cums, streams, t, len(ray_ids)
-        )
+        ray, alice_outcome, bob_outcome = paired_block(alice, bob_cums, streams, t, settings)
         return FwtBlock(
             trial=t,
-            bob_ray=ray_ids[slot],
+            bob_ray=ray,
             alice_outcome=alice_outcome,
             bob_value=(bob_outcome == 0).astype(np.int64),
-            in_context=position[slot] >= 0,
-            alice_value_for_bob_ray=(position[slot] == alice_outcome).astype(np.int64),
+            in_context=position[ray] >= 0,
+            alice_value_for_bob_ray=(position[ray] == alice_outcome).astype(np.int64),
         )
 
     return block

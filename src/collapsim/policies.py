@@ -157,23 +157,20 @@ def sample_from_born(
 class PolicyPlan(NamedTuple):
     """What sample_from_born does at each trial of a run, worked out once.
 
-    Trial t draws from the cumulative table cums[row(t)]: script_rows[t]
-    while t < len(script_rows), default_row afterwards.
+    Trial t draws from the cumulative table cums[rows[min(t, len(rows) - 1)]]:
+    rows has an entry per script entry the run reaches and, when the run
+    outlasts the script, one for the fallback; its last serves every later trial.
     """
 
     cums: np.ndarray
-    script_rows: np.ndarray
-    default_row: int
+    rows: np.ndarray
 
     def sample(self, u: np.ndarray, t: np.ndarray) -> np.ndarray:
         """Outcomes of trials t given each trial's uniform draw u. A plan of one
         table draws every trial from it, by sample_indices' one-table search."""
         if len(self.cums) == 1:
             return sample_indices(u, self.cums[0])
-        rows = np.full(t.size, self.default_row, dtype=np.intp)
-        scripted = t < len(self.script_rows)
-        rows[scripted] = self.script_rows[t[scripted].astype(np.intp)]
-        return sample_indices(u, self.cums, rows)
+        return sample_indices(u, self.cums, self.rows.take(t, mode="clip"))
 
 
 def compile_policy(
@@ -182,27 +179,19 @@ def compile_policy(
     """Plan trials 0..trials-1 of a run that samples `born` under `policy`.
 
     One table per distinct case, policy_distribution at its first trial: an
-    admissible script entry, or the fallback (every trial of an unscripted
-    policy). Raises what sample_from_born would raise at its first failing trial.
+    admissible script entry, or the fallback (an unscripted policy, an
+    inadmissible entry, a trial past the script). Raises what sample_from_born
+    would raise at its first failing trial.
     """
     script = policy.sequence[:trials] if isinstance(policy, Scripted) else ()
     admissible = born.support()
-    tables: list[np.ndarray] = []
+    # each trial's case, None for the fallback's; trials past the script share one
+    cases = [e if e in admissible else None for e in script] + [None] * (trials > len(script))
     row_of: dict[int | None, int] = {}
-
-    def row(t: int, case: int | None) -> int:
-        if case not in row_of:
-            row_of[case] = len(tables)
-            tables.append(cumulative(policy_distribution(policy, born, t).probs))
-        return row_of[case]
-
-    script_rows = np.array(
-        [row(t, entry if entry in admissible else None) for t, entry in enumerate(script)],
-        dtype=np.intp,
-    )
-    default_row = row(len(script), None) if trials > len(script) else -1
+    rows = np.array([row_of.setdefault(case, len(row_of)) for case in cases], dtype=np.intp)
+    dists = [policy_distribution(policy, born, cases.index(c)).probs for c in row_of]
     # reshape: no tables at all when there are no trials
-    return PolicyPlan(np.array(tables).reshape(-1, len(born)), script_rows, default_row)
+    return PolicyPlan(cumulative(dists).reshape(-1, len(born)), rows)
 
 
 def trial_plan(
@@ -210,7 +199,7 @@ def trial_plan(
 ) -> PolicyPlan:
     """The plan of trial `trial` alone: policy_distribution there, its one table."""
     table = cumulative(policy_distribution(policy, born, trial).probs)
-    return PolicyPlan(table[None], np.zeros(0, dtype=np.intp), 0)
+    return PolicyPlan(table[None], np.zeros(1, dtype=np.intp))
 
 
 class PairedBlock(NamedTuple):
@@ -221,20 +210,25 @@ class PairedBlock(NamedTuple):
     bob_outcome: np.ndarray
 
 
+#: the setting ids of a paired protocol whose Bob measures one way
+_ONE_SETTING = np.zeros(1, dtype=np.intp)
+_ONE_SETTING.flags.writeable = False
+
+
 def paired_block(
     alice_plan: PolicyPlan,
     bob_cums: np.ndarray,
     streams: TrialStreams,
     t: np.ndarray,
-    settings: int = 1,
+    settings: np.ndarray = _ONE_SETTING,
 ) -> PairedBlock:
     """Trials t of the paired protocol, drawn from their streams in order:
-    Bob's setting (integers(settings), which draws nothing for one setting),
-    Alice's outcome under her plan, then Bob's outcome from row
+    Bob's setting settings[integers(len(settings))] (which draws nothing for
+    one setting), Alice's outcome under her plan, then Bob's outcome from row
     setting * k + Alice's outcome of bob_cums, k being Alice's outcome count.
     A rejected setting draw raises rng.Diverged on several rows.
     """
-    setting = streams.integers(settings)
+    setting = settings[streams.integers(len(settings))]
     alice_outcome = alice_plan.sample(streams.random(), t)
     k = alice_plan.cums.shape[1]
     bob_outcome = sample_indices(streams.random(), bob_cums, setting * k + alice_outcome)

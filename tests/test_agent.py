@@ -290,6 +290,33 @@ def _column_case(case):
             NormFunction(dict(zip(labels, norm))), ties)
 
 
+# (priorities, norm): a zero-priority label, the norm's best, first or last,
+# and a tie at the admissible optimum or none
+ZERO_EDGE_CASES = {
+    "zero-first-tie": ((0.0, 0.3, 0.45, 0.25), (5.0, 2.0, 2.0, 0.0)),
+    "zero-first-no-tie": ((0.0, 0.3, 0.45, 0.25), (5.0, 1.0, 2.0, 0.0)),
+    "zero-last-tie": ((0.3, 0.45, 0.25, 0.0), (2.0, 2.0, 0.0, 5.0)),
+    "zero-last-no-tie": ((0.3, 0.45, 0.25, 0.0), (1.0, 2.0, 0.0, 5.0)),
+}
+
+
+@pytest.mark.parametrize("mixing", [0.0, 0.4, 1.0])
+@pytest.mark.parametrize("case", sorted(ZERO_EDGE_CASES))
+def test_zero_priority_edge_label_equals_oracle(case, mixing):
+    # both branches search one table stack over all labels, where the
+    # zero-priority label carries zero mass
+    priorities, norm_values = ZERO_EDGE_CASES[case]
+    alts = AlternativeSet(tuple("abcd"), priorities)
+    norm = NormFunction(dict(zip(alts.labels, norm_values)))
+    blocks = list(act_trials(alts, norm, 23, COLUMN_TRIALS, mixing))
+    expected = asc_records(23, COLUMN_TRIALS, alts.labels, priorities, norm_values, mixing)
+    chosen = np.concatenate([block.chosen for block in blocks])
+    tie_broken = np.concatenate([block.tie_broken for block in blocks])
+    assert chosen.tolist() == [record["outcome"] for record in expected]
+    assert tie_broken.tolist() == [record["tie_broken"] for record in expected]
+    assert priorities.index(0.0) not in chosen
+
+
 @pytest.mark.parametrize("mixing", [0.0, 0.3, 0.95, 1.0])
 @pytest.mark.parametrize("case", sorted(COLUMN_CASES))
 class TestColumnDraws:

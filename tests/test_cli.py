@@ -107,8 +107,10 @@ class TestValidate:
              "h_matrix: hamiltonian must be Hermitian"),
             ({"experiment": "energy", "weights": "0.5,0.5000000005"},
              "weights: must be a probability vector"),
-            ({"experiment": "energy", "h_diag": ","}, "h_diag: must not be empty"),
-            ({"experiment": "energy", "h_matrix": ";"}, "h_matrix: must not be empty"),
+            ({"experiment": "energy", "h_diag": ","},
+             "h_diag: must not have an empty field (split by ',')"),
+            ({"experiment": "energy", "h_matrix": ";"},
+             "h_matrix: must not have an empty field (split by ';')"),
             # text parameters once took any JSON value through str()
             ({"experiment": "asc", "labels": ["a", "b"]}, "labels: expected str, got ['a', 'b']"),
             ({"experiment": "energy", "h_diag": 5}, "h_diag: expected str, got 5"),
@@ -145,6 +147,31 @@ class TestValidate:
         assert capsys.readouterr().err == (
             "config error: h_diag/h_matrix: dimension must be at most 64\n"
         )
+
+    @pytest.mark.parametrize(
+        "argv, violation",
+        [
+            (["asc", "--labels", "a,b", "--priorities", "1,,1"],
+             "priorities: must not have an empty field (split by ',')"),
+            (["asc", "--norm", "0,,1"], "norm: must not have an empty field (split by ',')"),
+            (["asc", "--labels", "a,,b"], "labels: must not have an empty field (split by ',')"),
+            (["energy", "--h-diag", "1,-1,"],
+             "h_diag: must not have an empty field (split by ',')"),
+            (["energy", "--h-matrix", "1,0;0,1;"],
+             "h_matrix: must not have an empty field (split by ';')"),
+            (["energy", "--h-matrix", "1,0;0,"],
+             "h_matrix: must not have an empty field (split by ',')"),
+            (["energy", "--state", "1,,1"], "state: must not have an empty field (split by ',')"),
+            (["energy", "--eigenvalues", "0,,1"],
+             "eigenvalues: must not have an empty field (split by ',')"),
+            (["energy", "--weights", "0.5,,0.5"],
+             "weights: must be 'born' or comma-separated finite numbers"),
+        ],
+    )
+    def test_empty_list_field_exit_2(self, argv, violation, capsys):
+        # an empty field was once dropped from some lists and refused in others
+        assert main(argv) == 2
+        assert capsys.readouterr().err == f"config error: {violation}\n"
 
     def test_non_integer_cnf_token_exit_2(self, tmp_path, capsys):
         # found by test_fuzzed_config_exits_0_1_or_2: a float in a CNF file

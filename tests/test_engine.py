@@ -552,6 +552,21 @@ def test_block_boundaries(trials, long_oracles):
         assert aggregate[f"bob_marginal_{label}"] == marginal.tolist()
 
 
+@pytest.mark.parametrize("context,ray", [(3, "1,1,0,0"), (5, "1,1,0,0")])
+def test_fixed_ray_block_boundary(context, ray):
+    # one setting of the full 72-row table, in Alice's context and out of it
+    policy = "scripted:0,8,2"
+    records, aggregate = _report({"experiment": "fwt", "seed": 6, "trials": B + 1,
+                                  "per_trial": True, "context": context,
+                                  "bob_ray": ray, "policy": policy})
+    expected = fwt_records(6, B + 1, context, ray, policy)
+    # record by record: a failure names the first differing trial quickly
+    dump = partial(json.dumps, sort_keys=True)
+    assert list(map(dump, records)) == list(map(dump, expected))
+    _same(aggregate, _fwt_aggregate(expected, context, policy))
+    assert {r["in_context"] for r in expected} == {context == 3}
+
+
 def test_records_skipped_without_per_trial():
     records, aggregate = _report({"experiment": "fwt", "seed": 2, "trials": 50})
     assert records == [] and aggregate["trials"] == 50

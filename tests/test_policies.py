@@ -190,6 +190,31 @@ class TestSampleOutcome:
         )
 
 
+@pytest.mark.parametrize("trials", [3, 4, 5])
+def test_plan_row_of_each_trial_is_its_policy_distribution(trials):
+    # a script of 4 entries (the 2s inadmissible) planned for fewer trials,
+    # exactly as many, and one more: trial t reads cums[rows[min(t, last)]]
+    born = ProbabilityDistribution(np.array([0.3, 0.7, 0.0]))
+    policy = Scripted((1, 2, 0, 2), Biased(ProbabilityDistribution(np.array([0.6, 0.4, 0.0]))))
+    plan = compile_policy(policy, born, trials)
+    assert len(plan.rows) == min(trials, len(policy.sequence) + 1)
+    for t in range(trials):
+        row = plan.rows[min(t, len(plan.rows) - 1)]
+        expected = cumulative(policy_distribution(policy, born, t).probs)
+        assert plan.cums[row].tobytes() == expected.tobytes(), t
+    u = keyed_generator(8).random(trials)
+    t = np.arange(trials)
+    rows = [plan.rows[min(i, len(plan.rows) - 1)] for i in t]
+    assert plan.sample(u, t).tolist() == sample_indices(u, plan.cums, np.array(rows)).tolist()
+
+
+def test_unscripted_plan_is_one_table_and_one_row():
+    born = ProbabilityDistribution(np.array([0.3, 0.7, 0.0]))
+    plan = compile_policy(Born(), born, 5)
+    assert plan.cums.tobytes() == cumulative(born.probs)[None].tobytes()
+    assert plan.rows.tolist() == [0]
+
+
 def test_weak_compatibility_containment_property():
     # a policy's support is always inside the admissible set
     rng = np.random.default_rng(22)
