@@ -41,11 +41,18 @@ MAX_LENGTH = 10**7
 #: reuses one heap: 0.3-0.6 minor faults per page of extra peak RSS at 1.3*10**5 to
 #: 10**6 intervals, against 2.0-8.1 with 7500-value blocks (360 kB rows and masks)
 FORMAT_CHUNK = 5000
-#: format_intervals frees all but the last of _ROOM_PIECES + 1 heap pieces before its
-#: first block, so its blocks reuse that room, not the heap top that glibc trims and
-#: faults in again; 11 pieces (721 kB) stay under one block's traced peak (726 kB)
+#: format_intervals takes heap pieces of _ROOM_PIECE bytes until _ROOM_PIECES + 1 of
+#: them lie one after another, and frees all but the last before its first block, so
+#: its blocks reuse that room, not the heap top that glibc trims and faults in again.
+#: A piece placed in a hole an earlier free left adds no room below the held one, so
+#: the run is found by address: with a fixed 12 pieces, what a fresh process did
+#: before (its argv's length, say) decided whether a 10**6 generate took 0.4 or up to
+#: 3.0 faults per page. With no hole, the 12 pieces (786 kB) stay under one block's
+#: traced peak with the held piece and its text (887 kB); a piece a hole takes adds
+#: 64 KiB, up to _ROOM_TAKEN pieces in all
 _ROOM_PIECE = 1 << 16
 _ROOM_PIECES = 11
+_ROOM_TAKEN = 3 * _ROOM_PIECES
 
 
 @dataclass(frozen=True, eq=False)
@@ -212,11 +219,23 @@ def _tail_start(piece: str) -> int:
     return len(piece) - len(piece.rsplit(None, 1)[-1])
 
 
+def _room() -> np.ndarray:
+    """The piece format_intervals holds above its room (see _ROOM_PIECE)."""
+    pieces = [np.empty(_ROOM_PIECE, np.uint8)]
+    run = 1  # how many of the last pieces lie each right after the one before
+    while run <= _ROOM_PIECES and len(pieces) < _ROOM_TAKEN:
+        pieces.append(np.empty(_ROOM_PIECE, np.uint8))
+        gap = (pieces[-1].__array_interface__["data"][0]
+               - pieces[-2].__array_interface__["data"][0] - _ROOM_PIECE)
+        run = run + 1 if 0 <= gap <= 64 else 1  # glibc puts 16 bytes between
+    return pieces[-1]
+
+
 def format_intervals(sequence: EventSequence) -> Iterator[str]:
     """Serialize one interval per line, each line repr(x) (inverse of
     read_intervals), in pieces of FORMAT_CHUNK lines made as they are asked for."""
     values = sequence.intervals
-    held = [np.empty(_ROOM_PIECE, np.uint8) for _ in range(_ROOM_PIECES + 1)][-1]  # above the rest
+    held = _room()
     for i in range(0, values.size, FORMAT_CHUNK):
         yield _format_block(values[i:i + FORMAT_CHUNK])
 

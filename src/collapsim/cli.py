@@ -37,9 +37,9 @@ BASES = ("z", "x")
 #: the cap that keeps a config from asking for years of trials (an interval
 #: sequence's is behavior.MAX_LENGTH)
 MAX_TRIALS = 10**8
-#: a per-trial run holds its records' columns in memory, and its report is
-#: written as it is rendered, TRIAL_BLOCK records to a string: 10^6 fwt
-#: records peak near 150 MB
+#: a per-trial run holds its trials and record codes in memory, and its
+#: report is written as it is rendered, TRIAL_BLOCK records to a string:
+#: 10^6 fwt records peak near 70 MB
 MAX_PER_TRIAL = 10**6
 
 #: json.dumps(obj, sort_keys=True), whose every call builds an encoder, made once
@@ -360,31 +360,43 @@ def _report_chunks(report: ExperimentReport, output_format: str) -> Iterable[str
     return itertools.chain([config + "\n"], chunks, [f"{aggregate}\n{timing}\n"])
 
 
+#: the templates of each record alphabet (harnesses.TrialTable.records) a
+#: report used in this process, made for the codes its trials use: id of the
+#: alphabet -> (the alphabet, kept so that its id stays its own, and each
+#: code's head and tail, None until made); cleared when it holds too many
+_TEMPLATES: dict[int, tuple[tuple, list, list]] = {}
+_MAX_ALPHABETS = 64
+
+
+def _templates(table: harnesses.TrialTable) -> tuple[list, list]:
+    """The heads and tails of table's alphabet, with one made for each code
+    its trials use: the record's _dumps, "trial": 0, split at its trial value."""
+    records = table.records
+    kept = _TEMPLATES.get(id(records))
+    if kept is None:
+        if len(_TEMPLATES) >= _MAX_ALPHABETS:
+            _TEMPLATES.clear()
+        kept = _TEMPLATES[id(records)] = (records, [None] * len(records), [None] * len(records))
+    _, heads, tails = kept
+    for c in np.flatnonzero(np.bincount(table.code, minlength=len(records))).tolist():
+        if heads[c] is None:
+            # a string value escapes its quotes, so only the key matches
+            head, _, tail = _dumps({"record": "trial", "trial": 0, **records[c]}).partition(
+                '"trial": 0'
+            )
+            heads[c], tails[c] = head + '"trial": ', tail + "\n"
+    return heads, tails
+
+
 def _trial_chunks(table: harnesses.TrialTable) -> Iterator[str]:
     """Each trial's _dumps(record) and a newline, joined TRIAL_BLOCK trials to
-    a string as it is asked for, from one template per distinct row of codes
-    (the record's dump split at its trial value), made now."""
-    row = np.zeros(table.trial.size, dtype=np.int64)
-    for codes, values in table.coded.values():
-        row = row * len(values) + codes
-    _, first, which = np.unique(row, return_index=True, return_inverse=True)
-    # each field's value in each distinct row's first trial
-    columns = {
-        key: [values[c] for c in codes[first].tolist()]
-        for key, (codes, values) in table.coded.items()
-    }
-    heads, tails = [], []
-    for i, t in enumerate(table.trial[first].tolist()):
-        record = {"record": "trial", "trial": t, **{k: col[i] for k, col in columns.items()}}
-        # a string value escapes its quotes, so only the key matches
-        head, _, tail = _dumps(record).partition(f'"trial": {t}')
-        heads.append(head + '"trial": ')
-        tails.append(tail + "\n")
+    a string as it is asked for, from the templates of its record's code."""
+    heads, tails = _templates(table)
 
     def chunk(start: int) -> str:
         stop = start + TRIAL_BLOCK
-        rows, trials = which[start:stop].tolist(), table.trial[start:stop].tolist()
-        return "".join([f"{heads[i]}{t}{tails[i]}" for i, t in zip(rows, trials)])
+        codes, trials = table.code[start:stop].tolist(), table.trial[start:stop].tolist()
+        return "".join([f"{heads[c]}{t}{tails[c]}" for c, t in zip(codes, trials)])
 
     return map(chunk, range(0, table.trial.size, TRIAL_BLOCK))
 

@@ -8,9 +8,10 @@ plain-file outputs, the pieces of text to write instead of a report. No
 runner parses parameter text; only the classify input file is read by its run.
 
 The per-trial table (TrialTable), kept only when the config asks for
-per-trial records, holds the engine's blocks as columns: the trial index
-plain, every other field as small-int codes into its JSON values, so the
-report renders one JSON template per distinct row (cli._trial_chunks).
+per-trial records, holds one int code per trial into a record alphabet that
+its experiment states once: fwt's 144 records are a constant of the context,
+asc's depend on its labels alone. The report renders one JSON template per
+code its trials use, kept per alphabet for the process (cli._trial_chunks).
 """
 
 from __future__ import annotations
@@ -37,12 +38,13 @@ from .rng import trial_blocks
 
 @dataclass(frozen=True)
 class TrialTable:
-    """Per-trial records as columns. Row i is the record with "trial":
-    trial[i] and, for each key, values[codes[i]] of its coded[key] =
-    (codes, values); every value is a JSON value."""
+    """Per-trial records from a record alphabet. Row i is the record with
+    "trial": trial[i] and the fields of records[code[i]]; every value is a
+    JSON value. An alphabet is made once and shared: read-only."""
 
     trial: np.ndarray
-    coded: dict[str, tuple[np.ndarray, tuple[Any, ...]]]
+    code: np.ndarray
+    records: tuple[dict[str, Any], ...]
 
 
 #: (the per-trial table, kept only with per_trial; the aggregate record;
@@ -210,6 +212,40 @@ def _ks_aggregate() -> dict[str, Any]:
     }
 
 
+@lru_cache(maxsize=9)
+def _fwt_records(context: int) -> tuple[dict[str, Any], ...]:
+    """fwt's record alphabet in context S_j: record (ray * RAY_DIM +
+    alice_outcome) * 2 + bob_value, for ray an index into the table's
+    distinct rays; agreement and Alice's value for Bob's ray are null out
+    of context."""
+    table = kochen_specker.builtin_ks_table()
+    position = {ray: i for i, ray in enumerate(table.contexts[context - 1].rays)}
+    records = []
+    for ray in table.distinct_rays:
+        text, at = str(ray), position.get(ray)
+        for alice_outcome in range(kochen_specker.RAY_DIM):
+            value = None if at is None else int(at == alice_outcome)
+            records.extend(
+                {"alice_outcome": alice_outcome, "bob_ray": text, "bob_value": bob_value,
+                 "in_context": value is not None, "alice_value_for_bob_ray": value,
+                 "agree": None if value is None else value == bob_value}
+                for bob_value in (0, 1)
+            )
+    return tuple(records)
+
+
+@lru_cache(maxsize=16)
+def _asc_records(
+    labels: tuple[str, ...], shape: tuple[str, ...], tie_values: tuple[bool | None, ...]
+) -> tuple[dict[str, Any], ...]:
+    """asc's record alphabet: record chosen * len(tie_values) + tie_broken."""
+    return tuple(
+        {"outcome": chosen, "label": label, "stage_shape": shape, "tie_broken": tie}
+        for chosen, label in enumerate(labels)
+        for tie in tie_values
+    )
+
+
 # --- runners -----------------------------------------------------------------
 
 
@@ -225,7 +261,7 @@ def run_ks(p: dict[str, Any]) -> RunnerOutput:
 def run_fwt(p: dict[str, Any]) -> RunnerOutput:
     trials = p["trials"]
 
-    kept = []  # the blocks, for the per-trial table
+    kept = []  # each block's trials and record codes, for the per-trial table
     in_context = agreements = detections = 0
     blocks = kochen_specker.fwt_trials(
         p["context"], p["bob_ray"], p["policy"], p["seed"], trials
@@ -235,7 +271,8 @@ def run_fwt(p: dict[str, Any]) -> RunnerOutput:
         in_context += int(np.count_nonzero(block.in_context))
         agreements += int(np.count_nonzero(block.agree))
         if p["per_trial"]:
-            kept.append(block)
+            ray_outcome = block.bob_ray * kochen_specker.RAY_DIM + block.alice_outcome
+            kept.append((block.trial, ray_outcome * 2 + block.bob_value))
     aggregate = {
         "trials": trials,
         "context": p["context"],
@@ -246,25 +283,16 @@ def run_fwt(p: dict[str, Any]) -> RunnerOutput:
         "detections": detections,
         "detection_rate": detections / trials,
     }
-    return _fwt_table(kept) if p["per_trial"] else None, aggregate, None
+    table = _trial_table(kept, _fwt_records(p["context"])) if p["per_trial"] else None
+    return table, aggregate, None
 
 
-def _fwt_table(blocks: list[kochen_specker.FwtBlock]) -> TrialTable:
-    block = kochen_specker.FwtBlock(*map(np.concatenate, zip(*blocks)))
-    in_context = block.in_context
-    rays = tuple(map(str, kochen_specker.builtin_ks_table().distinct_rays))
-    outcomes = tuple(range(kochen_specker.RAY_DIM))
-    return TrialTable(block.trial, {
-        "alice_outcome": (block.alice_outcome, outcomes),
-        "bob_ray": (block.bob_ray, rays),
-        "bob_value": (block.bob_value, (0, 1)),
-        "in_context": (in_context, (False, True)),
-        # code 0 out of context, where both are null
-        "alice_value_for_bob_ray": (
-            np.where(in_context, 1 + block.alice_value_for_bob_ray, 0), (None, 0, 1)
-        ),
-        "agree": (np.where(in_context, 1 + block.agree, 0), (None, False, True)),
-    })
+def _trial_table(
+    kept: list[tuple[np.ndarray, np.ndarray]], records: tuple[dict[str, Any], ...]
+) -> TrialTable:
+    """The table of the kept blocks' (trials, codes) over the record alphabet."""
+    trial, code = map(np.concatenate, zip(*kept))
+    return TrialTable(trial, code, records)
 
 
 def run_signal(p: dict[str, Any]) -> RunnerOutput:
@@ -312,11 +340,11 @@ def run_asc(p: dict[str, Any]) -> RunnerOutput:
     norm = agent.NormFunction(dict(zip(labels, p["norm"])))
     trials = p["trials"]
 
-    kept = []  # the blocks, for the per-trial table
+    kept = []  # each block's trials and record codes, for the per-trial table
     counts = np.zeros(len(labels), dtype=int)
     if p["agent"] == "collapse":
         blocks = agent.act_trials(alternatives, norm, p["seed"], trials, p["mixing"])
-        shape = list(agent.COLLAPSE_STAGE_SHAPE)
+        shape, tie_values = agent.COLLAPSE_STAGE_SHAPE, (False, True)
     else:
         # the robot draws nothing: every trial computes the same argmax
         robot = agent.robot_act(alternatives, norm)
@@ -324,11 +352,12 @@ def run_asc(p: dict[str, Any]) -> RunnerOutput:
             agent.ActBlock(t, np.full(t.size, robot.final_outcome), np.zeros(t.size, bool))
             for t in trial_blocks(trials)
         )
-        shape = list(robot.stage_shape)
+        # the robot has no tie-break stage: its tie_broken is null
+        shape, tie_values = robot.stage_shape, (None,)
     for block in blocks:
         counts += np.bincount(block.chosen, minlength=len(labels))
         if p["per_trial"]:
-            kept.append(block)
+            kept.append((block.trial, block.chosen * len(tie_values) + block.tie_broken))
     reference = agent.born_reference(alternatives)
     stats = policies.deviation_statistic(counts, reference)
     aggregate = {
@@ -341,17 +370,7 @@ def run_asc(p: dict[str, Any]) -> RunnerOutput:
         "chi2_df": stats.df,
         "chi2_pvalue": stats.pvalue,
     }
-    table = None
-    if p["per_trial"]:
-        block = agent.ActBlock(*map(np.concatenate, zip(*kept)))
-        # the robot has no tie-break stage: its tie_broken is null
-        tie_values = (False, True) if p["agent"] == "collapse" else (None,)
-        table = TrialTable(block.trial, {
-            "outcome": (block.chosen, tuple(range(len(labels)))),
-            "label": (block.chosen, labels),
-            "stage_shape": (np.zeros(block.trial.size, int), (shape,)),
-            "tie_broken": (block.tie_broken, tie_values),
-        })
+    table = _trial_table(kept, _asc_records(labels, shape, tie_values)) if p["per_trial"] else None
     return table, aggregate, None
 
 

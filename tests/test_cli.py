@@ -9,6 +9,7 @@ import sys
 import tracemalloc
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
@@ -594,8 +595,8 @@ def asc_configs(draw):
 
 
 class TestTrialLines:
-    """The report's trial lines, rendered from one template per distinct row,
-    against json.dumps of each record."""
+    """The report's trial lines, rendered from one template per record of
+    the alphabet its trials use, against json.dumps of each record."""
 
     @settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
     @given(raw=st.one_of(FWT_CONFIGS, asc_configs()))
@@ -617,8 +618,13 @@ class TestTrialLines:
         expected = [json.dumps(record, sort_keys=True) for record in reference_records(raw)]
         assert run_lines(raw)[1:-2] == expected
 
-    @pytest.mark.parametrize("experiment", ["fwt", "asc"])
-    def test_templates_only_with_per_trial(self, experiment, monkeypatch):
+    @pytest.mark.parametrize("raw", [
+        pytest.param({"experiment": "fwt"}, id="fwt"),
+        pytest.param({"experiment": "asc"}, id="asc"),
+        # one ray, in context 1: 4 of the alphabet's 144 records occur
+        pytest.param({"experiment": "fwt", "bob_ray": "1,1,0,0"}, id="fwt-fixed-ray"),
+    ])
+    def test_templates_only_with_per_trial(self, raw, monkeypatch):
         rendered = []
         real_dumps = cli._dumps
 
@@ -626,18 +632,40 @@ class TestTrialLines:
             rendered.append(obj)
             return real_dumps(obj)
 
+        def templates():
+            return [record for record in rendered if record["record"] == "trial"]
+
         monkeypatch.setattr(cli, "_dumps", dumps)
         for per_trial, trials in [(False, 5000), (True, 1), (True, 5000)]:
-            report = run(build_config({"experiment": experiment, "seed": 1,
-                                       "trials": trials, "per_trial": per_trial}))
+            report = run(build_config({**raw, "seed": 1, "trials": trials,
+                                       "per_trial": per_trial}))
             assert (report.trials is not None) == per_trial
+            cli._TEMPLATES.clear()
             rendered.clear()
-            lines = render_report(report, "json-lines").splitlines()
+            text = render_report(report, "json-lines")
+            lines = text.splitlines()
             assert len(lines) == 3 + (trials if per_trial else 0)
-            # the trial records rendered: one template per distinct row
-            templates = [record for record in rendered if record["record"] == "trial"]
+            # with no template kept, one is made per distinct record and no more
             rows = {json.dumps({**json.loads(line), "trial": 0}) for line in lines[1:-2]}
-            assert len(templates) == len(rows)
+            assert len(templates()) == len(rows)
+            if per_trial and "bob_ray" in raw:
+                assert len(rows) < len(report.trials.records)
+            # the alphabet's templates are kept: a second render makes none
+            rendered.clear()
+            assert render_report(report, "json-lines") == text
+            assert templates() == []
+
+    def test_kept_alphabets_are_bounded(self):
+        # an alphabet per report, each new: the cache is cleared, never grown past its cap
+        cli._TEMPLATES.clear()
+        for i in range(2 * cli._MAX_ALPHABETS + 1):
+            table = harnesses.TrialTable(np.arange(3), np.array([1, 0, 1]),
+                                         ({"label": "a"}, {"label": str(i)}))
+            assert "".join(cli._trial_chunks(table)) == "".join(
+                json.dumps({"label": label, "record": "trial", "trial": t}) + "\n"
+                for t, label in enumerate([str(i), "a", str(i)])
+            )
+            assert 1 <= len(cli._TEMPLATES) <= cli._MAX_ALPHABETS
 
     @pytest.mark.parametrize("experiment", ["fwt", "asc"])
     def test_chunks_join_to_the_whole_report(self, experiment, monkeypatch):

@@ -440,7 +440,16 @@ def _report(raw):
 
 
 def _same(a, b):
-    assert json.dumps(a, sort_keys=True) == json.dumps(b, sort_keys=True)
+    """json.dumps(a, sort_keys=True) == json.dumps(b, sort_keys=True). Two lists
+    are compared item by item, which is the same check, so a failure names the
+    first differing record rather than diff two dumps of a megabyte."""
+    dump = partial(json.dumps, sort_keys=True)
+    if not (isinstance(a, list) and isinstance(b, list)):
+        assert dump(a) == dump(b)
+        return
+    for i, (x, y) in enumerate(zip(map(dump, a), map(dump, b))):
+        assert x == y, f"record {i} of {len(a)} against {len(b)} differs"
+    assert len(a) == len(b), f"{len(a)} records against {len(b)}"
 
 
 FWT_CASES = [
@@ -560,9 +569,7 @@ def test_fixed_ray_block_boundary(context, ray):
                                   "per_trial": True, "context": context,
                                   "bob_ray": ray, "policy": policy})
     expected = fwt_records(6, B + 1, context, ray, policy)
-    # record by record: a failure names the first differing trial quickly
-    dump = partial(json.dumps, sort_keys=True)
-    assert list(map(dump, records)) == list(map(dump, expected))
+    _same(records, expected)
     _same(aggregate, _fwt_aggregate(expected, context, policy))
     assert {r["in_context"] for r in expected} == {context == 3}
 
