@@ -37,6 +37,8 @@ BASES = ("z", "x")
 #: the cap that keeps a config from asking for years of trials (an interval
 #: sequence's is behavior.MAX_LENGTH)
 MAX_TRIALS = 10**8
+#: the experiments whose runs keep per-trial records
+PER_TRIAL_EXPERIMENTS = ("fwt", "asc")
 #: a per-trial run holds its trials and record codes in memory, and its
 #: report is written as it is rendered, TRIAL_BLOCK records to a string:
 #: 10^6 fwt records peak near 70 MB
@@ -137,7 +139,7 @@ def _parse(raw: dict[str, Any]) -> tuple[ExperimentConfig | None, list[str]]:
         f"{key}: unknown key for experiment {experiment!r}" for key in raw if key not in keys
     ]
     run_values = {key: raw.get(key, default) for key, default in RUN_KEYS.items()}
-    violations.extend(_validate_run(run_values))
+    violations.extend(_validate_run(experiment, run_values))
     echo = {"experiment": experiment}
     echo.update((k, v) for k, v in run_values.items() if v is not None)
     params: dict[str, Any] = {}
@@ -170,7 +172,7 @@ def _parse(raw: dict[str, Any]) -> tuple[ExperimentConfig | None, list[str]]:
     return ExperimentConfig(experiment, echo, params), []
 
 
-def _validate_run(values: dict[str, Any]) -> list[str]:
+def _validate_run(experiment: str, values: dict[str, Any]) -> list[str]:
     """The violations of the run keys' values, defaults filled in."""
     violations = []
     seed, trials = values["seed"], values["trials"]
@@ -189,6 +191,8 @@ def _validate_run(values: dict[str, Any]) -> list[str]:
         violations.append("per_trial: must be a boolean")
     elif per_trial and output_format == "csv":
         violations.append("per_trial: a csv report has no per-trial records; use json-lines")
+    elif per_trial and experiment not in PER_TRIAL_EXPERIMENTS:
+        violations.append(f"per_trial: experiment {experiment!r} keeps no per-trial records")
     elif per_trial and isinstance(trials, int) and trials > MAX_PER_TRIAL:
         violations.append(f"per_trial: at most {MAX_PER_TRIAL} trials keep per-trial records")
     return violations
@@ -416,7 +420,8 @@ GLOBAL_FLAGS: dict[str, tuple[str, type, str, str]] = {
     "--out": ("out", str, "PATH", "output path (default stdout)"),
     "--format": ("output_format", str, "FORMAT", "json-lines or csv (default json-lines)"),
     "--config": ("config", str, "PATH", "JSON config file (flags override file values)"),
-    "--per-trial": ("per_trial", bool, "", "emit one record per trial"),
+    "--per-trial": ("per_trial", bool, "",
+                    f"emit one record per trial ({' and '.join(PER_TRIAL_EXPERIMENTS)} only)"),
 }
 
 

@@ -7,18 +7,19 @@ below. A runner returns the per-trial table, the aggregate record and, for
 plain-file outputs, the pieces of text to write instead of a report. No
 runner parses parameter text; only the classify input file is read by its run.
 
-The per-trial table (TrialTable), kept only when the config asks for
-per-trial records, holds one int code per trial into a record alphabet that
-its experiment states once: fwt's 144 records are a constant of the context,
-asc's depend on its labels alone. The report renders one JSON template per
-code its trials use, kept per alphabet for the process (cli._trial_chunks).
+fwt and asc draw one int code per trial into a record alphabet: fwt's 144
+records are a constant of the context (kochen_specker.fwt_alphabet), asc's
+depend on its labels alone. Their runners count the codes (_tally; asc, with
+no per-trial records, counts labels alone) for the aggregate and keep them as
+a TrialTable only for per-trial records: its report renders one JSON template
+per code its trials use, kept per alphabet for the process (cli._trial_chunks).
 """
 
 from __future__ import annotations
 
 import cmath
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, reduce
 from typing import Any, Callable, Iterable, Iterator
 
 import numpy as np
@@ -212,28 +213,6 @@ def _ks_aggregate() -> dict[str, Any]:
     }
 
 
-@lru_cache(maxsize=9)
-def _fwt_records(context: int) -> tuple[dict[str, Any], ...]:
-    """fwt's record alphabet in context S_j: record (ray * RAY_DIM +
-    alice_outcome) * 2 + bob_value, for ray an index into the table's
-    distinct rays; agreement and Alice's value for Bob's ray are null out
-    of context."""
-    table = kochen_specker.builtin_ks_table()
-    position = {ray: i for i, ray in enumerate(table.contexts[context - 1].rays)}
-    records = []
-    for ray in table.distinct_rays:
-        text, at = str(ray), position.get(ray)
-        for alice_outcome in range(kochen_specker.RAY_DIM):
-            value = None if at is None else int(at == alice_outcome)
-            records.extend(
-                {"alice_outcome": alice_outcome, "bob_ray": text, "bob_value": bob_value,
-                 "in_context": value is not None, "alice_value_for_bob_ray": value,
-                 "agree": None if value is None else value == bob_value}
-                for bob_value in (0, 1)
-            )
-    return tuple(records)
-
-
 @lru_cache(maxsize=16)
 def _asc_records(
     labels: tuple[str, ...], shape: tuple[str, ...], tie_values: tuple[bool | None, ...]
@@ -260,19 +239,12 @@ def run_ks(p: dict[str, Any]) -> RunnerOutput:
 
 def run_fwt(p: dict[str, Any]) -> RunnerOutput:
     trials = p["trials"]
-
-    kept = []  # each block's trials and record codes, for the per-trial table
-    in_context = agreements = detections = 0
     blocks = kochen_specker.fwt_trials(
         p["context"], p["bob_ray"], p["policy"], p["seed"], trials
     )
-    for block in blocks:  # every count is of 0/1 values
-        detections += int(np.count_nonzero(block.bob_value))
-        in_context += int(np.count_nonzero(block.in_context))
-        agreements += int(np.count_nonzero(block.agree))
-        if p["per_trial"]:
-            ray_outcome = block.bob_ray * kochen_specker.RAY_DIM + block.alice_outcome
-            kept.append((block.trial, ray_outcome * 2 + block.bob_value))
+    records, counted = kochen_specker.fwt_alphabet(p["context"])
+    per_code, table = _tally(blocks, len(records), records if p["per_trial"] else None)
+    detections, in_context, agreements = (per_code @ counted).tolist()
     aggregate = {
         "trials": trials,
         "context": p["context"],
@@ -283,16 +255,20 @@ def run_fwt(p: dict[str, Any]) -> RunnerOutput:
         "detections": detections,
         "detection_rate": detections / trials,
     }
-    table = _trial_table(kept, _fwt_records(p["context"])) if p["per_trial"] else None
     return table, aggregate, None
 
 
-def _trial_table(
-    kept: list[tuple[np.ndarray, np.ndarray]], records: tuple[dict[str, Any], ...]
-) -> TrialTable:
-    """The table of the kept blocks' (trials, codes) over the record alphabet."""
-    trial, code = map(np.concatenate, zip(*kept))
-    return TrialTable(trial, code, records)
+def _tally(
+    blocks: Iterable[tuple[np.ndarray, np.ndarray]],
+    size: int,
+    records: tuple[dict[str, Any], ...] | None = None,
+) -> tuple[np.ndarray, TrialTable | None]:
+    """Each of the size codes' count in the blocks' (trials, codes), of which a
+    run has at least one; and, given the record alphabet, their per-trial table."""
+    if records is not None:
+        trial, code = map(np.concatenate, zip(*blocks))
+        return np.bincount(code, minlength=size), TrialTable(trial, code, records)
+    return reduce(np.add, (np.bincount(code, minlength=size) for _, code in blocks)), None
 
 
 def run_signal(p: dict[str, Any]) -> RunnerOutput:
@@ -340,24 +316,24 @@ def run_asc(p: dict[str, Any]) -> RunnerOutput:
     norm = agent.NormFunction(dict(zip(labels, p["norm"])))
     trials = p["trials"]
 
-    kept = []  # each block's trials and record codes, for the per-trial table
-    counts = np.zeros(len(labels), dtype=int)
     if p["agent"] == "collapse":
-        blocks = agent.act_trials(alternatives, norm, p["seed"], trials, p["mixing"])
         shape, tie_values = agent.COLLAPSE_STAGE_SHAPE, (False, True)
-    else:
-        # the robot draws nothing: every trial computes the same argmax
-        robot = agent.robot_act(alternatives, norm)
+        # only a per-trial record reads the tie flag: the aggregate counts choices
         blocks = (
-            agent.ActBlock(t, np.full(t.size, robot.final_outcome), np.zeros(t.size, bool))
-            for t in trial_blocks(trials)
+            (b.trial, b.chosen * len(tie_values) + b.tie_broken if p["per_trial"] else b.chosen)
+            for b in agent.act_trials(alternatives, norm, p["seed"], trials, p["mixing"])
         )
-        # the robot has no tie-break stage: its tie_broken is null
+    else:
+        # the robot draws nothing: one argmax for every trial, and a null tie_broken
+        robot = agent.robot_act(alternatives, norm)
         shape, tie_values = robot.stage_shape, (None,)
-    for block in blocks:
-        counts += np.bincount(block.chosen, minlength=len(labels))
-        if p["per_trial"]:
-            kept.append((block.trial, block.chosen * len(tie_values) + block.tie_broken))
+        blocks = ((t, np.full(t.size, robot.final_outcome)) for t in trial_blocks(trials))
+    if p["per_trial"]:
+        records = _asc_records(labels, shape, tie_values)
+        per_code, table = _tally(blocks, len(records), records)
+        counts = per_code.reshape(len(labels), len(tie_values)).sum(axis=1)
+    else:
+        counts, table = _tally(blocks, len(labels))
     reference = agent.born_reference(alternatives)
     stats = policies.deviation_statistic(counts, reference)
     aggregate = {
@@ -370,7 +346,6 @@ def run_asc(p: dict[str, Any]) -> RunnerOutput:
         "chi2_df": stats.df,
         "chi2_pvalue": stats.pvalue,
     }
-    table = _trial_table(kept, _asc_records(labels, shape, tie_values)) if p["per_trial"] else None
     return table, aggregate, None
 
 

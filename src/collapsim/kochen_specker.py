@@ -9,7 +9,10 @@ measures a context under her policy, and Bob detects one ray on the state
 her outcome leaves. Per context, Alice's Born distribution and Bob's
 conditional table for all 18 rays come from one quantum.paired_born call,
 cached. One block code (policies.paired_block on those tables) makes
-the records of the batched fwt_trials and of fwt_trial, its one-trial face.
+the record codes of the batched fwt_trials and of fwt_trial, its one-trial
+face. A code names a record of the context's alphabet (fwt_alphabet), the
+one place the TWIN rule is stated: Bob's value agrees with Alice's for his
+ray whenever that ray lies in her context.
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from functools import cache, cached_property, lru_cache
-from typing import Callable, Iterator, NamedTuple
+from typing import Any, Callable, Iterator, NamedTuple
 
 import numpy as np
 
@@ -245,7 +248,8 @@ def twin_state() -> StateVector:
 
 @dataclass(frozen=True)
 class FwtTrial:
-    """Outcome record of one paired-measurement trial."""
+    """Outcome record of one paired-measurement trial: its context, Bob's ray
+    and the fields of its record in fwt_alphabet(alice_context)."""
 
     alice_context: int
     alice_outcome: int
@@ -253,12 +257,7 @@ class FwtTrial:
     bob_value: int
     in_context: bool
     alice_value_for_bob_ray: int | None
-
-    @property
-    def agree(self) -> bool | None:
-        if not self.in_context:
-            return None
-        return self.alice_value_for_bob_ray == self.bob_value
+    agree: bool | None
 
 
 @lru_cache(maxsize=None)
@@ -273,15 +272,41 @@ def _paired_tables(context_index: int) -> tuple[ProbabilityDistribution, np.ndar
 
 
 @lru_cache(maxsize=9)
-def _block_tables(context_index: int) -> tuple[np.ndarray, np.ndarray]:
-    """Context S_j's cumulative rows of Bob's _paired_tables table, and each
-    distinct ray's position in the context (-1 where absent): read-only."""
-    table = builtin_ks_table()
-    rays = table.contexts[context_index - 1].rays
+def _block_tables(context_index: int) -> np.ndarray:
+    """Context S_j's cumulative rows of Bob's _paired_tables table: read-only."""
     bob_cums = cumulative(_paired_tables(context_index)[1])
-    position = np.array([rays.index(r) if r in rays else -1 for r in table.distinct_rays])
-    bob_cums.flags.writeable = position.flags.writeable = False
-    return bob_cums, position
+    bob_cums.flags.writeable = False
+    return bob_cums
+
+
+@lru_cache(maxsize=9)
+def fwt_alphabet(context_index: int) -> tuple[tuple[dict[str, Any], ...], np.ndarray]:
+    """fwt's record alphabet in context S_j (1-based), one tuple per context,
+    and its read-only (144, 3) int table of each record's bob_value,
+    in_context and agree (0 where null), so that a run's per-code counts
+    times the table are its detections, in-context trials and agreements.
+
+    Record (ray * RAY_DIM + alice_outcome) * 2 + bob_value, for ray an index
+    into the table's distinct rays, holds Alice's value for Bob's ray and
+    their agreement, both null out of context.
+    """
+    table = builtin_ks_table()
+    if not 1 <= context_index <= len(table.contexts):
+        raise InvalidTable(f"context index {context_index} out of range 1..9")
+    rays = table.contexts[context_index - 1].rays
+    records = []
+    for ray in table.distinct_rays:
+        for alice_outcome in range(RAY_DIM):
+            value = int(rays[alice_outcome] == ray) if ray in rays else None
+            records.extend(
+                {"alice_outcome": alice_outcome, "bob_ray": str(ray), "bob_value": bob_value,
+                 "in_context": value is not None, "alice_value_for_bob_ray": value,
+                 "agree": None if value is None else value == bob_value}
+                for bob_value in (0, 1)
+            )
+    counted = np.array([[r["bob_value"], r["in_context"], r["agree"] is True] for r in records])
+    counted.flags.writeable = False
+    return tuple(records), counted
 
 
 @lru_cache(maxsize=1)
@@ -309,34 +334,19 @@ def fwt_trial(
     is fwt_trials' block code on rng's stream as it stands, so draws a
     caller made from rng first (a random ray, say) come before Alice's.
     """
-    row = _fwt_block(
+    (code,) = _fwt_block(
         alice_context, bob_ray, lambda born: trial_plan(alice_policy, born, trial)
-    )(rng, np.array([trial]))
-    in_context = bool(row.in_context[0])
-    return FwtTrial(
-        alice_context=alice_context,
-        alice_outcome=int(row.alice_outcome[0]),
-        bob_ray=bob_ray,
-        bob_value=int(row.bob_value[0]),
-        in_context=in_context,
-        alice_value_for_bob_ray=int(row.alice_value_for_bob_ray[0]) if in_context else None,
-    )
+    )(rng, np.array([trial])).code.tolist()
+    record = fwt_alphabet(alice_context)[0][code]
+    return FwtTrial(alice_context=alice_context, **{**record, "bob_ray": bob_ray})
 
 
 class FwtBlock(NamedTuple):
-    """A block of paired-measurement trials, one array entry per trial."""
+    """A block of paired-measurement trials: each trial's index and the code
+    of its record in fwt_alphabet of the run's context."""
 
     trial: np.ndarray
-    bob_ray: np.ndarray  # index into builtin_ks_table().distinct_rays
-    alice_outcome: np.ndarray
-    bob_value: np.ndarray
-    in_context: np.ndarray
-    alice_value_for_bob_ray: np.ndarray  # meaningful where in_context
-
-    @property
-    def agree(self) -> np.ndarray:
-        """Agreement where in_context (False elsewhere)."""
-        return self.in_context & (self.alice_value_for_bob_ray == self.bob_value)
+    code: np.ndarray
 
 
 def fwt_trials(
@@ -350,9 +360,9 @@ def fwt_trials(
 
     Trial t reads trial_rng(seed, t), Philox counter [t, 0, 0, block]: Bob's
     ray first when bob_ray is None (integers over the 18 distinct rays), then
-    Alice's outcome, then Bob's. Every record equals fwt_trial's at trial t
-    on that stream after the ray draw. The policy plan is compiled, and every
-    check run, before the first block.
+    Alice's outcome, then Bob's. Every code names the record fwt_trial gives
+    at trial t on that stream after the ray draw. The policy plan is
+    compiled, and every check run, before the first block.
     """
     block = _fwt_block(
         alice_context, bob_ray, lambda born: compile_policy(alice_policy, born, trials)
@@ -369,10 +379,11 @@ def _fwt_block(
 
     Checks the context and the ray, then compiles Alice's plan (plan applied
     to her Born distribution) and takes the context's _block_tables: Bob's
-    rows for every distinct ray (ray * RAY_DIM + Alice's outcome) and each
-    ray's position in Alice's context. Bob's settings are every ray's index,
-    or a fixed ray's one index. Returns block(streams, t): the FwtBlock of
-    trials t, drawn from streams by policies.paired_block.
+    rows for every distinct ray (ray * RAY_DIM + Alice's outcome). Bob's
+    settings are every ray's index, or a fixed ray's one index. Returns
+    block(streams, t): the FwtBlock of trials t, drawn from streams by
+    policies.paired_block, whose code is (ray * RAY_DIM + Alice's outcome)
+    * 2 + Bob's value (1 for a detection, outcome 0).
     """
     table = builtin_ks_table()
     if not 1 <= alice_context <= len(table.contexts):
@@ -380,20 +391,13 @@ def _fwt_block(
     if bob_ray is not None and bob_ray not in table.ray_index:
         raise InvalidTable(f"ray {bob_ray} is not one of the table's 18 directions")
     alice = plan(_paired_tables(alice_context)[0])
-    bob_cums, position = _block_tables(alice_context)
-    settings = np.arange(len(position))  # Bob's ray indices
+    bob_cums = _block_tables(alice_context)
+    settings = np.arange(len(table.distinct_rays))  # Bob's ray indices
     if bob_ray is not None:  # one setting: no ray is drawn
         settings = settings[[table.distinct_rays.index(bob_ray)]]
 
     def block(streams: TrialStreams, t: np.ndarray) -> FwtBlock:
         ray, alice_outcome, bob_outcome = paired_block(alice, bob_cums, streams, t, settings)
-        return FwtBlock(
-            trial=t,
-            bob_ray=ray,
-            alice_outcome=alice_outcome,
-            bob_value=(bob_outcome == 0).astype(np.int64),
-            in_context=position[ray] >= 0,
-            alice_value_for_bob_ray=(position[ray] == alice_outcome).astype(np.int64),
-        )
+        return FwtBlock(t, (ray * RAY_DIM + alice_outcome) * 2 + (bob_outcome == 0))
 
     return block

@@ -215,6 +215,19 @@ def _bob_born(context: int, ray: kochen_specker.Ray, alice_outcome: int):
     return born_distribution(after, bob)
 
 
+def fwt_record(context: int, ray, alice: int, bob_value: int) -> dict:
+    """The fields of an fwt record: Bob's ray and value, Alice's outcome in
+    context S_j and, in context, her value for Bob's ray and their agreement."""
+    context_rays = kochen_specker.builtin_ks_table().contexts[context - 1].rays
+    in_context = ray in context_rays
+    alice_value = int(context_rays[alice] == ray) if in_context else None
+    return {
+        "alice_outcome": alice, "bob_ray": str(ray), "bob_value": bob_value,
+        "in_context": in_context, "alice_value_for_bob_ray": alice_value,
+        "agree": alice_value == bob_value if in_context else None,
+    }
+
+
 def fwt_records(seed, trials, context=1, ray_text="random", policy_text="born") -> list[dict]:
     """The per-trial records of an fwt run, trial by trial."""
     table = kochen_specker.builtin_ks_table()
@@ -224,7 +237,6 @@ def fwt_records(seed, trials, context=1, ray_text="random", policy_text="born") 
         fixed = kochen_specker.Ray(tuple(int(c) for c in ray_text.split(",")))
     policy = policies.parse_policy(policy_text)
     alice_born = born_distribution(kochen_specker.twin_state(), _alice(context))
-    context_rays = table.contexts[context - 1].rays
     records = []
     for t in range(trials):
         rng = trial_generator(seed, t)
@@ -232,14 +244,8 @@ def fwt_records(seed, trials, context=1, ray_text="random", policy_text="born") 
         alice = policy_outcome(policy, alice_born, rng, t)
         bob_value = int(inverse_cdf(rng, _bob_born(context, ray, alice).probs) == 0)
         assert_block_0_only(rng, t)
-        in_context = ray in context_rays
-        alice_value = int(context_rays[alice] == ray) if in_context else None
-        records.append({
-            "record": "trial", "trial": t, "alice_outcome": alice, "bob_ray": str(ray),
-            "bob_value": bob_value, "in_context": in_context,
-            "alice_value_for_bob_ray": alice_value,
-            "agree": alice_value == bob_value if in_context else None,
-        })
+        record = fwt_record(context, ray, alice, bob_value)
+        records.append({"record": "trial", "trial": t, **record})
     return records
 
 

@@ -18,6 +18,7 @@ from collapsim.energy import Hamiltonian, audit_measurement
 from collapsim.errors import ForbiddenOutcome
 from collapsim.kochen_specker import (
     builtin_ks_table,
+    fwt_alphabet,
     fwt_trial,
     fwt_trials,
     twin_state,
@@ -93,10 +94,12 @@ def test_criterion_03_twin_exactness():
     for policy_name, policy in (("born", Born()), ("forced:0", Forced(0))):
         trials = agreements = 0
         for context_index, bob_ray in pairs:
+            # each record's bob_value, in_context and agree, from the context's alphabet
+            counted = fwt_alphabet(context_index)[1]
             for block in fwt_trials(context_index, bob_ray, policy, 1000, per_pair):
-                assert block.in_context.all()
+                assert counted[block.code, 1].all()
                 trials += block.trial.size
-                agreements += int(block.agree.sum())
+                agreements += int(counted[block.code, 2].sum())
         assert trials >= 100_000
         assert agreements == trials, f"{policy_name}: {agreements}/{trials}"
     # the scalar fwt_trial over trial_rng(1000, t), at a smaller count

@@ -533,19 +533,14 @@ def reference_records(raw):
     config = build_config(raw)
     p, trials = config.params, config.params["trials"]
     if config.experiment == "fwt":
-        rays = [str(ray) for ray in kochen_specker.builtin_ks_table().distinct_rays]
+        # each block's codes name records of the context's alphabet
+        records = kochen_specker.fwt_alphabet(p["context"])[0]
         blocks = kochen_specker.fwt_trials(
             p["context"], p["bob_ray"], p["policy"], p["seed"], trials
         )
         for block in blocks:
-            rows = zip(*(column.tolist() for column in block), block.agree.tolist())
-            for t, ray, alice_outcome, bob_value, in_ctx, alice_value, agree in rows:
-                yield {
-                    "record": "trial", "trial": t, "alice_outcome": alice_outcome,
-                    "bob_ray": rays[ray], "bob_value": bob_value, "in_context": in_ctx,
-                    "alice_value_for_bob_ray": alice_value if in_ctx else None,
-                    "agree": agree if in_ctx else None,
-                }
+            for t, code in zip(block.trial.tolist(), block.code.tolist()):
+                yield {"record": "trial", "trial": t, **records[code]}
         return
     labels = p["labels"]
     alternatives = agent.AlternativeSet(labels, tuple(p["priorities"]))
@@ -817,8 +812,18 @@ class TestMainEntry:
              "per_trial: a csv report has no per-trial records; use json-lines"),
             (["ks", "--per-trial", "--format", "csv"],
              "per_trial: a csv report has no per-trial records; use json-lines"),
+            (["ks", "--per-trial"], "per_trial: experiment 'ks' keeps no per-trial records"),
+            (["signal", "--mode", "empirical", "--per-trial"],
+             "per_trial: experiment 'signal' keeps no per-trial records"),
+            (["energy", "--per-trial"],
+             "per_trial: experiment 'energy' keeps no per-trial records"),
+            (["sat", "--per-trial"],
+             "per_trial: experiment 'sat' keeps no per-trial records"),
+            (["behavior", "generate", "--per-trial"],
+             "per_trial: experiment 'behavior' keeps no per-trial records"),
         ],
-        ids=["fwt-over-cap", "asc-at-max-trials", "fwt-csv", "ks-csv"],
+        ids=["fwt-over-cap", "asc-at-max-trials", "fwt-csv", "ks-csv", "ks", "signal",
+             "energy", "sat", "behavior"],
     )
     def test_per_trial_refusals_exit_2_before_any_trial(self, argv, message, monkeypatch, capsys):
         def no_trials(*args):

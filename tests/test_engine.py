@@ -620,12 +620,13 @@ def test_scripted_trials_independent_of_run_order():
         rng = trial_rng(0, t)
         ray = rays[rng.integers(len(rays))[0]]
         trial = kochen_specker.fwt_trial(1, ray, policy, rng, trial=t)
-        return trial.alice_outcome, rays.index(trial.bob_ray), trial.bob_value
+        return trial.alice_outcome, str(trial.bob_ray), trial.bob_value
 
     forwards = [record(t) for t in range(10)]
     backwards = [record(t) for t in reversed(range(10))][::-1]
     (block,) = kochen_specker.fwt_trials(1, None, policy, 0, 10)
-    batched = list(zip(block.alice_outcome.tolist(), block.bob_ray.tolist(),
-                       block.bob_value.tolist()))
+    # each code's record, from the context's alphabet
+    records = [kochen_specker.fwt_alphabet(1)[0][code] for code in block.code.tolist()]
+    batched = [(r["alice_outcome"], r["bob_ray"], r["bob_value"]) for r in records]
     assert forwards == backwards == batched
     assert [outcome for outcome, _, _ in forwards[:3]] == [2, 3, 0]

@@ -18,6 +18,7 @@ from collapsim.kochen_specker import (
     Ray,
     builtin_ks_table,
     format_table,
+    fwt_alphabet,
     fwt_trial,
     fwt_trials,
     ks_coloring_search,
@@ -36,7 +37,7 @@ from collapsim.quantum import (
     collapse,
 )
 from collapsim.rng import trial_rng
-from oracles import conditional_born, context_coefficient_matrix, lift, parse_table
+from oracles import conditional_born, context_coefficient_matrix, fwt_record, lift, parse_table
 
 DISJOINT_CONTEXT = Context(
     (Ray((1, 1, 1, 1)), Ray((1, 1, -1, -1)), Ray((1, -1, 1, -1)), Ray((1, -1, -1, 1)))
@@ -361,29 +362,68 @@ def test_paired_tables_check_each_measurement_once(monkeypatch):
 def test_block_tables_read_only_one_per_context():
     for context_index in list(range(1, 10)) * 2:
         fwt_trials(context_index, None, Born(), 0, 1)
-        for table in _block_tables(context_index):
+        records, counted = fwt_alphabet(context_index)
+        # one alphabet object per context, so its report templates are made once
+        assert fwt_alphabet(context_index)[0] is records
+        for table in (_block_tables(context_index), counted):
             assert not table.flags.writeable
             with pytest.raises(ValueError):
                 table[0] = 0
     for bad in (0, 10):
         with pytest.raises(InvalidTable):
             fwt_trial(bad, builtin_ks_table().distinct_rays[0], Born(), trial_rng(0))
-    info = _block_tables.cache_info()
-    assert info.maxsize == 9 and info.currsize <= 9
+        with pytest.raises(InvalidTable):
+            fwt_alphabet(bad)
+    for cached in (_block_tables, fwt_alphabet):
+        info = cached.cache_info()
+        assert info.maxsize == 9 and info.currsize <= 9
+
+
+@pytest.mark.parametrize("context_index", range(1, 10))
+def test_alphabet_records_follow_the_twin_rule(context_index):
+    # every code (ray * RAY_DIM + alice_outcome) * 2 + bob_value against the
+    # oracle's rule, and its row of the count table against the record
+    records, counted = fwt_alphabet(context_index)
+    rays = builtin_ks_table().distinct_rays
+    assert len(records) == counted.shape[0] == len(rays) * RAY_DIM * 2
+    for code, record in enumerate(records):
+        ray_outcome, bob_value = divmod(code, 2)
+        ray, alice_outcome = divmod(ray_outcome, RAY_DIM)
+        expected = fwt_record(context_index, rays[ray], alice_outcome, bob_value)
+        assert record == expected
+        assert counted[code].tolist() == [
+            expected["bob_value"], expected["in_context"], expected["agree"] is True
+        ]
+
+
+@pytest.mark.parametrize("ray_text", ["1,1,0,0", "1,-1,1,-1"])
+def test_fwt_trial_returns_its_codes_record(ray_text):
+    # the one-trial face fills its fields from the record of the code
+    # fwt_trials draws for that trial
+    ray = Ray(tuple(map(int, ray_text.split(","))))
+    policy = Biased(ProbabilityDistribution(np.array([0.1, 0.2, 0.3, 0.4])))
+    (block,) = fwt_trials(3, ray, policy, 17, 40)
+    records = fwt_alphabet(3)[0]
+    for t, code in zip(block.trial.tolist(), block.code.tolist()):
+        trial = fwt_trial(3, ray, policy, trial_rng(17, t), trial=t)
+        assert vars(trial) == {**records[code], "alice_context": 3, "bob_ray": ray}
 
 
 class TestFwtTrial:
     # the loops of thousands of trials read fwt_trials, the block code
-    # fwt_trial runs at one trial
+    # fwt_trial runs at one trial, and each record's bob_value, in_context
+    # and agree from the count table of the context's alphabet
 
     def test_in_context_agreement_exact(self):
+        counted = fwt_alphabet(1)[1]
         for ray in builtin_ks_table().contexts[0].rays:
             for block in fwt_trials(1, ray, Born(), 101, 10_000):
-                assert block.in_context.all()
-                assert block.agree.all()
+                assert counted[block.code, 1].all()
+                assert counted[block.code, 2].all()
 
     def test_agreement_policy_independent(self):
         context = builtin_ks_table().contexts[4]
+        counted = fwt_alphabet(5)[1]
         policies = [
             Forced(0),
             Biased(ProbabilityDistribution(np.array([0.1, 0.2, 0.3, 0.4]))),
@@ -392,7 +432,7 @@ class TestFwtTrial:
         for p_idx, policy in enumerate(policies):
             for ray in context.rays:
                 for block in fwt_trials(5, ray, policy, 202 + p_idx, 2000):
-                    assert block.agree.all()
+                    assert counted[block.code, 2].all()
 
     def test_forced_fixes_alice_outcome(self):
         context = builtin_ks_table().contexts[0]
@@ -413,8 +453,10 @@ class TestFwtTrial:
         ]
         expected = float(np.mean(overlaps))
         trials = 8000
+        counted = fwt_alphabet(1)[1]
         detections = sum(
-            int(block.bob_value.sum()) for block in fwt_trials(1, bob_ray, Born(), 404, trials)
+            int(counted[block.code, 0].sum())
+            for block in fwt_trials(1, bob_ray, Born(), 404, trials)
         )
         rate = detections / trials
         sigma = np.sqrt(expected * (1 - expected) / trials)
@@ -423,9 +465,10 @@ class TestFwtTrial:
     def test_per_outcome_detection_matches_overlap(self):
         bob_ray = Ray((1, 1, 1, 1))
         context = builtin_ks_table().contexts[0]
-        blocks = list(fwt_trials(1, bob_ray, Born(), 505, 8000))
-        outcome = np.concatenate([block.alice_outcome for block in blocks])
-        detected = np.concatenate([block.bob_value for block in blocks])
+        records = fwt_alphabet(1)[0]
+        code = np.concatenate([block.code for block in fwt_trials(1, bob_ray, Born(), 505, 8000)])
+        outcome = np.array([records[c]["alice_outcome"] for c in code.tolist()])
+        detected = np.array([records[c]["bob_value"] for c in code.tolist()])
         hits = np.bincount(outcome, weights=detected, minlength=4)
         totals = np.bincount(outcome, minlength=4)
         for j in range(4):
