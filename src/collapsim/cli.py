@@ -360,7 +360,8 @@ def _report_chunks(report: ExperimentReport, output_format: str) -> Iterable[str
     config = _dumps({"record": "config", **report.config})
     chunks = [] if report.trials is None else _trial_chunks(report.trials)
     aggregate = _dumps({"record": "aggregate", **report.aggregate})
-    timing = _dumps({"record": "timing", "duration_seconds": report.duration_seconds})
+    # _dumps's bytes for the one float: its repr, keys sorted
+    timing = f'{{"duration_seconds": {float(report.duration_seconds)!r}, "record": "timing"}}'
     return itertools.chain([config + "\n"], chunks, [f"{aggregate}\n{timing}\n"])
 
 
@@ -529,14 +530,14 @@ def _read_config(path: str) -> dict[str, Any]:
 
 
 def _emit(chunks: Iterable[str], out_path: str | None) -> None:
-    """Write each chunk whole to out_path, or to stdout when it is None, and
-    flush it. A failed write is a ConfigError, an empty path too; after one,
-    stdout's fd points at os.devnull, so the interpreter's flush at exit has
-    nowhere left to fail."""
+    """Write each chunk whole to stdout when out_path is None, or as UTF-8 to
+    out_path's buffered binary file, and flush it. A failed write is a
+    ConfigError, an empty path too; after one, stdout's fd points at os.devnull,
+    so the interpreter's flush at exit has nowhere left to fail."""
     to_stdout = out_path is None
     try:
-        with contextlib.nullcontext(sys.stdout) if to_stdout else open(out_path, "w") as out:
-            out.writelines(chunks)
+        with contextlib.nullcontext(sys.stdout) if to_stdout else open(out_path, "wb") as out:
+            out.writelines(chunks if to_stdout else map(str.encode, chunks))
             out.flush()
     except OSError as exc:
         if to_stdout:

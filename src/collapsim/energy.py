@@ -67,7 +67,7 @@ def energy_expectation(rho: DensityOperator, hamiltonian: Hamiltonian) -> float:
     if rho.dim != hamiltonian.dim:
         raise DimensionMismatch(f"rho dim {rho.dim} != H dim {hamiltonian.dim}")
     with np.errstate(over="ignore"):  # audit_measurement refuses an overflow
-        value = np.trace(hamiltonian.matrix @ rho.matrix)
+        value = (hamiltonian.matrix @ rho.matrix).trace()
         magnitude = np.sum(np.abs(hamiltonian.matrix) * np.abs(rho.matrix.T))
     if abs(value.imag) > 1e-12 * max(1.0, magnitude):
         raise ValueError(f"energy expectation has imaginary part {value.imag!r}")

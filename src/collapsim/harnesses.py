@@ -18,6 +18,8 @@ per code its trials use, kept per alphabet for the process (cli._trial_chunks).
 from __future__ import annotations
 
 import cmath
+import codecs
+import io
 from dataclasses import dataclass
 from functools import lru_cache, reduce
 from typing import Any, Callable, Iterable, Iterator
@@ -62,7 +64,7 @@ RunnerOutput = tuple[TrialTable | None, dict, Iterable[str] | None]
 
 #: energy's dense update holds d projectors of d×d: 4 MB at this cap
 MAX_ENERGY_DIM = 64
-#: input files are decoded this many characters at a time, and an interval
+#: input files are read and decoded this many bytes at a time, and an interval
 #: file is parsed a piece at a time: about 7000 lines, whose parse temporaries,
 #: some nine times the piece, are reused from piece to piece rather than given
 #: back to the system and faulted in again (4.5-6.0k minor faults for a
@@ -162,10 +164,13 @@ def truth_table_oracle(path: str) -> sat.OracleFunction:
 
 
 def read_text(key: str, path: str) -> Iterator[str]:
-    """The UTF-8 text of the file config key `key` names, READ_CHUNK characters at a time."""
+    """The UTF-8 text of the file config key `key` names, as open(path,
+    encoding="utf-8") reads it, one READ_CHUNK-byte read call at a time."""
     try:
-        with open(path, encoding="utf-8") as file:
-            yield from iter(lambda: file.read(READ_CHUNK), "")
+        with open(path, "rb", buffering=0) as file:
+            text = io.IncrementalNewlineDecoder(codecs.getincrementaldecoder("utf-8")(), True)
+            yield from map(text.decode, iter(lambda: file.read(READ_CHUNK), b""))
+            yield text.decode(b"", final=True)
     except FileNotFoundError as exc:
         raise ConfigError(f"{key}: file not found: {path}") from exc
     except OSError as exc:

@@ -86,9 +86,10 @@ class DensityOperator:
             raise ValueError("density operator must be a square matrix")
         if not within(mat, mat.conj().T):
             raise ValueError("density operator must be Hermitian")
-        if not within(np.trace(mat), 1.0):
+        if not within(mat.trace(), 1.0):
             raise ValueError("density operator must have unit trace")
-        if np.linalg.eigvalsh(mat).min() < -ATOL:
+        # eigvalsh's gufunc, unwrapped: mat is finite (Hermitian above), and NaN fails too
+        if not np.linalg._umath_linalg.eigvalsh_lo(mat, signature="D->d").min() >= -ATOL:
             raise ValueError("density operator must be positive semidefinite")
         object.__setattr__(self, "matrix", _frozen(mat))
 
@@ -325,7 +326,7 @@ def nonselective_update(
                 f"weights place mass {weights[j]!r} on zero-Born outcome {j}"
             )
         branch = proj @ rho.matrix @ proj
-        out += weights[j] * branch / np.trace(branch).real
+        out += weights[j] * branch / branch.trace().real
     return DensityOperator(out)
 
 

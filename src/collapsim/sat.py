@@ -11,6 +11,10 @@ builds the whole 2^(n+1) state. A satisfiable run opens one stream,
 witness's; an unsatisfiable one opens none. Evaluating f on all 2^n inputs
 is the cost either way, so this demonstrates the decision logic, not a
 speed-up; query counts are reported honestly.
+
+A CNF compiles from its tokens: one table per n maps each literal's plain
+spelling ("-3"; "0" ends a clause) to its 2^n-bit word, and int() and the
+checks run only for what it lacks, naming the first fault or reading "+3".
 """
 
 from __future__ import annotations
@@ -22,7 +26,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import BadParameter, TooLarge
-from .quantum import ZERO_PROB, StateVector
+from .quantum import ZERO_PROB, StateVector, _built, _frozen
 from .rng import cumulative, sample_indices, trial_rng
 
 #: dense state dimension is 2**(n+1); n above this is refused
@@ -161,6 +165,9 @@ def parse_truth_table(text: str) -> OracleFunction:
     )
 
 
+_WIDTHS = {str(n): n for n in range(1, MAX_BITS + 1)}  # variable counts read without int()
+
+
 def parse_dimacs(text: str) -> OracleFunction:
     """Compile a DIMACS CNF into a truth table.
 
@@ -172,72 +179,73 @@ def parse_dimacs(text: str) -> OracleFunction:
     its clauses.
     """
     n_vars: int | None = None
-    literals: list[int] = []
     clause_lines: list[str] = []
+    checked = 0  # the clause lines int() read at an unusual header
     for raw_line in text.splitlines():
         line = raw_line.strip()
         if not line or line.startswith(("c", "%")):
             continue
         if line.startswith("p"):
-            literals += _literals(clause_lines)  # a bad token above fails first
-            clause_lines = []
             parts = line.split()
-            if len(parts) < 4 or parts[1] != "cnf":
-                raise BadParameter(f"malformed problem line: {raw_line!r}")
-            n_vars = _integer(parts[2], raw_line)
+            header = len(parts) >= 4 and parts[1] == "cnf"
+            n_vars = _WIDTHS.get(parts[2]) if header else None
+            if n_vars is None:  # a fault or an unusual count: a bad token above fails first
+                _literals(clause_lines[checked:])
+                checked = len(clause_lines)
+                if not header:
+                    raise BadParameter(f"malformed problem line: {raw_line!r}")
+                n_vars = _integer(parts[2], raw_line)
             continue
         clause_lines.append(raw_line)
-    literals += _literals(clause_lines)
-    if n_vars is None:
-        raise BadParameter("missing 'p cnf' header")
-    if n_vars < 1:
-        raise BadParameter("a CNF needs at least one variable")
-    if n_vars > MAX_BITS:
-        raise TooLarge(f"n={n_vars} exceeds the cap of {MAX_BITS} bits")
-    if literals and max(map(abs, literals)) > n_vars:
-        literal = next(literal for literal in literals if abs(literal) > n_vars)
-        raise BadParameter(f"literal {literal} outside 1..{n_vars}")
+    tokens = " ".join(clause_lines).split()
+    if not (1 <= (n_vars or 0) <= MAX_BITS and _literal_words(n_vars).keys() >= set(tokens)):
+        # int() and the checks, in order: the first fault, or the plain spellings
+        literals = _literals(clause_lines)
+        if n_vars is None:
+            raise BadParameter("missing 'p cnf' header")
+        if n_vars < 1:
+            raise BadParameter("a CNF needs at least one variable")
+        if n_vars > MAX_BITS:
+            raise TooLarge(f"n={n_vars} exceeds the cap of {MAX_BITS} bits")
+        if literals and max(map(abs, literals)) > n_vars:
+            literal = next(literal for literal in literals if abs(literal) > n_vars)
+            raise BadParameter(f"literal {literal} outside 1..{n_vars}")
+        tokens = list(map(str, literals))
 
     size = 2**n_vars
     words = _literal_words(n_vars)
     formula = (1 << size) - 1
     clause = 0
-    for literal in literals:
-        if literal:
-            clause |= words[literal]
+    for token in tokens:
+        word = words[token]
+        if word:
+            clause |= word
         elif clause:  # every literal's word is nonzero, so 0 is no open clause
             formula &= clause
             clause = 0
     if clause:
         formula &= clause
-    table = np.unpackbits(
-        np.frombuffer(formula.to_bytes((size + 7) // 8, "little"), dtype=np.uint8),
-        count=size,
-        bitorder="little",
-    )
-    return OracleFunction(n_vars, table)
+    data = np.frombuffer(formula.to_bytes((size + 7) // 8, "little"), dtype=np.uint8)
+    table = np.unpackbits(data, count=size, bitorder="little").view(np.int8)
+    return _built(OracleFunction, n=n_vars, _bits=_frozen(table))  # 0/1 by construction
 
 
 def _literals(lines: list[str]) -> list[int]:
-    """The tokens of the clause lines as ints, in order; the first that int()
-    refuses is reported with its line."""
-    try:
-        return list(map(int, " ".join(lines).split()))
-    except ValueError:
-        return [_integer(token, line) for line in lines for token in line.split()]
+    """The lines' tokens as ints, in order; the first int() refuses is named with its line."""
+    return [_integer(token, line) for line in lines for token in line.split()]
 
 
 @functools.cache
-def _literal_words(n: int) -> dict[int, int]:
-    """The word of each literal +-i over 2^n bits: bit j of +i's is bit i-1
-    of j, and -i's is its complement."""
+def _literal_words(n: int) -> dict[str, int]:
+    """The word of each literal +-i over 2^n bits, keyed by its plain spelling,
+    and "0"'s, 0: bit j of +i's is bit i-1 of j, and -i's is its complement."""
     inputs = np.arange(2**n)
     everywhere = (1 << 2**n) - 1
-    words = {}
+    words = {"0": 0}
     for i in range(1, n + 1):
         bits = np.packbits((inputs >> (i - 1)) & 1, bitorder="little")
-        words[i] = int.from_bytes(bits.tobytes(), "little")
-        words[-i] = everywhere ^ words[i]
+        words[str(i)] = word = int.from_bytes(bits.tobytes(), "little")
+        words[f"-{i}"] = everywhere ^ word
     return words
 
 

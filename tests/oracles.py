@@ -21,6 +21,10 @@ The command line is referenced by the argparse parser the package once used,
 derived from cli.SPECS: reference_raw_config is the flat config it read
 from argv.
 
+Philox4x64-10 itself is written out in plain Python ints (philox4x64), so
+the stream words can be checked against the published generator and not
+only against numpy's.
+
 Helpers that only the tests use live here too: product states (tensor),
 state equality up to a global phase (same_state), the partial trace of a
 bipartite pure state (reduced_state) and tr(rho^2) (purity), a bipartite
@@ -62,6 +66,23 @@ from collapsim.quantum import (
 from collapsim.sat import MAX_BITS, OracleFunction, SatResult, build_sat_state
 
 ALL_COUNTERS = 2**256
+WORD = 2**64
+#: Philox4x64's round multipliers and its key's Weyl increments (Salmon,
+#: Moraes, Dror and Shaw, "Parallel random numbers: as easy as 1, 2, 3", SC'11)
+PHILOX_M = (0xD2E7470EE14C6C93, 0xCA5A826395121157)
+PHILOX_W = (0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B)
+
+
+def philox4x64(counter: int, key: tuple[int, int]) -> tuple[int, int, int, int]:
+    """The Philox4x64-10 block at a 256-bit counter (word 0 least significant)
+    and a two-word key: ten rounds, the key bumped between them."""
+    x0, x1, x2, x3 = (counter >> 64 * i & WORD - 1 for i in range(4))
+    k0, k1 = key
+    for _ in range(10):
+        p0, p1 = PHILOX_M[0] * x0, PHILOX_M[1] * x2  # each hi:lo in one int
+        x0, x1, x2, x3 = (p1 >> 64) ^ x1 ^ k0, p1 % WORD, (p0 >> 64) ^ x3 ^ k1, p0 % WORD
+        k0, k1 = (k0 + PHILOX_W[0]) % WORD, (k1 + PHILOX_W[1]) % WORD
+    return x0, x1, x2, x3
 
 
 def trial_counter(t: int, prefix=(), block: int = 0) -> int:

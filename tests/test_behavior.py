@@ -600,6 +600,34 @@ class TestFileReader:
         parsed = read_intervals(harnesses.read_text("input", str(path))).intervals
         np.testing.assert_array_equal(parsed, np.array(list(map(float, text.split()))))
 
+    @settings(max_examples=100, deadline=None)
+    @given(
+        data=st.lists(st.sampled_from(
+            [b"1", b" ", b"\n", b"\r", b"\r\n", "\u00e9".encode(), "\u3000".encode(),
+             b"\xe3\x80", b"\xff", b"\x80"]), max_size=12).map(b"".join),
+        chunk=st.integers(1, 5),
+    )
+    @example(data=b"1\r\n2\r3\n", chunk=2)  # a CRLF across a piece's end
+    @example(data="\u3000".encode() + b"\r", chunk=1)
+    @example(data=b"1\xe3\x80", chunk=2)  # cut short at the end
+    def test_text_as_text_mode_open_reads_it(self, data, chunk, tmp_path_factory):
+        # the raw file decoded piece by piece: the characters, universal
+        # newlines and decoding errors of open(path, encoding="utf-8")
+        path = tmp_path_factory.mktemp("text") / "data.txt"
+        path.write_bytes(data)
+        try:
+            with open(path, encoding="utf-8") as file:
+                expected = file.read()
+        except UnicodeDecodeError as exc:
+            expected = f"input: not UTF-8 text: {path}: {exc.reason}"
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(harnesses, "READ_CHUNK", chunk)
+            try:
+                read = "".join(harnesses.read_text("input", str(path)))
+            except ConfigError as exc:
+                read = str(exc)
+        assert read == expected
+
 
 def _peak_bytes(function):
     """The peak traced allocation while function() runs, above what was

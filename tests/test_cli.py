@@ -1395,6 +1395,35 @@ class TestErrorsStayOnOneLine:
         assert result.returncode == 2
         assert result.stderr == "config error: out: cannot write stdout: No space left on device\n"
 
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+    def test_full_out_file_is_one_config_error_line(self, capsys):
+        # --out is written as bytes through a buffered file: the failed write
+        # surfaces at its flush or close, and is still one line
+        assert main(["fwt", "--trials", "10", "--out", "/dev/full"]) == 2
+        assert capsys.readouterr() == (
+            "", "config error: out: cannot write /dev/full: No space left on device\n")
+
+    @pytest.mark.parametrize("args", [
+        ("asc", "--trials", "50", "--per-trial", "--labels", "a,\u00e9", "--priorities", "1,1",
+         "--norm", "0,1", "--seed", "4"),
+        ("signal", "--format", "csv", "--policy1", "biased:0.3,0.7"),
+    ], ids=["json-lines", "csv"])
+    def test_out_file_bytes_equal_stdout_in_a_fresh_process(self, args, tmp_path):
+        # the interpreter's own stdout against the UTF-8 bytes --out gets
+        argv, env = self._entry_point(*args)
+        printed = subprocess.run(argv, env=env, capture_output=True, timeout=120)
+        out = tmp_path / "report"
+        written = subprocess.run(argv + ["--out", str(out)], env=env, capture_output=True,
+                                 timeout=120)
+        assert (printed.returncode, written.returncode, written.stdout) == (0, 0, b"")
+
+        def untimed(data):
+            return [line for line in data.splitlines(keepends=True)
+                    if b'"record": "timing"' not in line]
+
+        assert untimed(out.read_bytes()) == untimed(printed.stdout)
+        assert len(untimed(printed.stdout)) > 1
+
 
 def test_cli_imports_no_argparse():
     env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}

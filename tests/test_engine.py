@@ -2,10 +2,12 @@
 
 The engine reads each block of trials' Philox words from one numpy
 random_raw call and consumes them the way numpy's Generator does. These
-tests pin the words and the draws to numpy itself, replay numpy's 32-bit
-buffering on crafted words, and check every record and aggregate of fwt,
-empirical signal and asc against the scalar loops of tests/oracles.py: one
-numpy Generator per trial and the inverse-CDF rule written out there.
+tests pin the words to Philox4x64-10 written out in tests/oracles.py (and
+that to its known answers), pin the words and the draws to numpy itself,
+replay numpy's 32-bit buffering on crafted words, and check every record
+and aggregate of fwt, empirical signal and asc against the scalar loops of
+tests/oracles.py: one numpy Generator per trial and the inverse-CDF rule
+written out there.
 """
 
 import json
@@ -28,6 +30,7 @@ from collapsim.rng import (
     TRIAL_BLOCK,
     Diverged,
     TrialStreams,
+    _blocks,
     cumulative,
     run_blocks,
     sample_indices,
@@ -35,8 +38,10 @@ from collapsim.rng import (
 )
 from collapsim.signaling import channel_capacity
 from oracles import (
+    ALL_COUNTERS,
     asc_records,
     fwt_records,
+    philox4x64,
     signal_outcomes,
     trial_counter,
     trial_generator,
@@ -78,6 +83,35 @@ def test_numpy_counter_words_are_the_stream_layout():
         raw = np.random.Philox(key=seed, counter=counter).random_raw(4)
         streams = TrialStreams(seed, trial_counter(t, prefix, block), 1)
         assert streams.words.tolist() == [raw.tolist()]
+
+
+#: Random123's known answers for Philox4x64-10: counter words, key words, block
+PHILOX_KNOWN_ANSWERS = [
+    ((0, 0, 0, 0), (0, 0),
+     (0x16554D9ECA36314C, 0xDB20FE9D672D0FDC, 0xD7E772CEE186176B, 0x7E68B68AEC7BA23B)),
+    ((MAX64,) * 4, (MAX64, MAX64),
+     (0x87B092C3013FE90B, 0x438C3C67BE8D0224, 0x9CC7D7C69CD777B6, 0xA09CAEBF594F0BA0)),
+    ((0x243F6A8885A308D3, 0x13198A2E03707344, 0xA4093822299F31D0, 0x082EFA98EC4E6C89),
+     (0x452821E638D01377, 0xBE5466CF34E90C6C),
+     (0xA528F45403E61D95, 0x38C72DBD566E9788, 0xA5A1610E72FD18B5, 0x57BD43B5E52B7FE6)),
+]
+
+
+@pytest.mark.parametrize("words, key, block", PHILOX_KNOWN_ANSWERS)
+def test_philox_oracle_known_answers(words, key, block):
+    assert philox4x64(sum(w << 64 * i for i, w in enumerate(words)), key) == block
+
+
+@pytest.mark.parametrize("seed, counter", [
+    (7, 0),  # _blocks sets counter - 1, all ones, which numpy's step wraps to 0
+    (7, MAX64 - 1),  # the third block's word 0 carries into word 1
+    (MAX64, trial_counter(5, (MAX64, 3), 2)),  # the largest seed, every word set
+    (MAX64, ALL_COUNTERS - 2),  # the last two counters, then 0 again
+])
+def test_blocks_match_philox_written_out(seed, counter):
+    # the stream words against the generator itself, not against numpy's Philox
+    expected = [list(philox4x64((counter + i) % ALL_COUNTERS, (seed, 0))) for i in range(3)]
+    assert _blocks(seed, counter, 3).tolist() == expected
 
 
 def test_draws_match_a_generator_per_trial():

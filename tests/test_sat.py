@@ -502,5 +502,31 @@ class TestDimacsParity:
     @example(text="1 -2 0\n2 0\np cnf 2 2\n")  # a header after its clauses
     @example(text="p cnf 20 1\n1 x 0\n")  # a bad token before the cap
     @example(text="p cnf +3 1\n+3 1_0 0\n")
+    # spellings int() reads that the compiler's word table does not hold
+    @example(text="p cnf 2 2\n+1 -2 0\n+2 0\n")
+    @example(text="p cnf 2 1\n01 -02 0\n")
+    @example(text="p cnf 2 2\n1 -2 -0\n2 0\n")  # -0 ends a clause
+    @example(text="p cnf 12 1\n1_0 -1_2 0\n")
+    @example(text="p cnf 2 1\n\u0661 -2 0\n")  # an Arabic-Indic one
+    @example(text="p cnf 2 1\n+3 0\n")  # an unusual spelling out of range
+    @example(text="01 -2 0\n\u0661 0\np cnf 2 2\n")  # before a late header
+    @example(text="+1 0\np cnf 13 1\n")  # before a header past the cap
     def test_same_table_or_same_error_as_the_token_loop(self, text):
         assert parsed(parse_dimacs, text) == parsed(reference_parse_dimacs, text)
+
+
+class TestCompiledOracle:
+    @settings(max_examples=60, deadline=None)
+    @given(text=dimacs_texts())
+    @example(text="p cnf 12 2\n1 -12 0\n+3 0\n")
+    def test_table_is_read_only_int8_and_the_references(self, text):
+        try:
+            expected = reference_parse_dimacs(text)
+        except (BadParameter, TooLarge):
+            return  # the parity test above compares the errors
+        bits = parse_dimacs(text)._bits
+        assert bits.dtype == np.int8 and bits.shape == (2**expected.n,)
+        assert not bits.flags.writeable
+        with pytest.raises(ValueError):
+            bits[0] = 1
+        assert bits.tobytes() == expected._bits.tobytes()
