@@ -35,6 +35,8 @@ NOISE_THRESHOLD = 3.5
 
 #: the most intervals `behavior generate` writes (--length) and read_intervals reads
 MAX_LENGTH = 10**7
+#: the most characters of one token read_intervals reads (a float needs about 24)
+MAX_TOKEN = 1 << 20
 #: interval files are formatted FORMAT_CHUNK values at a time, so no step holds
 #: one Python object per interval. A block's largest arrays, its rows and mask,
 #: take 120 kB, under the 128 KiB from which glibc maps afresh, so a fresh generate
@@ -169,9 +171,10 @@ def read_intervals(pieces: Iterable[str]) -> EventSequence:
     token still open at a piece's end is carried on and read by float() alone,
     however many pieces it spans; a file is refused at the piece that takes it
     past MAX_LENGTH values. All pieces are read, so a reading error beats a bad
-    token or the cap."""
+    token or the length cap; but a carried token is refused at once when it
+    passes MAX_TOKEN characters, since it may have no end."""
     parts = [np.empty(0)]
-    count = 0
+    count = carried = 0
     carry: list[str] = []  # the pieces of a token that no whitespace has ended yet
     pieces = iter(pieces)
     try:
@@ -179,6 +182,8 @@ def read_intervals(pieces: Iterable[str]) -> EventSequence:
             if carry:
                 end = _token_end(piece)
                 carry.append(piece[:end])
+                if (carried := carried + end) > MAX_TOKEN:
+                    raise ConfigError(f"input: a token must be at most {MAX_TOKEN} characters")
                 if end == len(piece):
                     continue
                 parts.append(np.array([float("".join(carry))]))
@@ -187,6 +192,7 @@ def read_intervals(pieces: Iterable[str]) -> EventSequence:
             start = _tail_start(piece)
             if start < len(piece):
                 carry.append(piece[start:])
+                carried = len(piece) - start
             parts.append(_parse_tokens(piece[:start]))
             count += parts[-1].size
             if count > MAX_LENGTH:

@@ -19,13 +19,10 @@ import os
 import sys
 import time
 from dataclasses import dataclass
-from typing import Any, Callable, Collection, Iterable, Iterator
-
-import numpy as np
+from typing import Any, Callable, Collection, Iterable
 
 from . import behavior, harnesses
 from .errors import CollapsimError, ConfigError
-from .rng import TRIAL_BLOCK
 
 OUTPUT_FORMATS = ("json-lines", "csv")
 #: the keys of every experiment's run, with their defaults; an unset trials
@@ -40,12 +37,9 @@ MAX_TRIALS = 10**8
 #: the experiments whose runs keep per-trial records
 PER_TRIAL_EXPERIMENTS = ("fwt", "asc")
 #: a per-trial run holds its trials and record codes in memory, and its
-#: report is written as it is rendered, TRIAL_BLOCK records to a string:
+#: report is written as it is rendered, 4096 records to a string:
 #: 10^6 fwt records peak near 70 MB
 MAX_PER_TRIAL = 10**6
-
-#: json.dumps(obj, sort_keys=True), whose every call builds an encoder, made once
-_dumps = json.JSONEncoder(sort_keys=True).encode
 
 
 @dataclass(frozen=True)
@@ -351,64 +345,23 @@ def render_report(report: ExperimentReport, output_format: str) -> str:
 
 def _report_chunks(report: ExperimentReport, output_format: str) -> Iterable[str]:
     """The serialized report in consecutive pieces: the config, aggregate and
-    timing lines rendered now, the per-trial records TRIAL_BLOCK trials to a
-    piece, each rendered as it is asked for."""
+    timing lines rendered now, and between them the per-trial lines, joined by
+    the trial table (harnesses.TrialTable.chunks) as they are asked for."""
     if output_format == "csv":
         keys = sorted(report.aggregate)
         row = [_csv_cell(report.aggregate[k]) for k in keys]
         return [",".join(keys) + "\n" + ",".join(row) + "\n"]
-    config = _dumps({"record": "config", **report.config})
-    chunks = [] if report.trials is None else _trial_chunks(report.trials)
-    aggregate = _dumps({"record": "aggregate", **report.aggregate})
-    # _dumps's bytes for the one float: its repr, keys sorted
+    config = harnesses.dumps({"record": "config", **report.config})
+    chunks = [] if report.trials is None else report.trials.chunks()
+    aggregate = harnesses.dumps({"record": "aggregate", **report.aggregate})
+    # dumps's bytes for the one float: its repr, keys sorted
     timing = f'{{"duration_seconds": {float(report.duration_seconds)!r}, "record": "timing"}}'
     return itertools.chain([config + "\n"], chunks, [f"{aggregate}\n{timing}\n"])
 
 
-#: the templates of each record alphabet (harnesses.TrialTable.records) a
-#: report used in this process, made for the codes its trials use: id of the
-#: alphabet -> (the alphabet, kept so that its id stays its own, and each
-#: code's head and tail, None until made); cleared when it holds too many
-_TEMPLATES: dict[int, tuple[tuple, list, list]] = {}
-_MAX_ALPHABETS = 64
-
-
-def _templates(table: harnesses.TrialTable) -> tuple[list, list]:
-    """The heads and tails of table's alphabet, with one made for each code
-    its trials use: the record's _dumps, "trial": 0, split at its trial value."""
-    records = table.records
-    kept = _TEMPLATES.get(id(records))
-    if kept is None:
-        if len(_TEMPLATES) >= _MAX_ALPHABETS:
-            _TEMPLATES.clear()
-        kept = _TEMPLATES[id(records)] = (records, [None] * len(records), [None] * len(records))
-    _, heads, tails = kept
-    for c in np.flatnonzero(np.bincount(table.code, minlength=len(records))).tolist():
-        if heads[c] is None:
-            # a string value escapes its quotes, so only the key matches
-            head, _, tail = _dumps({"record": "trial", "trial": 0, **records[c]}).partition(
-                '"trial": 0'
-            )
-            heads[c], tails[c] = head + '"trial": ', tail + "\n"
-    return heads, tails
-
-
-def _trial_chunks(table: harnesses.TrialTable) -> Iterator[str]:
-    """Each trial's _dumps(record) and a newline, joined TRIAL_BLOCK trials to
-    a string as it is asked for, from the templates of its record's code."""
-    heads, tails = _templates(table)
-
-    def chunk(start: int) -> str:
-        stop = start + TRIAL_BLOCK
-        codes, trials = table.code[start:stop].tolist(), table.trial[start:stop].tolist()
-        return "".join([f"{heads[c]}{t}{tails[c]}" for c, t in zip(codes, trials)])
-
-    return map(chunk, range(0, table.trial.size, TRIAL_BLOCK))
-
-
 def _csv_cell(value: Any) -> str:
     if isinstance(value, (dict, list)):
-        return _dumps(value).replace(",", ";")
+        return harnesses.dumps(value).replace(",", ";")
     return str(value)
 
 
@@ -521,7 +474,7 @@ def _usage(experiment: str | None) -> str:
 def _read_config(path: str) -> dict[str, Any]:
     """The flat mapping of a JSON config file."""
     try:
-        loaded = json.loads("".join(harnesses.read_text("config", path)))
+        loaded = json.loads("".join(harnesses.read_text("config", path, harnesses.MAX_FILE_BYTES)))
     except (ValueError, RecursionError) as exc:  # RecursionError: deep nesting
         raise ConfigError(f"config: not valid JSON: {exc}") from exc
     if not isinstance(loaded, dict):

@@ -11,8 +11,8 @@ fwt and asc draw one int code per trial into a record alphabet: fwt's 144
 records are a constant of the context (kochen_specker.fwt_alphabet), asc's
 depend on its labels alone. Their runners count the codes (_tally; asc, with
 no per-trial records, counts labels alone) for the aggregate and keep them as
-a TrialTable only for per-trial records: its report renders one JSON template
-per code its trials use, kept per alphabet for the process (cli._trial_chunks).
+a TrialTable only for per-trial records, with the trial-line templates of
+every record of the alphabet, made once per alphabet and process.
 """
 
 from __future__ import annotations
@@ -20,6 +20,7 @@ from __future__ import annotations
 import cmath
 import codecs
 import io
+import json
 from dataclasses import dataclass
 from functools import lru_cache, reduce
 from typing import Any, Callable, Iterable, Iterator
@@ -36,18 +37,38 @@ from .quantum import (
     make_state,
     paired_born,
 )
-from .rng import trial_blocks
+from .rng import TRIAL_BLOCK, trial_blocks
+
+#: json.dumps(obj, sort_keys=True), whose every call builds an encoder, made once
+dumps = json.JSONEncoder(sort_keys=True).encode
 
 
 @dataclass(frozen=True)
 class TrialTable:
-    """Per-trial records from a record alphabet. Row i is the record with
-    "trial": trial[i] and the fields of records[code[i]]; every value is a
-    JSON value. An alphabet is made once and shared: read-only."""
+    """Per-trial records from a record alphabet. Row i's line, the dumps of
+    its record and a newline, is heads[c] + str(trial[i]) + tails[c] for its
+    code c = code[i]. The templates are made once per alphabet and shared."""
 
     trial: np.ndarray
     code: np.ndarray
-    records: tuple[dict[str, Any], ...]
+    heads: tuple[str, ...]
+    tails: tuple[str, ...]
+
+    def chunks(self) -> Iterator[str]:
+        """Each row's line, joined TRIAL_BLOCK rows to a string as it is asked for."""
+        heads, tails = self.heads, self.tails
+        for start in range(0, self.trial.size, TRIAL_BLOCK):
+            codes = self.code[start:start + TRIAL_BLOCK].tolist()
+            trials = self.trial[start:start + TRIAL_BLOCK].tolist()
+            yield "".join([f"{heads[c]}{t}{tails[c]}" for c, t in zip(codes, trials)])
+
+
+def _templates(records: Iterable[dict[str, Any]]) -> tuple[tuple[str, ...], tuple[str, ...]]:
+    """Each record's head and tail: the dumps of its trial record with "trial":
+    0, split at its trial value, and a newline. A string value escapes its
+    quotes, so only the key matches."""
+    split = [dumps({"record": "trial", "trial": 0, **r}).partition('"trial": 0') for r in records]
+    return tuple(h + '"trial": ' for h, _, _ in split), tuple(t + "\n" for _, _, t in split)
 
 
 #: (the per-trial table, kept only with per_trial; the aggregate record;
@@ -70,6 +91,8 @@ MAX_ENERGY_DIM = 64
 #: back to the system and faulted in again (4.5-6.0k minor faults for a
 #: 10**6-line classify, against 33k with 2**20-character pieces)
 READ_CHUNK = 1 << 17
+#: the most bytes of a file read whole (config, cnf, truth_table): 4000 n=12 tables
+MAX_FILE_BYTES = 1 << 24
 
 
 def _numbers(convert: Callable[[str], Any], tokens: list[str]) -> list:
@@ -156,20 +179,25 @@ def energy_weights(text: str) -> ProbabilityDistribution | None:
 
 
 def cnf_oracle(path: str) -> sat.OracleFunction:
-    return sat.parse_dimacs("".join(read_text("cnf", path)))
+    return sat.parse_dimacs("".join(read_text("cnf", path, MAX_FILE_BYTES)))
 
 
 def truth_table_oracle(path: str) -> sat.OracleFunction:
-    return sat.parse_truth_table("".join(read_text("truth_table", path)))
+    return sat.parse_truth_table("".join(read_text("truth_table", path, MAX_FILE_BYTES)))
 
 
-def read_text(key: str, path: str) -> Iterator[str]:
+def read_text(key: str, path: str, max_bytes: float = float("inf")) -> Iterator[str]:
     """The UTF-8 text of the file config key `key` names, as open(path,
-    encoding="utf-8") reads it, one READ_CHUNK-byte read call at a time."""
+    encoding="utf-8") reads it, one READ_CHUNK-byte read call at a time; a
+    ConfigError as soon as more than max_bytes bytes have arrived."""
     try:
         with open(path, "rb", buffering=0) as file:
             text = io.IncrementalNewlineDecoder(codecs.getincrementaldecoder("utf-8")(), True)
-            yield from map(text.decode, iter(lambda: file.read(READ_CHUNK), b""))
+            arrived = 0
+            for data in iter(lambda: file.read(READ_CHUNK), b""):
+                if (arrived := arrived + len(data)) > max_bytes:
+                    raise ConfigError(f"{key}: must be at most {max_bytes} bytes: {path}")
+                yield text.decode(data)
             yield text.decode(b"", final=True)
     except FileNotFoundError as exc:
         raise ConfigError(f"{key}: file not found: {path}") from exc
@@ -218,12 +246,18 @@ def _ks_aggregate() -> dict[str, Any]:
     }
 
 
+@lru_cache(maxsize=9)
+def _fwt_templates(context: int) -> tuple[tuple[str, ...], tuple[str, ...]]:
+    """The templates of fwt's record alphabet in a context."""
+    return _templates(kochen_specker.fwt_alphabet(context)[0])
+
+
 @lru_cache(maxsize=16)
-def _asc_records(
+def _asc_templates(
     labels: tuple[str, ...], shape: tuple[str, ...], tie_values: tuple[bool | None, ...]
-) -> tuple[dict[str, Any], ...]:
-    """asc's record alphabet: record chosen * len(tie_values) + tie_broken."""
-    return tuple(
+) -> tuple[tuple[str, ...], tuple[str, ...]]:
+    """asc's templates, of record chosen * len(tie_values) + tie_broken."""
+    return _templates(
         {"outcome": chosen, "label": label, "stage_shape": shape, "tie_broken": tie}
         for chosen, label in enumerate(labels)
         for tie in tie_values
@@ -248,7 +282,8 @@ def run_fwt(p: dict[str, Any]) -> RunnerOutput:
         p["context"], p["bob_ray"], p["policy"], p["seed"], trials
     )
     records, counted = kochen_specker.fwt_alphabet(p["context"])
-    per_code, table = _tally(blocks, len(records), records if p["per_trial"] else None)
+    templates = _fwt_templates(p["context"]) if p["per_trial"] else None
+    per_code, table = _tally(blocks, len(records), templates)
     detections, in_context, agreements = (per_code @ counted).tolist()
     aggregate = {
         "trials": trials,
@@ -266,13 +301,13 @@ def run_fwt(p: dict[str, Any]) -> RunnerOutput:
 def _tally(
     blocks: Iterable[tuple[np.ndarray, np.ndarray]],
     size: int,
-    records: tuple[dict[str, Any], ...] | None = None,
+    templates: tuple[tuple[str, ...], tuple[str, ...]] | None = None,
 ) -> tuple[np.ndarray, TrialTable | None]:
     """Each of the size codes' count in the blocks' (trials, codes), of which a
-    run has at least one; and, given the record alphabet, their per-trial table."""
-    if records is not None:
+    run has at least one; and, given the alphabet's templates, their per-trial table."""
+    if templates is not None:
         trial, code = map(np.concatenate, zip(*blocks))
-        return np.bincount(code, minlength=size), TrialTable(trial, code, records)
+        return np.bincount(code, minlength=size), TrialTable(trial, code, *templates)
     return reduce(np.add, (np.bincount(code, minlength=size) for _, code in blocks)), None
 
 
@@ -334,8 +369,8 @@ def run_asc(p: dict[str, Any]) -> RunnerOutput:
         shape, tie_values = robot.stage_shape, (None,)
         blocks = ((t, np.full(t.size, robot.final_outcome)) for t in trial_blocks(trials))
     if p["per_trial"]:
-        records = _asc_records(labels, shape, tie_values)
-        per_code, table = _tally(blocks, len(records), records)
+        templates = _asc_templates(labels, shape, tie_values)
+        per_code, table = _tally(blocks, len(templates[0]), templates)
         counts = per_code.reshape(len(labels), len(tie_values)).sum(axis=1)
     else:
         counts, table = _tally(blocks, len(labels))

@@ -1,3 +1,4 @@
+import itertools
 import math
 import os
 import re
@@ -15,6 +16,7 @@ from hypothesis import strategies as st
 from collapsim import behavior, harnesses
 from collapsim.behavior import (
     FORMAT_CHUNK,
+    MAX_TOKEN,
     EventSequence,
     _parse_tokens,
     classify,
@@ -571,6 +573,38 @@ class TestCountCap:
 
         with pytest.raises(ConfigError, match="^input: not UTF-8 text$"):
             read_intervals(pieces())
+
+
+class TestTokenCap:
+    """read_intervals carries a token of at most MAX_TOKEN characters across
+    pieces and refuses a longer one as soon as its carried length passes the
+    cap, reading no further: such a token may have no end."""
+
+    TOO_LONG = f"^input: a token must be at most {MAX_TOKEN} characters$"
+
+    @pytest.mark.parametrize("piece", [1000, harnesses.READ_CHUNK])
+    def test_cap_is_the_longest_token_read(self, piece):
+        for zeros, at_end in itertools.product((MAX_TOKEN - 2, MAX_TOKEN - 1), (False, True)):
+            text = "2.5\n1." + "0" * zeros + ("" if at_end else "\n0.5")
+            pieces = [text[i:i + piece] for i in range(0, len(text), piece)]
+            if zeros == MAX_TOKEN - 2:
+                expected = [2.5, 1.0] + ([] if at_end else [0.5])
+                assert read_intervals(pieces).intervals.tolist() == expected
+            else:
+                with pytest.raises(ConfigError, match=self.TOO_LONG):
+                    read_intervals(pieces)
+
+    def test_refused_once_past_the_cap(self):
+        taken = []
+
+        def pieces():  # a file with no whitespace, such as /dev/zero
+            for i in range(4 * MAX_TOKEN // 4096):
+                taken.append(i)
+                yield "\x00" * 4096
+
+        with pytest.raises(ConfigError, match=self.TOO_LONG):
+            read_intervals(pieces())
+        assert len(taken) == MAX_TOKEN // 4096 + 1
 
 
 class TestFileReader:

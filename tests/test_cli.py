@@ -591,7 +591,7 @@ def asc_configs(draw):
 
 class TestTrialLines:
     """The report's trial lines, rendered from one template per record of
-    the alphabet its trials use, against json.dumps of each record."""
+    its alphabet, against json.dumps of each record."""
 
     @settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
     @given(raw=st.one_of(FWT_CONFIGS, asc_configs()))
@@ -621,7 +621,7 @@ class TestTrialLines:
     ])
     def test_templates_only_with_per_trial(self, raw, monkeypatch):
         rendered = []
-        real_dumps = cli._dumps
+        real_dumps = harnesses.dumps
 
         def dumps(obj):
             rendered.append(obj)
@@ -630,37 +630,52 @@ class TestTrialLines:
         def templates():
             return [record for record in rendered if record["record"] == "trial"]
 
-        monkeypatch.setattr(cli, "_dumps", dumps)
+        monkeypatch.setattr(harnesses, "dumps", dumps)
+        # as in a fresh process: no alphabet's templates made yet
+        harnesses._fwt_templates.cache_clear()
+        harnesses._asc_templates.cache_clear()
+        made = []
         for per_trial, trials in [(False, 5000), (True, 1), (True, 5000)]:
             report = run(build_config({**raw, "seed": 1, "trials": trials,
                                        "per_trial": per_trial}))
             assert (report.trials is not None) == per_trial
-            cli._TEMPLATES.clear()
-            rendered.clear()
             text = render_report(report, "json-lines")
-            lines = text.splitlines()
-            assert len(lines) == 3 + (trials if per_trial else 0)
-            # with no template kept, one is made per distinct record and no more
-            rows = {json.dumps({**json.loads(line), "trial": 0}) for line in lines[1:-2]}
-            assert len(templates()) == len(rows)
-            if per_trial and "bob_ray" in raw:
-                assert len(rows) < len(report.trials.records)
-            # the alphabet's templates are kept: a second render makes none
+            assert len(text.splitlines()) == 3 + (trials if per_trial else 0)
+            made.append(templates())
+            # a second render of the same report makes none
             rendered.clear()
             assert render_report(report, "json-lines") == text
             assert templates() == []
+        # none without --per-trial; one per record of the alphabet, all made by
+        # the first job that keeps records, whichever of them its trials use;
+        # none by a later job over the same alphabet
+        alphabet = {"fwt": 144, "asc": 2 * 2}[raw["experiment"]]
+        assert [len(m) for m in made] == [0, alphabet, 0]
+        assert len({json.dumps(record, sort_keys=True) for record in made[1]}) == alphabet
 
-    def test_kept_alphabets_are_bounded(self):
-        # an alphabet per report, each new: the cache is cleared, never grown past its cap
-        cli._TEMPLATES.clear()
-        for i in range(2 * cli._MAX_ALPHABETS + 1):
-            table = harnesses.TrialTable(np.arange(3), np.array([1, 0, 1]),
-                                         ({"label": "a"}, {"label": str(i)}))
-            assert "".join(cli._trial_chunks(table)) == "".join(
-                json.dumps({"label": label, "record": "trial", "trial": t}) + "\n"
-                for t, label in enumerate([str(i), "a", str(i)])
-            )
-            assert 1 <= len(cli._TEMPLATES) <= cli._MAX_ALPHABETS
+    def test_every_template_dumps_its_record(self):
+        # every code of every alphabet, not only the codes a run reaches
+        def check(templates, records):
+            heads, tails = templates
+            assert len(heads) == len(tails) == len(records)
+            for c, record in enumerate(records):
+                for t in (0, 9, TRIAL_BLOCK + 1, 999_999):
+                    expected = json.dumps({"record": "trial", "trial": t, **record},
+                                          sort_keys=True)
+                    assert heads[c] + str(t) + tails[c] == expected + "\n"
+
+        for context in range(1, 10):
+            check(harnesses._fwt_templates(context), kochen_specker.fwt_alphabet(context)[0])
+        labels = ("a", 'q"t\\', "caf\u00e9 \u20ac", "\x00\x1f\n", '"trial": 7', "\ud83d\ude00")
+        for shape, tie_values in [
+            (agent.COLLAPSE_STAGE_SHAPE, (False, True)),  # the collapse agent's tie flag
+            (agent.COLLAPSE_STAGE_SHAPE, (False,)),  # no tie values but False
+            ((agent.ComputeStage.__name__,), (None,)),  # the robot's null tie_broken
+        ]:
+            records = [{"outcome": chosen, "label": label, "stage_shape": list(shape),
+                        "tie_broken": tie}
+                       for chosen, label in enumerate(labels) for tie in tie_values]
+            check(harnesses._asc_templates(labels, shape, tie_values), records)
 
     @pytest.mark.parametrize("experiment", ["fwt", "asc"])
     def test_chunks_join_to_the_whole_report(self, experiment, monkeypatch):
@@ -668,7 +683,7 @@ class TestTrialLines:
                                    "per_trial": True}))
         whole = render_report(report, "json-lines")
         for chunk in (1, 7, 99, 100):
-            monkeypatch.setattr(cli, "TRIAL_BLOCK", chunk)
+            monkeypatch.setattr(harnesses, "TRIAL_BLOCK", chunk)
             assert render_report(report, "json-lines") == whole
 
     def test_render_peak_within_twice_and_a_half_the_report(self):
@@ -1423,6 +1438,93 @@ class TestErrorsStayOnOneLine:
 
         assert untimed(out.read_bytes()) == untimed(printed.stdout)
         assert len(untimed(printed.stdout)) > 1
+
+
+#: runs `python -m collapsim.cli ARGS` under a 1.5 GiB address-space limit (a
+#: guard, should a read grow without bound) with stdout sent to os.devnull,
+#: reaps it with wait4 and prints its exit code and peak RSS in KiB; a process
+#: inherits its parent's peak RSS across exec, so this small launcher, not the
+#: test process, is the parent
+CAPPED_CLI = """
+import os, resource, sys
+pid = os.fork()
+if pid == 0:
+    resource.setrlimit(resource.RLIMIT_AS, (3 << 29, 3 << 29))
+    os.dup2(os.open(os.devnull, os.O_WRONLY), 1)
+    os.execv(sys.executable, [sys.executable, "-m", "collapsim.cli", *sys.argv[1:]])
+_, status, usage = os.wait4(pid, 0)
+print(os.waitstatus_to_exitcode(status), usage.ru_maxrss)
+"""
+
+
+class TestInputCaps:
+    """A file read whole (--config, --cnf, --truth-table) holds at most
+    harnesses.MAX_FILE_BYTES bytes, and an interval file's tokens at most
+    behavior.MAX_TOKEN characters; past either cap the read stops, with one
+    config error line and exit code 2."""
+
+    @pytest.mark.skipif(sys.platform != "linux" or not os.path.exists("/dev/zero"),
+                        reason="needs /dev/zero, reads Linux rusage, RSS in KiB")
+    @pytest.mark.parametrize("argv, message", [
+        (["--config"], "config: must be at most 16777216 bytes: /dev/zero"),
+        (["sat", "--cnf"], "cnf: must be at most 16777216 bytes: /dev/zero"),
+        (["sat", "--truth-table"], "truth_table: must be at most 16777216 bytes: /dev/zero"),
+        (["behavior", "classify", "--input"], "input: a token must be at most 1048576 characters"),
+    ], ids=["config", "cnf", "truth_table", "input"])
+    def test_endless_file_is_one_config_error_line(self, argv, message):
+        # each used to grow until a MemoryError traceback, or the machine's memory ran out
+        env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src"),
+               "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1"}
+        result = subprocess.run([sys.executable, "-c", CAPPED_CLI, *argv, "/dev/zero"], env=env,
+                                capture_output=True, text=True, check=True, timeout=120)
+        code, rss = map(int, result.stdout.split())
+        assert (code, result.stderr) == (2, f"config error: {message}\n")
+        assert rss < 100 * 1024, f"peak RSS {rss / 1024:.0f} MB"
+
+    @pytest.mark.parametrize("chunk", [1, 3, 16, 1 << 17])
+    def test_whole_file_cap_counts_bytes_as_they_arrive(self, chunk, tmp_path, monkeypatch):
+        # 16 bytes of 8 characters once "\r\n" is read as "\n"
+        path = tmp_path / "f.txt"
+        path.write_bytes("\u00e9\r\n".encode() * 4)
+        monkeypatch.setattr(harnesses, "READ_CHUNK", chunk)
+        assert "".join(harnesses.read_text("cnf", str(path), 16)) == "\u00e9\n" * 4
+        with pytest.raises(ConfigError, match=r"^cnf: must be at most 15 bytes: "):
+            "".join(harnesses.read_text("cnf", str(path), 15))
+
+    def test_config_file_at_the_cap_is_read(self, tmp_path, capsys):
+        head = json.dumps({"experiment": "ks"})
+        path = tmp_path / "config.json"
+        path.write_text(head + " " * (harnesses.MAX_FILE_BYTES - len(head)))
+        assert main(["--config", str(path), "--out", str(tmp_path / "out")]) == 0
+        with open(path, "a") as file:
+            file.write(" ")
+        assert main(["--config", str(path)]) == 2
+        assert capsys.readouterr().err == (
+            f"config error: config: must be at most {harnesses.MAX_FILE_BYTES} bytes: {path}\n")
+
+    @pytest.mark.parametrize("key, text", [("cnf", "p cnf 2 1\n1 -2 0\n"),
+                                           ("truth_table", "0110\n")])
+    def test_oracle_file_at_the_cap_is_read(self, key, text, tmp_path, monkeypatch, capsys):
+        path = tmp_path / "oracle"
+        path.write_text(text)
+        argv = ["sat", "--" + key.replace("_", "-"), str(path), "--out", str(tmp_path / "out")]
+        monkeypatch.setattr(harnesses, "MAX_FILE_BYTES", len(text))
+        assert main(argv) == 0
+        monkeypatch.setattr(harnesses, "MAX_FILE_BYTES", len(text) - 1)
+        assert main(argv) == 2
+        assert capsys.readouterr().err == (
+            f"config error: {key}: must be at most {len(text) - 1} bytes: {path}\n")
+
+    def test_interval_token_at_the_cap_is_read(self, tmp_path, capsys):
+        path = tmp_path / "seq.txt"
+        assert main(["behavior", "generate", "--length", "1000", "--out", str(path)]) == 0
+        intervals = path.read_text()
+        argv = ["behavior", "classify", "--input", str(path), "--out", str(tmp_path / "out")]
+        for zeros in (behavior.MAX_TOKEN - 2, behavior.MAX_TOKEN - 1):
+            path.write_text(intervals + "1." + "0" * zeros + "\n2.5\n")
+            assert main(argv) == (0 if zeros == behavior.MAX_TOKEN - 2 else 2)
+        assert capsys.readouterr().err == (
+            f"config error: input: a token must be at most {behavior.MAX_TOKEN} characters\n")
 
 
 def test_cli_imports_no_argparse():
