@@ -6,21 +6,23 @@ classified by the Hill tail-exponent estimate over the top order
 statistics: small exponents mean heavy tails.
 
 An interval file holds one repr(x) per line. format_intervals takes the values
-FORMAT_CHUNK at a time and, in each block's own arrays, finds repr's shortest
-round-trip digits in numpy, exactly (after Steele & White, PLDI 1990, with
-Dekker's error-free product), for values in [1e-3, 1e15], spells each line as
-the tail of a 24-byte ASCII row, four digits per floor division by 10**4, and
-calls repr for the rest: the bytes are the same either way. read_intervals
-reads up to MAX_LENGTH values, each ASCII token digits[.digits] in numpy from
-the same row, correctly rounded (Clinger, PLDI 1990, with the same product to
-settle, against the bit-adjacent floats, what his fast path does not cover),
-and every other token with float(): the values and errors are the same.
+FORMAT_CHUNK at a time and finds repr's shortest round-trip digits in numpy,
+exactly (after Steele & White, PLDI 1990, with Dekker's error-free product),
+for values in [1e-3, 1e15], spells each line as the tail of a 24-byte ASCII
+row, four digits per floor division by 10**4, and calls repr for the rest: the
+bytes are the same either way. read_intervals reads up to MAX_LENGTH values
+into one array, each ASCII token digits[.digits] in numpy from the same row,
+correctly rounded (Clinger, PLDI 1990, with the same product to settle, against
+the bit-adjacent floats, what his fast path does not cover), and every other
+token with float(): the values and errors are the same. Each call works in
+arrays it makes once, for its largest block or piece (_Arrays).
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import re
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
@@ -38,23 +40,72 @@ MAX_LENGTH = 10**7
 #: the most characters of one token read_intervals reads (a float needs about 24)
 MAX_TOKEN = 1 << 20
 #: interval files are formatted FORMAT_CHUNK values at a time, so no step holds
-#: one Python object per interval. A block's largest arrays, its rows and mask,
-#: take 120 kB, under the 128 KiB from which glibc maps afresh, so a fresh generate
-#: reuses one heap: 0.3-0.6 minor faults per page of extra peak RSS at 1.3*10**5 to
-#: 10**6 intervals, against 2.0-8.1 with 7500-value blocks (360 kB rows and masks)
-FORMAT_CHUNK = 5000
-#: format_intervals takes heap pieces of _ROOM_PIECE bytes until _ROOM_PIECES + 1 of
-#: them lie one after another, and frees all but the last before its first block, so
-#: its blocks reuse that room, not the heap top that glibc trims and faults in again.
-#: A piece placed in a hole an earlier free left adds no room below the held one, so
-#: the run is found by address: with a fixed 12 pieces, what a fresh process did
-#: before (its argv's length, say) decided whether a 10**6 generate took 0.4 or up to
-#: 3.0 faults per page. With no hole, the 12 pieces (786 kB) stay under one block's
-#: traced peak with the held piece and its text (887 kB); a piece a hole takes adds
-#: 64 KiB, up to _ROOM_TAKEN pieces in all
-_ROOM_PIECE = 1 << 16
-_ROOM_PIECES = 11
-_ROOM_TAKEN = 3 * _ROOM_PIECES
+#: one Python object per interval (10**6 values took 9-20% less time than in
+#: 5000-value blocks), and each block's text is handed on in pieces of
+#: FORMAT_PIECE lines, at most 60 kB: a piece, its encoding and the array it is
+#: cut from fit in the heap's spare top together, which glibc keeps when it
+#: trims, so they are not faulted in again for the next piece (a fresh 10**6
+#: generate took 2.5 minor faults per page of extra peak RSS with 5000-line
+#: pieces at a fixed 128 KiB trim threshold, 0.5 with these)
+FORMAT_PIECE = 2500
+FORMAT_CHUNK = 8 * FORMAT_PIECE
+
+
+class _Arrays:
+    """One codec call's working arrays, laid out in one buffer made once for the
+    largest block the call fits it to: every block works in views of it, so none
+    frees arrays for the next to fault in again, and numpy asks the kernel for
+    huge pages for a buffer of 4 MB or more. Each call makes its own, so calls on
+    two threads, or two generators advanced in turn, share none."""
+
+    def __init__(self, layout: dict[str, type | tuple]) -> None:
+        self._layout = {name: np.dtype(kind) for name, kind in layout.items()}
+        self.rows = -1  # no buffer yet
+        self._views: dict[str, np.ndarray] = {}
+
+    def fit(self, rows: int) -> None:
+        """Room for rows rows in every array, in a new buffer if the last had less."""
+        if rows <= self.rows:
+            return
+        self._views.clear()  # the last buffer goes before the next is made
+        starts, end = [], 0
+        for kind in self._layout.values():
+            starts.append(end)
+            end += -(-rows * kind.itemsize // 64) * 64  # each array starts on 64 bytes
+        buffer = np.empty(end, np.uint8)
+        self._views = {name: buffer[start:start + rows * kind.itemsize].view(kind.base)
+                       .reshape(rows, *kind.shape)
+                       for (name, kind), start in zip(self._layout.items(), starts)}
+        self.rows = rows
+
+    def __call__(self, name: str, rows: int) -> np.ndarray:
+        """The first rows rows of array name, their contents undefined."""
+        return self._views[name][:rows]
+
+
+class _Values:
+    """The values one read_intervals call has parsed, in one array that grows at
+    least twofold when it must, and the arrays it parses its pieces in: one row
+    per byte of text, and one per token."""
+
+    def __init__(self) -> None:
+        self.per_byte = _Arrays(_BYTE_ARRAYS)
+        self.per_token = _Arrays(_TOKEN_ARRAYS)
+        self._array = np.empty(0)
+        self.size = 0
+
+    def room(self, size: int) -> np.ndarray:
+        """The place of the next size values, counted as parsed from now on."""
+        end = self.size + size
+        if end > self._array.size:
+            grown = np.empty(max(end, 2 * self._array.size))
+            grown[:self.size] = self._array[:self.size]
+            self._array = grown
+        start, self.size = self.size, end
+        return self._array[start:end]
+
+    def parsed(self) -> np.ndarray:
+        return self._array[:self.size]
 
 
 @dataclass(frozen=True, eq=False)
@@ -167,35 +218,33 @@ def classify(
 
 def read_intervals(pieces: Iterable[str]) -> EventSequence:
     """Parse a plain interval file from pieces of its text: Python float literals
-    split by any whitespace. Each piece's ended tokens are parsed together; a
-    token still open at a piece's end is carried on and read by float() alone,
-    however many pieces it spans; a file is refused at the piece that takes it
-    past MAX_LENGTH values. All pieces are read, so a reading error beats a bad
-    token or the length cap; but a carried token is refused at once when it
-    passes MAX_TOKEN characters, since it may have no end."""
-    parts = [np.empty(0)]
-    count = carried = 0
+    split by any whitespace. Each piece's ended tokens are parsed together, into
+    one array of values; a token still open at a piece's end is carried on and
+    read by float() alone, however many pieces it spans; a file is refused at
+    the piece that takes it past MAX_LENGTH values. All pieces are read, so a
+    reading error beats a bad token or the length cap; but a carried token is
+    refused at once when it passes MAX_TOKEN characters, since it may have no end."""
+    values = _Values()
+    carried = 0
     carry: list[str] = []  # the pieces of a token that no whitespace has ended yet
     pieces = iter(pieces)
     try:
         for piece in itertools.chain(pieces, [" "]):  # a final space ends the last token
+            begin = 0
             if carry:
-                end = _token_end(piece)
-                carry.append(piece[:end])
-                if (carried := carried + end) > MAX_TOKEN:
+                begin = _token_end(piece)
+                carry.append(piece[:begin])
+                if (carried := carried + begin) > MAX_TOKEN:
                     raise ConfigError(f"input: a token must be at most {MAX_TOKEN} characters")
-                if end == len(piece):
+                if begin == len(piece):
                     continue
-                parts.append(np.array([float("".join(carry))]))
-                count += 1
-                carry, piece = [], piece[end:]
-            start = _tail_start(piece)
-            if start < len(piece):
-                carry.append(piece[start:])
-                carried = len(piece) - start
-            parts.append(_parse_tokens(piece[:start]))
-            count += parts[-1].size
-            if count > MAX_LENGTH:
+                values.room(1)[0] = float("".join(carry))
+                carry, begin = [], begin + 1  # past the whitespace that ended it
+            tail = _parse_tokens(piece, begin, values)
+            if tail < len(piece):
+                carry.append(piece[tail:])
+                carried = len(piece) - tail
+            if values.size > MAX_LENGTH:
                 for _ in pieces:
                     pass
                 raise ConfigError(f"input: must hold at most {MAX_LENGTH} intervals")
@@ -203,18 +252,20 @@ def read_intervals(pieces: Iterable[str]) -> EventSequence:
         for _ in pieces:
             pass
         raise BadParameter(f"not an interval file: {exc}") from exc
-    values = np.concatenate(parts)
     if not values.size:
         raise BadParameter("no intervals found")
-    return EventSequence(values)
+    return EventSequence(values.parsed())
+
+
+#: what str.split splits at, and str.isspace is true of
+_SPACE = re.compile(r"\s")
 
 
 def _token_end(piece: str) -> int:
     """Where a token continued from the last piece ends: at piece's first
     whitespace character, or its end."""
-    if not piece or piece[0].isspace():
-        return 0
-    return len(piece.split(None, 1)[0])
+    space = _SPACE.search(piece)
+    return space.start() if space else len(piece)
 
 
 def _tail_start(piece: str) -> int:
@@ -225,25 +276,15 @@ def _tail_start(piece: str) -> int:
     return len(piece) - len(piece.rsplit(None, 1)[-1])
 
 
-def _room() -> np.ndarray:
-    """The piece format_intervals holds above its room (see _ROOM_PIECE)."""
-    pieces = [np.empty(_ROOM_PIECE, np.uint8)]
-    run = 1  # how many of the last pieces lie each right after the one before
-    while run <= _ROOM_PIECES and len(pieces) < _ROOM_TAKEN:
-        pieces.append(np.empty(_ROOM_PIECE, np.uint8))
-        gap = (pieces[-1].__array_interface__["data"][0]
-               - pieces[-2].__array_interface__["data"][0] - _ROOM_PIECE)
-        run = run + 1 if 0 <= gap <= 64 else 1  # glibc puts 16 bytes between
-    return pieces[-1]
-
-
 def format_intervals(sequence: EventSequence) -> Iterator[str]:
     """Serialize one interval per line, each line repr(x) (inverse of
-    read_intervals), in pieces of FORMAT_CHUNK lines made as they are asked for."""
+    read_intervals), in pieces of FORMAT_PIECE lines made a block of
+    FORMAT_CHUNK at a time, as they are asked for."""
     values = sequence.intervals
-    held = _room()
+    arrays = _Arrays(_WRITE_ARRAYS)
+    arrays.fit(min(values.size, FORMAT_CHUNK))
     for i in range(0, values.size, FORMAT_CHUNK):
-        yield _format_block(values[i:i + FORMAT_CHUNK])
+        yield from _format_block(values[i:i + FORMAT_CHUNK], arrays)
 
 
 # --- repr's shortest round-trip digits, found in numpy ------------------------
@@ -267,22 +308,40 @@ _GRAIN = 2.0**-44
 _POW10 = 10 ** np.arange(19, dtype=np.int64)
 
 
-def _split(a: np.ndarray | float) -> tuple:
-    big = _SPLITTER * a
-    high = big - (big - a)
-    return high, a - high
+def _split(a: np.ndarray, high: np.ndarray, low: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Veltkamp's a == high + low, each of 26 bits, into high and low."""
+    np.multiply(a, _SPLITTER, out=high)
+    np.subtract(high, a, out=low)
+    np.subtract(high, low, out=high)
+    np.subtract(a, high, out=low)
+    return high, low
 
 
 #: the powers of ten exact in a float, 10**22 the largest, and their halves
 _TENS = np.array([float(10**f) for f in range(23)])
-_TENS_HIGH, _TENS_LOW = _split(_TENS)
+_TENS_HIGH, _TENS_LOW = _split(_TENS, np.empty_like(_TENS), np.empty_like(_TENS))
 
 
-def _times_ten_to(a: np.ndarray, k: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Dekker's exact product a * 10**k = product + error, for k <= 22."""
-    product = a * _TENS[k]
-    (a_high, a_low), t_high, t_low = _split(a), _TENS_HIGH[k], _TENS_LOW[k]
-    error = ((a_high * t_high - product) + a_high * t_low + a_low * t_high) + a_low * t_low
+#: the arrays _times_ten_to works in, one row per factor
+_PRODUCT_ARRAYS = dict.fromkeys(["product", "t_high", "t_low", "a_high", "a_low", "term", "error"],
+                                np.float64)
+
+
+def _times_ten_to(a: np.ndarray, k: np.ndarray, arrays: _Arrays) -> tuple[np.ndarray, np.ndarray]:
+    """Dekker's exact product a * 10**k = product + error, for k <= 22, in
+    arrays "product" and "error"."""
+    n = a.size
+    product = np.take(_TENS, k, out=arrays("product", n), mode="clip")
+    t_high = np.take(_TENS_HIGH, k, out=arrays("t_high", n), mode="clip")
+    t_low = np.take(_TENS_LOW, k, out=arrays("t_low", n), mode="clip")
+    product *= a
+    a_high, a_low = _split(a, arrays("a_high", n), arrays("a_low", n))
+    term = arrays("term", n)
+    error = np.multiply(a_high, t_high, out=arrays("error", n))
+    error -= product
+    error += np.multiply(a_high, t_low, out=term)
+    error += np.multiply(a_low, t_high, out=term)
+    error += np.multiply(a_low, t_low, out=term)
     return product, error
 
 
@@ -293,45 +352,81 @@ def _times_ten_to(a: np.ndarray, k: np.ndarray) -> tuple[np.ndarray, np.ndarray]
 # floor-divides by a scalar with a multiply and a shift, where its divmod takes
 # 2.6 times as long. The point overwrites the zero at byte 22 - w and the
 # newline the last byte, and the line starts at i's first digit, or at the 0
-# before the point when i is 0: one tail of the row per start byte.
+# before the point when i is 0: one tail of the row per start byte. A value
+# the digits do not cover is spelled by repr into its own row's tail: no
+# float's repr and newline take more than the row's 24 bytes.
 _DIGIT_ROW = 24
 #: _QUADS[n] is the four ASCII digits of n < 10**4 as one uint32
 _QUADS = (np.arange(10**4)[:, None] // _POW10[3::-1] % 10 + 48).astype(np.uint8).view(np.uint32).ravel()
 #: _TAILS[s] is the mask of a row's bytes from byte s on
 _TAILS = np.arange(_DIGIT_ROW) >= np.arange(_DIGIT_ROW)[:, None]
+#: the byte before each row's newline, in a block's rows laid end to end
+_ROW_LAST_DIGIT = np.arange(_DIGIT_ROW - 2, FORMAT_CHUNK * _DIGIT_ROW, _DIGIT_ROW)
 
 
-def _shortest_fields(values: np.ndarray) -> tuple[np.ndarray, ...]:
-    """Which of values this covers, and for each of them, in order, repr's
-    significant digits D, the count w (at least one) of them after the point
-    and their integer part i: repr(x) spells D with a point before its last w
-    digits, and i = floor(x), as no float lies between x and that decimal."""
-    mantissa, exponent = np.frexp(values)
-    covered = (values >= _LOWEST) & (values <= _HIGHEST) & (mantissa != 0.5)
-    x, e = values[covered], exponent[covered]
+#: the arrays format_intervals works in, one row per value
+_WRITE_ARRAYS = {
+    **_PRODUCT_ARRAYS,
+    **dict.fromkeys(["x", "mantissa", "radius"], np.float64),
+    **dict.fromkeys(["odd", "base", "high", "low", "j", "step", "digits", "integer", "number"],
+                    np.int64),
+    **dict.fromkeys(["k", "start", "rest", "point"], np.intp),
+    **dict.fromkeys(["covered", "flag", "tie"], np.bool_),
+    "exponent": np.intc, "quotient": np.uint64, "quad": np.uint32,
+    "rows": (np.uint32, _DIGIT_ROW // 4), "masks": (np.bool_, _DIGIT_ROW),
+}
+
+
+def _shortest_fields(values: np.ndarray, arrays: _Arrays) -> tuple[np.ndarray, ...]:
+    """Which of values this covers, and for each value repr's significant
+    digits D, the count w (at least one) of them after the point and their
+    integer part i, where covered: repr(x) spells D with a point before its last
+    w digits, and i = floor(x), as no float lies between x and that decimal.
+    Values it does not cover are worked as the nearest of [_LOWEST, _HIGHEST],
+    which keeps every step in range."""
+    n = values.size
+    x = np.clip(values, _LOWEST, _HIGHEST, out=arrays("x", n))
+    mantissa, exponent = np.frexp(x, out=(arrays("mantissa", n), arrays("exponent", n)))
+    covered = np.equal(x, values, out=arrays("covered", n))
+    flag = arrays("flag", n)
+    covered &= np.not_equal(mantissa, 0.5, out=flag)
     # x = m * 2**e with 1/2 <= m < 1, and k, the largest with 2**e * 10**k <=
     # 10**18, is floor(18 - e log10 2): for e in [-9, 50] other than 0, e log10 2
     # is at least 0.01 from an integer, far beyond its rounding. So V = x *
     # 10**k lies in (10**17 / 2, 10**18), and W = 2**(e - 54) * 10**k, half an
     # ulp of x times 10**k, in (5.5, 55.6)
-    k = np.floor(18 - e * math.log10(2)).astype(np.intp)
+    k_real = np.multiply(exponent, math.log10(2), out=mantissa)
+    np.floor(np.subtract(18, k_real, out=k_real), out=k_real)
+    k = arrays("k", n)
+    np.copyto(k, k_real, casting="unsafe")
     # V = vh + vl: vh is an integer (V > 2**53); vl and radius are multiples of
     # _GRAIN below 2**7, so vl +- radius is exact
-    vh, vl = _times_ten_to(x, k)
-    radius = np.ldexp(_TENS[k], e - 54) - (x.view(np.int64) & 1) * _GRAIN
+    vh, vl = _times_ten_to(x, k, arrays)
+    radius = np.take(_TENS, k, out=arrays("radius", n), mode="clip")
+    np.ldexp(radius, np.subtract(exponent, 54, out=exponent), out=radius)
+    odd = np.bitwise_and(x.view(np.int64), 1, out=arrays("odd", n))
+    radius -= np.multiply(odd, _GRAIN, out=mantissa)
     # [low, high]: the integers x reads back from, in units of 10**-k
-    base = vh.astype(np.int64)
-    high = base + np.floor(vl + radius).astype(np.int64)
-    low = base + np.ceil(vl - radius).astype(np.int64)
+    base = arrays("base", n)
+    np.copyto(base, vh, casting="unsafe")
+    high, low = arrays("high", n), arrays("low", n)
+    np.copyto(high, np.floor(np.add(vl, radius, out=mantissa), out=mantissa), casting="unsafe")
+    high += base
+    np.copyto(low, np.ceil(np.subtract(vl, radius, out=mantissa), out=mantissa), casting="unsafe")
+    low += base
     # the largest j with a multiple of 10**j in [low, high], that is with
     # floor(high / 10**j) > floor((low - 1) / 10**j): 2W > 10 puts one of 10
     # there, a multiple of 10**(j + 1) is one of 10**j, so the rows still
-    # scanning only shrink, and high < 10**18 ends the scan
-    j = np.ones_like(base)
-    top, bottom = high // 100, (low - 1) // 100
-    rows = np.flatnonzero(top > bottom)
+    # scanning only shrink, and high < 10**18 ends the scan. Many rows have a
+    # multiple of 100, few one of 1000: those few are scanned on their own
+    top = np.floor_divide(high, 100, out=high)
+    bottom = np.floor_divide(np.subtract(low, 1, out=low), 100, out=low)
+    j = np.add(np.greater(top, bottom, out=flag), 1, out=arrays("j", n))
+    top //= 10
+    bottom //= 10
+    rows = np.flatnonzero(np.greater(top, bottom, out=flag))
     top, bottom = top[rows], bottom[rows]
-    for power in range(2, 18):
+    for power in range(3, 18):
         if not rows.size:
             break
         j[rows] = power
@@ -342,49 +437,69 @@ def _shortest_fields(values: np.ndarray) -> tuple[np.ndarray, ...]:
     # the multiple of 10**j nearest V = floor(V) + frac, frac in [0, 1), is
     # 10**j times the quotient of half = floor(V) + 10**j / 2 (whole, as j >= 1)
     # by 10**j; V lies midway when that divides exactly and frac is 0
-    step = _POW10[j]
-    floor_vl = np.floor(vl)
-    half = base + floor_vl.astype(np.int64) + step // 2
-    digits = half // step
-    tie = (digits * step == half) & (vl == floor_vl)
+    step = np.take(_POW10, j, out=arrays("step", n), mode="clip")
+    floor_vl = np.floor(vl, out=radius)
+    half = base
+    np.copyto(high, floor_vl, casting="unsafe")
+    half += high
+    half += np.floor_divide(step, 2, out=low)
+    digits = np.floor_divide(half, step, out=arrays("digits", n))
+    tie = np.equal(np.multiply(digits, step, out=low), half, out=arrays("tie", n))
+    tie &= np.equal(vl, floor_vl, out=flag)
     # D spells x with w = k - j digits after the point; when j >= k the digits
     # spell an integer within half an ulp of x, which below 2**50 is x itself,
     # and D is x * 10 with w = 1 ("x.0")
-    width = k - j
-    whole = np.flatnonzero(width <= 0)
+    width = np.subtract(k, j, out=k)
+    whole = np.flatnonzero(np.less_equal(width, 0, out=flag))
     digits[whole] *= _POW10[1 - width[whole]]
     width[whole] = 1
-    integer = x.astype(np.int64)  # x > 0: truncation is the floor
-    if tie.any():
-        covered[np.flatnonzero(covered)[tie]] = False
-        digits, width, integer = digits[~tie], width[~tie], integer[~tie]
+    integer = arrays("integer", n)
+    np.copyto(integer, x, casting="unsafe")  # x > 0: truncation is the floor
+    covered &= np.logical_not(tie, out=tie)
     return covered, digits, width, integer
 
 
-def _format_block(values: np.ndarray) -> str:
-    """repr(x) and a newline for each value: the computed lines spelled as
-    ASCII rows in numpy, repr's own lines put between them."""
-    covered, digits, width, integer = _shortest_fields(values)
-    # a line starts 2 + max(D's digit count, w + 1) bytes before the row's end
-    start = _DIGIT_ROW - 2 - np.maximum(np.searchsorted(_POW10, digits, side="right"), width + 1)
+def _format_block(values: np.ndarray, arrays: _Arrays) -> Iterator[str]:
+    """repr(x) and a newline for each value, FORMAT_PIECE lines to a piece: the
+    computed lines spelled as ASCII rows in numpy, repr's own lines put in the
+    rows of the rest."""
+    n = values.size
+    covered, digits, width, integer = _shortest_fields(values, arrays)
+    # a line starts 2 + max(D's digit count, w + 1) bytes before the row's end;
+    # searchsorted makes a new array, so it counts digits a piece at a time
+    start = np.add(width, 1, out=arrays("start", n))
+    for i in range(0, n, FORMAT_PIECE):
+        piece = start[i:i + FORMAT_PIECE]
+        np.maximum(np.searchsorted(_POW10, digits[i:i + FORMAT_PIECE], side="right"), piece, out=piece)
+    np.subtract(_DIGIT_ROW - 2, start, out=start)
     # 10 D - 9 f = D + 9 i 10**w; i is 0 where w > 18
-    number = (digits + 9 * integer * np.take(_POW10, width, mode="clip")).view(np.uint64) * 10
-    rows = np.full((digits.size, _DIGIT_ROW // 4), _QUADS[0])  # the top word "0000": number < 10**20
+    number = np.take(_POW10, width, out=arrays("number", n), mode="clip")
+    number *= integer
+    number *= 9
+    number += digits
+    number = number.view(np.uint64)
+    number *= 10
+    rows = arrays("rows", n)
+    rows[:, 0] = _QUADS[0]  # the top word "0000": number < 10**20
+    # each word's four digits, the remainder of a floor division by 10**4, as
+    # intp indices: np.take would copy any other dtype's into new ones
+    quotient, rest = arrays("quotient", n), arrays("rest", n)
+    quad = arrays("quad", n)
     for column in range(5, 0, -1):
-        high = number // 10**4
-        rows[:, column] = np.take(_QUADS, number - high * 10**4)
-        number = high
+        np.floor_divide(number, 10**4, out=quotient)
+        np.subtract(number, np.multiply(quotient, 10**4, out=rest.view(np.uint64)), out=rest.view(np.uint64))
+        rows[:, column] = np.take(_QUADS, rest, out=quad, mode="clip")
+        number, quotient = quotient, number
     rows = rows.view(np.uint8)
-    rows.ravel()[np.arange(_DIGIT_ROW - 2, rows.size, _DIGIT_ROW) - width] = ord(".")
+    rows.ravel()[np.subtract(_ROW_LAST_DIGIT[:n], width, out=arrays("point", n))] = ord(".")
     rows[:, -1] = ord("\n")
-    masks = np.take(_TAILS, start, axis=0)
-    parts, done = [], 0
-    for spliced, at in enumerate(np.flatnonzero(~covered).tolist()):
-        stop = at - spliced  # the computed lines before this one
-        parts += rows[done:stop][masks[done:stop]], f"{values[at].item()!r}\n".encode()
-        done = stop
-    parts.append(rows[done:][masks[done:]])
-    return str(b"".join(parts), "ascii")
+    for at in np.flatnonzero(np.logical_not(covered, out=covered)).tolist():
+        line = f"{values[at].item()!r}\n".encode()
+        start[at] = _DIGIT_ROW - len(line)
+        rows[at, start[at]:] = np.frombuffer(line, np.uint8)
+    masks = np.take(_TAILS, start, axis=0, out=arrays("masks", n), mode="clip")
+    for i in range(0, n, FORMAT_PIECE):
+        yield str(rows[i:i + FORMAT_PIECE][masks[i:i + FORMAT_PIECE]], "ascii")
 
 
 # --- the interval file's floats, read in numpy --------------------------------
@@ -416,14 +531,19 @@ _DIGIT_MASKS = _digit_masks()
 _MODULI = np.array([10**min(f, 19) for f in [19, *range(_DIGIT_ROW)]], dtype=np.uint64)
 
 
-def _parse_tokens(text: str) -> np.ndarray:
-    """The floats of text's whitespace-separated tokens, text ending in
-    whitespace (or empty), as np.array(text.split(), dtype=float) reads them.
-    ASCII text is read in numpy, whole; only str.split knows the separators
-    and digits of the rest."""
+def _parse_tokens(text: str, begin: int, values: _Values) -> int:
+    """Parse the floats of the whitespace-ended tokens of text[begin:], as
+    np.array(text.split(), dtype=float) reads them, into values; return where
+    the token text ends inside begins, or len(text). ASCII text is read in
+    numpy, whole; only str.split knows the separators and digits of the rest."""
+    if not _SPACE.search(text, begin):  # no token ends here: no arrays are needed
+        return begin
     if not text.isascii():
-        return np.array(text.split(), dtype=float)
-    return _parse_lines(text)
+        tail = _tail_start(text)
+        parsed = np.array(text[begin:tail].split(), dtype=float)
+        values.room(parsed.size)[:] = parsed
+        return tail
+    return _parse_lines(text, begin, values)
 
 
 def _eight_digits(lanes: np.ndarray) -> np.ndarray:
@@ -441,60 +561,124 @@ def _eight_digits(lanes: np.ndarray) -> np.ndarray:
     return lanes
 
 
-def _parse_lines(text: str) -> np.ndarray:
-    """The floats of the tokens of ASCII text, which ends in a separator (or
-    is empty), in temporaries some nine times its length. padded holds text's
-    bytes after _DIGIT_ROW zero bytes, so that the row ending at text[e] is
-    padded[e:e + _DIGIT_ROW]."""
-    padded = np.frombuffer(bytes(_DIGIT_ROW) + text.encode("ascii"), np.uint8)
+#: the arrays read_intervals parses a piece in: one row per byte of the piece
+#: (and _DIGIT_ROW more), and one per token, or per byte up to a space
+_BYTE_ARRAYS = {"padded": np.uint8, "byte_flag": np.bool_, "point": np.bool_}
+_TOKEN_ARRAYS = {
+    **_PRODUCT_ARRAYS,
+    **dict.fromkeys(["scale", "m_high", "y", "nearest"], np.float64),
+    **dict.fromkeys(["place", "length", "mask_row", "fraction", "near_mantissa", "near_fraction",
+                     "m_low"], np.int64),
+    **dict.fromkeys(["spelled", "rest"], np.uint64),
+    **dict.fromkeys(["code", "code_less_9"], np.uint8),
+    **dict.fromkeys(["split", "token_flag", "plain", "settled", "settled_flag"], np.bool_),
+    "starts": np.intp, **dict.fromkeys(["lanes", "lane_masks"], (np.uint64, _DIGIT_ROW // 8)),
+}
+#: a piece is encoded, and its tokens' rows gathered, this many bytes at a time:
+#: below the 128 KiB from which glibc maps an allocation afresh, so the heap
+#: reuses the room of each part for the next
+_HEAP_PIECE = 1 << 16
+
+
+def _parse_lines(text: str, begin: int, values: _Values) -> int:
+    """_parse_tokens for ASCII text with whitespace after begin, in values'
+    arrays. padded holds text's bytes from begin on after _DIGIT_ROW bytes that
+    no token's mask keeps (zeros, or text's before begin), so that the row
+    ending at b[e] is padded[e:e + _DIGIT_ROW]; b is text[begin:], cut after
+    its last separator."""
+    per_byte, per_token = values.per_byte, values.per_token
+    per_byte.fit(_DIGIT_ROW + len(text))
+    padded = per_byte("padded", _DIGIT_ROW + len(text))
+    padded[:_DIGIT_ROW] = 0
+    for at in range(0, len(text), _HEAP_PIECE):
+        padded[_DIGIT_ROW + at:_DIGIT_ROW + at + _HEAP_PIECE] = \
+            np.frombuffer(text[at:at + _HEAP_PIECE].encode("ascii"), np.uint8)
+    padded = padded[begin:]
     b = padded[_DIGIT_ROW:]
-    low = np.flatnonzero(b <= 32)
-    code = b[low]
+    low = np.flatnonzero(np.less_equal(b, 32, out=per_byte("byte_flag", b.size)))
+    if low.size > per_token.rows:
+        per_token.fit(low.size + low.size // 8)  # and room for a few more in later pieces
+    code = np.take(b, low, out=per_token("code", low.size), mode="clip")
     # the bytes str.split splits at: \t \n \v \f \r, \x1c-\x1f and the space
-    separators = low[(code - np.uint8(9) < 5) | (code >= 28)]
-    starts, ends = np.empty_like(separators), separators
-    starts[:1], starts[1:] = 0, separators[:-1] + 1
-    filled = ends > starts  # two separators in a row hold no token
+    splits = np.less(np.subtract(code, np.uint8(9), out=per_token("code_less_9", low.size)),
+                     5, out=per_token("split", low.size))
+    splits |= np.greater_equal(code, 28, out=per_token("token_flag", low.size))
+    separators = low if splits.all() else low[splits]
+    b = b[:separators[-1] + 1]
+    t = separators.size
+    token_flag = per_token("token_flag", t)
+    starts, ends = per_token("starts", t), separators
+    starts[0] = 0
+    np.add(separators[:-1], 1, out=starts[1:])
+    filled = np.greater(ends, starts, out=token_flag)  # two separators in a row hold no token
     if not filled.all():
         starts, ends = starts[filled], ends[filled]
-    point = b == 46
+        t = ends.size
+        token_flag = token_flag[:t]
+    point = np.equal(b, 46, out=per_byte("point", b.size))
     points = np.flatnonzero(point)
-    place = np.zeros(ends.size, dtype=np.int64)  # p: the point's place from the token end
-    if points.size == ends.size and np.all((points >= starts) & (points < ends)):
+    place = per_token("place", t)  # p: the point's place from the token end
+    one_point = points.size == t
+    if one_point:
+        one_point = np.greater_equal(points, starts, out=token_flag).all() \
+            and np.less(points, ends, out=token_flag).all()
+    if one_point:
         line_points = 1
         np.subtract(ends, points, out=place)
     else:
+        place.fill(0)
         line = np.searchsorted(ends, points)
-        line_points = np.bincount(line, minlength=ends.size)
+        line_points = np.bincount(line, minlength=t)
         place[line] = ends[line] - points
-    length = ends - starts
-    lanes = sliding_window_view(padded, _DIGIT_ROW)[ends].view("<u8")
-    lanes &= np.take(_DIGIT_MASKS, np.minimum(length, _DIGIT_ROW) * (_DIGIT_ROW + 1) + place,
-                     axis=0, mode="clip")
+    length = np.subtract(ends, starts, out=per_token("length", t))
+    lanes, rows = per_token("lanes", t), sliding_window_view(padded, _DIGIT_ROW)
+    for at in range(0, t, _HEAP_PIECE // _DIGIT_ROW):
+        lanes[at:at + _HEAP_PIECE // _DIGIT_ROW] = rows[ends[at:at + _HEAP_PIECE // _DIGIT_ROW]].view("<u8")
+    mask_row = np.minimum(length, _DIGIT_ROW, out=per_token("mask_row", t))
+    mask_row *= _DIGIT_ROW + 1
+    mask_row += place
+    lanes &= np.take(_DIGIT_MASKS, mask_row, axis=0, mode="clip", out=per_token("lane_masks", t))
     groups = _eight_digits(lanes)
-    spelled = groups[:, 0] * 10**16 + groups[:, 1] * 10**8 + groups[:, 2]  # M
-    rest = spelled % np.take(_MODULI, place, mode="clip")
-    mantissa = (spelled - rest) // 10 + rest
-    fraction = np.maximum(place - 1, 0)  # f, the digits after the point
-    plain = (length > line_points) & (length <= _DIGIT_ROW) & (line_points <= 1) \
-        & (groups[:, 0] < 1000) & (mantissa < 10**18) & (fraction <= 22)
+    spelled = np.multiply(groups[:, 0], 10**16, out=per_token("spelled", t))  # M
+    spelled += np.multiply(groups[:, 1], 10**8, out=per_token("rest", t))
+    spelled += groups[:, 2]
+    rest = np.take(_MODULI, place, mode="clip", out=per_token("rest", t))
+    np.remainder(spelled, rest, out=rest)
+    mantissa = np.subtract(spelled, rest, out=spelled)
+    mantissa //= 10
+    mantissa += rest
+    fraction = np.subtract(place, 1, out=per_token("fraction", t))  # f, the digits after the point
+    np.maximum(fraction, 0, out=fraction)
+    plain = np.greater(length, line_points, out=per_token("plain", t))
+    plain &= np.less_equal(length, _DIGIT_ROW, out=token_flag)
+    plain &= np.less_equal(line_points, 1, out=token_flag)
+    plain &= np.less(groups[:, 0], 1000, out=token_flag)
+    plain &= np.less(mantissa, 10**18, out=token_flag)
+    plain &= np.less_equal(fraction, 22, out=token_flag)
     mantissa = mantissa.view(np.int64)
-    digit = b - np.uint8(48) < 10
+    digit = np.less(np.subtract(b, np.uint8(48), out=b), 10, out=per_byte("byte_flag", b.size))
     if np.count_nonzero(digit) + points.size + separators.size != b.size:
         digit[separators] = True  # a separator is no other byte
         other = np.flatnonzero(~digit & ~point)
         plain[np.searchsorted(ends, other)] = False
-    values = mantissa / _TENS[np.minimum(fraction, 22)]  # exact below 2**53
-    near = np.flatnonzero(plain & (mantissa >= 2**53))
-    values[near], plain[near] = _settle(mantissa[near], fraction[near])
-    for line in np.flatnonzero(~plain).tolist():
-        values[line] = float(text[starts[line]:ends[line]])
-    return values
+    parsed = values.room(t)
+    np.take(_TENS, np.minimum(fraction, 22, out=place), mode="clip", out=parsed)
+    np.divide(mantissa, parsed, out=parsed)  # exact below 2**53
+    near = np.greater_equal(mantissa, 2**53, out=token_flag)
+    near &= plain
+    near = np.flatnonzero(near)
+    parsed[near], plain[near] = _settle(
+        np.take(mantissa, near, out=per_token("near_mantissa", near.size), mode="clip"),
+        np.take(fraction, near, out=per_token("near_fraction", near.size), mode="clip"),
+        per_token)
+    for line in np.flatnonzero(np.logical_not(plain, out=plain)).tolist():
+        parsed[line] = float(text[begin + starts[line]:begin + ends[line]])
+    return begin + b.size
 
 
-def _settle(mantissa: np.ndarray, fraction: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _settle(mantissa: np.ndarray, fraction: np.ndarray, arrays: _Arrays) -> tuple[np.ndarray, np.ndarray]:
     """mantissa / 10**fraction rounded to the nearest float (mantissa below
-    10**18, fraction at most 22), and where that is certain.
+    10**18, fraction at most 22), and where that is certain, in arrays.
 
     For y = m / 10**f in floats, Dekker's exact product y * 10**f = p + e
     gives the residual r = m - p - e in units of 10**-f: m - p is exact
@@ -506,16 +690,34 @@ def _settle(mantissa: np.ndarray, fraction: np.ndarray) -> tuple[np.ndarray, np.
     gaps to its neighbours (times 10**f), the lower gap being half as wide
     at a power of two, by more than the bound: ties and anything as close
     are left to float()."""
-    scale = _TENS[fraction]
-    m_high = mantissa.astype(float)
-    y = m_high / scale
-    product, product_error = _times_ten_to(y, fraction)
-    residual = (m_high - product) + ((mantissa - m_high.astype(np.int64)) - product_error)
-    nearest = y + residual / scale
-    shift = (nearest - y) * scale
+    n = mantissa.size
+    arrays.fit(n)
+    scale = np.take(_TENS, fraction, mode="clip", out=arrays("scale", n))
+    m_high = arrays("m_high", n)
+    np.copyto(m_high, mantissa, casting="unsafe")
+    y = np.divide(m_high, scale, out=arrays("y", n))
+    product, product_error = _times_ten_to(y, fraction, arrays)
+    m_low = arrays("m_low", n)
+    np.copyto(m_low, m_high, casting="unsafe")
+    residual = np.subtract(np.subtract(mantissa, m_low, out=m_low), product_error, out=product_error)
+    residual = np.add(np.subtract(m_high, product, out=m_high), residual, out=residual)
+    nearest = np.add(y, np.divide(residual, scale, out=product), out=arrays("nearest", n))
+    shift = np.subtract(nearest, y, out=y)
+    shift *= scale
     residual -= shift
-    bound = 2.0**-45 + 2.0**-51 * (np.abs(residual) + np.abs(shift))
+    bound = np.abs(residual, out=m_high)
+    bound += np.abs(shift, out=product)
+    bound *= 2.0**-51
+    bound += 2.0**-45
     bits = nearest.view(np.int64)  # a positive normal float: its neighbours are bits +- 1
-    up = ((bits + 1).view(float) - nearest) * scale / 2
-    down = (nearest - (bits - 1).view(float)) * scale / 2
-    return nearest, (residual < up - bound) & (residual > bound - down)
+    up = np.subtract(np.add(bits, 1, out=m_low).view(float), nearest, out=product)
+    up *= scale
+    up /= 2
+    up -= bound
+    down = np.subtract(nearest, np.subtract(bits, 1, out=m_low).view(float), out=shift)
+    down *= scale
+    down /= 2
+    np.subtract(bound, down, out=down)
+    settled = np.less(residual, up, out=arrays("settled", n))
+    settled &= np.greater(residual, down, out=arrays("settled_flag", n))
+    return nearest, settled

@@ -4,6 +4,8 @@ import os
 import re
 import subprocess
 import sys
+import threading
+import time
 import tracemalloc
 from fractions import Fraction
 from pathlib import Path
@@ -305,7 +307,8 @@ class TestNumpyReader:
                     margins.append(min(value - low, high - value) * 10**len(after))
                     reached.add(e)
         assert reached == set(range(-19, 60))
-        values, settled = behavior._settle(np.array(mantissas), np.array(fractions))
+        values, settled = behavior._settle(np.array(mantissas), np.array(fractions),
+                                           behavior._Arrays(behavior._TOKEN_ARRAYS))
         expected = np.array([float(token) for token in tokens])
         np.testing.assert_array_equal(values[settled].view(np.int64), expected[settled].view(np.int64))
         assert settled[np.array(margins) > Fraction(1, 10**6)].all()
@@ -334,11 +337,16 @@ class TestNumpyReader:
             def split(self, *args):
                 raise AssertionError("ASCII text reached str.split")
 
+        def parse(text):
+            values = behavior._Values()
+            assert _parse_tokens(text, 0, values) == len(text)
+            return values.parsed()
+
         text = "1.5 2.25\t0.125\x0b3\x0c7\r8\x1c9\x1d10\x1e11\x1f12\n1e3  "
         expected = np.array(text.split(), dtype=float)
-        np.testing.assert_array_equal(_parse_tokens(Unsplit(text)), expected)
+        np.testing.assert_array_equal(parse(Unsplit(text)), expected)
         with pytest.raises(ValueError, match=re.escape(_float_error("_\x00"))):
-            _parse_tokens(Unsplit(text + "_\x00 "))
+            parse(Unsplit(text + "_\x00 "))
 
 
 def repr_lines(values):
@@ -522,7 +530,7 @@ class TestChunkBoundaries:
             parsed = read_intervals(read_pieces(text)).intervals
             np.testing.assert_array_equal(parsed, np.array(text.split(), dtype=float))
         # several file pieces with no other separator
-        values = generate_sequence("pareto", 25_000, keyed_generator(107)).intervals
+        values = generate_sequence("pareto", edge // 4, keyed_generator(107)).intervals
         text = separator.join(map(repr, values.tolist())) + separator
         assert len(text) > 3 * edge
         expected = np.array(text.split(), dtype=float)
@@ -708,12 +716,13 @@ class TestTextMemory:
     multiple of the text's length."""
 
     def test_format_peak(self):
-        # 200000 values, 3.7 MB of text, are 40 blocks of a 0.81 MB working set
-        # each; while one is made the writer holds its 64 KiB room piece (the
-        # last of format_intervals' _ROOM_PIECES + 1) and its caller the last
-        # 93 kB text piece: 887 kB against a bound of 894 kB with numpy 2.4.6.
-        # Holding one more text piece reaches 980 kB. The first run in a process
-        # also fills 2-9 kB of caches
+        # 200000 values, 3.7 MB of text, are 10 blocks of 20000 values, each
+        # worked in the 5.2 MB of arrays format_intervals makes once, and 80
+        # text pieces of 47 kB; the peak comes as a piece is cut while its
+        # caller holds the last, as for one block, and the list holds 2.6 kB
+        # more lengths: 5.171 MB against a bound of 5.220 MB with numpy 2.4.6.
+        # A caller holding two pieces reaches 5.215 MB, and one holding every
+        # piece 8.8 MB. The first run in a process also fills 2-9 kB of caches
         sequence = generate_sequence("pareto", 200_000, keyed_generator(102))
         one_block = EventSequence(sequence.intervals[:FORMAT_CHUNK])
         for _ in format_intervals(sequence):
@@ -752,7 +761,11 @@ class TestTextMemory:
         # back, and faulted in again, hangs on what the process did before.
         # With the threshold fixed at its 128 KiB default, generate took 2.8,
         # 3.7 and 4.5 faults per page at the three sizes until format_intervals
-        # kept its blocks below a piece it holds; 0.6, 0.7 and 0.4 with it
+        # kept its blocks below a piece it holds; 0.6, 0.7 and 0.4 with it, and
+        # 0.5-0.7 with 20000-value blocks in arrays the call holds. Classify of
+        # the 10**6 file took 1.7-2.8 reading 2**17-byte pieces whose arrays
+        # were freed after each, and 39 with 2**19-byte pieces; 1.8-2.3
+        # reading 196608-byte pieces in arrays the call holds
         trim = {"MALLOC_TRIM_THRESHOLD_": "131072"}
         path = str(tmp_path / "seq.txt")
         base_faults, base_rss = _child_usage("ks", **trim)
@@ -762,6 +775,10 @@ class TestTextMemory:
             pages = (rss - base_rss) / 4
             assert faults - base_faults <= 3 * pages, \
                 f"{length}: {faults - base_faults} faults over {pages:.0f} pages"
+        faults, rss = _child_usage("behavior", "classify", "--input", path, **trim)
+        pages = (rss - base_rss) / 4
+        assert faults - base_faults <= 3 * pages, \
+            f"classify: {faults - base_faults} faults over {pages:.0f} pages"
 
     def test_read_peak_above_its_input(self, tmp_path):
         text = "".join(format_intervals(generate_sequence("pareto", 200_000,
@@ -782,3 +799,60 @@ class TestTextMemory:
         peak = _peak_bytes(lambda: read.append(read_intervals(harnesses.read_text("input", str(path)))))
         assert read[0].intervals.tolist() == [1.5]
         assert peak <= 3 * path.stat().st_size
+
+
+class TestCallsShareNoArrays:
+    """Each format_intervals and read_intervals call works in arrays of its own,
+    so calls interleaved in one thread, or run at once on several, see only
+    their own values."""
+
+    def test_generators_advanced_in_turn(self):
+        sequences = [generate_sequence("pareto", 3 * FORMAT_CHUNK + 7, keyed_generator(110)),
+                     generate_sequence("exponential", 2 * FORMAT_CHUNK + 3, keyed_generator(111),
+                                       rate=2.0)]
+        written = [[], []]
+        for pieces in itertools.zip_longest(*map(format_intervals, sequences)):
+            for into, piece in zip(written, pieces):
+                if piece is not None:
+                    into.append(piece)
+        for into, sequence in zip(written, sequences):
+            lines, expected = "".join(into).splitlines(), repr_lines(sequence.intervals).splitlines()
+            differing = [i for i, (line, other) in enumerate(zip(lines, expected)) if line != other]
+            assert (len(lines), differing[:1]) == (len(expected), [])
+
+    def test_threads_read_at_once(self):
+        # more threads than cores, switching often, each reading its own file
+        # three times: arrays shared between calls would mix their values
+        texts = ["".join(format_intervals(generate_sequence(kind, 50_000, keyed_generator(seed),
+                                                            rate=2.0)))
+                 for kind, seed in [("pareto", 112), ("exponential", 113)] * 2]
+        expected = [np.array(text.split(), dtype=float) for text in texts]
+        barrier = threading.Barrier(len(texts))
+        read = [[] for _ in texts]
+
+        def reader(i):
+            barrier.wait(timeout=60)
+            for _ in range(3):
+                try:
+                    read[i].append(read_intervals(read_pieces(texts[i])).intervals)
+                except Exception as exc:  # the thread's failure, for the assertion below
+                    read[i].append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=reader, args=(i,), daemon=True)
+                       for i in range(len(texts))]
+            for thread in threads:
+                thread.start()
+            deadline = time.monotonic() + 120
+            for thread in threads:
+                thread.join(timeout=max(0, deadline - time.monotonic()))
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        for values, reference in zip(read, expected):
+            assert len(values) == 3
+            for parsed in values:
+                assert isinstance(parsed, np.ndarray), parsed
+                assert np.array_equal(parsed.view(np.int64), reference.view(np.int64))
