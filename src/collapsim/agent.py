@@ -33,7 +33,7 @@ from .errors import (
     LengthMismatch,
     NoAdmissibleAlternative,
 )
-from .quantum import ProbabilityDistribution, StateVector, _built, _frozen, make_state
+from .quantum import ProbabilityDistribution, StateVector, _built, _frozen, born_weights, make_state
 from .rng import TrialStreams, cumulative, run_blocks, sample_index, sample_indices
 
 
@@ -66,12 +66,9 @@ class AlternativeSet:
         return len(self.labels)
 
     @cached_property
-    def attended(self) -> tuple[StateVector, ProbabilityDistribution]:
-        """attention(self) and its Born distribution, built once per instance: the
-        squared amplitudes of make_state's state sum to 1, so are not checked again."""
-        state = attention(self)
-        born = (abs(state.amplitudes) ** 2).clip(0.0, 1.0)
-        return state, _built(ProbabilityDistribution, probs=_frozen(born))
+    def born(self) -> ProbabilityDistribution:
+        """The Born row, born_weights of the priorities: built once, not checked again."""
+        return _built(ProbabilityDistribution, probs=_frozen(born_weights(self.priorities)))
 
 
 @dataclass(frozen=True)
@@ -150,14 +147,9 @@ COLLAPSE_STAGE_SHAPE = tuple(
 
 
 def attention(alternatives: AlternativeSet) -> StateVector:
-    """Superpose the alternatives with amplitudes sqrt(priority / total)."""
-    priorities = np.asarray(alternatives.priorities, dtype=float)
-    with np.errstate(over="ignore"):
-        total = priorities.sum()
-    if np.isinf(total):  # bring the largest priority to 1 first
-        priorities = priorities / priorities.max()
-        total = priorities.sum()
-    return make_state(np.sqrt(priorities / total))
+    """Superpose the alternatives with amplitudes sqrt(priority / total), the
+    square roots of their Born row."""
+    return make_state(np.sqrt(alternatives.born.probs))
 
 
 def _choices(
@@ -183,12 +175,11 @@ def selection(
     Ties are broken by Born-renormalized sampling over the tied set (a
     random subroutine), and flagged as such.
     """
-    born = ProbabilityDistribution(np.abs(state.amplitudes) ** 2)
+    born = ProbabilityDistribution(born_weights(np.abs(state.amplitudes) ** 2))
     tied = _choices(born, alternatives, norm)
     if len(tied) == 1:
         return tied[0], False
-    weights = np.abs(state.amplitudes[tied]) ** 2
-    return tied[sample_index(rng, weights)], True
+    return tied[sample_index(rng, born.probs[tied])], True
 
 
 def act(
@@ -215,7 +206,7 @@ def act(
         kind="collapse",
         labels=alternatives.labels,
         stages=(
-            AttentionStage(tick=1, state=alternatives.attended[0]),
+            AttentionStage(tick=1, state=attention(alternatives)),
             SelectionStage(tick=2, chosen=chosen, tie_broken=tie_broken),
             CollapseStage(tick=3, outcome=chosen),
         ),
@@ -234,8 +225,8 @@ def robot_act(alternatives: AlternativeSet, norm: NormFunction) -> AgentTrace:
 
 
 def born_reference(alternatives: AlternativeSet) -> ProbabilityDistribution:
-    """The zero-control baseline: normalized priorities as probabilities."""
-    return alternatives.attended[1]
+    """The zero-control baseline: the priorities over their total (born_weights)."""
+    return alternatives.born
 
 
 class ActBlock(NamedTuple):
@@ -266,7 +257,7 @@ def _act_block(
 ) -> Callable[[TrialStreams, np.ndarray], ActBlock]:
     """The block code of act and act_trials.
 
-    Attention (alternatives.attended), the tied set and one stack of two
+    The Born row (alternatives.born), the tied set and one stack of two
     cumulative tables over all labels are computed once: row 0 the tie-break
     (Born weight on the tied set), row 1 the Born branch (cumulative zeroes
     each inadmissible label). A choice is admissible, so its Forced collapse
@@ -278,7 +269,7 @@ def _act_block(
     """
     if not 0.0 <= mixing <= 1.0:
         raise BadParameter("mixing must lie in [0, 1]")
-    born = alternatives.attended[1]  # the squared real amplitudes, which need no clip
+    born = alternatives.born
     tied = _choices(born, alternatives, norm)
     tie_break = np.zeros(len(born))
     tie_break[tied] = born.probs[tied]

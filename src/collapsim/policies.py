@@ -241,8 +241,8 @@ def deviation_statistic(
     """Total-variation distance and chi-square test of observed counts.
 
     tv = (1/2) sum_j |counts_j/N - ref_j|; chi2 sums (c_j - N*ref_j)^2/(N*ref_j)
-    over reference outcomes with nonzero probability; df is their number less
-    one (at least 1), pvalue the chance a chi-square variate with df is >= chi2.
+    over reference.support(), the outcomes a policy may reach; df is its size
+    less one (at least 1), pvalue the chance a chi-square variate with df is >= chi2.
     """
     obs = np.asarray(counts, dtype=float)
     if obs.ndim != 1 or obs.size != len(reference):
@@ -253,10 +253,10 @@ def deviation_statistic(
     if total < 1:
         raise BadParameter("at least one observation is required")
     ref = reference.probs
-    mask = ref > 0
-    expected = total * ref[mask]
-    chi2 = float(((obs[mask] - expected) ** 2 / expected).sum())
-    df = max(len(reference.support()) - 1, 1)
+    support = sorted(reference.support())
+    expected = total * ref[support]
+    chi2 = float(((obs[support] - expected) ** 2 / expected).sum())
+    df = max(len(support) - 1, 1)
     return DeviationStats(total_variation(obs / total, ref), chi2, df, _chi2_sf(chi2, df))
 
 

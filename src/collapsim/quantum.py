@@ -99,7 +99,8 @@ class DensityOperator:
 
     @classmethod
     def from_state(cls, state: StateVector) -> "DensityOperator":
-        return cls(np.outer(state.amplitudes, state.amplitudes.conj()))
+        outer = np.outer(state.amplitudes, state.amplitudes.conj())
+        return cls(outer / outer.trace().real)
 
 
 @dataclass(frozen=True, eq=False)
@@ -214,29 +215,39 @@ def make_state(amplitudes) -> StateVector:
     return _built(StateVector, amplitudes=_frozen(_capped(amps) / norm))
 
 
+def born_weights(weights) -> np.ndarray:
+    """The Born rule: each row (last axis) of non-negative weights over its own
+    total, a row whose total overflows first brought to a largest weight of 1.
+    Every Born row is made here but decide_sat's witness draw and its oracles
+    register_born and collapse_register, which keep the rounding of their vdot
+    weight: the pinned sat digests hold it, and a divided register_born row no
+    longer matches the witness draw's collapsed table."""
+    w = np.asarray(weights, dtype=float)
+    with np.errstate(over="ignore"):
+        total = w.sum(axis=-1, keepdims=True)
+    if np.isinf(total).any():  # bring the largest weight to 1 first
+        return born_weights(w / w.max(axis=-1, keepdims=True))
+    return w / total
+
+
 def born_distribution(
     state: StateVector, measurement: ProjectiveMeasurement
 ) -> ProbabilityDistribution:
-    """Outcome probabilities <s|M_j|s>, clipped to [0, 1]."""
+    """Outcome probabilities born_weights of ||M_j s||^2."""
     if state.dim != measurement.dim:
-        raise DimensionMismatch(
-            f"state dim {state.dim} != measurement dim {measurement.dim}"
-        )
-    amps = state.amplitudes
-    probs = np.einsum(
-        "i,mij,j->m", amps.conj(), measurement.projectors, amps, optimize=False
-    ).real
-    return ProbabilityDistribution(probs.clip(0.0, 1.0))
+        raise DimensionMismatch(f"state dim {state.dim} != measurement dim {measurement.dim}")
+    projected = measurement.projectors @ state.amplitudes
+    return ProbabilityDistribution(born_weights((np.abs(projected) ** 2).sum(axis=-1)))
 
 
 def born_distribution_rho(
     rho: DensityOperator, measurement: ProjectiveMeasurement
 ) -> ProbabilityDistribution:
-    """Outcome probabilities Tr(M_j rho) for a mixed state."""
+    """Outcome probabilities born_weights of Tr(M_j rho), rounded up to 0, for a mixed state."""
     if rho.dim != measurement.dim:
         raise DimensionMismatch(f"rho dim {rho.dim} != measurement dim {measurement.dim}")
-    probs = np.einsum("mij,ji->m", measurement.projectors, rho.matrix).real
-    return ProbabilityDistribution(probs.clip(0.0, 1.0))
+    traces = np.einsum("mij,ji->m", measurement.projectors, rho.matrix).real
+    return ProbabilityDistribution(born_weights(traces.clip(0.0)))
 
 
 def collapse(
@@ -275,8 +286,8 @@ def paired_born(
     of seconds[s] on the state outcome j of `first` leaves; rows of zero-Born
     outcomes are NaN. With Ψ the d_A × d_B coefficient matrix of the state and
     X_j = P_j Ψ, outcome j has probability ‖X_j‖², the pair (j, m) under
-    seconds[s] has ‖X_j Q_mᵀ‖², and each row is its joint row over that row's
-    own sum: no measurement is lifted onto the d_A·d_B space, no state collapsed.
+    seconds[s] has ‖X_j Q_mᵀ‖², and each row is born_weights of its weights: no
+    measurement is lifted onto the d_A·d_B space, no state collapsed.
     """
     d_a, d_b = dims
     if state.dim != d_a * d_b:
@@ -288,16 +299,12 @@ def paired_born(
     if len({second.n_outcomes for second in seconds}) != 1:
         raise DimensionMismatch("the second measurements need one common outcome count")
     x = first.projectors @ state.amplitudes.reshape(d_a, d_b)
-    born = ProbabilityDistribution((np.abs(x) ** 2).sum(axis=(1, 2)))
+    born = ProbabilityDistribution(born_weights((np.abs(x) ** 2).sum(axis=(1, 2))))
     y = np.einsum("jab,smcb->sjmac", x, np.stack([second.projectors for second in seconds]))
     joint = (np.abs(y) ** 2).sum(axis=(-2, -1))
     allowed = born.probs > ZERO_PROB
-    rows = joint[:, allowed]
-    rows = rows / rows.sum(axis=-1, keepdims=True)
-    if not ((rows >= -ZERO_PROB).all() and within(rows.sum(axis=-1), 1.0)):
-        raise ValueError("conditional rows must be non-negative and sum to 1")
     table = np.full(joint.shape, np.nan)
-    table[:, allowed] = rows
+    table[:, allowed] = born_weights(joint[:, allowed])
     return born, _frozen(table.reshape(-1, joint.shape[-1]))
 
 
@@ -336,7 +343,8 @@ def register_born(
     """Born distribution of a computational measurement on one register.
 
     Structurally equivalent to embedding the computational basis of that
-    register and calling born_distribution, without building dim^2 matrices.
+    register and calling born_distribution, without building dim^2 matrices
+    and without its division (see born_weights).
     """
     d_a, d_b = dims
     if state.dim != d_a * d_b:

@@ -275,7 +275,8 @@ def fwt_records(seed, trials, context=1, ray_text="random", policy_text="born") 
 
 def _act(alternatives, norm, rng: np.random.Generator, mixing: float) -> tuple[int, bool]:
     """One collapse-agent episode: (chosen, tie_broken)."""
-    born = ProbabilityDistribution(np.abs(agent.attention(alternatives).amplitudes) ** 2)
+    priorities = np.array(alternatives.priorities)
+    born = ProbabilityDistribution(priorities / priorities.sum())
     probs, admissible = born.probs, sorted(born.support())
     if mixing >= 1.0 or rng.random() < mixing:
         scores = [norm.value(alternatives.labels[j]) for j in admissible]

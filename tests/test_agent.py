@@ -1,5 +1,10 @@
+import math
+from fractions import Fraction
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats as scipy_stats
 
 from collapsim.agent import (
@@ -104,6 +109,16 @@ class TestAttention:
             state = attention(AlternativeSet(tuple("abc"[:len(priorities)]), priorities))
         p = np.array(priorities)
         assert np.array_equal(state.amplitudes, make_state(np.sqrt(p / p.sum())).amplitudes)
+
+    @settings(deadline=None)
+    @given(st.lists(st.integers(0, 100), min_size=2, max_size=6).filter(any))
+    def test_born_reference_is_the_priorities_over_their_total(self, priorities):
+        # the exact rational p / sum p, to within one ulp; the squared amplitudes
+        # of the attention state, the row until it was the priorities over their
+        # total, missed it at (1, 3)
+        reference = born_reference(AlternativeSet(tuple("abcdef"[:len(priorities)]), priorities))
+        for p, q in zip(priorities, reference.probs.tolist()):
+            assert abs(Fraction(q) - Fraction(p, sum(priorities))) <= Fraction(math.ulp(q))
 
     def test_zero_priority_gives_zero_amplitude(self):
         alts = AlternativeSet(("a", "b", "c"), (0.5, 0.5, 0.0))

@@ -252,14 +252,16 @@ class TestRunSignal:
         projectors = harnesses._basis_measurement("x", 2).projectors
         assert (projectors == [[[0.5, 0.5], [0.5, 0.5]], [[0.5, -0.5], [-0.5, 0.5]]]).all()
 
-    @pytest.mark.parametrize("bases", ["zxz", "xzz", "zxx", "xzx"])
+    @pytest.mark.parametrize("bases", ["zzz", "zxz", "xzz", "zxx", "xzx"])
     def test_born_null_across_z_and_x_reads_zero(self, bases):
         # with rows of 1/sqrt(2) the Hadamard rows summed to 1 - 4e-16 and
-        # these read max_tv 1.1e-16
+        # these read max_tv 1.1e-16; Bob's marginals read 0.4999999999999999
+        # until Alice's Born row was her weights over their own total
         raw = {"experiment": "signal", "alice_basis0": bases[0], "alice_basis1": bases[1],
                "bob_basis": bases[2]}
         aggregate = aggregate_of(run_lines(raw))
         assert aggregate["max_tv"] == 0.0 and aggregate["channel_bits"] == 0.0
+        assert aggregate["bob_marginal_0"] == aggregate["bob_marginal_1"] == [0.5, 0.5]
 
 
 # every (Alice basis, Bob basis) pair, analytic and empirical
@@ -408,6 +410,18 @@ class TestRunAsc:
             )
         )
         assert aggregate["counts"]["a"] == 10
+
+    def test_chi2_sums_over_the_support(self):
+        # a's priority is below ZERO_PROB, so no trial may choose it: chi2 once
+        # read 1e-10, all of it a's expected count
+        aggregate = aggregate_of(run_lines({
+            "experiment": "asc", "trials": 1000, "labels": "a,b", "priorities": "1e-13,1",
+            "norm": "1,1",
+        }))
+        expected = 1000 * aggregate["born_reference"][1]
+        assert aggregate["counts"] == {"a": 0, "b": 1000}
+        assert aggregate["chi2"] == (1000 - expected) ** 2 / expected < 1e-20
+        assert aggregate["chi2_df"] == 1
 
 
 class TestNewSurfaces:
@@ -1070,16 +1084,25 @@ class TestMainEntry:
             (["energy", "--state", "1e308,1e308", "--h-diag", "1,2"], "e_before", 1.5),
             (["asc", "--priorities", "1e308,1e308", "--trials", "5"], "born_reference",
              [0.5, 0.5]),
+            (["energy", "--h-diag", "1,2"], "e_before", 1.5),
+            (["asc", "--trials", "5"], "born_reference", [0.5, 0.5]),
+            (["asc", "--trials", "5"], "chi2", 5.0),
+            (["signal", "--policy0", "born", "--policy1", "biased:0.55,0.45"],
+             "bob_marginal_0", [0.5, 0.5]),
         ],
-        ids=["energy-state", "asc-priorities"],
+        ids=["energy-state", "asc-priorities", "energy", "asc-born-reference", "asc-chi2",
+             "signal-bob-marginal"],
     )
-    def test_huge_finite_numbers_run(self, argv, key, expected, tmp_path, capsys):
-        # the sum of squares or of priorities overflows; both once failed
-        # (a traceback and a ZeroVector)
+    def test_uniform_born_rows_read_exactly(self, argv, key, expected, tmp_path, capsys):
+        # a uniform two-outcome Born row is exactly 0.5, 0.5: each is its weights
+        # over their own total. These read 1.4999999999999996, 0.5000000000000001
+        # (chi2 4.999999999999999) and 0.4999999999999999 while the rows were
+        # squared amplitudes; with a sum of squares or of priorities that
+        # overflows, the first two once failed (a traceback and a ZeroVector)
         out = tmp_path / "out.txt"
         assert main(argv + ["--out", str(out)]) == 0
         assert capsys.readouterr().err == ""
-        assert aggregate_of(out.read_text().splitlines())[key] == pytest.approx(expected)
+        assert aggregate_of(out.read_text().splitlines())[key] == expected
 
     def test_near_hermitian_matrix_runs(self, tmp_path, capsys):
         # Hermitian within tolerance: it once failed the energy's reality check

@@ -31,7 +31,7 @@ DIGESTS = {
     "signal": "cd9f9a9c3e7d701609506ec3bad3c2a3ff155b0b883ccb1fbf6aec241125ece5",
     "energy": "808343c1d068c35aeefe42c112cd09d6d5066b16b22a29601dce5a8452179c27",
     "sat": "c1df5e2f400d78defc6193ffeaf0f9daec34d7e17da08c57aa72b63f46370233",
-    "asc": "b552d6877c6c6cf719d2a52c0e0d114159eb4e967c582b73383c48c81d4e1e87",
+    "asc": "630038a6c5a6659ba596f5900614d7367e4a7b3d2f32bdb878e48ad01e4be082",
     "behavior": "2111def1fd9b0c983f92df78ef423b790d7f7c1625d9021483794f11e7048a97",
 }
 

@@ -56,14 +56,14 @@ JOBS = {
 }
 
 DIGESTS = {
-    "asc-one-mixing0.7-1": "6c58b65d12444f53b4e6c834d55c57b5f5f1f20cb4fe0bf3f834c28caa8b79ae",
-    "asc-one-mixing0.7-100": "f03add26b1a62c6cc6108fcb7bf72887b59e0758ed5f74635304490226c61ca3",
-    "asc-one-mixing1-1": "fd3a5fdba019973b771847848cb9d23c29b6335af92a73e913864ec2cb2f04d5",
-    "asc-one-mixing1-100": "15fed5bb1557f5e165e8702d1cef92612afacacad721b57d3dca285eb86841f0",
-    "asc-tie-mixing0.4-1": "b2ed4814d7b0786e29feb83bf01d90661e90df9f9e261c907d238244a23a9675",
-    "asc-tie-mixing0.4-100": "bf1d848b3eaca13892fedd6fef93fba55e6f16bb9fcb09ab7159c6a39f213cee",
-    "asc-tie-mixing1-1": "c252caa06bb1d6893b84a4b531b33868973ce9615fc00a1cfe23e0ba91524c7d",
-    "asc-tie-mixing1-100": "59a1011205073cc715a950fe32a9116f31d15d95fd721eca9d345ba881d51b6b",
+    "asc-one-mixing0.7-1": "0bf03a75248c3c9acf4e232e1e0bf0774afab0fae48918db7eb04783c2714af1",
+    "asc-one-mixing0.7-100": "38ee29e9e8201648c11bfadb2a035481b57c17581c792ae3fd48dc35fb1cb4ee",
+    "asc-one-mixing1-1": "89d2a829dfca976ad76a79ca2ad7f63c8fe44ecd83bb714e5c2e9f6906f5e089",
+    "asc-one-mixing1-100": "401d5348f8b556d8f68769c51131e7a80ec15d4ae513640909a0625b5583cfb6",
+    "asc-tie-mixing0.4-1": "02aeac99ad1b41abee4cc09f333a42fc95a49805486ff83da3180b76495efd81",
+    "asc-tie-mixing0.4-100": "9c30ebea19e65e424a8fa0f11c768f04427e8f47edc228951e50256dd7acd8ce",
+    "asc-tie-mixing1-1": "06a967ba0648afad6439995806afce1499bc28c2a3a25e458d713b51febafb49",
+    "asc-tie-mixing1-100": "b4faf0aaef3025d6c9db37c4d37e02d2f0731c7d0a991aa39f3b90114651a63c",
     "fwt-1,1,0,0-biased-1": "72b9705dfba6537791bc5d3eaeb0c4aa722d807d40910122b5b1b573ae9eccfb",
     "fwt-1,1,0,0-biased-100": "8b3fbd295aee5e9866c2f3ddc15403c8f022174f59fdb77c32156f066dba6d55",
     "fwt-1,1,0,0-born-1": "5a461ec750ee42ca5947839e23ba728cb8bade39ea77ef3257181cf848de2a1b",
